@@ -13,9 +13,8 @@
 //! (no published number — the paper column shows "—"): they exist to
 //! exercise the SoA busy-tick kernel at the sizes it was built for, and
 //! to check the hop-count advantage keeps holding as diameters double.
-//! Sharded ticking speeds these rows up without changing a single
-//! result byte: set `PP_SHARDS` (or run the `busy` campaign suite with
-//! `--shards`).
+//! Sharded ticking speeds such meshes up without changing a single
+//! result byte: run the `busy` campaign suite with `--shards N`.
 
 use punchsim::stats::Table;
 use punchsim::traffic::{SyntheticSim, TrafficPattern};

@@ -173,10 +173,10 @@ pub fn substrate_suite(seed: u64) -> Vec<RunSpec> {
     specs
 }
 
-/// Measured cycles for the fast-path gate suite (shortened by
+/// Measured cycles for the idle-dominated suite (shortened by
 /// [`fast_mode`]). Much longer than [`synth_cycles`]: cycles are cheap
 /// when most of them are skipped, and the window must dwarf per-run
-/// setup so the cycles/sec ratio measures the tick kernel, not overhead.
+/// setup so cycles/sec measures the tick kernel, not overhead.
 pub fn fastpath_cycles() -> u64 {
     if fast_mode() {
         2_000_000
@@ -185,14 +185,13 @@ pub fn fastpath_cycles() -> u64 {
     }
 }
 
-/// The fast-path speedup gate suite: every evaluated scheme driving the
-/// default 8x8 mesh at a *very* low load, where the network spends most
-/// cycles quiescent. This is the regime the quiescence fast-forward
-/// kernel exists for — sparse coherence traffic over a mostly-gated
-/// fabric — and the suite CI uses to enforce its ≥1.5x speedup over
-/// `--naive-tick` (the at-load `ci` suite is dominated by the
-/// full-system model, which ticks the network every cycle by design, so
-/// global skip cannot engage there).
+/// The idle-dominated suite: every evaluated scheme driving the default
+/// 8x8 mesh at a *very* low load, where the network spends most cycles
+/// quiescent. This is the regime quiescence fast-forward exists for —
+/// sparse coherence traffic over a mostly-gated fabric (the at-load `ci`
+/// suite is dominated by the full-system model, which ticks the network
+/// every cycle by design, so global skip cannot engage there). The
+/// `idle8_ppf` row of `perf/` tracks its speed.
 pub fn fastpath_suite(seed: u64) -> Vec<RunSpec> {
     let measure = fastpath_cycles();
     SchemeKind::EVALUATED
@@ -215,8 +214,8 @@ pub fn fastpath_suite(seed: u64) -> Vec<RunSpec> {
 /// Measured cycles for the busy-regime scalability gate suite (shortened
 /// by [`fast_mode`]). Shorter than [`fastpath_cycles`]: every cycle here
 /// is a *busy* cycle (packets continuously in flight, so quiescence
-/// fast-forward never engages), and busy cycles on a 32x32 mesh are what
-/// the SoA-vs-struct ratio is measured on.
+/// fast-forward never engages), and busy cycles on a 32x32 mesh are
+/// expensive.
 pub fn busy_cycles() -> u64 {
     if fast_mode() {
         12_000
@@ -233,9 +232,9 @@ pub fn busy_cycles() -> u64 {
 /// latency, so the network never goes quiescent — yet only a sparse
 /// minority of routers is busy on any given cycle, which is exactly the
 /// coherence-traffic shape the SoA word sweep exists for. CI's
-/// `soa_gate.sh` runs this suite under the SoA and struct kernels
-/// (byte-identical artifacts, ≥1.5x speed), and `shard_gate.sh` reruns
-/// it across `--shards` counts (byte-identical artifacts again).
+/// `shard_gate.sh` reruns this suite across `--shards` counts
+/// (byte-identical artifacts); the `sparse32_*` rows of `perf/` track its
+/// speed.
 pub fn busy_suite(seed: u64) -> Vec<RunSpec> {
     let measure = busy_cycles();
     let mut specs = Vec::new();
@@ -260,29 +259,6 @@ pub fn busy_suite(seed: u64) -> Vec<RunSpec> {
         }
     }
     specs
-}
-
-/// The persistent-pool perf-gate suite: a single PowerPunchFull 32x32 run
-/// under the busy-regime load, the spec `shard_gate.sh` times at
-/// `--shards 4` pooled vs per-tick spawn (`PP_SPAWN_TICK=1`) and holds to
-/// a ≥1.3x cycles/sec ratio. Kept to one spec so the gate's wall-clock
-/// ratio is a clean per-run measurement instead of an average across
-/// meshes and schemes (the byte-identity half of the gate still runs the
-/// full [`busy_suite`]).
-pub fn pool_suite(seed: u64) -> Vec<RunSpec> {
-    let measure = busy_cycles();
-    vec![RunSpec {
-        scheme: SchemeKind::PowerPunchFull,
-        seed,
-        workload: Workload::Synthetic {
-            pattern: TrafficPattern::UniformRandom,
-            topo: Mesh::new(32, 32).into(),
-            routing: RoutingKind::Xy,
-            rate: 0.0005,
-            warmup_cycles: measure / 8,
-            measure_cycles: measure,
-        },
-    }]
 }
 
 /// The rivals study: Power Punch against the structurally different
@@ -388,9 +364,6 @@ mod tests {
             };
             assert!(rate < 0.001, "fastpath runs must be idle-dominated");
         }
-        let pool = pool_suite(seed);
-        assert_eq!(pool.len(), 1, "one spec keeps the perf ratio clean");
-        assert!(pool[0].id().contains("32x32"), "gate runs the large mesh");
         let busy = busy_suite(seed);
         assert_eq!(busy.len(), 2 * 3, "two meshes x three schemes");
         let mut bids: Vec<String> = busy.iter().map(RunSpec::id).collect();

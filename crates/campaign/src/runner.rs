@@ -49,13 +49,12 @@ pub struct RunRecord {
     /// never the deterministic artifact).
     pub registry: Option<Box<Registry>>,
     /// Shard worker threads the run created (0 for cache hits; at most
-    /// `shards - 1` under the persistent pool, per-tick only under
-    /// `PP_SPAWN_TICK=1`).
+    /// `shards - 1`, the persistent pool's size).
     pub spawn_count: u64,
     /// Wall-clock nanoseconds spent creating those threads.
     pub spawn_nanos: u64,
     /// Sharded ticks executed through the persistent worker pool (0 for
-    /// cache hits and spawn-per-tick runs).
+    /// cache hits).
     pub pool_ticks: u64,
     /// Host nanoseconds blocked at the pool's completion barrier (0 for
     /// cache hits).
@@ -149,6 +148,11 @@ pub struct Runner {
     /// latency histograms, per-router planes, tick-phase profile). Like
     /// sampling, collection forces simulation without changing metrics.
     pub collect_metrics: bool,
+    /// Row-band shard count every run's network ticks with (see
+    /// `Network::set_shards`); `0` and `1` both mean unsharded. Like
+    /// `threads`, an execution detail: it never changes a result and never
+    /// enters a spec's content hash.
+    pub shards: usize,
 }
 
 impl Runner {
@@ -196,7 +200,7 @@ impl Runner {
                         trace_cap: self.trace_cap,
                         metrics: self.collect_metrics,
                     };
-                    let outcome = execute_one(spec, self.store.as_ref(), opts);
+                    let outcome = execute_one(spec, self.store.as_ref(), opts, self.shards.max(1));
                     on_done(i, &outcome);
                     *slots[i].lock().expect("result slot poisoned") = Some(outcome);
                 });
@@ -217,7 +221,7 @@ impl Runner {
 /// Requested observation (sampling or tracing) can only come from a live
 /// simulation, so it bypasses the store lookup (results are still saved
 /// for later unobserved campaigns).
-fn execute_one(spec: &RunSpec, store: Option<&Store>, opts: ObserveOpts) -> Outcome {
+fn execute_one(spec: &RunSpec, store: Option<&Store>, opts: ObserveOpts, shards: usize) -> Outcome {
     let started = Instant::now();
     if opts.is_none() {
         if let Some(store) = store {
@@ -241,7 +245,7 @@ fn execute_one(spec: &RunSpec, store: Option<&Store>, opts: ObserveOpts) -> Outc
     // The spec and its config are rebuilt from scratch inside `execute`;
     // nothing mutable crosses the unwind boundary, so the suppression of
     // the UnwindSafe bound is sound.
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| spec.execute_observed(opts)));
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| spec.execute_observed(opts, shards)));
     let wall_nanos = started.elapsed().as_nanos() as u64;
     match result {
         Ok(Ok(observed)) => {

@@ -203,7 +203,7 @@ impl RunSpec {
     /// surface protocol wedges as panics, which the campaign runner
     /// isolates per run.
     pub fn execute(&self) -> Result<Metrics, SimError> {
-        Ok(self.execute_observed(ObserveOpts::NONE)?.metrics)
+        Ok(self.execute_observed(ObserveOpts::NONE, 1)?.metrics)
     }
 
     /// Like [`RunSpec::execute`], additionally collecting a per-interval
@@ -216,10 +216,15 @@ impl RunSpec {
     /// what lets the runner keep serving the deterministic artifact from the
     /// result store while regenerating series on demand.
     ///
+    /// `shards` is the row-band shard count the run's network ticks with
+    /// (see `Network::set_shards`): like observation it never changes
+    /// `metrics`, which is why it is an argument here and not a spec field.
+    ///
     /// # Errors
     ///
-    /// Same as [`RunSpec::execute`].
-    pub fn execute_observed(&self, opts: ObserveOpts) -> Result<Observed, SimError> {
+    /// Same as [`RunSpec::execute`], plus the typed shard-count errors of
+    /// `Network::set_shards`.
+    pub fn execute_observed(&self, opts: ObserveOpts, shards: usize) -> Result<Observed, SimError> {
         // Per-scheme model: identical to `default_45nm()` for every scheme
         // with the BASELINE power profile, so historical artifacts hold.
         let pm = PowerModel::for_scheme(self.scheme);
@@ -235,6 +240,7 @@ impl RunSpec {
                 cfg.warmup_instr = *warmup_instr;
                 let routers = cfg.sim.noc.topology.nodes();
                 let mut sim = CmpSim::new(cfg);
+                sim.network_mut().set_shards(shards)?;
                 if opts.trace_cap > 0 {
                     sim.network_mut()
                         .set_sink(Box::new(RingSink::new(opts.trace_cap)));
@@ -298,6 +304,7 @@ impl RunSpec {
                 cfg.seed = self.seed;
                 let routers = topo.nodes();
                 let mut sim = SyntheticSim::new(cfg, *pattern, *rate);
+                sim.network_mut().set_shards(shards)?;
                 if opts.trace_cap > 0 {
                     sim.network_mut()
                         .set_sink(Box::new(RingSink::new(opts.trace_cap)));
@@ -426,17 +433,15 @@ pub struct Observed {
     /// Metric registry (`None` unless `metrics` was requested).
     pub registry: Option<Box<Registry>>,
     /// Shard worker threads created across the run (0 when phase A never
-    /// took the sharded path). Under the default persistent pool this
-    /// counts pool creations — at most `shards - 1` per pool lifetime,
-    /// and 0 in the measured window when the pool came up during warm-up;
-    /// under `PP_SPAWN_TICK=1` it reverts to per-tick spawns. Always
-    /// collected — it is a single counter read — so the timing sidecar
-    /// can report thread overhead per run.
+    /// took the sharded path): pool creations — at most `shards - 1` per
+    /// pool lifetime, and 0 in the measured window when the pool came up
+    /// during warm-up. Always collected — it is a single counter read — so
+    /// the timing sidecar can report thread overhead per run.
     pub spawn_count: u64,
     /// Wall-clock nanoseconds spent creating those threads.
     pub spawn_nanos: u64,
-    /// Sharded ticks executed through the persistent worker pool (0 in
-    /// spawn-per-tick mode or when never sharded).
+    /// Sharded ticks executed through the persistent worker pool (0 when
+    /// never sharded).
     pub pool_ticks: u64,
     /// Wall-clock nanoseconds the host thread spent blocked at the pool's
     /// completion barrier after finishing its own shard — cross-shard
@@ -663,11 +668,14 @@ mod tests {
         let spec = synth_spec();
         let plain = spec.execute().unwrap();
         let obs = spec
-            .execute_observed(ObserveOpts {
-                sample_every: 100,
-                trace_cap: 4_096,
-                metrics: false,
-            })
+            .execute_observed(
+                ObserveOpts {
+                    sample_every: 100,
+                    trace_cap: 4_096,
+                    metrics: false,
+                },
+                1,
+            )
             .unwrap();
         // The core invariant: attaching observation changes nothing.
         assert_eq!(obs.metrics, plain);
@@ -687,7 +695,7 @@ mod tests {
     #[test]
     fn observe_opts_none_collects_nothing() {
         assert!(ObserveOpts::NONE.is_none());
-        let obs = synth_spec().execute_observed(ObserveOpts::NONE).unwrap();
+        let obs = synth_spec().execute_observed(ObserveOpts::NONE, 1).unwrap();
         assert!(obs.series.is_empty());
         assert!(obs.events.is_empty());
         assert!(obs.registry.is_none());
@@ -698,10 +706,13 @@ mod tests {
         let spec = synth_spec();
         let plain = spec.execute().unwrap();
         let obs = spec
-            .execute_observed(ObserveOpts {
-                metrics: true,
-                ..ObserveOpts::NONE
-            })
+            .execute_observed(
+                ObserveOpts {
+                    metrics: true,
+                    ..ObserveOpts::NONE
+                },
+                1,
+            )
             .unwrap();
         // Collection never steers the simulation.
         assert_eq!(obs.metrics, plain);

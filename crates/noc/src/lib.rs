@@ -49,10 +49,10 @@ pub mod trace;
 pub mod vc;
 
 pub use flit::{Flit, FlitKind, Message, MsgClass, PacketMeta};
-pub use network::{Network, ShardExec, TickMode};
+pub use network::Network;
 pub use power::{AlwaysOn, IdleInfo, PgCounters, PmEvent, PowerManager, PowerState};
 pub use router::{Router, RouterActivity};
-pub use soa::{BitWords, BusyKernel};
+pub use soa::BitWords;
 pub use stats::{NetStats, NetworkReport};
 pub use trace::{PacketRecord, TraceLog};
 pub use vc::VcLayout;

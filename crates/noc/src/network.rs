@@ -10,7 +10,6 @@
 //! argument.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
 use punchsim_metrics::{Phase, PhaseProfiler, Registry};
 use punchsim_obs::{self as obs, Event, EventSink, PowerTag};
@@ -25,75 +24,15 @@ use crate::ni::Ni;
 use crate::pool::{Job, ShardPool};
 use crate::power::{IdleInfo, PmEvent, PowerManager, PowerState};
 use crate::router::{Router, RouterActivity};
-use crate::soa::{self, BusyKernel, FlatAvail, PmAvail, ShardBuf, ShardView, SoaState, TickCtx};
+use crate::soa::{self, FlatAvail, PmAvail, ShardBuf, ShardView, SoaState, TickCtx};
 use crate::stats::{NetStats, NetworkReport};
 use crate::trace::{PacketRecord, TraceLog};
 use crate::vc::VcLayout;
 
-/// How [`Network::run`] / [`Network::run_hooked`] advance the clock.
-///
-/// Both modes are observationally identical — pinned by the differential
-/// oracle in `tests/differential.rs` and by the CI no-drift gate running the
-/// benchmark campaign in both modes and comparing artifacts byte for byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TickMode {
-    /// Quiescence fast-forward enabled (the default): when nothing can
-    /// change network state before new host input, `run` advances the clock
-    /// to the end of the requested span (or the next hook boundary) in one
-    /// bulk [`PowerManager::tick_quiet`] call instead of O(routers) work
-    /// per cycle.
-    #[default]
-    Fast,
-    /// The reference kernel: strictly one [`Network::tick`] per cycle.
-    /// Selected by `PP_NAIVE_TICK=1` at construction, or
-    /// [`Network::set_tick_mode`].
-    Naive,
-}
-
-impl TickMode {
-    /// Resolves the mode from the `PP_NAIVE_TICK` environment variable:
-    /// `1` selects [`TickMode::Naive`], anything else (or unset) selects
-    /// [`TickMode::Fast`].
-    pub fn from_env() -> Self {
-        match std::env::var("PP_NAIVE_TICK") {
-            Ok(v) if v == "1" => TickMode::Naive,
-            _ => TickMode::Fast,
-        }
-    }
-}
-
-/// How the sharded SoA tick executes phase A when `shards > 1`.
-///
-/// Both modes are observationally identical — the shard pool reuses the
-/// exact record-then-commit protocol, only the thread lifecycle differs —
-/// pinned end to end by `tests/shard_pool_determinism.rs` and by the CI
-/// `shard_gate.sh` artifact diff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShardExec {
-    /// Persistent worker pool (the default): shard threads are created
-    /// lazily on the first sharded tick, parked on a condvar epoch
-    /// barrier between ticks, resized on [`Network::set_shards`], and
-    /// joined on drop. Amortizes the ~6 μs/spawn per-tick cost measured
-    /// in PR 7's timing sidecars.
-    #[default]
-    Pool,
-    /// The reference lifecycle: `std::thread::scope` spawns fresh shard
-    /// threads every tick. Selected by `PP_SPAWN_TICK=1` at
-    /// construction, or [`Network::set_shard_exec`].
-    Spawn,
-}
-
-impl ShardExec {
-    /// Resolves the mode from the `PP_SPAWN_TICK` environment variable:
-    /// `1` selects [`ShardExec::Spawn`], anything else (or unset)
-    /// selects [`ShardExec::Pool`].
-    pub fn from_env() -> Self {
-        match std::env::var("PP_SPAWN_TICK") {
-            Ok(v) if v == "1" => ShardExec::Spawn,
-            _ => ShardExec::Pool,
-        }
-    }
-}
+// The test-oracle tick. A child module, so it can sweep `Network`'s private
+// fields without widening their visibility to the whole crate.
+#[path = "reference.rs"]
+mod reference;
 
 /// One pooled shard's phase-A work for one tick: the shard view plus the
 /// shared read-only tick context, bundled so a type-erased pool [`Job`]
@@ -208,19 +147,14 @@ pub struct Network {
     blocked_streak: Vec<Cycle>,
     /// First invariant violation observed (latched; tick keeps failing).
     violation: Option<InvariantViolation>,
-    /// Clock-advance strategy for `run`/`run_hooked`.
-    tick_mode: TickMode,
-    /// Busy-cycle kernel for `tick`: the SoA word sweep (default) or the
-    /// object-at-a-time struct reference.
-    busy_kernel: BusyKernel,
-    /// Row-band shard count for the SoA kernel (1 = no threading).
+    /// Set (for good) by [`Network::use_reference_kernel`]: tick through
+    /// the struct sweep of `reference.rs` and never fast-forward.
+    reference: bool,
+    /// Row-band shard count for phase A (1 = no threading).
     shards: usize,
     /// Flat per-mesh bitset index over the router/NI structs (see
-    /// [`crate::soa`]).
+    /// [`crate::soa`]), maintained by every tick from construction on.
     soa: SoaState,
-    /// The struct-path kernel does not maintain the SoA bits; after it has
-    /// run, the next SoA tick rebuilds them from the structs.
-    soa_dirty: bool,
     /// Per-shard phase-A outcome buffers (reused; steady-state ticks
     /// allocate nothing).
     shard_bufs: Vec<ShardBuf>,
@@ -237,19 +171,13 @@ pub struct Network {
     /// boundary). Wall-clock data never feeds back into simulation state
     /// and is exported only toward the nondeterministic timing sidecar.
     profiler: Option<PhaseProfiler>,
-    /// Shard threads created since the last stats reset: per-tick scoped
-    /// spawns under [`ShardExec::Spawn`], pool thread creations under
-    /// [`ShardExec::Pool`] (at most `shards - 1` per pool lifetime — the
-    /// amortization the pool exists for).
+    /// Pool worker threads created since the last stats reset (at most
+    /// `shards - 1` per pool lifetime).
     spawn_count: u64,
     /// Wall nanoseconds spent issuing those spawns.
     spawn_nanos: u64,
-    /// Phase-A thread lifecycle under `shards > 1` (pool vs per-tick
-    /// spawn; an execution detail like the shard count itself).
-    shard_exec: ShardExec,
     /// The persistent shard worker pool, created lazily on the first
-    /// pooled sharded tick; `None` under `ShardExec::Spawn`, for
-    /// `shards == 1`, or before that first tick.
+    /// sharded tick; `None` for `shards == 1` or before that first tick.
     pool: Option<ShardPool>,
     /// Sharded ticks dispatched through the pool since the last stats
     /// reset.
@@ -285,14 +213,6 @@ impl Network {
         let topo = view.topo;
         let layout = VcLayout::new(cfg);
         let n = topo.nodes();
-        // `PP_SHARDS` mirrors the CLI's `--shards`: an execution detail like
-        // the thread count, never part of a run's content hash. Unparsable
-        // values fall back to 1; a parsed-but-invalid count is a config error.
-        let shards = std::env::var("PP_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1);
-        Self::validate_shards(shards, topo.height())?;
         let routers = topo
             .iter_nodes()
             .map(|id| {
@@ -339,11 +259,9 @@ impl Network {
             moved: false,
             blocked_streak: vec![0; n],
             violation: None,
-            tick_mode: TickMode::from_env(),
-            busy_kernel: BusyKernel::from_env(),
-            shards,
+            reference: false,
+            shards: 1,
             soa: SoaState::new(n),
-            soa_dirty: false,
             shard_bufs: Vec::new(),
             idle_scratch: Vec::with_capacity(n),
             seen_scratch: Vec::with_capacity(n),
@@ -351,7 +269,6 @@ impl Network {
             profiler: None,
             spawn_count: 0,
             spawn_nanos: 0,
-            shard_exec: ShardExec::from_env(),
             pool: None,
             pool_ticks: 0,
             pool_wait_nanos: 0,
@@ -359,23 +276,11 @@ impl Network {
         })
     }
 
-    /// Checks a shard count against this topology's row count.
-    fn validate_shards(shards: usize, rows: u16) -> Result<(), ConfigError> {
-        if shards == 0 {
-            return Err(ConfigError::ZeroShards);
-        }
-        if shards > rows as usize {
-            return Err(ConfigError::ShardsExceedRows { shards, rows });
-        }
-        Ok(())
-    }
-
-    /// Sets the row-band shard count for the SoA busy-tick kernel
-    /// (overrides the `PP_SHARDS` environment resolution done at
-    /// construction). Shard count never changes results — phase A is
-    /// confined to shard-owned state and the commit order is fixed — so
-    /// this is an execution knob like the campaign thread count, not part
-    /// of any run specification.
+    /// Sets the row-band shard count for phase A of the tick (`1`, the
+    /// construction default, runs it inline on the calling thread). Shard
+    /// count never changes results — phase A is confined to shard-owned
+    /// state and the commit order is fixed — so this is an execution knob
+    /// like the campaign thread count, not part of any run specification.
     ///
     /// # Errors
     ///
@@ -383,11 +288,17 @@ impl Network {
     /// [`ConfigError::ShardsExceedRows`] when `shards` exceeds the
     /// topology's router rows (a shard would own no rows).
     pub fn set_shards(&mut self, shards: usize) -> Result<(), ConfigError> {
-        Self::validate_shards(shards, self.view.topo.height())?;
+        if shards == 0 {
+            return Err(ConfigError::ZeroShards);
+        }
+        let rows = self.view.topo.height();
+        if shards > rows as usize {
+            return Err(ConfigError::ShardsExceedRows { shards, rows });
+        }
         self.shards = shards;
         // An existing pool sized for a different count is torn down here
         // (workers joined); the right-sized pool is re-created lazily on
-        // the next pooled sharded tick.
+        // the next sharded tick.
         let keep = shards > 1
             && self
                 .pool
@@ -404,50 +315,30 @@ impl Network {
         self.shards
     }
 
-    /// Selects the phase-A thread lifecycle for sharded ticks (overrides
-    /// the `PP_SPAWN_TICK` environment resolution done at construction).
-    /// Switching to [`ShardExec::Spawn`] joins any live pool workers.
-    pub fn set_shard_exec(&mut self, exec: ShardExec) {
-        self.shard_exec = exec;
-        if exec == ShardExec::Spawn {
-            self.pool = None;
-        }
-    }
-
-    /// The active phase-A thread lifecycle.
-    pub fn shard_exec(&self) -> ShardExec {
-        self.shard_exec
-    }
-
-    /// Test hook: the next pooled sharded tick runs a panicking job in
-    /// its last worker, exercising the pool's typed-error path
+    /// Test hook: the next sharded tick runs a panicking job in its last
+    /// worker, exercising the pool's typed-error path
     /// ([`punchsim_types::SimError::ShardPanic`] instead of a hang). Only
-    /// meaningful while `shards > 1` under [`ShardExec::Pool`].
+    /// meaningful while `shards > 1`.
     #[doc(hidden)]
     pub fn debug_panic_next_pooled_tick(&mut self) {
         self.panic_next_shard = true;
     }
 
-    /// Selects the busy-cycle kernel (overrides the `PP_STRUCT_TICK`
-    /// environment resolution done at construction).
-    pub fn set_busy_kernel(&mut self, kernel: BusyKernel) {
-        self.busy_kernel = kernel;
+    /// Test oracle: from now on this network ticks through the
+    /// object-at-a-time struct sweep of `reference.rs`, one literal
+    /// tick per cycle with no quiescence fast-forward. One-way — there is
+    /// no switching back — and called only by the differential tests that
+    /// pin the shipped kernel against it.
+    #[doc(hidden)]
+    pub fn use_reference_kernel(&mut self) {
+        self.reference = true;
     }
 
-    /// The active busy-cycle kernel.
-    pub fn busy_kernel(&self) -> BusyKernel {
-        self.busy_kernel
-    }
-
-    /// Selects how `run`/`run_hooked` advance the clock (overrides the
-    /// `PP_NAIVE_TICK` environment resolution done at construction).
-    pub fn set_tick_mode(&mut self, mode: TickMode) {
-        self.tick_mode = mode;
-    }
-
-    /// The active clock-advance strategy.
-    pub fn tick_mode(&self) -> TickMode {
-        self.tick_mode
+    /// `false` once [`Network::use_reference_kernel`] made every cycle
+    /// tick literally; hosts consult it before skipping their own idle
+    /// gaps (see [`Network::run`]).
+    pub fn may_skip_idle(&self) -> bool {
+        !self.reference
     }
 
     /// Replaces the watchdog configuration (thresholds, invariant checks).
@@ -543,13 +434,10 @@ impl Network {
     }
 
     /// Shard-thread creation overhead since the last stats reset:
-    /// `(spawn_count, spawn_nanos)` — threads created for the sharded SoA
-    /// phase A and the wall time spent issuing those creations. Under
-    /// [`ShardExec::Spawn`] this grows by `shards - 1` every sharded tick
-    /// (the PR 7 baseline); under [`ShardExec::Pool`] it counts pool
-    /// thread creations only, so it stays `<= shards - 1` per pool
-    /// lifetime no matter how many ticks run. `(0, 0)` while
-    /// `shards == 1`.
+    /// `(spawn_count, spawn_nanos)` — pool worker threads created for the
+    /// sharded phase A and the wall time spent issuing those creations.
+    /// Stays `<= shards - 1` per pool lifetime no matter how many ticks
+    /// run; `(0, 0)` while `shards == 1`.
     pub fn spawn_stats(&self) -> (u64, u64) {
         (self.spawn_count, self.spawn_nanos)
     }
@@ -558,7 +446,7 @@ impl Network {
     /// `(pool_ticks, pool_wait_nanos)` — sharded ticks dispatched through
     /// the persistent worker pool, and the wall time the host thread
     /// spent blocked at the completion barrier after finishing its own
-    /// shard. `(0, 0)` under [`ShardExec::Spawn`] or while `shards == 1`.
+    /// shard. `(0, 0)` while `shards == 1`.
     pub fn pool_stats(&self) -> (u64, u64) {
         (self.pool_ticks, self.pool_wait_nanos)
     }
@@ -790,11 +678,9 @@ impl Network {
             moved: self.moved,
             blocked_streak: self.blocked_streak.clone(),
             violation: self.violation.clone(),
-            tick_mode: self.tick_mode,
-            busy_kernel: self.busy_kernel,
+            reference: self.reference,
             shards: self.shards,
             soa: self.soa.clone(),
-            soa_dirty: self.soa_dirty,
             shard_bufs: Vec::new(),
             idle_scratch: Vec::with_capacity(self.routers.len()),
             seen_scratch: Vec::with_capacity(self.routers.len()),
@@ -804,9 +690,8 @@ impl Network {
             profiler: None,
             spawn_count: 0,
             spawn_nanos: 0,
-            shard_exec: self.shard_exec,
             // Worker threads are per-instance; the clone builds its own
-            // pool lazily if it ever runs a pooled sharded tick.
+            // pool lazily if it ever runs a sharded tick.
             pool: None,
             pool_ticks: 0,
             pool_wait_nanos: 0,
@@ -954,51 +839,13 @@ impl Network {
     /// returning it. A stall re-arms, so a caller that intentionally keeps
     /// ticking past it will get a fresh report each threshold window.
     pub fn tick(&mut self) -> Result<(), SimError> {
-        match self.busy_kernel {
-            BusyKernel::Soa => self.tick_soa(),
-            BusyKernel::Struct => self.tick_struct(),
+        if self.reference {
+            return self.tick_reference();
         }
-    }
-
-    /// The object-at-a-time reference kernel: every router, NI and pipe
-    /// visited every cycle through the structs.
-    fn tick_struct(&mut self) -> Result<(), SimError> {
-        // The struct sweeps do not maintain the SoA bit index; rebuild it
-        // lazily if the SoA kernel runs next.
-        self.soa_dirty = true;
-        let now = self.cycle;
-        self.moved = false;
+        // Phase A computes each shard's slice of the tick over shard-owned
+        // state only, then the commit applies every cross-router effect
+        // serially in router-index order — bit-exact for any shard count.
         self.mark(Phase::Host);
-        self.deliver_flits(now);
-        self.mark(Phase::DeliverFlits);
-        self.deliver_credits(now);
-        self.mark(Phase::DeliverCredits);
-        self.allocate_routers(now);
-        self.mark(Phase::Allocate);
-        self.deliver_ejections(now);
-        self.mark(Phase::Eject);
-        self.inject_from_nis(now);
-        self.mark(Phase::Inject);
-        self.watchdog_escalate(now);
-        self.mark(Phase::Watchdog);
-        self.power_tick(now);
-        self.mark(Phase::PowerTick);
-        self.cycle = now + 1;
-        let r = self.watchdog_check(now);
-        self.mark(Phase::Watchdog);
-        r
-    }
-
-    /// The SoA word-sweep kernel: phase A computes each shard's slice of
-    /// the tick over shard-owned state only, then the commit applies every
-    /// cross-router effect serially in router-index order — bit-exact with
-    /// [`Network::tick_struct`] for any shard count.
-    fn tick_soa(&mut self) -> Result<(), SimError> {
-        self.mark(Phase::Host);
-        if self.soa_dirty {
-            self.rebuild_soa();
-            self.mark(Phase::SoaRebuild);
-        }
         let now = self.cycle;
         self.moved = false;
         let pool_wait = self.soa_phase_a(now)?;
@@ -1023,52 +870,14 @@ impl Network {
         r
     }
 
-    /// Recomputes every SoA bit from the authoritative structs (after the
-    /// struct kernel has run, or a kernel switch).
-    fn rebuild_soa(&mut self) {
-        let n = self.routers.len();
-        self.soa.occ.clear_all();
-        self.soa.flit_pend.clear_all();
-        self.soa.credit_pend.clear_all();
-        self.soa.eject_pend.clear_all();
-        self.soa.ni_pend.clear_all();
-        self.soa.ni_mid.clear_all();
-        for idx in 0..n {
-            if !self.routers[idx].datapath_empty() {
-                self.soa.occ.set(idx);
-            }
-            if Port::ALL.iter().any(|&p| !self.flit_in[idx][p].is_empty()) {
-                self.soa.flit_pend.set(idx);
-            }
-            if !self.ni_credit_in[idx].is_empty()
-                || Port::ALL
-                    .iter()
-                    .any(|&p| !self.credit_in[idx][p].is_empty())
-            {
-                self.soa.credit_pend.set(idx);
-            }
-            if !self.eject_in[idx].is_empty() {
-                self.soa.eject_pend.set(idx);
-            }
-            if self.nis[idx].pending() > 0 {
-                self.soa.ni_pend.set(idx);
-            }
-            if self.nis[idx].mid_packet() {
-                self.soa.ni_mid.set(idx);
-            }
-        }
-        self.soa_dirty = false;
-    }
-
     /// Runs phase A over all shards: inline for one shard (power-manager
     /// queries go straight to the boxed manager), on the persistent
-    /// worker pool — or per-tick scoped threads under
-    /// [`ShardExec::Spawn`] — for more (availability is precomputed into
-    /// flat arrays first; the manager is host-thread-only).
+    /// worker pool for more (availability is precomputed into flat arrays
+    /// first; the manager is host-thread-only).
     ///
     /// Returns the wall nanoseconds the host spent blocked at the pool's
-    /// completion barrier this tick (0 for inline and spawn execution),
-    /// so the tick loop can reattribute that wait to [`Phase::PoolWait`].
+    /// completion barrier this tick (0 for inline execution), so the tick
+    /// loop can reattribute that wait to [`Phase::PoolWait`].
     ///
     /// # Errors
     ///
@@ -1088,9 +897,7 @@ impl Network {
         if shards > 1 {
             let Network { pm, soa, .. } = self;
             soa.fill_avail(pm.as_ref(), now + 2 + link, now + 1 + link);
-            if self.shard_exec == ShardExec::Pool {
-                self.ensure_pool(shards - 1);
-            }
+            self.ensure_pool(shards - 1);
         }
         let inject_panic = std::mem::take(&mut self.panic_next_shard);
         let Network {
@@ -1154,79 +961,58 @@ impl Network {
             eject_in,
             &bounds,
         );
-        if let Some(pool) = pool.as_ref() {
-            // Persistent-pool execution: publish one job per parked
-            // worker, run shard 0 on this thread, then wait at the
-            // completion barrier. Jobs borrow this stack frame; that is
-            // sound because `run_tick` never returns (even by unwinding)
-            // before every worker passed the barrier.
-            let mut views = views.into_iter();
-            let mut sv0 = views.next().expect("at least one shard");
-            let (buf0, bufs) = shard_bufs.split_at_mut(1);
-            let mut tasks: Vec<ShardTask<'_, '_>> = views
-                .zip(bufs.iter_mut())
-                .map(|(sv, buf)| ShardTask {
-                    sv,
-                    ctx: &ctx,
-                    avail: &avail,
-                    buf,
-                })
-                .collect();
-            let last = tasks.len().saturating_sub(1);
-            let jobs = tasks.iter_mut().enumerate().map(|(i, t)| Job {
-                run: if inject_panic && i == last {
-                    run_shard_task_panicking
-                } else {
-                    run_shard_task
-                },
-                data: t as *mut ShardTask<'_, '_> as *mut (),
-            });
-            let wait = pool
-                .run_tick(jobs, || {
-                    soa::shard_phase_a(&mut sv0, &ctx, &avail, &mut buf0[0])
-                })
-                .map_err(|p| SimError::ShardPanic {
-                    // Worker k owns shard k + 1 (shard 0 is the host).
-                    shard: p.worker + 1,
-                    message: p.message,
-                })?;
-            self.pool_ticks += 1;
-            self.pool_wait_nanos += wait;
-            return Ok(wait);
-        }
-        // Reference lifecycle (`ShardExec::Spawn`, or pool creation
-        // failed): fresh scoped threads every tick. Spawn-issue overhead
-        // is measured unconditionally (two timestamps per sharded tick):
-        // it is the baseline the pool is gated against, reported via the
-        // timing sidecar.
-        let mut spawn_ns = 0u64;
-        std::thread::scope(|scope| {
-            let ctx = &ctx;
-            let avail = &avail;
-            let mut bufs = shard_bufs.iter_mut();
-            let mut shard0 = None;
-            let t0 = Instant::now();
-            for (i, mut sv) in views.into_iter().enumerate() {
-                let buf = bufs.next().expect("one buffer per shard");
-                if i == 0 {
-                    // The calling thread runs shard 0 itself.
-                    shard0 = Some((sv, buf));
-                } else {
-                    scope.spawn(move || soa::shard_phase_a(&mut sv, ctx, avail, buf));
-                }
+        let Some(pool) = pool.as_ref() else {
+            // Pool creation failed (the OS is out of threads): run every
+            // shard view on this thread, in shard order. Same
+            // record-then-commit protocol, so still bit-exact;
+            // `ensure_pool` retries on the next tick.
+            for (mut sv, buf) in views.into_iter().zip(shard_bufs.iter_mut()) {
+                soa::shard_phase_a(&mut sv, &ctx, &avail, buf);
             }
-            spawn_ns = t0.elapsed().as_nanos() as u64;
-            let (mut sv, buf) = shard0.expect("at least one shard");
-            soa::shard_phase_a(&mut sv, ctx, avail, buf);
+            return Ok(0);
+        };
+        // Publish one job per parked worker, run shard 0 on this thread,
+        // then wait at the completion barrier. Jobs borrow this stack
+        // frame; that is sound because `run_tick` never returns (even by
+        // unwinding) before every worker passed the barrier.
+        let mut views = views.into_iter();
+        let mut sv0 = views.next().expect("at least one shard");
+        let (buf0, bufs) = shard_bufs.split_at_mut(1);
+        let mut tasks: Vec<ShardTask<'_, '_>> = views
+            .zip(bufs.iter_mut())
+            .map(|(sv, buf)| ShardTask {
+                sv,
+                ctx: &ctx,
+                avail: &avail,
+                buf,
+            })
+            .collect();
+        let last = tasks.len().saturating_sub(1);
+        let jobs = tasks.iter_mut().enumerate().map(|(i, t)| Job {
+            run: if inject_panic && i == last {
+                run_shard_task_panicking
+            } else {
+                run_shard_task
+            },
+            data: t as *mut ShardTask<'_, '_> as *mut (),
         });
-        self.spawn_count += shards as u64 - 1;
-        self.spawn_nanos += spawn_ns;
-        Ok(0)
+        let wait = pool
+            .run_tick(jobs, || {
+                soa::shard_phase_a(&mut sv0, &ctx, &avail, &mut buf0[0])
+            })
+            .map_err(|p| SimError::ShardPanic {
+                // Worker k owns shard k + 1 (shard 0 is the host).
+                shard: p.worker + 1,
+                message: p.message,
+            })?;
+        self.pool_ticks += 1;
+        self.pool_wait_nanos += wait;
+        Ok(wait)
     }
 
     /// Creates (or re-creates) the persistent pool for `workers` shard
-    /// threads. A creation failure is not fatal: the tick falls back to
-    /// per-tick scoped spawns and retries pool creation next tick.
+    /// threads. A creation failure is not fatal: this tick runs its shards
+    /// on the host thread and the next tick retries.
     fn ensure_pool(&mut self, workers: usize) {
         if self.pool.as_ref().is_some_and(|p| p.workers() == workers) {
             return;
@@ -1295,14 +1081,7 @@ impl Network {
                         .topo
                         .neighbor(here, d)
                         .expect("blocked port has a neighbor");
-                    self.events.push(PmEvent::BlockedNeed { router: next });
-                    if let Some(meta) = self.packets.get_mut(&b.packet.0) {
-                        meta.wakeup_wait += 1;
-                        if meta.blocked_on != Some(next) {
-                            meta.blocked_on = Some(next);
-                            meta.pg_encounters += 1;
-                        }
-                    }
+                    self.note_blocked(b.packet, next);
                 }
                 for dep in outcome.departures {
                     self.moved = true;
@@ -1355,41 +1134,7 @@ impl Network {
         for buf in &mut bufs {
             self.ni_flits += buf.ejected_flits;
             for (idx, done) in buf.completions.drain(..) {
-                let meta = self
-                    .packets
-                    .remove(&done.0)
-                    .expect("completed packet has meta");
-                if let Some(s) = self.sink.as_mut() {
-                    s.record(
-                        now,
-                        &Event::Deliver {
-                            packet: done.0,
-                            src: meta.message.src,
-                            dst: meta.message.dst,
-                            latency: now.saturating_sub(meta.ni_enqueue),
-                        },
-                    );
-                }
-                self.conserv_delivered += meta.len_flits as u64;
-                self.conserv_in_flight =
-                    self.conserv_in_flight.saturating_sub(meta.len_flits as u64);
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(PacketRecord::from_meta(done, &meta, now));
-                }
-                if meta.measured {
-                    self.stats.packets_delivered += 1;
-                    self.stats.flits_delivered += meta.len_flits as u64;
-                    self.stats.latency.record((now - meta.ni_enqueue) as f64);
-                    self.stats.latency_hist.record(now - meta.ni_enqueue);
-                    self.stats
-                        .net_latency
-                        .record(now.saturating_sub(meta.inject) as f64);
-                    self.stats.hops.record(meta.hops as f64);
-                    self.stats.pg_encounters.record(meta.pg_encounters as f64);
-                    self.stats.wakeup_wait.record(meta.wakeup_wait as f64);
-                }
-                self.outbox[idx].push(meta.message);
-                self.outbox_pending += 1;
+                self.complete_packet(idx, done, now);
             }
             for &i in &buf.eject_clear {
                 // Phase A saw the pipe drain, but this commit's allocation
@@ -1408,14 +1153,7 @@ impl Network {
                     self.events.push(PmEvent::NiReadyToInject { node, dst });
                 }
                 for pkt in r.blocked_on_local {
-                    self.events.push(PmEvent::BlockedNeed { router: node });
-                    if let Some(meta) = self.packets.get_mut(&pkt.0) {
-                        meta.wakeup_wait += 1;
-                        if meta.blocked_on != Some(node) {
-                            meta.blocked_on = Some(node);
-                            meta.pg_encounters += 1;
-                        }
-                    }
+                    self.note_blocked(pkt, node);
                 }
                 if let Some(pkt) = r.head_injected {
                     if let Some(meta) = self.packets.get_mut(&pkt.0) {
@@ -1442,9 +1180,65 @@ impl Network {
         self.shard_bufs = bufs;
     }
 
-    /// `power_tick` with idleness derived from the SoA words: a router is
-    /// idle iff its occupancy, inbound-flit and NI-mid-packet bits are all
-    /// clear — exactly the struct path's per-router predicate.
+    /// Bookkeeping for one cycle a packet spent blocked on powered-off
+    /// `router`: asserts the WU handshake toward it and charges the wait
+    /// to the packet.
+    fn note_blocked(&mut self, packet: PacketId, router: NodeId) {
+        self.events.push(PmEvent::BlockedNeed { router });
+        if let Some(meta) = self.packets.get_mut(&packet.0) {
+            meta.wakeup_wait += 1;
+            // Figure 9: count each blocking router once per packet
+            // encounter.
+            if meta.blocked_on != Some(router) {
+                meta.blocked_on = Some(router);
+                meta.pg_encounters += 1;
+            }
+        }
+    }
+
+    /// Bookkeeping for packet `done` whose tail just ejected at NI `idx`:
+    /// retires its metadata into the sink, the conservation counters, the
+    /// trace, the measured-window statistics and the node's outbox.
+    fn complete_packet(&mut self, idx: usize, done: PacketId, now: Cycle) {
+        let meta = self
+            .packets
+            .remove(&done.0)
+            .expect("completed packet has meta");
+        if let Some(s) = self.sink.as_mut() {
+            s.record(
+                now,
+                &Event::Deliver {
+                    packet: done.0,
+                    src: meta.message.src,
+                    dst: meta.message.dst,
+                    latency: now.saturating_sub(meta.ni_enqueue),
+                },
+            );
+        }
+        self.conserv_delivered += meta.len_flits as u64;
+        self.conserv_in_flight = self.conserv_in_flight.saturating_sub(meta.len_flits as u64);
+        if let Some(t) = self.trace.as_mut() {
+            t.push(PacketRecord::from_meta(done, &meta, now));
+        }
+        if meta.measured {
+            self.stats.packets_delivered += 1;
+            self.stats.flits_delivered += meta.len_flits as u64;
+            self.stats.latency.record((now - meta.ni_enqueue) as f64);
+            self.stats.latency_hist.record(now - meta.ni_enqueue);
+            self.stats
+                .net_latency
+                .record(now.saturating_sub(meta.inject) as f64);
+            self.stats.hops.record(meta.hops as f64);
+            self.stats.pg_encounters.record(meta.pg_encounters as f64);
+            self.stats.wakeup_wait.record(meta.wakeup_wait as f64);
+        }
+        self.outbox[idx].push(meta.message);
+        self.outbox_pending += 1;
+    }
+
+    /// The power phase with idleness derived from the SoA words: a router
+    /// is idle iff its occupancy, inbound-flit and NI-mid-packet bits are
+    /// all clear — exactly the oracle's per-router struct predicate.
     fn power_tick_soa(&mut self, now: Cycle) {
         self.idle_scratch.clear();
         let n = self.routers.len();
@@ -1520,16 +1314,16 @@ impl Network {
 
     /// `true` when `run`/`run_hooked` may skip ahead right now.
     fn may_fast_forward(&self) -> bool {
-        self.tick_mode == TickMode::Fast && self.sink.is_none() && self.quiescent()
+        !self.reference && self.sink.is_none() && self.quiescent()
     }
 
     /// Runs `n` cycles, stopping at the first error.
     ///
-    /// In [`TickMode::Fast`] (the default), quiescent stretches are skipped
-    /// in O(1): once [`Network::quiescent`] holds, the rest of the span is
-    /// handed to [`PowerManager::tick_quiet`] in one call. With a
-    /// [`TickMode::Naive`] network, or while an event sink is attached
-    /// (per-cycle transition recording), every cycle ticks individually.
+    /// Quiescent stretches are skipped in O(1): once
+    /// [`Network::quiescent`] holds, the rest of the span is handed to
+    /// [`PowerManager::tick_quiet`] in one call. While an event sink is
+    /// attached (per-cycle transition recording), every cycle ticks
+    /// individually.
     ///
     /// # Errors
     ///
@@ -1553,8 +1347,8 @@ impl Network {
     /// and wall-clock throughput sampling without instrumenting `tick`.
     ///
     /// Fast-forward jumps are capped at hook boundaries, so the hook fires
-    /// at exactly the same cycles as in [`TickMode::Naive`] — samplers see
-    /// identical interval timestamps either way.
+    /// at exactly the same cycles as under per-cycle ticking — samplers
+    /// see identical interval timestamps either way.
     ///
     /// # Errors
     ///
@@ -1641,263 +1435,9 @@ impl Network {
         }
     }
 
-    fn deliver_flits(&mut self, now: Cycle) {
-        if self.packets.is_empty() {
-            return; // flits only exist while their packet is in flight
-        }
-        let check = self.cfg.watchdog.invariant_checks;
-        for idx in 0..self.routers.len() {
-            for port in Port::ALL {
-                while let Some(flit) = self.flit_in[idx][port].pop_ready(now) {
-                    self.moved = true;
-                    if check
-                        && self.violation.is_none()
-                        && self.pm.state(NodeId(idx as u16)) == PowerState::Off
-                    {
-                        self.violation = Some(InvariantViolation::FlitIntoOffRouter {
-                            cycle: now,
-                            router: NodeId(idx as u16),
-                        });
-                    }
-                    if flit.kind.is_head() {
-                        let meta = self
-                            .packets
-                            .get_mut(&flit.packet.0)
-                            .expect("meta exists while in flight");
-                        if port != Port::Local {
-                            meta.hops += 1;
-                        }
-                        self.events.push(PmEvent::HeadArrival {
-                            router: NodeId(idx as u16),
-                            dst: flit.dst,
-                        });
-                    }
-                    self.routers[idx].latch(port, flit, now);
-                }
-            }
-        }
-    }
-
-    fn deliver_credits(&mut self, now: Cycle) {
-        if self.credits_in_flight == 0 {
-            return;
-        }
-        for idx in 0..self.routers.len() {
-            for port in Port::ALL {
-                while let Some(vc) = self.credit_in[idx][port].pop_ready(now) {
-                    self.credits_in_flight -= 1;
-                    self.routers[idx].credit(port, vc);
-                }
-            }
-            while let Some(vc) = self.ni_credit_in[idx].pop_ready(now) {
-                self.credits_in_flight -= 1;
-                self.nis[idx].credit(vc);
-            }
-        }
-    }
-
-    fn allocate_routers(&mut self, now: Cycle) {
-        if self.packets.is_empty() {
-            return; // nothing buffered, queued or injectable anywhere
-        }
-        let link = self.cfg.link_latency as Cycle;
-        for idx in 0..self.routers.len() {
-            // Allocation is a pure no-op on a router with no buffered flits
-            // (rotating priorities and activity counters move only on
-            // grants, and an empty-but-routed VC is skipped by both
-            // phases), so the scan can skip it — at low load this turns
-            // the per-tick cost from O(routers) router allocations into
-            // O(occupied routers).
-            if self.routers[idx].datapath_empty() {
-                continue;
-            }
-            let here = NodeId(idx as u16);
-            // A flit granted SA at `now` is latched downstream at
-            // `now + 2 + link`; the downstream router only needs to be on
-            // by then, so the tail of its wakeup overlaps flit transit.
-            let arrival = now + 2 + link;
-            let down_on = PortMap::from_fn(|p| match p {
-                Port::Local => true,
-                Port::Link(d) => self
-                    .view
-                    .topo
-                    .neighbor(here, d)
-                    .is_some_and(|n| self.pm.is_available(n, arrival)),
-            });
-            let outcome = self.routers[idx].allocate(now, &down_on);
-            for b in outcome.pg_blocked {
-                let d = b
-                    .next_router_port
-                    .direction()
-                    .expect("PG can only block link ports");
-                let next = self
-                    .view
-                    .topo
-                    .neighbor(here, d)
-                    .expect("blocked port has a neighbor");
-                self.events.push(PmEvent::BlockedNeed { router: next });
-                if let Some(meta) = self.packets.get_mut(&b.packet.0) {
-                    meta.wakeup_wait += 1;
-                    // Figure 9: count each blocking router once per packet
-                    // encounter.
-                    if meta.blocked_on != Some(next) {
-                        meta.blocked_on = Some(next);
-                        meta.pg_encounters += 1;
-                    }
-                }
-            }
-            for dep in outcome.departures {
-                self.moved = true;
-                // Credit back to the upstream of the input the flit vacated.
-                self.credits_in_flight += 1;
-                match dep.in_port {
-                    Port::Local => {
-                        self.ni_credit_in[idx].push_at(dep.in_vc, now + 1 + link);
-                    }
-                    Port::Link(d) => {
-                        let up = self
-                            .view
-                            .topo
-                            .neighbor(here, d)
-                            .expect("flits only arrive over real links");
-                        self.credit_in[up.index()][Port::Link(d.opposite())]
-                            .push_at(dep.in_vc, now + 1 + link);
-                    }
-                }
-                match dep.out_port {
-                    Port::Local => {
-                        self.eject_in[idx].push_at(dep.flit, now + 2);
-                    }
-                    Port::Link(d) => {
-                        let next = self
-                            .view
-                            .topo
-                            .neighbor(here, d)
-                            .expect("allocation never targets a mesh edge");
-                        let mut flit = dep.flit;
-                        // Look-ahead routing: compute the output port this
-                        // flit will request at `next`.
-                        flit.route_port = match self.view.direction(next, flit.dst) {
-                            Some(nd) => Port::Link(nd),
-                            None => Port::Local,
-                        };
-                        self.stats.link_traversals += 1;
-                        self.flit_in[next.index()][Port::Link(d.opposite())]
-                            .push_at(flit, now + 2 + link);
-                    }
-                }
-            }
-        }
-    }
-
-    fn deliver_ejections(&mut self, now: Cycle) {
-        if self.packets.is_empty() {
-            return; // ejection pipes only carry flits of in-flight packets
-        }
-        for idx in 0..self.nis.len() {
-            while let Some(flit) = self.eject_in[idx].pop_ready(now) {
-                self.ni_flits += 1;
-                self.moved = true;
-                if let Some(done) = self.nis[idx].eject(&flit) {
-                    let meta = self
-                        .packets
-                        .remove(&done.0)
-                        .expect("completed packet has meta");
-                    if let Some(s) = self.sink.as_mut() {
-                        s.record(
-                            now,
-                            &Event::Deliver {
-                                packet: done.0,
-                                src: meta.message.src,
-                                dst: meta.message.dst,
-                                latency: now.saturating_sub(meta.ni_enqueue),
-                            },
-                        );
-                    }
-                    self.conserv_delivered += meta.len_flits as u64;
-                    self.conserv_in_flight =
-                        self.conserv_in_flight.saturating_sub(meta.len_flits as u64);
-                    if let Some(t) = self.trace.as_mut() {
-                        t.push(PacketRecord::from_meta(done, &meta, now));
-                    }
-                    if meta.measured {
-                        self.stats.packets_delivered += 1;
-                        self.stats.flits_delivered += meta.len_flits as u64;
-                        self.stats.latency.record((now - meta.ni_enqueue) as f64);
-                        self.stats.latency_hist.record(now - meta.ni_enqueue);
-                        self.stats
-                            .net_latency
-                            .record(now.saturating_sub(meta.inject) as f64);
-                        self.stats.hops.record(meta.hops as f64);
-                        self.stats.pg_encounters.record(meta.pg_encounters as f64);
-                        self.stats.wakeup_wait.record(meta.wakeup_wait as f64);
-                    }
-                    self.outbox[idx].push(meta.message);
-                    self.outbox_pending += 1;
-                }
-            }
-        }
-    }
-
-    fn inject_from_nis(&mut self, now: Cycle) {
-        if self.packets.is_empty() {
-            return; // every queued or mid-flight NI packet is in the map
-        }
-        let link = self.cfg.link_latency as Cycle;
-        for idx in 0..self.nis.len() {
-            let node = NodeId(idx as u16);
-            // An NI flit sent at `now` latches into the local router at
-            // `now + 1 + link`: the local router's wakeup tail overlaps.
-            let router_on = self.pm.is_available(node, now + 1 + link);
-            let outcome = self.nis[idx].tick_inject(now, router_on);
-            for (pkt, dst) in outcome.newly_ready {
-                self.events.push(PmEvent::NiReadyToInject { node, dst });
-                let _ = pkt;
-            }
-            for pkt in outcome.blocked_on_local {
-                self.events.push(PmEvent::BlockedNeed { router: node });
-                if let Some(meta) = self.packets.get_mut(&pkt.0) {
-                    meta.wakeup_wait += 1;
-                    if meta.blocked_on != Some(node) {
-                        meta.blocked_on = Some(node);
-                        meta.pg_encounters += 1;
-                    }
-                }
-            }
-            if let Some(pkt) = outcome.head_injected {
-                if let Some(meta) = self.packets.get_mut(&pkt.0) {
-                    meta.inject = now;
-                }
-            }
-            if let Some(flit) = outcome.sent {
-                self.ni_flits += 1;
-                self.moved = true;
-                self.flit_in[idx][Port::Local].push_at(flit, now + 1 + link);
-            }
-        }
-    }
-
-    fn power_tick(&mut self, now: Cycle) {
-        self.idle_scratch.clear();
-        if self.packets.is_empty() {
-            // No packet in flight means no flit, NI work or inbound wire
-            // anywhere: idleness is uniformly true without the scan.
-            self.idle_scratch.resize(self.routers.len(), true);
-        } else {
-            for idx in 0..self.routers.len() {
-                self.idle_scratch.push(
-                    self.routers[idx].datapath_empty()
-                        && !self.nis[idx].mid_packet()
-                        && Port::ALL.iter().all(|&p| self.flit_in[idx][p].is_empty()),
-                );
-            }
-        }
-        self.power_tick_finish(now);
-    }
-
     /// Sink mirroring, the power-manager tick against the filled
-    /// `idle_scratch`, and transition recording — shared by both kernels'
-    /// power phases.
+    /// `idle_scratch`, and transition recording — shared by the kernel's
+    /// and the oracle's power phases.
     fn power_tick_finish(&mut self, now: Cycle) {
         if let Some(sink) = self.sink.as_mut() {
             // Mirror this cycle's PM events into the structured trace before
@@ -2504,9 +2044,11 @@ mod tests {
     /// cycle, same delivered counts, same latencies, same outbox.
     #[test]
     fn fast_forward_matches_naive_run() {
-        let run = |mode: TickMode| {
+        let run = |reference: bool| {
             let mut n = net();
-            n.set_tick_mode(mode);
+            if reference {
+                n.use_reference_kernel();
+            }
             let mut delivered = 0usize;
             for burst in 0..3u16 {
                 for i in 0..8u16 {
@@ -2528,7 +2070,37 @@ mod tests {
                 r.ni_flits,
             )
         };
-        assert_eq!(run(TickMode::Fast), run(TickMode::Naive));
+        assert_eq!(run(false), run(true));
+    }
+
+    /// When the OS refuses the pool's threads, a sharded tick must run its
+    /// shards on the host thread — same results, no threads, no panic — and
+    /// bring the pool up as soon as creation succeeds again.
+    #[test]
+    fn failed_pool_creation_runs_shards_on_the_host_and_retries() {
+        let drive = |n: &mut Network| {
+            for i in 0..50u16 {
+                n.send(msg(i % 64, (i * 7 + 3) % 64, MsgClass::Data))
+                    .unwrap();
+                n.tick().unwrap();
+            }
+        };
+        let digest = |n: &Network| format!("{:?}", n.report());
+        let mut serial = net();
+        let mut sharded = net();
+        sharded.set_shards(4).unwrap();
+        crate::pool::FAIL_NEW.with(|f| f.set(true));
+        drive(&mut serial);
+        drive(&mut sharded);
+        crate::pool::FAIL_NEW.with(|f| f.set(false));
+        assert_eq!(sharded.spawn_stats().0, 0, "no thread was ever created");
+        assert_eq!(sharded.pool_stats().0, 0, "no tick went through a pool");
+        assert_eq!(digest(&sharded), digest(&serial));
+        drive(&mut serial);
+        drive(&mut sharded);
+        assert_eq!(sharded.spawn_stats().0, 3, "the next tick retried");
+        assert!(sharded.pool_stats().0 > 0);
+        assert_eq!(digest(&sharded), digest(&serial));
     }
 
     #[test]
@@ -2547,7 +2119,6 @@ mod tests {
     #[test]
     fn fast_forward_advances_clock_in_one_jump() {
         let mut n = net();
-        assert_eq!(n.tick_mode(), TickMode::Fast);
         n.run(1_000_000).unwrap();
         assert_eq!(n.cycle(), 1_000_000);
         // The jump must leave stall detection armed exactly like the

@@ -1,10 +1,9 @@
 //! Persistent shard worker pool for the two-phase sharded SoA tick.
 //!
-//! PR 7 spawned phase-A shard threads with `std::thread::scope` every
-//! tick, and the timing sidecars priced that at ~6 μs/spawn — 16% of
-//! 32x32 wall time at `PP_SHARDS=4`. This module replaces the per-tick
-//! spawn with long-lived worker threads parked on a condvar epoch
-//! barrier: the host publishes one type-erased [`Job`] per worker, bumps
+//! Spawning phase-A shard threads with `std::thread::scope` every tick
+//! cost ~6 μs/spawn — 16% of 32x32 wall time at four shards. This module
+//! keeps long-lived worker threads parked on a condvar epoch barrier
+//! instead: the host publishes one type-erased [`Job`] per worker, bumps
 //! the epoch, runs shard 0 itself, and blocks until every worker has
 //! checked back in. Workers are created once (lazily, on the first
 //! sharded tick), re-created only when the shard count changes, and
@@ -100,8 +99,12 @@ impl ShardPool {
     /// Spawns `workers` parked threads. Returns the pool and the wall
     /// nanoseconds spent issuing the spawns (the one-off cost the pool
     /// amortizes over every later tick), or the OS error if a thread
-    /// could not be created — the caller falls back to per-tick spawns.
+    /// could not be created — the caller then runs its shards itself.
     pub fn new(workers: usize) -> std::io::Result<(Self, u64)> {
+        #[cfg(test)]
+        if FAIL_NEW.with(std::cell::Cell::get) {
+            return Err(std::io::Error::other("injected pool-creation failure"));
+        }
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 epoch: 0,
@@ -292,6 +295,13 @@ fn worker_loop(shared: &Shared, index: usize) {
         st.done += 1;
         shared.idle.notify_all();
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Unit-test hook: while set, [`ShardPool::new`] on this thread fails
+    /// like an OS that is out of threads.
+    pub(crate) static FAIL_NEW: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {

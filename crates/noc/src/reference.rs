@@ -1,0 +1,247 @@
+//! The reference tick: an object-at-a-time sweep over every router, NI and
+//! pipe struct, every cycle, with no bit index and no quiescence
+//! fast-forward. It exists only as the oracle the differential tests pin
+//! the shipped kernel ([`crate::soa`] + fast-forward + shard pool) against;
+//! [`Network::use_reference_kernel`] is the one-way switch onto it.
+//!
+//! To stay a real oracle it shares only pure bookkeeping with the kernel —
+//! `note_blocked`, `complete_packet` and the power/watchdog phases, none of
+//! which decide what moves where. Traversal order, allocation and the
+//! application of departures are implemented here independently.
+
+use punchsim_metrics::Phase;
+use punchsim_types::{Cycle, InvariantViolation, NodeId, Port, PortMap, SimError};
+
+use super::Network;
+use crate::power::{PmEvent, PowerState};
+
+impl Network {
+    /// One reference tick. The sweeps below never touch the SoA bit index:
+    /// the switch onto this path is one-way, so nothing reads it again.
+    pub(super) fn tick_reference(&mut self) -> Result<(), SimError> {
+        let now = self.cycle;
+        self.moved = false;
+        self.mark(Phase::Host);
+        self.deliver_flits(now);
+        self.mark(Phase::DeliverFlits);
+        self.deliver_credits(now);
+        self.mark(Phase::DeliverCredits);
+        self.allocate_routers(now);
+        self.mark(Phase::Allocate);
+        self.deliver_ejections(now);
+        self.mark(Phase::Eject);
+        self.inject_from_nis(now);
+        self.mark(Phase::Inject);
+        self.watchdog_escalate(now);
+        self.mark(Phase::Watchdog);
+        self.power_tick(now);
+        self.mark(Phase::PowerTick);
+        self.cycle = now + 1;
+        let r = self.watchdog_check(now);
+        self.mark(Phase::Watchdog);
+        r
+    }
+
+    fn deliver_flits(&mut self, now: Cycle) {
+        if self.packets.is_empty() {
+            return; // flits only exist while their packet is in flight
+        }
+        let check = self.cfg.watchdog.invariant_checks;
+        for idx in 0..self.routers.len() {
+            for port in Port::ALL {
+                while let Some(flit) = self.flit_in[idx][port].pop_ready(now) {
+                    self.moved = true;
+                    if check
+                        && self.violation.is_none()
+                        && self.pm.state(NodeId(idx as u16)) == PowerState::Off
+                    {
+                        self.violation = Some(InvariantViolation::FlitIntoOffRouter {
+                            cycle: now,
+                            router: NodeId(idx as u16),
+                        });
+                    }
+                    if flit.kind.is_head() {
+                        let meta = self
+                            .packets
+                            .get_mut(&flit.packet.0)
+                            .expect("meta exists while in flight");
+                        if port != Port::Local {
+                            meta.hops += 1;
+                        }
+                        self.events.push(PmEvent::HeadArrival {
+                            router: NodeId(idx as u16),
+                            dst: flit.dst,
+                        });
+                    }
+                    self.routers[idx].latch(port, flit, now);
+                }
+            }
+        }
+    }
+
+    fn deliver_credits(&mut self, now: Cycle) {
+        if self.credits_in_flight == 0 {
+            return;
+        }
+        for idx in 0..self.routers.len() {
+            for port in Port::ALL {
+                while let Some(vc) = self.credit_in[idx][port].pop_ready(now) {
+                    self.credits_in_flight -= 1;
+                    self.routers[idx].credit(port, vc);
+                }
+            }
+            while let Some(vc) = self.ni_credit_in[idx].pop_ready(now) {
+                self.credits_in_flight -= 1;
+                self.nis[idx].credit(vc);
+            }
+        }
+    }
+
+    fn allocate_routers(&mut self, now: Cycle) {
+        if self.packets.is_empty() {
+            return; // nothing buffered, queued or injectable anywhere
+        }
+        let link = self.cfg.link_latency as Cycle;
+        for idx in 0..self.routers.len() {
+            // Allocation is a pure no-op on a router with no buffered flits
+            // (rotating priorities and activity counters move only on
+            // grants, and an empty-but-routed VC is skipped by both
+            // phases), so the scan can skip it — at low load this turns
+            // the per-tick cost from O(routers) router allocations into
+            // O(occupied routers).
+            if self.routers[idx].datapath_empty() {
+                continue;
+            }
+            let here = NodeId(idx as u16);
+            // A flit granted SA at `now` is latched downstream at
+            // `now + 2 + link`; the downstream router only needs to be on
+            // by then, so the tail of its wakeup overlaps flit transit.
+            let arrival = now + 2 + link;
+            let down_on = PortMap::from_fn(|p| match p {
+                Port::Local => true,
+                Port::Link(d) => self
+                    .view
+                    .topo
+                    .neighbor(here, d)
+                    .is_some_and(|n| self.pm.is_available(n, arrival)),
+            });
+            let outcome = self.routers[idx].allocate(now, &down_on);
+            for b in outcome.pg_blocked {
+                let d = b
+                    .next_router_port
+                    .direction()
+                    .expect("PG can only block link ports");
+                let next = self
+                    .view
+                    .topo
+                    .neighbor(here, d)
+                    .expect("blocked port has a neighbor");
+                self.note_blocked(b.packet, next);
+            }
+            for dep in outcome.departures {
+                self.moved = true;
+                // Credit back to the upstream of the input the flit vacated.
+                self.credits_in_flight += 1;
+                match dep.in_port {
+                    Port::Local => {
+                        self.ni_credit_in[idx].push_at(dep.in_vc, now + 1 + link);
+                    }
+                    Port::Link(d) => {
+                        let up = self
+                            .view
+                            .topo
+                            .neighbor(here, d)
+                            .expect("flits only arrive over real links");
+                        self.credit_in[up.index()][Port::Link(d.opposite())]
+                            .push_at(dep.in_vc, now + 1 + link);
+                    }
+                }
+                match dep.out_port {
+                    Port::Local => {
+                        self.eject_in[idx].push_at(dep.flit, now + 2);
+                    }
+                    Port::Link(d) => {
+                        let next = self
+                            .view
+                            .topo
+                            .neighbor(here, d)
+                            .expect("allocation never targets a mesh edge");
+                        let mut flit = dep.flit;
+                        // Look-ahead routing: compute the output port this
+                        // flit will request at `next`.
+                        flit.route_port = match self.view.direction(next, flit.dst) {
+                            Some(nd) => Port::Link(nd),
+                            None => Port::Local,
+                        };
+                        self.stats.link_traversals += 1;
+                        self.flit_in[next.index()][Port::Link(d.opposite())]
+                            .push_at(flit, now + 2 + link);
+                    }
+                }
+            }
+        }
+    }
+
+    fn deliver_ejections(&mut self, now: Cycle) {
+        if self.packets.is_empty() {
+            return; // ejection pipes only carry flits of in-flight packets
+        }
+        for idx in 0..self.nis.len() {
+            while let Some(flit) = self.eject_in[idx].pop_ready(now) {
+                self.ni_flits += 1;
+                self.moved = true;
+                if let Some(done) = self.nis[idx].eject(&flit) {
+                    self.complete_packet(idx, done, now);
+                }
+            }
+        }
+    }
+
+    fn inject_from_nis(&mut self, now: Cycle) {
+        if self.packets.is_empty() {
+            return; // every queued or mid-flight NI packet is in the map
+        }
+        let link = self.cfg.link_latency as Cycle;
+        for idx in 0..self.nis.len() {
+            let node = NodeId(idx as u16);
+            // An NI flit sent at `now` latches into the local router at
+            // `now + 1 + link`: the local router's wakeup tail overlaps.
+            let router_on = self.pm.is_available(node, now + 1 + link);
+            let outcome = self.nis[idx].tick_inject(now, router_on);
+            for (_pkt, dst) in outcome.newly_ready {
+                self.events.push(PmEvent::NiReadyToInject { node, dst });
+            }
+            for pkt in outcome.blocked_on_local {
+                self.note_blocked(pkt, node);
+            }
+            if let Some(pkt) = outcome.head_injected {
+                if let Some(meta) = self.packets.get_mut(&pkt.0) {
+                    meta.inject = now;
+                }
+            }
+            if let Some(flit) = outcome.sent {
+                self.ni_flits += 1;
+                self.moved = true;
+                self.flit_in[idx][Port::Local].push_at(flit, now + 1 + link);
+            }
+        }
+    }
+
+    fn power_tick(&mut self, now: Cycle) {
+        self.idle_scratch.clear();
+        if self.packets.is_empty() {
+            // No packet in flight means no flit, NI work or inbound wire
+            // anywhere: idleness is uniformly true without the scan.
+            self.idle_scratch.resize(self.routers.len(), true);
+        } else {
+            for idx in 0..self.routers.len() {
+                self.idle_scratch.push(
+                    self.routers[idx].datapath_empty()
+                        && !self.nis[idx].mid_packet()
+                        && Port::ALL.iter().all(|&p| self.flit_in[idx][p].is_empty()),
+                );
+            }
+        }
+        self.power_tick_finish(now);
+    }
+}

@@ -9,11 +9,10 @@
 //! into one bit per router packed into `u64` words owned by [`SoaState`].
 //! Busy sweeps then iterate set bits (`trailing_zeros` per active router,
 //! one word test per 64 idle routers) instead of chasing structs. The
-//! `Router`/`Vc`/`Ni` structs remain the authoritative flit storage and the
-//! views `encode_state` and the struct-path reference kernel read; the bit
-//! words are an incrementally-maintained index over them, rebuilt from the
-//! structs whenever the reference kernel (which does not maintain them)
-//! has run.
+//! `Router`/`Vc`/`Ni` structs remain the flit storage (and what
+//! `encode_state` and the test oracle in `reference.rs` read); the
+//! bit words are the primary busy index over them, maintained by every
+//! tick commit from construction on.
 //!
 //! On top of the flat layout sits deterministic sharding: the mesh is cut
 //! into contiguous row bands, each shard runs the *compute* half of a tick
@@ -32,38 +31,6 @@ use crate::link::Pipe;
 use crate::ni::Ni;
 use crate::power::PowerManager;
 use crate::router::{AllocOutcome, Router};
-
-/// Which kernel [`crate::Network::tick`] uses for busy cycles.
-///
-/// Both kernels are observationally identical — pinned by the differential
-/// oracle in `tests/soa_differential.rs` and by the CI `soa_gate.sh`
-/// running the busy campaign under both kernels and comparing artifacts
-/// byte for byte. `Soa` is the default; `Struct` is the object-at-a-time
-/// reference the SoA sweep is checked against (and raced against: the CI
-/// gate also enforces a >=1.5x cycles/sec floor for `Soa` on the
-/// busy-dominated suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BusyKernel {
-    /// Word-sweep kernel over the flat [`SoaState`] bitsets (the default).
-    #[default]
-    Soa,
-    /// The object-at-a-time reference: every router, NI and pipe visited
-    /// every cycle. Selected by `PP_STRUCT_TICK=1` at construction, or
-    /// [`crate::Network::set_busy_kernel`].
-    Struct,
-}
-
-impl BusyKernel {
-    /// Resolves the kernel from the `PP_STRUCT_TICK` environment variable:
-    /// `1` selects [`BusyKernel::Struct`], anything else (or unset)
-    /// selects [`BusyKernel::Soa`].
-    pub fn from_env() -> Self {
-        match std::env::var("PP_STRUCT_TICK") {
-            Ok(v) if v == "1" => BusyKernel::Struct,
-            _ => BusyKernel::Soa,
-        }
-    }
-}
 
 /// A fixed-length bitset packed into `u64` words: one bit per router (or
 /// NI), swept word-at-a-time by the SoA kernel.
@@ -167,12 +134,11 @@ pub fn for_each_one(words: &[u64], lo: usize, hi: usize, mut f: impl FnMut(usize
 /// NI) per concern, plus the per-tick power-availability arrays the
 /// sharded path precomputes (the power manager is host-thread-only).
 ///
-/// Invariant after every SoA tick commit (and after [`SoaState::rebuild`]):
-/// each bit is set iff the corresponding struct-side predicate holds —
-/// `occ[r]` iff `!routers[r].datapath_empty()`, `flit_pend[r]` iff any
-/// flit pipe into `r` is non-empty, and so on. The struct-path reference
-/// kernel does not maintain the bits; `Network` marks them dirty and
-/// rebuilds lazily on the next SoA tick.
+/// Invariant after every tick commit: each bit is set iff the
+/// corresponding struct-side predicate holds — `occ[r]` iff
+/// `!routers[r].datapath_empty()`, `flit_pend[r]` iff any flit pipe into
+/// `r` is non-empty, and so on. (The reference sweep does not maintain the
+/// bits, and never needs to: the switch onto it is one-way.)
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SoaState {
     /// Router datapath holds at least one buffered flit.

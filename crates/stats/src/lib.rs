@@ -17,10 +17,8 @@
 //! assert_eq!(lat.count(), 3);
 //! ```
 
-pub mod histogram;
 pub mod running;
 pub mod table;
 
-pub use histogram::Histogram;
 pub use running::RunningStats;
 pub use table::Table;

@@ -4,7 +4,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use punchsim_core::build_power_manager;
-use punchsim_noc::{Message, MsgClass, Network, NetworkReport, TickMode};
+use punchsim_noc::{Message, MsgClass, Network, NetworkReport};
 use punchsim_types::{Cycle, NodeId, SimConfig, SimError, SimRng, VnetId};
 
 use crate::pattern::TrafficPattern;
@@ -271,15 +271,16 @@ impl SyntheticSim {
 
     /// Cycles until the host itself next has work to do: the earliest
     /// scheduled arrival or slack-2 forewarning across all nodes. `None`
-    /// when skipping is not allowed (naive tick mode, or traffic still in
-    /// flight) or the next host action is due this very cycle.
+    /// when skipping is not allowed (the network ticks every cycle
+    /// literally, or traffic is still in flight) or the next host action is
+    /// due this very cycle.
     ///
     /// Skipping the per-node scan is exact: between host events no
     /// arrival fires, no forewarning fires, and no RNG draw happens (the
     /// stream only advances when an arrival is consumed), so the skipped
     /// iterations are pure no-ops over `next_arrival`.
     fn host_skip_gap(&self) -> Option<u64> {
-        if self.net.tick_mode() != TickMode::Fast || self.net.in_flight() != 0 {
+        if !self.net.may_skip_idle() || self.net.in_flight() != 0 {
             return None;
         }
         let now = self.net.cycle();
@@ -306,10 +307,10 @@ impl SyntheticSim {
         next.checked_sub(now).filter(|&gap| gap > 0)
     }
 
-    /// Runs `cycles` cycles. In [`TickMode::Fast`] the harness skips its
-    /// per-node arrival scan across host-idle gaps (handing the whole gap
-    /// to [`Network::run`], which may fast-forward internally); observable
-    /// behavior is identical to per-cycle ticking.
+    /// Runs `cycles` cycles. The harness skips its per-node arrival scan
+    /// across host-idle gaps (handing the whole gap to [`Network::run`],
+    /// which may fast-forward internally); observable behavior is
+    /// identical to per-cycle ticking.
     ///
     /// # Errors
     ///
@@ -541,13 +542,15 @@ mod tests {
         // Low rate on PowerPunchFull: long idle gaps (so both the host
         // skip and the network fast-forward actually engage) interleaved
         // with slack-2 forewarnings and real traffic.
-        let run = |mode: TickMode| {
+        let run = |reference: bool| {
             let mut s = SyntheticSim::new(
                 cfg(SchemeKind::PowerPunchFull, Mesh::new(4, 4)),
                 TrafficPattern::UniformRandom,
                 0.002,
             );
-            s.network_mut().set_tick_mode(mode);
+            if reference {
+                s.network_mut().use_reference_kernel();
+            }
             let r = s.run_experiment(3_000, 12_000).unwrap();
             (
                 s.network().cycle(),
@@ -559,17 +562,16 @@ mod tests {
                 s.delivered_sink,
             )
         };
-        assert_eq!(run(TickMode::Fast), run(TickMode::Naive));
+        assert_eq!(run(false), run(true));
     }
 
     #[test]
-    fn zero_rate_fast_mode_skips_to_the_end() {
+    fn zero_rate_run_skips_to_the_end() {
         let mut s = SyntheticSim::new(
             cfg(SchemeKind::ConvOptPg, Mesh::new(8, 8)),
             TrafficPattern::UniformRandom,
             0.0,
         );
-        s.network_mut().set_tick_mode(TickMode::Fast);
         s.run(5_000_000).unwrap();
         let r = s.report();
         assert_eq!(s.network().cycle(), 5_000_000);

@@ -10,7 +10,7 @@
 use punchsim_core::build_power_manager;
 use punchsim_faults::ChoiceInjector;
 use punchsim_noc::{
-    IdleInfo, Message, MsgClass, Network, PgCounters, PmEvent, PowerManager, PowerState, TickMode,
+    IdleInfo, Message, MsgClass, Network, PgCounters, PmEvent, PowerManager, PowerState,
 };
 use punchsim_obs::{EventSink, Stamped};
 use punchsim_types::{
@@ -248,8 +248,9 @@ pub fn build_network(
         pm = Box::new(ChoiceInjector::new(pm, sim.noc.topology));
     }
     let mut net = Network::new(&sim.noc, pm)?;
-    net.set_tick_mode(TickMode::Naive);
-    net.run(WARMUP)?;
+    for _ in 0..WARMUP {
+        net.tick()?;
+    }
     if let Some(s) = sink {
         net.set_sink(s);
     }

@@ -3,24 +3,25 @@
 //!
 //! ```text
 //! punchsim-cli sweep    [--pattern P] [--scheme S] [--mesh WxH] [--topology T]
-//!                       [--routing R] [--rate R] [--cycles N]
-//! punchsim-cli parsec   [--benchmark B] [--scheme S] [--instr N]
+//!                       [--routing R] [--rate R] [--cycles N] [--shards N]
+//! punchsim-cli parsec   [--benchmark B] [--scheme S] [--instr N] [--shards N]
 //! punchsim-cli table1
 //! punchsim-cli schemes  [--mesh WxH] [--topology T] [--routing R] [--rate R]
+//!                       [--shards N]
 //! punchsim-cli faults   [--scheme S] [--mesh WxH] [--rate R] [--corrupt P] [--fault-seed N]
 //!                       [--trace-out PATH] [--trace-cap N] [--metrics-out PATH]
+//!                       [--shards N]
 //! punchsim-cli trace    [--scheme S] [--mesh WxH] [--rate R] [--cycles N]
 //!                       [--trace-out PATH] [--format chrome|jsonl|csv] [--trace-cap N]
-//!                       [--metrics-out PATH]
+//!                       [--metrics-out PATH] [--shards N]
 //! punchsim-cli metrics  [--scheme S] [--mesh WxH] [--rate R] [--cycles N]
-//!                       [--pattern P] [--metrics-out PATH]
+//!                       [--pattern P] [--metrics-out PATH] [--shards N]
 //! punchsim-cli list-schemes
-//! punchsim-cli campaign [--suite parsec|synth|ci|fastpath|substrate|busy|pool
-//!                        |rivals|schemes]
+//! punchsim-cli campaign [--suite parsec|synth|ci|fastpath|substrate|busy|rivals
+//!                        |schemes]
 //!                       [--threads N] [--shards N] [--out DIR]
-//!                       [--name NAME] [--seed N] [--no-cache] [--naive-tick]
-//!                       [--struct-tick] [--sample N] [--trace-out DIR]
-//!                       [--trace-cap N] [--metrics-out PATH]
+//!                       [--name NAME] [--seed N] [--no-cache] [--sample N]
+//!                       [--trace-out DIR] [--trace-cap N] [--metrics-out PATH]
 //! punchsim-cli compare  BASELINE.json CURRENT.json [--tol-latency R]
 //!                       [--tol-delivered R] [--tol-escalations N]
 //! punchsim-cli verify   [--mesh WxH] [--scheme S] [--faulty] [--broken]
@@ -141,26 +142,26 @@ fn usage() -> String {
 
 const USAGE_TEMPLATE: &str = "usage:
   punchsim-cli sweep    [--pattern P] [--scheme S] [--mesh WxH] [--topology T]
-                        [--routing R] [--cycles N]
-  punchsim-cli parsec   [--benchmark B] [--scheme S] [--instr N]
+                        [--routing R] [--cycles N] [--shards N]
+  punchsim-cli parsec   [--benchmark B] [--scheme S] [--instr N] [--shards N]
   punchsim-cli table1
   punchsim-cli schemes  [--mesh WxH] [--topology T] [--routing R] [--rate R]
-                        [--cycles N]
+                        [--cycles N] [--shards N]
   punchsim-cli list-schemes
   punchsim-cli faults   [--scheme S] [--mesh WxH] [--rate R] [--cycles N]
                         [--corrupt P] [--fault-seed N] [--trace-out PATH]
-                        [--trace-cap N] [--metrics-out PATH]
+                        [--trace-cap N] [--metrics-out PATH] [--shards N]
   punchsim-cli trace    [--scheme S] [--mesh WxH] [--rate R] [--cycles N]
                         [--pattern P] [--trace-out PATH] [--trace-cap N]
                         [--format chrome|jsonl|csv] [--metrics-out PATH]
+                        [--shards N]
   punchsim-cli metrics  [--scheme S] [--mesh WxH] [--rate R] [--cycles N]
-                        [--pattern P] [--metrics-out PATH]
-  punchsim-cli campaign [--suite parsec|synth|ci|fastpath|substrate|busy|pool
-                         |rivals|schemes]
+                        [--pattern P] [--metrics-out PATH] [--shards N]
+  punchsim-cli campaign [--suite parsec|synth|ci|fastpath|substrate|busy|rivals
+                         |schemes]
                         [--threads N] [--shards N] [--out DIR]
-                        [--name NAME] [--seed N] [--no-cache] [--naive-tick]
-                        [--struct-tick] [--sample N] [--trace-out DIR]
-                        [--trace-cap N] [--metrics-out PATH]
+                        [--name NAME] [--seed N] [--no-cache] [--sample N]
+                        [--trace-out DIR] [--trace-cap N] [--metrics-out PATH]
   punchsim-cli compare  BASELINE.json CURRENT.json [--tol-latency R]
                         [--tol-delivered R] [--tol-escalations N]
   punchsim-cli verify   [--mesh WxH] [--scheme S] [--faulty] [--broken]
@@ -194,10 +195,9 @@ verify flags:
 
 campaign flags:
   --suite S        spec list: parsec, synth, ci (both; default),
-                   fastpath (idle-dominated speedup-gate runs),
+                   fastpath (idle-dominated runs),
                    substrate (torus / YX / west-first sweep),
                    busy (large-mesh busy-regime scalability runs),
-                   pool (single 32x32 busy run for the shard-pool gate),
                    rivals (Power Punch vs. SDM circuits vs. ring router
                    at low and high load) or
                    schemes (one run per pre-registry scheme; the
@@ -207,15 +207,10 @@ campaign flags:
   --name NAME      artifact name: BENCH_<NAME>.json (default: the suite)
   --seed N         campaign seed (default 0xC0FFEE)
   --no-cache       ignore the result store; simulate every spec
-  --naive-tick     disable quiescence fast-forwarding (cycle-by-cycle
-                   reference mode; same as PP_NAIVE_TICK=1)
-  --struct-tick    disable the SoA busy-tick kernel (per-router struct
-                   scans; same as PP_STRUCT_TICK=1)
-  --shards N       tick each network in N row shards (same as PP_SHARDS=N;
-                   bit-exact for any N; N must be >= 1 and no larger than
-                   the smallest mesh's rows). Shards run on a persistent
-                   worker pool by default; PP_SPAWN_TICK=1 reverts to
-                   spawning threads every tick (reference executor)
+  --shards N       tick each network in N row shards on a persistent
+                   worker pool (bit-exact for any N; N must be >= 1 and no
+                   larger than the smallest mesh's rows; default 1). Also
+                   accepted by every simulating subcommand above
   --sample N       sample per-interval series every N cycles into the
                    .timing.json sidecar (forces simulation)
   --trace-out DIR  write per-run flight-recorder dumps (JSONL) into DIR
@@ -256,6 +251,7 @@ struct Opts {
     trace_cap: usize,
     format: TraceFormat,
     metrics_out: Option<PathBuf>,
+    shards: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,6 +320,7 @@ impl Opts {
             trace_cap: 0,
             format: TraceFormat::Chrome,
             metrics_out: None,
+            shards: 1,
         }
     }
 
@@ -405,6 +402,9 @@ impl Opts {
                         .ok_or_else(|| format!("unknown trace format {val}"))?;
                 }
                 "--metrics-out" => o.metrics_out = Some(PathBuf::from(val)),
+                "--shards" => {
+                    o.shards = val.parse().map_err(|_| "bad shard count".to_string())?;
+                }
                 f => return Err(format!("unknown flag {f}")),
             }
         }
@@ -459,6 +459,25 @@ fn parse_prob(val: &str) -> Result<f64, String> {
     }
 }
 
+/// Builds the synthetic simulation every `Opts`-driven subcommand runs:
+/// substrate, routing, fault profile and `--shards` applied (a bad shard
+/// count is the network's typed [`ConfigError`]).
+fn build_synth(
+    opts: &Opts,
+    scheme: SchemeKind,
+    rate: f64,
+    drop: f64,
+) -> Result<SyntheticSim, SimError> {
+    let mut cfg = SimConfig::with_scheme(scheme);
+    let (topo, routing) = opts.noc_view()?;
+    cfg.noc.topology = topo;
+    cfg.noc.routing = routing;
+    cfg.faults = opts.fault_config(drop);
+    let mut sim = SyntheticSim::new(cfg, opts.pattern, rate);
+    sim.network_mut().set_shards(opts.shards)?;
+    Ok(sim)
+}
+
 fn run_synth(opts: &Opts, scheme: SchemeKind, rate: f64) -> Result<NetworkReport, SimError> {
     Ok(run_synth_observed(opts, scheme, rate, opts.fault_drop, 0, false)?.0)
 }
@@ -475,12 +494,7 @@ fn run_synth_observed(
     trace_cap: usize,
     collect_metrics: bool,
 ) -> Result<(NetworkReport, Vec<Stamped>, Option<Registry>), SimError> {
-    let mut cfg = SimConfig::with_scheme(scheme);
-    let (topo, routing) = opts.noc_view()?;
-    cfg.noc.topology = topo;
-    cfg.noc.routing = routing;
-    cfg.faults = opts.fault_config(drop);
-    let mut sim = SyntheticSim::new(cfg, opts.pattern, rate);
+    let mut sim = build_synth(opts, scheme, rate, drop)?;
     if trace_cap > 0 {
         sim.network_mut()
             .set_sink(Box::new(RingSink::new(trace_cap)));
@@ -683,12 +697,7 @@ fn faults_dump_path(base: &std::path::Path, drop: f64) -> PathBuf {
 
 /// Records one run's full event stream and writes a trace artifact.
 fn trace(opts: &Opts) -> Result<(), String> {
-    let mut cfg = SimConfig::with_scheme(opts.scheme);
-    let (topo, routing) = opts.noc_view().map_err(sim_err)?;
-    cfg.noc.topology = topo;
-    cfg.noc.routing = routing;
-    cfg.faults = opts.fault_config(opts.fault_drop);
-    let mut sim = SyntheticSim::new(cfg, opts.pattern, opts.rate);
+    let mut sim = build_synth(opts, opts.scheme, opts.rate, opts.fault_drop).map_err(sim_err)?;
     let sink: Box<dyn EventSink> = if opts.trace_cap > 0 {
         Box::new(RingSink::new(opts.trace_cap))
     } else {
@@ -741,12 +750,7 @@ fn trace(opts: &Opts) -> Result<(), String> {
 /// trailing parseable coverage comment for `scripts/metrics_gate.sh`,
 /// and optionally the JSON snapshot via `--metrics-out`.
 fn metrics(opts: &Opts) -> Result<(), String> {
-    let mut cfg = SimConfig::with_scheme(opts.scheme);
-    let (topo, routing) = opts.noc_view().map_err(sim_err)?;
-    cfg.noc.topology = topo;
-    cfg.noc.routing = routing;
-    cfg.faults = opts.fault_config(opts.fault_drop);
-    let mut sim = SyntheticSim::new(cfg, opts.pattern, opts.rate);
+    let mut sim = build_synth(opts, opts.scheme, opts.rate, opts.fault_drop).map_err(sim_err)?;
     sim.network_mut().enable_profiler();
     // No warmup/reset split: the profiler and the histograms cover the
     // whole run, so phase attribution can be gated against this wall
@@ -797,7 +801,9 @@ fn parsec(opts: &Opts) -> Result<(), SimError> {
         "full-system: {} under {} ({} instructions/core)...",
         opts.benchmark, opts.scheme, opts.instr
     );
-    let r = CmpSim::new(cfg).run();
+    let mut sim = CmpSim::new(cfg);
+    sim.network_mut().set_shards(opts.shards)?;
+    let r = sim.run();
     println!("completed:        {}", r.completed);
     println!("execution cycles: {}", r.exec_cycles);
     println!("L1 miss rate:     {:.3}%", r.l1_miss_rate * 100.0);
@@ -840,8 +846,6 @@ struct CampaignOpts {
     name: Option<String>,
     seed: u64,
     no_cache: bool,
-    naive_tick: bool,
-    struct_tick: bool,
     shards: usize,
     sample: u64,
     trace_out: Option<PathBuf>,
@@ -858,8 +862,6 @@ impl CampaignOpts {
             name: None,
             seed: campaign::DEFAULT_SEED,
             no_cache: false,
-            naive_tick: false,
-            struct_tick: false,
             shards: 1,
             sample: 0,
             trace_out: None,
@@ -868,17 +870,9 @@ impl CampaignOpts {
         };
         let mut it = args.iter();
         while let Some(flag) = it.next() {
-            // Boolean flags; everything else is a flag/value pair.
+            // The one boolean flag; everything else is a flag/value pair.
             if flag == "--no-cache" {
                 o.no_cache = true;
-                continue;
-            }
-            if flag == "--naive-tick" {
-                o.naive_tick = true;
-                continue;
-            }
-            if flag == "--struct-tick" {
-                o.struct_tick = true;
                 continue;
             }
             let val = it
@@ -893,7 +887,6 @@ impl CampaignOpts {
                         "fastpath",
                         "substrate",
                         "busy",
-                        "pool",
                         "rivals",
                         "schemes",
                     ]
@@ -944,7 +937,6 @@ impl CampaignOpts {
             "fastpath" => campaign::fastpath_suite(self.seed),
             "substrate" => campaign::substrate_suite(self.seed),
             "busy" => campaign::busy_suite(self.seed),
-            "pool" => campaign::pool_suite(self.seed),
             "rivals" => campaign::rivals_suite(self.seed),
             "schemes" => campaign::schemes_suite(self.seed),
             _ => campaign::ci_suite(self.seed),
@@ -985,21 +977,10 @@ fn campaign_cmd(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if opts.naive_tick {
-        // Before any worker thread exists: every Network built by this
-        // process ticks cycle-by-cycle (the differential reference mode).
-        std::env::set_var("PP_NAIVE_TICK", "1");
-    }
-    if opts.struct_tick {
-        std::env::set_var("PP_STRUCT_TICK", "1");
-    }
     let specs = opts.specs();
     if let Err(e) = opts.validate_shards(&specs) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
-    }
-    if opts.shards != 1 {
-        std::env::set_var("PP_SHARDS", opts.shards.to_string());
     }
     let name = opts.name.clone().unwrap_or_else(|| opts.suite.clone());
     let runner = Runner {
@@ -1012,6 +993,7 @@ fn campaign_cmd(args: &[String]) -> ExitCode {
         sample_every: opts.sample,
         trace_cap: opts.effective_trace_cap(),
         collect_metrics: opts.metrics_out.is_some(),
+        shards: opts.shards,
     };
     let threads = runner.effective_threads(specs.len());
     eprintln!(
@@ -1626,8 +1608,6 @@ mod tests {
         assert_eq!(o.out, PathBuf::from("bench-out"));
         assert_eq!(o.seed, campaign::DEFAULT_SEED);
         assert!(!o.no_cache);
-        assert!(!o.naive_tick);
-        assert!(!o.struct_tick);
         assert_eq!(o.shards, 1);
         assert!(!o.specs().is_empty());
 
@@ -1645,8 +1625,6 @@ mod tests {
             "--seed",
             "7",
             "--no-cache",
-            "--naive-tick",
-            "--struct-tick",
         ]))
         .unwrap();
         assert_eq!(o.suite, "synth");
@@ -1656,8 +1634,6 @@ mod tests {
         assert_eq!(o.name.as_deref(), Some("pr"));
         assert_eq!(o.seed, 7);
         assert!(o.no_cache);
-        assert!(o.naive_tick);
-        assert!(o.struct_tick);
         assert_eq!(o.specs().len(), campaign::synthetic_suite(7).len());
 
         let o = CampaignOpts::parse(&strs(&["--suite", "busy"])).unwrap();

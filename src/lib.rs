@@ -65,7 +65,7 @@ pub mod prelude {
     pub use punchsim_core::build_power_manager;
     pub use punchsim_faults::{FaultInjector, FaultStats};
     pub use punchsim_metrics::{LogHistogram, Phase, PhaseProfiler, Plane, Registry};
-    pub use punchsim_noc::{BusyKernel, Network, NetworkReport, PowerManager, ShardExec, TickMode};
+    pub use punchsim_noc::{Network, NetworkReport, PowerManager};
     pub use punchsim_obs::{Event, EventSink, RingSink, Sampler, Stamped, VecSink};
     pub use punchsim_power::{EnergyBreakdown, PowerModel};
     pub use punchsim_traffic::{SyntheticSim, TrafficPattern};

@@ -1,0 +1,128 @@
+//! Execution configuration is passed, not ambient.
+//!
+//! The tick kernel used to be selected by four `PP_*` environment
+//! variables read inside `Network::new`, and by CLI flags that worked by
+//! setting them. With ambient `PP_SHARDS=4`, every network with fewer than
+//! four router rows — `punchsim-cli verify`'s 2x2 mesh, say — failed to
+//! construct with `ShardsExceedRows`, while `PP_SHARDS=four` was silently
+//! ignored. This file drives the real binary (children get the variables
+//! through `Command::env`, this process's environment is never touched) to
+//! pin what replaced all that: construction ignores the environment, the
+//! retired flags are usage errors, and `--shards` is validated as a typed
+//! error on every subcommand that takes it.
+
+use std::process::{Command, Output};
+
+fn cli(args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_punchsim-cli"));
+    cmd.args(args);
+    for name in [
+        "PP_SHARDS",
+        "PP_NAIVE_TICK",
+        "PP_STRUCT_TICK",
+        "PP_SPAWN_TICK",
+    ] {
+        cmd.env_remove(name);
+    }
+    cmd.envs(env.iter().copied());
+    cmd.output().expect("punchsim-cli must launch")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn network_construction_ignores_the_process_environment() {
+    let verify = ["verify", "--mesh", "2x2", "--scheme", "ppf"];
+    let clean = cli(&verify, &[]);
+    assert!(clean.status.success(), "{}", stderr(&clean));
+    for env in [
+        // Used to fail every 2-row network with ShardsExceedRows.
+        &[("PP_SHARDS", "4")][..],
+        &[("PP_SHARDS", "four")],
+        &[
+            ("PP_NAIVE_TICK", "1"),
+            ("PP_STRUCT_TICK", "1"),
+            ("PP_SPAWN_TICK", "1"),
+        ],
+    ] {
+        let out = cli(&verify, env);
+        assert!(out.status.success(), "{env:?}: {}", stderr(&out));
+        assert_eq!(out.stdout, clean.stdout, "{env:?} changed the artifact");
+    }
+}
+
+#[test]
+fn retired_mode_flags_and_suite_are_usage_errors() {
+    for (args, needle) in [
+        (
+            &["campaign", "--naive-tick", "--no-cache"][..],
+            "unknown flag --naive-tick",
+        ),
+        (
+            &["campaign", "--no-cache", "--struct-tick"],
+            "missing value for --struct-tick",
+        ),
+        (&["campaign", "--suite", "pool"], "unknown suite pool"),
+    ] {
+        let out = cli(args, &[]);
+        assert!(!out.status.success(), "{args:?} must be rejected");
+        let err = stderr(&out);
+        assert!(err.contains(needle), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?} must print the usage text");
+    }
+}
+
+#[test]
+fn shard_counts_are_validated_on_every_subcommand_that_takes_them() {
+    // All on an 8x8 mesh (8 router rows): `campaign` runs the ci suite's,
+    // `parsec` the CMP's fixed one, the rest take `--mesh`.
+    for sub in [
+        "sweep", "schemes", "faults", "trace", "metrics", "parsec", "campaign",
+    ] {
+        let mesh: &[&str] = if sub == "campaign" {
+            &[]
+        } else {
+            &["--mesh", "8x8"]
+        };
+        let run = |shards| cli(&[&[sub, "--shards", shards], mesh].concat(), &[]);
+        let zero = run("0");
+        assert!(!zero.status.success(), "{sub} --shards 0 must fail");
+        assert!(
+            stderr(&zero).contains("at least 1 shard"),
+            "{sub}: {}",
+            stderr(&zero)
+        );
+        let nine = run("9");
+        assert!(!nine.status.success(), "{sub} --shards 9 must fail");
+        assert!(
+            stderr(&nine).contains("9 shards exceed the 8 router rows"),
+            "{sub}: {}",
+            stderr(&nine)
+        );
+    }
+}
+
+#[test]
+fn shards_reach_the_network_and_change_no_output() {
+    let base = ["sweep", "--mesh", "4x4", "--cycles", "400"];
+    let plain = cli(&base, &[]);
+    assert!(plain.status.success(), "{}", stderr(&plain));
+    let sharded = cli(&[&base[..], &["--shards", "4"]].concat(), &[]);
+    assert!(sharded.status.success(), "{}", stderr(&sharded));
+    assert_eq!(plain.stdout, sharded.stdout);
+    // The exposition's pool counter shows the flag took effect.
+    let pooled_ticks = |extra: &[&str]| {
+        let args = [&["metrics", "--mesh", "8x8", "--cycles", "400"], extra].concat();
+        let out = cli(&args, &[]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        String::from_utf8_lossy(&out.stdout)
+            .lines()
+            .find_map(|l| l.strip_prefix("shard_pool_ticks_total "))
+            .and_then(|v| v.trim().parse::<u64>().ok())
+            .expect("metrics prints the pool-tick counter")
+    };
+    assert_eq!(pooled_ticks(&[]), 0);
+    assert!(pooled_ticks(&["--shards", "2"]) > 0);
+}

@@ -1,9 +1,10 @@
 //! Differential conformance suite for the quiescence fast-forward kernel.
 //!
-//! Every case builds the *same* experiment twice — once in
-//! [`TickMode::Naive`] (the cycle-by-cycle reference, every tick executed
-//! literally) and once in [`TickMode::Fast`] (quiescence skip-ahead plus
-//! the host-side arrival-gap skip) — and runs both in lock-step chunks.
+//! Every case builds the *same* experiment twice — once on the reference
+//! oracle (`Network::use_reference_kernel`: the struct sweep, every tick
+//! executed literally) and once on the shipped kernel (quiescence
+//! skip-ahead plus the host-side arrival-gap skip) — and runs both in
+//! lock-step chunks.
 //! At every checkpoint the two must agree on the clock, every router's
 //! power state, the power-gating counters and the in-flight packet count;
 //! at the end the complete [`NetworkReport`] must be identical down to
@@ -110,9 +111,11 @@ fn draw_case(rng: &mut SimRng, id: u64) -> Case {
     }
 }
 
-fn build(case: &Case, mode: TickMode) -> SyntheticSim {
+fn build(case: &Case, reference: bool) -> SyntheticSim {
     let mut sim = SyntheticSim::with_injection(case.cfg.clone(), case.pattern, case.inj.clone());
-    sim.network_mut().set_tick_mode(mode);
+    if reference {
+        sim.network_mut().use_reference_kernel();
+    }
     sim
 }
 
@@ -158,10 +161,10 @@ fn fast_forward_is_observably_identical_to_naive_ticking() {
     let mut rng = SimRng::seed_from_u64(0xD1FF);
     for id in 0..50u64 {
         let case = draw_case(&mut rng, id);
-        let mut fast = build(&case, TickMode::Fast);
-        let mut naive = build(&case, TickMode::Naive);
-        assert_eq!(fast.network().tick_mode(), TickMode::Fast);
-        assert_eq!(naive.network().tick_mode(), TickMode::Naive);
+        let mut fast = build(&case, false);
+        let mut naive = build(&case, true);
+        assert!(fast.network().may_skip_idle());
+        assert!(!naive.network().may_skip_idle());
         // Warm-up, then a measured window compared every `chunk` cycles.
         let (warmup, measure, chunk) = (200u64, 1_000u64, 100u64);
         fast.run(warmup).unwrap();
@@ -188,12 +191,14 @@ fn fast_forward_matches_naive_through_drain_and_deep_idle() {
         (SchemeKind::PowerPunchFull, 0.02),
         (SchemeKind::PowerPunchSignal, 0.005),
     ] {
-        let run = |mode: TickMode| {
+        let run = |reference: bool| {
             let mut cfg = SimConfig::with_scheme(scheme);
             cfg.noc.topology = Mesh::new(6, 6).into();
             cfg.seed = 0xDEAD + f64::to_bits(rate);
             let mut sim = SyntheticSim::new(cfg, TrafficPattern::UniformRandom, rate);
-            sim.network_mut().set_tick_mode(mode);
+            if reference {
+                sim.network_mut().use_reference_kernel();
+            }
             sim.run(2_000).unwrap();
             let drained = sim.drain(50_000).unwrap();
             // Deep idle after the drain: the skip path dominates here.
@@ -207,8 +212,8 @@ fn fast_forward_matches_naive_through_drain_and_deep_idle() {
             )
         };
         assert_eq!(
-            run(TickMode::Fast),
-            run(TickMode::Naive),
+            run(false),
+            run(true),
             "scheme {scheme:?} diverged through drain/deep-idle"
         );
     }

@@ -9,7 +9,7 @@
 //!   and substrates (the same invariant PR 3 pinned for the event sink).
 //! * **Kernel level** — enabling the profiler leaves [`PgCounters`] —
 //!   including the new per-router attribution vectors — bit-identical
-//!   between the SoA and struct busy kernels.
+//!   between the shipped kernel and the reference oracle.
 //! * **Internal consistency** — the exported planes sum to their global
 //!   counters and the histogram agrees with the report percentiles, so a
 //!   heatmap and a summary table drawn from the same registry can never
@@ -17,7 +17,6 @@
 
 use punchsim::campaign::{ObserveOpts, RunSpec, Workload};
 use punchsim::metrics::validate_exposition;
-use punchsim::noc::BusyKernel;
 use punchsim::prelude::*;
 use punchsim::types::Torus;
 
@@ -55,10 +54,13 @@ fn metrics_collection_never_changes_results() {
             let s = spec(scheme, topo, routing);
             let plain = s.execute().expect("healthy spec");
             let observed = s
-                .execute_observed(ObserveOpts {
-                    metrics: true,
-                    ..ObserveOpts::NONE
-                })
+                .execute_observed(
+                    ObserveOpts {
+                        metrics: true,
+                        ..ObserveOpts::NONE
+                    },
+                    1,
+                )
                 .expect("healthy spec");
             assert_eq!(observed.metrics, plain, "{} drifted under metrics", s.id());
             assert!(observed.registry.is_some(), "{} lost its registry", s.id());
@@ -66,13 +68,15 @@ fn metrics_collection_never_changes_results() {
     }
 }
 
-/// One profiled synthetic run on the chosen busy kernel; returns the
-/// report and the exported registry.
-fn profiled_run(kernel: BusyKernel, profiled: bool) -> (NetworkReport, Registry) {
+/// One profiled synthetic run on the shipped kernel or the reference
+/// oracle; returns the report and the exported registry.
+fn profiled_run(reference: bool, profiled: bool) -> (NetworkReport, Registry) {
     let mut cfg = SimConfig::with_scheme(SchemeKind::PowerPunchFull);
     cfg.noc.topology = Mesh::new(6, 6).into();
     let mut sim = SyntheticSim::new(cfg, TrafficPattern::UniformRandom, 0.01);
-    sim.network_mut().set_busy_kernel(kernel);
+    if reference {
+        sim.network_mut().use_reference_kernel();
+    }
     if profiled {
         sim.network_mut().enable_profiler();
     }
@@ -89,13 +93,13 @@ fn profiled_run(kernel: BusyKernel, profiled: bool) -> (NetworkReport, Registry)
 /// attribution vectors — bit-identical.
 #[test]
 fn profiler_leaves_pg_counters_identical_across_kernels() {
-    let (reference, _) = profiled_run(BusyKernel::Struct, false);
-    for kernel in [BusyKernel::Struct, BusyKernel::Soa] {
+    let (reference, _) = profiled_run(true, false);
+    for oracle in [true, false] {
         for profiled in [false, true] {
-            let (r, _) = profiled_run(kernel, profiled);
+            let (r, _) = profiled_run(oracle, profiled);
             assert_eq!(
                 r.pg, reference.pg,
-                "PgCounters drifted: kernel {kernel:?}, profiled {profiled}"
+                "PgCounters drifted: oracle {oracle}, profiled {profiled}"
             );
             assert_eq!(r.stats.packets_delivered, reference.stats.packets_delivered);
             assert_eq!(r.latency_p50(), reference.latency_p50());
@@ -109,7 +113,7 @@ fn profiler_leaves_pg_counters_identical_across_kernels() {
 /// the whole registry renders to a valid Prometheus exposition.
 #[test]
 fn exported_registry_is_internally_consistent() {
-    let (r, reg) = profiled_run(BusyKernel::Soa, true);
+    let (r, reg) = profiled_run(false, true);
     assert_eq!(
         reg.plane("router_wu_assertions").expect("exported").total(),
         r.pg.wu_assertions,

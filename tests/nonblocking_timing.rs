@@ -5,29 +5,32 @@
 //! always powered on".
 
 use punchsim::core::build_power_manager;
-use punchsim::noc::{Message, MsgClass, Network, TickMode};
+use punchsim::noc::{Message, MsgClass, Network};
 use punchsim::types::{Mesh, NodeId, SchemeKind, SimConfig, VnetId};
 
 /// Sends isolated packets across a sleeping 8x8 mesh and returns the total
-/// wakeup-wait cycles and delivered count. Runs with quiescence
-/// fast-forwarding explicitly enabled (the long idle gaps between packets
-/// are exactly where skip-ahead engages).
+/// wakeup-wait cycles and delivered count. Runs on the shipped kernel
+/// (the long idle gaps between packets are exactly where quiescence
+/// skip-ahead engages).
 fn run_isolated_packets(scheme: SchemeKind, wakeup: u32, use_slack2: bool) -> (u64, u64) {
-    run_isolated_packets_mode(scheme, wakeup, use_slack2, TickMode::Fast)
+    run_isolated_packets_on(scheme, wakeup, use_slack2, false)
 }
 
-fn run_isolated_packets_mode(
+/// `reference` selects the cycle-by-cycle test oracle instead.
+fn run_isolated_packets_on(
     scheme: SchemeKind,
     wakeup: u32,
     use_slack2: bool,
-    mode: TickMode,
+    reference: bool,
 ) -> (u64, u64) {
     let mut cfg = SimConfig::with_scheme(scheme);
     cfg.noc.topology = Mesh::new(8, 8).into();
     cfg.power.wakeup_latency = wakeup;
     let pm = build_power_manager(&cfg).unwrap();
     let mut net = Network::new(&cfg.noc, pm).unwrap();
-    net.set_tick_mode(mode);
+    if reference {
+        net.use_reference_kernel();
+    }
     // Let every router fall asleep.
     net.run(50).unwrap();
     let flows: &[(u16, u16)] = &[
@@ -84,15 +87,14 @@ fn fast_forward_keeps_wakeups_non_blocking_and_matches_naive() {
         (SchemeKind::PowerPunchSignal, false),
         (SchemeKind::ConvOptPg, false),
     ] {
-        let fast = run_isolated_packets_mode(scheme, 8, slack2, TickMode::Fast);
-        let naive = run_isolated_packets_mode(scheme, 8, slack2, TickMode::Naive);
+        let fast = run_isolated_packets_on(scheme, 8, slack2, false);
+        let naive = run_isolated_packets_on(scheme, 8, slack2, true);
         assert_eq!(
             fast, naive,
             "{scheme:?}: fast path changed observable timing"
         );
     }
-    let (wait, delivered) =
-        run_isolated_packets_mode(SchemeKind::PowerPunchFull, 8, true, TickMode::Fast);
+    let (wait, delivered) = run_isolated_packets(SchemeKind::PowerPunchFull, 8, true);
     assert_eq!(delivered, 6);
     assert_eq!(
         wait, 0,

@@ -10,7 +10,7 @@
 //! pin that observation never perturbs simulation results.
 
 use punchsim::core::build_power_manager;
-use punchsim::noc::{Message, MsgClass, Network, TickMode};
+use punchsim::noc::{Message, MsgClass, Network};
 use punchsim::prelude::{RingSink, Sampler};
 use punchsim::types::{
     FaultConfig, Mesh, NodeId, SchemeKind, SimConfig, SimError, StuckEpoch, TraceConfig, VnetId,
@@ -168,12 +168,14 @@ fn tracing_does_not_perturb_results() {
 /// Builds a mostly idle PowerPunch-PG network carrying one early burst —
 /// quiescent stretches long enough that fast-forward jumps span many
 /// sampling intervals.
-fn mostly_idle_network(mode: TickMode) -> Network {
+fn mostly_idle_network(reference: bool) -> Network {
     let mut cfg = SimConfig::with_scheme(SchemeKind::PowerPunchFull);
     cfg.noc.topology = Mesh::new(4, 4).into();
     let pm = build_power_manager(&cfg).expect("valid config");
     let mut net = Network::new(&cfg.noc, pm).expect("valid config");
-    net.set_tick_mode(mode);
+    if reference {
+        net.use_reference_kernel();
+    }
     for (src, dst) in [(0u16, 15u16), (5, 10), (12, 3)] {
         net.send(Message {
             src: NodeId(src),
@@ -194,16 +196,16 @@ fn mostly_idle_network(mode: TickMode) -> Network {
 /// run, even when the jump spans many whole intervals.
 #[test]
 fn sample_timestamps_are_exact_across_fast_forward_jumps() {
-    let rows = |mode: TickMode| {
-        let mut net = mostly_idle_network(mode);
+    let rows = |reference: bool| {
+        let mut net = mostly_idle_network(reference);
         let mut sampler = Sampler::new(16);
         sampler.observe(net.obs_sample());
         net.run_hooked(2_500, 100, &mut |n| sampler.observe(n.obs_sample()))
             .expect("idle network must not stall");
         sampler.into_rows()
     };
-    let fast = rows(TickMode::Fast);
-    let naive = rows(TickMode::Naive);
+    let fast = rows(false);
+    let naive = rows(true);
     assert_eq!(fast.len(), 25, "one row per 100-cycle interval");
     for (i, row) in fast.iter().enumerate() {
         assert_eq!(row.start, i as u64 * 100, "interval {i} start");
@@ -223,7 +225,6 @@ fn watchdog_sees_no_phantom_stall_across_jumps() {
     cfg.noc.watchdog.stall_threshold = 50; // far below the jump spans
     let pm = build_power_manager(&cfg).expect("valid config");
     let mut net = Network::new(&cfg.noc, pm).expect("valid config");
-    net.set_tick_mode(TickMode::Fast);
     net.run(2_000_000)
         .expect("idle quiescence is not a stall, even across jumps");
     assert_eq!(net.cycle(), 2_000_000);

@@ -1,16 +1,15 @@
 //! Determinism battery for the persistent shard worker pool.
 //!
 //! The pool is an *execution* detail: sharded phase A runs on long-lived
-//! parked workers instead of per-tick spawned scoped threads, but the
-//! record-then-commit order is unchanged, so every observable — the
-//! bit-exact [`NetworkReport`] digest (latency histogram percentiles
-//! included), [`punchsim::noc::PgCounters`], per-router power states —
-//! must be byte-identical across shard counts, across the pooled and
-//! spawn-per-tick executors, across mid-run reconfiguration (shard
-//! resizes, executor toggles, pool teardown/re-create), and across pool
-//! lifetimes. The battery also pins the pool-era thread-accounting
-//! contract (creations bounded by the shard count, never per tick) and
-//! the typed worker-panic error path (a panicking shard surfaces as
+//! parked workers, but the record-then-commit order is that of the serial
+//! tick, so every observable — the bit-exact [`NetworkReport`] digest
+//! (latency histogram percentiles included),
+//! [`punchsim::noc::PgCounters`], per-router power states — must be
+//! byte-identical to the reference oracle across shard counts, across
+//! mid-run shard resizes (pool teardown/re-create), and across pool
+//! lifetimes. The battery also pins the thread-accounting contract
+//! (creations bounded by the shard count, never per tick) and the typed
+//! worker-panic error path (a panicking shard surfaces as
 //! [`SimError::ShardPanic`], never a hang, and the pool survives it).
 
 use punchsim::prelude::*;
@@ -21,25 +20,15 @@ fn digest(r: &NetworkReport) -> String {
     format!("{r:?}")
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Variant {
-    exec: ShardExec,
-    shards: usize,
-}
-
-/// Serial single-shard ticking under the spawn executor: no worker
-/// threads of either kind exist, so this is the reference everything
-/// else must match bit for bit.
-const REFERENCE: Variant = Variant {
-    exec: ShardExec::Spawn,
-    shards: 1,
-};
-
-fn build(cfg: &SimConfig, rate: f64, v: Variant) -> SyntheticSim {
+/// `shards: None` builds the reference oracle (struct sweep, no worker
+/// threads of any kind), `Some(n)` the shipped kernel on `n` shards.
+fn build(cfg: &SimConfig, rate: f64, shards: Option<usize>) -> SyntheticSim {
     let mut sim = SyntheticSim::new(cfg.clone(), TrafficPattern::UniformRandom, rate);
     let net = sim.network_mut();
-    net.set_shard_exec(v.exec);
-    net.set_shards(v.shards).expect("valid shard count");
+    match shards {
+        None => net.use_reference_kernel(),
+        Some(n) => net.set_shards(n).expect("valid shard count"),
+    }
     sim
 }
 
@@ -63,9 +52,8 @@ fn assert_same_state(label: &str, at: u64, a: &SyntheticSim, b: &SyntheticSim) {
     );
 }
 
-/// The full matrix: shards {1,2,4,7} x {pool, per-tick spawn} on mesh and
-/// torus under both gating schemes, checkpointed against the serial
-/// reference every 200 cycles.
+/// The full matrix: shards {1,2,4,7} on mesh and torus under both gating
+/// schemes, checkpointed against the oracle every 200 cycles.
 #[test]
 fn pooled_execution_is_bit_exact_across_the_matrix() {
     let substrates: [(&str, Substrate); 2] = [
@@ -73,24 +61,21 @@ fn pooled_execution_is_bit_exact_across_the_matrix() {
         ("torus8x8", Substrate::Torus(Torus::new(8, 8))),
     ];
     let schemes = [SchemeKind::ConvOptPg, SchemeKind::PowerPunchFull];
-    let variants: Vec<Variant> = [1usize, 2, 4, 7]
-        .iter()
-        .flat_map(|&shards| {
-            [ShardExec::Pool, ShardExec::Spawn]
-                .into_iter()
-                .map(move |exec| Variant { exec, shards })
-        })
-        .collect();
     for (si, &(name, topo)) in substrates.iter().enumerate() {
         for (ki, &scheme) in schemes.iter().enumerate() {
             let mut cfg = SimConfig::with_scheme(scheme);
             cfg.noc.topology = topo;
             cfg.seed = 0xB007 + (si * 2 + ki) as u64;
             let rate = 0.02;
-            let mut reference = build(&cfg, rate, REFERENCE);
-            let mut subjects: Vec<(String, SyntheticSim)> = variants
-                .iter()
-                .map(|&v| (format!("{name}/{scheme:?} vs {v:?}"), build(&cfg, rate, v)))
+            let mut reference = build(&cfg, rate, None);
+            let mut subjects: Vec<(String, SyntheticSim)> = [1usize, 2, 4, 7]
+                .into_iter()
+                .map(|n| {
+                    (
+                        format!("{name}/{scheme:?} x{n}"),
+                        build(&cfg, rate, Some(n)),
+                    )
+                })
                 .collect();
             let (warmup, measure, chunk) = (200u64, 600u64, 200u64);
             reference.run(warmup).unwrap();
@@ -113,33 +98,20 @@ fn pooled_execution_is_bit_exact_across_the_matrix() {
     }
 }
 
-/// Mid-run reconfiguration: shard resizes (pool re-created at the new
-/// width) and executor toggles (pool torn down, then lazily re-created)
-/// must be seamless — the run must land on the same digest as a serial
-/// run that never reconfigured anything.
+/// Mid-run shard resizes (the pool is torn down and lazily re-created at
+/// the new width) must be seamless — the run must land on the same digest
+/// as a serial run that never reconfigured anything.
 #[test]
-fn midrun_resizes_and_exec_toggles_change_nothing() {
+fn midrun_resizes_change_nothing() {
     let run = |reconfigure: bool| {
         let mut cfg = SimConfig::with_scheme(SchemeKind::PowerPunchFull);
         cfg.noc.topology = Mesh::new(8, 8).into();
         cfg.seed = 0x9E512E;
         let mut sim = SyntheticSim::new(cfg, TrafficPattern::Transpose, 0.02);
-        // Walk through shard widths (growing, shrinking, re-growing) and
-        // flip the executor twice: Pool -> Spawn tears the pool down,
-        // Spawn -> Pool re-creates it on the next sharded tick.
-        let plan: [(usize, ShardExec); 6] = [
-            (1, ShardExec::Pool),
-            (2, ShardExec::Pool),
-            (7, ShardExec::Pool),
-            (4, ShardExec::Spawn),
-            (4, ShardExec::Pool),
-            (2, ShardExec::Pool),
-        ];
-        for &(shards, exec) in &plan {
+        // Growing, shrinking (through 1: no pool at all), re-growing.
+        for shards in [1usize, 2, 7, 4, 1, 2] {
             if reconfigure {
-                let net = sim.network_mut();
-                net.set_shard_exec(exec);
-                net.set_shards(shards).unwrap();
+                sim.network_mut().set_shards(shards).unwrap();
             }
             sim.run(250).unwrap();
         }
@@ -148,9 +120,8 @@ fn midrun_resizes_and_exec_toggles_change_nothing() {
     assert_eq!(run(false), run(true));
 }
 
-/// Pool-era thread accounting: a pooled run creates at most `shards - 1`
-/// worker threads over its whole lifetime (versus one per shard per busy
-/// tick for the spawn executor), and every pooled sharded tick is counted.
+/// Thread accounting: a sharded run creates at most `shards - 1` worker
+/// threads over its whole lifetime, and every sharded tick is counted.
 #[test]
 fn pooled_runs_create_at_most_shards_threads() {
     let shards = 4usize;
@@ -158,9 +129,7 @@ fn pooled_runs_create_at_most_shards_threads() {
     cfg.noc.topology = Mesh::new(8, 8).into();
     cfg.seed = 0x1007;
     let mut sim = SyntheticSim::new(cfg, TrafficPattern::UniformRandom, 0.05);
-    let net = sim.network_mut();
-    net.set_shard_exec(ShardExec::Pool);
-    net.set_shards(shards).unwrap();
+    sim.network_mut().set_shards(shards).unwrap();
     sim.run(2_000).unwrap();
     let (spawn_count, _spawn_nanos) = sim.network().spawn_stats();
     let (pool_ticks, _pool_wait) = sim.network().pool_stats();
@@ -169,7 +138,7 @@ fn pooled_runs_create_at_most_shards_threads() {
         "busy run never took the pooled sharded path"
     );
     assert!(
-        spawn_count <= shards as u64,
+        spawn_count < shards as u64,
         "pooled run created {spawn_count} threads; \
          the pool must cap creations at shards - 1 = {}",
         shards - 1
@@ -197,9 +166,7 @@ fn worker_panic_is_a_typed_error_and_the_pool_survives() {
     cfg.noc.topology = Mesh::new(8, 8).into();
     cfg.seed = 0xDEAD;
     let mut sim = SyntheticSim::new(cfg, TrafficPattern::UniformRandom, 0.05);
-    let net = sim.network_mut();
-    net.set_shard_exec(ShardExec::Pool);
-    net.set_shards(4).unwrap();
+    sim.network_mut().set_shards(4).unwrap();
     sim.run(100).unwrap();
     // Arm the test hook: the next pooled sharded tick runs its last
     // worker job as a deliberate panic. The worker's unwind is noisy on
