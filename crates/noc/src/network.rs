@@ -152,11 +152,17 @@ pub struct Network {
     reference: bool,
     /// Row-band shard count for phase A (1 = no threading).
     shards: usize,
+    /// The row bands as node ranges, one per shard (see
+    /// [`soa::shard_bounds`]); recomputed only by [`Network::set_shards`].
+    shard_bounds: Vec<(usize, usize)>,
+    /// Link neighbours of every router (see [`soa::neighbor_table`]).
+    neighbors: Vec<soa::Neighbors>,
     /// Flat per-mesh bitset index over the router/NI structs (see
     /// [`crate::soa`]), maintained by every tick from construction on.
     soa: SoaState,
-    /// Per-shard phase-A outcome buffers (reused; steady-state ticks
-    /// allocate nothing).
+    /// Per-shard phase-A outcome buffers (reused: a steady-state tick
+    /// allocates nothing with one shard, and only its `shards - 1`-element
+    /// task list with more).
     shard_bufs: Vec<ShardBuf>,
     /// Reusable per-tick idleness scratch (steady-state tick allocates
     /// nothing).
@@ -261,6 +267,8 @@ impl Network {
             violation: None,
             reference: false,
             shards: 1,
+            shard_bounds: soa::shard_bounds(topo.width(), topo.height(), 1),
+            neighbors: soa::neighbor_table(topo),
             soa: SoaState::new(n),
             shard_bufs: Vec::new(),
             idle_scratch: Vec::with_capacity(n),
@@ -296,6 +304,8 @@ impl Network {
             return Err(ConfigError::ShardsExceedRows { shards, rows });
         }
         self.shards = shards;
+        let topo = self.view.topo;
+        self.shard_bounds = soa::shard_bounds(topo.width(), topo.height(), shards);
         // An existing pool sized for a different count is torn down here
         // (workers joined); the right-sized pool is re-created lazily on
         // the next sharded tick.
@@ -416,9 +426,11 @@ impl Network {
         }
     }
 
-    /// Attaches a fresh tick-phase profiler: from the next tick on, every
-    /// phase boundary charges elapsed wall time to its phase. Profiling
-    /// observes the simulation clock loop only — it cannot change results.
+    /// Attaches a fresh tick-phase profiler: from the next tick on, phase
+    /// boundaries charge elapsed wall time to their phase (a sample of
+    /// the ticks is split, the rest are attributed pro rata; see
+    /// [`PhaseProfiler`]). Profiling observes the simulation clock loop
+    /// only — it cannot change results.
     pub fn enable_profiler(&mut self) {
         self.profiler = Some(PhaseProfiler::new());
     }
@@ -449,6 +461,15 @@ impl Network {
     /// shard. `(0, 0)` while `shards == 1`.
     pub fn pool_stats(&self) -> (u64, u64) {
         (self.pool_ticks, self.pool_wait_nanos)
+    }
+
+    /// Opens a tick in the profiler (the time since the last tick was the
+    /// host's). One branch when profiling is disabled.
+    #[inline]
+    fn begin_tick(&mut self) {
+        if let Some(pr) = self.profiler.as_mut() {
+            pr.begin_tick();
+        }
     }
 
     /// Charges the wall time since the previous phase boundary to `p`.
@@ -680,6 +701,8 @@ impl Network {
             violation: self.violation.clone(),
             reference: self.reference,
             shards: self.shards,
+            shard_bounds: self.shard_bounds.clone(),
+            neighbors: self.neighbors.clone(),
             soa: self.soa.clone(),
             shard_bufs: Vec::new(),
             idle_scratch: Vec::with_capacity(self.routers.len()),
@@ -845,7 +868,7 @@ impl Network {
         // Phase A computes each shard's slice of the tick over shard-owned
         // state only, then the commit applies every cross-router effect
         // serially in router-index order — bit-exact for any shard count.
-        self.mark(Phase::Host);
+        self.begin_tick();
         let now = self.cycle;
         self.moved = false;
         let pool_wait = self.soa_phase_a(now)?;
@@ -910,7 +933,8 @@ impl Network {
             pm,
             soa,
             shard_bufs,
-            view,
+            shard_bounds,
+            neighbors,
             pool,
             ..
         } = self;
@@ -920,7 +944,7 @@ impl Network {
             link,
             check,
             violation_open,
-            view: *view,
+            neighbors,
             occ: soa.occ.words(),
             flit_pend: soa.flit_pend.words(),
             credit_pend: soa.credit_pend.words(),
@@ -951,22 +975,21 @@ impl Network {
             local: &soa.avail_local,
             off: &soa.power_off,
         };
-        let bounds = soa::shard_bounds(view.topo.width(), view.topo.height(), shards);
-        let views = soa::split_shards(
+        let mut views = soa::split_shards(
             routers,
             nis,
             flit_in,
             credit_in,
             ni_credit_in,
             eject_in,
-            &bounds,
+            shard_bounds,
         );
         let Some(pool) = pool.as_ref() else {
             // Pool creation failed (the OS is out of threads): run every
             // shard view on this thread, in shard order. Same
             // record-then-commit protocol, so still bit-exact;
             // `ensure_pool` retries on the next tick.
-            for (mut sv, buf) in views.into_iter().zip(shard_bufs.iter_mut()) {
+            for (mut sv, buf) in views.zip(shard_bufs.iter_mut()) {
                 soa::shard_phase_a(&mut sv, &ctx, &avail, buf);
             }
             return Ok(0);
@@ -975,7 +998,6 @@ impl Network {
         // then wait at the completion barrier. Jobs borrow this stack
         // frame; that is sound because `run_tick` never returns (even by
         // unwinding) before every worker passed the barrier.
-        let mut views = views.into_iter();
         let mut sv0 = views.next().expect("at least one shard");
         let (buf0, bufs) = shard_bufs.split_at_mut(1);
         let mut tasks: Vec<ShardTask<'_, '_>> = views
@@ -1069,21 +1091,17 @@ impl Network {
         }
         // --- 3. allocation outcomes --------------------------------------
         for buf in &mut bufs {
-            for (idx, outcome) in buf.alloc.drain(..) {
-                let here = NodeId(idx as u16);
-                for b in outcome.pg_blocked {
+            for (idx, mut outcome) in buf.alloc.drain(..) {
+                let near = self.neighbors[idx];
+                for b in &outcome.pg_blocked {
                     let d = b
                         .next_router_port
                         .direction()
                         .expect("PG can only block link ports");
-                    let next = self
-                        .view
-                        .topo
-                        .neighbor(here, d)
-                        .expect("blocked port has a neighbor");
+                    let next = near[d.index()].expect("blocked port has a neighbor");
                     self.note_blocked(b.packet, next);
                 }
-                for dep in outcome.departures {
+                for dep in outcome.take_departures() {
                     self.moved = true;
                     self.credits_in_flight += 1;
                     match dep.in_port {
@@ -1092,11 +1110,7 @@ impl Network {
                             self.soa.credit_pend.set(idx);
                         }
                         Port::Link(d) => {
-                            let up = self
-                                .view
-                                .topo
-                                .neighbor(here, d)
-                                .expect("flits only arrive over real links");
+                            let up = near[d.index()].expect("flits only arrive over real links");
                             self.credit_in[up.index()][Port::Link(d.opposite())]
                                 .push_at(dep.in_vc, now + 1 + link);
                             self.soa.credit_pend.set(up.index());
@@ -1108,11 +1122,8 @@ impl Network {
                             self.soa.eject_pend.set(idx);
                         }
                         Port::Link(d) => {
-                            let next = self
-                                .view
-                                .topo
-                                .neighbor(here, d)
-                                .expect("allocation never targets a mesh edge");
+                            let next =
+                                near[d.index()].expect("allocation never targets a mesh edge");
                             let mut flit = dep.flit;
                             flit.route_port = match self.view.direction(next, flit.dst) {
                                 Some(nd) => Port::Link(nd),
@@ -1287,7 +1298,9 @@ impl Network {
     /// [`Network::quiescent`] and that no event sink is attached (per-cycle
     /// transition recording needs the per-cycle path).
     fn fast_forward(&mut self, span: u64) {
-        self.mark(Phase::Host);
+        if let Some(pr) = self.profiler.as_mut() {
+            pr.begin_skip();
+        }
         debug_assert!(self.quiescent() && self.sink.is_none());
         debug_assert!(self
             .routers
@@ -1309,7 +1322,9 @@ impl Network {
         // packets are in flight; mirror its final value so stall detection
         // sees no phantom gap across the jump.
         self.last_progress = to - 1;
-        self.mark(Phase::FastForward);
+        if let Some(pr) = self.profiler.as_mut() {
+            pr.end_skip();
+        }
     }
 
     /// `true` when `run`/`run_hooked` may skip ahead right now.
@@ -2140,5 +2155,51 @@ mod tests {
             err,
             SimError::Config(punchsim_types::ConfigError::ZeroLinkLatency)
         ));
+    }
+
+    /// VC layouts the router cannot represent, or that could only ever end
+    /// in a watchdog stall, are configuration errors — not an arithmetic
+    /// overflow or a network that never injects.
+    #[test]
+    fn new_rejects_unrepresentable_vc_layouts() {
+        use punchsim_types::ConfigError;
+        let build = |cfg: NocConfig| {
+            let pm = Box::new(AlwaysOn::new(cfg.topology.nodes()));
+            Network::new(&cfg, pm).map(|_| ())
+        };
+        let too_many = build(NocConfig {
+            data_vcs_per_vnet: 200,
+            ctrl_vcs_per_vnet: 100,
+            ..NocConfig::default()
+        });
+        assert!(matches!(
+            too_many,
+            Err(SimError::Config(ConfigError::TooManyVcs {
+                per_port: 900,
+                max: 32
+            }))
+        ));
+        let zero_depth = build(NocConfig {
+            ctrl_vc_depth: 0,
+            ..NocConfig::default()
+        });
+        assert!(matches!(
+            zero_depth,
+            Err(SimError::Config(ConfigError::ZeroVcDepth))
+        ));
+        // The widest legal layout builds and carries traffic.
+        let cfg = NocConfig {
+            vnets: 4,
+            data_vcs_per_vnet: 5,
+            ctrl_vcs_per_vnet: 3,
+            ..NocConfig::default()
+        };
+        let pm = Box::new(AlwaysOn::new(cfg.topology.nodes()));
+        let mut n = Network::new(&cfg, pm).unwrap();
+        let mut m = msg(0, 63, MsgClass::Data);
+        m.vnet = punchsim_types::VnetId(3);
+        n.send(m).unwrap();
+        n.run(200).unwrap();
+        assert_eq!(n.take_delivered(NodeId(63)).len(), 1);
     }
 }

@@ -5,9 +5,13 @@
 //! [`Network::use_reference_kernel`] is the one-way switch onto it.
 //!
 //! To stay a real oracle it shares only pure bookkeeping with the kernel —
-//! `note_blocked`, `complete_packet` and the power/watchdog phases, none of
-//! which decide what moves where. Traversal order, allocation and the
-//! application of departures are implemented here independently.
+//! `note_blocked`, `complete_packet`, the power/watchdog phases and the
+//! router's `latch`/`pop_front`, none of which decide what moves where.
+//! Traversal order and the application of departures are implemented here
+//! independently (neighbours come from the substrate, not the kernel's
+//! table), and allocation runs the exhaustive rotating-priority scan
+//! [`crate::router::Router::allocate_reference`], not the request-driven
+//! allocators the kernel ships.
 
 use punchsim_metrics::Phase;
 use punchsim_types::{Cycle, InvariantViolation, NodeId, Port, PortMap, SimError};
@@ -21,7 +25,7 @@ impl Network {
     pub(super) fn tick_reference(&mut self) -> Result<(), SimError> {
         let now = self.cycle;
         self.moved = false;
-        self.mark(Phase::Host);
+        self.begin_tick();
         self.deliver_flits(now);
         self.mark(Phase::DeliverFlits);
         self.deliver_credits(now);
@@ -125,8 +129,8 @@ impl Network {
                     .neighbor(here, d)
                     .is_some_and(|n| self.pm.is_available(n, arrival)),
             });
-            let outcome = self.routers[idx].allocate(now, &down_on);
-            for b in outcome.pg_blocked {
+            let mut outcome = self.routers[idx].allocate_reference(now, &down_on);
+            for b in &outcome.pg_blocked {
                 let d = b
                     .next_router_port
                     .direction()
@@ -138,7 +142,7 @@ impl Network {
                     .expect("blocked port has a neighbor");
                 self.note_blocked(b.packet, next);
             }
-            for dep in outcome.departures {
+            for dep in outcome.take_departures() {
                 self.moved = true;
                 // Credit back to the upstream of the input the flit vacated.
                 self.credits_in_flight += 1;

@@ -14,7 +14,7 @@
 //! crossbar (ST) at `s + 1` and is latched downstream at
 //! `s + 1 + link_latency + 1`.
 
-use punchsim_types::{Cycle, NodeId, PacketId, Port, PortMap};
+use punchsim_types::{Cycle, NocConfig, NodeId, PacketId, Port, PortMap};
 
 use crate::flit::Flit;
 use crate::vc::{Vc, VcLayout, VcRoute};
@@ -51,7 +51,7 @@ impl RouterActivity {
 }
 
 /// A flit leaving the router this cycle, as reported by [`Router::allocate`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Departure {
     /// Output port the flit leaves through.
     pub out_port: Port,
@@ -64,7 +64,7 @@ pub struct Departure {
 }
 
 /// A head-of-line flit stalled only because the downstream router is not on.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PgBlocked {
     /// The sleeping/waking router that must power on.
     pub next_router_port: Port,
@@ -73,13 +73,38 @@ pub struct PgBlocked {
 }
 
 /// Result of one allocation cycle.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct AllocOutcome {
-    /// Flits granted ST this cycle.
-    pub departures: Vec<Departure>,
+    /// The flit granted ST through each output port this cycle (a crossbar
+    /// output carries at most one), stored inline and indexed by that port;
+    /// [`Departure::out_port`] repeats the index so a departure taken out of
+    /// the map still says where it goes. Only `pg_blocked` below can
+    /// allocate, and only on a cycle that a gated neighbour stalls.
+    pub departures: PortMap<Option<Departure>>,
     /// Packets stalled by power-gating this cycle (one entry per stalled
     /// packet whose *only* missing resource is the downstream router).
     pub pg_blocked: Vec<PgBlocked>,
+}
+
+impl AllocOutcome {
+    /// `true` when nothing departed and nothing was PG-blocked.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pg_blocked.is_empty() && self.departures.iter().all(|(_, d)| d.is_none())
+    }
+
+    /// Takes this cycle's departures out, in output-port order.
+    pub(crate) fn take_departures(&mut self) -> impl Iterator<Item = Departure> + '_ {
+        self.departures.iter_mut().filter_map(|(_, d)| d.take())
+    }
+}
+
+/// A switch-allocation candidate: the front flit one input port offers.
+#[derive(Clone, Copy)]
+struct Cand {
+    in_port: Port,
+    in_vc: usize,
+    out_port: Port,
+    speculative: bool,
 }
 
 /// One mesh router: five ports of VC buffers plus separable VA/SA allocators.
@@ -89,6 +114,11 @@ pub struct Router {
     layout: VcLayout,
     stages: u8,
     inputs: PortMap<Vec<Vc>>,
+    /// Per input port, bit `v` set iff VC `v` holds at least one flit.
+    /// Kept in sync by `latch` and `pop_front`; the allocators visit set
+    /// bits only, so their cost follows buffered head-of-line flits rather
+    /// than ports x VCs.
+    occ: PortMap<u32>,
     /// Credits toward each downstream VC, per output port. `Local` is the
     /// ejection port and is initialized effectively infinite (the NI is a
     /// guaranteed sink, required for protocol-level deadlock freedom).
@@ -98,8 +128,8 @@ pub struct Router {
     va_rr: PortMap<usize>,
     sa_in_rr: PortMap<usize>,
     sa_out_rr: PortMap<usize>,
-    /// Total flits across all input VCs, kept in sync by `latch` and the
-    /// SA-grant pop so `datapath_empty` is O(1). The per-tick allocation
+    /// Total flits across all input VCs, kept in sync by `latch` and
+    /// `pop_front` so `datapath_empty` is O(1). The per-tick allocation
     /// early-out and the power manager's idle scan both sit on it.
     buffered: u32,
     /// Activity counters for the power model.
@@ -109,14 +139,33 @@ pub struct Router {
 /// Effectively-infinite ejection credit for the `Local` output port.
 const EJECT_CREDITS: u32 = 1 << 30;
 
+/// Calls `f(i)` for every set bit `i` of `mask`, ascending.
+#[inline]
+fn for_each_bit(mut mask: u32, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
+}
+
 impl Router {
     /// Creates a router with empty buffers and full credits.
     ///
     /// `has_neighbor` marks which link directions exist (mesh edges have
     /// fewer); absent neighbours get zero credits so allocation never
     /// selects them (XY routing never requests them anyway).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` has more than [`NocConfig::MAX_VCS_PER_PORT`] VCs
+    /// per port (the occupancy-mask width; `NocConfig::validate` rejects
+    /// such configs before a network builds its routers).
     pub fn new(id: NodeId, layout: VcLayout, stages: u8, has_neighbor: PortMap<bool>) -> Self {
         let total = layout.total();
+        assert!(
+            total <= NocConfig::MAX_VCS_PER_PORT,
+            "{total} VCs per port exceed the occupancy-mask width"
+        );
         let inputs = PortMap::from_fn(|_| (0..total).map(|i| Vc::new(layout.depth(i))).collect());
         let out_credits = PortMap::from_fn(|p| match p {
             Port::Local => vec![EJECT_CREDITS; total],
@@ -130,6 +179,7 @@ impl Router {
             layout,
             stages,
             inputs,
+            occ: PortMap::default(),
             out_credits,
             out_vc_busy: PortMap::from_fn(|_| vec![false; total]),
             va_rr: PortMap::default(),
@@ -151,7 +201,21 @@ impl Router {
         self.activity.buffer_writes += 1;
         self.buffered += 1;
         let vc = flit.vc;
+        self.occ[port] |= 1 << vc;
         self.inputs[port][vc].push(flit);
+    }
+
+    /// Pops the front flit of input `(port, vc)` on an SA grant — the one
+    /// place flits leave the buffers, so the buffered count and the
+    /// occupancy mask stay in sync under either allocator.
+    fn pop_front(&mut self, port: Port, vc: usize) -> Flit {
+        let q = &mut self.inputs[port][vc];
+        let flit = q.pop().expect("winner has a front flit");
+        if q.is_empty() {
+            self.occ[port] &= !(1 << vc);
+        }
+        self.buffered -= 1;
+        flit
     }
 
     /// Returns a credit for downstream VC `vc` of output `port`.
@@ -163,26 +227,38 @@ impl Router {
         );
     }
 
+    /// Debug builds cross-check the two derived summaries (`buffered`, the
+    /// occupancy mask) against the VC buffers they summarize.
+    fn debug_check_summaries(&self) {
+        debug_assert_eq!(
+            self.buffered as usize,
+            self.inputs
+                .iter()
+                .map(|(_, vcs)| vcs.iter().map(Vc::len).sum::<usize>())
+                .sum::<usize>(),
+            "buffered-flit counter out of sync with the input VCs"
+        );
+        debug_assert!(
+            self.inputs.iter().all(|(p, vcs)| vcs
+                .iter()
+                .enumerate()
+                .all(|(v, vc)| (self.occ[p] >> v) & 1 == u32::from(!vc.is_empty()))),
+            "occupancy mask out of sync with the input VCs"
+        );
+    }
+
     /// `true` when every input VC is empty (no flit anywhere in the
     /// datapath) — one of the conditions for power-gating the router.
     /// O(1): the network checks it for every router every busy cycle.
     pub fn datapath_empty(&self) -> bool {
-        debug_assert_eq!(
-            self.buffered == 0,
-            self.inputs
-                .iter()
-                .all(|(_, vcs)| vcs.iter().all(Vc::is_empty)),
-            "buffered-flit counter out of sync with the input VCs"
-        );
+        self.debug_check_summaries();
         self.buffered == 0
     }
 
     /// Total buffered flits (debug/occupancy metric).
     pub fn occupancy(&self) -> usize {
-        self.inputs
-            .iter()
-            .map(|(_, vcs)| vcs.iter().map(Vc::len).sum::<usize>())
-            .sum()
+        self.debug_check_summaries();
+        self.buffered as usize
     }
 
     /// Appends this router's canonical snapshot encoding (see
@@ -219,6 +295,7 @@ impl Router {
                 put_bool(out, b);
             }
         }
+        // Every pointer fits a byte: `va_rr < 5 * MAX_VCS_PER_PORT = 160`.
         for (_, &rr) in self.va_rr.iter() {
             put_u8(out, rr as u8);
         }
@@ -237,6 +314,11 @@ impl Router {
     /// recomputed look-ahead route for the next router; the network layer
     /// does that, so `route_port` on departures still refers to *this*
     /// router's output.
+    ///
+    /// Cost follows the buffered head-of-line flits (the set bits of the
+    /// occupancy mask), not ports x VCs; grants are those of the
+    /// rotating-priority full scan, which survives as the test oracle
+    /// [`Router::allocate_reference`].
     pub fn allocate(&mut self, cycle: Cycle, down_on: &PortMap<bool>) -> AllocOutcome {
         self.vc_allocate(cycle);
         self.switch_allocate(cycle, down_on)
@@ -245,6 +327,214 @@ impl Router {
     /// VC allocation: head flits at the front of their VC request an output
     /// VC of their (vnet, class) at their look-ahead output port.
     fn vc_allocate(&mut self, cycle: Cycle) {
+        // Gather requests as one VC mask per input port (eligible unrouted
+        // heads), plus the set of output ports anyone asks for.
+        let mut requests = [0u32; 5];
+        let mut wanted = 0u8;
+        for (ip, in_port) in Port::ALL.into_iter().enumerate() {
+            let vcs = &self.inputs[in_port];
+            for_each_bit(self.occ[in_port], |iv| {
+                let vc = &vcs[iv];
+                let front = vc.front().expect("occupancy bit implies a front flit");
+                if vc.route == VcRoute::Unrouted && front.kind.is_head() && front.latched_at < cycle
+                {
+                    requests[ip] |= 1 << iv;
+                    wanted |= 1 << front.route_port.index();
+                }
+            });
+        }
+        if wanted == 0 {
+            return;
+        }
+        // Grant per output port, rotating priority across the global input
+        // VC index `g = in_port * total + in_vc` so no input starves. The
+        // masks list requests in ascending `g`, so walking them once for
+        // `g >= va_rr` and once more for `g < va_rr` visits exactly the
+        // requesters a scan of all `5 * total` slots from `va_rr` would
+        // meet, in the same order.
+        let total = self.layout.total();
+        for out_port in Port::ALL {
+            if (wanted >> out_port.index()) & 1 == 0 {
+                continue;
+            }
+            let start = self.va_rr[out_port];
+            let mut granted_any = false;
+            for wrapped in [false, true] {
+                for (ip, in_port) in Port::ALL.into_iter().enumerate() {
+                    for_each_bit(requests[ip], |iv| {
+                        let g = ip * total + iv;
+                        if (g < start) != wrapped {
+                            return;
+                        }
+                        let front = self.inputs[in_port][iv]
+                            .front()
+                            .expect("request implies a front flit");
+                        if front.route_port != out_port {
+                            return;
+                        }
+                        // Find a free output VC of the right vnet/class.
+                        let mut cand = self.layout.candidates(front.vnet, front.class);
+                        let Some(out_vc) = cand.find(|&ov| !self.out_vc_busy[out_port][ov]) else {
+                            return;
+                        };
+                        self.out_vc_busy[out_port][out_vc] = true;
+                        self.inputs[in_port][iv].route = VcRoute::Routed {
+                            out_port,
+                            out_vc,
+                            va_cycle: cycle,
+                        };
+                        self.activity.va_grants += 1;
+                        if !granted_any {
+                            // Rotate past the first winner.
+                            self.va_rr[out_port] = if g + 1 == 5 * total { 0 } else { g + 1 };
+                            granted_any = true;
+                        }
+                    });
+                }
+            }
+        }
+    }
+
+    /// Separable input-first switch allocation with speculation support.
+    fn switch_allocate(&mut self, cycle: Cycle, down_on: &PortMap<bool>) -> AllocOutcome {
+        let mut outcome = AllocOutcome::default();
+        // Phase 1: each occupied input port offers one front flit.
+        // candidate = eligible + routed + credit + downstream on.
+        // pg_blocked = eligible + routed + credit, downstream off.
+        let mut per_input: PortMap<Option<Cand>> = PortMap::default();
+        let mut wanted = 0u8;
+        for in_port in Port::ALL {
+            let occ = self.occ[in_port];
+            if occ == 0 {
+                continue;
+            }
+            // Rotating priority from `sa_in_rr`: occupied VCs at or above
+            // the pointer first, then the wrapped-around ones below it.
+            let below = (1u32 << self.sa_in_rr[in_port]) - 1;
+            let mut best: Option<Cand> = None;
+            for mask in [occ & !below, occ & below] {
+                for_each_bit(mask, |iv| {
+                    let vc = &self.inputs[in_port][iv];
+                    let front = vc.front().expect("occupancy bit implies a front flit");
+                    if front.latched_at >= cycle {
+                        return;
+                    }
+                    let VcRoute::Routed {
+                        out_port,
+                        out_vc,
+                        va_cycle,
+                    } = vc.route
+                    else {
+                        return;
+                    };
+                    let speculative = va_cycle == cycle;
+                    if speculative && self.stages != 3 {
+                        return; // 4-stage: SA starts the cycle after VA.
+                    }
+                    if self.out_credits[out_port][out_vc] == 0 {
+                        return; // no downstream buffer space
+                    }
+                    if !down_on[out_port] {
+                        // Stalled purely by power-gating: report for the WU
+                        // handshake and the Fig. 9/10 metrics (once per
+                        // packet).
+                        let packet = front.packet;
+                        if !outcome.pg_blocked.iter().any(|b| b.packet == packet) {
+                            outcome.pg_blocked.push(PgBlocked {
+                                next_router_port: out_port,
+                                packet,
+                            });
+                        }
+                        return;
+                    }
+                    // Committed flits beat speculative ones.
+                    if best.is_none_or(|b| b.speculative && !speculative) {
+                        best = Some(Cand {
+                            in_port,
+                            in_vc: iv,
+                            out_port,
+                            speculative,
+                        });
+                    }
+                });
+            }
+            if let Some(c) = best {
+                wanted |= 1 << c.out_port.index();
+            }
+            per_input[in_port] = best;
+        }
+        // Phase 2: output arbitration, committed-over-speculative, then
+        // round-robin over input ports.
+        for out_port in Port::ALL {
+            if (wanted >> out_port.index()) & 1 == 0 {
+                continue;
+            }
+            let start = self.sa_out_rr[out_port];
+            let mut winner: Option<(usize, Cand)> = None;
+            for off in 0..5 {
+                let ip_idx = (start + off) % 5;
+                let Some(c) = per_input[Port::ALL[ip_idx]] else {
+                    continue;
+                };
+                if c.out_port != out_port {
+                    continue;
+                }
+                if winner.is_none_or(|(_, w)| w.speculative && !c.speculative) {
+                    winner = Some((ip_idx, c));
+                }
+            }
+            let (ip_idx, c) = winner.expect("a wanted output has a candidate");
+            self.sa_out_rr[out_port] = (ip_idx + 1) % 5;
+            // Grant: pop the flit, consume a credit, update VC state. One
+            // candidate per input port means no other output can pick the
+            // same input (each input feeds one crossbar line).
+            let VcRoute::Routed { out_vc, .. } = self.inputs[c.in_port][c.in_vc].route else {
+                unreachable!("winner must be routed")
+            };
+            let mut flit = self.pop_front(c.in_port, c.in_vc);
+            if flit.kind.is_tail() {
+                self.inputs[c.in_port][c.in_vc].route = VcRoute::Unrouted;
+                self.out_vc_busy[out_port][out_vc] = false;
+            }
+            self.out_credits[out_port][out_vc] -= 1;
+            self.sa_in_rr[c.in_port] = if c.in_vc + 1 == self.layout.total() {
+                0
+            } else {
+                c.in_vc + 1
+            };
+            self.activity.buffer_reads += 1;
+            self.activity.crossbar_traversals += 1;
+            self.activity.sa_grants += 1;
+            flit.vc = out_vc;
+            outcome.departures[out_port] = Some(Departure {
+                out_port,
+                in_port: c.in_port,
+                in_vc: c.in_vc,
+                flit,
+            });
+        }
+        outcome
+    }
+}
+
+/// The test oracle: the full-scan allocators the shipped
+/// [`Router::allocate`] replaced, kept verbatim (every `5 * total` VA slot
+/// and every SA VC is probed whether or not it holds a flit). Only
+/// `Network::tick_reference` and the lock-step differential test below call
+/// it; it shares nothing with the shipped path but `latch`/`pop_front`,
+/// which is how the occupancy mask stays valid under it.
+impl Router {
+    /// [`Router::allocate`] by exhaustive rotating-priority scan.
+    pub(crate) fn allocate_reference(
+        &mut self,
+        cycle: Cycle,
+        down_on: &PortMap<bool>,
+    ) -> AllocOutcome {
+        self.vc_allocate_reference(cycle);
+        self.switch_allocate_reference(cycle, down_on)
+    }
+
+    fn vc_allocate_reference(&mut self, cycle: Cycle) {
         // Gather requests: (in_port, in_vc, out_port) for eligible unrouted heads.
         let mut requests: Vec<(Port, usize, Port)> = Vec::new();
         for (in_port, vcs) in self.inputs.iter() {
@@ -270,13 +560,12 @@ impl Router {
                 let g = (start + off) % space;
                 let (ip_idx, iv) = (g / total, g % total);
                 let in_port = Port::ALL[ip_idx];
-                let Some(&(rp, rv, _)) = requests
+                if !requests
                     .iter()
-                    .find(|&&(p, v, o)| p == in_port && v == iv && o == out_port)
-                else {
+                    .any(|&(p, v, o)| p == in_port && v == iv && o == out_port)
+                {
                     continue;
-                };
-                let _ = (rp, rv);
+                }
                 // Find a free output VC of the right vnet/class.
                 let front = self.inputs[in_port][iv]
                     .front()
@@ -300,19 +589,11 @@ impl Router {
         }
     }
 
-    /// Separable input-first switch allocation with speculation support.
-    fn switch_allocate(&mut self, cycle: Cycle, down_on: &PortMap<bool>) -> AllocOutcome {
+    fn switch_allocate_reference(&mut self, cycle: Cycle, down_on: &PortMap<bool>) -> AllocOutcome {
         let mut outcome = AllocOutcome::default();
         // Phase 0: classify each VC's front flit.
         // candidate = eligible + routed + credit + downstream on.
         // pg_blocked = eligible + routed + credit, downstream off.
-        #[derive(Clone, Copy)]
-        struct Cand {
-            in_port: Port,
-            in_vc: usize,
-            out_port: Port,
-            speculative: bool,
-        }
         let mut per_input: PortMap<Option<Cand>> = PortMap::default();
         let mut seen_blocked: Vec<PacketId> = Vec::new();
         for in_port in Port::ALL {
@@ -396,11 +677,9 @@ impl Router {
             let VcRoute::Routed { out_vc, .. } = self.inputs[c.in_port][c.in_vc].route else {
                 unreachable!("winner must be routed")
             };
-            let vc = &mut self.inputs[c.in_port][c.in_vc];
-            let mut flit = vc.pop().expect("winner has a front flit");
-            self.buffered -= 1;
+            let mut flit = self.pop_front(c.in_port, c.in_vc);
             if flit.kind.is_tail() {
-                vc.route = VcRoute::Unrouted;
+                self.inputs[c.in_port][c.in_vc].route = VcRoute::Unrouted;
                 self.out_vc_busy[c.out_port][out_vc] = false;
             }
             self.out_credits[c.out_port][out_vc] -= 1;
@@ -409,16 +688,12 @@ impl Router {
             self.activity.crossbar_traversals += 1;
             self.activity.sa_grants += 1;
             flit.vc = out_vc;
-            outcome.departures.push(Departure {
+            outcome.departures[c.out_port] = Some(Departure {
                 out_port: c.out_port,
                 in_port: c.in_port,
                 in_vc: c.in_vc,
                 flit,
             });
-            // The input port is consumed for this cycle; make sure no other
-            // output picks the same input (each input feeds one crossbar
-            // line). `per_input` already guarantees this: one candidate per
-            // input port.
         }
         outcome
     }
@@ -428,7 +703,7 @@ impl Router {
 mod tests {
     use super::*;
     use crate::flit::{FlitKind, MsgClass};
-    use punchsim_types::{Direction, NocConfig, VnetId};
+    use punchsim_types::{Direction, SimRng, VnetId};
 
     fn mk_router() -> Router {
         let cfg = NocConfig::default();
@@ -458,17 +733,22 @@ mod tests {
         PortMap::from_fn(|_| true)
     }
 
+    /// One allocation cycle's departures, in output-port order.
+    fn depart(r: &mut Router, cycle: Cycle, down_on: &PortMap<bool>) -> Vec<Departure> {
+        r.allocate(cycle, down_on).take_departures().collect()
+    }
+
     #[test]
     fn three_stage_head_departs_after_one_alloc_cycle() {
         let mut r = mk_router();
         let out = Port::Link(Direction::East);
         r.latch(Port::Local, flit(FlitKind::HeadTail, 0, out), 10);
         // Not eligible in the latch cycle.
-        assert!(r.allocate(10, &all_on()).departures.is_empty());
+        assert!(r.allocate(10, &all_on()).is_empty());
         // Cycle 11: VA + speculative SA both succeed.
-        let o = r.allocate(11, &all_on());
-        assert_eq!(o.departures.len(), 1);
-        assert_eq!(o.departures[0].out_port, out);
+        let d = depart(&mut r, 11, &all_on());
+        assert_eq!(d.len(), 1);
+        assert_eq!(d[0].out_port, out);
         assert!(r.datapath_empty());
     }
 
@@ -483,9 +763,8 @@ mod tests {
         );
         let out = Port::Link(Direction::East);
         r.latch(Port::Local, flit(FlitKind::HeadTail, 0, out), 10);
-        assert!(r.allocate(11, &all_on()).departures.is_empty()); // VA only
-        let o = r.allocate(12, &all_on());
-        assert_eq!(o.departures.len(), 1);
+        assert!(r.allocate(11, &all_on()).is_empty()); // VA only
+        assert_eq!(depart(&mut r, 12, &all_on()).len(), 1);
     }
 
     #[test]
@@ -497,7 +776,7 @@ mod tests {
         r.latch(Port::Local, flit(FlitKind::Tail, 2, out), 12);
         let mut got = Vec::new();
         for c in 11..=14 {
-            for d in r.allocate(c, &all_on()).departures {
+            for d in depart(&mut r, c, &all_on()) {
                 got.push((c, d.flit.seq));
             }
         }
@@ -512,13 +791,12 @@ mod tests {
         r.latch(Port::Local, flit(FlitKind::HeadTail, 0, out), 10);
         let mut down = all_on();
         down[out] = false;
-        let o = r.allocate(11, &down);
-        assert!(o.departures.is_empty());
+        let mut o = r.allocate(11, &down);
+        assert_eq!(o.take_departures().count(), 0);
         assert_eq!(o.pg_blocked.len(), 1);
         assert_eq!(o.pg_blocked[0].next_router_port, out);
         // Downstream wakes: flit proceeds.
-        let o = r.allocate(12, &all_on());
-        assert_eq!(o.departures.len(), 1);
+        assert_eq!(depart(&mut r, 12, &all_on()).len(), 1);
     }
 
     #[test]
@@ -543,13 +821,13 @@ mod tests {
                 r.latch(Port::Local, flit(kinds[next], next as u16, out), c);
                 next += 1;
             }
-            sent += r.allocate(c, &all_on()).departures.len();
+            sent += depart(&mut r, c, &all_on()).len();
         }
         assert_eq!(sent, 3);
         // Return one credit; one more flit flows.
         r.credit(out, 0);
         for c in 30..33 {
-            sent += r.allocate(c, &all_on()).departures.len();
+            sent += depart(&mut r, c, &all_on()).len();
         }
         assert_eq!(sent, 4);
     }
@@ -566,13 +844,11 @@ mod tests {
         f2.vc = 1;
         r.latch(Port::Local, f1, 10);
         r.latch(Port::Link(Direction::West), f2, 10);
-        let o1 = r.allocate(11, &all_on());
-        assert_eq!(o1.departures.len(), 1);
-        let o2 = r.allocate(12, &all_on());
-        assert_eq!(o2.departures.len(), 1);
-        let a = o1.departures[0].flit.packet;
-        let b = o2.departures[0].flit.packet;
-        assert_ne!(a, b);
+        let d1 = depart(&mut r, 11, &all_on());
+        assert_eq!(d1.len(), 1);
+        let d2 = depart(&mut r, 12, &all_on());
+        assert_eq!(d2.len(), 1);
+        assert_ne!(d1[0].flit.packet, d2[0].flit.packet);
     }
 
     #[test]
@@ -584,8 +860,7 @@ mod tests {
         f2.packet = PacketId(2);
         r.latch(Port::Link(Direction::West), f1, 10);
         r.latch(Port::Link(Direction::North), f2, 10);
-        let o = r.allocate(11, &all_on());
-        assert_eq!(o.departures.len(), 2);
+        assert_eq!(depart(&mut r, 11, &all_on()).len(), 2);
     }
 
     #[test]
@@ -596,10 +871,10 @@ mod tests {
         f.class = MsgClass::Control;
         f.vc = 2; // control VC of vnet 0
         r.latch(Port::Local, f, 10);
-        let o = r.allocate(11, &all_on());
-        assert_eq!(o.departures.len(), 1);
+        let d = depart(&mut r, 11, &all_on());
+        assert_eq!(d.len(), 1);
         // Granted downstream VC must be the control VC (index 2).
-        assert_eq!(o.departures[0].flit.vc, 2);
+        assert_eq!(d[0].flit.vc, 2);
     }
 
     #[test]
@@ -618,11 +893,195 @@ mod tests {
         r.latch(Port::Local, head_b, 10);
         let mut out_vcs = Vec::new();
         for c in 11..14 {
-            for d in r.allocate(c, &all_on()).departures {
+            for d in depart(&mut r, c, &all_on()) {
                 out_vcs.push(d.flit.vc);
             }
         }
         out_vcs.sort_unstable();
         assert_eq!(out_vcs, vec![0, 1]);
+    }
+
+    /// The occupancy mask, checked without relying on debug assertions.
+    fn assert_mask_in_sync(r: &Router) {
+        for (port, vcs) in r.inputs.iter() {
+            for (v, vc) in vcs.iter().enumerate() {
+                assert_eq!(
+                    (r.occ[port] >> v) & 1 == 1,
+                    !vc.is_empty(),
+                    "occupancy bit of {port} vc{v}"
+                );
+            }
+        }
+        assert_eq!(r.datapath_empty(), r.occupancy() == 0);
+    }
+
+    fn layout(vnets: u8, data: u8, ctrl: u8) -> VcLayout {
+        VcLayout::new(&NocConfig {
+            vnets,
+            data_vcs_per_vnet: data,
+            ctrl_vcs_per_vnet: ctrl,
+            ..NocConfig::default()
+        })
+    }
+
+    /// The packet an upstream is streaming into one input VC.
+    #[derive(Clone, Copy)]
+    struct Stream {
+        packet: PacketId,
+        out: Port,
+        next_seq: u16,
+        len: u16,
+    }
+
+    /// Drives two clones of one router in lock-step from one random
+    /// stimulus — latches that honour the buffer depth (as upstream credits
+    /// would), credit returns and per-port downstream power — one through
+    /// the shipped allocators, one through the full-scan oracle, and
+    /// demands equal outcomes and equal state every cycle.
+    fn lockstep(layout: VcLayout, stages: u8, seed: u64) {
+        let total = layout.total();
+        let mut new = Router::new(NodeId(0), layout, stages, PortMap::from_fn(|_| true));
+        let mut old = new.clone();
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut streams: PortMap<Vec<Option<Stream>>> = PortMap::from_fn(|_| vec![None; total]);
+        // Credits this router consumed and the downstream has yet to return.
+        let mut owed: PortMap<Vec<u32>> = PortMap::from_fn(|_| vec![0; total]);
+        let mut next_packet = 0u64;
+        let (mut departed, mut blocked) = (0u64, 0u64);
+        for cycle in 1..=2_000u64 {
+            for in_port in Port::ALL {
+                if !rng.random_bool_ppm(600_000) {
+                    continue;
+                }
+                let vc = rng.random_range(0..total);
+                let q = &new.inputs[in_port][vc];
+                if q.len() == q.depth() {
+                    continue; // no credit upstream
+                }
+                let st = streams[in_port][vc].get_or_insert_with(|| {
+                    next_packet += 1;
+                    Stream {
+                        packet: PacketId(next_packet),
+                        out: Port::ALL[rng.random_range(0..5usize)],
+                        next_seq: 0,
+                        len: rng.random_range(1..6u16),
+                    }
+                });
+                let kind = match (st.next_seq == 0, st.next_seq + 1 == st.len) {
+                    (true, true) => FlitKind::HeadTail,
+                    (true, false) => FlitKind::Head,
+                    (false, true) => FlitKind::Tail,
+                    (false, false) => FlitKind::Body,
+                };
+                let f = Flit {
+                    packet: st.packet,
+                    kind,
+                    vnet: layout.vnet(vc),
+                    class: layout.class(vc),
+                    dst: NodeId(9),
+                    route_port: st.out,
+                    vc,
+                    seq: st.next_seq,
+                    latched_at: 0,
+                };
+                st.next_seq += 1;
+                if kind.is_tail() {
+                    streams[in_port][vc] = None;
+                }
+                new.latch(in_port, f.clone(), cycle);
+                old.latch(in_port, f, cycle);
+            }
+            for out_port in Port::ALL {
+                for vc in 0..total {
+                    if owed[out_port][vc] > 0 && rng.random_bool_ppm(300_000) {
+                        owed[out_port][vc] -= 1;
+                        new.credit(out_port, vc);
+                        old.credit(out_port, vc);
+                    }
+                }
+            }
+            let down_on = PortMap::from_fn(|p| p == Port::Local || !rng.random_bool_ppm(250_000));
+            let got = new.allocate(cycle, &down_on);
+            let want = old.allocate_reference(cycle, &down_on);
+            assert_eq!(got, want, "cycle {cycle}");
+            assert_eq!(new.activity, old.activity, "cycle {cycle}");
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            new.encode_state(&mut a);
+            old.encode_state(&mut b);
+            assert_eq!(a, b, "cycle {cycle}");
+            assert_mask_in_sync(&new);
+            assert_mask_in_sync(&old);
+            blocked += got.pg_blocked.len() as u64;
+            for (_, d) in got.departures.iter() {
+                if let Some(d) = d {
+                    departed += 1;
+                    owed[d.out_port][d.flit.vc] += 1;
+                }
+            }
+        }
+        // The stimulus must actually exercise grants and PG stalls.
+        assert!(departed > 500, "only {departed} departures");
+        assert!(blocked > 50, "only {blocked} PG-blocked reports");
+    }
+
+    #[test]
+    fn request_driven_allocators_match_the_full_scan_in_lockstep() {
+        let layouts = [
+            layout(3, 2, 1), // Table 2 default
+            layout(1, 1, 0), // a single VC per port
+            layout(4, 3, 2),
+            layout(4, 5, 3), // the 32-VC mask width
+        ];
+        assert_eq!(layouts[3].total(), NocConfig::MAX_VCS_PER_PORT);
+        for (i, l) in layouts.into_iter().enumerate() {
+            for stages in [3, 4] {
+                lockstep(l, stages, 0x5EED + i as u64 * 2 + stages as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn rotating_pointers_wrap_past_the_last_slot() {
+        let mut r = mk_router();
+        let total = r.layout.total();
+        let (west, out) = (Port::Link(Direction::West), Port::Link(Direction::East));
+        // The last VC (vnet 2 control) of the last input port is the last
+        // VA slot, g = 5 * total - 1.
+        let mut f = flit(FlitKind::HeadTail, 0, out);
+        f.vnet = VnetId(2);
+        f.class = MsgClass::Control;
+        f.vc = total - 1;
+        r.va_rr[out] = 5 * total - 1;
+        r.sa_in_rr[west] = total - 1;
+        r.sa_out_rr[out] = 4;
+        r.latch(west, f, 10);
+        assert_eq!(depart(&mut r, 11, &all_on()).len(), 1);
+        assert_eq!(r.va_rr[out], 0);
+        assert_eq!(r.sa_in_rr[west], 0);
+        assert_eq!(r.sa_out_rr[out], 0);
+    }
+
+    #[test]
+    fn pg_stall_is_reported_once_per_packet_per_cycle() {
+        let mut r = mk_router();
+        let out = Port::Link(Direction::East);
+        // Three flits of packet 7 fill VC 0 of the local port, and a flit
+        // carrying the same packet id sits at another input.
+        r.latch(Port::Local, flit(FlitKind::Head, 0, out), 10);
+        r.latch(Port::Local, flit(FlitKind::Body, 1, out), 10);
+        r.latch(Port::Local, flit(FlitKind::Body, 2, out), 10);
+        let mut twin = flit(FlitKind::HeadTail, 0, out);
+        twin.vc = 1;
+        r.latch(Port::Link(Direction::West), twin, 10);
+        let mut down = all_on();
+        down[out] = false;
+        for cycle in 11..16 {
+            let mut o = r.allocate(cycle, &down);
+            assert_eq!(o.take_departures().count(), 0);
+            assert_eq!(o.pg_blocked.len(), 1, "cycle {cycle}");
+            assert_eq!(o.pg_blocked[0].packet, PacketId(7));
+            assert_eq!(o.pg_blocked[0].next_router_port, out);
+        }
+        assert_eq!(r.occupancy(), 4);
     }
 }

@@ -24,7 +24,7 @@
 //! results are bit-exact for every shard count — pinned by the CI gate
 //! that `cmp`s BENCH artifacts across `--shards 1..4`.
 
-use punchsim_types::{Cycle, NodeId, PacketId, Port, PortMap, RouteView};
+use punchsim_types::{Cycle, Direction, NodeId, PacketId, Port, PortMap, Substrate};
 
 use crate::flit::Flit;
 use crate::link::Pipe;
@@ -248,6 +248,20 @@ impl Avail for FlatAvail<'_> {
     }
 }
 
+/// One router's link neighbours, indexed by [`Direction::index`] (`None`
+/// where the substrate has no link).
+pub(crate) type Neighbors = [Option<NodeId>; 4];
+
+/// The neighbour table of `topo`, indexed by router: built once per
+/// network so the per-departure and per-allocation lookups on the tick
+/// path are array reads instead of a substrate match plus coordinate
+/// arithmetic.
+pub(crate) fn neighbor_table(topo: Substrate) -> Vec<Neighbors> {
+    topo.iter_nodes()
+        .map(|n| Direction::ALL.map(|d| topo.neighbor(n, d)))
+        .collect()
+}
+
 /// Read-only per-tick context shared by every shard's phase A.
 pub(crate) struct TickCtx<'a> {
     pub now: Cycle,
@@ -257,7 +271,7 @@ pub(crate) struct TickCtx<'a> {
     /// No violation latched before this tick (matches the reference
     /// kernel's `violation.is_none()` read at pop time).
     pub violation_open: bool,
-    pub view: RouteView,
+    pub neighbors: &'a [Neighbors],
     pub occ: &'a [u64],
     pub flit_pend: &'a [u64],
     pub credit_pend: &'a [u64],
@@ -369,7 +383,8 @@ pub(crate) fn shard_bounds(width: u16, height: u16, shards: usize) -> Vec<(usize
 }
 
 /// Splits the six per-router state vectors into per-shard views along
-/// `bounds` (which must tile the full range, as `shard_bounds` guarantees).
+/// `bounds` (which must tile the full range, as `shard_bounds` guarantees),
+/// lazily: each `next()` cuts one shard off the front of what is left.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn split_shards<'a>(
     mut routers: &'a mut [Router],
@@ -378,35 +393,26 @@ pub(crate) fn split_shards<'a>(
     mut credit_in: &'a mut [PortMap<Pipe<usize>>],
     mut ni_credit_in: &'a mut [Pipe<usize>],
     mut eject_in: &'a mut [Pipe<Flit>],
-    bounds: &[(usize, usize)],
-) -> Vec<ShardView<'a>> {
-    let mut out = Vec::with_capacity(bounds.len());
-    for &(lo, hi) in bounds {
+    bounds: &'a [(usize, usize)],
+) -> impl Iterator<Item = ShardView<'a>> {
+    fn cut<'a, T>(rest: &mut &'a mut [T], take: usize) -> &'a mut [T] {
+        let (head, tail) = std::mem::take(rest).split_at_mut(take);
+        *rest = tail;
+        head
+    }
+    bounds.iter().map(move |&(lo, hi)| {
         let take = hi - lo;
-        let (r, rest) = routers.split_at_mut(take);
-        routers = rest;
-        let (n, rest) = nis.split_at_mut(take);
-        nis = rest;
-        let (f, rest) = flit_in.split_at_mut(take);
-        flit_in = rest;
-        let (c, rest) = credit_in.split_at_mut(take);
-        credit_in = rest;
-        let (nc, rest) = ni_credit_in.split_at_mut(take);
-        ni_credit_in = rest;
-        let (e, rest) = eject_in.split_at_mut(take);
-        eject_in = rest;
-        out.push(ShardView {
+        ShardView {
             lo,
             hi,
-            routers: r,
-            nis: n,
-            flit_in: f,
-            credit_in: c,
-            ni_credit_in: nc,
-            eject_in: e,
-        });
-    }
-    out
+            routers: cut(&mut routers, take),
+            nis: cut(&mut nis, take),
+            flit_in: cut(&mut flit_in, take),
+            credit_in: cut(&mut credit_in, take),
+            ni_credit_in: cut(&mut ni_credit_in, take),
+            eject_in: cut(&mut eject_in, take),
+        }
+    })
 }
 
 /// Phase A of an SoA tick for one shard: flit delivery, credit delivery,
@@ -518,17 +524,12 @@ pub(crate) fn shard_phase_a<A: Avail>(
             buf.alloc_empty.push(idx);
             continue;
         }
-        let here = NodeId(idx as u16);
         let down_on = PortMap::from_fn(|p| match p {
             Port::Local => true,
-            Port::Link(d) => ctx
-                .view
-                .topo
-                .neighbor(here, d)
-                .is_some_and(|n| avail.downstream_on(n)),
+            Port::Link(d) => ctx.neighbors[idx][d.index()].is_some_and(|n| avail.downstream_on(n)),
         });
         let outcome = sv.routers[li].allocate(now, &down_on);
-        if !outcome.departures.is_empty() || !outcome.pg_blocked.is_empty() {
+        if !outcome.is_empty() {
             buf.alloc.push((idx, outcome));
         }
         if sv.routers[li].datapath_empty() {

@@ -33,7 +33,7 @@ impl VcLayout {
     /// VCs per vnet (data + control).
     #[inline]
     pub fn per_vnet(self) -> usize {
-        (self.data_per_vnet + self.ctrl_per_vnet) as usize
+        self.data_per_vnet as usize + self.ctrl_per_vnet as usize
     }
 
     /// Total VCs in the port.

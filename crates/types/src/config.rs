@@ -313,14 +313,19 @@ impl Default for NocConfig {
 }
 
 impl NocConfig {
+    /// Most VCs one input port may have: the router keeps one occupancy
+    /// bit per VC in a `u32`, and its state encoding stores the rotating
+    /// VA pointer (`< 5 x vcs_per_port`) in one byte.
+    pub const MAX_VCS_PER_PORT: usize = 32;
+
     /// Total VCs per input port (all vnets, data + control).
     pub fn vcs_per_port(&self) -> usize {
-        self.vnets as usize * (self.data_vcs_per_vnet + self.ctrl_vcs_per_vnet) as usize
+        self.vnets as usize * self.vcs_per_vnet()
     }
 
     /// VCs per vnet (data + control).
     pub fn vcs_per_vnet(&self) -> usize {
-        (self.data_vcs_per_vnet + self.ctrl_vcs_per_vnet) as usize
+        self.data_vcs_per_vnet as usize + self.ctrl_vcs_per_vnet as usize
     }
 
     /// Zero-load per-hop latency in cycles (router pipeline + link).
@@ -344,6 +349,17 @@ impl NocConfig {
         }
         if self.data_vcs_per_vnet == 0 && self.ctrl_vcs_per_vnet == 0 {
             return Err(ConfigError::NoVcs);
+        }
+        if self.vcs_per_port() > Self::MAX_VCS_PER_PORT {
+            return Err(ConfigError::TooManyVcs {
+                per_port: self.vcs_per_port(),
+                max: Self::MAX_VCS_PER_PORT,
+            });
+        }
+        if (self.data_vcs_per_vnet > 0 && self.data_vc_depth == 0)
+            || (self.ctrl_vcs_per_vnet > 0 && self.ctrl_vc_depth == 0)
+        {
+            return Err(ConfigError::ZeroVcDepth);
         }
         if !(3..=4).contains(&self.router_stages) {
             return Err(ConfigError::BadRouterStages(self.router_stages));
@@ -703,6 +719,64 @@ mod tests {
             ..PowerConfig::default()
         };
         assert_eq!(p.validate(), Err(ConfigError::ZeroWakeupLatency));
+    }
+
+    /// `200 + 100` used to be added as `u8`s: an overflow panic under
+    /// debug assertions, a silent wrap to 44 VCs in release.
+    #[test]
+    fn oversized_vc_layouts_are_a_typed_error_not_an_overflow() {
+        let c = NocConfig {
+            data_vcs_per_vnet: 200,
+            ctrl_vcs_per_vnet: 100,
+            ..NocConfig::default()
+        };
+        assert_eq!(c.vcs_per_vnet(), 300);
+        assert_eq!(c.vcs_per_port(), 900);
+        let e = c.validate().unwrap_err();
+        assert_eq!(
+            e,
+            ConfigError::TooManyVcs {
+                per_port: 900,
+                max: 32
+            }
+        );
+        assert!(e.to_string().contains("900") && e.to_string().contains("32"));
+        // The mask width itself is still a legal layout.
+        let max = NocConfig {
+            vnets: 4,
+            data_vcs_per_vnet: 5,
+            ctrl_vcs_per_vnet: 3,
+            ..NocConfig::default()
+        };
+        assert_eq!(max.vcs_per_port(), NocConfig::MAX_VCS_PER_PORT);
+        max.validate().unwrap();
+    }
+
+    /// A class with VCs but no buffer space starts with zero credits: the
+    /// run could only end in the watchdog's `Stall`.
+    #[test]
+    fn zero_depth_vc_classes_are_rejected() {
+        for c in [
+            NocConfig {
+                data_vc_depth: 0,
+                ..NocConfig::default()
+            },
+            NocConfig {
+                ctrl_vc_depth: 0,
+                ..NocConfig::default()
+            },
+        ] {
+            let e = c.validate().unwrap_err();
+            assert_eq!(e, ConfigError::ZeroVcDepth);
+            assert!(e.to_string().contains("depth"));
+        }
+        // Depth 0 is fine for a class that has no VCs at all.
+        let no_ctrl = NocConfig {
+            ctrl_vcs_per_vnet: 0,
+            ctrl_vc_depth: 0,
+            ..NocConfig::default()
+        };
+        no_ctrl.validate().unwrap();
     }
 
     #[test]

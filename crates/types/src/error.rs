@@ -24,6 +24,17 @@ pub enum ConfigError {
     NoVnets,
     /// A vnet had neither data nor control VCs.
     NoVcs,
+    /// More VCs per input port than the router's per-port occupancy mask
+    /// (and the `u8` round-robin pointers of its state encoding) can hold.
+    TooManyVcs {
+        /// Requested VCs per port (`vnets x (data + ctrl)`).
+        per_port: usize,
+        /// Largest supported value ([`crate::NocConfig::MAX_VCS_PER_PORT`]).
+        max: usize,
+    },
+    /// A VC class has VCs but zero buffer depth: it would start with no
+    /// credits, so its first packet could never inject.
+    ZeroVcDepth,
     /// `router_stages` outside the modeled 3..=4 range.
     BadRouterStages(u8),
     /// `link_latency` must be at least one cycle.
@@ -90,6 +101,12 @@ impl std::fmt::Display for ConfigError {
         match self {
             ConfigError::NoVnets => write!(f, "at least one virtual network is required"),
             ConfigError::NoVcs => write!(f, "each vnet needs at least one VC"),
+            ConfigError::TooManyVcs { per_port, max } => {
+                write!(f, "{per_port} VCs per port exceed the supported {max}")
+            }
+            ConfigError::ZeroVcDepth => {
+                write!(f, "a VC class with VCs needs a buffer depth of at least 1")
+            }
             ConfigError::BadRouterStages(s) => {
                 write!(f, "router_stages must be 3 or 4, got {s}")
             }
