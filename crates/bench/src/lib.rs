@@ -12,6 +12,8 @@
 //! Set `PP_FAST=1` to run shortened simulations (smoke mode); the switch is
 //! defined once, in [`punchsim::campaign::fast_mode`].
 
+#![forbid(unsafe_code)]
+
 use punchsim::campaign::{self, Runner, Store, Workload};
 use punchsim::cmp::Benchmark;
 use punchsim::types::SchemeKind;

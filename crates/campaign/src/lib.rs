@@ -30,6 +30,8 @@
 //! assert!(outcomes.iter().all(|o| o.record().is_some()));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod compare;
 pub mod hash;
 pub mod report;

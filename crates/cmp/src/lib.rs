@@ -27,6 +27,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod benchmark;
 pub mod cache;
 pub mod dir;

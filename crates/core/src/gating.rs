@@ -5,16 +5,14 @@
 //! *active-set* bitset (routers that are `On` or `Waking`) instead of
 //! the whole gate vector, and powered-off routers accrue their
 //! off-cycle statistics lazily — a per-router accounting watermark plus
-//! a global unit counter, folded into [`PgCounters`] on demand. In the
-//! regime power gating exists for (almost every router asleep) a cycle
-//! costs O(occupied) instead of O(n). The folded values are exactly
-//! equal to what the eager implementation would report at every
-//! observation point; that contract is pinned by the unit tests below,
-//! by `tests/gating_lazy.rs` replaying random traces against
-//! [`reference::EagerGateArray`], and end to end by the CI no-drift
-//! gates.
-
-use std::cell::UnsafeCell;
+//! a global unit counter; [`GateArray::counters`] returns a snapshot with
+//! the outstanding debt added in. In the regime power gating exists for
+//! (almost every router asleep) a cycle costs O(occupied) instead of
+//! O(n). A snapshot is exactly equal to what the eager implementation
+//! would report at every observation point; that contract is pinned by
+//! the unit tests below, by the `gating_reference` test module replaying
+//! random traces against its `EagerGateArray`, and end to end by the CI
+//! no-drift gates.
 
 use punchsim_noc::{PgCounters, PowerState};
 use punchsim_types::{Cycle, NodeId};
@@ -104,24 +102,6 @@ impl BitSet {
     }
 }
 
-/// The lazily-folded statistics half of the array: the counters plus the
-/// per-router watermark that says how much off-time is already folded
-/// in. Kept behind an [`UnsafeCell`] so [`GateArray::counters`] can
-/// materialize on demand through `&self` (see the safety discussion on
-/// [`GateArray::materialize_shared`]).
-#[derive(Debug, Clone)]
-struct Acct {
-    counters: PgCounters,
-    /// For an `Off` router `i`: the [`GateArray::acct_units`] value
-    /// through which `counters.off_cycles[i]` is folded; the router is
-    /// owed `acct_units - off_mark[i]` more off-cycles. Meaningless (and
-    /// unread) while the router is not `Off`.
-    off_mark: Vec<u64>,
-    /// `acct_units` value at the last full materialization; when equal
-    /// to the live counter, every entry of `counters` is exact.
-    folded_at: u64,
-}
-
 /// The array of sleep switches for all routers, with the wakeup/timeout
 /// bookkeeping every scheme needs (Figure 1/2 of the paper).
 ///
@@ -139,13 +119,13 @@ struct Acct {
 ///   ways the eager implementation would have credited an off router.
 /// - An `Off` router `i` is owed `acct_units - off_mark[i]` off-cycles
 ///   beyond `counters.off_cycles[i]`; every transition out of `Off`
-///   folds that debt eagerly, and [`GateArray::counters`] folds all
-///   remaining debt before returning.
+///   folds that debt eagerly, and [`GateArray::counters`] adds all
+///   remaining debt to the snapshot it returns.
 ///
 /// Gate *states* (and therefore [`GateArray::state`],
-/// [`GateArray::fill_availability`], [`GateArray::next_event_at`] and
-/// [`GateArray::encode_state`]) are never deferred — only the off-cycle
-/// statistics are.
+/// [`GateArray::next_event_at`] and [`GateArray::encode_state`]) are
+/// never deferred — only the off-cycle statistics are.
+#[derive(Debug, Clone)]
 pub struct GateArray {
     gates: Vec<Gate>,
     wakeup_latency: Cycle,
@@ -156,7 +136,13 @@ pub struct GateArray {
     /// Lazy off-cycle accounting units elapsed (see the type-level
     /// invariants).
     acct_units: u64,
-    acct: UnsafeCell<Acct>,
+    /// The stored counters; `off_cycles` excludes the debt described
+    /// above, every other entry is exact.
+    counters: PgCounters,
+    /// For an `Off` router `i`: the `acct_units` value through which
+    /// `counters.off_cycles[i]` is folded. Meaningless (and unread) while
+    /// the router is not `Off`.
+    off_mark: Vec<u64>,
 }
 
 impl GateArray {
@@ -168,11 +154,8 @@ impl GateArray {
             idle_timeout,
             active: BitSet::full(n),
             acct_units: 0,
-            acct: UnsafeCell::new(Acct {
-                counters: PgCounters::new(n),
-                off_mark: vec![0; n],
-                folded_at: 0,
-            }),
+            counters: PgCounters::new(n),
+            off_mark: vec![0; n],
         }
     }
 
@@ -195,97 +178,32 @@ impl GateArray {
         }
     }
 
-    /// Single-pass bulk availability snapshot for the sharded SoA tick
-    /// (see [`punchsim_noc::PowerManager::fill_availability`]): one walk
-    /// over the gate vector instead of three virtual dispatches per
-    /// router. Values are exactly what per-router [`GateArray::state`]
-    /// queries would yield.
-    pub fn fill_availability(
-        &self,
-        arrival_by: Cycle,
-        local_by: Cycle,
-        arrival: &mut [bool],
-        local: &mut [bool],
-        off: &mut [bool],
-    ) {
-        for (i, g) in self.gates.iter().enumerate() {
-            let (a, l, o) = match *g {
-                Gate::On { .. } => (true, true, false),
-                Gate::Off => (false, false, true),
-                Gate::Waking { ready_at } => (ready_at <= arrival_by, ready_at <= local_by, false),
-            };
-            arrival[i] = a;
-            local[i] = l;
-            off[i] = o;
-        }
-    }
-
-    /// Activity counters, folded up to date: values are exactly what the
-    /// eager implementation ([`reference::EagerGateArray`]) would hold
-    /// after the same call sequence.
-    pub fn counters(&self) -> &PgCounters {
-        self.materialize_shared();
-        // SAFETY: see `materialize_shared` — after it returns, no path
-        // reachable through `&self` mutates the accounting until a
-        // `&mut self` method runs, which ends this borrow first.
-        unsafe { &(*self.acct.get()).counters }
-    }
-
-    /// Folds every off router's owed off-cycles into the counters.
-    ///
-    /// # Safety argument (why `&self` mutation here is sound)
-    ///
-    /// The only mutation through `&self` in this type happens below, and
-    /// only while `folded_at != acct_units`. `acct_units` advances
-    /// exclusively in `&mut self` methods, and this fold ends with
-    /// `folded_at == acct_units`. Therefore, while any `&`-reference
-    /// returned by [`GateArray::counters`] is alive (pinning `&self`),
-    /// every further `counters` call sees `folded_at == acct_units` and
-    /// returns without touching the accounting — no mutation can overlap
-    /// an outstanding shared borrow. `UnsafeCell` makes the type `!Sync`,
-    /// so no cross-thread interleaving exists either.
-    fn materialize_shared(&self) {
-        // SAFETY: per the argument above, this exclusive access never
-        // overlaps another reference into the cell.
-        let acct = unsafe { &mut *self.acct.get() };
-        if acct.folded_at == self.acct_units {
-            return;
-        }
-        let units = self.acct_units;
-        let counters = &mut acct.counters;
-        let off_mark = &mut acct.off_mark;
+    /// A snapshot of the activity counters: the stored counters plus
+    /// every off router's owed off-cycles — exactly what the eager
+    /// implementation would hold after the same call sequence. O(n): a
+    /// copy of the per-router planes and one pass over the off routers.
+    /// The array itself is untouched, so observing never perturbs later
+    /// accounting.
+    pub fn counters(&self) -> PgCounters {
+        let mut snap = self.counters.clone();
         self.active.for_each_clear(|i| {
-            let owed = units - off_mark[i];
-            if owed > 0 {
-                counters.off_cycles[i] += owed;
-                off_mark[i] = units;
-            }
+            snap.off_cycles[i] += self.acct_units - self.off_mark[i];
         });
-        acct.folded_at = units;
+        snap
     }
 
     /// Folds router `i`'s owed off-cycles (called on every transition
     /// out of `Off`, so the debt never survives a state change).
     fn fold_one(&mut self, i: usize) {
-        let units = self.acct_units;
-        let acct = self.acct.get_mut();
-        let owed = units - acct.off_mark[i];
-        if owed > 0 {
-            acct.counters.off_cycles[i] += owed;
-            acct.off_mark[i] = units;
-        }
+        self.counters.off_cycles[i] += self.acct_units - self.off_mark[i];
+        self.off_mark[i] = self.acct_units;
     }
 
     /// Resets counters (end of warm-up); states are preserved. Off
     /// routers restart their lazy accounting from zero debt.
     pub fn reset_counters(&mut self) {
-        let units = self.acct_units;
-        let acct = self.acct.get_mut();
-        acct.counters.reset();
-        for m in &mut acct.off_mark {
-            *m = units;
-        }
-        acct.folded_at = units;
+        self.counters.reset();
+        self.off_mark.fill(self.acct_units);
     }
 
     /// Extra sideband-activity counter hooks for the schemes.
@@ -293,10 +211,10 @@ impl GateArray {
     /// This handle is for *writing* scheme-owned scalars (punch hops, WU
     /// assertions, escalations); the per-router `off_cycles` plane may be
     /// stale through it, because folding it here every tick would undo
-    /// the lazy accounting. Read through [`GateArray::counters`], which
-    /// folds first.
+    /// the lazy accounting. Read through [`GateArray::counters`], whose
+    /// snapshot includes the debt.
     pub fn counters_mut(&mut self) -> &mut PgCounters {
-        &mut self.acct.get_mut().counters
+        &mut self.counters
     }
 
     /// Accounts the state each router held during `cycle` and promotes
@@ -310,7 +228,7 @@ impl GateArray {
         self.acct_units += 1;
         BitSet::for_each_set(self, |this, i| {
             if let Gate::Waking { ready_at } = this.gates[i] {
-                this.acct.get_mut().counters.waking_cycles[i] += 1;
+                this.counters.waking_cycles[i] += 1;
                 if cycle + 1 >= ready_at {
                     this.gates[i] = Gate::On { idle_cycles: 0 };
                 }
@@ -329,7 +247,7 @@ impl GateArray {
         match self.gates[i] {
             Gate::Off => {
                 self.fold_one(i);
-                self.acct.get_mut().counters.wake_events[i] += 1;
+                self.counters.wake_events[i] += 1;
                 self.gates[i] = Gate::Waking {
                     ready_at: cycle + self.wakeup_latency,
                 };
@@ -337,7 +255,7 @@ impl GateArray {
             }
             Gate::On { .. } => self.gates[i] = Gate::On { idle_cycles: 0 },
             // The level signal keeps retrying while the transient completes.
-            Gate::Waking { .. } => self.acct.get_mut().counters.wu_retries += 1,
+            Gate::Waking { .. } => self.counters.wu_retries += 1,
         }
     }
 
@@ -346,11 +264,11 @@ impl GateArray {
     /// sleep gate asserted. Counted separately from normal wake events so a
     /// non-zero [`PgCounters::escalations`] flags that the safety net fired.
     pub fn force_wake(&mut self, r: NodeId, cycle: Cycle) {
-        self.acct.get_mut().counters.record_escalation(r);
+        self.counters.record_escalation(r);
         if self.gates[r.index()] == Gate::Off {
             let i = r.index();
             self.fold_one(i);
-            self.acct.get_mut().counters.wake_events[i] += 1;
+            self.counters.wake_events[i] += 1;
             self.gates[i] = Gate::Waking {
                 ready_at: cycle + self.wakeup_latency,
             };
@@ -430,16 +348,15 @@ impl GateArray {
         BitSet::for_each_set(self, |this, i| {
             // Resolve a waking gate first: it accrues waking cycles up to and
             // including its promotion tick, then evolves as On from there.
-            let acct = this.acct.get_mut();
             let (on_from, ic0) = match this.gates[i] {
                 Gate::Off => return,
                 Gate::Waking { ready_at } => {
                     let promo = from.max(ready_at.saturating_sub(1));
                     if promo >= to {
-                        acct.counters.waking_cycles[i] += span;
+                        this.counters.waking_cycles[i] += span;
                         return;
                     }
-                    acct.counters.waking_cycles[i] += promo - from + 1;
+                    this.counters.waking_cycles[i] += promo - from + 1;
                     (promo, 0u32)
                 }
                 Gate::On { idle_cycles } => (from, idle_cycles),
@@ -451,11 +368,11 @@ impl GateArray {
             let timeout_at = on_from + timeout.saturating_sub(ic0.saturating_add(1)) as Cycle;
             let sleep_at = timeout_at.max(sleep_floor(i));
             if sleep_at < to {
-                acct.counters.sleep_events[i] += 1;
+                this.counters.sleep_events[i] += 1;
                 // The eager form credits `(to - 1) - sleep_at` off-cycles
                 // inside the span; express the same amount as lazy debt so
                 // a follow-up fold is exact.
-                acct.off_mark[i] = units - ((to - 1) - sleep_at);
+                this.off_mark[i] = units - ((to - 1) - sleep_at);
                 this.gates[i] = Gate::Off;
                 this.active.clear(i);
             } else {
@@ -508,10 +425,9 @@ impl GateArray {
                 if idle[i] {
                     let ic = idle_cycles + 1;
                     if ic >= timeout && may_sleep(i) {
-                        let acct = this.acct.get_mut();
-                        acct.counters.sleep_events[i] += 1;
+                        this.counters.sleep_events[i] += 1;
                         // Freshly asleep: zero debt as of now.
-                        acct.off_mark[i] = this.acct_units;
+                        this.off_mark[i] = this.acct_units;
                         this.gates[i] = Gate::Off;
                         this.active.clear(i);
                     } else {
@@ -522,179 +438,6 @@ impl GateArray {
                 }
             }
         });
-    }
-}
-
-impl Clone for GateArray {
-    fn clone(&self) -> Self {
-        // SAFETY: shared read only; per `materialize_shared`'s argument no
-        // mutation of the cell can overlap it.
-        let acct = unsafe { (*self.acct.get()).clone() };
-        GateArray {
-            gates: self.gates.clone(),
-            wakeup_latency: self.wakeup_latency,
-            idle_timeout: self.idle_timeout,
-            active: self.active.clone(),
-            acct_units: self.acct_units,
-            acct: UnsafeCell::new(acct),
-        }
-    }
-}
-
-impl std::fmt::Debug for GateArray {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // No materialization here: Debug may run while a `counters()`
-        // borrow is alive, so it must stay read-only on the cell.
-        f.debug_struct("GateArray")
-            .field("gates", &self.gates)
-            .field("wakeup_latency", &self.wakeup_latency)
-            .field("idle_timeout", &self.idle_timeout)
-            .field("acct_units", &self.acct_units)
-            .finish_non_exhaustive()
-    }
-}
-
-pub mod reference {
-    //! The eager reference implementation of the gate array: a full
-    //! O(routers) sweep per cycle with counters updated in place — the
-    //! executable specification the lazy [`super::GateArray`] is
-    //! differentially tested against (`tests/gating_lazy.rs`), in the
-    //! same spirit as the struct-vs-SoA and naive-vs-fast tick oracles.
-
-    use super::*;
-
-    /// Internal state of one router's sleep switch (eager twin).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum EGate {
-        On { idle_cycles: u32 },
-        Off,
-        Waking { ready_at: Cycle },
-    }
-
-    /// Eagerly-accounted gate array; same observable API subset as
-    /// [`super::GateArray`], O(routers) per cycle by construction.
-    #[derive(Debug, Clone)]
-    pub struct EagerGateArray {
-        gates: Vec<EGate>,
-        wakeup_latency: Cycle,
-        idle_timeout: u32,
-        counters: PgCounters,
-    }
-
-    impl EagerGateArray {
-        /// Creates `n` routers, all powered on.
-        pub fn new(n: usize, wakeup_latency: u32, idle_timeout: u32) -> Self {
-            EagerGateArray {
-                gates: vec![EGate::On { idle_cycles: 0 }; n],
-                wakeup_latency: wakeup_latency as Cycle,
-                idle_timeout,
-                counters: PgCounters::new(n),
-            }
-        }
-
-        /// Public power state of router `r`.
-        pub fn state(&self, r: NodeId) -> PowerState {
-            match self.gates[r.index()] {
-                EGate::On { .. } => PowerState::On,
-                EGate::Off => PowerState::Off,
-                EGate::Waking { ready_at } => PowerState::WakingUp { ready_at },
-            }
-        }
-
-        /// Activity counters (always exact — every cycle is accounted in
-        /// place).
-        pub fn counters(&self) -> &PgCounters {
-            &self.counters
-        }
-
-        /// Eager per-cycle accounting sweep over every router.
-        pub fn begin_cycle(&mut self, cycle: Cycle) {
-            for (i, g) in self.gates.iter_mut().enumerate() {
-                match *g {
-                    EGate::Off => self.counters.off_cycles[i] += 1,
-                    EGate::Waking { ready_at } => {
-                        self.counters.waking_cycles[i] += 1;
-                        if cycle + 1 >= ready_at {
-                            *g = EGate::On { idle_cycles: 0 };
-                        }
-                    }
-                    EGate::On { .. } => {}
-                }
-            }
-        }
-
-        /// See [`super::GateArray::request_wake`].
-        pub fn request_wake(&mut self, r: NodeId, cycle: Cycle) {
-            let i = r.index();
-            match self.gates[i] {
-                EGate::Off => {
-                    self.counters.wake_events[i] += 1;
-                    self.gates[i] = EGate::Waking {
-                        ready_at: cycle + self.wakeup_latency,
-                    };
-                }
-                EGate::On { .. } => self.gates[i] = EGate::On { idle_cycles: 0 },
-                EGate::Waking { .. } => self.counters.wu_retries += 1,
-            }
-        }
-
-        /// See [`super::GateArray::force_wake`].
-        pub fn force_wake(&mut self, r: NodeId, cycle: Cycle) {
-            self.counters.record_escalation(r);
-            if self.gates[r.index()] == EGate::Off {
-                let i = r.index();
-                self.counters.wake_events[i] += 1;
-                self.gates[i] = EGate::Waking {
-                    ready_at: cycle + self.wakeup_latency,
-                };
-            }
-        }
-
-        /// See [`super::GateArray::keep_awake`].
-        pub fn keep_awake(&mut self, r: NodeId) {
-            if let EGate::On { .. } = self.gates[r.index()] {
-                self.gates[r.index()] = EGate::On { idle_cycles: 0 };
-            }
-        }
-
-        /// See [`super::GateArray::reset_counters`].
-        pub fn reset_counters(&mut self) {
-            self.counters.reset();
-        }
-
-        /// Eager full-scan sleep sweep over every router.
-        pub fn advance_idle(&mut self, idle: &[bool], mut may_sleep: impl FnMut(usize) -> bool) {
-            for (i, g) in self.gates.iter_mut().enumerate() {
-                if let EGate::On { idle_cycles } = *g {
-                    if idle[i] {
-                        let ic = idle_cycles + 1;
-                        if ic >= self.idle_timeout && may_sleep(i) {
-                            self.counters.sleep_events[i] += 1;
-                            *g = EGate::Off;
-                        } else {
-                            *g = EGate::On { idle_cycles: ic };
-                        }
-                    } else {
-                        *g = EGate::On { idle_cycles: 0 };
-                    }
-                }
-            }
-        }
-
-        /// Per-cycle loop equivalent of [`super::GateArray::advance_quiet`]
-        /// (the eager spec has no closed form — it just replays the span).
-        pub fn advance_quiet(
-            &mut self,
-            from: Cycle,
-            to: Cycle,
-            mut sleep_floor: impl FnMut(usize) -> Cycle,
-        ) {
-            let all_idle = vec![true; self.gates.len()];
-            for c in from..to {
-                self.begin_cycle(c);
-                self.advance_idle(&all_idle, |i| c >= sleep_floor(i));
-            }
-        }
     }
 }
 

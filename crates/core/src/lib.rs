@@ -26,8 +26,12 @@
 //! assert_eq!(net.power_manager().kind(), SchemeKind::PowerPunchFull);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod codebook;
 pub mod gating;
+#[cfg(test)]
+mod gating_reference;
 pub mod manager;
 pub mod oracle;
 pub mod punch;

@@ -63,18 +63,6 @@ impl PowerManager for ConvPgManager {
         self.gate.state(r)
     }
 
-    fn fill_availability(
-        &self,
-        arrival_by: Cycle,
-        local_by: Cycle,
-        arrival: &mut [bool],
-        local: &mut [bool],
-        off: &mut [bool],
-    ) {
-        self.gate
-            .fill_availability(arrival_by, local_by, arrival, local, off);
-    }
-
     fn tick(&mut self, cycle: Cycle, events: &[PmEvent], idle: IdleInfo<'_>) {
         self.gate.begin_cycle(cycle);
         for ev in events {
@@ -100,7 +88,7 @@ impl PowerManager for ConvPgManager {
         self.gate.force_wake(r, cycle);
     }
 
-    fn counters(&self) -> &PgCounters {
+    fn counters(&self) -> PgCounters {
         self.gate.counters()
     }
 
@@ -247,18 +235,6 @@ impl PowerManager for PowerPunchManager {
         self.gate.state(r)
     }
 
-    fn fill_availability(
-        &self,
-        arrival_by: Cycle,
-        local_by: Cycle,
-        arrival: &mut [bool],
-        local: &mut [bool],
-        off: &mut [bool],
-    ) {
-        self.gate
-            .fill_availability(arrival_by, local_by, arrival, local, off);
-    }
-
     fn tick(&mut self, cycle: Cycle, events: &[PmEvent], idle: IdleInfo<'_>) {
         self.gate.begin_cycle(cycle);
         for ev in events {
@@ -310,7 +286,6 @@ impl PowerManager for PowerPunchManager {
                 });
             }
         });
-        self.gate.counters_mut().punch_hops = self.fabric.hops_sent;
         let fw = &self.forewarn_until;
         self.gate.advance_idle(idle.idle, |i| cycle >= fw[i]);
     }
@@ -323,12 +298,13 @@ impl PowerManager for PowerPunchManager {
         self.fabric.pending()
     }
 
-    fn counters(&self) -> &PgCounters {
-        self.gate.counters()
-    }
-
-    fn punch_hops_at(&self) -> Option<&[u64]> {
-        Some(&self.fabric.hops_sent_at)
+    fn counters(&self) -> PgCounters {
+        // The fabric owns both punch statistics; they join the gate
+        // array's snapshot here rather than being mirrored every tick.
+        let mut snap = self.gate.counters();
+        snap.punch_hops = self.fabric.hops_sent;
+        snap.punch_hops_at = self.fabric.hops_sent_at.clone();
+        snap
     }
 
     fn reset_counters(&mut self) {

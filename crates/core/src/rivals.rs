@@ -245,7 +245,7 @@ impl PowerManager for SdmCircuitManager {
         self.circuits.iter().filter(|c| !c.established).count()
     }
 
-    fn counters(&self) -> &PgCounters {
+    fn counters(&self) -> PgCounters {
         self.gate.counters()
     }
 
@@ -357,8 +357,8 @@ impl PowerManager for RingRouterManager {
         self.busy_until[r.index()] = 0;
     }
 
-    fn counters(&self) -> &PgCounters {
-        &self.counters
+    fn counters(&self) -> PgCounters {
+        self.counters.clone()
     }
 
     fn reset_counters(&mut self) {

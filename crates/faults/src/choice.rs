@@ -51,7 +51,6 @@ pub struct ChoiceInjector {
     /// Scratch for the filtered event stream (reused across ticks).
     filtered: Vec<PmEvent>,
     stats: FaultStats,
-    counters_cache: PgCounters,
     /// Injected-fault events buffered for the network's sink; `None` while
     /// tracing is disabled.
     trace: Option<Vec<Stamped>>,
@@ -62,7 +61,6 @@ impl ChoiceInjector {
     /// implicitly) with no faults armed.
     pub fn new(inner: Box<dyn PowerManager>, topo: impl Into<Substrate>) -> Self {
         let topo: Substrate = topo.into();
-        let counters_cache = inner.counters().clone();
         ChoiceInjector {
             inner,
             topo,
@@ -70,7 +68,6 @@ impl ChoiceInjector {
             stuck: vec![Stuck::No; topo.nodes()],
             filtered: Vec::new(),
             stats: FaultStats::default(),
-            counters_cache,
             trace: None,
         }
     }
@@ -124,11 +121,6 @@ impl ChoiceInjector {
                 }
             }
         }
-    }
-
-    fn refresh_counters(&mut self) {
-        self.counters_cache = self.inner.counters().clone();
-        self.counters_cache.faults_injected = self.stats.total();
     }
 
     /// Applies `choice` to one event: `true` keeps it (possibly rewritten
@@ -235,7 +227,6 @@ impl PowerManager for ChoiceInjector {
         let filtered = std::mem::take(&mut self.filtered);
         self.inner.tick(cycle, &filtered, idle);
         self.filtered = filtered;
-        self.refresh_counters();
     }
 
     /// Escalated wakeup: releases any stuck window on `r` (the watchdog's
@@ -246,15 +237,10 @@ impl PowerManager for ChoiceInjector {
             self.stats.forced_wakes += 1;
         }
         self.inner.force_wake(r, cycle);
-        self.refresh_counters();
     }
 
     fn pending_punches(&self) -> usize {
         self.inner.pending_punches()
-    }
-
-    fn punch_hops_at(&self) -> Option<&[u64]> {
-        self.inner.punch_hops_at()
     }
 
     fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
@@ -276,7 +262,6 @@ impl PowerManager for ChoiceInjector {
             && idle.idle.iter().all(|&b| b);
         if dormant {
             self.inner.tick_quiet(from, to, idle);
-            self.refresh_counters();
         } else {
             for c in from..to {
                 self.tick(c, &[], idle);
@@ -284,14 +269,17 @@ impl PowerManager for ChoiceInjector {
         }
     }
 
-    fn counters(&self) -> &PgCounters {
-        &self.counters_cache
+    /// The wrapped manager's snapshot with this injector's fault total
+    /// patched in.
+    fn counters(&self) -> PgCounters {
+        let mut snap = self.inner.counters();
+        snap.faults_injected = self.stats.total();
+        snap
     }
 
     fn reset_counters(&mut self) {
         self.inner.reset_counters();
         self.stats = FaultStats::default();
-        self.refresh_counters();
     }
 
     fn set_tracing(&mut self, enabled: bool) {
@@ -315,7 +303,6 @@ impl PowerManager for ChoiceInjector {
             stuck: self.stuck.clone(),
             filtered: Vec::new(),
             stats: self.stats.clone(),
-            counters_cache: self.counters_cache.clone(),
             trace: self.trace.clone(),
         }))
     }
@@ -404,8 +391,8 @@ mod tests {
         fn force_wake(&mut self, r: NodeId, _cycle: Cycle) {
             self.off[r.index()] = false;
         }
-        fn counters(&self) -> &PgCounters {
-            &self.counters
+        fn counters(&self) -> PgCounters {
+            self.counters.clone()
         }
         fn reset_counters(&mut self) {
             self.counters.reset();

@@ -26,6 +26,8 @@
 //! schedule is bit-reproducible across runs and stable under traffic
 //! changes.
 
+#![forbid(unsafe_code)]
+
 use punchsim_noc::obs::{Event, FaultKind, Stamped};
 use punchsim_noc::{IdleInfo, PgCounters, PmEvent, PowerManager, PowerState};
 use punchsim_types::{
@@ -101,9 +103,6 @@ pub struct FaultInjector {
     /// `stuck[r]` while some armed epoch masks router `r` to Off.
     stuck: Vec<bool>,
     stats: FaultStats,
-    /// Inner counters plus `faults_injected`, refreshed every tick so
-    /// `counters()` can hand out a reference.
-    counters_cache: PgCounters,
     /// Injected-fault events buffered for the network's sink; `None` while
     /// tracing is disabled.
     trace: Option<Vec<Stamped>>,
@@ -129,7 +128,6 @@ impl FaultInjector {
         if let Some(e) = cfg.stuck_epochs.iter().find(|e| !topo.contains(e.router)) {
             return Err(ConfigError::BadStuckRouter(e.router));
         }
-        let counters_cache = inner.counters().clone();
         Ok(FaultInjector {
             inner,
             topo,
@@ -144,7 +142,6 @@ impl FaultInjector {
                 .collect(),
             stuck: vec![false; topo.nodes()],
             stats: FaultStats::default(),
-            counters_cache,
             trace: None,
         })
     }
@@ -292,11 +289,6 @@ impl FaultInjector {
         }
         self.filtered.push(ev);
     }
-
-    fn refresh_counters(&mut self) {
-        self.counters_cache = self.inner.counters().clone();
-        self.counters_cache.faults_injected = self.stats.total();
-    }
 }
 
 impl std::fmt::Debug for FaultInjector {
@@ -344,7 +336,6 @@ impl PowerManager for FaultInjector {
         let filtered = std::mem::take(&mut self.filtered);
         self.inner.tick(cycle, &filtered, idle);
         self.filtered = filtered;
-        self.refresh_counters();
     }
 
     /// Escalated wakeup: clears any armed stuck epoch on `r` (the
@@ -360,15 +351,10 @@ impl PowerManager for FaultInjector {
             }
         }
         self.inner.force_wake(r, cycle);
-        self.refresh_counters();
     }
 
     fn pending_punches(&self) -> usize {
         self.inner.pending_punches() + self.delayed.len()
-    }
-
-    fn punch_hops_at(&self) -> Option<&[u64]> {
-        self.inner.punch_hops_at()
     }
 
     /// Earliest cycle at which this injector (or the wrapped scheme) could
@@ -406,7 +392,6 @@ impl PowerManager for FaultInjector {
             && idle.idle.iter().all(|&b| b);
         if dormant {
             self.inner.tick_quiet(from, to, idle);
-            self.refresh_counters();
         } else {
             for c in from..to {
                 self.tick(c, &[], idle);
@@ -414,14 +399,17 @@ impl PowerManager for FaultInjector {
         }
     }
 
-    fn counters(&self) -> &PgCounters {
-        &self.counters_cache
+    /// The wrapped manager's snapshot with this injector's fault total
+    /// patched in.
+    fn counters(&self) -> PgCounters {
+        let mut snap = self.inner.counters();
+        snap.faults_injected = self.stats.total();
+        snap
     }
 
     fn reset_counters(&mut self) {
         self.inner.reset_counters();
         self.stats = FaultStats::default();
-        self.refresh_counters();
     }
 
     fn set_tracing(&mut self, enabled: bool) {
@@ -486,8 +474,8 @@ mod tests {
             self.forced.push(r);
             self.off[r.index()] = false;
         }
-        fn counters(&self) -> &PgCounters {
-            &self.counters
+        fn counters(&self) -> PgCounters {
+            self.counters.clone()
         }
         fn reset_counters(&mut self) {
             self.counters.reset();
@@ -739,8 +727,8 @@ mod tests {
         }
         fn tick(&mut self, _cycle: Cycle, _events: &[PmEvent], _idle: IdleInfo<'_>) {}
         fn force_wake(&mut self, _r: NodeId, _cycle: Cycle) {}
-        fn counters(&self) -> &PgCounters {
-            &self.counters
+        fn counters(&self) -> PgCounters {
+            self.counters.clone()
         }
         fn reset_counters(&mut self) {
             self.counters.reset();

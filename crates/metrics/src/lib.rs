@@ -16,6 +16,8 @@
 //!
 //! The crate is tier-1 and dependency-free (workspace crates only).
 
+#![forbid(unsafe_code)]
+
 mod expo;
 mod hist;
 mod profile;

@@ -24,7 +24,7 @@ use crate::ni::Ni;
 use crate::pool::{Job, ShardPool};
 use crate::power::{IdleInfo, PmEvent, PowerManager, PowerState};
 use crate::router::{Router, RouterActivity};
-use crate::soa::{self, FlatAvail, PmAvail, ShardBuf, ShardView, SoaState, TickCtx};
+use crate::soa::{self, PmAvail, ShardBuf, ShardView, SoaState, TickCtx};
 use crate::stats::{NetStats, NetworkReport};
 use crate::trace::{PacketRecord, TraceLog};
 use crate::vc::VcLayout;
@@ -42,9 +42,21 @@ mod reference;
 struct ShardTask<'a, 'b> {
     sv: ShardView<'b>,
     ctx: &'a TickCtx<'b>,
-    avail: &'a FlatAvail<'b>,
+    avail: &'a PmAvail<'b>,
     buf: &'a mut ShardBuf,
 }
+
+// A pool `Job` erases `ShardTask` to a raw pointer, so the compiler cannot
+// see what crosses to the worker thread. These assertions put the check
+// back: the task as a whole must be `Send` (it is handed to exactly one
+// worker), which in turn needs the manager every shard reads through
+// `PmAvail` to be `Sync`. `Job`'s `unsafe impl Send` relies on both.
+const _: () = {
+    const fn assert_send<T: ?Sized + Send>() {}
+    const fn assert_sync<T: ?Sized + Sync>() {}
+    assert_sync::<dyn PowerManager>();
+    assert_send::<ShardTask<'_, '_>>();
+};
 
 /// Pool job entry point for one shard's phase A.
 ///
@@ -517,9 +529,10 @@ impl Network {
         for (name, values) in planes {
             reg.plane_mut(name, w, h).add_row_major(w, values);
         }
-        if let Some(hops) = self.pm.punch_hops_at() {
+        // Empty for schemes without a punch fabric: no plane at all.
+        if !pg.punch_hops_at.is_empty() {
             reg.plane_mut("router_punch_hops", w, h)
-                .add_row_major(w, hops);
+                .add_row_major(w, &pg.punch_hops_at);
         }
     }
 
@@ -893,10 +906,10 @@ impl Network {
         r
     }
 
-    /// Runs phase A over all shards: inline for one shard (power-manager
-    /// queries go straight to the boxed manager), on the persistent
-    /// worker pool for more (availability is precomputed into flat arrays
-    /// first; the manager is host-thread-only).
+    /// Runs phase A over all shards: on this thread for one shard, on the
+    /// persistent worker pool for more. Either way every shard reads
+    /// power availability straight from the manager through one shared
+    /// [`PmAvail`].
     ///
     /// Returns the wall nanoseconds the host spent blocked at the pool's
     /// completion barrier this tick (0 for inline execution), so the tick
@@ -918,8 +931,6 @@ impl Network {
         let check = self.cfg.watchdog.invariant_checks;
         let violation_open = self.violation.is_none();
         if shards > 1 {
-            let Network { pm, soa, .. } = self;
-            soa.fill_avail(pm.as_ref(), now + 2 + link, now + 1 + link);
             self.ensure_pool(shards - 1);
         }
         let inject_panic = std::mem::take(&mut self.panic_next_shard);
@@ -938,7 +949,6 @@ impl Network {
             pool,
             ..
         } = self;
-        let soa = &*soa;
         let ctx = TickCtx {
             now,
             link,
@@ -951,29 +961,10 @@ impl Network {
             eject_pend: soa.eject_pend.words(),
             ni_pend: soa.ni_pend.words(),
         };
-        if shards == 1 {
-            let avail = PmAvail {
-                pm: pm.as_ref(),
-                arrival_by: now + 2 + link,
-                local_by: now + 1 + link,
-            };
-            let mut sv = ShardView {
-                lo: 0,
-                hi: routers.len(),
-                routers,
-                nis,
-                flit_in,
-                credit_in,
-                ni_credit_in,
-                eject_in,
-            };
-            soa::shard_phase_a(&mut sv, &ctx, &avail, &mut shard_bufs[0]);
-            return Ok(0);
-        }
-        let avail = FlatAvail {
-            arrival: &soa.avail_arrival,
-            local: &soa.avail_local,
-            off: &soa.power_off,
+        let avail = PmAvail {
+            pm: pm.as_ref(),
+            arrival_by: now + 2 + link,
+            local_by: now + 1 + link,
         };
         let mut views = soa::split_shards(
             routers,
@@ -985,10 +976,10 @@ impl Network {
             shard_bounds,
         );
         let Some(pool) = pool.as_ref() else {
-            // Pool creation failed (the OS is out of threads): run every
-            // shard view on this thread, in shard order. Same
-            // record-then-commit protocol, so still bit-exact;
-            // `ensure_pool` retries on the next tick.
+            // One shard (no pool exists), or pool creation failed (the OS
+            // is out of threads; `ensure_pool` retries next tick): run
+            // every shard view on this thread, in shard order. Same
+            // record-then-commit protocol, so still bit-exact.
             for (mut sv, buf) in views.zip(shard_bufs.iter_mut()) {
                 soa::shard_phase_a(&mut sv, &ctx, &avail, buf);
             }
@@ -1440,7 +1431,7 @@ impl Network {
             cycles,
             stats: self.stats.clone(),
             activity,
-            pg: self.pm.counters().clone(),
+            pg: self.pm.counters(),
             ni_flits: self.ni_flits,
             offered_load: if cycles == 0 {
                 0.0
@@ -1886,8 +1877,8 @@ mod tests {
             PowerState::Off
         }
         fn tick(&mut self, _cycle: Cycle, _events: &[PmEvent], _idle: IdleInfo<'_>) {}
-        fn counters(&self) -> &crate::power::PgCounters {
-            &self.counters
+        fn counters(&self) -> crate::power::PgCounters {
+            self.counters.clone()
         }
         fn reset_counters(&mut self) {
             self.counters.reset();

@@ -49,6 +49,11 @@ pub(crate) struct Job {
 // SAFETY: a Job is only a (fn, pointer) pair; the pointed-to shard state
 // is accessed by exactly one worker between dispatch and the completion
 // barrier, while the host is excluded from it (disjoint row-band splits).
+// The erased pointee must itself be fit to cross threads: the one
+// production pointee, `network::ShardTask`, is asserted `Send` (and the
+// `dyn PowerManager` it shares with the other shards `Sync`) at compile
+// time next to its definition, so a `!Sync` manager or a thread-bound
+// field in a shard view fails the build instead of hiding behind this impl.
 unsafe impl Send for Job {}
 
 /// A shard worker panicked while running its job.

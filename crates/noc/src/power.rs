@@ -119,6 +119,11 @@ pub struct PgCounters {
     pub wake_events: Vec<u64>,
     /// Total punch-signal link traversals (sideband wire activity).
     pub punch_hops: u64,
+    /// Per-router punch hops: `punch_hops_at[r]` counts the sideband
+    /// punch-signal link traversals *departing* router `r`. Sums to
+    /// `punch_hops`; the heatmap plane behind `router_punch_hops`. Empty
+    /// for schemes without a punch fabric.
+    pub punch_hops_at: Vec<u64>,
     /// Total cycles a conventional WU wire was asserted.
     pub wu_assertions: u64,
     /// Per-router WU assertions: `wu_assertions_at[r]` counts the cycles
@@ -153,6 +158,7 @@ impl PgCounters {
             sleep_events: vec![0; n],
             wake_events: vec![0; n],
             punch_hops: 0,
+            punch_hops_at: Vec::new(),
             wu_assertions: 0,
             wu_assertions_at: vec![0; n],
             escalations_at: vec![0; n],
@@ -202,6 +208,7 @@ impl PgCounters {
             &mut self.waking_cycles,
             &mut self.sleep_events,
             &mut self.wake_events,
+            &mut self.punch_hops_at,
             &mut self.wu_assertions_at,
             &mut self.escalations_at,
         ] {
@@ -221,17 +228,19 @@ impl PgCounters {
 /// Implementations live in `punchsim-core`; the network calls
 /// [`PowerManager::tick`] exactly once per cycle, after delivering that
 /// cycle's events.
-pub trait PowerManager {
+///
+/// Managers must be `Sync`: during a sharded tick every shard — the host
+/// thread and the pool workers alike — reads [`PowerManager::state`] and
+/// [`PowerManager::is_available`] through one shared `&dyn PowerManager`,
+/// the way every neighbour reads a router's PG wire in hardware. All
+/// mutation goes through `&mut self` on the host thread between sweeps,
+/// so plain-data managers satisfy the bound for free.
+pub trait PowerManager: Sync {
     /// Which scheme this manager implements.
     fn kind(&self) -> SchemeKind;
 
     /// Current power state of router `r`.
     fn state(&self, r: NodeId) -> PowerState;
-
-    /// `true` when router `r` is fully on (PG signal deasserted).
-    fn is_on(&self, r: NodeId) -> bool {
-        self.state(r).is_on()
-    }
 
     /// `true` when router `r` will be able to receive a flit that arrives at
     /// cycle `by`: it is on now, or its deterministic wakeup countdown
@@ -251,31 +260,6 @@ pub trait PowerManager {
     /// decisions using `idle`.
     fn tick(&mut self, cycle: Cycle, events: &[PmEvent], idle: IdleInfo<'_>);
 
-    /// Bulk availability snapshot for the sharded SoA tick: fills
-    /// `arrival[r]` with [`PowerManager::is_available`]`(r, arrival_by)`,
-    /// `local[r]` with `is_available(r, local_by)` and `off[r]` with
-    /// `state(r) == Off`, for every router. Worker threads read these flat
-    /// arrays instead of the (non-`Sync`) manager itself; the manager's
-    /// state cannot change between this precompute and the sweep, so the
-    /// values are exactly what the per-router queries would return. The
-    /// default loops over `state`; schemes backed by a state vector may
-    /// override it with a single pass.
-    fn fill_availability(
-        &self,
-        arrival_by: Cycle,
-        local_by: Cycle,
-        arrival: &mut [bool],
-        local: &mut [bool],
-        off: &mut [bool],
-    ) {
-        for i in 0..arrival.len() {
-            let r = NodeId(i as u16);
-            arrival[i] = self.is_available(r, arrival_by);
-            local[i] = self.is_available(r, local_by);
-            off[i] = self.state(r) == PowerState::Off;
-        }
-    }
-
     /// Escalated wakeup: the network watchdog timed out the level-signaled
     /// WU handshake on router `r` and overrides its sleep gate — the
     /// hardware's last-resort force-wake path. Implementations must clear
@@ -289,16 +273,13 @@ pub trait PowerManager {
         0
     }
 
-    /// Activity counters accumulated so far.
-    fn counters(&self) -> &PgCounters;
-
-    /// Per-router punch-hop counts: `v[r]` is the number of sideband
-    /// punch-signal link traversals *departing* router `r` (sums to
-    /// [`PgCounters::punch_hops`]). `None` for schemes without a punch
-    /// fabric. Wrapper managers must forward to the wrapped manager.
-    fn punch_hops_at(&self) -> Option<&[u64]> {
-        None
-    }
+    /// A snapshot of the activity counters accumulated so far, by value:
+    /// schemes that account lazily fold their outstanding debt into the
+    /// copy, and wrappers patch their own scalars into the wrapped
+    /// manager's snapshot. O(routers) — meant for observation points
+    /// (`Network::report`, `obs_sample`, `export_metrics`), not for the
+    /// per-cycle path.
+    fn counters(&self) -> PgCounters;
 
     /// Resets activity counters (end of warm-up). Power states are kept.
     fn reset_counters(&mut self);
@@ -410,8 +391,8 @@ impl PowerManager for AlwaysOn {
 
     fn tick(&mut self, _cycle: Cycle, _events: &[PmEvent], _idle: IdleInfo<'_>) {}
 
-    fn counters(&self) -> &PgCounters {
-        &self.counters
+    fn counters(&self) -> PgCounters {
+        self.counters.clone()
     }
 
     fn reset_counters(&mut self) {
@@ -443,13 +424,13 @@ mod tests {
     #[test]
     fn always_on_stays_on() {
         let mut m = AlwaysOn::new(4);
-        assert!(m.is_on(NodeId(0)));
+        assert!(m.state(NodeId(0)).is_on());
         m.tick(
             1,
             &[PmEvent::BlockedNeed { router: NodeId(1) }],
             IdleInfo { idle: &[true; 4] },
         );
-        assert!(m.is_on(NodeId(1)));
+        assert!(m.state(NodeId(1)).is_on());
         assert_eq!(m.counters().total_off_cycles(), 0);
         assert_eq!(m.kind(), SchemeKind::NoPg);
     }
@@ -491,7 +472,7 @@ mod tests {
         let mut m = AlwaysOn::new(4);
         assert_eq!(m.next_event_at(17), None);
         m.tick_quiet(0, 1_000_000, IdleInfo { idle: &[true; 4] });
-        assert!(m.is_on(NodeId(3)));
+        assert!(m.state(NodeId(3)).is_on());
         assert_eq!(m.counters().total_off_cycles(), 0);
     }
 
@@ -515,8 +496,8 @@ mod tests {
             fn tick(&mut self, _cycle: Cycle, _events: &[PmEvent], _idle: IdleInfo<'_>) {
                 self.ticks += 1;
             }
-            fn counters(&self) -> &PgCounters {
-                &self.c
+            fn counters(&self) -> PgCounters {
+                self.c.clone()
             }
             fn reset_counters(&mut self) {}
         }

@@ -29,7 +29,7 @@ use punchsim_types::{Cycle, Direction, NodeId, PacketId, Port, PortMap, Substrat
 use crate::flit::Flit;
 use crate::link::Pipe;
 use crate::ni::Ni;
-use crate::power::PowerManager;
+use crate::power::{PowerManager, PowerState};
 use crate::router::{AllocOutcome, Router};
 
 /// A fixed-length bitset packed into `u64` words: one bit per router (or
@@ -131,8 +131,7 @@ pub fn for_each_one(words: &[u64], lo: usize, hi: usize, mut f: impl FnMut(usize
 }
 
 /// The flat per-mesh index the SoA kernel sweeps: one bit per router (or
-/// NI) per concern, plus the per-tick power-availability arrays the
-/// sharded path precomputes (the power manager is host-thread-only).
+/// NI) per concern.
 ///
 /// Invariant after every tick commit: each bit is set iff the
 /// corresponding struct-side predicate holds — `occ[r]` iff
@@ -154,14 +153,6 @@ pub(crate) struct SoaState {
     pub ni_pend: BitWords,
     /// The NI is mid-packet (head sent, tail not) — its router must stay on.
     pub ni_mid: BitWords,
-    /// `pm.is_available(r, now + 2 + link)` per router, refreshed each
-    /// sharded tick (allocation's downstream-on horizon).
-    pub avail_arrival: Vec<bool>,
-    /// `pm.is_available(r, now + 1 + link)` per router (NI injection
-    /// horizon).
-    pub avail_local: Vec<bool>,
-    /// `pm.state(r) == Off` per router (invariant-check input).
-    pub power_off: Vec<bool>,
 }
 
 impl SoaState {
@@ -173,78 +164,34 @@ impl SoaState {
             eject_pend: BitWords::new(n),
             ni_pend: BitWords::new(n),
             ni_mid: BitWords::new(n),
-            avail_arrival: Vec::new(),
-            avail_local: Vec::new(),
-            power_off: Vec::new(),
         }
     }
-
-    /// Refreshes the flat availability arrays from the power manager, for
-    /// a sharded tick (worker threads cannot touch the boxed manager).
-    pub fn fill_avail(&mut self, pm: &dyn PowerManager, arrival_by: Cycle, local_by: Cycle) {
-        let n = self.occ.len();
-        self.avail_arrival.clear();
-        self.avail_arrival.resize(n, false);
-        self.avail_local.clear();
-        self.avail_local.resize(n, false);
-        self.power_off.clear();
-        self.power_off.resize(n, false);
-        pm.fill_availability(
-            arrival_by,
-            local_by,
-            &mut self.avail_arrival,
-            &mut self.avail_local,
-            &mut self.power_off,
-        );
-    }
 }
 
-/// Power-availability reads during phase A, monomorphized per path: the
-/// single-shard path asks the manager directly; the sharded path reads the
-/// flat arrays precomputed by [`SoaState::fill_avail`] (same values — the
-/// manager's state cannot change between the precompute and the sweep).
-pub(crate) trait Avail {
-    /// Downstream router usable by a flit granted SA now (`now + 2 + link`).
-    fn downstream_on(&self, n: NodeId) -> bool;
-    /// Local router usable by an NI flit sent now (`now + 1 + link`).
-    fn local_on(&self, n: NodeId) -> bool;
-    /// Router is fully powered off right now (invariant-check input).
-    fn is_off(&self, n: NodeId) -> bool;
-}
-
+/// Power-availability reads during phase A: every shard, on the host
+/// thread or a pool worker, asks the (`Sync`) manager directly — the
+/// router's PG wire, read by whoever needs it. The manager is only
+/// mutated between sweeps, so all shards see one consistent state.
 pub(crate) struct PmAvail<'a> {
     pub pm: &'a dyn PowerManager,
+    /// Arrival cycle of a flit granted SA now (`now + 2 + link`).
     pub arrival_by: Cycle,
+    /// Arrival cycle of an NI flit sent now (`now + 1 + link`).
     pub local_by: Cycle,
 }
 
-impl Avail for PmAvail<'_> {
+impl PmAvail<'_> {
+    /// Downstream router usable by a flit granted SA now.
     fn downstream_on(&self, n: NodeId) -> bool {
         self.pm.is_available(n, self.arrival_by)
     }
+    /// Local router usable by an NI flit sent now.
     fn local_on(&self, n: NodeId) -> bool {
         self.pm.is_available(n, self.local_by)
     }
+    /// Router is fully powered off right now (invariant-check input).
     fn is_off(&self, n: NodeId) -> bool {
-        self.pm.state(n) == crate::power::PowerState::Off
-    }
-}
-
-pub(crate) struct FlatAvail<'a> {
-    pub arrival: &'a [bool],
-    pub local: &'a [bool],
-    pub off: &'a [bool],
-}
-
-impl Avail for FlatAvail<'_> {
-    fn downstream_on(&self, n: NodeId) -> bool {
-        self.arrival[n.index()]
-    }
-    fn local_on(&self, n: NodeId) -> bool {
-        self.local[n.index()]
-    }
-    fn is_off(&self, n: NodeId) -> bool {
-        self.off[n.index()]
+        self.pm.state(n) == PowerState::Off
     }
 }
 
@@ -425,10 +372,10 @@ pub(crate) fn split_shards<'a>(
 /// (empty pipes, empty datapath, idle NI) have clear bits and are never
 /// visited at all — that skip is the entire speedup, and it is exact
 /// because those visits are pure no-ops.
-pub(crate) fn shard_phase_a<A: Avail>(
+pub(crate) fn shard_phase_a(
     sv: &mut ShardView<'_>,
     ctx: &TickCtx<'_>,
-    avail: &A,
+    avail: &PmAvail<'_>,
     buf: &mut ShardBuf,
 ) {
     let now = ctx.now;

@@ -26,6 +26,8 @@
 //! simulator — NoC, power managers, fault injector, CMP, campaign runner —
 //! can emit events without dependency cycles.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod export;
 pub mod json;

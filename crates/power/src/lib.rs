@@ -13,6 +13,8 @@
 //! `No-PG` baseline, so any internally consistent calibration that matches
 //! the anchors reproduces the reported savings; see DESIGN.md.
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod model;
 

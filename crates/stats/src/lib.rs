@@ -17,6 +17,8 @@
 //! assert_eq!(lat.count(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod running;
 pub mod table;
 

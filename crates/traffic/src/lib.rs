@@ -18,6 +18,8 @@
 //! assert!(report.stats.packets_delivered > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod pattern;
 pub mod sim;
 

@@ -17,6 +17,8 @@
 //! assert_eq!(xy_next_hop(mesh, src, dst), Some(NodeId(28)));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod choice;
 pub mod config;
 pub mod direction;

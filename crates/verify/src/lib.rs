@@ -32,6 +32,8 @@
 //! assert!(outcome.exploration.all_proved());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checker;
 pub mod replay;
 pub mod report;

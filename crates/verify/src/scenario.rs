@@ -172,12 +172,8 @@ impl PowerManager for SuppressWu {
         self.inner.pending_punches()
     }
 
-    fn counters(&self) -> &PgCounters {
+    fn counters(&self) -> PgCounters {
         self.inner.counters()
-    }
-
-    fn punch_hops_at(&self) -> Option<&[u64]> {
-        self.inner.punch_hops_at()
     }
 
     fn reset_counters(&mut self) {

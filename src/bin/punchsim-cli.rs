@@ -17,9 +17,7 @@
 //! punchsim-cli metrics  [--scheme S] [--mesh WxH] [--rate R] [--cycles N]
 //!                       [--pattern P] [--metrics-out PATH] [--shards N]
 //! punchsim-cli list-schemes
-//! punchsim-cli campaign [--suite parsec|synth|ci|fastpath|substrate|busy|rivals
-//!                        |schemes]
-//!                       [--threads N] [--shards N] [--out DIR]
+//! punchsim-cli campaign [--suite S] [--threads N] [--shards N] [--out DIR]
 //!                       [--name NAME] [--seed N] [--no-cache] [--sample N]
 //!                       [--trace-out DIR] [--trace-cap N] [--metrics-out PATH]
 //! punchsim-cli compare  BASELINE.json CURRENT.json [--tol-latency R]
@@ -57,6 +55,8 @@
 //! (here and on `faults`/`trace`/`campaign`) additionally writes the
 //! registry snapshot to a file: Prometheus text for `.prom`/`.txt`
 //! paths, JSON otherwise.
+
+#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -129,13 +129,63 @@ fn sim_err(e: SimError) -> String {
     format!("simulation error: {e}")
 }
 
-/// The full usage text: the static template plus the scheme list derived
-/// from the registry, so a newly registered scheme shows up here without
-/// a hand edit.
+/// The campaign suites: `--suite` name, spec-list builder (from the
+/// campaign seed), one-line help. The one table behind `--suite`
+/// validation, [`CampaignOpts::specs`], the usage text and the
+/// `unknown suite` message.
+type Suite = (&'static str, fn(u64) -> Vec<RunSpec>, &'static str);
+const SUITES: &[Suite] = &[
+    (
+        "parsec",
+        campaign::parsec_suite,
+        "closed-loop PARSEC-like CMP runs",
+    ),
+    (
+        "synth",
+        campaign::synthetic_suite,
+        "synthetic traffic sweeps",
+    ),
+    ("ci", campaign::ci_suite, "parsec + synth"),
+    ("fastpath", campaign::fastpath_suite, "idle-dominated runs"),
+    (
+        "substrate",
+        campaign::substrate_suite,
+        "torus / YX / west-first sweep",
+    ),
+    (
+        "busy",
+        campaign::busy_suite,
+        "large-mesh busy-regime scalability runs",
+    ),
+    (
+        "rivals",
+        campaign::rivals_suite,
+        "Power Punch vs. SDM circuits vs. ring router",
+    ),
+    (
+        "schemes",
+        campaign::schemes_suite,
+        "one run per pre-registry scheme (the no_drift.sh baseline)",
+    ),
+];
+
+/// Looks a suite up by its `--suite` name.
+fn suite(name: &str) -> Option<&'static Suite> {
+    SUITES.iter().find(|s| s.0 == name)
+}
+
+/// The full usage text: the static template plus the suite list derived
+/// from [`SUITES`] and the scheme list derived from the registry, so a
+/// new suite or scheme shows up here without a hand edit.
 fn usage() -> String {
     let tags: Vec<&str> = SchemeKind::ALL.iter().map(|k| k.tag()).collect();
+    let suite_help: String = SUITES
+        .iter()
+        .map(|(name, _, help)| format!("                     {name:<10} {help}\n"))
+        .collect();
     format!(
-        "{USAGE_TEMPLATE}\nschemes: {} (details: punchsim-cli list-schemes)\n{USAGE_TAIL}",
+        "{}\nschemes: {} (details: punchsim-cli list-schemes)\n{USAGE_TAIL}",
+        USAGE_TEMPLATE.replace("{SUITE_HELP}", &suite_help),
         tags.join(" ")
     )
 }
@@ -157,9 +207,7 @@ const USAGE_TEMPLATE: &str = "usage:
                         [--shards N]
   punchsim-cli metrics  [--scheme S] [--mesh WxH] [--rate R] [--cycles N]
                         [--pattern P] [--metrics-out PATH] [--shards N]
-  punchsim-cli campaign [--suite parsec|synth|ci|fastpath|substrate|busy|rivals
-                         |schemes]
-                        [--threads N] [--shards N] [--out DIR]
+  punchsim-cli campaign [--suite S] [--threads N] [--shards N] [--out DIR]
                         [--name NAME] [--seed N] [--no-cache] [--sample N]
                         [--trace-out DIR] [--trace-cap N] [--metrics-out PATH]
   punchsim-cli compare  BASELINE.json CURRENT.json [--tol-latency R]
@@ -194,15 +242,8 @@ verify flags:
                    broken configuration this way)
 
 campaign flags:
-  --suite S        spec list: parsec, synth, ci (both; default),
-                   fastpath (idle-dominated runs),
-                   substrate (torus / YX / west-first sweep),
-                   busy (large-mesh busy-regime scalability runs),
-                   rivals (Power Punch vs. SDM circuits vs. ring router
-                   at low and high load) or
-                   schemes (one run per pre-registry scheme; the
-                   no_drift.sh byte-identity baseline)
-  --threads N      worker threads; 0 = one per core (default)
+  --suite S        spec list (default ci):
+{SUITE_HELP}  --threads N      worker threads; 0 = one per core (default)
   --out DIR        artifact directory (default bench-out)
   --name NAME      artifact name: BENCH_<NAME>.json (default: the suite)
   --seed N         campaign seed (default 0xC0FFEE)
@@ -840,7 +881,7 @@ fn table1() -> Result<(), SimError> {
 }
 
 struct CampaignOpts {
-    suite: String,
+    suite: &'static Suite,
     threads: usize,
     out: PathBuf,
     name: Option<String>,
@@ -856,7 +897,7 @@ struct CampaignOpts {
 impl CampaignOpts {
     fn parse(args: &[String]) -> Result<CampaignOpts, String> {
         let mut o = CampaignOpts {
-            suite: "ci".to_string(),
+            suite: suite("ci").expect("the default suite is in the table"),
             threads: 0,
             out: PathBuf::from("bench-out"),
             name: None,
@@ -880,21 +921,10 @@ impl CampaignOpts {
                 .ok_or_else(|| format!("missing value for {flag}"))?;
             match flag.as_str() {
                 "--suite" => {
-                    if ![
-                        "parsec",
-                        "synth",
-                        "ci",
-                        "fastpath",
-                        "substrate",
-                        "busy",
-                        "rivals",
-                        "schemes",
-                    ]
-                    .contains(&val.as_str())
-                    {
-                        return Err(format!("unknown suite {val}"));
-                    }
-                    o.suite = val.clone();
+                    o.suite = suite(val).ok_or_else(|| {
+                        let valid: Vec<&str> = SUITES.iter().map(|s| s.0).collect();
+                        format!("unknown suite {val} (valid: {})", valid.join("|"))
+                    })?;
                 }
                 "--threads" => {
                     o.threads = val.parse().map_err(|_| "bad thread count".to_string())?;
@@ -931,16 +961,7 @@ impl CampaignOpts {
     }
 
     fn specs(&self) -> Vec<RunSpec> {
-        match self.suite.as_str() {
-            "parsec" => campaign::parsec_suite(self.seed),
-            "synth" => campaign::synthetic_suite(self.seed),
-            "fastpath" => campaign::fastpath_suite(self.seed),
-            "substrate" => campaign::substrate_suite(self.seed),
-            "busy" => campaign::busy_suite(self.seed),
-            "rivals" => campaign::rivals_suite(self.seed),
-            "schemes" => campaign::schemes_suite(self.seed),
-            _ => campaign::ci_suite(self.seed),
-        }
+        (self.suite.1)(self.seed)
     }
 
     /// Checks `--shards` against every spec in the suite *before* any run
@@ -982,7 +1003,10 @@ fn campaign_cmd(args: &[String]) -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
-    let name = opts.name.clone().unwrap_or_else(|| opts.suite.clone());
+    let name = opts
+        .name
+        .clone()
+        .unwrap_or_else(|| opts.suite.0.to_string());
     let runner = Runner {
         threads: opts.threads,
         store: if opts.no_cache {
@@ -1603,7 +1627,7 @@ mod tests {
     #[test]
     fn campaign_defaults_and_flags_parse() {
         let o = CampaignOpts::parse(&[]).unwrap();
-        assert_eq!(o.suite, "ci");
+        assert_eq!(o.suite.0, "ci");
         assert_eq!(o.threads, 0);
         assert_eq!(o.out, PathBuf::from("bench-out"));
         assert_eq!(o.seed, campaign::DEFAULT_SEED);
@@ -1627,7 +1651,7 @@ mod tests {
             "--no-cache",
         ]))
         .unwrap();
-        assert_eq!(o.suite, "synth");
+        assert_eq!(o.suite.0, "synth");
         assert_eq!(o.threads, 3);
         assert_eq!(o.shards, 4);
         assert_eq!(o.out, PathBuf::from("tmp"));
@@ -1695,6 +1719,24 @@ mod tests {
         assert_eq!(o.metrics_out, None);
         let o = CampaignOpts::parse(&strs(&["--metrics-out", "m.json"])).unwrap();
         assert_eq!(o.metrics_out, Some(PathBuf::from("m.json")));
+    }
+
+    /// Every row of the one suite table parses, builds a non-empty spec
+    /// list, and is named in the usage text and the `unknown suite` error.
+    #[test]
+    fn every_suite_row_parses_and_yields_specs() {
+        let usage = usage();
+        let err = CampaignOpts::parse(&strs(&["--suite", "quantum"]))
+            .err()
+            .expect("unknown suite is rejected");
+        assert!(!usage.contains("{SUITE"), "unexpanded placeholder");
+        for &(name, _, help) in SUITES {
+            let o = CampaignOpts::parse(&strs(&["--suite", name])).unwrap();
+            assert_eq!(o.suite.0, name);
+            assert!(!o.specs().is_empty(), "suite {name} is empty");
+            assert!(usage.contains(help), "usage misses suite {name}");
+            assert!(err.contains(name), "error misses suite {name}: {err}");
+        }
     }
 
     #[test]

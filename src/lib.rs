@@ -42,6 +42,8 @@
 //! assert!(report.stats.packets_delivered > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use punchsim_campaign as campaign;
 pub use punchsim_cmp as cmp;
 pub use punchsim_core as core;

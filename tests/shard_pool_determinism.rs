@@ -52,6 +52,41 @@ fn assert_same_state(label: &str, at: u64, a: &SyntheticSim, b: &SyntheticSim) {
     );
 }
 
+/// Runs `cfg` on the oracle and on the shipped kernel at every count in
+/// `shard_counts`, in lock-step: 200 warm-up cycles, a stats reset, then
+/// 600 measured cycles checkpointed against the oracle every 200. Returns
+/// the oracle's final report.
+fn check_against_oracle(
+    name: &str,
+    cfg: &SimConfig,
+    rate: f64,
+    shard_counts: &[usize],
+) -> NetworkReport {
+    let mut reference = build(cfg, rate, None);
+    let mut subjects: Vec<(String, SyntheticSim)> = shard_counts
+        .iter()
+        .map(|&n| (format!("{name} x{n}"), build(cfg, rate, Some(n))))
+        .collect();
+    let (warmup, measure, chunk) = (200u64, 600u64, 200u64);
+    reference.run(warmup).unwrap();
+    reference.network_mut().reset_stats();
+    for (label, s) in &mut subjects {
+        s.run(warmup).unwrap();
+        s.network_mut().reset_stats();
+        assert_same_state(label, warmup, s, &reference);
+    }
+    let mut at = warmup;
+    for _ in 0..(measure / chunk) {
+        reference.run(chunk).unwrap();
+        at += chunk;
+        for (label, s) in &mut subjects {
+            s.run(chunk).unwrap();
+            assert_same_state(label, at, s, &reference);
+        }
+    }
+    reference.report()
+}
+
 /// The full matrix: shards {1,2,4,7} on mesh and torus under both gating
 /// schemes, checkpointed against the oracle every 200 cycles.
 #[test]
@@ -66,35 +101,52 @@ fn pooled_execution_is_bit_exact_across_the_matrix() {
             let mut cfg = SimConfig::with_scheme(scheme);
             cfg.noc.topology = topo;
             cfg.seed = 0xB007 + (si * 2 + ki) as u64;
-            let rate = 0.02;
-            let mut reference = build(&cfg, rate, None);
-            let mut subjects: Vec<(String, SyntheticSim)> = [1usize, 2, 4, 7]
-                .into_iter()
-                .map(|n| {
-                    (
-                        format!("{name}/{scheme:?} x{n}"),
-                        build(&cfg, rate, Some(n)),
-                    )
-                })
-                .collect();
-            let (warmup, measure, chunk) = (200u64, 600u64, 200u64);
-            reference.run(warmup).unwrap();
-            reference.network_mut().reset_stats();
-            for (label, s) in &mut subjects {
-                s.run(warmup).unwrap();
-                s.network_mut().reset_stats();
-                assert_same_state(label, warmup, s, &reference);
-            }
-            let mut at = warmup;
-            for _ in 0..(measure / chunk) {
-                reference.run(chunk).unwrap();
-                at += chunk;
-                for (label, s) in &mut subjects {
-                    s.run(chunk).unwrap();
-                    assert_same_state(label, at, s, &reference);
-                }
-            }
+            check_against_oracle(&format!("{name}/{scheme:?}"), &cfg, 0.02, &[1, 2, 4, 7]);
         }
+    }
+}
+
+/// Faults x shards: under a fault profile every shard — pool workers
+/// included — reads the `FaultInjector` wrapper's *masked* power state
+/// (`Off` while a stuck epoch is armed) concurrently, straight from the
+/// manager. Lossy sideband, jittered wakeups and stuck sleep gates must
+/// leave the run bit-identical to the oracle at every shard count, and the
+/// row must actually reach the masked path: at least one stuck epoch arms
+/// and the watchdog escalates inside the measured window.
+#[test]
+fn faulted_pooled_execution_is_bit_exact() {
+    for (ki, scheme) in [SchemeKind::ConvOptPg, SchemeKind::PowerPunchFull]
+        .into_iter()
+        .enumerate()
+    {
+        let mut cfg = SimConfig::with_scheme(scheme);
+        cfg.noc.topology = Mesh::new(8, 8).into();
+        cfg.seed = 0xFA17 + ki as u64;
+        cfg.faults = FaultConfig {
+            seed: 0x5EED + ki as u64,
+            drop_punch_ppm: FaultConfig::ppm(0.2),
+            drop_wu_ppm: FaultConfig::ppm(0.1),
+            max_wakeup_jitter: 3,
+            // Central routers in different row bands, arming after the
+            // warm-up reset and outliving the run unless force-woken.
+            stuck_epochs: [19u16, 28, 35, 44]
+                .into_iter()
+                .map(|r| StuckEpoch {
+                    router: NodeId(r),
+                    start: 210,
+                    duration: 10_000,
+                })
+                .collect(),
+            ..FaultConfig::default()
+        };
+        let pg = check_against_oracle(&format!("faulted/{scheme:?}"), &cfg, 0.02, &[1, 2, 4]).pg;
+        assert!(
+            pg.escalations > 0 && pg.faults_injected > 0,
+            "{scheme:?}: the fault row went vacuous \
+             (escalations {}, faults {})",
+            pg.escalations,
+            pg.faults_injected
+        );
     }
 }
 
