@@ -234,7 +234,7 @@ pub fn busy_cycles() -> u64 {
 /// latency, so the network never goes quiescent — yet only a sparse
 /// minority of routers is busy on any given cycle, which is exactly the
 /// coherence-traffic shape the SoA word sweep exists for. CI's
-/// `shard_gate.sh` reruns this suite across `--shards` counts
+/// `identity_gate.sh` reruns this suite across `--shards` counts
 /// (byte-identical artifacts); the `sparse32_*` rows of `perf/` track its
 /// speed.
 pub fn busy_suite(seed: u64) -> Vec<RunSpec> {
@@ -301,7 +301,7 @@ pub fn rivals_suite(seed: u64) -> Vec<RunSpec> {
 /// The scheme-coverage drift suite: one identical uniform-random run
 /// under every scheme that predates the registry refactor.
 /// `bench/baseline_schemes.json` is this suite under `PP_FAST=1`, and
-/// `scripts/no_drift.sh` re-asserts it byte-identical on every run — the
+/// `scripts/identity_gate.sh` re-asserts it byte-identical on every run — the
 /// registry (and any future scheme addition) must not perturb a single
 /// bit of the historical schemes' artifacts.
 pub fn schemes_suite(seed: u64) -> Vec<RunSpec> {

@@ -224,7 +224,7 @@ mod tests {
         assert_eq!(doc.get("runs").unwrap().as_arr().unwrap().len(), 1);
         let errors = doc.get("errors").unwrap().as_arr().unwrap();
         assert_eq!(errors.len(), 1);
-        assert_eq!(errors[0].get("kind").unwrap().as_str(), Some("panic"));
+        assert_eq!(errors[0].get("kind").unwrap().as_str(), Some("sim"));
         assert_eq!(report.failures(), 1);
         // The artifact re-parses.
         Json::parse(&doc.render()).unwrap();

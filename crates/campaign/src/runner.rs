@@ -330,12 +330,20 @@ mod tests {
 
     #[test]
     fn panicking_spec_is_isolated() {
-        // A negative rate trips the harness assertion — the classic
-        // poisoned spec. Its neighbours must still complete.
+        // A turn-model router on a torus fails `SimConfig::validate`, which
+        // the traffic harness `expect`s — a poisoned spec that panics. A
+        // negative rate is checked before construction and comes back as a
+        // typed error. The neighbours of both must still complete.
+        let mut cyclic = small_spec(1, 0.02);
+        if let Workload::Synthetic { topo, routing, .. } = &mut cyclic.workload {
+            *topo = punchsim_types::Torus::new(4, 4).into();
+            *routing = RoutingKind::WestFirst;
+        }
         let specs = vec![
             small_spec(0, 0.02),
-            small_spec(1, -1.0),
-            small_spec(2, 0.02),
+            cyclic,
+            small_spec(2, -1.0),
+            small_spec(3, 0.02),
         ];
         let runner = Runner {
             threads: 2,
@@ -344,12 +352,16 @@ mod tests {
         };
         let outcomes = runner.run(&specs);
         assert!(outcomes[0].record().is_some());
-        assert!(outcomes[2].record().is_some());
+        assert!(outcomes[3].record().is_some());
         let err = outcomes[1].error().expect("poisoned spec must fail");
         assert_eq!(err.id, specs[1].id());
         match &err.kind {
-            RunErrorKind::Panic(m) => assert!(m.contains("negative"), "{m}"),
+            RunErrorKind::Panic(m) => assert!(m.contains("invalid SimConfig"), "{m}"),
             other => panic!("expected a panic error, got {other:?}"),
+        }
+        match &outcomes[2].error().expect("bad rate must fail").kind {
+            RunErrorKind::Sim(m) => assert!(m.contains("injection rate"), "{m}"),
+            other => panic!("expected a typed error, got {other:?}"),
         }
     }
 

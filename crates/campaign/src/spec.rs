@@ -9,7 +9,7 @@ use punchsim_cmp::{Benchmark, CmpConfig, CmpSim};
 use punchsim_metrics::Registry;
 use punchsim_obs::{IntervalRow, RingSink, Sampler, Stamped};
 use punchsim_power::PowerModel;
-use punchsim_traffic::{SyntheticSim, TrafficPattern};
+use punchsim_traffic::{InjectionConfig, SyntheticSim, TrafficPattern};
 use punchsim_types::{RoutingKind, SchemeKind, SimConfig, SimError, Substrate};
 
 use crate::hash::Fnv64;
@@ -303,6 +303,7 @@ impl RunSpec {
                 cfg.noc.routing = *routing;
                 cfg.seed = self.seed;
                 let routers = topo.nodes();
+                InjectionConfig::at_rate(*rate).validate()?;
                 let mut sim = SyntheticSim::new(cfg, *pattern, *rate);
                 sim.network_mut().set_shards(shards)?;
                 if opts.trace_cap > 0 {
@@ -599,6 +600,25 @@ mod tests {
         }
         for other in [seed, scheme, rate, cycles] {
             assert_ne!(base.content_hash(), other.content_hash(), "{}", other.id());
+        }
+    }
+
+    #[test]
+    fn unusable_rates_are_typed_config_errors_not_panics() {
+        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+            let mut spec = synth_spec();
+            if let Workload::Synthetic { rate, .. } = &mut spec.workload {
+                *rate = bad;
+            }
+            assert!(
+                matches!(
+                    spec.execute(),
+                    Err(SimError::Config(
+                        punchsim_types::ConfigError::BadInjectionRate { .. }
+                    ))
+                ),
+                "rate {bad}"
+            );
         }
     }
 

@@ -33,7 +33,6 @@ pub mod gating;
 #[cfg(test)]
 mod gating_reference;
 pub mod manager;
-pub mod oracle;
 pub mod punch;
 pub mod registry;
 pub mod rivals;
@@ -41,7 +40,6 @@ pub mod rivals;
 pub use codebook::{Codebook, LinkCodebook};
 pub use gating::GateArray;
 pub use manager::{ConvPgManager, PowerPunchManager};
-pub use oracle::StepOracle;
 pub use punch::{PunchFabric, PunchSet};
 pub use registry::{descriptor, SchemeCtor, SchemeDescriptor, REGISTRY};
 pub use rivals::{RingRouterManager, SdmCircuitManager};

@@ -45,7 +45,6 @@ pub mod router;
 pub mod snapshot;
 pub mod soa;
 pub mod stats;
-pub mod trace;
 pub mod vc;
 
 pub use flit::{Flit, FlitKind, Message, MsgClass, PacketMeta};
@@ -54,5 +53,4 @@ pub use power::{AlwaysOn, IdleInfo, PgCounters, PmEvent, PowerManager, PowerStat
 pub use router::{Router, RouterActivity};
 pub use soa::BitWords;
 pub use stats::{NetStats, NetworkReport};
-pub use trace::{PacketRecord, TraceLog};
 pub use vc::VcLayout;

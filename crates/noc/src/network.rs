@@ -26,7 +26,6 @@ use crate::power::{IdleInfo, PmEvent, PowerManager, PowerState};
 use crate::router::{Router, RouterActivity};
 use crate::soa::{self, PmAvail, ShardBuf, ShardView, SoaState, TickCtx};
 use crate::stats::{NetStats, NetworkReport};
-use crate::trace::{PacketRecord, TraceLog};
 use crate::vc::VcLayout;
 
 // The test-oracle tick. A child module, so it can sweep `Network`'s private
@@ -133,7 +132,6 @@ pub struct Network {
     ni_flits: u64,
     injected_flits: u64,
     measure_start: Cycle,
-    trace: Option<TraceLog>,
     /// Structured event sink (`None` = tracing disabled: the only cost on
     /// hot paths is this branch).
     sink: Option<Box<dyn EventSink>>,
@@ -265,7 +263,6 @@ impl Network {
             ni_flits: 0,
             injected_flits: 0,
             measure_start: 0,
-            trace: None,
             sink: None,
             power_shadow: Vec::new(),
             off_since: Vec::new(),
@@ -371,22 +368,6 @@ impl Network {
     /// The active watchdog configuration.
     pub fn watchdog(&self) -> &WatchdogConfig {
         &self.cfg.watchdog
-    }
-
-    /// Starts recording per-packet completion records (up to `capacity`);
-    /// read them back with [`Network::trace`] or [`Network::take_trace`].
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceLog::new(capacity));
-    }
-
-    /// The packet trace recorded so far, if tracing is enabled.
-    pub fn trace(&self) -> Option<&TraceLog> {
-        self.trace.as_ref()
-    }
-
-    /// Takes the trace, disabling further recording.
-    pub fn take_trace(&mut self) -> Option<TraceLog> {
-        self.trace.take()
     }
 
     /// Attaches a structured event sink: from the next tick on, power-state
@@ -700,7 +681,6 @@ impl Network {
             ni_flits: self.ni_flits,
             injected_flits: self.injected_flits,
             measure_start: self.measure_start,
-            trace: self.trace.clone(),
             sink: None,
             power_shadow: self.power_shadow.clone(),
             off_since: self.off_since.clone(),
@@ -1200,7 +1180,7 @@ impl Network {
 
     /// Bookkeeping for packet `done` whose tail just ejected at NI `idx`:
     /// retires its metadata into the sink, the conservation counters, the
-    /// trace, the measured-window statistics and the node's outbox.
+    /// measured-window statistics and the node's outbox.
     fn complete_packet(&mut self, idx: usize, done: PacketId, now: Cycle) {
         let meta = self
             .packets
@@ -1219,9 +1199,6 @@ impl Network {
         }
         self.conserv_delivered += meta.len_flits as u64;
         self.conserv_in_flight = self.conserv_in_flight.saturating_sub(meta.len_flits as u64);
-        if let Some(t) = self.trace.as_mut() {
-            t.push(PacketRecord::from_meta(done, &meta, now));
-        }
         if meta.measured {
             self.stats.packets_delivered += 1;
             self.stats.flits_delivered += meta.len_flits as u64;

@@ -1,6 +1,7 @@
 //! Substrate edge cases: degenerate meshes, fairness, vnet isolation,
-//! and trace recording.
+//! and delivery events.
 
+use punchsim_noc::obs::{Event, VecSink};
 use punchsim_noc::{AlwaysOn, Message, MsgClass, Network};
 use punchsim_types::{Mesh, NocConfig, NodeId, VnetId};
 
@@ -124,41 +125,32 @@ fn vnets_are_isolated_under_congestion() {
 }
 
 #[test]
-fn trace_records_every_delivery() {
-    let mut n = net_with_mesh(Mesh::new(4, 4));
-    n.enable_trace(100);
-    for i in 0..20u16 {
-        n.send(msg(i % 16, (i * 3 + 1) % 16, 0, MsgClass::Control))
-            .unwrap();
+fn sink_records_every_delivery() {
+    let mesh = Mesh::new(4, 4);
+    let mut n = net_with_mesh(mesh);
+    n.set_sink(Box::new(VecSink::new()));
+    let pairs: Vec<(u16, u16)> = (0..20u16).map(|i| (i % 16, (i * 3 + 1) % 16)).collect();
+    for &(src, dst) in &pairs {
+        n.send(msg(src, dst, 0, MsgClass::Control)).unwrap();
     }
     for _ in 0..500 {
         n.tick().unwrap();
     }
     assert_eq!(n.in_flight(), 0);
-    let trace = n.take_trace().expect("tracing enabled");
-    assert_eq!(trace.records().len(), 20);
-    assert_eq!(trace.dropped(), 0);
-    for r in trace.records() {
-        assert!(r.delivered > r.enqueued);
-        assert!(r.latency() >= 8, "minimum local latency");
-        assert_eq!(r.hops as u32, Mesh::new(4, 4).distance(r.src, r.dst) as u32);
-    }
-    let csv = trace.to_csv();
-    assert_eq!(csv.lines().count(), 21);
-}
-
-#[test]
-fn trace_capacity_drops_excess() {
-    let mut n = net_with_mesh(Mesh::new(4, 4));
-    n.enable_trace(5);
-    for i in 0..12u16 {
-        n.send(msg(i % 16, (i + 1) % 16, 0, MsgClass::Control))
-            .unwrap();
-    }
-    for _ in 0..500 {
-        n.tick().unwrap();
-    }
-    let trace = n.trace().expect("enabled");
-    assert_eq!(trace.records().len(), 5);
-    assert_eq!(trace.dropped(), 7);
+    let events = n.take_sink().expect("sink attached").snapshot();
+    let latencies: Vec<u64> = events
+        .iter()
+        .filter_map(|s| match s.event {
+            Event::Deliver { latency, .. } => Some(latency),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(latencies.len(), 20);
+    assert!(latencies.iter().all(|&l| l >= 8), "minimum local latency");
+    // Every packet took exactly its minimal route.
+    let distance: u32 = pairs
+        .iter()
+        .map(|&(s, d)| mesh.distance(NodeId(s), NodeId(d)) as u32)
+        .sum();
+    assert_eq!(n.report().stats.hops.sum(), f64::from(distance));
 }

@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 
 use punchsim_core::build_power_manager;
 use punchsim_noc::{Message, MsgClass, Network, NetworkReport};
-use punchsim_types::{Cycle, NodeId, SimConfig, SimError, SimRng, VnetId};
+use punchsim_types::{ConfigError, Cycle, NodeId, SimConfig, SimError, SimRng, VnetId};
 
 use crate::pattern::TrafficPattern;
 
@@ -45,6 +45,23 @@ impl InjectionConfig {
             slack2_fraction: 0.8,
             slack2_cycles: 6,
             burstiness: 0.0,
+        }
+    }
+
+    /// Checks the offered load.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::BadInjectionRate`] unless `rate_flits` is a finite
+    /// number `>= 0` (a NaN or negative rate has no arrival process; an
+    /// infinite one reports infinite offered load).
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.rate_flits.is_finite() && self.rate_flits >= 0.0 {
+            Ok(())
+        } else {
+            Err(ConfigError::BadInjectionRate {
+                rate: self.rate_flits.to_string(),
+            })
         }
     }
 
@@ -101,9 +118,11 @@ impl SyntheticSim {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or the rate is negative.
+    /// Panics if the configuration or the injection rate is invalid; check
+    /// untrusted input with [`SimConfig::validate`] and
+    /// [`InjectionConfig::validate`] first.
     pub fn with_injection(cfg: SimConfig, pattern: TrafficPattern, inj: InjectionConfig) -> Self {
-        assert!(inj.rate_flits >= 0.0, "negative injection rate");
+        inj.validate().expect("invalid InjectionConfig");
         let pm = build_power_manager(&cfg).expect("invalid SimConfig");
         let mut net = Network::new(&cfg.noc, pm).expect("config validated above");
         if cfg.trace.enabled {

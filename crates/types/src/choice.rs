@@ -1,14 +1,16 @@
 //! Enumerable fault choices for exhaustive protocol verification.
 //!
-//! The statistical fault injector (`punchsim-faults::FaultInjector`) samples
-//! perturbations from seeded RNG streams — right for soak testing, useless
-//! for model checking, where every transition out of a state must be
-//! *enumerable* and *deterministic*. A [`FaultChoice`] names one adversarial
-//! perturbation applied to exactly one cycle of the power-gating sideband:
-//! the model checker treats each choice as one outgoing edge of the current
-//! state, and the scripted injector (`punchsim-faults::ChoiceInjector`)
-//! replays a recorded sequence of choices cycle by cycle to reproduce a
-//! counterexample.
+//! `punchsim-faults::FaultInjector` has two decision sources. The seeded
+//! one samples perturbations from an RNG stream — right for soak testing,
+//! useless for model checking, where every transition out of a state must
+//! be *enumerable* and *deterministic*. A [`FaultChoice`] names one
+//! adversarial perturbation applied to exactly one cycle of the
+//! power-gating sideband: the model checker treats each choice as one
+//! outgoing edge of the current state, and the injector's scripted source
+//! (`FaultInjector::scripted`) applies the choice armed for each cycle, so
+//! a recorded sequence of choices replays a counterexample. Both sources
+//! drive the same effect code, so what the checker proves is proved about
+//! the fault layer every sampled run executes.
 //!
 //! The alphabet mirrors the PR 1 fault model minus wakeup jitter: jitter
 //! queues events for unbounded future cycles, which would make the rebased

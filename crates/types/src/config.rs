@@ -687,6 +687,26 @@ mod tests {
         assert!(p.validate().is_err());
     }
 
+    /// A topology is only constructible through its checked constructor, so
+    /// rejecting an oversized grid there keeps it out of every `NocConfig`
+    /// (`validate` has nothing left to re-check); the largest grid that
+    /// fits still validates.
+    #[test]
+    fn no_config_can_carry_more_routers_than_node_ids() {
+        use crate::topology::{CMesh, Torus};
+        let too_many =
+            |r: Result<Substrate, ConfigError>| matches!(r, Err(ConfigError::TooManyNodes { .. }));
+        assert!(too_many(Mesh::try_new(256, 256).map(Into::into)));
+        assert!(too_many(Torus::try_new(300, 300).map(Into::into)));
+        assert!(too_many(CMesh::try_new(256, 256, 2).map(Into::into)));
+        let c = NocConfig {
+            topology: Mesh::new(255, 257).into(),
+            ..NocConfig::default()
+        };
+        assert_eq!(c.topology.nodes(), usize::from(u16::MAX));
+        c.validate().unwrap();
+    }
+
     #[test]
     fn cyclic_routing_on_torus_is_rejected() {
         use crate::topology::Torus;

@@ -68,8 +68,23 @@ pub enum ConfigError {
         /// Offending height.
         height: u16,
     },
+    /// A topology has more routers than there are [`NodeId`]s (a `u16`;
+    /// the router count must fit one too).
+    TooManyNodes {
+        /// Topology kind name (`"mesh"`, `"torus"`, `"cmesh"`).
+        kind: &'static str,
+        /// Offending width.
+        width: u16,
+        /// Offending height.
+        height: u16,
+    },
     /// A concentrated mesh was given a zero concentration factor.
     BadConcentration,
+    /// A synthetic injection rate was negative, NaN or infinite.
+    BadInjectionRate {
+        /// The offending rate as given (`f64` has no `Eq`).
+        rate: String,
+    },
     /// The routing function's turn model admits cycles on the chosen
     /// topology (e.g. a non-dimension-ordered turn model on a torus, whose
     /// wrap links close rings no turn restriction can break).
@@ -137,6 +152,22 @@ impl std::fmt::Display for ConfigError {
                 height,
             } => {
                 write!(f, "{kind} dimensions {width}x{height} are degenerate")
+            }
+            ConfigError::TooManyNodes {
+                kind,
+                width,
+                height,
+            } => {
+                write!(
+                    f,
+                    "{kind} {width}x{height} has {} routers, more than the {} \
+                     a 16-bit node id can name",
+                    u32::from(*width) * u32::from(*height),
+                    u16::MAX
+                )
+            }
+            ConfigError::BadInjectionRate { rate } => {
+                write!(f, "injection rate must be a finite number >= 0, got {rate}")
             }
             ConfigError::BadConcentration => {
                 write!(f, "concentrated mesh needs a concentration factor >= 1")

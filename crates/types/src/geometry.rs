@@ -54,23 +54,45 @@ impl Mesh {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero. Use [`Mesh::try_new`] where a
-    /// typed error is wanted instead (CLI parsing, config validation).
+    /// Panics if either dimension is zero or the mesh has more routers than
+    /// node ids. Use [`Mesh::try_new`] where a typed error is wanted instead
+    /// (CLI parsing, config validation).
     pub fn new(width: u16, height: u16) -> Self {
-        Mesh::try_new(width, height).expect("mesh dimensions must be non-zero")
+        Mesh::try_new(width, height).expect("invalid mesh dimensions")
     }
 
-    /// Creates a `width x height` mesh, rejecting zero dimensions through
-    /// the typed-error path: a `0xN` mesh has no nodes, and every
-    /// coordinate conversion on it would otherwise divide by zero.
+    /// Creates a `width x height` mesh, rejecting unusable dimensions
+    /// through the typed-error path: a `0xN` mesh has no nodes (every
+    /// coordinate conversion on it would divide by zero), and a mesh of
+    /// more than `u16::MAX` routers has more routers than [`NodeId`]s.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::BadTopologyDims`] when either dimension is zero.
+    /// [`ConfigError::BadTopologyDims`] when either dimension is zero,
+    /// [`ConfigError::TooManyNodes`] when `width * height > u16::MAX`.
     pub fn try_new(width: u16, height: u16) -> Result<Self, ConfigError> {
-        if width == 0 || height == 0 {
+        Mesh::checked("mesh", width, height, 1)
+    }
+
+    /// The router grid of a `kind` topology: no dimension below `min_dim`,
+    /// and few enough routers that both every router's id and the router
+    /// count itself fit the `u16` of a [`NodeId`].
+    pub(crate) fn checked(
+        kind: &'static str,
+        width: u16,
+        height: u16,
+        min_dim: u16,
+    ) -> Result<Self, ConfigError> {
+        if width < min_dim || height < min_dim {
             return Err(ConfigError::BadTopologyDims {
-                kind: "mesh",
+                kind,
+                width,
+                height,
+            });
+        }
+        if u32::from(width) * u32::from(height) > u32::from(u16::MAX) {
+            return Err(ConfigError::TooManyNodes {
+                kind,
                 width,
                 height,
             });
@@ -227,6 +249,25 @@ mod tests {
             ));
         }
         assert_eq!(Mesh::try_new(4, 4), Ok(Mesh::new(4, 4)));
+    }
+
+    #[test]
+    fn more_routers_than_node_ids_is_a_typed_error() {
+        // 65 536 routers used to truncate through `nodes() as u16`;
+        // 90 000 wrapped `NodeId` itself.
+        for (w, h) in [(256, 256), (300, 300), (u16::MAX, 2)] {
+            assert_eq!(
+                Mesh::try_new(w, h),
+                Err(ConfigError::TooManyNodes {
+                    kind: "mesh",
+                    width: w,
+                    height: h
+                })
+            );
+        }
+        // The largest grids that still fit.
+        assert_eq!(Mesh::new(255, 257).nodes(), usize::from(u16::MAX));
+        assert_eq!(Mesh::new(u16::MAX, 1).nodes(), usize::from(u16::MAX));
     }
 
     #[test]

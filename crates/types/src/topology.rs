@@ -178,25 +178,21 @@ impl Torus {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is below 2 (a 1-wide ring is a self-loop).
+    /// Panics if either dimension is below 2 (a 1-wide ring is a self-loop)
+    /// or the torus has more routers than node ids.
     pub fn new(width: u16, height: u16) -> Self {
-        Torus::try_new(width, height).expect("torus dimensions must be >= 2")
+        Torus::try_new(width, height).expect("invalid torus dimensions")
     }
 
     /// Creates a `width x height` torus, returning a typed error when a
-    /// dimension is below 2.
+    /// dimension is below 2 or the routers outnumber the node ids.
     ///
     /// # Errors
     ///
-    /// [`ConfigError::BadTopologyDims`] when `width < 2` or `height < 2`.
+    /// [`ConfigError::BadTopologyDims`] when `width < 2` or `height < 2`,
+    /// [`ConfigError::TooManyNodes`] when `width * height > u16::MAX`.
     pub fn try_new(width: u16, height: u16) -> Result<Self, ConfigError> {
-        if width < 2 || height < 2 {
-            return Err(ConfigError::BadTopologyDims {
-                kind: "torus",
-                width,
-                height,
-            });
-        }
+        Mesh::checked("torus", width, height, 2)?;
         Ok(Torus { width, height })
     }
 }
@@ -294,14 +290,11 @@ impl CMesh {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::BadTopologyDims`] on a zero dimension and
+    /// [`ConfigError::BadTopologyDims`] on a zero dimension,
+    /// [`ConfigError::TooManyNodes`] when `width * height > u16::MAX` and
     /// [`ConfigError::BadConcentration`] on a zero concentration factor.
     pub fn try_new(width: u16, height: u16, concentration: u16) -> Result<Self, ConfigError> {
-        let routers = Mesh::try_new(width, height).map_err(|_| ConfigError::BadTopologyDims {
-            kind: "cmesh",
-            width,
-            height,
-        })?;
+        let routers = Mesh::checked("cmesh", width, height, 1)?;
         if concentration == 0 {
             return Err(ConfigError::BadConcentration);
         }
@@ -641,6 +634,30 @@ mod tests {
             Err(ConfigError::BadTopologyDims { kind: "torus", .. })
         ));
         assert!(Torus::try_new(2, 2).is_ok());
+    }
+
+    #[test]
+    fn oversized_torus_and_cmesh_name_themselves_in_the_error() {
+        assert_eq!(
+            Torus::try_new(256, 256),
+            Err(ConfigError::TooManyNodes {
+                kind: "torus",
+                width: 256,
+                height: 256
+            })
+        );
+        assert_eq!(
+            CMesh::try_new(300, 300, 4),
+            Err(ConfigError::TooManyNodes {
+                kind: "cmesh",
+                width: 300,
+                height: 300
+            })
+        );
+        assert!(matches!(
+            CMesh::try_new(0, 4, 4),
+            Err(ConfigError::BadTopologyDims { kind: "cmesh", .. })
+        ));
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Exhaustive BFS over the joint power-FSM / punch-fabric / WU-handshake
 //! state space, with minimal-counterexample extraction.
 //!
-//! States are canonical byte encodings ([`StepOracle::canonical_key`]);
-//! edges are one simulated cycle under one enabled [`FaultChoice`]. BFS
-//! guarantees the first violation found lies at minimal depth, so the
-//! reported counterexample is a shortest one under the fixed choice
-//! enumeration order.
+//! States are canonical byte encodings ([`Network::encode_state`]: all
+//! dynamic state, rebased so that states differing only by a uniform time
+//! shift collide); edges are one simulated cycle of a forked [`Network`]
+//! under one enabled [`FaultChoice`]. The abstraction relied on (argued in
+//! DESIGN.md §14 from the §12 quiescence contract): two networks with equal
+//! encodings produce the same successor encodings and the same property
+//! observations for every sequence of future choices. BFS guarantees the
+//! first violation found lies at minimal depth, so the reported
+//! counterexample is a shortest one under the fixed choice enumeration
+//! order.
 //!
 //! Expanded states are *materialized by path replay* from a single forked
 //! root rather than stored as live clones — the frontier holds only byte
@@ -15,7 +20,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use punchsim_core::StepOracle;
+use punchsim_noc::Network;
 use punchsim_obs::PowerTag;
 use punchsim_types::{Cycle, FaultChoice, NodeId, SimError};
 
@@ -134,7 +139,7 @@ impl Exploration {
 /// Why an exploration could not complete.
 #[derive(Debug)]
 pub enum VerifyError {
-    /// The oracle cannot be fingerprinted or forked (unsupported manager).
+    /// The network cannot be fingerprinted or forked (unsupported manager).
     Unsupported(&'static str),
     /// More distinct states than the configured cap.
     StateCap(usize),
@@ -189,9 +194,9 @@ struct StateRec {
     succs: Vec<usize>,
 }
 
-/// The exhaustive checker over any [`StepOracle`].
-pub struct Checker<O: StepOracle> {
-    root: O,
+/// The exhaustive checker, stepping forks of one root [`Network`].
+pub struct Checker {
+    root: Network,
     faulty: bool,
     max_faults: u32,
     max_states: usize,
@@ -200,15 +205,15 @@ pub struct Checker<O: StepOracle> {
     stick_duration: Cycle,
 }
 
-impl<O: StepOracle> Checker<O> {
+impl Checker {
     /// Builds a checker rooted at `root`'s current state.
     ///
     /// `faulty` enables the per-cycle fault alphabet; `stall_bound` is the
-    /// bounded-stall property's bound (must match the oracle's watchdog
+    /// bounded-stall property's bound (must match the network's watchdog
     /// threshold); `stick_duration` is the bounded stuck-off epoch length
     /// enumerated alongside the unbounded one.
     pub fn new(
-        root: O,
+        root: Network,
         faulty: bool,
         max_faults: u32,
         max_states: usize,
@@ -231,7 +236,7 @@ impl<O: StepOracle> Checker<O> {
     ///
     /// # Errors
     ///
-    /// [`VerifyError::Unsupported`] for an unforkable/unencodable oracle,
+    /// [`VerifyError::Unsupported`] for an unforkable/unencodable network,
     /// the cap errors when exploration outgrows the configured limits, and
     /// [`VerifyError::ReplayDiverged`] if path-replay materialization ever
     /// disagrees with a recorded edge (an internal bug, reported honestly
@@ -239,9 +244,9 @@ impl<O: StepOracle> Checker<O> {
     pub fn run(&self) -> Result<Exploration, VerifyError> {
         let root_key = self
             .root
-            .canonical_key()
+            .encode_state()
             .ok_or(VerifyError::Unsupported("canonical encoding unavailable"))?;
-        if self.root.fork().is_none() {
+        if self.root.try_clone().is_none() {
             return Err(VerifyError::Unsupported("system is not forkable"));
         }
 
@@ -265,14 +270,14 @@ impl<O: StepOracle> Checker<O> {
             for choice in self.enabled_choices(&net, spent) {
                 let now_spent = spent + u32::from(!choice.is_none());
                 let mut succ = net
-                    .fork()
+                    .try_clone()
                     .ok_or(VerifyError::Unsupported("fork failed mid-exploration"))?;
-                match succ.step(choice) {
+                match step(&mut succ, choice) {
                     Ok(false) => continue,
                     Ok(true) => {
                         edges += 1;
                         let key = budgeted(
-                            succ.canonical_key().ok_or(VerifyError::Unsupported(
+                            succ.encode_state().ok_or(VerifyError::Unsupported(
                                 "canonical encoding unavailable mid-exploration",
                             ))?,
                             now_spent,
@@ -318,14 +323,14 @@ impl<O: StepOracle> Checker<O> {
 
     /// Rebuilds the live system for state `target` by replaying its choice
     /// path from a fresh fork of the root.
-    fn materialize(&self, states: &[StateRec], target: usize) -> Result<O, VerifyError> {
+    fn materialize(&self, states: &[StateRec], target: usize) -> Result<Network, VerifyError> {
         let path = path_to(states, target);
         let mut net = self
             .root
-            .fork()
+            .try_clone()
             .ok_or(VerifyError::Unsupported("fork failed mid-exploration"))?;
         for &choice in &path {
-            match net.step(choice) {
+            match step(&mut net, choice) {
                 Ok(true) => {}
                 Ok(false) => {
                     return Err(VerifyError::ReplayDiverged(format!(
@@ -349,24 +354,23 @@ impl<O: StepOracle> Checker<O> {
     /// currently-gated router. Fault choices are enabled only while budget
     /// remains. The order is part of the determinism contract — artifacts
     /// are byte-compared in CI.
-    fn enabled_choices(&self, net: &O, faults_used: u32) -> Vec<FaultChoice> {
+    fn enabled_choices(&self, net: &Network, faults_used: u32) -> Vec<FaultChoice> {
         let mut v = vec![FaultChoice::None];
         if self.faulty && faults_used < self.max_faults {
             v.push(FaultChoice::DropPunch);
             v.push(FaultChoice::DropWu);
-            for r in 0..net.routers() {
-                v.push(FaultChoice::CorruptPunch {
-                    dst: NodeId(r as u16),
-                });
+            let routers = || net.topology().iter_nodes();
+            for dst in routers() {
+                v.push(FaultChoice::CorruptPunch { dst });
             }
-            for r in 0..net.routers() {
-                if net.power_tag(r) == PowerTag::Off {
+            for router in routers() {
+                if net.power_state(router).tag() == PowerTag::Off {
                     v.push(FaultChoice::StickOff {
-                        router: NodeId(r as u16),
+                        router,
                         duration: Some(self.stick_duration),
                     });
                     v.push(FaultChoice::StickOff {
-                        router: NodeId(r as u16),
+                        router,
                         duration: None,
                     });
                 }
@@ -377,7 +381,7 @@ impl<O: StepOracle> Checker<O> {
 
     /// Evaluates the three properties over the explored graph.
     fn evaluate(&self, states: &[StateRec], violations: &[Violation]) -> Vec<PropertyResult> {
-        let routers = self.root.routers();
+        let routers = self.root.topology().nodes();
         // States with at least one violating edge: their trajectories end
         // in a *reported* watchdog event, so reverse-reachability passes
         // treat them as accounted-for rather than silently wedged.
@@ -522,27 +526,45 @@ impl<O: StepOracle> Checker<O> {
     }
 }
 
-/// Extracts the property observations of `net` into a state record.
-fn observe<O: StepOracle>(
-    net: &O,
+/// Arms `choice` for the next cycle, then advances `net` one cycle. Returns
+/// `false` (without stepping) if the network's manager cannot honour the
+/// choice — the checker then skips that edge. A tick error is a property
+/// violation candidate (stall or invariant), surfaced verbatim.
+fn step(net: &mut Network, choice: FaultChoice) -> Result<bool, SimError> {
+    if !choice.is_none() && !net.arm_fault_choice(choice) {
+        return Ok(false);
+    }
+    net.tick()?;
+    Ok(true)
+}
+
+/// Extracts the property observations of `net` into a state record:
+/// `terminal` when every injected packet has fully ejected (the terminal
+/// predicate for no-deadlock and the frame for no-lost-wakeup), the stall
+/// age bounded-stall measures, and per router whether its WU handshake is
+/// asserted and unanswered (no-lost-wakeup's premise) and whether it is on
+/// or waking.
+fn observe(
+    net: &Network,
     parent: Option<(usize, FaultChoice)>,
     depth: u64,
     faults_used: u32,
 ) -> StateRec {
     let mut wu_mask = 0u32;
     let mut awake_mask = 0u32;
-    for r in 0..net.routers().min(32) {
-        if net.wu_pending(r) {
+    for (r, &streak) in net.blocked_streaks().iter().enumerate().take(32) {
+        if streak > 0 {
             wu_mask |= 1 << r;
         }
-        if matches!(net.power_tag(r), PowerTag::On | PowerTag::Waking) {
+        let tag = net.power_state(NodeId(r as u16)).tag();
+        if matches!(tag, PowerTag::On | PowerTag::Waking) {
             awake_mask |= 1 << r;
         }
     }
     StateRec {
         parent,
         depth,
-        terminal: net.delivered_all(),
+        terminal: net.in_flight() == 0,
         stall_age: net.stall_age(),
         wu_mask,
         awake_mask,
@@ -559,12 +581,12 @@ fn budgeted(mut key: Vec<u8>, faults_used: u32) -> Vec<u8> {
 }
 
 /// Classifies a step error into a violation record.
-fn classify<O: StepOracle>(net: &O, state: usize, choice: FaultChoice, e: &SimError) -> Violation {
+fn classify(net: &Network, state: usize, choice: FaultChoice, e: &SimError) -> Violation {
     match e {
         SimError::Stall(report) => {
             let lost = report.oldest_blocked.as_ref().is_some_and(|b| {
                 b.blocked_on
-                    .is_some_and(|r| net.power_tag(r.0 as usize) == PowerTag::Off)
+                    .is_some_and(|r| net.power_state(r).tag() == PowerTag::Off)
             });
             let kind = if lost {
                 ViolationKind::LostWakeup

@@ -46,7 +46,7 @@ pub use checker::{
 pub use replay::{replay, Replay};
 pub use report::{render_report, SCHEMA};
 pub use scenario::{
-    build_network, SuppressWu, VerifyConfig, ESCALATE_AFTER, STALL_BOUND, STICK_DURATION, WARMUP,
+    build_network, VerifyConfig, ESCALATE_AFTER, STALL_BOUND, STICK_DURATION, WARMUP,
 };
 
 /// One completed verification: the exploration plus the rendered artifact.
@@ -132,6 +132,31 @@ mod tests {
         let ce = lost.counterexample.as_ref().expect("counterexample");
         assert!(ce.ends_in_error);
         assert!(!ce.choices.is_empty());
+    }
+
+    /// The disconnected WU input and the armed per-cycle faults live in one
+    /// fault layer: branching over the alphabet on top of the standing
+    /// `DropWu` must still reach the lost wakeup, at the fault-free depth
+    /// (no two faults can reconnect the WU input or wake the path sooner
+    /// than BFS finds the all-`none` trace).
+    #[test]
+    fn broken_and_faulty_in_one_layer_still_finds_the_lost_wakeup() {
+        let broken = VerifyConfig::mesh2x2(SchemeKind::ConvPg).with_broken_manager();
+        let both = broken.with_faults();
+        let alone = run_verification(&broken).unwrap().exploration;
+        let out = run_verification(&both).unwrap().exploration;
+        assert!(out.reachable > alone.reachable, "faults widen the space");
+        let lost = &out.properties[0];
+        assert!(!lost.proved, "{out:?}");
+        let ce = lost.counterexample.as_ref().expect("counterexample");
+        assert_eq!(ce.kind, ViolationKind::LostWakeup);
+        assert!(ce.ends_in_error);
+        assert_eq!(
+            ce.choices.len(),
+            alone.first_counterexample().unwrap().choices.len()
+        );
+        let rep = replay(&both, ce).unwrap();
+        assert!(rep.error.is_some(), "replay must reproduce the stall");
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //! canonical encodings (all absolute cycles rebased to "now") collide.
 
 use punchsim_core::build_power_manager;
-use punchsim_faults::ChoiceInjector;
-use punchsim_noc::{
-    IdleInfo, Message, MsgClass, Network, PgCounters, PmEvent, PowerManager, PowerState,
-};
-use punchsim_obs::{EventSink, Stamped};
+use punchsim_faults::FaultInjector;
+use punchsim_noc::{Message, MsgClass, Network};
+use punchsim_obs::EventSink;
 use punchsim_types::{
     Cycle, FaultChoice, Mesh, NodeId, SchemeKind, SimConfig, SimError, VnetId, WatchdogConfig,
 };
@@ -51,10 +49,14 @@ pub struct VerifyConfig {
     /// assumption — the per-cycle alphabet with an unbounded budget is not
     /// finitely enumerable in useful time even on a 2x2 mesh).
     pub max_faults: u32,
-    /// When `true`, the scheme is wrapped in [`SuppressWu`] (the WU
-    /// safety-net level signal never reaches the manager) and watchdog
-    /// escalation is disabled — the intentionally-broken configuration
-    /// that must yield a minimal counterexample.
+    /// When `true`, the fault layer carries a standing
+    /// [`FaultChoice::DropWu`] — a controller whose WU level-signal input
+    /// is disconnected, so the safety net never reaches the manager — and
+    /// watchdog escalation is disabled: the intentionally-broken
+    /// configuration that must yield a minimal counterexample (under
+    /// conventional gating a sleeping router on the path is never woken and
+    /// the blocked packet stalls forever). Composes with `faulty`: both
+    /// live in the one fault layer.
     pub broken: bool,
     /// Abort exploration beyond this many distinct states.
     pub max_states: usize,
@@ -115,105 +117,6 @@ impl VerifyConfig {
     }
 }
 
-/// A power manager that silently discards every [`PmEvent::BlockedNeed`]
-/// before its inner scheme sees it — modelling a controller whose WU
-/// level-signal input is disconnected. With watchdog escalation also
-/// disabled this is the intentionally-broken configuration the checker
-/// must catch: under conventional gating a sleeping router on the path is
-/// never woken and the blocked packet stalls forever.
-pub struct SuppressWu {
-    inner: Box<dyn PowerManager>,
-    filtered: Vec<PmEvent>,
-}
-
-impl std::fmt::Debug for SuppressWu {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SuppressWu")
-            .field("inner", &self.inner.kind())
-            .finish()
-    }
-}
-
-impl SuppressWu {
-    /// Wraps `inner`, disconnecting its WU input.
-    pub fn new(inner: Box<dyn PowerManager>) -> Self {
-        SuppressWu {
-            inner,
-            filtered: Vec::new(),
-        }
-    }
-}
-
-impl PowerManager for SuppressWu {
-    fn kind(&self) -> SchemeKind {
-        self.inner.kind()
-    }
-
-    fn state(&self, r: NodeId) -> PowerState {
-        self.inner.state(r)
-    }
-
-    fn tick(&mut self, cycle: Cycle, events: &[PmEvent], idle: IdleInfo<'_>) {
-        self.filtered.clear();
-        self.filtered.extend(
-            events
-                .iter()
-                .filter(|e| !matches!(e, PmEvent::BlockedNeed { .. }))
-                .copied(),
-        );
-        self.inner.tick(cycle, &self.filtered, idle);
-    }
-
-    fn force_wake(&mut self, r: NodeId, cycle: Cycle) {
-        self.inner.force_wake(r, cycle);
-    }
-
-    fn pending_punches(&self) -> usize {
-        self.inner.pending_punches()
-    }
-
-    fn counters(&self) -> PgCounters {
-        self.inner.counters()
-    }
-
-    fn reset_counters(&mut self) {
-        self.inner.reset_counters();
-    }
-
-    fn set_tracing(&mut self, enabled: bool) {
-        self.inner.set_tracing(enabled);
-    }
-
-    fn drain_trace(&mut self) -> Vec<Stamped> {
-        self.inner.drain_trace()
-    }
-
-    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        self.inner.next_event_at(now)
-    }
-
-    fn tick_quiet(&mut self, from: Cycle, to: Cycle, idle: IdleInfo<'_>) {
-        self.inner.tick_quiet(from, to, idle);
-    }
-
-    fn clone_boxed(&self) -> Option<Box<dyn PowerManager>> {
-        let inner = self.inner.clone_boxed()?;
-        Some(Box::new(SuppressWu {
-            inner,
-            filtered: Vec::new(),
-        }))
-    }
-
-    fn encode_state(&self, now: Cycle, out: &mut Vec<u8>) -> bool {
-        // The wrapper itself is stateless (`filtered` is per-tick scratch).
-        self.inner.encode_state(now, out)
-    }
-
-    fn arm_choice(&mut self, choice: FaultChoice) -> bool {
-        self.inner.arm_choice(choice)
-    }
-}
-
 /// Builds the scenario network: configured mesh + scheme, tightened
 /// watchdog, strict one-tick-per-cycle stepping, warmup, then the two
 /// corner-to-corner control packets. Returns the fully-armed BFS root.
@@ -230,18 +133,20 @@ pub fn build_network(
     sink: Option<Box<dyn EventSink>>,
 ) -> Result<Network, SimError> {
     let mut sim = SimConfig::with_scheme(cfg.scheme);
-    sim.noc.topology = Mesh::new(cfg.width, cfg.height).into();
+    sim.noc.topology = Mesh::try_new(cfg.width, cfg.height)?.into();
     sim.noc.watchdog = WatchdogConfig {
         stall_threshold: STALL_BOUND,
         invariant_checks: true,
         escalate_after: if cfg.broken { 0 } else { ESCALATE_AFTER },
     };
     let mut pm = build_power_manager(&sim)?;
-    if cfg.broken {
-        pm = Box::new(SuppressWu::new(pm));
-    }
-    if cfg.faulty {
-        pm = Box::new(ChoiceInjector::new(pm, sim.noc.topology));
+    if cfg.broken || cfg.faulty {
+        let standing = if cfg.broken {
+            FaultChoice::DropWu
+        } else {
+            FaultChoice::None
+        };
+        pm = Box::new(FaultInjector::scripted(pm, sim.noc.topology).with_standing(standing));
     }
     let mut net = Network::new(&sim.noc, pm)?;
     for _ in 0..WARMUP {

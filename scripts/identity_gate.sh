@@ -1,0 +1,100 @@
+#!/usr/bin/env sh
+# Byte-identity gate: one table, one row per distinct way of running the
+# simulator, each compared byte for byte against a checked-in baseline or
+# against an earlier row. A row is
+#
+#   label | against | punchsim-cli arguments
+#
+# `campaign` rows get `--out OUT/<label> --no-cache` appended and yield the
+# BENCH_*.json they write; every other row yields its stdout. `@` in the
+# arguments stands for the row's own output directory. `against` is a
+# checked-in `bench/...` file, `=<label>` for an earlier row's artifact, or
+# `-` for a row that only serves as a later row's reference.
+#
+# What the rows pin, and why each must hold:
+#
+#   ci, schemes      The default-substrate `ci` suite and the per-scheme
+#                    `schemes` suite reproduce bench/baseline.json and
+#                    bench/baseline_schemes.json: refactors of the topology
+#                    layer, the scheme registry, the power model or the
+#                    tick kernel are invisible in the results.
+#   ci-observed,     Observation is read-only: per-interval sampling,
+#   ci-metered       flight-recorder dumps and the metric registry hung off
+#                    every run leave the artifact untouched.
+#   substrate-*      The non-default substrates (torus, YX, west-first) are
+#                    byte-stable across fresh recomputes at different
+#                    worker counts.
+#   busy-s*,         Sharding is an execution detail like `--threads`: the
+#   faults-*-s*      busy suite and the seeded `faults` sweep (every shard
+#                    reads the fault injector's masked power states
+#                    straight from the manager) do not change by a byte at
+#                    any `--shards`; the sweep is also pinned to the stdout
+#                    recorded before the seeded and the scripted injector
+#                    were merged, so the seeded fault schedule itself is
+#                    gated.
+#
+# The baselines are defined under PP_FAST=1, so the gate sets it.
+#
+# Usage: scripts/identity_gate.sh [OUT_DIR]
+set -eu
+
+cd "$(dirname "$0")/.."
+
+OUT="${1:-bench-out/identity}"
+PP_FAST=1
+export PP_FAST
+
+cargo build --release -q
+
+CLI=target/release/punchsim-cli
+
+# The artifact row <label> produced.
+artifact() {
+    if [ -f "$OUT/$1/stdout.txt" ]; then
+        echo "$OUT/$1/stdout.txt"
+    else
+        ls "$OUT/$1"/BENCH_*.json | grep -v '\.timing\.json$'
+    fi
+}
+
+while IFS='|' read -r label against args; do
+    label=$(echo $label)
+    against=$(echo $against)
+    case "$label" in '' | '#'*) continue ;; esac
+    dir="$OUT/$label"
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    args=$(echo "$args" | sed "s|@|$dir|g")
+    case "$args" in
+        *campaign*) $CLI $args --out "$dir" --no-cache ;;
+        *) $CLI $args >"$dir/stdout.txt" ;;
+    esac
+    case "$against" in
+        -) continue ;;
+        =*) want=$(artifact "${against#=}") ;;
+        *) want="$against" ;;
+    esac
+    if ! cmp "$want" "$(artifact "$label")"; then
+        echo "identity_gate: $label drifted from $against" >&2
+        exit 1
+    fi
+    echo "identity_gate: $label byte-identical to $against"
+done <<'ROWS'
+ci                | bench/baseline.json         | campaign --suite ci --name ci
+ci-observed       | =ci                         | campaign --suite ci --name ci --sample 1000 --trace-out @/dumps
+ci-metered        | =ci                         | campaign --suite ci --name ci --metrics-out @/campaign.prom
+schemes           | bench/baseline_schemes.json | campaign --suite schemes --name schemes
+substrate-t4      | -                           | campaign --suite substrate --name substrate --threads 4
+substrate-t1      | =substrate-t4               | campaign --suite substrate --name substrate --threads 1
+busy-s1           | -                           | campaign --suite busy --name busy --shards 1
+busy-s2           | =busy-s1                    | campaign --suite busy --name busy --shards 2
+busy-s4           | =busy-s1                    | campaign --suite busy --name busy --shards 4
+faults-ppf-s1     | bench/FAULTS_ppf.txt        | faults --scheme ppf --shards 1
+faults-ppf-s2     | bench/FAULTS_ppf.txt        | faults --scheme ppf --shards 2
+faults-ppf-s4     | bench/FAULTS_ppf.txt        | faults --scheme ppf --shards 4
+faults-convopt-s1 | bench/FAULTS_convopt.txt    | faults --scheme convopt --shards 1
+faults-convopt-s2 | bench/FAULTS_convopt.txt    | faults --scheme convopt --shards 2
+faults-convopt-s4 | bench/FAULTS_convopt.txt    | faults --scheme convopt --shards 4
+ROWS
+
+echo "identity_gate: every row byte-identical"

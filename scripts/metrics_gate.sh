@@ -1,59 +1,47 @@
 #!/usr/bin/env sh
-# Metrics-subsystem gate, in three parts:
+# Metrics-subsystem gate, in two parts (that `--metrics-out` changes no
+# artifact byte is a row of scripts/identity_gate.sh, whose `ci` and
+# `ci-metered` runs this gate reads instead of repeating them):
 #
-#   1. Byte-identity — running the `ci` campaign with --metrics-out (which
-#      forces simulation and hangs the registry off every run) must yield a
-#      BENCH_ci.json byte-identical to the plain run AND to the checked-in
-#      bench/baseline.json. Observation is read-only or it is a bug.
+#   1. Exposition + coverage — the metered campaign wrote an exposition,
+#      `punchsim-cli metrics` exits zero (it self-validates its Prometheus
+#      exposition before printing) and its trailing
+#      `# punchsim_coverage ... ratio=R` line reports the tick-phase
+#      profiler attributing at least MIN_COVERAGE of wall time. Anything
+#      less means a phase boundary lost its mark() call.
 #
-#   2. Exposition + coverage — `punchsim-cli metrics` must exit zero (it
-#      self-validates its Prometheus exposition before printing) and its
-#      trailing `# punchsim_coverage ... ratio=R` line must report the
-#      tick-phase profiler attributing at least MIN_COVERAGE of wall time.
-#      Anything less means a phase boundary lost its mark() call.
+#   2. Overhead — the metered campaign's aggregate cycles/sec stays within
+#      MAX_LOSS of the plain run (default 3%). The disabled path is
+#      compiled out to one branch per phase boundary; the enabled path is
+#      a handful of counter bumps. Neither may grow a hot loop.
 #
-#   3. Overhead — the metrics-on campaign's aggregate cycles/sec must stay
-#      within MAX_LOSS of the metrics-off run (default 3%). The disabled
-#      path is compiled out to one branch per phase boundary; the enabled
-#      path is a handful of counter bumps. Neither may grow a hot loop.
-#
-# Usage: scripts/metrics_gate.sh [OUT_DIR] [MIN_COVERAGE] [MAX_LOSS]
-# Defaults match the CI bench-smoke job. Honors PP_FAST like every other
-# campaign entry point (bench/baseline.json is the ci suite under PP_FAST=1).
+# Usage: scripts/metrics_gate.sh [IDENTITY_OUT_DIR] [MIN_COVERAGE] [MAX_LOSS]
+# IDENTITY_OUT_DIR is the directory scripts/identity_gate.sh wrote to.
+# Defaults match the CI bench-smoke job.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-OUT="${1:-bench-out/metrics}"
+OUT="${1:-bench-out/identity}"
 MIN_COVERAGE="${2:-0.90}"
 MAX_LOSS="${3:-0.97}"
 
+for f in "$OUT/ci/BENCH_ci.timing.json" "$OUT/ci-metered/BENCH_ci.timing.json" \
+    "$OUT/ci-metered/campaign.prom"; do
+    if [ ! -s "$f" ]; then
+        echo "metrics_gate: missing $f — run scripts/identity_gate.sh $OUT first" >&2
+        exit 1
+    fi
+done
+
 cargo build --release -q
-
-target/release/punchsim-cli campaign --suite ci --name ci \
-    --out "$OUT/plain" --no-cache
-target/release/punchsim-cli campaign --suite ci --name ci \
-    --out "$OUT/metered" --no-cache --metrics-out "$OUT/metered/campaign.prom"
-
-if ! cmp "$OUT/plain/BENCH_ci.json" "$OUT/metered/BENCH_ci.json"; then
-    echo "metrics_gate: --metrics-out changed the benchmark artifact" >&2
-    exit 1
-fi
-if ! cmp bench/baseline.json "$OUT/metered/BENCH_ci.json"; then
-    echo "metrics_gate: metered ci artifact drifted from bench/baseline.json" >&2
-    exit 1
-fi
-if [ ! -s "$OUT/metered/campaign.prom" ]; then
-    echo "metrics_gate: campaign --metrics-out wrote no exposition" >&2
-    exit 1
-fi
-echo "metrics_gate: artifacts byte-identical with and without metrics"
 
 # The metrics command validates its own exposition and appends a coverage
 # comment; a non-zero exit or a missing/low ratio both fail the gate.
-target/release/punchsim-cli metrics --metrics-out "$OUT/snapshot.json" \
-    > "$OUT/exposition.prom"
-RATIO=$(grep '^# punchsim_coverage ' "$OUT/exposition.prom" |
+mkdir -p "$OUT/metrics"
+target/release/punchsim-cli metrics --metrics-out "$OUT/metrics/snapshot.json" \
+    > "$OUT/metrics/exposition.prom"
+RATIO=$(grep '^# punchsim_coverage ' "$OUT/metrics/exposition.prom" |
     sed 's/.*ratio=//')
 if [ -z "$RATIO" ]; then
     echo "metrics_gate: no punchsim_coverage line in the exposition" >&2
@@ -73,8 +61,8 @@ awk -v r="$RATIO" -v min="$MIN_COVERAGE" 'BEGIN {
 cps() {
     grep -o '"cycles_per_sec": [0-9.eE+-]*' "$1" | head -1 | awk '{print $2}'
 }
-PLAIN=$(cps "$OUT/plain/BENCH_ci.timing.json")
-METERED=$(cps "$OUT/metered/BENCH_ci.timing.json")
+PLAIN=$(cps "$OUT/ci/BENCH_ci.timing.json")
+METERED=$(cps "$OUT/ci-metered/BENCH_ci.timing.json")
 if [ -z "$PLAIN" ] || [ -z "$METERED" ]; then
     echo "metrics_gate: missing cycles_per_sec in timing sidecars" >&2
     exit 1

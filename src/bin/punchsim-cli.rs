@@ -68,6 +68,7 @@ use punchsim::metrics::validate_exposition;
 use punchsim::obs::{self, EventSink, RingSink, Stamped, VecSink};
 use punchsim::prelude::*;
 use punchsim::stats::Table;
+use punchsim::traffic::InjectionConfig;
 
 /// Default flight-recorder capacity for `faults`/`campaign` dumps when
 /// `--trace-cap` is not given.
@@ -165,7 +166,7 @@ const SUITES: &[Suite] = &[
     (
         "schemes",
         campaign::schemes_suite,
-        "one run per pre-registry scheme (the no_drift.sh baseline)",
+        "one run per pre-registry scheme (the identity_gate.sh baseline)",
     ),
 ];
 
@@ -410,6 +411,9 @@ impl Opts {
                 }
                 "--rate" => {
                     o.rate = val.parse().map_err(|_| "bad rate".to_string())?;
+                    InjectionConfig::at_rate(o.rate)
+                        .validate()
+                        .map_err(|e| e.to_string())?;
                 }
                 "--cycles" => {
                     o.cycles = val.parse().map_err(|_| "bad cycle count".to_string())?;
@@ -1611,6 +1615,17 @@ mod tests {
         assert!(parse(&["--mesh", "8by8"]).is_err());
         assert!(parse(&["--mesh"]).is_err());
         assert!(parse(&["--rate", "fast"]).is_err());
+        for rate in ["nan", "-1", "inf", "-inf"] {
+            let err = parse(&["--rate", rate]).err().expect("rejected");
+            assert!(err.contains("finite number >= 0"), "{rate}: {err}");
+        }
+        for mesh in ["256x256", "300x300"] {
+            let err = parse(&["--mesh", mesh]).err().expect("rejected");
+            assert!(
+                err.contains("routers, more than the 65535"),
+                "{mesh}: {err}"
+            );
+        }
         assert!(parse(&["--wormhole", "1"]).is_err());
         assert!(parse(&["--benchmark", "doom"]).is_err());
         assert!(parse(&["--faults", "1.5"]).is_err());

@@ -126,3 +126,31 @@ fn shards_reach_the_network_and_change_no_output() {
     assert_eq!(pooled_ticks(&[]), 0);
     assert!(pooled_ticks(&["--shards", "2"]) > 0);
 }
+
+/// A mesh with more routers than node ids used to panic (`mid > len` in
+/// the SoA shard split once 65 536 truncated through `as u16`; 300x300
+/// wrapped `NodeId`), and `--rate nan|-1` hit an `assert!` in the traffic
+/// harness while `inf` ran and printed `inf` rows. All five are one-line
+/// typed errors on every simulating subcommand.
+#[test]
+fn oversized_meshes_and_unusable_rates_are_typed_errors_never_panics() {
+    for (flag, value, needle) in [
+        ("--mesh", "256x256", "256x256 has 65536 routers"),
+        ("--mesh", "300x300", "300x300 has 90000 routers"),
+        ("--rate", "nan", "finite number >= 0, got NaN"),
+        ("--rate", "-1", "finite number >= 0, got -1"),
+        ("--rate", "inf", "finite number >= 0, got inf"),
+    ] {
+        for sub in ["sweep", "schemes", "faults", "trace", "metrics", "parsec"] {
+            let out = cli(&[sub, flag, value], &[]);
+            let err = stderr(&out);
+            assert!(!out.status.success(), "{sub} {flag} {value} must fail");
+            assert!(!err.contains("panicked"), "{sub} {flag} {value}: {err}");
+            let first = err.lines().next().unwrap_or_default();
+            assert!(
+                first.starts_with("error: ") && first.contains(needle),
+                "{sub} {flag} {value}: {err}"
+            );
+        }
+    }
+}

@@ -1,13 +1,13 @@
 //! Watchdog escalation accounting under a *scripted* fault schedule.
 //!
 //! The probabilistic fault tests assert `escalations > 0`; these pin the
-//! count exactly. The [`ChoiceInjector`] applies per-cycle fault choices
-//! deterministically, so the number of times a blocked-WU streak reaches
-//! `escalate_after` — and therefore `PgCounters::escalations` — is fully
-//! determined by the script.
+//! count exactly. A scripted [`FaultInjector`] applies per-cycle fault
+//! choices deterministically, so the number of times a blocked-WU streak
+//! reaches `escalate_after` — and therefore `PgCounters::escalations` — is
+//! fully determined by the script.
 
 use punchsim::core::ConvPgManager;
-use punchsim::faults::ChoiceInjector;
+use punchsim::faults::FaultInjector;
 use punchsim::noc::{Message, MsgClass, Network};
 use punchsim::types::{
     Cycle, FaultChoice, Mesh, NodeId, SchemeKind, SimConfig, VnetId, WatchdogConfig,
@@ -25,7 +25,7 @@ fn scripted_episode(escalate_after: Cycle, episodes: &[(u16, u16, FaultChoice)])
         escalate_after,
     };
     let base = ConvPgManager::new(cfg.noc.view(), &cfg.power, false);
-    let pm = ChoiceInjector::new(Box::new(base), cfg.noc.topology);
+    let pm = FaultInjector::scripted(Box::new(base), cfg.noc.topology);
     let mut net = Network::new(&cfg.noc, Box::new(pm)).expect("valid config");
     for &(src, dst, choice) in episodes {
         // Let every router fall asleep (idle_timeout is 4) so the stick
