@@ -34,6 +34,8 @@ pub mod gating;
 mod gating_reference;
 pub mod manager;
 pub mod punch;
+#[cfg(test)]
+mod punch_reference;
 pub mod registry;
 pub mod rivals;
 

@@ -667,6 +667,44 @@ mod tests {
         assert_eq!(m.next_event_at(11), Some(11));
     }
 
+    /// The fabric's worklist plane is derived state: a fork taken mid-flight
+    /// (what `verify::Checker` does through `Network::try_clone`) must
+    /// carry it, and a counter reset must not strand punches on the wires.
+    #[test]
+    fn mid_flight_clone_and_counter_reset_keep_punches_moving() {
+        let idle = all_idle(64);
+        let mut orig = PowerPunchManager::new(Mesh::new(8, 8), &power(), 4, false);
+        sleep_all(&mut orig, 64, 0, 10);
+        // Three punches queued on one router/direction, the last one
+        // turning south at R28: after two ticks a wire is live, a relay is
+        // re-armed and a generation is still queued.
+        let heads = [(26, 31), (26, 28), (26, 44)].map(|(r, d)| PmEvent::HeadArrival {
+            router: NodeId(r),
+            dst: NodeId(d),
+        });
+        orig.tick(10, &heads, IdleInfo { idle: &idle });
+        orig.tick(11, &[], IdleInfo { idle: &idle });
+        assert!(orig.pending_punches() > 1);
+        let mut fork = orig.clone_boxed().expect("ppf forks");
+        orig.reset_counters();
+        fork.reset_counters();
+        for c in 12..62 {
+            orig.tick(c, &[], IdleInfo { idle: &idle });
+            fork.tick(c, &[], IdleInfo { idle: &idle });
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            assert!(orig.encode_state(c + 1, &mut a) && fork.encode_state(c + 1, &mut b));
+            assert_eq!(a, b, "cycle {c}");
+            assert_eq!(orig.counters(), fork.counters(), "cycle {c}");
+        }
+        // Every punch was delivered after the reset: the sideband drained
+        // and the far targets (R29 three hops east, R36 after the turn)
+        // were woken by it.
+        assert_eq!(orig.pending_punches(), 0);
+        let woken = orig.counters().wake_events;
+        assert!(woken[29] == 1 && woken[36] == 1, "{woken:?}");
+        assert!(orig.counters().punch_hops > 0);
+    }
+
     #[test]
     fn scheme_kinds_are_reported() {
         let mesh = Mesh::new(4, 4);

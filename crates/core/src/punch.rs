@@ -9,6 +9,9 @@
 //! with 5-bit/2-bit wires. This module carries the *sets*; the codeword
 //! assignment lives in [`crate::codebook`].
 
+use std::collections::VecDeque;
+
+use punchsim_noc::BitWords;
 use punchsim_types::{Direction, NodeId, RouteView};
 
 /// Maximum distinct targets a single punch signal can carry after
@@ -119,6 +122,19 @@ impl std::fmt::Display for PunchSet {
 /// encoder can only express codebook sets), then forwards each target along
 /// its route. Every router a set arrives at is *notified*: the power
 /// manager wakes it if off and defers its sleep timer.
+///
+/// # Worklist invariants
+///
+/// A tick visits only the set bits of the `active` plane, so it costs
+/// O(routers touched by a punch), not O(mesh). Between ticks:
+///
+/// - `active` bit `r` is set iff router `r` has a non-empty `arriving`
+///   wire or a non-empty `gen_queues` entry;
+/// - `next` (the plane a tick builds for the following cycle) and
+///   `scratch` are all-clear;
+/// - bits are visited ascending, so notify order, merge order and
+///   `hops_sent_at` are exactly those of a `0..n` sweep (kept as the test
+///   oracle in `punch_reference.rs`).
 #[derive(Debug, Clone)]
 pub struct PunchFabric {
     view: RouteView,
@@ -129,10 +145,13 @@ pub struct PunchFabric {
     /// tick allocates nothing. Always all-empty between ticks.
     scratch: Vec<[PunchSet; 4]>,
     /// Pending locally generated targets per router and output direction.
-    gen_queues: Vec<[Vec<NodeId>; 4]>,
+    gen_queues: Vec<[VecDeque<NodeId>; 4]>,
+    /// The worklist plane: one bit per router.
+    active: BitWords,
+    /// Double buffer for `active`.
+    next: BitWords,
     /// Exact count of non-empty `arriving` sets, maintained incrementally so
-    /// an idle fabric's tick is an O(1) early return and `is_idle`/`pending`
-    /// never rescan the mesh.
+    /// `is_idle`/`pending` never rescan the mesh.
     wires_live: usize,
     /// Exact count of queued local generations (same purpose).
     gens_queued: usize,
@@ -142,6 +161,9 @@ pub struct PunchFabric {
     /// traversals departing router `r` (sums to `hops_sent`). A
     /// statistic like `hops_sent`, excluded from `encode_state`.
     pub hops_sent_at: Vec<u64>,
+    /// Routers visited by `tick`: pins the cost model without a clock.
+    #[cfg(test)]
+    pub(crate) visits: u64,
 }
 
 impl PunchFabric {
@@ -156,10 +178,14 @@ impl PunchFabric {
             arriving: vec![[PunchSet::new(); 4]; n],
             scratch: vec![[PunchSet::new(); 4]; n],
             gen_queues: vec![Default::default(); n],
+            active: BitWords::new(n),
+            next: BitWords::new(n),
             wires_live: 0,
             gens_queued: 0,
             hops_sent: 0,
             hops_sent_at: vec![0; n],
+            #[cfg(test)]
+            visits: 0,
         }
     }
 
@@ -173,7 +199,8 @@ impl PunchFabric {
     /// target order — merge order within a cycle is not semantic) and the
     /// queued locally-generated targets per output direction. `hops_sent`
     /// is a statistic (monotone) and excluded; `scratch` is empty between
-    /// ticks; `wires_live`/`gens_queued` are derived counts.
+    /// ticks; `wires_live`/`gens_queued` and the worklist planes are derived
+    /// (`Clone` carries them).
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         use punchsim_noc::snapshot::{put_u16, put_u8};
         for wires in &self.arriving {
@@ -210,69 +237,38 @@ impl PunchFabric {
             .view
             .direction(router, target)
             .expect("target != router by construction");
-        self.gen_queues[router.index()][dir.index()].push(target);
+        self.gen_queues[router.index()][dir.index()].push_back(target);
         self.gens_queued += 1;
+        self.active.set(router.index());
         Some(target)
     }
 
     /// Advances the fabric one cycle. Calls `notify(router)` for every
     /// router that receives a punch arrival (targeted *or* en route — both
-    /// must stay awake or wake up).
+    /// must stay awake or wake up), in ascending router order.
+    ///
+    /// Cost: O(routers holding an arrival or a queued generation).
     pub fn tick(&mut self, mut notify: impl FnMut(NodeId)) {
         if self.wires_live == 0 && self.gens_queued == 0 {
             return; // idle fabric: nothing can arrive, nothing to relay
         }
-        let n = self.view.topo.nodes();
         let mut live = 0usize;
-        for idx in 0..n {
-            let here = NodeId(idx as u16);
-            // Collect arrivals; any non-empty arrival notifies this router.
-            let mut outgoing = [PunchSet::new(); 4];
-            let mut any_arrival = false;
-            for d in 0..4 {
-                let set = std::mem::take(&mut self.arriving[idx][d]);
-                if set.is_empty() {
-                    continue;
-                }
-                any_arrival = true;
-                for &t in set.targets() {
-                    if t == here {
-                        continue; // final target reached; consumed
-                    }
-                    let dir = self.view.direction(here, t).expect("t != here");
-                    outgoing[dir.index()].insert_normalized(self.view, here, t);
-                }
-            }
-            // Local generations also notify (they wake the local router when
-            // it is the first hop of an injection punch).
-            for (d, out) in outgoing.iter_mut().enumerate() {
-                if let Some(t) = self.pop_gen(idx, d) {
-                    any_arrival = true;
-                    out.insert_normalized(self.view, here, t);
-                }
-            }
-            if any_arrival {
-                notify(here);
-            }
-            // Ship each non-empty outgoing set one hop.
-            for (d, set) in outgoing.into_iter().enumerate() {
-                if set.is_empty() {
-                    continue;
-                }
-                let dir = Direction::ALL[d];
-                let Some(nb) = self.view.topo.neighbor(here, dir) else {
-                    debug_assert!(false, "punch target routed off the substrate");
-                    continue;
-                };
-                self.hops_sent += 1;
-                self.hops_sent_at[idx] += 1;
-                live += 1;
-                self.scratch[nb.index()][dir.opposite().index()] = set;
+        for w in 0..self.active.words().len() {
+            // Ships only ever mark `next`, so this word is the cycle's
+            // complete visit list for routers `64w..64w+64`.
+            let mut word = self.active.words()[w];
+            while word != 0 {
+                let idx = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                live += self.relay(idx, &mut notify);
             }
         }
         // `arriving` is all-empty after the take() sweep above, so the two
-        // buffers swap roles with no clearing pass.
+        // buffers swap roles with no clearing pass; the planes need one of
+        // a word per 64 routers.
         std::mem::swap(&mut self.arriving, &mut self.scratch);
+        self.active.clear_all();
+        std::mem::swap(&mut self.active, &mut self.next);
         self.wires_live = live;
         debug_assert!(self
             .scratch
@@ -280,16 +276,74 @@ impl PunchFabric {
             .all(|a| a.iter().all(PunchSet::is_empty)));
     }
 
+    /// One router's share of a tick: merge arrivals with at most one local
+    /// generation per output, notify, ship each merged set one hop, mark
+    /// who must be visited next cycle. Returns the number of sets shipped.
+    fn relay(&mut self, idx: usize, notify: &mut impl FnMut(NodeId)) -> usize {
+        #[cfg(test)]
+        {
+            self.visits += 1;
+        }
+        let here = NodeId(idx as u16);
+        // Collect arrivals; any non-empty arrival notifies this router.
+        let mut outgoing = [PunchSet::new(); 4];
+        let mut any_arrival = false;
+        for d in 0..4 {
+            let set = std::mem::take(&mut self.arriving[idx][d]);
+            if set.is_empty() {
+                continue;
+            }
+            any_arrival = true;
+            for &t in set.targets() {
+                if t == here {
+                    continue; // final target reached; consumed
+                }
+                let dir = self.view.direction(here, t).expect("t != here");
+                outgoing[dir.index()].insert_normalized(self.view, here, t);
+            }
+        }
+        // Local generations also notify (they wake the local router when
+        // it is the first hop of an injection punch).
+        for (d, out) in outgoing.iter_mut().enumerate() {
+            if let Some(t) = self.pop_gen(idx, d) {
+                any_arrival = true;
+                out.insert_normalized(self.view, here, t);
+            }
+        }
+        if any_arrival {
+            notify(here);
+        }
+        // Generations still queued behind this cycle's one-per-output pop
+        // re-arm the router.
+        if self.gen_queues[idx].iter().any(|q| !q.is_empty()) {
+            self.next.set(idx);
+        }
+        // Ship each non-empty outgoing set one hop.
+        let mut shipped = 0;
+        for (d, set) in outgoing.into_iter().enumerate() {
+            if set.is_empty() {
+                continue;
+            }
+            let dir = Direction::ALL[d];
+            let Some(nb) = self.view.topo.neighbor(here, dir) else {
+                debug_assert!(false, "punch target routed off the substrate");
+                continue;
+            };
+            self.hops_sent += 1;
+            self.hops_sent_at[idx] += 1;
+            shipped += 1;
+            self.scratch[nb.index()][dir.opposite().index()] = set;
+            self.next.set(nb.index());
+        }
+        shipped
+    }
+
     /// Pops the next queued local generation for output `d` of router `idx`,
     /// skipping targets that merge into already-forwarded sets for free.
     fn pop_gen(&mut self, idx: usize, d: usize) -> Option<NodeId> {
-        let q = &mut self.gen_queues[idx][d];
-        if q.is_empty() {
-            None
-        } else {
-            self.gens_queued -= 1;
-            Some(q.remove(0))
-        }
+        let t = self.gen_queues[idx][d].pop_front()?;
+        self.gens_queued -= 1;
+        Some(t)
     }
 
     /// In-flight punch sets as `(link_source, direction, set)` — the set is
@@ -333,8 +387,16 @@ impl PunchFabric {
             self.gen_queues
                 .iter()
                 .flat_map(|g| g.iter())
-                .map(Vec::len)
+                .map(VecDeque::len)
                 .sum::<usize>()
+        );
+        debug_assert!(
+            (0..self.arriving.len()).all(|r| {
+                self.active.get(r)
+                    == (self.arriving[r].iter().any(|s| !s.is_empty())
+                        || self.gen_queues[r].iter().any(|q| !q.is_empty()))
+            }) && self.next.none_set(),
+            "worklist plane out of step with arriving + gen_queues"
         );
         self.wires_live + self.gens_queued
     }

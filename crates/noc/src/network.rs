@@ -24,7 +24,7 @@ use crate::ni::Ni;
 use crate::pool::{Job, ShardPool};
 use crate::power::{IdleInfo, PmEvent, PowerManager, PowerState};
 use crate::router::{Router, RouterActivity};
-use crate::soa::{self, PmAvail, ShardBuf, ShardView, SoaState, TickCtx};
+use crate::soa::{self, BitWords, PmAvail, ShardBuf, ShardView, SoaState, TickCtx};
 use crate::stats::{NetStats, NetworkReport};
 use crate::vc::VcLayout;
 
@@ -177,11 +177,12 @@ pub struct Network {
     /// Reusable per-tick idleness scratch (steady-state tick allocates
     /// nothing).
     idle_scratch: Vec<bool>,
-    /// Reusable per-tick scratch for the escalation streak scan.
-    seen_scratch: Vec<bool>,
-    /// `true` while any `blocked_streak` entry is non-zero, so the common
-    /// no-blocked-wakeups cycle skips the escalation scan entirely.
-    any_streak: bool,
+    /// Routers named by a `BlockedNeed` this cycle (all-clear between
+    /// ticks): the escalation scan's per-tick scratch.
+    seen_scratch: BitWords,
+    /// Bit `r` set iff `blocked_streak[r]` is non-zero, so the escalation
+    /// scan visits streaking routers only, and none on the common cycle.
+    streaking: BitWords,
     /// Tick-phase wall-time profiler (`None` = profiling disabled: like
     /// `sink`, the only cost on hot paths is one branch per phase
     /// boundary). Wall-clock data never feeds back into simulation state
@@ -281,8 +282,8 @@ impl Network {
             soa: SoaState::new(n),
             shard_bufs: Vec::new(),
             idle_scratch: Vec::with_capacity(n),
-            seen_scratch: Vec::with_capacity(n),
-            any_streak: false,
+            seen_scratch: BitWords::new(n),
+            streaking: BitWords::new(n),
             profiler: None,
             spawn_count: 0,
             spawn_nanos: 0,
@@ -699,8 +700,8 @@ impl Network {
             soa: self.soa.clone(),
             shard_bufs: Vec::new(),
             idle_scratch: Vec::with_capacity(self.routers.len()),
-            seen_scratch: Vec::with_capacity(self.routers.len()),
-            any_streak: self.any_streak,
+            seen_scratch: BitWords::new(self.routers.len()),
+            streaking: self.streaking.clone(),
             // Like the sink, profiling state does not clone: forks explore
             // state space, they are not wall-time subjects.
             profiler: None,
@@ -1220,16 +1221,18 @@ impl Network {
     /// all clear — exactly the oracle's per-router struct predicate.
     fn power_tick_soa(&mut self, now: Cycle) {
         self.idle_scratch.clear();
-        let n = self.routers.len();
-        if self.packets.is_empty() {
-            self.idle_scratch.resize(n, true);
-        } else {
+        self.idle_scratch.resize(self.routers.len(), true);
+        if !self.packets.is_empty() {
             let occ = self.soa.occ.words();
             let flit = self.soa.flit_pend.words();
             let mid = self.soa.ni_mid.words();
-            self.idle_scratch.extend(
-                (0..n).map(|i| (occ[i / 64] | flit[i / 64] | mid[i / 64]) >> (i % 64) & 1 == 0),
-            );
+            for (w, chunk) in self.idle_scratch.chunks_mut(64).enumerate() {
+                let mut busy = occ[w] | flit[w] | mid[w];
+                while busy != 0 {
+                    chunk[busy.trailing_zeros() as usize] = false;
+                    busy &= busy - 1;
+                }
+            }
         }
         self.power_tick_finish(now);
     }
@@ -1496,43 +1499,49 @@ impl Network {
     /// [`WatchdogConfig::escalate_after`] consecutive cycles. Runs before
     /// `power_tick` so the streak scan sees this cycle's events.
     fn watchdog_escalate(&mut self, now: Cycle) {
+        for ev in &self.events {
+            if let PmEvent::BlockedNeed { router } = ev {
+                self.seen_scratch.set(router.index());
+            }
+        }
         // Common cycle: no blocked wakeups now and none outstanding — the
         // whole streak scan is a no-op.
-        if self.events.is_empty() && !self.any_streak {
+        if self.seen_scratch.none_set() && self.streaking.none_set() {
             return;
         }
         let after = self.cfg.watchdog.escalate_after;
-        let n = self.blocked_streak.len();
-        // A bitset would be overkill: meshes are <= a few hundred routers.
-        self.seen_scratch.clear();
-        self.seen_scratch.resize(n, false);
-        for ev in &self.events {
-            if let PmEvent::BlockedNeed { router } = ev {
-                self.seen_scratch[router.index()] = true;
-            }
-        }
-        let mut any = false;
-        for idx in 0..n {
-            if !self.seen_scratch[idx] {
-                self.blocked_streak[idx] = 0;
-                continue;
-            }
-            self.blocked_streak[idx] += 1;
-            if after > 0 && self.blocked_streak[idx] >= after {
-                self.pm.force_wake(NodeId(idx as u16), now);
-                if let Some(s) = self.sink.as_mut() {
-                    s.record(
-                        now,
-                        &Event::ForceWake {
-                            router: NodeId(idx as u16),
-                        },
-                    );
+        // Only routers named this cycle or carrying a streak can change;
+        // ascending order keeps force-wakes in router-index order.
+        for w in 0..self.streaking.words().len() {
+            let seen = self.seen_scratch.words()[w];
+            let mut visit = seen | self.streaking.words()[w];
+            while visit != 0 {
+                let bit = visit.trailing_zeros() as usize;
+                let idx = w * 64 + bit;
+                visit &= visit - 1;
+                if seen >> bit & 1 == 0 {
+                    self.blocked_streak[idx] = 0;
+                    self.streaking.clear(idx);
+                    continue;
                 }
-                self.blocked_streak[idx] = 0;
+                self.blocked_streak[idx] += 1;
+                self.streaking.set(idx);
+                if after > 0 && self.blocked_streak[idx] >= after {
+                    self.pm.force_wake(NodeId(idx as u16), now);
+                    if let Some(s) = self.sink.as_mut() {
+                        s.record(
+                            now,
+                            &Event::ForceWake {
+                                router: NodeId(idx as u16),
+                            },
+                        );
+                    }
+                    self.blocked_streak[idx] = 0;
+                    self.streaking.clear(idx);
+                }
             }
-            any |= self.blocked_streak[idx] > 0;
         }
-        self.any_streak = any;
+        self.seen_scratch.clear_all();
     }
 
     /// End-of-tick invariant and progress checks.
@@ -1862,6 +1871,70 @@ mod tests {
         }
         // Deliberately does NOT implement force_wake: escalation has no
         // effect, so only the stall watchdog can surface the wedge.
+    }
+
+    /// The event-driven escalation scan against the full `0..n` scan it
+    /// replaced, restated here as the spec: equal streaks every cycle and
+    /// equal force-wake order, on a mesh spanning three bitset words.
+    #[test]
+    fn escalation_scan_matches_the_full_scan_spec() {
+        use punchsim_types::SimRng;
+        let after = 3;
+        let cfg = NocConfig {
+            topology: punchsim_types::Mesh::new(12, 12).into(),
+            watchdog: punchsim_types::WatchdogConfig {
+                escalate_after: after,
+                ..NocConfig::default().watchdog
+            },
+            ..NocConfig::default()
+        };
+        let mut n = Network::new(&cfg, Box::new(AlwaysOn::new(144))).unwrap();
+        n.set_sink(Box::new(punchsim_obs::VecSink::new()));
+        let mut rng = SimRng::seed_from_u64(0xE5CA);
+        let mut spec = vec![0 as Cycle; 144];
+        let mut spec_woken = Vec::new();
+        // A few routers blocked for runs of cycles (so streaks build up,
+        // escalate and reset), unrelated events, and fully quiet cycles.
+        let mut blocked: Vec<(u16, u64)> = Vec::new();
+        for now in 0..600 {
+            blocked.retain(|&(_, until)| until > now);
+            if rng.random_bool_ppm(150_000) {
+                blocked.push((rng.random_range(0..144), now + rng.random_range(1..9u64)));
+            }
+            n.events.push(PmEvent::HeadArrival {
+                router: NodeId(rng.random_range(0..144)),
+                dst: NodeId(0),
+            });
+            for &(r, _) in &blocked {
+                n.events.push(PmEvent::BlockedNeed { router: NodeId(r) });
+            }
+            for (idx, streak) in spec.iter_mut().enumerate() {
+                if !blocked.iter().any(|&(r, _)| r as usize == idx) {
+                    *streak = 0;
+                    continue;
+                }
+                *streak += 1;
+                if *streak >= after {
+                    spec_woken.push((now, idx as u16));
+                    *streak = 0;
+                }
+            }
+            n.watchdog_escalate(now);
+            n.events.clear();
+            assert_eq!(n.blocked_streaks(), &spec[..], "cycle {now}");
+        }
+        let woken: Vec<(Cycle, u16)> = n
+            .take_sink()
+            .expect("attached above")
+            .snapshot()
+            .iter()
+            .filter_map(|s| match s.event {
+                Event::ForceWake { router } => Some((s.cycle, router.0)),
+                _ => None,
+            })
+            .collect();
+        assert!(woken.len() > 10, "trace too thin: {woken:?}");
+        assert_eq!(woken, spec_woken);
     }
 
     #[test]
