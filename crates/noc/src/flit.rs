@@ -87,7 +87,7 @@ impl FlitKind {
 /// paper): the output port a flit will request at router `i` is computed at
 /// router `i-1` (or at the NI for the first hop), so route computation never
 /// occupies a pipeline stage.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Packet this flit belongs to.
     pub packet: PacketId,

@@ -19,12 +19,15 @@ use punchsim_types::{
 };
 
 use crate::flit::{Flit, Message, MsgClass, PacketMeta};
-use crate::link::Pipe;
+use crate::link::Wheel;
 use crate::ni::Ni;
 use crate::pool::{Job, ShardPool};
 use crate::power::{IdleInfo, PmEvent, PowerManager, PowerState};
 use crate::router::{Router, RouterActivity};
-use crate::soa::{self, BitWords, PmAvail, ShardBuf, ShardView, SoaState, TickCtx};
+use crate::soa::{
+    self, BitWords, PmAvail, ShardBuf, ShardView, SoaState, TickCtx, CREDIT_LANES, FLIT_LANES,
+    NI_CREDIT_LANE,
+};
 use crate::stats::{NetStats, NetworkReport};
 use crate::vc::VcLayout;
 
@@ -112,14 +115,16 @@ pub struct Network {
     cycle: Cycle,
     routers: Vec<Router>,
     nis: Vec<Ni>,
-    /// Flit pipes into router `n`, per input port (`Local` = from its NI).
-    flit_in: Vec<PortMap<Pipe<Flit>>>,
-    /// Credit pipes into router `n`, per *output* port.
-    credit_in: Vec<PortMap<Pipe<usize>>>,
-    /// Credit pipes into NI `n` (for the local input port of its router).
-    ni_credit_in: Vec<Pipe<usize>>,
-    /// Ejected-flit pipes into NI `n`.
-    eject_in: Vec<Pipe<Flit>>,
+    /// Flits in flight into each router, one lane per input port
+    /// (`Local` = from its NI).
+    flits: Wheel<Flit>,
+    /// Credits (downstream VC indices) in flight into each router, one
+    /// lane per *output* port, plus the lane into its NI (for the local
+    /// input port). The only wheel that can hold anything across a
+    /// fast-forward, so the only one ever swept late.
+    credits: Wheel<u8>,
+    /// Ejected flits in flight into each NI.
+    ejects: Wheel<Flit>,
     packets: HashMap<u64, PacketMeta>,
     next_packet: u64,
     pm: Box<dyn PowerManager>,
@@ -139,9 +144,6 @@ pub struct Network {
     power_shadow: Vec<PowerTag>,
     /// Cycle each currently-off router went off at (BET epoch tracking).
     off_since: Vec<Cycle>,
-    /// Credits currently inside credit pipes (all kinds), so the per-cycle
-    /// credit sweep can skip entirely when none are in flight.
-    credits_in_flight: u64,
     // --- watchdog state (lifetime of the network, never reset) ---
     /// Flits accepted by `send` since construction.
     conserv_injected: u64,
@@ -172,7 +174,7 @@ pub struct Network {
     soa: SoaState,
     /// Per-shard phase-A outcome buffers (reused: a steady-state tick
     /// allocates nothing with one shard, and only its `shards - 1`-element
-    /// task list with more).
+    /// task list with more — pinned by `tests/tick_allocations.rs`).
     shard_bufs: Vec<ShardBuf>,
     /// Reusable per-tick idleness scratch (steady-state tick allocates
     /// nothing).
@@ -230,6 +232,10 @@ impl Network {
         let topo = view.topo;
         let layout = VcLayout::new(cfg);
         let n = topo.nodes();
+        // A flit granted SA travels `2 + link` cycles, the longest any
+        // item does; one plane more than that keeps the plane being swept
+        // apart from every plane the same tick's commit schedules into.
+        let period = cfg.link_latency as usize + 3;
         let routers = topo
             .iter_nodes()
             .map(|id| {
@@ -250,10 +256,9 @@ impl Network {
             cycle: 0,
             routers,
             nis,
-            flit_in: (0..n).map(|_| PortMap::from_fn(|_| Pipe::new())).collect(),
-            credit_in: (0..n).map(|_| PortMap::from_fn(|_| Pipe::new())).collect(),
-            ni_credit_in: (0..n).map(|_| Pipe::new()).collect(),
-            eject_in: (0..n).map(|_| Pipe::new()).collect(),
+            flits: Wheel::new(n, FLIT_LANES, period),
+            credits: Wheel::new(n, CREDIT_LANES, period),
+            ejects: Wheel::new(n, 1, period),
             packets: HashMap::new(),
             next_packet: 0,
             pm,
@@ -267,7 +272,6 @@ impl Network {
             sink: None,
             power_shadow: Vec::new(),
             off_since: Vec::new(),
-            credits_in_flight: 0,
             conserv_injected: 0,
             conserv_delivered: 0,
             conserv_in_flight: 0,
@@ -668,10 +672,9 @@ impl Network {
             cycle: self.cycle,
             routers: self.routers.clone(),
             nis: self.nis.clone(),
-            flit_in: self.flit_in.clone(),
-            credit_in: self.credit_in.clone(),
-            ni_credit_in: self.ni_credit_in.clone(),
-            eject_in: self.eject_in.clone(),
+            flits: self.flits.clone(),
+            credits: self.credits.clone(),
+            ejects: self.ejects.clone(),
             packets: self.packets.clone(),
             next_packet: self.next_packet,
             pm,
@@ -685,7 +688,6 @@ impl Network {
             sink: None,
             power_shadow: self.power_shadow.clone(),
             off_since: self.off_since.clone(),
-            credits_in_flight: self.credits_in_flight,
             conserv_injected: self.conserv_injected,
             conserv_delivered: self.conserv_delivered,
             conserv_in_flight: self.conserv_in_flight,
@@ -722,8 +724,8 @@ impl Network {
     /// power manager does not support state encoding.
     ///
     /// Two networks with equal encodings behave identically from here on
-    /// (up to a uniform time shift): routers, NIs, every in-flight item in
-    /// every pipe (delivery cycles rebased), the in-flight packet-id set,
+    /// (up to a uniform time shift): routers, NIs, every in-flight item on
+    /// every wire (delivery cycles rebased), the in-flight packet-id set,
     /// pending power-manager events, the watchdog's blocked-WU streaks and
     /// stall age, and the power manager's own state. Statistics, the
     /// delivered-message outbox and the conservation totals are excluded —
@@ -738,38 +740,14 @@ impl Network {
         for ni in &self.nis {
             ni.encode_state(now, &mut out);
         }
-        for ports in &self.flit_in {
-            for (_, pipe) in ports.iter() {
-                put_u8(&mut out, pipe.len() as u8);
-                for (at, flit) in pipe.iter() {
-                    put_u64(&mut out, at.saturating_sub(now));
-                    flit.encode_state(&mut out);
-                }
-            }
-        }
-        for ports in &self.credit_in {
-            for (_, pipe) in ports.iter() {
-                put_u8(&mut out, pipe.len() as u8);
-                for (at, &vc) in pipe.iter() {
-                    put_u64(&mut out, at.saturating_sub(now));
-                    put_u8(&mut out, vc as u8);
-                }
-            }
-        }
-        for pipe in &self.ni_credit_in {
-            put_u8(&mut out, pipe.len() as u8);
-            for (at, &vc) in pipe.iter() {
-                put_u64(&mut out, at.saturating_sub(now));
-                put_u8(&mut out, vc as u8);
-            }
-        }
-        for pipe in &self.eject_in {
-            put_u8(&mut out, pipe.len() as u8);
-            for (at, flit) in pipe.iter() {
-                put_u64(&mut out, at.saturating_sub(now));
-                flit.encode_state(&mut out);
-            }
-        }
+        let flit = |f: &Flit, out: &mut Vec<u8>| f.encode_state(out);
+        let credit = |&vc: &u8, out: &mut Vec<u8>| put_u8(out, vc);
+        self.flits.encode_state(now, 0..FLIT_LANES, &mut out, flit);
+        self.credits
+            .encode_state(now, 0..NI_CREDIT_LANE, &mut out, credit);
+        self.credits
+            .encode_state(now, NI_CREDIT_LANE..CREDIT_LANES, &mut out, credit);
+        self.ejects.encode_state(now, 0..1, &mut out, flit);
         // The in-flight id set decides terminality; sorted for canonicity.
         let mut ids: Vec<u64> = self.packets.keys().copied().collect();
         ids.sort_unstable();
@@ -911,6 +889,7 @@ impl Network {
         let link = self.cfg.link_latency as Cycle;
         let check = self.cfg.watchdog.invariant_checks;
         let violation_open = self.violation.is_none();
+        self.deliver_late_credits(now);
         if shards > 1 {
             self.ensure_pool(shards - 1);
         }
@@ -918,10 +897,9 @@ impl Network {
         let Network {
             routers,
             nis,
-            flit_in,
-            credit_in,
-            ni_credit_in,
-            eject_in,
+            flits,
+            credits,
+            ejects,
             pm,
             soa,
             shard_bufs,
@@ -930,32 +908,26 @@ impl Network {
             pool,
             ..
         } = self;
+        let (flit_due, flits) = flits.plane_mut(now);
+        let (credit_due, credits) = credits.plane_mut(now);
+        let (eject_due, ejects) = ejects.plane_mut(now);
         let ctx = TickCtx {
             now,
-            link,
             check,
             violation_open,
             neighbors,
             occ: soa.occ.words(),
-            flit_pend: soa.flit_pend.words(),
-            credit_pend: soa.credit_pend.words(),
-            eject_pend: soa.eject_pend.words(),
             ni_pend: soa.ni_pend.words(),
+            flit_due,
+            credit_due,
+            eject_due,
         };
         let avail = PmAvail {
             pm: pm.as_ref(),
             arrival_by: now + 2 + link,
             local_by: now + 1 + link,
         };
-        let mut views = soa::split_shards(
-            routers,
-            nis,
-            flit_in,
-            credit_in,
-            ni_credit_in,
-            eject_in,
-            shard_bounds,
-        );
+        let mut views = soa::split_shards(routers, nis, flits, credits, ejects, shard_bounds);
         let Some(pool) = pool.as_ref() else {
             // One shard (no pool exists), or pool creation failed (the OS
             // is out of threads; `ensure_pool` retries next tick): run
@@ -1004,6 +976,21 @@ impl Network {
         Ok(wait)
     }
 
+    /// Delivers, on this thread, every credit whose cycle a fast-forward
+    /// skipped, so the shards only ever see the one plane due now. Exact
+    /// although late: applying a credit is a commutative increment and
+    /// nothing read the counters in between (the network was quiescent).
+    fn deliver_late_credits(&mut self, now: Cycle) {
+        while let Some(due) = self.credits.earliest_before(now) {
+            let (words, slots) = self.credits.plane_mut(due);
+            soa::for_each_one(words, 0, self.routers.len(), |idx| {
+                let lanes = &mut slots[idx * CREDIT_LANES..][..CREDIT_LANES];
+                soa::deliver_credits(lanes, &mut self.routers[idx], &mut self.nis[idx]);
+            });
+            self.credits.retire(due);
+        }
+    }
+
     /// Creates (or re-creates) the persistent pool for `workers` shard
     /// threads. A creation failure is not fatal: this tick runs its shards
     /// on the host thread and the next tick retries.
@@ -1047,65 +1034,52 @@ impl Network {
                     dst: ha.dst,
                 });
             }
-            for &i in &buf.newly_occ {
-                self.soa.occ.set(i);
-            }
-            for &i in &buf.flit_clear {
-                self.soa.flit_pend.clear(i);
-            }
         }
+        // Every router with a flit due latched it, so its datapath is
+        // occupied now whatever allocation then took out of it.
+        self.soa.occ.union_with(self.flits.plane_mut(now).0);
+        self.flits.retire(now);
         // --- 2. credit deliveries ----------------------------------------
-        for buf in &bufs {
-            self.credits_in_flight -= buf.credits_delivered;
-            for &i in &buf.credit_clear {
-                self.soa.credit_pend.clear(i);
-            }
-        }
+        self.credits.retire(now);
         // --- 3. allocation outcomes --------------------------------------
         for buf in &mut bufs {
-            for (idx, mut outcome) in buf.alloc.drain(..) {
+            for (here, b) in buf.blocked.drain(..) {
+                let d = b
+                    .next_router_port
+                    .direction()
+                    .expect("PG can only block link ports");
+                let next =
+                    self.neighbors[here.index()][d.index()].expect("blocked port has a neighbor");
+                self.note_blocked(b.packet, next);
+            }
+            for (here, dep) in buf.departed.drain(..) {
+                let idx = here.index();
                 let near = self.neighbors[idx];
-                for b in &outcome.pg_blocked {
-                    let d = b
-                        .next_router_port
-                        .direction()
-                        .expect("PG can only block link ports");
-                    let next = near[d.index()].expect("blocked port has a neighbor");
-                    self.note_blocked(b.packet, next);
-                }
-                for dep in outcome.take_departures() {
-                    self.moved = true;
-                    self.credits_in_flight += 1;
-                    match dep.in_port {
-                        Port::Local => {
-                            self.ni_credit_in[idx].push_at(dep.in_vc, now + 1 + link);
-                            self.soa.credit_pend.set(idx);
-                        }
-                        Port::Link(d) => {
-                            let up = near[d.index()].expect("flits only arrive over real links");
-                            self.credit_in[up.index()][Port::Link(d.opposite())]
-                                .push_at(dep.in_vc, now + 1 + link);
-                            self.soa.credit_pend.set(up.index());
-                        }
+                self.moved = true;
+                match dep.in_port {
+                    Port::Local => {
+                        self.credits
+                            .put(now + 1 + link, idx, NI_CREDIT_LANE, dep.in_vc as u8);
                     }
-                    match dep.out_port {
-                        Port::Local => {
-                            self.eject_in[idx].push_at(dep.flit, now + 2);
-                            self.soa.eject_pend.set(idx);
-                        }
-                        Port::Link(d) => {
-                            let next =
-                                near[d.index()].expect("allocation never targets a mesh edge");
-                            let mut flit = dep.flit;
-                            flit.route_port = match self.view.direction(next, flit.dst) {
-                                Some(nd) => Port::Link(nd),
-                                None => Port::Local,
-                            };
-                            self.stats.link_traversals += 1;
-                            self.flit_in[next.index()][Port::Link(d.opposite())]
-                                .push_at(flit, now + 2 + link);
-                            self.soa.flit_pend.set(next.index());
-                        }
+                    Port::Link(d) => {
+                        let up = near[d.index()].expect("flits only arrive over real links");
+                        let lane = Port::Link(d.opposite()).index();
+                        self.credits
+                            .put(now + 1 + link, up.index(), lane, dep.in_vc as u8);
+                    }
+                }
+                match dep.out_port {
+                    Port::Local => self.ejects.put(now + 2, idx, 0, dep.flit),
+                    Port::Link(d) => {
+                        let next = near[d.index()].expect("allocation never targets a mesh edge");
+                        let mut flit = dep.flit;
+                        flit.route_port = match self.view.direction(next, flit.dst) {
+                            Some(nd) => Port::Link(nd),
+                            None => Port::Local,
+                        };
+                        self.stats.link_traversals += 1;
+                        let lane = Port::Link(d.opposite()).index();
+                        self.flits.put(now + 2 + link, next.index(), lane, flit);
                     }
                 }
             }
@@ -1114,28 +1088,22 @@ impl Network {
             }
         }
         // --- 4. ejections ------------------------------------------------
+        self.ni_flits += self.ejects.retire(now) as u64;
         for buf in &mut bufs {
-            self.ni_flits += buf.ejected_flits;
             for (idx, done) in buf.completions.drain(..) {
                 self.complete_packet(idx, done, now);
-            }
-            for &i in &buf.eject_clear {
-                // Phase A saw the pipe drain, but this commit's allocation
-                // step (above) may have pushed a fresh ejection into it;
-                // only clear if it is still empty.
-                if self.eject_in[i].is_empty() {
-                    self.soa.eject_pend.clear(i);
-                }
             }
         }
         // --- 5. injections -----------------------------------------------
         for buf in &mut bufs {
             for r in buf.inject.drain(..) {
                 let node = NodeId(r.idx as u16);
-                for (_pkt, dst) in r.newly_ready {
+                // Per NI: every ready edge, then every stall — the order
+                // the power manager (and a seeded fault source) sees.
+                for &(_pkt, dst) in &buf.ni_ready[r.ready] {
                     self.events.push(PmEvent::NiReadyToInject { node, dst });
                 }
-                for pkt in r.blocked_on_local {
+                for &pkt in &buf.ni_blocked[r.blocked] {
                     self.note_blocked(pkt, node);
                 }
                 if let Some(pkt) = r.head_injected {
@@ -1143,12 +1111,11 @@ impl Network {
                         meta.inject = now;
                     }
                 }
-                if r.sent {
+                if let Some(flit) = r.sent {
                     self.ni_flits += 1;
                     self.moved = true;
-                    // Phase A already pushed the flit into the (shard-own)
-                    // local pipe; only the global index bits remain.
-                    self.soa.flit_pend.set(r.idx);
+                    self.flits
+                        .put(now + 1 + link, r.idx, Port::Local.index(), flit);
                     if r.mid_after {
                         self.soa.ni_mid.set(r.idx);
                     } else {
@@ -1217,17 +1184,21 @@ impl Network {
     }
 
     /// The power phase with idleness derived from the SoA words: a router
-    /// is idle iff its occupancy, inbound-flit and NI-mid-packet bits are
-    /// all clear — exactly the oracle's per-router struct predicate.
+    /// is idle iff its occupancy and NI-mid-packet bits are clear and no
+    /// flit is in flight toward it — exactly the oracle's per-router struct
+    /// predicate.
     fn power_tick_soa(&mut self, now: Cycle) {
         self.idle_scratch.clear();
         self.idle_scratch.resize(self.routers.len(), true);
         if !self.packets.is_empty() {
             let occ = self.soa.occ.words();
-            let flit = self.soa.flit_pend.words();
             let mid = self.soa.ni_mid.words();
+            let inbound = self.flits.live() > 0;
             for (w, chunk) in self.idle_scratch.chunks_mut(64).enumerate() {
-                let mut busy = occ[w] | flit[w] | mid[w];
+                let mut busy = occ[w] | mid[w];
+                if inbound {
+                    busy |= self.flits.live_word(w);
+                }
                 while busy != 0 {
                     chunk[busy.trailing_zeros() as usize] = false;
                     busy &= busy - 1;
@@ -1242,8 +1213,9 @@ impl Network {
     /// implies every router datapath and NI queue is empty), no buffered
     /// power-manager events, no punch signals sweeping the sideband fabric,
     /// and no latched invariant violation. Credits still in flight are
-    /// allowed: a late pop delivers them unchanged and nothing reads the
-    /// upstream counters they restore until the next flit exists.
+    /// allowed: the first tick after the skip delivers them unchanged
+    /// (`deliver_late_credits`) and nothing reads the upstream counters
+    /// they restore until the next flit exists.
     ///
     /// All four checks are O(1).
     pub fn quiescent(&self) -> bool {

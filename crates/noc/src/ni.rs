@@ -34,21 +34,14 @@ struct PendingPacket {
     route_port: Port,
 }
 
-/// What happened inside [`Ni::tick_inject`] this cycle, for the network to
-/// turn into statistics and power-manager events.
+/// What [`Ni::tick_inject`] sent this cycle, for the network to turn into
+/// statistics (its edge and stall reports go to the caller's vectors).
 #[derive(Debug, Default)]
 pub struct NiInjectOutcome {
     /// A flit was sent toward the local router (at most one per cycle).
     pub sent: Option<Flit>,
     /// The sent flit was a head leaving the NI (records injection time).
     pub head_injected: Option<PacketId>,
-    /// Packets whose head is ready but stalled because the local router is
-    /// not fully on (one entry per packet; re-reported every stalled cycle).
-    pub blocked_on_local: Vec<PacketId>,
-    /// Packets that became ready to inject this cycle (one-shot edge, used
-    /// by `PowerPunch-Signal` to launch punches and by Fig. 9 to count a
-    /// powered-off local router).
-    pub newly_ready: Vec<(PacketId, NodeId)>,
 }
 
 /// Per-node network interface.
@@ -195,7 +188,21 @@ impl Ni {
     /// Runs one injection cycle. At most one flit is sent (the NI-to-router
     /// channel is as wide as a link). `router_on` is the PG handshake state
     /// of the local router.
-    pub fn tick_inject(&mut self, cycle: Cycle, router_on: bool) -> NiInjectOutcome {
+    ///
+    /// Appended to the caller's (flat, reused) vectors: to `newly_ready`
+    /// every packet that became ready to inject this cycle, with its
+    /// destination (one-shot edge, used by `PowerPunch-Signal` to launch
+    /// punches and by Fig. 9 to count a powered-off local router); to
+    /// `blocked_on_local` every packet whose head is ready but stalled
+    /// because the local router is not fully on (re-reported every stalled
+    /// cycle).
+    pub fn tick_inject(
+        &mut self,
+        cycle: Cycle,
+        router_on: bool,
+        newly_ready: &mut Vec<(PacketId, NodeId)>,
+        blocked_on_local: &mut Vec<PacketId>,
+    ) -> NiInjectOutcome {
         let mut out = NiInjectOutcome::default();
         let nv = self.queues.len();
         // Edge events + blocked reporting for every head-of-queue packet.
@@ -206,10 +213,10 @@ impl Ni {
             }
             if !p.announced {
                 p.announced = true;
-                out.newly_ready.push((p.id, p.dst));
+                newly_ready.push((p.id, p.dst));
             }
             if p.vc.is_none() && !router_on {
-                out.blocked_on_local.push(p.id);
+                blocked_on_local.push(p.id);
             }
         }
         // Pick one vnet to send a flit from, round-robin, preferring
@@ -298,6 +305,11 @@ mod tests {
         Ni::new(NodeId(0), VcLayout::new(&cfg), cfg.ni_latency)
     }
 
+    /// One injection cycle with throwaway report vectors.
+    fn inject(ni: &mut Ni, cycle: Cycle, router_on: bool) -> NiInjectOutcome {
+        ni.tick_inject(cycle, router_on, &mut Vec::new(), &mut Vec::new())
+    }
+
     fn msg(dst: u16, vnet: u8, class: MsgClass) -> Message {
         Message {
             src: NodeId(0),
@@ -317,9 +329,9 @@ mod tests {
         ni.set_route_of_last(VnetId(0), Port::Link(Direction::East));
         assert_eq!(ready, 13);
         for c in 10..13 {
-            assert!(ni.tick_inject(c, true).sent.is_none());
+            assert!(inject(&mut ni, c, true).sent.is_none());
         }
-        let o = ni.tick_inject(13, true);
+        let o = inject(&mut ni, 13, true);
         let f = o.sent.expect("head injects when ready");
         assert_eq!(f.kind, FlitKind::HeadTail);
         assert_eq!(f.route_port, Port::Link(Direction::East));
@@ -333,17 +345,21 @@ mod tests {
         let m = msg(5, 0, MsgClass::Control);
         ni.enqueue(PacketId(1), &m, 1, 0);
         ni.set_route_of_last(VnetId(0), Port::Link(Direction::East));
-        let o = ni.tick_inject(3, false);
+        let (mut ready, mut blocked) = (Vec::new(), Vec::new());
+        let o = ni.tick_inject(3, false, &mut ready, &mut blocked);
         assert!(o.sent.is_none());
-        assert_eq!(o.blocked_on_local, vec![PacketId(1)]);
-        assert_eq!(o.newly_ready.len(), 1);
-        // The edge event fires only once.
-        let o = ni.tick_inject(4, false);
-        assert!(o.newly_ready.is_empty());
-        assert_eq!(o.blocked_on_local, vec![PacketId(1)]);
+        assert_eq!(blocked, vec![PacketId(1)]);
+        assert_eq!(ready, vec![(PacketId(1), NodeId(5))]);
+        // The edge event fires only once; the stall is re-reported, after
+        // whatever the caller's vectors already hold.
+        let o = ni.tick_inject(4, false, &mut ready, &mut blocked);
+        assert!(o.sent.is_none());
+        assert_eq!(ready.len(), 1);
+        assert_eq!(blocked, vec![PacketId(1), PacketId(1)]);
         // Router wakes: injection proceeds.
-        let o = ni.tick_inject(5, true);
+        let o = ni.tick_inject(5, true, &mut ready, &mut blocked);
         assert!(o.sent.is_some());
+        assert_eq!((ready.len(), blocked.len()), (1, 2));
     }
 
     #[test]
@@ -354,7 +370,7 @@ mod tests {
         ni.set_route_of_last(VnetId(1), Port::Link(Direction::East));
         let mut seqs = Vec::new();
         for c in 3..20 {
-            if let Some(f) = ni.tick_inject(c, true).sent {
+            if let Some(f) = inject(&mut ni, c, true).sent {
                 seqs.push((f.seq, f.kind));
                 // don't return credits: only depth(=3) flits may flow
             }
@@ -367,7 +383,7 @@ mod tests {
         ni.credit(3);
         let mut more = Vec::new();
         for c in 20..30 {
-            if let Some(f) = ni.tick_inject(c, true).sent {
+            if let Some(f) = inject(&mut ni, c, true).sent {
                 more.push(f.kind);
             }
         }
@@ -383,8 +399,8 @@ mod tests {
         ni.set_route_of_last(VnetId(0), Port::Link(Direction::East));
         ni.enqueue(PacketId(2), &msg(6, 2, MsgClass::Control), 1, 0);
         ni.set_route_of_last(VnetId(2), Port::Link(Direction::East));
-        let a = ni.tick_inject(3, true).sent.expect("one flit");
-        let b = ni.tick_inject(4, true).sent.expect("other flit");
+        let a = inject(&mut ni, 3, true).sent.expect("one flit");
+        let b = inject(&mut ni, 4, true).sent.expect("other flit");
         assert_ne!(a.packet, b.packet);
     }
 
@@ -414,12 +430,12 @@ mod tests {
         ni.enqueue(PacketId(3), &msg(5, 0, MsgClass::Data), 5, 0);
         ni.set_route_of_last(VnetId(0), Port::Link(Direction::East));
         assert!(!ni.mid_packet());
-        ni.tick_inject(3, true); // head sent
+        inject(&mut ni, 3, true); // head sent
         assert!(ni.mid_packet());
         for c in 4..8 {
             // The router drains each flit promptly, returning the credit.
             ni.credit(0);
-            ni.tick_inject(c, true);
+            inject(&mut ni, c, true);
         }
         assert!(!ni.mid_packet()); // tail sent
     }

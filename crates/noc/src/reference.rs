@@ -1,5 +1,6 @@
-//! The reference tick: an object-at-a-time sweep over every router, NI and
-//! pipe struct, every cycle, with no bit index and no quiescence
+//! The reference tick: an object-at-a-time sweep over every router, every
+//! NI and every slot of the delivery wheels' due planes, every cycle, with
+//! no bit index (the wheels' router bits included) and no quiescence
 //! fast-forward. It exists only as the oracle the differential tests pin
 //! the shipped kernel ([`crate::soa`] + fast-forward + shard pool) against;
 //! [`Network::use_reference_kernel`] is the one-way switch onto it.
@@ -18,6 +19,7 @@ use punchsim_types::{Cycle, InvariantViolation, NodeId, Port, PortMap, SimError}
 
 use super::Network;
 use crate::power::{PmEvent, PowerState};
+use crate::soa::{CREDIT_LANES, FLIT_LANES, NI_CREDIT_LANE};
 
 impl Network {
     /// One reference tick. The sweeps below never touch the SoA bit index:
@@ -51,9 +53,10 @@ impl Network {
             return; // flits only exist while their packet is in flight
         }
         let check = self.cfg.watchdog.invariant_checks;
+        let (_, slots) = self.flits.plane_mut(now);
         for idx in 0..self.routers.len() {
             for port in Port::ALL {
-                while let Some(flit) = self.flit_in[idx][port].pop_ready(now) {
+                if let Some(flit) = slots[idx * FLIT_LANES + port.index()].take() {
                     self.moved = true;
                     if check
                         && self.violation.is_none()
@@ -81,23 +84,27 @@ impl Network {
                 }
             }
         }
+        self.flits.retire(now);
     }
 
     fn deliver_credits(&mut self, now: Cycle) {
-        if self.credits_in_flight == 0 {
-            return;
-        }
-        for idx in 0..self.routers.len() {
-            for port in Port::ALL {
-                while let Some(vc) = self.credit_in[idx][port].pop_ready(now) {
-                    self.credits_in_flight -= 1;
-                    self.routers[idx].credit(port, vc);
+        // Every plane due by now, earliest first. The oracle never skips a
+        // cycle, so that is one plane — unless the switch onto it followed
+        // a fast-forward that left credits overdue.
+        while let Some(due) = self.credits.earliest_before(now + 1) {
+            let (_, slots) = self.credits.plane_mut(due);
+            for idx in 0..self.routers.len() {
+                let lanes = &mut slots[idx * CREDIT_LANES..][..CREDIT_LANES];
+                for port in Port::ALL {
+                    if let Some(vc) = lanes[port.index()].take() {
+                        self.routers[idx].credit(port, vc as usize);
+                    }
+                }
+                if let Some(vc) = lanes[NI_CREDIT_LANE].take() {
+                    self.nis[idx].credit(vc as usize);
                 }
             }
-            while let Some(vc) = self.ni_credit_in[idx].pop_ready(now) {
-                self.credits_in_flight -= 1;
-                self.nis[idx].credit(vc);
-            }
+            self.credits.retire(due);
         }
     }
 
@@ -129,7 +136,7 @@ impl Network {
                     .neighbor(here, d)
                     .is_some_and(|n| self.pm.is_available(n, arrival)),
             });
-            let mut outcome = self.routers[idx].allocate_reference(now, &down_on);
+            let outcome = self.routers[idx].allocate_reference(now, &down_on);
             for b in &outcome.pg_blocked {
                 let d = b
                     .next_router_port
@@ -142,13 +149,14 @@ impl Network {
                     .expect("blocked port has a neighbor");
                 self.note_blocked(b.packet, next);
             }
-            for dep in outcome.take_departures() {
+            for (_, dep) in outcome.departures.iter() {
+                let Some(dep) = *dep else { continue };
                 self.moved = true;
                 // Credit back to the upstream of the input the flit vacated.
-                self.credits_in_flight += 1;
+                let vc = dep.in_vc as u8;
                 match dep.in_port {
                     Port::Local => {
-                        self.ni_credit_in[idx].push_at(dep.in_vc, now + 1 + link);
+                        self.credits.put(now + 1 + link, idx, NI_CREDIT_LANE, vc);
                     }
                     Port::Link(d) => {
                         let up = self
@@ -156,14 +164,12 @@ impl Network {
                             .topo
                             .neighbor(here, d)
                             .expect("flits only arrive over real links");
-                        self.credit_in[up.index()][Port::Link(d.opposite())]
-                            .push_at(dep.in_vc, now + 1 + link);
+                        let lane = Port::Link(d.opposite()).index();
+                        self.credits.put(now + 1 + link, up.index(), lane, vc);
                     }
                 }
                 match dep.out_port {
-                    Port::Local => {
-                        self.eject_in[idx].push_at(dep.flit, now + 2);
-                    }
+                    Port::Local => self.ejects.put(now + 2, idx, 0, dep.flit),
                     Port::Link(d) => {
                         let next = self
                             .view
@@ -178,8 +184,8 @@ impl Network {
                             None => Port::Local,
                         };
                         self.stats.link_traversals += 1;
-                        self.flit_in[next.index()][Port::Link(d.opposite())]
-                            .push_at(flit, now + 2 + link);
+                        let lane = Port::Link(d.opposite()).index();
+                        self.flits.put(now + 2 + link, next.index(), lane, flit);
                     }
                 }
             }
@@ -188,10 +194,10 @@ impl Network {
 
     fn deliver_ejections(&mut self, now: Cycle) {
         if self.packets.is_empty() {
-            return; // ejection pipes only carry flits of in-flight packets
+            return; // only flits of in-flight packets are ever ejecting
         }
         for idx in 0..self.nis.len() {
-            while let Some(flit) = self.eject_in[idx].pop_ready(now) {
+            if let Some(flit) = self.ejects.plane_mut(now).1[idx].take() {
                 self.ni_flits += 1;
                 self.moved = true;
                 if let Some(done) = self.nis[idx].eject(&flit) {
@@ -199,6 +205,7 @@ impl Network {
                 }
             }
         }
+        self.ejects.retire(now);
     }
 
     fn inject_from_nis(&mut self, now: Cycle) {
@@ -211,11 +218,13 @@ impl Network {
             // An NI flit sent at `now` latches into the local router at
             // `now + 1 + link`: the local router's wakeup tail overlaps.
             let router_on = self.pm.is_available(node, now + 1 + link);
-            let outcome = self.nis[idx].tick_inject(now, router_on);
-            for (_pkt, dst) in outcome.newly_ready {
+            let (mut newly_ready, mut blocked_on_local) = (Vec::new(), Vec::new());
+            let outcome =
+                self.nis[idx].tick_inject(now, router_on, &mut newly_ready, &mut blocked_on_local);
+            for (_pkt, dst) in newly_ready {
                 self.events.push(PmEvent::NiReadyToInject { node, dst });
             }
-            for pkt in outcome.blocked_on_local {
+            for pkt in blocked_on_local {
                 self.note_blocked(pkt, node);
             }
             if let Some(pkt) = outcome.head_injected {
@@ -226,7 +235,8 @@ impl Network {
             if let Some(flit) = outcome.sent {
                 self.ni_flits += 1;
                 self.moved = true;
-                self.flit_in[idx][Port::Local].push_at(flit, now + 1 + link);
+                self.flits
+                    .put(now + 1 + link, idx, Port::Local.index(), flit);
             }
         }
     }
@@ -242,7 +252,7 @@ impl Network {
                 self.idle_scratch.push(
                     self.routers[idx].datapath_empty()
                         && !self.nis[idx].mid_packet()
-                        && Port::ALL.iter().all(|&p| self.flit_in[idx][p].is_empty()),
+                        && !self.flits.inbound(idx),
                 );
             }
         }

@@ -51,7 +51,7 @@ impl RouterActivity {
 }
 
 /// A flit leaving the router this cycle, as reported by [`Router::allocate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Departure {
     /// Output port the flit leaves through.
     pub out_port: Port,
@@ -72,30 +72,18 @@ pub struct PgBlocked {
     pub packet: PacketId,
 }
 
-/// Result of one allocation cycle.
+/// Result of one allocation cycle, as one value: what the full-scan oracle
+/// [`Router::allocate_reference`] returns. The shipped [`Router::allocate`]
+/// appends to its caller's flat vectors instead.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct AllocOutcome {
     /// The flit granted ST through each output port this cycle (a crossbar
-    /// output carries at most one), stored inline and indexed by that port;
-    /// [`Departure::out_port`] repeats the index so a departure taken out of
-    /// the map still says where it goes. Only `pg_blocked` below can
-    /// allocate, and only on a cycle that a gated neighbour stalls.
+    /// output carries at most one), indexed by that port;
+    /// [`Departure::out_port`] repeats the index.
     pub departures: PortMap<Option<Departure>>,
     /// Packets stalled by power-gating this cycle (one entry per stalled
     /// packet whose *only* missing resource is the downstream router).
     pub pg_blocked: Vec<PgBlocked>,
-}
-
-impl AllocOutcome {
-    /// `true` when nothing departed and nothing was PG-blocked.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pg_blocked.is_empty() && self.departures.iter().all(|(_, d)| d.is_none())
-    }
-
-    /// Takes this cycle's departures out, in output-port order.
-    pub(crate) fn take_departures(&mut self) -> impl Iterator<Item = Departure> + '_ {
-        self.departures.iter_mut().filter_map(|(_, d)| d.take())
-    }
 }
 
 /// A switch-allocation candidate: the front flit one input port offers.
@@ -129,8 +117,7 @@ pub struct Router {
     sa_in_rr: PortMap<usize>,
     sa_out_rr: PortMap<usize>,
     /// Total flits across all input VCs, kept in sync by `latch` and
-    /// `pop_front` so `datapath_empty` is O(1). The per-tick allocation
-    /// early-out and the power manager's idle scan both sit on it.
+    /// `pop_front` so `datapath_empty` is O(1).
     buffered: u32,
     /// Activity counters for the power model.
     pub activity: RouterActivity,
@@ -249,7 +236,9 @@ impl Router {
 
     /// `true` when every input VC is empty (no flit anywhere in the
     /// datapath) — one of the conditions for power-gating the router.
-    /// O(1): the network checks it for every router every busy cycle.
+    /// O(1). The tick kernel asks only the routers it has just allocated
+    /// (to retire their occupancy bit); the test oracle asks every router
+    /// every cycle.
     pub fn datapath_empty(&self) -> bool {
         self.debug_check_summaries();
         self.buffered == 0
@@ -309,19 +298,30 @@ impl Router {
 
     /// Runs VC allocation then switch allocation for `cycle`.
     ///
-    /// `down_on[p]` tells whether the router downstream of output `p` is
-    /// fully powered on (`Local` must be `true`). Departing flits carry a
-    /// recomputed look-ahead route for the next router; the network layer
-    /// does that, so `route_port` on departures still refers to *this*
-    /// router's output.
+    /// `down_on(p)` tells whether the router downstream of output `p` is
+    /// fully powered on (`Local` must be `true`); it is asked only for a
+    /// routed, credited head-of-line flit, so a router with nothing to send
+    /// costs its power manager nothing. Flits granted ST are appended to
+    /// `departed` in output-port order and packets stalled purely by
+    /// power-gating to `blocked` (once per packet), both tagged with this
+    /// router's id — flat vectors the caller reuses across routers and
+    /// cycles. Departing flits carry a recomputed look-ahead route for the
+    /// next router; the network layer does that, so `route_port` on
+    /// departures still refers to *this* router's output.
     ///
     /// Cost follows the buffered head-of-line flits (the set bits of the
     /// occupancy mask), not ports x VCs; grants are those of the
     /// rotating-priority full scan, which survives as the test oracle
     /// [`Router::allocate_reference`].
-    pub fn allocate(&mut self, cycle: Cycle, down_on: &PortMap<bool>) -> AllocOutcome {
+    pub fn allocate(
+        &mut self,
+        cycle: Cycle,
+        down_on: impl FnMut(Port) -> bool,
+        blocked: &mut Vec<(NodeId, PgBlocked)>,
+        departed: &mut Vec<(NodeId, Departure)>,
+    ) {
         self.vc_allocate(cycle);
-        self.switch_allocate(cycle, down_on)
+        self.switch_allocate(cycle, down_on, blocked, departed);
     }
 
     /// VC allocation: head flits at the front of their VC request an output
@@ -396,11 +396,20 @@ impl Router {
     }
 
     /// Separable input-first switch allocation with speculation support.
-    fn switch_allocate(&mut self, cycle: Cycle, down_on: &PortMap<bool>) -> AllocOutcome {
-        let mut outcome = AllocOutcome::default();
+    fn switch_allocate(
+        &mut self,
+        cycle: Cycle,
+        mut down_on: impl FnMut(Port) -> bool,
+        blocked: &mut Vec<(NodeId, PgBlocked)>,
+        departed: &mut Vec<(NodeId, Departure)>,
+    ) {
+        let id = self.id;
+        // This router's reports start here: the once-per-packet check
+        // below looks no further back.
+        let first_blocked = blocked.len();
         // Phase 1: each occupied input port offers one front flit.
         // candidate = eligible + routed + credit + downstream on.
-        // pg_blocked = eligible + routed + credit, downstream off.
+        // blocked = eligible + routed + credit, downstream off.
         let mut per_input: PortMap<Option<Cand>> = PortMap::default();
         let mut wanted = 0u8;
         for in_port in Port::ALL {
@@ -434,16 +443,22 @@ impl Router {
                     if self.out_credits[out_port][out_vc] == 0 {
                         return; // no downstream buffer space
                     }
-                    if !down_on[out_port] {
+                    if !down_on(out_port) {
                         // Stalled purely by power-gating: report for the WU
                         // handshake and the Fig. 9/10 metrics (once per
                         // packet).
                         let packet = front.packet;
-                        if !outcome.pg_blocked.iter().any(|b| b.packet == packet) {
-                            outcome.pg_blocked.push(PgBlocked {
-                                next_router_port: out_port,
-                                packet,
-                            });
+                        if !blocked[first_blocked..]
+                            .iter()
+                            .any(|(_, b)| b.packet == packet)
+                        {
+                            blocked.push((
+                                id,
+                                PgBlocked {
+                                    next_router_port: out_port,
+                                    packet,
+                                },
+                            ));
                         }
                         return;
                     }
@@ -506,14 +521,16 @@ impl Router {
             self.activity.crossbar_traversals += 1;
             self.activity.sa_grants += 1;
             flit.vc = out_vc;
-            outcome.departures[out_port] = Some(Departure {
-                out_port,
-                in_port: c.in_port,
-                in_vc: c.in_vc,
-                flit,
-            });
+            departed.push((
+                id,
+                Departure {
+                    out_port,
+                    in_port: c.in_port,
+                    in_vc: c.in_vc,
+                    flit,
+                },
+            ));
         }
-        outcome
     }
 }
 
@@ -733,9 +750,27 @@ mod tests {
         PortMap::from_fn(|_| true)
     }
 
+    /// One shipped allocation cycle, collected into the oracle's shape.
+    fn allocate(r: &mut Router, cycle: Cycle, down_on: &PortMap<bool>) -> AllocOutcome {
+        let (mut blocked, mut departed) = (Vec::new(), Vec::new());
+        r.allocate(cycle, |p| down_on[p], &mut blocked, &mut departed);
+        let mut out = AllocOutcome::default();
+        for (id, b) in blocked {
+            assert_eq!(id, r.id());
+            out.pg_blocked.push(b);
+        }
+        for (id, d) in departed {
+            assert_eq!(id, r.id());
+            let twice = out.departures[d.out_port].replace(d);
+            assert_eq!(twice, None, "one flit per crossbar output");
+        }
+        out
+    }
+
     /// One allocation cycle's departures, in output-port order.
     fn depart(r: &mut Router, cycle: Cycle, down_on: &PortMap<bool>) -> Vec<Departure> {
-        r.allocate(cycle, down_on).take_departures().collect()
+        let o = allocate(r, cycle, down_on);
+        o.departures.iter().filter_map(|(_, d)| *d).collect()
     }
 
     #[test]
@@ -743,8 +778,16 @@ mod tests {
         let mut r = mk_router();
         let out = Port::Link(Direction::East);
         r.latch(Port::Local, flit(FlitKind::HeadTail, 0, out), 10);
-        // Not eligible in the latch cycle.
-        assert!(r.allocate(10, &all_on()).is_empty());
+        // Not eligible in the latch cycle — and nobody is asked whether a
+        // neighbour is on for a flit that could not leave anyway.
+        let (mut blocked, mut departed) = (Vec::new(), Vec::new());
+        r.allocate(
+            10,
+            |p| panic!("asked about {p} with nothing to send"),
+            &mut blocked,
+            &mut departed,
+        );
+        assert!(blocked.is_empty() && departed.is_empty());
         // Cycle 11: VA + speculative SA both succeed.
         let d = depart(&mut r, 11, &all_on());
         assert_eq!(d.len(), 1);
@@ -763,7 +806,7 @@ mod tests {
         );
         let out = Port::Link(Direction::East);
         r.latch(Port::Local, flit(FlitKind::HeadTail, 0, out), 10);
-        assert!(r.allocate(11, &all_on()).is_empty()); // VA only
+        assert!(depart(&mut r, 11, &all_on()).is_empty()); // VA only
         assert_eq!(depart(&mut r, 12, &all_on()).len(), 1);
     }
 
@@ -791,8 +834,8 @@ mod tests {
         r.latch(Port::Local, flit(FlitKind::HeadTail, 0, out), 10);
         let mut down = all_on();
         down[out] = false;
-        let mut o = r.allocate(11, &down);
-        assert_eq!(o.take_departures().count(), 0);
+        let o = allocate(&mut r, 11, &down);
+        assert!(o.departures.iter().all(|(_, d)| d.is_none()));
         assert_eq!(o.pg_blocked.len(), 1);
         assert_eq!(o.pg_blocked[0].next_router_port, out);
         // Downstream wakes: flit proceeds.
@@ -988,7 +1031,7 @@ mod tests {
                 if kind.is_tail() {
                     streams[in_port][vc] = None;
                 }
-                new.latch(in_port, f.clone(), cycle);
+                new.latch(in_port, f, cycle);
                 old.latch(in_port, f, cycle);
             }
             for out_port in Port::ALL {
@@ -1001,7 +1044,7 @@ mod tests {
                 }
             }
             let down_on = PortMap::from_fn(|p| p == Port::Local || !rng.random_bool_ppm(250_000));
-            let got = new.allocate(cycle, &down_on);
+            let got = allocate(&mut new, cycle, &down_on);
             let want = old.allocate_reference(cycle, &down_on);
             assert_eq!(got, want, "cycle {cycle}");
             assert_eq!(new.activity, old.activity, "cycle {cycle}");
@@ -1075,12 +1118,24 @@ mod tests {
         r.latch(Port::Link(Direction::West), twin, 10);
         let mut down = all_on();
         down[out] = false;
+        // The vectors are shared across routers: a report another router
+        // already made for the same packet id must not swallow this one.
+        let elsewhere = (
+            NodeId(5),
+            PgBlocked {
+                next_router_port: out,
+                packet: PacketId(7),
+            },
+        );
         for cycle in 11..16 {
-            let mut o = r.allocate(cycle, &down);
-            assert_eq!(o.take_departures().count(), 0);
-            assert_eq!(o.pg_blocked.len(), 1, "cycle {cycle}");
-            assert_eq!(o.pg_blocked[0].packet, PacketId(7));
-            assert_eq!(o.pg_blocked[0].next_router_port, out);
+            let (mut blocked, mut departed) = (vec![elsewhere], Vec::new());
+            r.allocate(cycle, |p| down[p], &mut blocked, &mut departed);
+            assert!(departed.is_empty());
+            assert_eq!(blocked.len(), 2, "cycle {cycle}");
+            assert_eq!(blocked[0], elsewhere);
+            assert_eq!(blocked[1].0, r.id());
+            assert_eq!(blocked[1].1.packet, PacketId(7));
+            assert_eq!(blocked[1].1.next_router_port, out);
         }
         assert_eq!(r.occupancy(), 4);
     }

@@ -2,7 +2,7 @@
 //!
 //! The exhaustive wakeup-protocol checker (`punchsim-verify`) deduplicates
 //! reachable states by a canonical byte encoding of all dynamic simulator
-//! state. Every component (VCs, routers, NIs, pipes, power managers)
+//! state. Every component (VCs, routers, NIs, wires, power managers)
 //! appends its state through these helpers so the encoding is identical
 //! across crates and platforms. Two rules, enforced by convention at every
 //! call site:

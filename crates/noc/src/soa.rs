@@ -1,36 +1,35 @@
 //! Structure-of-arrays busy-tick kernel: flat per-mesh bitset words plus a
 //! two-phase (compute/commit) sharded sweep.
 //!
-//! PR 4 made *idle* cycles nearly free (quiescence fast-forward); busy
-//! cycles still walked every `Router`/`Ni` struct and every pipe, five
-//! sweeps per tick, even when only a handful of routers had work. This
-//! module flattens the per-router *control plane* — datapath occupancy,
-//! pending flits/credits/ejections per pipe group, NI injection state —
-//! into one bit per router packed into `u64` words owned by [`SoaState`].
-//! Busy sweeps then iterate set bits (`trailing_zeros` per active router,
-//! one word test per 64 idle routers) instead of chasing structs. The
-//! `Router`/`Vc`/`Ni` structs remain the flit storage (and what
-//! `encode_state` and the test oracle in `reference.rs` read); the
-//! bit words are the primary busy index over them, maintained by every
-//! tick commit from construction on.
+//! Quiescence fast-forward makes *idle* cycles nearly free; this module
+//! makes a busy cycle cost what is in it rather than the size of the mesh.
+//! The per-router *control plane* — datapath occupancy, NI injection state —
+//! is one bit per router packed into `u64` words owned by [`SoaState`], and
+//! everything in flight between routers sits in the delivery wheels of
+//! [`crate::link`], whose plane for the current cycle carries one bit per
+//! router with something due. Busy sweeps iterate set bits
+//! (`trailing_zeros` per active router, one word test per 64 idle routers)
+//! instead of chasing structs or polling wires. The `Router`/`Vc`/`Ni`
+//! structs remain the flit storage (and what `encode_state` and the test
+//! oracle in `reference.rs` read); the bit words are the primary busy index
+//! over them, maintained by every tick commit from construction on.
 //!
 //! On top of the flat layout sits deterministic sharding: the mesh is cut
 //! into contiguous row bands, each shard runs the *compute* half of a tick
-//! over its own routers/NIs/pipes (phase A — nothing outside the shard is
-//! touched), and the *commit* half applies every cross-router effect
-//! (pipe pushes toward neighbours, power-manager events, packet metadata,
-//! statistics) serially in router-index order. Because phase A is
-//! side-effect-free outside the shard and the commit order is fixed,
-//! results are bit-exact for every shard count — pinned by the CI gate
-//! that `cmp`s BENCH artifacts across `--shards 1..4`.
+//! over its own routers, NIs and slice of the due planes (phase A — nothing
+//! outside the shard is touched), and the *commit* half applies every
+//! cross-router effect (wheel puts toward neighbours, power-manager events,
+//! packet metadata, statistics) serially in router-index order. Because
+//! phase A is side-effect-free outside the shard and the commit order is
+//! fixed, results are bit-exact for every shard count — pinned by the CI
+//! gate that `cmp`s BENCH artifacts across `--shards 1..4`.
 
-use punchsim_types::{Cycle, Direction, NodeId, PacketId, Port, PortMap, Substrate};
+use punchsim_types::{Cycle, Direction, NodeId, PacketId, Port, Substrate};
 
 use crate::flit::Flit;
-use crate::link::Pipe;
 use crate::ni::Ni;
 use crate::power::{PowerManager, PowerState};
-use crate::router::{AllocOutcome, Router};
+use crate::router::{Departure, PgBlocked, Router};
 
 /// A fixed-length bitset packed into `u64` words: one bit per router (or
 /// NI), swept word-at-a-time by the SoA kernel.
@@ -99,6 +98,14 @@ impl BitWords {
     pub fn words(&self) -> &[u64] {
         &self.words
     }
+
+    /// Sets every bit set in `words` (the words of a set of equal length).
+    pub fn union_with(&mut self, words: &[u64]) {
+        debug_assert_eq!(words.len(), self.words.len());
+        for (w, &o) in self.words.iter_mut().zip(words) {
+            *w |= o;
+        }
+    }
 }
 
 /// Calls `f(index)` for every set bit in `words` within `[lo, hi)`, in
@@ -131,24 +138,17 @@ pub fn for_each_one(words: &[u64], lo: usize, hi: usize, mut f: impl FnMut(usize
 }
 
 /// The flat per-mesh index the SoA kernel sweeps: one bit per router (or
-/// NI) per concern.
+/// NI) per concern. What is in flight *between* routers is indexed by the
+/// delivery wheels' own due planes (see [`crate::link::Wheel`]).
 ///
 /// Invariant after every tick commit: each bit is set iff the
 /// corresponding struct-side predicate holds — `occ[r]` iff
-/// `!routers[r].datapath_empty()`, `flit_pend[r]` iff any flit pipe into
-/// `r` is non-empty, and so on. (The reference sweep does not maintain the
-/// bits, and never needs to: the switch onto it is one-way.)
+/// `!routers[r].datapath_empty()`, and so on. (The reference sweep does not
+/// maintain the bits, and never needs to: the switch onto it is one-way.)
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SoaState {
     /// Router datapath holds at least one buffered flit.
     pub occ: BitWords,
-    /// At least one incoming flit pipe (any port) is non-empty.
-    pub flit_pend: BitWords,
-    /// At least one incoming credit pipe (router ports or the NI credit
-    /// pipe) is non-empty.
-    pub credit_pend: BitWords,
-    /// The ejection pipe into the NI is non-empty.
-    pub eject_pend: BitWords,
     /// The NI has at least one queued or mid-flight injection-side packet.
     pub ni_pend: BitWords,
     /// The NI is mid-packet (head sent, tail not) — its router must stay on.
@@ -159,14 +159,20 @@ impl SoaState {
     pub fn new(n: usize) -> Self {
         SoaState {
             occ: BitWords::new(n),
-            flit_pend: BitWords::new(n),
-            credit_pend: BitWords::new(n),
-            eject_pend: BitWords::new(n),
             ni_pend: BitWords::new(n),
             ni_mid: BitWords::new(n),
         }
     }
 }
+
+/// Wires into one router in the flit wheel: one per input port, indexed by
+/// [`Port::index`] (`Local` = from its NI).
+pub(crate) const FLIT_LANES: usize = 5;
+/// Wires into one router in the credit wheel: one per *output* port,
+/// indexed by [`Port::index`], then [`NI_CREDIT_LANE`].
+pub(crate) const CREDIT_LANES: usize = 6;
+/// The credit wire into the router's NI (for the router's local input).
+pub(crate) const NI_CREDIT_LANE: usize = 5;
 
 /// Power-availability reads during phase A: every shard, on the host
 /// thread or a pool worker, asks the (`Sync`) manager directly — the
@@ -212,7 +218,6 @@ pub(crate) fn neighbor_table(topo: Substrate) -> Vec<Neighbors> {
 /// Read-only per-tick context shared by every shard's phase A.
 pub(crate) struct TickCtx<'a> {
     pub now: Cycle,
-    pub link: Cycle,
     /// Invariant checks enabled in the watchdog config.
     pub check: bool,
     /// No violation latched before this tick (matches the reference
@@ -220,10 +225,12 @@ pub(crate) struct TickCtx<'a> {
     pub violation_open: bool,
     pub neighbors: &'a [Neighbors],
     pub occ: &'a [u64],
-    pub flit_pend: &'a [u64],
-    pub credit_pend: &'a [u64],
-    pub eject_pend: &'a [u64],
     pub ni_pend: &'a [u64],
+    /// Routers with a flit, a credit, an ejection due this cycle: the
+    /// router bits of each wheel's current plane.
+    pub flit_due: &'a [u64],
+    pub credit_due: &'a [u64],
+    pub eject_due: &'a [u64],
 }
 
 /// A head flit latched this tick (commit applies hop counts and the
@@ -238,15 +245,17 @@ pub(crate) struct HeadArrival {
 }
 
 /// NI injection results for one swept NI.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct InjectRes {
     pub idx: usize,
-    pub newly_ready: Vec<(PacketId, NodeId)>,
-    pub blocked_on_local: Vec<PacketId>,
+    /// This NI's slice of [`ShardBuf::ni_ready`].
+    pub ready: std::ops::Range<usize>,
+    /// This NI's slice of [`ShardBuf::ni_blocked`].
+    pub blocked: std::ops::Range<usize>,
     pub head_injected: Option<PacketId>,
-    /// A flit was sent (phase A already pushed it into the shard-local
-    /// flit pipe; commit bumps counters and the `flit_pend` bit).
-    pub sent: bool,
+    /// The flit sent toward the local router, if any (the commit puts it
+    /// on the wire, so phase A writes nothing but its own plane slices).
+    pub sent: Option<Flit>,
     /// `mid_packet()` after the send (only meaningful when `sent`).
     pub mid_after: bool,
     /// Injection-side packets remain after this tick.
@@ -254,7 +263,8 @@ pub(crate) struct InjectRes {
 }
 
 /// Everything one shard's phase A produced, applied serially by the commit
-/// phase in shard (= router-index) order.
+/// phase in shard (= router-index) order. Every vector is flat and reused,
+/// so a steady-state tick allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct ShardBuf {
     /// Any flit latched or popped inside the shard this tick.
@@ -263,27 +273,20 @@ pub(crate) struct ShardBuf {
     /// shard; the commit latches the first across shards).
     pub violation: Option<NodeId>,
     pub head_arrivals: Vec<HeadArrival>,
-    /// Routers whose datapath went non-empty this tick (occ bit to set).
-    pub newly_occ: Vec<usize>,
-    /// Routers whose flit pipes all drained (flit_pend bit to clear).
-    pub flit_clear: Vec<usize>,
-    /// Routers/NIs whose credit pipes all drained.
-    pub credit_clear: Vec<usize>,
-    /// Credits popped inside the shard (decrements `credits_in_flight`).
-    pub credits_delivered: u64,
-    /// Allocation outcomes with at least one departure or PG block.
-    pub alloc: Vec<(usize, AllocOutcome)>,
+    /// Packets stalled by a gated neighbour, in router order.
+    pub blocked: Vec<(NodeId, PgBlocked)>,
+    /// Flits granted ST, in router then output-port order.
+    pub departed: Vec<(NodeId, Departure)>,
     /// Routers left with an empty datapath after allocation.
     pub alloc_empty: Vec<usize>,
-    /// Scratch for the merged (occ-bits + newly-occupied) allocation list.
-    alloc_list: Vec<usize>,
-    /// NIs whose ejection pipe drained.
-    pub eject_clear: Vec<usize>,
-    /// Flits popped from ejection pipes (bumps `ni_flits`).
-    pub ejected_flits: u64,
     /// Completed packets, in NI order: (NI index, packet id).
     pub completions: Vec<(usize, PacketId)>,
     pub inject: Vec<InjectRes>,
+    /// Packets that became ready to inject, with their destinations, NI
+    /// by NI.
+    pub ni_ready: Vec<(PacketId, NodeId)>,
+    /// Packets stalled at a gated local router, NI by NI.
+    pub ni_blocked: Vec<PacketId>,
 }
 
 impl ShardBuf {
@@ -291,31 +294,30 @@ impl ShardBuf {
         self.moved = false;
         self.violation = None;
         self.head_arrivals.clear();
-        self.newly_occ.clear();
-        self.flit_clear.clear();
-        self.credit_clear.clear();
-        self.credits_delivered = 0;
-        self.alloc.clear();
+        self.blocked.clear();
+        self.departed.clear();
         self.alloc_empty.clear();
-        self.alloc_list.clear();
-        self.eject_clear.clear();
-        self.ejected_flits = 0;
         self.completions.clear();
         self.inject.clear();
+        self.ni_ready.clear();
+        self.ni_blocked.clear();
     }
 }
 
-/// Mutable view over one shard's contiguous slice of per-router state.
-/// Global router index `g` lives at local offset `g - lo`.
+/// Mutable view over one shard's contiguous slice of per-router state,
+/// including its `[lo, hi)` slice of each wheel's current plane. Global
+/// router index `g` lives at local offset `g - lo`.
 pub(crate) struct ShardView<'a> {
     pub lo: usize,
     pub hi: usize,
     pub routers: &'a mut [Router],
     pub nis: &'a mut [Ni],
-    pub flit_in: &'a mut [PortMap<Pipe<Flit>>],
-    pub credit_in: &'a mut [PortMap<Pipe<usize>>],
-    pub ni_credit_in: &'a mut [Pipe<usize>],
-    pub eject_in: &'a mut [Pipe<Flit>],
+    /// [`FLIT_LANES`] slots per router.
+    pub flits: &'a mut [Option<Flit>],
+    /// [`CREDIT_LANES`] slots per router, each a downstream VC index.
+    pub credits: &'a mut [Option<u8>],
+    /// One slot per router.
+    pub ejects: &'a mut [Option<Flit>],
 }
 
 /// Contiguous row-band shard boundaries as node ranges: shard `k` owns
@@ -329,17 +331,16 @@ pub(crate) fn shard_bounds(width: u16, height: u16, shards: usize) -> Vec<(usize
         .collect()
 }
 
-/// Splits the six per-router state vectors into per-shard views along
-/// `bounds` (which must tile the full range, as `shard_bounds` guarantees),
-/// lazily: each `next()` cuts one shard off the front of what is left.
-#[allow(clippy::too_many_arguments)]
+/// Splits the per-router state vectors and plane slices into per-shard
+/// views along `bounds` (which must tile the full range, as `shard_bounds`
+/// guarantees), lazily: each `next()` cuts one shard off the front of what
+/// is left.
 pub(crate) fn split_shards<'a>(
     mut routers: &'a mut [Router],
     mut nis: &'a mut [Ni],
-    mut flit_in: &'a mut [PortMap<Pipe<Flit>>],
-    mut credit_in: &'a mut [PortMap<Pipe<usize>>],
-    mut ni_credit_in: &'a mut [Pipe<usize>],
-    mut eject_in: &'a mut [Pipe<Flit>],
+    mut flits: &'a mut [Option<Flit>],
+    mut credits: &'a mut [Option<u8>],
+    mut ejects: &'a mut [Option<Flit>],
     bounds: &'a [(usize, usize)],
 ) -> impl Iterator<Item = ShardView<'a>> {
     fn cut<'a, T>(rest: &mut &'a mut [T], take: usize) -> &'a mut [T] {
@@ -354,24 +355,36 @@ pub(crate) fn split_shards<'a>(
             hi,
             routers: cut(&mut routers, take),
             nis: cut(&mut nis, take),
-            flit_in: cut(&mut flit_in, take),
-            credit_in: cut(&mut credit_in, take),
-            ni_credit_in: cut(&mut ni_credit_in, take),
-            eject_in: cut(&mut eject_in, take),
+            flits: cut(&mut flits, take * FLIT_LANES),
+            credits: cut(&mut credits, take * CREDIT_LANES),
+            ejects: cut(&mut ejects, take),
         }
     })
 }
 
+/// Applies the credits due on one router's [`CREDIT_LANES`] wires: to the
+/// router's output ports, and to its NI for the local input.
+pub(crate) fn deliver_credits(lanes: &mut [Option<u8>], router: &mut Router, ni: &mut Ni) {
+    for port in Port::ALL {
+        if let Some(vc) = lanes[port.index()].take() {
+            router.credit(port, vc as usize);
+        }
+    }
+    if let Some(vc) = lanes[NI_CREDIT_LANE].take() {
+        ni.credit(vc as usize);
+    }
+}
+
 /// Phase A of an SoA tick for one shard: flit delivery, credit delivery,
 /// allocation, ejection and NI injection over the shard's own routers,
-/// NIs and inbound pipes — in the exact sub-phase and index order of the
+/// NIs and plane slices — in the exact sub-phase and index order of the
 /// reference kernel restricted to this shard. Everything that crosses a
-/// router boundary (pipe pushes toward neighbours, PM events, packet
-/// metadata, global counters, bit updates) is recorded in `buf` for the
-/// serial commit. Routers the reference kernel would visit but not change
-/// (empty pipes, empty datapath, idle NI) have clear bits and are never
-/// visited at all — that skip is the entire speedup, and it is exact
-/// because those visits are pure no-ops.
+/// router boundary (wheel puts, PM events, packet metadata, global
+/// counters, bit updates) is recorded in `buf` for the serial commit.
+/// Routers the reference kernel would visit but not change (nothing due,
+/// nothing eligible, idle NI) have clear bits and are never visited at all
+/// — that skip is the entire speedup, and it is exact because those visits
+/// are pure no-ops.
 pub(crate) fn shard_phase_a(
     sv: &mut ShardView<'_>,
     ctx: &TickCtx<'_>,
@@ -380,158 +393,95 @@ pub(crate) fn shard_phase_a(
 ) {
     let now = ctx.now;
     let (lo, hi) = (sv.lo, sv.hi);
+    let routers = &mut *sv.routers;
+    let nis = &mut *sv.nis;
 
     // --- 1. deliver flits -------------------------------------------------
-    {
-        let routers = &mut *sv.routers;
-        let flit_in = &mut *sv.flit_in;
-        let buf = &mut *buf;
-        for_each_one(ctx.flit_pend, lo, hi, |idx| {
-            let li = idx - lo;
-            let was_occupied = (ctx.occ[idx / 64] >> (idx % 64)) & 1 == 1;
-            for port in Port::ALL {
-                while let Some(flit) = flit_in[li][port].pop_ready(now) {
-                    buf.moved = true;
-                    if ctx.check
-                        && ctx.violation_open
-                        && buf.violation.is_none()
-                        && avail.is_off(NodeId(idx as u16))
-                    {
-                        buf.violation = Some(NodeId(idx as u16));
-                    }
-                    if flit.kind.is_head() {
-                        buf.head_arrivals.push(HeadArrival {
-                            router: NodeId(idx as u16),
-                            dst: flit.dst,
-                            packet: flit.packet,
-                            counted_hop: port != Port::Local,
-                        });
-                    }
-                    routers[li].latch(port, flit, now);
-                }
+    for_each_one(ctx.flit_due, lo, hi, |idx| {
+        let li = idx - lo;
+        for port in Port::ALL {
+            let Some(flit) = sv.flits[li * FLIT_LANES + port.index()].take() else {
+                continue;
+            };
+            buf.moved = true;
+            if ctx.check
+                && ctx.violation_open
+                && buf.violation.is_none()
+                && avail.is_off(NodeId(idx as u16))
+            {
+                buf.violation = Some(NodeId(idx as u16));
             }
-            if !was_occupied && !routers[li].datapath_empty() {
-                buf.newly_occ.push(idx);
+            if flit.kind.is_head() {
+                buf.head_arrivals.push(HeadArrival {
+                    router: NodeId(idx as u16),
+                    dst: flit.dst,
+                    packet: flit.packet,
+                    counted_hop: port != Port::Local,
+                });
             }
-            if Port::ALL.iter().all(|&p| flit_in[li][p].is_empty()) {
-                buf.flit_clear.push(idx);
-            }
-        });
-    }
+            routers[li].latch(port, flit, now);
+        }
+    });
 
     // --- 2. deliver credits -----------------------------------------------
-    {
-        let routers = &mut *sv.routers;
-        let nis = &mut *sv.nis;
-        let credit_in = &mut *sv.credit_in;
-        let ni_credit_in = &mut *sv.ni_credit_in;
-        let buf = &mut *buf;
-        for_each_one(ctx.credit_pend, lo, hi, |idx| {
-            let li = idx - lo;
-            for port in Port::ALL {
-                while let Some(vc) = credit_in[li][port].pop_ready(now) {
-                    buf.credits_delivered += 1;
-                    routers[li].credit(port, vc);
-                }
-            }
-            while let Some(vc) = ni_credit_in[li].pop_ready(now) {
-                buf.credits_delivered += 1;
-                nis[li].credit(vc);
-            }
-            if ni_credit_in[li].is_empty() && Port::ALL.iter().all(|&p| credit_in[li][p].is_empty())
-            {
-                buf.credit_clear.push(idx);
-            }
-        });
-    }
+    for_each_one(ctx.credit_due, lo, hi, |idx| {
+        let li = idx - lo;
+        let lanes = &mut sv.credits[li * CREDIT_LANES..][..CREDIT_LANES];
+        deliver_credits(lanes, &mut routers[li], &mut nis[li]);
+    });
 
     // --- 3. allocate ------------------------------------------------------
-    // Sweep the routers occupied at the start of the tick (occ bits) merged
-    // with those that just latched their first flit (newly_occ), ascending.
-    let mut list = std::mem::take(&mut buf.alloc_list);
-    {
-        let mut np = 0;
-        let newly = &buf.newly_occ;
-        for_each_one(ctx.occ, lo, hi, |idx| {
-            while np < newly.len() && newly[np] < idx {
-                list.push(newly[np]);
-                np += 1;
-            }
-            if np < newly.len() && newly[np] == idx {
-                np += 1;
-            }
-            list.push(idx);
-        });
-        list.extend_from_slice(&newly[np..]);
-    }
-    for &idx in &list {
-        let li = idx - lo;
-        if sv.routers[li].datapath_empty() {
-            // Stale occ bit (cannot normally happen); retire it.
-            buf.alloc_empty.push(idx);
-            continue;
-        }
-        let down_on = PortMap::from_fn(|p| match p {
-            Port::Local => true,
-            Port::Link(d) => ctx.neighbors[idx][d.index()].is_some_and(|n| avail.downstream_on(n)),
-        });
-        let outcome = sv.routers[li].allocate(now, &down_on);
-        if !outcome.is_empty() {
-            buf.alloc.push((idx, outcome));
-        }
-        if sv.routers[li].datapath_empty() {
+    // Only routers occupied at the start of the tick: one that was empty
+    // holds nothing but flits latched just above, and a flit is not
+    // eligible for VA or SA in its latch cycle.
+    for_each_one(ctx.occ, lo, hi, |idx| {
+        let router = &mut routers[idx - lo];
+        let near = &ctx.neighbors[idx];
+        router.allocate(
+            now,
+            |p| match p {
+                Port::Local => true,
+                Port::Link(d) => near[d.index()].is_some_and(|n| avail.downstream_on(n)),
+            },
+            &mut buf.blocked,
+            &mut buf.departed,
+        );
+        if router.datapath_empty() {
             buf.alloc_empty.push(idx);
         }
-    }
-    list.clear();
-    buf.alloc_list = list;
+    });
 
     // --- 4. eject ---------------------------------------------------------
-    {
-        let nis = &mut *sv.nis;
-        let eject_in = &mut *sv.eject_in;
-        let buf = &mut *buf;
-        for_each_one(ctx.eject_pend, lo, hi, |idx| {
-            let li = idx - lo;
-            while let Some(flit) = eject_in[li].pop_ready(now) {
-                buf.ejected_flits += 1;
-                buf.moved = true;
-                if let Some(done) = nis[li].eject(&flit) {
-                    buf.completions.push((idx, done));
-                }
+    for_each_one(ctx.eject_due, lo, hi, |idx| {
+        let li = idx - lo;
+        if let Some(flit) = sv.ejects[li].take() {
+            buf.moved = true;
+            if let Some(done) = nis[li].eject(&flit) {
+                buf.completions.push((idx, done));
             }
-            if eject_in[li].is_empty() {
-                buf.eject_clear.push(idx);
-            }
-        });
-    }
+        }
+    });
 
     // --- 5. inject --------------------------------------------------------
-    {
-        let nis = &mut *sv.nis;
-        let flit_in = &mut *sv.flit_in;
-        let buf = &mut *buf;
-        for_each_one(ctx.ni_pend, lo, hi, |idx| {
-            let li = idx - lo;
-            let node = NodeId(idx as u16);
-            let outcome = nis[li].tick_inject(now, avail.local_on(node));
-            let sent = if let Some(flit) = outcome.sent {
-                flit_in[li][Port::Local].push_at(flit, now + 1 + ctx.link);
-                true
-            } else {
-                false
-            };
-            buf.inject.push(InjectRes {
-                idx,
-                newly_ready: outcome.newly_ready,
-                blocked_on_local: outcome.blocked_on_local,
-                head_injected: outcome.head_injected,
-                sent,
-                mid_after: sent && nis[li].mid_packet(),
-                pending_after: nis[li].pending() > 0,
-            });
+    for_each_one(ctx.ni_pend, lo, hi, |idx| {
+        let ni = &mut nis[idx - lo];
+        let (ready, blocked) = (buf.ni_ready.len(), buf.ni_blocked.len());
+        let outcome = ni.tick_inject(
+            now,
+            avail.local_on(NodeId(idx as u16)),
+            &mut buf.ni_ready,
+            &mut buf.ni_blocked,
+        );
+        buf.inject.push(InjectRes {
+            idx,
+            ready: ready..buf.ni_ready.len(),
+            blocked: blocked..buf.ni_blocked.len(),
+            head_injected: outcome.head_injected,
+            sent: outcome.sent,
+            mid_after: outcome.sent.is_some() && ni.mid_packet(),
+            pending_after: ni.pending() > 0,
         });
-    }
+    });
 }
 
 #[cfg(test)]

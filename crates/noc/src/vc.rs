@@ -259,7 +259,7 @@ mod tests {
             seq: 0,
             latched_at: 0,
         };
-        vc.push(f.clone());
+        vc.push(f);
         vc.push(f);
     }
 }

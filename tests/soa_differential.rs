@@ -9,6 +9,7 @@
 //! and the shard count are execution details; any observable divergence
 //! is a bug.
 
+use punchsim::noc::{Message, MsgClass};
 use punchsim::prelude::*;
 use punchsim::traffic::InjectionConfig;
 
@@ -64,6 +65,9 @@ fn assert_same_state(label: &str, at: u64, a: &SyntheticSim, b: &SyntheticSim) {
 struct Case {
     name: &'static str,
     topo: Substrate,
+    /// Link traversal cycles (1 is the Table 2 default every other suite
+    /// runs; more planes of the delivery wheels are live at 3).
+    link: u8,
     scheme: SchemeKind,
     inj: InjectionConfig,
     warmup: u64,
@@ -73,10 +77,10 @@ struct Case {
 
 /// Mixed load on the small substrates (moderate rate with bursts, so the
 /// network oscillates between busy sweeps and quiescent gaps), plus the
-/// two regimes the retired CI ratio gates ran at shortened windows: the
-/// busy suite's sparse-busy 16x16/32x32 meshes (rate 5e-4, never
-/// quiescent) and the fastpath suite's idle-dominated 8x8 (rate 5e-5,
-/// mostly skipped).
+/// same mixed load over 3-cycle links, plus the two regimes the retired CI
+/// ratio gates ran at shortened windows: the busy suite's sparse-busy
+/// 16x16/32x32 meshes (rate 5e-4, never quiescent) and the fastpath
+/// suite's idle-dominated 8x8 (rate 5e-5, mostly skipped).
 fn cases() -> Vec<Case> {
     let mut mixed = InjectionConfig::at_rate(0.02);
     mixed.burstiness = 0.5;
@@ -97,6 +101,7 @@ fn cases() -> Vec<Case> {
         .map(|((name, topo), scheme)| Case {
             name,
             topo,
+            link: 1,
             scheme,
             inj: mixed.clone(),
             warmup: 200,
@@ -106,8 +111,19 @@ fn cases() -> Vec<Case> {
         .collect();
     for scheme in trio {
         cases.push(Case {
+            name: "mesh8x8-link3",
+            topo: Mesh::new(8, 8).into(),
+            link: 3,
+            scheme,
+            inj: mixed.clone(),
+            warmup: 200,
+            measure: 800,
+            chunk: 100,
+        });
+        cases.push(Case {
             name: "busy16x16",
             topo: Mesh::new(16, 16).into(),
+            link: 1,
             scheme,
             inj: InjectionConfig::at_rate(0.0005),
             warmup: 300,
@@ -117,6 +133,7 @@ fn cases() -> Vec<Case> {
         cases.push(Case {
             name: "busy32x32",
             topo: Mesh::new(32, 32).into(),
+            link: 1,
             scheme,
             inj: InjectionConfig::at_rate(0.0005),
             warmup: 200,
@@ -126,6 +143,7 @@ fn cases() -> Vec<Case> {
         cases.push(Case {
             name: "idle8x8",
             topo: Mesh::new(8, 8).into(),
+            link: 1,
             scheme,
             inj: InjectionConfig::at_rate(0.00005),
             warmup: 5_000,
@@ -143,6 +161,7 @@ fn soa_kernel_is_observably_identical_to_struct_reference() {
     for (i, case) in cases().into_iter().enumerate() {
         let mut cfg = SimConfig::with_scheme(case.scheme);
         cfg.noc.topology = case.topo;
+        cfg.noc.link_latency = case.link;
         cfg.seed = 0x50A0 + i as u64;
         let pattern = TrafficPattern::UniformRandom;
         let mut reference = build(&cfg, pattern, &case.inj, None);
@@ -170,6 +189,116 @@ fn soa_kernel_is_observably_identical_to_struct_reference() {
                 s.run(case.chunk).unwrap();
                 assert_same_state(label, at, s, &reference);
             }
+        }
+    }
+}
+
+/// With links longer than a cycle the last credits of a packet are still
+/// on their wires when its tail ejects and the network goes quiescent, so
+/// a fast-forward leaves them overdue and the first tick after it delivers
+/// them late. That must be exact: the kernel at 1 and 3 shards is driven
+/// through 1-cycle skips (`run_hooked(every = 1)`), short and long gaps and
+/// a `run(10_000)`, each followed by a packet that needs those credits,
+/// against the oracle that delivers every credit on time. Compared at every
+/// hook: the clock, and the `encode_state` of a fork ticked once more —
+/// the tick that lands whatever the skips left overdue. (Mid-skip the
+/// kernel's own encoding legitimately shows the credit still on its wire;
+/// that difference is asserted too, so the row cannot quietly stop
+/// exercising late delivery.)
+#[test]
+fn credits_that_outlive_quiescence_are_delivered_exactly() {
+    for scheme in [
+        SchemeKind::NoPg,
+        SchemeKind::ConvOptPg,
+        SchemeKind::PowerPunchFull,
+    ] {
+        let mut cfg = SimConfig::with_scheme(scheme);
+        cfg.noc.topology = Mesh::new(4, 4).into();
+        cfg.noc.link_latency = 3;
+        // Per hook: the cycle, the state, the state of a fork one tick on.
+        type Log = Vec<(Cycle, Vec<u8>, Vec<u8>)>;
+        let mut nets: Vec<(String, Network, Log)> = [None, Some(1), Some(3)]
+            .into_iter()
+            .map(|shards| {
+                let pm = build_power_manager(&cfg).unwrap();
+                let mut net = Network::new(&cfg.noc, pm).unwrap();
+                match shards {
+                    None => net.use_reference_kernel(),
+                    Some(n) => net.set_shards(n).unwrap(),
+                }
+                (format!("{scheme:?} {shards:?}"), net, Vec::new())
+            })
+            .collect();
+        // Runs `n` hooked cycles on every network, logging at each hook.
+        let hooked = |nets: &mut Vec<(String, Network, Log)>, n: u64| {
+            for (_, net, log) in nets.iter_mut() {
+                net.run_hooked(n, 1, &mut |at: &Network| {
+                    let mut fork = at.try_clone().expect("no sink, clonable manager");
+                    fork.tick().unwrap();
+                    let (own, next) = (at.encode_state(), fork.encode_state());
+                    log.push((
+                        at.cycle(),
+                        own.expect("encodable"),
+                        next.expect("encodable"),
+                    ));
+                })
+                .unwrap();
+            }
+        };
+        // A 3-hop packet leaves link credits behind, a self-addressed one
+        // the credit into its NI; the closing rounds spend both.
+        for (gap, dst) in [(2u64, 3), (3, 0), (50, 3), (10_000, 0), (1, 0), (1, 3)] {
+            for (_, net, _) in &mut nets {
+                net.send(Message {
+                    src: NodeId(0),
+                    dst: NodeId(dst),
+                    vnet: VnetId(0),
+                    class: MsgClass::Data,
+                    payload: 0,
+                    gen_cycle: net.cycle(),
+                })
+                .unwrap();
+            }
+            while nets[0].1.in_flight() > 0 {
+                hooked(&mut nets, 1);
+            }
+            // Quiescent with credits on the wire: the kernel skips from
+            // here on, a cycle at a time or (last round) in one jump.
+            assert!(nets.iter().all(|(_, net, _)| net.quiescent()));
+            if gap == 10_000 {
+                for (_, net, _) in &mut nets {
+                    net.run(gap).unwrap();
+                }
+                hooked(&mut nets, 1);
+            } else {
+                hooked(&mut nets, gap);
+            }
+        }
+        let (oracle, subjects) = nets.split_first().unwrap();
+        assert!(
+            oracle.2.len() > 100,
+            "{}: {} hooks",
+            oracle.0,
+            oracle.2.len()
+        );
+        for (label, net, log) in subjects {
+            assert_eq!(net.cycle(), oracle.1.cycle(), "{label}: clock diverged");
+            assert_eq!(log.len(), oracle.2.len(), "{label}: hook counts diverged");
+            let mut overdue = 0;
+            for (got, want) in log.iter().zip(&oracle.2) {
+                assert_eq!(got.0, want.0, "{label}: hook cycles diverged");
+                assert!(got.2 == want.2, "{label}: diverged after cycle {}", got.0);
+                overdue += usize::from(got.1 != want.1);
+            }
+            assert!(
+                overdue >= 6,
+                "{label}: {overdue} hooks saw an overdue credit"
+            );
+            assert_eq!(
+                digest(&net.report()),
+                digest(&oracle.1.report()),
+                "{label}: NetworkReport diverged"
+            );
         }
     }
 }

@@ -1,0 +1,130 @@
+//! "A steady-state tick allocates nothing" — the claim `Network`'s field
+//! docs and DESIGN §17 make — measured with a counting allocator armed
+//! only inside [`Network::tick`].
+//!
+//! Every per-tick collection is a flat vector the network reuses (the
+//! delivery wheels' slots, the per-shard outcome buffers, the event list),
+//! so once a route has been travelled a second trip over it must not touch
+//! the heap: not per hop, not per cycle blocked on a sleeping router, not
+//! in the power manager. The one exception is the destination's outbox
+//! slot, which `take_delivered` hands to the host and which is therefore
+//! empty again.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use punchsim::core::build_power_manager;
+use punchsim::noc::{Message, MsgClass, Network};
+use punchsim::types::{Mesh, NodeId, SchemeKind, SimConfig, VnetId};
+
+thread_local! {
+    /// Heap requests on this thread while armed (`None` = not counting).
+    /// Per thread, so tests running in parallel do not see each other.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// The system allocator, counting requests (fresh or growing) made while
+/// the calling thread is armed.
+struct Counting;
+
+fn note() {
+    // `try_with`: the allocator also runs during thread teardown.
+    let _ = ALLOCS.try_with(|a| a.set(a.get().map(|n| n + 1)));
+}
+
+// SAFETY: every request is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter is a `Cell` in const-initialised
+// thread-local storage, so touching it neither allocates nor races.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller's obligations are exactly `System.alloc`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: as for `dealloc`, plus the caller's `realloc` obligations.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// One tick; returns the heap requests made inside it.
+fn counted_tick(net: &mut Network) -> u64 {
+    ALLOCS.set(Some(0));
+    let r = net.tick();
+    let n = ALLOCS.replace(None).expect("armed above");
+    r.expect("tick");
+    n
+}
+
+/// Sends one control packet `src -> dst` and ticks until it is delivered
+/// and collected. Returns the heap requests of the whole trip and of the
+/// ticks it spent blocked on a sleeping router (PG-blocked at a hop or
+/// NI-blocked at the source), with the number of such ticks.
+fn trip(net: &mut Network, src: u16, dst: u16) -> (u64, u64, u64) {
+    net.send(Message {
+        src: NodeId(src),
+        dst: NodeId(dst),
+        vnet: VnetId(0),
+        class: MsgClass::Control,
+        payload: 0,
+        gen_cycle: net.cycle(),
+    })
+    .unwrap();
+    let (mut total, mut while_blocked, mut blocked_ticks) = (0, 0, 0);
+    for _ in 0..400 {
+        let n = counted_tick(net);
+        total += n;
+        // A `BlockedNeed` this cycle leaves a non-zero streak behind.
+        if net.blocked_streaks().iter().any(|&s| s > 0) {
+            while_blocked += n;
+            blocked_ticks += 1;
+        }
+        if net.delivered_pending() > 0 {
+            assert_eq!(net.take_delivered(NodeId(dst)).len(), 1);
+            return (total, while_blocked, blocked_ticks);
+        }
+    }
+    panic!("packet {src} -> {dst} was not delivered");
+}
+
+#[test]
+fn a_second_trip_over_a_warm_route_allocates_at_most_the_outbox_slot() {
+    for scheme in [
+        SchemeKind::NoPg,
+        SchemeKind::ConvOptPg,
+        SchemeKind::PowerPunchFull,
+    ] {
+        let mut cfg = SimConfig::with_scheme(scheme);
+        cfg.noc.topology = Mesh::new(8, 8).into();
+        let pm = build_power_manager(&cfg).unwrap();
+        let mut net = Network::new(&cfg.noc, pm).unwrap();
+        // Let every router fall asleep, travel the 6-hop route once, let
+        // them fall asleep again: the second trip meets the same sleeping
+        // routers with every buffer already grown.
+        net.run(50).unwrap();
+        trip(&mut net, 0, 6);
+        net.run(250).unwrap();
+        let (total, while_blocked, blocked_ticks) = trip(&mut net, 0, 6);
+        assert!(
+            total <= 1,
+            "{scheme:?}: {total} allocations on a warm route"
+        );
+        assert_eq!(while_blocked, 0, "{scheme:?}: allocated while blocked");
+        // The trip must really have met sleeping routers where the scheme
+        // gates any: ConvOpt stalls at the source and at every hop, Power
+        // Punch (no slack-2 notice here) only at the source.
+        match scheme {
+            SchemeKind::NoPg => assert_eq!(blocked_ticks, 0),
+            SchemeKind::ConvOptPg => assert!(blocked_ticks >= 6, "{blocked_ticks}"),
+            _ => assert!(blocked_ticks >= 1, "{blocked_ticks}"),
+        }
+    }
+}
