@@ -299,11 +299,10 @@ pub fn rivals_suite(seed: u64) -> Vec<RunSpec> {
 }
 
 /// The scheme-coverage drift suite: one identical uniform-random run
-/// under every scheme that predates the registry refactor.
-/// `bench/baseline_schemes.json` is this suite under `PP_FAST=1`, and
-/// `scripts/identity_gate.sh` re-asserts it byte-identical on every run — the
-/// registry (and any future scheme addition) must not perturb a single
-/// bit of the historical schemes' artifacts.
+/// under each of the paper's five schemes. `bench/baseline_schemes.json`
+/// is this suite under `PP_FAST=1`, and `scripts/identity_gate.sh`
+/// re-asserts it byte-identical on every run — adding a scheme must not
+/// perturb a single bit of these schemes' artifacts.
 pub fn schemes_suite(seed: u64) -> Vec<RunSpec> {
     let measure = synth_cycles();
     [
@@ -402,7 +401,7 @@ mod tests {
         assert_eq!(
             schemes.len(),
             5,
-            "drift suite pins exactly the pre-registry schemes"
+            "drift suite pins exactly the paper's five schemes"
         );
         assert!(
             schemes

@@ -7,6 +7,7 @@
 
 use punchsim_cmp::{Benchmark, CmpConfig, CmpSim};
 use punchsim_metrics::Registry;
+use punchsim_noc::{Network, NetworkReport};
 use punchsim_obs::{IntervalRow, RingSink, Sampler, Stamped};
 use punchsim_power::PowerModel;
 use punchsim_traffic::{InjectionConfig, SyntheticSim, TrafficPattern};
@@ -241,13 +242,7 @@ impl RunSpec {
                 let routers = cfg.sim.noc.topology.nodes();
                 let mut sim = CmpSim::new(cfg);
                 sim.network_mut().set_shards(shards)?;
-                if opts.trace_cap > 0 {
-                    sim.network_mut()
-                        .set_sink(Box::new(RingSink::new(opts.trace_cap)));
-                }
-                if opts.metrics {
-                    sim.network_mut().enable_profiler();
-                }
+                attach(sim.network_mut(), opts.trace_cap, opts.metrics);
                 let mut sampler = Sampler::new(routers);
                 let every = if opts.sample_every > 0 {
                     sampler.observe(sim.network().obs_sample());
@@ -256,39 +251,8 @@ impl RunSpec {
                     u64::MAX
                 };
                 let r = sim.run_hooked(every, &mut |net| sampler.observe(net.obs_sample()));
-                let b = pm.breakdown(&r.net);
-                let metrics = Metrics {
-                    delivered: r.net.stats.packets_delivered,
-                    injected: r.net.stats.packets_injected,
-                    exec_cycles: r.exec_cycles,
-                    total_cycles: r.total_cycles,
-                    latency: r.net.avg_packet_latency(),
-                    latency_p50: r.net.latency_p50(),
-                    latency_p95: r.net.latency_p95(),
-                    latency_p99: r.net.latency_p99(),
-                    latency_max: r.net.latency_max(),
-                    encounters: r.net.avg_pg_encounters(),
-                    wait: r.net.avg_wakeup_wait(),
-                    escalations: r.net.pg.escalations,
-                    off_fraction: r.net.off_fraction(),
-                    dynamic_pj: b.dynamic_pj,
-                    static_pj: b.static_pj,
-                    overhead_pj: b.overhead_pj,
-                    baseline_static_pj: pm.baseline_static_pj(&r.net),
-                    completed: r.completed,
-                };
-                let (spawn_count, spawn_nanos) = sim.network().spawn_stats();
-                let (pool_ticks, pool_wait_nanos) = sim.network().pool_stats();
-                Ok(Observed {
-                    metrics,
-                    series: sampler.into_rows(),
-                    events: take_events(sim.network_mut()),
-                    registry: take_registry(sim.network_mut(), opts),
-                    spawn_count,
-                    spawn_nanos,
-                    pool_ticks,
-                    pool_wait_nanos,
-                })
+                let metrics = Metrics::from_report(&r.net, &pm, r.total_cycles, r.completed);
+                Ok(Observed::collect(sim.network_mut(), metrics, sampler))
             }
             Workload::Synthetic {
                 pattern,
@@ -306,13 +270,7 @@ impl RunSpec {
                 InjectionConfig::at_rate(*rate).validate()?;
                 let mut sim = SyntheticSim::new(cfg, *pattern, *rate);
                 sim.network_mut().set_shards(shards)?;
-                if opts.trace_cap > 0 {
-                    sim.network_mut()
-                        .set_sink(Box::new(RingSink::new(opts.trace_cap)));
-                }
-                if opts.metrics {
-                    sim.network_mut().enable_profiler();
-                }
+                attach(sim.network_mut(), opts.trace_cap, opts.metrics);
                 // The same tick sequence as `run_experiment`, opened up so
                 // the measured window can be sampled at interval boundaries.
                 sim.run(*warmup_cycles)?;
@@ -330,65 +288,39 @@ impl RunSpec {
                         remaining -= chunk;
                     }
                 }
-                let r = sim.report();
-                let b = pm.breakdown(&r);
-                let metrics = Metrics {
-                    delivered: r.stats.packets_delivered,
-                    injected: r.stats.packets_injected,
-                    exec_cycles: r.cycles,
-                    total_cycles: warmup_cycles + measure_cycles,
-                    latency: r.avg_packet_latency(),
-                    latency_p50: r.latency_p50(),
-                    latency_p95: r.latency_p95(),
-                    latency_p99: r.latency_p99(),
-                    latency_max: r.latency_max(),
-                    encounters: r.avg_pg_encounters(),
-                    wait: r.avg_wakeup_wait(),
-                    escalations: r.pg.escalations,
-                    off_fraction: r.off_fraction(),
-                    dynamic_pj: b.dynamic_pj,
-                    static_pj: b.static_pj,
-                    overhead_pj: b.overhead_pj,
-                    baseline_static_pj: pm.baseline_static_pj(&r),
-                    completed: true,
-                };
-                let (spawn_count, spawn_nanos) = sim.network().spawn_stats();
-                let (pool_ticks, pool_wait_nanos) = sim.network().pool_stats();
-                Ok(Observed {
-                    metrics,
-                    series: sampler.into_rows(),
-                    events: take_events(sim.network_mut()),
-                    registry: take_registry(sim.network_mut(), opts),
-                    spawn_count,
-                    spawn_nanos,
-                    pool_ticks,
-                    pool_wait_nanos,
-                })
+                let total = warmup_cycles + measure_cycles;
+                let metrics = Metrics::from_report(&sim.report(), &pm, total, true);
+                Ok(Observed::collect(sim.network_mut(), metrics, sampler))
             }
         }
     }
 }
 
-/// Detaches a run's sink (if one was attached) and returns its retained
-/// events.
-fn take_events(net: &mut punchsim_noc::Network) -> Vec<Stamped> {
-    net.take_sink().map(|s| s.snapshot()).unwrap_or_default()
+/// Attaches observers to a freshly built network: a flight recorder of
+/// `trace_cap` events (none at 0) and, for `metrics`, the tick-phase
+/// profiler. Neither feeds back into the simulation.
+pub fn attach(net: &mut Network, trace_cap: usize, metrics: bool) {
+    if trace_cap > 0 {
+        net.set_sink(Box::new(RingSink::new(trace_cap)));
+    }
+    if metrics {
+        net.enable_profiler();
+    }
 }
 
-/// Builds the run's metric registry when `opts.metrics` asked for one:
-/// every deterministic counter/histogram/plane the network exports, plus
-/// the wall-clock tick-phase profile. Boxed because a registry is large
-/// relative to [`Observed`] and usually absent.
-fn take_registry(net: &mut punchsim_noc::Network, opts: ObserveOpts) -> Option<Box<Registry>> {
-    if !opts.metrics {
-        return None;
-    }
-    let mut reg = Registry::new();
-    net.export_metrics(&mut reg);
-    if let Some(profiler) = net.take_profiler() {
+/// Detaches what [`attach`] (or the host) attached: the sink's retained
+/// events (empty without a sink) and, when a profiler was running, the
+/// run's metric registry — every deterministic counter/histogram/plane the
+/// network exports plus the wall-clock tick-phase profile.
+pub fn harvest(net: &mut Network) -> (Vec<Stamped>, Option<Registry>) {
+    let events = net.take_sink().map(|s| s.snapshot()).unwrap_or_default();
+    let registry = net.take_profiler().map(|profiler| {
+        let mut reg = Registry::new();
+        net.export_metrics(&mut reg);
         profiler.export(&mut reg);
-    }
-    Some(Box::new(reg))
+        reg
+    });
+    (events, registry)
 }
 
 /// What [`RunSpec::execute_observed`] should collect beyond [`Metrics`].
@@ -450,6 +382,26 @@ pub struct Observed {
     pub pool_wait_nanos: u64,
 }
 
+impl Observed {
+    /// Harvests a finished run's network into the observation record.
+    fn collect(net: &mut Network, metrics: Metrics, sampler: Sampler) -> Observed {
+        let (spawn_count, spawn_nanos) = net.spawn_stats();
+        let (pool_ticks, pool_wait_nanos) = net.pool_stats();
+        let (events, registry) = harvest(net);
+        Observed {
+            metrics,
+            series: sampler.into_rows(),
+            events,
+            // Boxed: large relative to `Observed`, and usually absent.
+            registry: registry.map(Box::new),
+            spawn_count,
+            spawn_nanos,
+            pool_ticks,
+            pool_wait_nanos,
+        }
+    }
+}
+
 /// The deterministic, machine-readable result of one run. Everything here
 /// depends only on the spec (never on wall-clock or thread count), which is
 /// what makes campaign artifacts byte-identical across `--threads` values.
@@ -496,6 +448,39 @@ pub struct Metrics {
 }
 
 impl Metrics {
+    /// Distils a network report: the measured window is the report's,
+    /// energy comes from `model`, and the host supplies what the network
+    /// cannot know — all simulated cycles including warm-up, and whether
+    /// the run finished within its cap.
+    pub fn from_report(
+        r: &NetworkReport,
+        model: &PowerModel,
+        total_cycles: u64,
+        completed: bool,
+    ) -> Metrics {
+        let b = model.breakdown(r);
+        Metrics {
+            delivered: r.stats.packets_delivered,
+            injected: r.stats.packets_injected,
+            exec_cycles: r.cycles,
+            total_cycles,
+            latency: r.avg_packet_latency(),
+            latency_p50: r.latency_p50(),
+            latency_p95: r.latency_p95(),
+            latency_p99: r.latency_p99(),
+            latency_max: r.latency_max(),
+            encounters: r.avg_pg_encounters(),
+            wait: r.avg_wakeup_wait(),
+            escalations: r.pg.escalations,
+            off_fraction: r.off_fraction(),
+            dynamic_pj: b.dynamic_pj,
+            static_pj: b.static_pj,
+            overhead_pj: b.overhead_pj,
+            baseline_static_pj: model.baseline_static_pj(r),
+            completed,
+        }
+    }
+
     /// The JSON object stored in artifacts and the result store. Key order
     /// is part of the byte-identical-artifact contract.
     pub fn to_json(&self) -> Json {

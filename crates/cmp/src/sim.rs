@@ -127,12 +127,7 @@ impl CmpSim {
     /// Panics if the configuration is invalid.
     pub fn new(cfg: CmpConfig) -> Self {
         let pm = build_power_manager(&cfg.sim).expect("invalid SimConfig");
-        let mut net = Network::new(&cfg.sim.noc, pm).expect("config validated above");
-        if cfg.sim.trace.enabled {
-            net.set_sink(Box::new(punchsim_noc::obs::RingSink::new(
-                cfg.sim.trace.ring_capacity,
-            )));
-        }
+        let net = Network::new(&cfg.sim.noc, pm).expect("config validated above");
         let topo = cfg.sim.noc.topology;
         let n = topo.nodes();
         let mem_nodes = corner_nodes(topo.width(), topo.height());
@@ -534,12 +529,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_config_records_full_system_events() {
+    fn attached_flight_recorder_sees_full_system_events() {
         let mut cfg = small_cfg(SchemeKind::PowerPunchFull);
-        cfg.sim.trace = punchsim_types::TraceConfig::enabled();
         cfg.instr_per_core = 1_000;
         cfg.warmup_instr = 0;
         let mut sim = CmpSim::new(cfg);
+        sim.network_mut()
+            .set_sink(Box::new(punchsim_noc::obs::RingSink::new(4096)));
         let r = sim.run_hooked(u64::MAX, &mut |_| {});
         assert!(r.completed);
         let sink = sim.network_mut().take_sink().expect("sink attached");

@@ -36,21 +36,28 @@ pub mod manager;
 pub mod punch;
 #[cfg(test)]
 mod punch_reference;
-pub mod registry;
 pub mod rivals;
 
 pub use codebook::{Codebook, LinkCodebook};
 pub use gating::GateArray;
 pub use manager::{ConvPgManager, PowerPunchManager};
 pub use punch::{PunchFabric, PunchSet};
-pub use registry::{descriptor, SchemeCtor, SchemeDescriptor, REGISTRY};
 pub use rivals::{RingRouterManager, SdmCircuitManager};
 
 use punchsim_faults::FaultInjector;
-use punchsim_noc::PowerManager;
-use punchsim_types::{SimConfig, SimError};
+use punchsim_noc::{AlwaysOn, PowerManager};
+use punchsim_types::{SchemeKind, SimConfig, SimError};
 
 /// Builds the [`PowerManager`] for the scheme selected in `cfg`.
+///
+/// This `match` is the one place in the workspace that binds a
+/// [`SchemeKind`] to the constructor of its manager; it is exhaustive, so a
+/// new variant does not compile until it has an arm. Everything else that
+/// is indexed by scheme — the CLI `--scheme` parser, `list-schemes`,
+/// campaign tags, the verify scenario factory, cmp's scheme table and the
+/// power/area models — is derived from the [`SchemeKind::METAS`] row (tag,
+/// paper label, description, power profile). Adding a scheme therefore
+/// means: one enum variant, one `METAS` row, one arm here.
 ///
 /// When `cfg.faults` activates any fault mechanism, the scheme's manager is
 /// wrapped in a [`FaultInjector`] so the configured perturbations apply to
@@ -61,9 +68,19 @@ use punchsim_types::{SimConfig, SimError};
 /// Returns [`SimError::Config`] if `cfg` fails validation.
 pub fn build_power_manager(cfg: &SimConfig) -> Result<Box<dyn PowerManager>, SimError> {
     cfg.validate()?;
-    // The scheme registry is the one place in the workspace that maps a
-    // scheme to its manager constructor.
-    let base = (registry::descriptor(cfg.scheme).build)(cfg, &cfg.noc.topology)?;
+    let (view, nodes) = (cfg.noc.view(), cfg.noc.topology.nodes());
+    let hop = cfg.noc.hop_latency();
+    let base: Box<dyn PowerManager> = match cfg.scheme {
+        SchemeKind::NoPg => Box::new(AlwaysOn::new(nodes)),
+        SchemeKind::ConvPg => Box::new(ConvPgManager::new(view, &cfg.power, false)),
+        SchemeKind::ConvOptPg => Box::new(ConvPgManager::new(view, &cfg.power, true)),
+        SchemeKind::PowerPunchSignal => {
+            Box::new(PowerPunchManager::new(view, &cfg.power, hop, false))
+        }
+        SchemeKind::PowerPunchFull => Box::new(PowerPunchManager::new(view, &cfg.power, hop, true)),
+        SchemeKind::SdmCircuit => Box::new(SdmCircuitManager::new(view, &cfg.power, hop)),
+        SchemeKind::RingRouter => Box::new(RingRouterManager::new(nodes)),
+    };
     if cfg.faults.is_active() {
         let inj = FaultInjector::new(base, &cfg.faults, cfg.noc.topology)?;
         Ok(Box::new(inj))
@@ -75,7 +92,7 @@ pub fn build_power_manager(cfg: &SimConfig) -> Result<Box<dyn PowerManager>, Sim
 #[cfg(test)]
 mod tests {
     use super::*;
-    use punchsim_types::{FaultConfig, SchemeKind};
+    use punchsim_types::FaultConfig;
 
     #[test]
     fn builder_maps_every_scheme() {

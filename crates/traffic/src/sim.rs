@@ -124,12 +124,7 @@ impl SyntheticSim {
     pub fn with_injection(cfg: SimConfig, pattern: TrafficPattern, inj: InjectionConfig) -> Self {
         inj.validate().expect("invalid InjectionConfig");
         let pm = build_power_manager(&cfg).expect("invalid SimConfig");
-        let mut net = Network::new(&cfg.noc, pm).expect("config validated above");
-        if cfg.trace.enabled {
-            net.set_sink(Box::new(punchsim_noc::obs::RingSink::new(
-                cfg.trace.ring_capacity,
-            )));
-        }
+        let net = Network::new(&cfg.noc, pm).expect("config validated above");
         let avg = inj.avg_packet_flits(cfg.noc.ctrl_packet_flits, cfg.noc.data_packet_flits);
         // Concentrated topologies inject for `concentration` terminals per
         // router; plain meshes and tori have concentration 1, leaving the
@@ -530,12 +525,13 @@ mod tests {
     }
 
     #[test]
-    fn trace_config_attaches_flight_recorder() {
-        let mut c = cfg(SchemeKind::PowerPunchFull, Mesh::new(4, 4));
-        c.trace = punchsim_types::TraceConfig::enabled();
+    fn attached_flight_recorder_sees_the_run() {
+        let c = cfg(SchemeKind::PowerPunchFull, Mesh::new(4, 4));
         let mut s = SyntheticSim::new(c, TrafficPattern::UniformRandom, 0.05);
+        s.network_mut()
+            .set_sink(Box::new(punchsim_noc::obs::RingSink::new(4096)));
         s.run(2_000).unwrap();
-        let sink = s.network().sink().expect("trace.enabled attaches a sink");
+        let sink = s.network().sink().expect("attached above");
         assert!(sink.recorded() > 0);
         let kinds: Vec<&str> = sink.snapshot().iter().map(|e| e.event.kind()).collect();
         assert!(kinds.contains(&"inject"), "{kinds:?}");

@@ -38,8 +38,7 @@ pub enum SchemeKind {
     RingRouter,
 }
 
-/// Per-scheme knobs for the analytical power/area models — the
-/// "power-model parameter hook" of the scheme registry. The pre-existing
+/// Per-scheme knobs for the analytical power/area models. The paper's
 /// schemes all use [`SchemePowerProfile::BASELINE`] (every scale exactly
 /// `1.0`), which keeps their energy numbers bit-identical to the historic
 /// `default_45nm` model; rivals deviate where their microarchitecture
@@ -72,12 +71,12 @@ impl SchemePowerProfile {
     };
 }
 
-/// One scheme's registry metadata: the stable tag, the paper-legend label,
-/// a one-line description, and the power-model parameter hook. This table
+/// One scheme's metadata: the stable tag, the paper-legend label, a
+/// one-line description, and the power-model parameters. This table
 /// ([`SchemeKind::METAS`]) is **the** single place scheme identity data
 /// lives — parsing, `Display`, CLI help, artifact ids and the power model
-/// all derive from it. The constructor half of the registry (scheme →
-/// `PowerManager`) lives in `punchsim-core`.
+/// all derive from it. The one scheme → `PowerManager` mapping is the
+/// `match` in `punchsim_core::build_power_manager`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeMeta {
     /// The scheme this entry describes.
@@ -97,7 +96,7 @@ pub struct SchemeMeta {
 }
 
 impl SchemeKind {
-    /// Every registered scheme, in registry order.
+    /// Every scheme, in [`SchemeKind::METAS`] order.
     pub const ALL: [SchemeKind; 7] = [
         SchemeKind::NoPg,
         SchemeKind::ConvPg,
@@ -121,8 +120,7 @@ impl SchemeKind {
     /// checked-in BENCH baselines key on that set staying fixed).
     pub const RIVALS: [SchemeKind; 2] = [SchemeKind::SdmCircuit, SchemeKind::RingRouter];
 
-    /// The scheme registry's data half: one entry per scheme, in
-    /// [`SchemeKind::ALL`] order. Tags are **forever** — cached campaign
+    /// The scheme table: one entry per scheme, in [`SchemeKind::ALL`] order. Tags are **forever** — cached campaign
     /// results and checked-in baselines key on them; never rename one.
     pub const METAS: [SchemeMeta; 7] = [
         SchemeMeta {
@@ -203,7 +201,7 @@ impl SchemeKind {
         },
     ];
 
-    /// This scheme's registry metadata.
+    /// This scheme's [`SchemeKind::METAS`] row.
     pub fn meta(self) -> &'static SchemeMeta {
         // ALL order == METAS order (pinned by `metas_cover_all_in_order`);
         // a direct index keeps the hot tag()/label() paths O(1).
@@ -544,54 +542,6 @@ impl PowerConfig {
     }
 }
 
-/// Event-tracing parameters: whether the simulation hosts attach a
-/// flight-recorder sink to the network, and how much it retains.
-///
-/// Tracing is observation only — enabling it never changes simulated
-/// behavior or results, which CI asserts by byte-comparing campaign
-/// artifacts produced with tracing off and on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Attach a ring-buffer event sink to the network.
-    pub enabled: bool,
-    /// Events the flight recorder retains (most recent first out); the
-    /// watchdog dumps its tail into stall reports.
-    pub ring_capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            enabled: false,
-            // Enough to hold several wakeup chains (~tens of events each)
-            // around an escalation without measurable memory cost.
-            ring_capacity: 4096,
-        }
-    }
-}
-
-impl TraceConfig {
-    /// An enabled configuration with the default ring capacity.
-    pub fn enabled() -> Self {
-        TraceConfig {
-            enabled: true,
-            ..TraceConfig::default()
-        }
-    }
-
-    /// Validates internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated constraint.
-    pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.enabled && self.ring_capacity == 0 {
-            return Err(ConfigError::ZeroTraceCapacity);
-        }
-        Ok(())
-    }
-}
-
 /// Top-level simulation configuration: network, power-gating and scheme.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
@@ -603,8 +553,6 @@ pub struct SimConfig {
     pub scheme: SchemeKind,
     /// Fault injection into the power-gating machinery (default: none).
     pub faults: FaultConfig,
-    /// Event tracing (default: disabled, zero overhead).
-    pub trace: TraceConfig,
     /// RNG seed for all stochastic components; a given seed reproduces a
     /// run bit-for-bit.
     pub seed: u64,
@@ -617,7 +565,6 @@ impl Default for SimConfig {
             power: PowerConfig::default(),
             scheme: SchemeKind::NoPg,
             faults: FaultConfig::default(),
-            trace: TraceConfig::default(),
             seed: 0xC0FFEE,
         }
     }
@@ -640,8 +587,7 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.noc.validate()?;
         self.power.validate()?;
-        self.faults.validate(self.noc.topology)?;
-        self.trace.validate()
+        self.faults.validate(self.noc.topology)
     }
 }
 
@@ -825,34 +771,6 @@ mod tests {
             Err(ConfigError::BadStuckRouter(NodeId(99)))
         );
         assert!(bad_router.is_active());
-    }
-
-    #[test]
-    fn trace_config_defaults_off_and_validates() {
-        let t = TraceConfig::default();
-        assert!(!t.enabled);
-        assert!(t.ring_capacity > 0);
-        t.validate().unwrap();
-        assert!(TraceConfig::enabled().enabled);
-        let bad = TraceConfig {
-            enabled: true,
-            ring_capacity: 0,
-        };
-        assert_eq!(bad.validate(), Err(ConfigError::ZeroTraceCapacity));
-        // A zero capacity is fine while tracing is off.
-        let off = TraceConfig {
-            enabled: false,
-            ring_capacity: 0,
-        };
-        off.validate().unwrap();
-        let cfg = SimConfig {
-            trace: TraceConfig {
-                enabled: true,
-                ring_capacity: 0,
-            },
-            ..SimConfig::default()
-        };
-        assert!(cfg.validate().is_err());
     }
 
     #[test]

@@ -54,8 +54,6 @@ pub enum ConfigError {
     },
     /// A stuck-off epoch referenced a router outside the mesh.
     BadStuckRouter(NodeId),
-    /// Tracing was enabled with a zero-capacity flight recorder.
-    ZeroTraceCapacity,
     /// A hooked run was asked to invoke its progress hook every 0 cycles.
     ZeroHookPeriod,
     /// A topology was given degenerate dimensions (zero for a mesh,
@@ -139,9 +137,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadStuckRouter(r) => {
                 write!(f, "stuck-off epoch names router {r} outside the mesh")
-            }
-            ConfigError::ZeroTraceCapacity => {
-                write!(f, "tracing is enabled but ring_capacity is 0")
             }
             ConfigError::ZeroHookPeriod => {
                 write!(f, "hook period must be at least 1 cycle")

@@ -175,14 +175,6 @@ impl Mesh {
     pub fn iter_nodes(self) -> impl Iterator<Item = NodeId> {
         (0..self.nodes() as u16).map(NodeId)
     }
-
-    /// Directions in which `node` has a neighbour, in fixed N,E,S,W order.
-    pub fn neighbor_dirs(self, node: NodeId) -> impl Iterator<Item = Direction> + use<> {
-        let mesh = self;
-        Direction::ALL
-            .into_iter()
-            .filter(move |&d| mesh.neighbor(node, d).is_some())
-    }
 }
 
 #[cfg(test)]

@@ -1,20 +1,21 @@
 //! Foundational types for the `punchsim` NoC simulator.
 //!
 //! This crate defines the vocabulary shared by every other `punchsim` crate:
-//! node/router identifiers, mesh [`geometry`], port [`direction`]s,
-//! dimension-order [`routing`], and the simulation [`config`] structures
+//! node/router identifiers, mesh [`geometry`], port [`direction`]s, the
+//! [`topology`] handle ([`Substrate`]: mesh, torus or concentrated mesh, one
+//! geometry), turn-model [`routing`] ([`RoutingKind`] planned over a
+//! substrate by a [`RouteView`]), and the simulation [`config`] structures
 //! mirroring Table 2 of the Power Punch paper (HPCA 2015).
 //!
 //! # Examples
 //!
 //! ```
-//! use punchsim_types::{Mesh, NodeId, routing::xy_next_hop};
+//! use punchsim_types::{Mesh, NodeId, RouteView};
 //!
-//! let mesh = Mesh::new(8, 8);
-//! let src = NodeId(27);
-//! let dst = NodeId(31);
+//! // A mesh routes XY unless told otherwise.
+//! let view = RouteView::from(Mesh::new(8, 8));
 //! // XY routing moves in X first: 27 -> 28.
-//! assert_eq!(xy_next_hop(mesh, src, dst), Some(NodeId(28)));
+//! assert_eq!(view.next_hop(NodeId(27), NodeId(31)), Some(NodeId(28)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -31,14 +32,14 @@ pub mod topology;
 pub use choice::FaultChoice;
 pub use config::{
     FaultConfig, NocConfig, PowerConfig, SchemeKind, SchemeMeta, SchemePowerProfile, SimConfig,
-    StuckEpoch, TraceConfig, WatchdogConfig,
+    StuckEpoch, WatchdogConfig,
 };
 pub use direction::{Direction, Port, PortMap};
 pub use error::{BlockedPacket, ConfigError, InvariantViolation, SimError, StallReport};
 pub use geometry::{Coord, Mesh};
 pub use rng::SimRng;
-pub use routing::{RouteView, RoutingFunction, RoutingKind};
-pub use topology::{CMesh, Substrate, Topology, Torus};
+pub use routing::{RouteView, RoutingKind};
+pub use topology::{CMesh, Substrate, Torus};
 
 /// A simulation timestamp, in router clock cycles.
 pub type Cycle = u64;

@@ -8,21 +8,20 @@
 //! destination) and the *turn model* (which port sequences are legal). This
 //! module expresses routing as exactly that contract:
 //!
-//! * [`RoutingFunction`] — plans a route as at most four straight segment
-//!   runs over any [`Topology`], with closed-form `router_ahead`/`on_path`
-//!   derived from the segment schedule (no hop-by-hop walking);
-//! * [`RoutingKind`] — the storable implementations: dimension-ordered XY
-//!   and YX plus the west-first, north-last and negative-first turn models;
-//! * [`RouteView`] — a `Copy` bundle of substrate + routing that the punch
-//!   fabric, codebook enumeration and power managers thread around.
-//!
-//! The original `xy_*` free functions remain as thin wrappers over
-//! [`RoutingKind::Xy`] so existing mesh-only call sites keep working.
+//! * [`RoutingKind`] — the storable turn models: dimension-ordered XY and
+//!   YX plus west-first, north-last and negative-first. Each plans a route
+//!   as at most four straight segment runs ([`RoutingKind::segments`]) and
+//!   states which turns it allows ([`RoutingKind::turn_legal`]);
+//! * [`RouteView`] — the `Copy` bundle of substrate + routing that the
+//!   punch fabric, codebook enumeration and power managers thread around.
+//!   Output ports, punch targets and implied-target checks are derived
+//!   here, once, in closed form from the segment schedule (no hop-by-hop
+//!   walking).
 
 use crate::direction::Direction;
 use crate::error::ConfigError;
 use crate::geometry::Mesh;
-use crate::topology::{Substrate, Topology};
+use crate::topology::Substrate;
 use crate::NodeId;
 
 /// A route plan: at most four straight `(direction, hops)` runs, in travel
@@ -48,87 +47,6 @@ impl Segments {
         self.runs[..self.len as usize]
             .iter()
             .map(|&(d, n)| (d.expect("pushed runs always carry a direction"), n))
-    }
-
-    /// Total hops across all runs.
-    pub fn total_hops(&self) -> u16 {
-        self.iter().map(|(_, n)| n).sum()
-    }
-
-    /// The first run's direction, or `None` for an empty (already-there)
-    /// route.
-    pub fn first_direction(&self) -> Option<Direction> {
-        self.iter().next().map(|(d, _)| d)
-    }
-}
-
-/// A deterministic routing function expressed as a turn model.
-///
-/// Implementors provide the segment schedule and the turn-legality
-/// predicate; everything the simulator needs — output ports, punch targets,
-/// implied-target checks — is derived from those in closed form.
-pub trait RoutingFunction {
-    /// The straight segment runs a packet travels from `from` to `to`, in
-    /// order. Consecutive runs must form legal turns under
-    /// [`RoutingFunction::turn_legal`], and each intermediate router's
-    /// remaining route must equal `segments(topo, intermediate, to)` (the
-    /// prefix property deterministic routing needs).
-    fn segments(&self, topo: Substrate, from: NodeId, to: NodeId) -> Segments;
-
-    /// Whether a packet travelling in `incoming` may leave in `outgoing`.
-    /// All models here forbid U-turns.
-    fn turn_legal(&self, incoming: Direction, outgoing: Direction) -> bool;
-
-    /// The output direction at `from` for a packet headed to `to`, or
-    /// `None` when `from == to` (the packet ejects locally).
-    fn direction(&self, topo: Substrate, from: NodeId, to: NodeId) -> Option<Direction> {
-        self.segments(topo, from, to).first_direction()
-    }
-
-    /// The next router on the route, or `None` when `from == to`.
-    fn next_hop(&self, topo: Substrate, from: NodeId, to: NodeId) -> Option<NodeId> {
-        let dir = self.direction(topo, from, to)?;
-        Some(
-            topo.neighbor(from, dir)
-                .expect("routing directions always point at an existing link"),
-        )
-    }
-
-    /// The router exactly `hops` hops along the route from `from` to `to`,
-    /// or the destination itself when the route is shorter. This is the
-    /// paper's *targeted router* rule — the wakeup target is the router
-    /// `min(H, dist)` hops ahead (§4.1 step 1) — computed as a closed-form
-    /// coordinate jump over the segment schedule, not an O(hops) walk.
-    fn router_ahead(&self, topo: Substrate, from: NodeId, to: NodeId, hops: u16) -> NodeId {
-        let mut cur = from;
-        let mut left = hops;
-        for (dir, n) in self.segments(topo, from, to).iter() {
-            if left <= n {
-                return topo.advance(cur, dir, left);
-            }
-            cur = topo.advance(cur, dir, n);
-            left -= n;
-        }
-        cur
-    }
-
-    /// Returns `true` if `mid` lies on the route from `from` to `to`
-    /// (endpoints included). Used to drop *implied* punch targets
-    /// (§4.1 step 4). Closed-form per segment run.
-    fn on_path(&self, topo: Substrate, from: NodeId, to: NodeId, mid: NodeId) -> bool {
-        if mid == from {
-            return true;
-        }
-        let mut cur = from;
-        for (dir, n) in self.segments(topo, from, to).iter() {
-            if let Some(k) = topo.steps_between(cur, mid, dir) {
-                if k <= n {
-                    return true;
-                }
-            }
-            cur = topo.advance(cur, dir, n);
-        }
-        false
     }
 }
 
@@ -242,8 +160,13 @@ fn axis_runs(dx: i32, dy: i32) -> ((Direction, u16), (Direction, u16)) {
     (x, y)
 }
 
-impl RoutingFunction for RoutingKind {
-    fn segments(&self, topo: Substrate, from: NodeId, to: NodeId) -> Segments {
+impl RoutingKind {
+    /// The straight segment runs a packet travels from `from` to `to`, in
+    /// order. Consecutive runs form legal turns under
+    /// [`RoutingKind::turn_legal`], and each intermediate router's
+    /// remaining route equals `segments(topo, intermediate, to)` (the
+    /// prefix property deterministic routing needs).
+    pub fn segments(&self, topo: Substrate, from: NodeId, to: NodeId) -> Segments {
         let (dx, dy) = topo.delta(from, to);
         let ((xd, xn), (yd, yn)) = axis_runs(dx, dy);
         let mut s = Segments::default();
@@ -294,11 +217,17 @@ impl RoutingFunction for RoutingKind {
                 }
             }
         }
-        debug_assert_eq!(s.total_hops(), topo.distance(from, to));
+        debug_assert_eq!(
+            s.iter().map(|(_, n)| n).sum::<u16>(),
+            topo.distance(from, to)
+        );
         s
     }
 
-    fn turn_legal(&self, incoming: Direction, outgoing: Direction) -> bool {
+    /// Whether a packet travelling in `incoming` may leave in `outgoing`.
+    /// Every model forbids U-turns; XY additionally forbids `Y->X` (the
+    /// paper's §4.1 step 3).
+    pub fn turn_legal(&self, incoming: Direction, outgoing: Direction) -> bool {
         if outgoing == incoming.opposite() {
             return false; // U-turns are illegal under every model.
         }
@@ -323,8 +252,8 @@ impl RoutingFunction for RoutingKind {
 /// `Copy` bundle everything route-aware stores.
 ///
 /// `From<Mesh>`/`From<Substrate>` default the routing to [`RoutingKind::Xy`]
-/// so pre-trait call sites (`PunchFabric::new(mesh, 3)`, …) keep compiling;
-/// pass a `(topology, routing)` tuple to pick another turn model.
+/// (`PunchFabric::new(mesh, 3)`, …); pass a `(topology, routing)` tuple to
+/// pick another turn model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouteView {
     /// The substrate routes run over.
@@ -342,40 +271,72 @@ impl RouteView {
         }
     }
 
-    /// The output direction at `from` toward `to` (`None` when ejecting).
+    /// The output direction at `from` for a packet headed to `to`, or
+    /// `None` when `from == to` (the packet ejects locally).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use punchsim_types::{Direction, Mesh, NodeId, RouteView};
+    ///
+    /// let xy = RouteView::from(Mesh::new(8, 8));
+    /// // Packet at R26 headed to R31 travels east first (Figure 4).
+    /// assert_eq!(xy.direction(NodeId(26), NodeId(31)), Some(Direction::East));
+    /// ```
     #[inline]
     pub fn direction(&self, from: NodeId, to: NodeId) -> Option<Direction> {
-        self.routing.direction(self.topo, from, to)
+        let first = self.routing.segments(self.topo, from, to).iter().next();
+        first.map(|(dir, _)| dir)
     }
 
-    /// The next router on the route (`None` when `from == to`).
+    /// The next router on the route, or `None` when `from == to`.
     #[inline]
     pub fn next_hop(&self, from: NodeId, to: NodeId) -> Option<NodeId> {
-        self.routing.next_hop(self.topo, from, to)
+        let dir = self.direction(from, to)?;
+        Some(
+            self.topo
+                .neighbor(from, dir)
+                .expect("routing directions always point at an existing link"),
+        )
     }
 
-    /// The router `min(hops, dist)` hops along the route (§4.1 step 1).
+    /// The router exactly `hops` hops along the route from `from` to `to`,
+    /// or the destination itself when the route is shorter. This is the
+    /// paper's *targeted router* rule — the wakeup target is the router
+    /// `min(H, dist)` hops ahead (§4.1 step 1) — computed as a closed-form
+    /// coordinate jump over the segment schedule, not an O(hops) walk.
     #[inline]
     pub fn router_ahead(&self, from: NodeId, to: NodeId, hops: u16) -> NodeId {
-        self.routing.router_ahead(self.topo, from, to, hops)
+        let mut cur = from;
+        let mut left = hops;
+        for (dir, n) in self.routing.segments(self.topo, from, to).iter() {
+            if left <= n {
+                return self.topo.advance(cur, dir, left);
+            }
+            cur = self.topo.advance(cur, dir, n);
+            left -= n;
+        }
+        cur
     }
 
-    /// Whether `mid` lies on the route (endpoints included).
+    /// Returns `true` if `mid` lies on the route from `from` to `to`
+    /// (endpoints included). Used to drop *implied* punch targets
+    /// (§4.1 step 4). Closed-form per segment run.
     #[inline]
     pub fn on_path(&self, from: NodeId, to: NodeId, mid: NodeId) -> bool {
-        self.routing.on_path(self.topo, from, to, mid)
-    }
-
-    /// Whether the `incoming -> outgoing` turn is legal.
-    #[inline]
-    pub fn turn_legal(&self, incoming: Direction, outgoing: Direction) -> bool {
-        self.routing.turn_legal(incoming, outgoing)
-    }
-
-    /// Minimal hop distance on the substrate.
-    #[inline]
-    pub fn distance(&self, a: NodeId, b: NodeId) -> u16 {
-        self.topo.distance(a, b)
+        if mid == from {
+            return true;
+        }
+        let mut cur = from;
+        for (dir, n) in self.routing.segments(self.topo, from, to).iter() {
+            if let Some(k) = self.topo.steps_between(cur, mid, dir) {
+                if k <= n {
+                    return true;
+                }
+            }
+            cur = self.topo.advance(cur, dir, n);
+        }
+        false
     }
 }
 
@@ -397,95 +358,25 @@ impl<T: Into<Substrate>> From<(T, RoutingKind)> for RouteView {
     }
 }
 
-/// The XY-routing output direction at `from` for a packet headed to `to`,
-/// or `None` when `from == to` (the packet ejects locally).
-///
-/// # Examples
-///
-/// ```
-/// use punchsim_types::{Mesh, NodeId, Direction, routing::xy_direction};
-///
-/// let mesh = Mesh::new(8, 8);
-/// // Packet at R26 headed to R31 travels east first (Figure 4).
-/// assert_eq!(xy_direction(mesh, NodeId(26), NodeId(31)), Some(Direction::East));
-/// ```
-pub fn xy_direction(mesh: Mesh, from: NodeId, to: NodeId) -> Option<Direction> {
-    RoutingKind::Xy.direction(mesh.into(), from, to)
-}
-
-/// The next router on the XY path from `from` to `to`, or `None` when
-/// `from == to`.
-pub fn xy_next_hop(mesh: Mesh, from: NodeId, to: NodeId) -> Option<NodeId> {
-    RoutingKind::Xy.next_hop(mesh.into(), from, to)
-}
-
-/// The router exactly `hops` hops along the XY path from `from` to `to`.
-///
-/// If the path is shorter than `hops`, returns the destination `to` itself.
-/// This is precisely the paper's *targeted router* rule: the wakeup target
-/// is the router `min(H, dist)` hops ahead (§4.1 step 1).
-pub fn xy_router_ahead(mesh: Mesh, from: NodeId, to: NodeId, hops: u16) -> NodeId {
-    RoutingKind::Xy.router_ahead(mesh.into(), from, to, hops)
-}
-
-/// Returns `true` if `mid` lies on the XY path from `from` to `to`
-/// (endpoints included). Used to drop *implied* punch targets (§4.1 step 4).
-pub fn xy_on_path(mesh: Mesh, from: NodeId, to: NodeId, mid: NodeId) -> bool {
-    RoutingKind::Xy.on_path(mesh.into(), from, to, mid)
-}
-
-/// An iterator over the routers of a route, excluding the source and
-/// including the destination.
-#[derive(Debug, Clone)]
-pub struct RoutePath {
-    view: RouteView,
-    cur: NodeId,
-    dst: NodeId,
-}
-
-/// Kept as an alias for the pre-trait name.
-pub type XyPath = RoutePath;
-
-impl Iterator for RoutePath {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let next = self.view.next_hop(self.cur, self.dst)?;
-        self.cur = next;
-        Some(next)
-    }
-}
-
 /// The route from `from` to `to` under `view` as an iterator of
 /// intermediate routers and the destination (the source is not yielded).
-pub fn route_path(view: impl Into<RouteView>, from: NodeId, to: NodeId) -> RoutePath {
-    RoutePath {
-        view: view.into(),
-        cur: from,
-        dst: to,
-    }
-}
-
-/// The XY route from `from` to `to` as an iterator of intermediate routers
-/// and the destination (the source is not yielded).
 ///
 /// # Examples
 ///
 /// ```
-/// use punchsim_types::{Mesh, NodeId, routing::xy_path};
+/// use punchsim_types::{routing::route_path, Mesh, NodeId};
 ///
-/// let mesh = Mesh::new(8, 8);
-/// let hops: Vec<_> = xy_path(mesh, NodeId(26), NodeId(36)).collect();
+/// // XY on the paper's mesh: east along the row, then south.
+/// let hops: Vec<_> = route_path(Mesh::new(8, 8), NodeId(26), NodeId(36)).collect();
 /// assert_eq!(hops, vec![NodeId(27), NodeId(28), NodeId(36)]);
 /// ```
-pub fn xy_path(mesh: Mesh, from: NodeId, to: NodeId) -> RoutePath {
-    route_path(mesh, from, to)
-}
-
-/// Returns `true` if turning from travel direction `incoming` to `outgoing`
-/// is legal under XY routing (Y->X turns are forbidden).
-pub fn xy_turn_legal(incoming: Direction, outgoing: Direction) -> bool {
-    RoutingKind::Xy.turn_legal(incoming, outgoing)
+pub fn route_path(
+    view: impl Into<RouteView>,
+    from: NodeId,
+    to: NodeId,
+) -> impl Iterator<Item = NodeId> {
+    let view = view.into();
+    std::iter::successors(view.next_hop(from, to), move |&at| view.next_hop(at, to))
 }
 
 #[cfg(test)]
@@ -497,13 +388,18 @@ mod tests {
         Mesh::new(8, 8)
     }
 
+    /// XY routing on the paper's 8x8 mesh.
+    fn xy8() -> RouteView {
+        mesh8().into()
+    }
+
     #[test]
     fn x_before_y() {
         // R26 -> R29 goes straight east; R26 -> R36 goes east then south.
         let m = mesh8();
-        let p: Vec<_> = xy_path(m, NodeId(26), NodeId(29)).collect();
+        let p: Vec<_> = route_path(m, NodeId(26), NodeId(29)).collect();
         assert_eq!(p, vec![NodeId(27), NodeId(28), NodeId(29)]);
-        let p: Vec<_> = xy_path(m, NodeId(26), NodeId(36)).collect();
+        let p: Vec<_> = route_path(m, NodeId(26), NodeId(36)).collect();
         assert_eq!(p, vec![NodeId(27), NodeId(28), NodeId(36)]);
     }
 
@@ -512,56 +408,52 @@ mod tests {
         let m = mesh8();
         for a in m.iter_nodes() {
             for b in m.iter_nodes() {
-                assert_eq!(xy_path(m, a, b).count(), m.distance(a, b) as usize);
+                assert_eq!(route_path(m, a, b).count(), m.distance(a, b) as usize);
             }
         }
     }
 
     #[test]
     fn router_ahead_respects_min_rule() {
-        let m = mesh8();
+        let v = xy8();
         // Paper §4.1: packet with source R0, destination R7, currently at R3:
         // the targeted router for a 3-hop punch is R6.
-        assert_eq!(xy_router_ahead(m, NodeId(3), NodeId(7), 3), NodeId(6));
+        assert_eq!(v.router_ahead(NodeId(3), NodeId(7), 3), NodeId(6));
         // Closer than H hops: the destination itself is the target.
-        assert_eq!(xy_router_ahead(m, NodeId(5), NodeId(7), 3), NodeId(7));
-        assert_eq!(xy_router_ahead(m, NodeId(7), NodeId(7), 3), NodeId(7));
+        assert_eq!(v.router_ahead(NodeId(5), NodeId(7), 3), NodeId(7));
+        assert_eq!(v.router_ahead(NodeId(7), NodeId(7), 3), NodeId(7));
     }
 
     #[test]
     fn paper_example_r26_to_r31_targets_r29() {
         // §4.1 step 1: "a packet currently at R26 with destination R31 knows
         // precisely that the targeted router is R29".
-        let m = mesh8();
-        assert_eq!(xy_router_ahead(m, NodeId(26), NodeId(31), 3), NodeId(29));
+        assert_eq!(xy8().router_ahead(NodeId(26), NodeId(31), 3), NodeId(29));
     }
 
     #[test]
     fn on_path_examples() {
-        let m = mesh8();
+        let v = xy8();
         // R27 and R28 are along the path from R26 to R29 (§4.1 step 2).
-        assert!(xy_on_path(m, NodeId(26), NodeId(29), NodeId(27)));
-        assert!(xy_on_path(m, NodeId(26), NodeId(29), NodeId(28)));
-        assert!(!xy_on_path(m, NodeId(26), NodeId(29), NodeId(35)));
+        assert!(v.on_path(NodeId(26), NodeId(29), NodeId(27)));
+        assert!(v.on_path(NodeId(26), NodeId(29), NodeId(28)));
+        assert!(!v.on_path(NodeId(26), NodeId(29), NodeId(35)));
         // R29 is along the path from R27 to R21 (§4.1 step 4).
-        assert!(xy_on_path(m, NodeId(27), NodeId(21), NodeId(29)));
+        assert!(v.on_path(NodeId(27), NodeId(21), NodeId(29)));
         // Endpoints count.
-        assert!(xy_on_path(m, NodeId(26), NodeId(29), NodeId(26)));
-        assert!(xy_on_path(m, NodeId(26), NodeId(29), NodeId(29)));
+        assert!(v.on_path(NodeId(26), NodeId(29), NodeId(26)));
+        assert!(v.on_path(NodeId(26), NodeId(29), NodeId(29)));
     }
 
     #[test]
     fn on_path_matches_enumeration() {
         let m = Mesh::new(5, 5);
+        let v = RouteView::from(m);
         for a in m.iter_nodes() {
             for b in m.iter_nodes() {
-                let path: Vec<_> = std::iter::once(a).chain(xy_path(m, a, b)).collect();
+                let path: Vec<_> = std::iter::once(a).chain(route_path(m, a, b)).collect();
                 for c in m.iter_nodes() {
-                    assert_eq!(
-                        xy_on_path(m, a, b, c),
-                        path.contains(&c),
-                        "a={a} b={b} c={c}"
-                    );
+                    assert_eq!(v.on_path(a, b, c), path.contains(&c), "a={a} b={b} c={c}");
                 }
             }
         }
@@ -570,13 +462,14 @@ mod tests {
     #[test]
     fn turn_legality() {
         use Direction::*;
+        let xy = RoutingKind::Xy;
         // Paper §4.1 step 3: "Y+ to X+ turns are illegal".
-        assert!(!xy_turn_legal(South, East));
-        assert!(!xy_turn_legal(North, West));
-        assert!(xy_turn_legal(East, South));
-        assert!(xy_turn_legal(East, North));
-        assert!(xy_turn_legal(East, East));
-        assert!(!xy_turn_legal(East, West)); // U-turn
+        assert!(!xy.turn_legal(South, East));
+        assert!(!xy.turn_legal(North, West));
+        assert!(xy.turn_legal(East, South));
+        assert!(xy.turn_legal(East, North));
+        assert!(xy.turn_legal(East, East));
+        assert!(!xy.turn_legal(East, West)); // U-turn
     }
 
     #[test]
@@ -588,8 +481,8 @@ mod tests {
         assert_eq!(p, vec![NodeId(34), NodeId(35), NodeId(36)]);
         // YX forbids X->Y instead of Y->X.
         use Direction::*;
-        assert!(!v.turn_legal(East, South));
-        assert!(v.turn_legal(South, East));
+        assert!(!v.routing.turn_legal(East, South));
+        assert!(v.routing.turn_legal(South, East));
     }
 
     /// Every routing kind, on every substrate it admits: the planned
@@ -617,7 +510,7 @@ mod tests {
                             let d = v.direction(cur, b).expect("route not done");
                             if let Some(p) = prev {
                                 assert!(
-                                    v.turn_legal(p, d),
+                                    kind.turn_legal(p, d),
                                     "{kind:?} on {topo}: illegal {p}->{d} at {cur} ({a}->{b})"
                                 );
                             }
@@ -646,18 +539,19 @@ mod tests {
                 if kind.validate_on(topo).is_err() {
                     continue;
                 }
+                let v = RouteView::new(topo, kind);
                 for a in topo.iter_nodes() {
                     for b in topo.iter_nodes() {
                         for h in 0..=5u16 {
                             let mut cur = a;
                             for _ in 0..h {
-                                match kind.next_hop(topo, cur, b) {
+                                match v.next_hop(cur, b) {
                                     Some(n) => cur = n,
                                     None => break,
                                 }
                             }
                             assert_eq!(
-                                kind.router_ahead(topo, a, b, h),
+                                v.router_ahead(a, b, h),
                                 cur,
                                 "{kind:?} on {topo}: {a}->{b} h={h}"
                             );
@@ -675,7 +569,7 @@ mod tests {
         // R0 -> R7 is one westward wrap hop, not seven east.
         assert_eq!(v.direction(NodeId(0), NodeId(7)), Some(Direction::West));
         assert_eq!(v.next_hop(NodeId(0), NodeId(7)), Some(NodeId(7)));
-        assert_eq!(v.distance(NodeId(0), NodeId(63)), 2);
+        assert_eq!(t.distance(NodeId(0), NodeId(63)), 2);
         // Targeted-router rule across a wrap: 3 hops ahead of R0 toward
         // R61 (3 west on the row ring).
         assert_eq!(v.router_ahead(NodeId(0), NodeId(61), 3), NodeId(5));

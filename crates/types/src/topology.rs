@@ -1,153 +1,23 @@
-//! First-class network topologies: the trait and its implementations.
+//! Network substrates: one enum, geometry written once.
 //!
 //! The paper evaluates Power Punch on an 8x8 XY mesh, but its §4.1 codeword
 //! derivation is a theorem about *turn restrictions*, not about meshes or XY
-//! specifically. This module lifts the substrate into a [`Topology`] trait so
-//! the punch fabric, codebook enumeration, NoC kernel and campaign layer can
-//! run over a 2D [`Mesh`](crate::Mesh), a wrap-around [`Torus`], or a
-//! concentrated mesh ([`CMesh`]) without any of them knowing which.
+//! specifically. All it needs from the substrate is a deterministic turn
+//! model over a `width x height` router grid, so the punch fabric, codebook
+//! enumeration, NoC kernel and campaign layer run unchanged over a 2D
+//! [`Mesh`], a wrap-around [`Torus`] or a concentrated mesh ([`CMesh`]).
 //!
 //! [`Substrate`] is the `Copy`/`Eq`/`Hash` handle that configuration
-//! structures store; it dispatches every trait method to the concrete
-//! topology and renders a stable tag for artifact ids (`8x8`, `torus8x8`,
-//! `c4x4x4`).
+//! structures store. Every substrate here is the same row-major grid and
+//! differs only in whether its links wrap, so the geometry is one set of
+//! inherent methods over `(width, height, wraps)`; the variants carry the
+//! validated dimensions, the concentration factor and the stable artifact
+//! tag (`8x8`, `torus8x8`, `c4x4x4`).
 
 use crate::direction::Direction;
 use crate::error::ConfigError;
 use crate::geometry::{Coord, Mesh};
 use crate::NodeId;
-
-/// The geometric contract every substrate provides: a `width x height`
-/// router grid with row-major ids, four link directions, and enough
-/// arithmetic for routing functions to plan straight-line runs without
-/// walking hop by hop.
-///
-/// The two primitives beyond plain mesh geometry are [`Topology::delta`]
-/// (the signed per-axis travel a minimal route performs, wrap-aware on a
-/// torus) and [`Topology::advance`] (the closed-form coordinate jump `k`
-/// hops in one direction — the basis of O(1) punch-target computation).
-pub trait Topology {
-    /// Number of router columns.
-    fn width(&self) -> u16;
-
-    /// Number of router rows.
-    fn height(&self) -> u16;
-
-    /// Total number of routers.
-    fn nodes(&self) -> usize {
-        self.width() as usize * self.height() as usize
-    }
-
-    /// Returns `true` if `node` is a valid id for this topology.
-    fn contains(&self, node: NodeId) -> bool {
-        node.index() < self.nodes()
-    }
-
-    /// Converts a node id to its coordinate (row-major, Figure 4 numbering).
-    fn coord(&self, node: NodeId) -> Coord {
-        debug_assert!(self.contains(node));
-        Coord {
-            x: node.0 % self.width(),
-            y: node.0 / self.width(),
-        }
-    }
-
-    /// Converts a coordinate to its node id.
-    fn node(&self, c: Coord) -> NodeId {
-        debug_assert!(c.x < self.width() && c.y < self.height());
-        NodeId(c.y * self.width() + c.x)
-    }
-
-    /// The neighbour of `node` in direction `dir`, or `None` where no link
-    /// exists (mesh edges; a torus always has one).
-    fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId>;
-
-    /// The signed per-axis travel `(dx, dy)` a minimal route from `from` to
-    /// `to` performs: positive `dx` is eastward, positive `dy` southward.
-    /// On a torus this is the shortest wrapped offset, with exact half-ring
-    /// ties broken toward East/South so routing stays deterministic.
-    fn delta(&self, from: NodeId, to: NodeId) -> (i32, i32);
-
-    /// Minimal hop distance between two nodes.
-    fn distance(&self, a: NodeId, b: NodeId) -> u16 {
-        let (dx, dy) = self.delta(a, b);
-        (dx.unsigned_abs() + dy.unsigned_abs()) as u16
-    }
-
-    /// The node exactly `k` hops from `node` in direction `dir` — a
-    /// closed-form coordinate jump, never a hop-by-hop walk.
-    ///
-    /// The caller must ensure the run stays on the grid (a mesh has edges);
-    /// routing functions only ever advance along runs produced from
-    /// [`Topology::delta`], which satisfies this by construction.
-    fn advance(&self, node: NodeId, dir: Direction, k: u16) -> NodeId;
-
-    /// If travelling from `from` in direction `dir` reaches `to` after
-    /// `k >= 1` straight hops (without leaving the grid), returns `Some(k)`.
-    /// This is what lets `on_path` checks stay closed-form per segment.
-    fn steps_between(&self, from: NodeId, to: NodeId, dir: Direction) -> Option<u16>;
-
-    /// `true` when links wrap around (the substrate contains rings). Turn
-    /// restrictions alone cannot break cycles through wrap links, which is
-    /// why config validation rejects non-dimension-ordered routing here.
-    fn wraps(&self) -> bool {
-        false
-    }
-
-    /// Terminals (NIs) multiplexed onto each router. 1 everywhere except a
-    /// concentrated mesh, where the synthetic harness scales per-router
-    /// offered load by this factor.
-    fn concentration(&self) -> u16 {
-        1
-    }
-
-    /// Iterates over all node ids in ascending order.
-    fn iter_nodes(&self) -> std::iter::Map<std::ops::Range<u16>, fn(u16) -> NodeId> {
-        (0..self.nodes() as u16).map(NodeId)
-    }
-}
-
-impl Topology for Mesh {
-    fn width(&self) -> u16 {
-        Mesh::width(*self)
-    }
-
-    fn height(&self) -> u16 {
-        Mesh::height(*self)
-    }
-
-    fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        Mesh::neighbor(*self, node, dir)
-    }
-
-    fn delta(&self, from: NodeId, to: NodeId) -> (i32, i32) {
-        let (f, t) = (Mesh::coord(*self, from), Mesh::coord(*self, to));
-        (t.x as i32 - f.x as i32, t.y as i32 - f.y as i32)
-    }
-
-    fn advance(&self, node: NodeId, dir: Direction, k: u16) -> NodeId {
-        let c = Mesh::coord(*self, node);
-        let n = match dir {
-            Direction::East => Coord::new(c.x + k, c.y),
-            Direction::West => Coord::new(c.x - k, c.y),
-            Direction::South => Coord::new(c.x, c.y + k),
-            Direction::North => Coord::new(c.x, c.y - k),
-        };
-        Mesh::node(*self, n)
-    }
-
-    fn steps_between(&self, from: NodeId, to: NodeId, dir: Direction) -> Option<u16> {
-        let (f, t) = (Mesh::coord(*self, from), Mesh::coord(*self, to));
-        let k = match dir {
-            Direction::East if f.y == t.y && t.x > f.x => t.x - f.x,
-            Direction::West if f.y == t.y && t.x < f.x => f.x - t.x,
-            Direction::South if f.x == t.x && t.y > f.y => t.y - f.y,
-            Direction::North if f.x == t.x && t.y < f.y => f.y - t.y,
-            _ => return None,
-        };
-        Some(k)
-    }
-}
 
 /// A 2D torus: the mesh grid with every row and column closed into a ring.
 ///
@@ -158,13 +28,13 @@ impl Topology for Mesh {
 /// # Examples
 ///
 /// ```
-/// use punchsim_types::{topology::{Topology, Torus}, Direction, NodeId};
+/// use punchsim_types::{Direction, NodeId, Substrate, Torus};
 ///
-/// let t = Torus::new(4, 4);
+/// let t = Substrate::from(Torus::new(4, 4));
 /// // R0 wraps west to the end of its row and north to the bottom row.
 /// assert_eq!(t.neighbor(NodeId(0), Direction::West), Some(NodeId(3)));
 /// assert_eq!(t.neighbor(NodeId(0), Direction::North), Some(NodeId(12)));
-/// // Opposite corners are 4 hops apart instead of the mesh's 6.
+/// // Opposite corners are 2 hops apart instead of the mesh's 6.
 /// assert_eq!(t.distance(NodeId(0), NodeId(15)), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -194,69 +64,6 @@ impl Torus {
     pub fn try_new(width: u16, height: u16) -> Result<Self, ConfigError> {
         Mesh::checked("torus", width, height, 2)?;
         Ok(Torus { width, height })
-    }
-}
-
-/// Shortest wrapped offset of `d` on a ring of `n`, in `(-n/2, n/2]`:
-/// exact half-ring ties resolve to the positive (East/South) direction.
-fn ring_delta(d: i32, n: i32) -> i32 {
-    let m = d.rem_euclid(n);
-    if m * 2 > n {
-        m - n
-    } else {
-        m
-    }
-}
-
-impl Topology for Torus {
-    fn width(&self) -> u16 {
-        self.width
-    }
-
-    fn height(&self) -> u16 {
-        self.height
-    }
-
-    fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        Some(self.advance(node, dir, 1))
-    }
-
-    fn delta(&self, from: NodeId, to: NodeId) -> (i32, i32) {
-        let (f, t) = (self.coord(from), self.coord(to));
-        (
-            ring_delta(t.x as i32 - f.x as i32, self.width as i32),
-            ring_delta(t.y as i32 - f.y as i32, self.height as i32),
-        )
-    }
-
-    fn advance(&self, node: NodeId, dir: Direction, k: u16) -> NodeId {
-        let c = self.coord(node);
-        let (w, h) = (self.width as i32, self.height as i32);
-        let (mut x, mut y) = (c.x as i32, c.y as i32);
-        match dir {
-            Direction::East => x = (x + k as i32).rem_euclid(w),
-            Direction::West => x = (x - k as i32).rem_euclid(w),
-            Direction::South => y = (y + k as i32).rem_euclid(h),
-            Direction::North => y = (y - k as i32).rem_euclid(h),
-        }
-        self.node(Coord::new(x as u16, y as u16))
-    }
-
-    fn steps_between(&self, from: NodeId, to: NodeId, dir: Direction) -> Option<u16> {
-        let (f, t) = (self.coord(from), self.coord(to));
-        let (w, h) = (self.width as i32, self.height as i32);
-        let k = match dir {
-            Direction::East if f.y == t.y => (t.x as i32 - f.x as i32).rem_euclid(w),
-            Direction::West if f.y == t.y => (f.x as i32 - t.x as i32).rem_euclid(w),
-            Direction::South if f.x == t.x => (t.y as i32 - f.y as i32).rem_euclid(h),
-            Direction::North if f.x == t.x => (f.y as i32 - t.y as i32).rem_euclid(h),
-            _ => return None,
-        };
-        (k > 0).then_some(k as u16)
-    }
-
-    fn wraps(&self) -> bool {
-        true
     }
 }
 
@@ -303,46 +110,26 @@ impl CMesh {
             concentration,
         })
     }
+}
 
-    /// The underlying router grid.
-    pub fn routers(self) -> Mesh {
-        self.routers
+/// Shortest wrapped offset of `d` on a ring of `n`, in `(-n/2, n/2]`:
+/// exact half-ring ties resolve to the positive (East/South) direction.
+fn ring_delta(d: i32, n: i32) -> i32 {
+    let m = d.rem_euclid(n);
+    if m * 2 > n {
+        m - n
+    } else {
+        m
     }
 }
 
-impl Topology for CMesh {
-    fn width(&self) -> u16 {
-        Mesh::width(self.routers)
-    }
-
-    fn height(&self) -> u16 {
-        Mesh::height(self.routers)
-    }
-
-    fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        Mesh::neighbor(self.routers, node, dir)
-    }
-
-    fn delta(&self, from: NodeId, to: NodeId) -> (i32, i32) {
-        Topology::delta(&self.routers, from, to)
-    }
-
-    fn advance(&self, node: NodeId, dir: Direction, k: u16) -> NodeId {
-        Topology::advance(&self.routers, node, dir, k)
-    }
-
-    fn steps_between(&self, from: NodeId, to: NodeId, dir: Direction) -> Option<u16> {
-        Topology::steps_between(&self.routers, from, to, dir)
-    }
-
-    fn concentration(&self) -> u16 {
-        self.concentration
-    }
-}
-
-/// The storable topology handle: which concrete substrate a configuration,
-/// spec or simulation runs on. `Copy`/`Eq`/`Hash` so it slots into configs
-/// and content hashes exactly like `Mesh` did before the trait existed.
+/// The storable topology handle: which substrate a configuration, spec or
+/// simulation runs on — a `width x height` router grid with row-major ids
+/// (Figure 4 numbering) and four link directions. `Copy`/`Eq`/`Hash` so it
+/// slots into configs and content hashes. The two primitives beyond plain
+/// grid geometry are [`Substrate::delta`] (wrap-aware signed travel) and
+/// [`Substrate::advance`] (the closed-form jump `k` hops in one direction —
+/// the basis of O(1) punch-target computation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Substrate {
     /// Plain 2D mesh (the paper's substrate).
@@ -353,31 +140,27 @@ pub enum Substrate {
     CMesh(CMesh),
 }
 
-macro_rules! dispatch {
-    ($self:expr, $t:ident => $e:expr) => {
-        match $self {
-            Substrate::Mesh($t) => $e,
-            Substrate::Torus($t) => $e,
-            Substrate::CMesh($t) => $e,
-        }
-    };
-}
-
 impl Substrate {
+    /// `(width, height, wraps)`: everything the geometry below depends on.
+    #[inline]
+    fn grid(&self) -> (u16, u16, bool) {
+        match self {
+            Substrate::Mesh(m) => (m.width(), m.height(), false),
+            Substrate::Torus(t) => (t.width, t.height, true),
+            Substrate::CMesh(c) => (c.routers.width(), c.routers.height(), false),
+        }
+    }
+
     /// Stable tag used in artifact ids and content hashes: `8x8` for a
-    /// mesh (byte-identical to the pre-trait rendering), `torus8x8` for a
-    /// torus, `c4x4x4` for a concentrated mesh (`c{W}x{H}x{C}`).
+    /// mesh, `torus8x8` for a torus, `c4x4x4` for a concentrated mesh
+    /// (`c{W}x{H}x{C}`).
     /// Never rename a tag: artifact names and baselines depend on them.
     pub fn tag(&self) -> String {
+        let (w, h, _) = self.grid();
         match self {
-            Substrate::Mesh(m) => format!("{}x{}", m.width(), m.height()),
-            Substrate::Torus(t) => format!("torus{}x{}", Topology::width(t), Topology::height(t)),
-            Substrate::CMesh(c) => format!(
-                "c{}x{}x{}",
-                Topology::width(c),
-                Topology::height(c),
-                c.concentration
-            ),
+            Substrate::Mesh(_) => format!("{w}x{h}"),
+            Substrate::Torus(_) => format!("torus{w}x{h}"),
+            Substrate::CMesh(c) => format!("c{w}x{h}x{}", c.concentration),
         }
     }
 
@@ -393,50 +176,127 @@ impl Substrate {
     /// Number of router columns.
     #[inline]
     pub fn width(&self) -> u16 {
-        dispatch!(self, t => Topology::width(t))
+        self.grid().0
     }
 
     /// Number of router rows.
     #[inline]
     pub fn height(&self) -> u16 {
-        dispatch!(self, t => Topology::height(t))
+        self.grid().1
     }
 
     /// Total number of routers.
     #[inline]
     pub fn nodes(&self) -> usize {
-        dispatch!(self, t => Topology::nodes(t))
+        let (w, h, _) = self.grid();
+        w as usize * h as usize
     }
 
     /// Returns `true` if `node` is a valid id for this substrate.
     #[inline]
     pub fn contains(&self, node: NodeId) -> bool {
-        dispatch!(self, t => Topology::contains(t, node))
+        node.index() < self.nodes()
     }
 
-    /// Converts a node id to its coordinate.
+    /// Converts a node id to its coordinate (row-major, Figure 4 numbering).
     #[inline]
     pub fn coord(&self, node: NodeId) -> Coord {
-        dispatch!(self, t => Topology::coord(t, node))
+        debug_assert!(self.contains(node));
+        let w = self.width();
+        Coord::new(node.0 % w, node.0 / w)
     }
 
     /// Converts a coordinate to its node id.
     #[inline]
     pub fn node(&self, c: Coord) -> NodeId {
-        dispatch!(self, t => Topology::node(t, c))
+        let (w, h, _) = self.grid();
+        debug_assert!(c.x < w && c.y < h);
+        NodeId(c.y * w + c.x)
+    }
+
+    /// The coordinate `k` hops from `c` in direction `dir`: wrapped where
+    /// the grid wraps, `None` where the run would leave a grid that does not.
+    #[inline]
+    fn jump(&self, c: Coord, dir: Direction, k: u16) -> Option<Coord> {
+        let (w, h, wraps) = self.grid();
+        let (w, h, k) = (w as i32, h as i32, k as i32);
+        let (x, y) = (c.x as i32, c.y as i32);
+        let (x, y) = match dir {
+            Direction::East => (x + k, y),
+            Direction::West => (x - k, y),
+            Direction::South => (x, y + k),
+            Direction::North => (x, y - k),
+        };
+        if wraps {
+            Some(Coord::new(x.rem_euclid(w) as u16, y.rem_euclid(h) as u16))
+        } else {
+            ((0..w).contains(&x) && (0..h).contains(&y)).then(|| Coord::new(x as u16, y as u16))
+        }
     }
 
     /// The neighbour of `node` in direction `dir`, or `None` where no link
-    /// exists.
+    /// exists (mesh edges; a torus always has one).
     #[inline]
     pub fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        dispatch!(self, t => Topology::neighbor(t, node, dir))
+        self.jump(self.coord(node), dir, 1).map(|c| self.node(c))
+    }
+
+    /// The signed per-axis travel `(dx, dy)` a minimal route from `from` to
+    /// `to` performs: positive `dx` is eastward, positive `dy` southward.
+    /// On a torus this is the shortest wrapped offset, with exact half-ring
+    /// ties broken toward East/South so routing stays deterministic.
+    #[inline]
+    pub fn delta(&self, from: NodeId, to: NodeId) -> (i32, i32) {
+        let (w, h, wraps) = self.grid();
+        let (f, t) = (self.coord(from), self.coord(to));
+        let (dx, dy) = (t.x as i32 - f.x as i32, t.y as i32 - f.y as i32);
+        if wraps {
+            (ring_delta(dx, w as i32), ring_delta(dy, h as i32))
+        } else {
+            (dx, dy)
+        }
     }
 
     /// Minimal hop distance between two nodes.
     #[inline]
     pub fn distance(&self, a: NodeId, b: NodeId) -> u16 {
-        dispatch!(self, t => Topology::distance(t, a, b))
+        let (dx, dy) = self.delta(a, b);
+        (dx.unsigned_abs() + dy.unsigned_abs()) as u16
+    }
+
+    /// The node exactly `k` hops from `node` in direction `dir` — a
+    /// closed-form coordinate jump, never a hop-by-hop walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run leaves a grid that does not wrap (a mesh has
+    /// edges). Routing functions only ever advance along runs produced from
+    /// [`Substrate::delta`], which stay on the grid by construction.
+    #[inline]
+    pub fn advance(&self, node: NodeId, dir: Direction, k: u16) -> NodeId {
+        match self.jump(self.coord(node), dir, k) {
+            Some(c) => self.node(c),
+            None => panic!("{k} hops {dir} of {node} leaves {self}"),
+        }
+    }
+
+    /// If travelling from `from` in direction `dir` reaches `to` after
+    /// `k >= 1` straight hops (without leaving the grid), returns `Some(k)`.
+    /// This is what lets `on_path` checks stay closed-form per segment.
+    #[inline]
+    pub fn steps_between(&self, from: NodeId, to: NodeId, dir: Direction) -> Option<u16> {
+        let (w, h, wraps) = self.grid();
+        let (f, t) = (self.coord(from), self.coord(to));
+        let (fx, fy, tx, ty) = (f.x as i32, f.y as i32, t.x as i32, t.y as i32);
+        let (k, ring) = match dir {
+            Direction::East if fy == ty => (tx - fx, w),
+            Direction::West if fy == ty => (fx - tx, w),
+            Direction::South if fx == tx => (ty - fy, h),
+            Direction::North if fx == tx => (fy - ty, h),
+            _ => return None,
+        };
+        let k = if wraps { k.rem_euclid(ring as i32) } else { k };
+        (k > 0).then_some(k as u16)
     }
 
     /// Iterates over all node ids in ascending order.
@@ -444,58 +304,24 @@ impl Substrate {
         (0..self.nodes() as u16).map(NodeId)
     }
 
-    /// Directions in which `node` has a neighbour, in fixed N,E,S,W order.
-    pub fn neighbor_dirs(&self, node: NodeId) -> impl Iterator<Item = Direction> + use<> {
-        let s = *self;
-        Direction::ALL
-            .into_iter()
-            .filter(move |&d| s.neighbor(node, d).is_some())
-    }
-
-    /// Whether any link wraps around (true only for the torus).
+    /// `true` when links wrap around (only the torus: the substrate then
+    /// contains rings). Turn restrictions alone cannot break cycles through
+    /// wrap links, which is why config validation rejects
+    /// non-dimension-ordered routing here.
     #[inline]
     pub fn wraps(&self) -> bool {
-        dispatch!(self, t => Topology::wraps(t))
+        self.grid().2
     }
 
-    /// Terminals multiplexed per router (1 except for concentrated meshes).
+    /// Terminals (NIs) multiplexed onto each router. 1 everywhere except a
+    /// concentrated mesh, where the synthetic harness scales per-router
+    /// offered load by this factor.
     #[inline]
     pub fn concentration(&self) -> u16 {
-        dispatch!(self, t => Topology::concentration(t))
-    }
-}
-
-impl Topology for Substrate {
-    fn width(&self) -> u16 {
-        Substrate::width(self)
-    }
-
-    fn height(&self) -> u16 {
-        Substrate::height(self)
-    }
-
-    fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        Substrate::neighbor(self, node, dir)
-    }
-
-    fn delta(&self, from: NodeId, to: NodeId) -> (i32, i32) {
-        dispatch!(self, t => Topology::delta(t, from, to))
-    }
-
-    fn advance(&self, node: NodeId, dir: Direction, k: u16) -> NodeId {
-        dispatch!(self, t => Topology::advance(t, node, dir, k))
-    }
-
-    fn steps_between(&self, from: NodeId, to: NodeId, dir: Direction) -> Option<u16> {
-        dispatch!(self, t => Topology::steps_between(t, from, to, dir))
-    }
-
-    fn wraps(&self) -> bool {
-        dispatch!(self, t => Topology::wraps(t))
-    }
-
-    fn concentration(&self) -> u16 {
-        dispatch!(self, t => Topology::concentration(t))
+        match self {
+            Substrate::CMesh(c) => c.concentration,
+            _ => 1,
+        }
     }
 }
 
@@ -534,110 +360,120 @@ impl std::fmt::Display for Substrate {
 mod tests {
     use super::*;
 
-    #[test]
-    fn mesh_delta_and_advance_are_plain_offsets() {
-        let m = Mesh::new(8, 8);
-        assert_eq!(Topology::delta(&m, NodeId(27), NodeId(31)), (4, 0));
-        assert_eq!(Topology::delta(&m, NodeId(31), NodeId(27)), (-4, 0));
-        assert_eq!(
-            Topology::advance(&m, NodeId(27), Direction::East, 4),
-            NodeId(31)
-        );
-        assert_eq!(
-            Topology::advance(&m, NodeId(27), Direction::South, 2),
-            NodeId(43)
-        );
-    }
-
-    #[test]
-    fn mesh_steps_between_requires_straight_lines() {
-        let m = Mesh::new(8, 8);
-        assert_eq!(
-            Topology::steps_between(&m, NodeId(26), NodeId(29), Direction::East),
-            Some(3)
-        );
-        assert_eq!(
-            Topology::steps_between(&m, NodeId(26), NodeId(29), Direction::West),
-            None
-        );
-        // Different row: not a straight east run.
-        assert_eq!(
-            Topology::steps_between(&m, NodeId(26), NodeId(37), Direction::East),
-            None
-        );
-        // Zero steps is not "between".
-        assert_eq!(
-            Topology::steps_between(&m, NodeId(26), NodeId(26), Direction::East),
-            None
-        );
-    }
-
-    #[test]
-    fn torus_wraps_in_all_directions() {
-        let t = Torus::new(4, 4);
-        for n in t.iter_nodes() {
-            for d in Direction::ALL {
-                let nb = t.neighbor(n, d).expect("torus has no edges");
-                assert_eq!(t.neighbor(nb, d.opposite()), Some(n), "{n} {d}");
+    /// Hop counts from `from` to every node, by breadth-first search over
+    /// `neighbor` alone.
+    fn bfs(s: Substrate, from: NodeId) -> Vec<u16> {
+        let mut dist = vec![u16::MAX; s.nodes()];
+        dist[from.index()] = 0;
+        let mut queue = std::collections::VecDeque::from([from]);
+        while let Some(n) = queue.pop_front() {
+            for nb in Direction::ALL.into_iter().filter_map(|d| s.neighbor(n, d)) {
+                if dist[nb.index()] == u16::MAX {
+                    dist[nb.index()] = dist[n.index()] + 1;
+                    queue.push_back(nb);
+                }
             }
         }
+        dist
     }
 
+    /// The one geometry, on every substrate: `neighbor` is one coordinate
+    /// step (off a mesh edge `None`, wrapped on a torus), and the closed
+    /// forms `advance`/`steps_between`/`delta`/`distance` agree with
+    /// hop-by-hop `neighbor` walks. The 4x4 torus has exact half-ring ties,
+    /// the 5x3 one has none.
     #[test]
-    fn torus_delta_takes_the_short_way_round() {
-        let t = Torus::new(8, 8);
-        // R0 -> R7 is one hop west on the ring, not seven east.
-        assert_eq!(t.delta(NodeId(0), NodeId(7)), (-1, 0));
-        // Exact half-ring ties break toward East/South.
-        assert_eq!(t.delta(NodeId(0), NodeId(4)), (4, 0));
-        assert_eq!(t.delta(NodeId(4), NodeId(0)), (4, 0));
-        assert_eq!(t.distance(NodeId(0), NodeId(63)), 2);
-    }
+    fn closed_forms_match_neighbor_walks_on_every_substrate() {
+        let table: [(Substrate, bool, u16); 4] = [
+            (Mesh::new(5, 3).into(), false, 1),
+            (Torus::new(5, 3).into(), true, 1),
+            (Torus::new(4, 4).into(), true, 1),
+            (CMesh::new(4, 4, 4).into(), false, 4),
+        ];
+        for (s, wraps, concentration) in table {
+            let (w, h) = (s.width() as i32, s.height() as i32);
+            assert_eq!(s.nodes(), (w * h) as usize, "{s}");
+            assert_eq!(
+                (s.wraps(), s.concentration()),
+                (wraps, concentration),
+                "{s}"
+            );
+            for n in s.iter_nodes() {
+                let c = s.coord(n);
+                assert_eq!(s.node(c), n, "{s}");
+                for d in Direction::ALL {
+                    let (x, y) = match d {
+                        Direction::North => (c.x as i32, c.y as i32 - 1),
+                        Direction::East => (c.x as i32 + 1, c.y as i32),
+                        Direction::South => (c.x as i32, c.y as i32 + 1),
+                        Direction::West => (c.x as i32 - 1, c.y as i32),
+                    };
+                    let on_grid = (0..w).contains(&x) && (0..h).contains(&y);
+                    let step = Coord::new(x.rem_euclid(w) as u16, y.rem_euclid(h) as u16);
+                    let want = (wraps || on_grid).then(|| s.node(step));
+                    assert_eq!(s.neighbor(n, d), want, "{s}: {n} {d}");
 
-    #[test]
-    fn torus_advance_matches_repeated_neighbor() {
-        let t = Torus::new(5, 3);
-        for n in t.iter_nodes() {
-            for d in Direction::ALL {
-                let mut cur = n;
-                for k in 1..=6u16 {
-                    cur = t.neighbor(cur, d).unwrap();
-                    assert_eq!(t.advance(n, d, k), cur, "{n} {d} {k}");
+                    // Walk until the edge (mesh) or once round the ring and
+                    // one more (torus); `first[t]` is the hop count at which
+                    // the walk first stands on `t`.
+                    let mut first = vec![None; s.nodes()];
+                    let mut cur = n;
+                    for k in 1..=(w.max(h) as u16 + 1) {
+                        let Some(next) = s.neighbor(cur, d) else {
+                            break;
+                        };
+                        cur = next;
+                        assert_eq!(s.advance(n, d, k), cur, "{s}: {n} {d} {k}");
+                        // Zero steps is not "between", and neither is the
+                        // full lap that brings a ring walk back to `n`.
+                        if cur != n {
+                            first[cur.index()].get_or_insert(k);
+                        }
+                    }
+                    for t in s.iter_nodes() {
+                        assert_eq!(
+                            s.steps_between(n, t, d),
+                            first[t.index()],
+                            "{s}: {n} -> {t} going {d}"
+                        );
+                    }
+                }
+                let hops = bfs(s, n);
+                for t in s.iter_nodes() {
+                    let (dx, dy) = s.delta(n, t);
+                    // Minimal, and on a ring in (-n/2, n/2]: exact
+                    // half-ring ties go East/South.
+                    assert_eq!(s.distance(n, t), hops[t.index()], "{s}: {n} -> {t}");
+                    assert_eq!(dx.abs() + dy.abs(), hops[t.index()] as i32);
+                    if wraps {
+                        assert!(-w < 2 * dx && 2 * dx <= w, "{s}: {n} -> {t} dx {dx}");
+                        assert!(-h < 2 * dy && 2 * dy <= h, "{s}: {n} -> {t} dy {dy}");
+                    }
+                    // Travelling the delta arrives.
+                    let xd = if dx >= 0 {
+                        Direction::East
+                    } else {
+                        Direction::West
+                    };
+                    let yd = if dy >= 0 {
+                        Direction::South
+                    } else {
+                        Direction::North
+                    };
+                    let mid = s.advance(n, xd, dx.unsigned_abs() as u16);
+                    assert_eq!(s.advance(mid, yd, dy.unsigned_abs() as u16), t);
                 }
             }
         }
     }
 
     #[test]
-    fn torus_steps_between_wraps() {
-        let t = Torus::new(8, 8);
-        // R7 east-wraps to R0 in one step.
-        assert_eq!(
-            t.steps_between(NodeId(7), NodeId(0), Direction::East),
-            Some(1)
-        );
-        assert_eq!(
-            t.steps_between(NodeId(0), NodeId(7), Direction::East),
-            Some(7)
-        );
-        assert_eq!(
-            t.steps_between(NodeId(0), NodeId(7), Direction::West),
-            Some(1)
-        );
-        assert_eq!(t.steps_between(NodeId(0), NodeId(0), Direction::East), None);
-    }
-
-    #[test]
-    fn torus_rejects_degenerate_dims() {
+    fn degenerate_and_oversized_grids_name_themselves_in_the_error() {
         assert!(matches!(
             Torus::try_new(1, 4),
             Err(ConfigError::BadTopologyDims { kind: "torus", .. })
         ));
         assert!(Torus::try_new(2, 2).is_ok());
-    }
-
-    #[test]
-    fn oversized_torus_and_cmesh_name_themselves_in_the_error() {
         assert_eq!(
             Torus::try_new(256, 256),
             Err(ConfigError::TooManyNodes {
@@ -658,23 +494,13 @@ mod tests {
             CMesh::try_new(0, 4, 4),
             Err(ConfigError::BadTopologyDims { kind: "cmesh", .. })
         ));
+        assert_eq!(CMesh::try_new(4, 4, 0), Err(ConfigError::BadConcentration));
     }
 
     #[test]
-    fn cmesh_routes_like_its_router_grid() {
-        let c = CMesh::new(4, 4, 4);
-        let m = Mesh::new(4, 4);
-        assert_eq!(Topology::nodes(&c), 16);
-        assert_eq!(Topology::concentration(&c), 4);
-        for n in Topology::iter_nodes(&c) {
-            for d in Direction::ALL {
-                assert_eq!(Topology::neighbor(&c, n, d), Mesh::neighbor(m, n, d));
-            }
-        }
-        assert!(matches!(
-            CMesh::try_new(4, 4, 0),
-            Err(ConfigError::BadConcentration)
-        ));
+    #[should_panic(expected = "leaves 5x3")]
+    fn advancing_off_a_mesh_edge_panics() {
+        Substrate::from(Mesh::new(5, 3)).advance(NodeId(3), Direction::East, 2);
     }
 
     #[test]
@@ -686,15 +512,24 @@ mod tests {
     }
 
     #[test]
-    fn substrate_dispatch_matches_concrete() {
+    fn torus_accessors_and_literals() {
         let s: Substrate = Torus::new(4, 6).into();
-        assert_eq!(s.nodes(), 24);
-        assert_eq!(s.width(), 4);
-        assert_eq!(s.height(), 6);
-        assert!(Topology::wraps(&s));
+        assert_eq!((s.nodes(), s.width(), s.height()), (24, 4, 6));
         assert_eq!(s.neighbor(NodeId(0), Direction::North), Some(NodeId(20)));
         assert_eq!(s.coord(NodeId(5)), Coord::new(1, 1));
-        assert_eq!(s.node(Coord::new(1, 1)), NodeId(5));
-        assert_eq!(s.neighbor_dirs(NodeId(0)).count(), 4);
+        let t: Substrate = Torus::new(8, 8).into();
+        // R0 -> R7 is one hop west on the ring, not seven east; the exact
+        // half-ring tie R0 <-> R4 goes east both ways.
+        assert_eq!(t.delta(NodeId(0), NodeId(7)), (-1, 0));
+        assert_eq!(t.delta(NodeId(0), NodeId(4)), (4, 0));
+        assert_eq!(t.delta(NodeId(4), NodeId(0)), (4, 0));
+        assert_eq!(
+            t.steps_between(NodeId(7), NodeId(0), Direction::East),
+            Some(1)
+        );
+        assert_eq!(
+            t.steps_between(NodeId(0), NodeId(7), Direction::East),
+            Some(7)
+        );
     }
 }

@@ -15,15 +15,20 @@
 #
 #   ci, schemes      The default-substrate `ci` suite and the per-scheme
 #                    `schemes` suite reproduce bench/baseline.json and
-#                    bench/baseline_schemes.json: refactors of the topology
-#                    layer, the scheme registry, the power model or the
-#                    tick kernel are invisible in the results.
+#                    bench/baseline_schemes.json: refactors of the power
+#                    model, the scheme constructors or the tick kernel are
+#                    invisible in the results.
 #   ci-observed,     Observation is read-only: per-interval sampling,
 #   ci-metered       flight-recorder dumps and the metric registry hung off
 #                    every run leave the artifact untouched.
-#   substrate-*      The non-default substrates (torus, YX, west-first) are
-#                    byte-stable across fresh recomputes at different
-#                    worker counts.
+#   substrate-*,     The non-default substrates (torus, YX, west-first) and
+#   rivals           the rival schemes (SDM circuits, ring router) reproduce
+#                    bench/baseline_substrate.json and
+#                    bench/baseline_rivals.json, recorded with the binary of
+#                    the commit before the topology trait layer and the
+#                    scheme registry were folded away, so a drift in the
+#                    geometry or in a constructor shows; the substrate
+#                    suite is also byte-stable across worker counts.
 #   busy-s*,         Sharding is an execution detail like `--threads`: the
 #   faults-*-s*      busy suite and the seeded `faults` sweep (every shard
 #                    reads the fault injector's masked power states
@@ -80,21 +85,22 @@ while IFS='|' read -r label against args; do
     fi
     echo "identity_gate: $label byte-identical to $against"
 done <<'ROWS'
-ci                | bench/baseline.json         | campaign --suite ci --name ci
-ci-observed       | =ci                         | campaign --suite ci --name ci --sample 1000 --trace-out @/dumps
-ci-metered        | =ci                         | campaign --suite ci --name ci --metrics-out @/campaign.prom
-schemes           | bench/baseline_schemes.json | campaign --suite schemes --name schemes
-substrate-t4      | -                           | campaign --suite substrate --name substrate --threads 4
-substrate-t1      | =substrate-t4               | campaign --suite substrate --name substrate --threads 1
-busy-s1           | -                           | campaign --suite busy --name busy --shards 1
-busy-s2           | =busy-s1                    | campaign --suite busy --name busy --shards 2
-busy-s4           | =busy-s1                    | campaign --suite busy --name busy --shards 4
-faults-ppf-s1     | bench/FAULTS_ppf.txt        | faults --scheme ppf --shards 1
-faults-ppf-s2     | bench/FAULTS_ppf.txt        | faults --scheme ppf --shards 2
-faults-ppf-s4     | bench/FAULTS_ppf.txt        | faults --scheme ppf --shards 4
-faults-convopt-s1 | bench/FAULTS_convopt.txt    | faults --scheme convopt --shards 1
-faults-convopt-s2 | bench/FAULTS_convopt.txt    | faults --scheme convopt --shards 2
-faults-convopt-s4 | bench/FAULTS_convopt.txt    | faults --scheme convopt --shards 4
+ci                | bench/baseline.json           | campaign --suite ci --name ci
+ci-observed       | =ci                           | campaign --suite ci --name ci --sample 1000 --trace-out @/dumps
+ci-metered        | =ci                           | campaign --suite ci --name ci --metrics-out @/campaign.prom
+schemes           | bench/baseline_schemes.json   | campaign --suite schemes --name schemes
+substrate-t4      | bench/baseline_substrate.json | campaign --suite substrate --name substrate --threads 4
+substrate-t1      | =substrate-t4                 | campaign --suite substrate --name substrate --threads 1
+rivals            | bench/baseline_rivals.json    | campaign --suite rivals --name rivals
+busy-s1           | -                             | campaign --suite busy --name busy --shards 1
+busy-s2           | =busy-s1                      | campaign --suite busy --name busy --shards 2
+busy-s4           | =busy-s1                      | campaign --suite busy --name busy --shards 4
+faults-ppf-s1     | bench/FAULTS_ppf.txt          | faults --scheme ppf --shards 1
+faults-ppf-s2     | bench/FAULTS_ppf.txt          | faults --scheme ppf --shards 2
+faults-ppf-s4     | bench/FAULTS_ppf.txt          | faults --scheme ppf --shards 4
+faults-convopt-s1 | bench/FAULTS_convopt.txt      | faults --scheme convopt --shards 1
+faults-convopt-s2 | bench/FAULTS_convopt.txt      | faults --scheme convopt --shards 2
+faults-convopt-s4 | bench/FAULTS_convopt.txt      | faults --scheme convopt --shards 4
 ROWS
 
 echo "identity_gate: every row byte-identical"

@@ -1,40 +1,11 @@
 //! `punchsim` command-line interface: run any experiment without writing
 //! Rust.
 //!
-//! ```text
-//! punchsim-cli sweep    [--pattern P] [--scheme S] [--mesh WxH] [--topology T]
-//!                       [--routing R] [--rate R] [--cycles N] [--shards N]
-//! punchsim-cli parsec   [--benchmark B] [--scheme S] [--instr N] [--shards N]
-//! punchsim-cli table1
-//! punchsim-cli schemes  [--mesh WxH] [--topology T] [--routing R] [--rate R]
-//!                       [--shards N]
-//! punchsim-cli faults   [--scheme S] [--mesh WxH] [--rate R] [--corrupt P] [--fault-seed N]
-//!                       [--trace-out PATH] [--trace-cap N] [--metrics-out PATH]
-//!                       [--shards N]
-//! punchsim-cli trace    [--scheme S] [--mesh WxH] [--rate R] [--cycles N]
-//!                       [--trace-out PATH] [--format chrome|jsonl|csv] [--trace-cap N]
-//!                       [--metrics-out PATH] [--shards N]
-//! punchsim-cli metrics  [--scheme S] [--mesh WxH] [--rate R] [--cycles N]
-//!                       [--pattern P] [--metrics-out PATH] [--shards N]
-//! punchsim-cli list-schemes
-//! punchsim-cli campaign [--suite S] [--threads N] [--shards N] [--out DIR]
-//!                       [--name NAME] [--seed N] [--no-cache] [--sample N]
-//!                       [--trace-out DIR] [--trace-cap N] [--metrics-out PATH]
-//! punchsim-cli compare  BASELINE.json CURRENT.json [--tol-latency R]
-//!                       [--tol-delivered R] [--tol-escalations N]
-//! punchsim-cli verify   [--mesh WxH] [--scheme S] [--faulty] [--broken]
-//!                       [--max-faults N] [--out PATH] [--replay-out PATH]
-//! ```
-//!
-//! Schemes come from the scheme registry — `punchsim-cli list-schemes`
-//! prints every registered tag with its paper label and a one-line
-//! description (`nopg`, `conv`, `convopt`, `pps`, `ppf`, plus the rival
-//! baselines `sdm` and `ring`). Patterns: `uniform`, `transpose`, `bitcomp`,
-//! `bitrev`, `shuffle`, `tornado`, `neighbor`. Topologies: `mesh`
-//! (default), `torus`, `cmesh:C` (concentrated mesh, C terminals per
-//! router). Routings: `xy` (default), `yx`, `wf` (west-first), `nl`
-//! (north-last), `nf` (negative-first); turn-model routings are rejected
-//! on the torus, whose wrap links would close their cycles.
+//! The commands, their flags and the values those take (schemes,
+//! patterns, topologies, routings, suites) are listed once, in [`usage`] —
+//! printed by running the binary with no arguments or a bad one. The
+//! `Opts`-grammar subcommands' lines are generated from [`COMMANDS`], which
+//! is also what the parser checks a flag against.
 //!
 //! The `faults` command sweeps the punch-drop probability from 0 to 1 and
 //! shows that delivery stays at 100% while only latency degrades — the
@@ -63,9 +34,9 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use punchsim::campaign::{self, compare, Json, Tolerances};
+use punchsim::campaign::{self, compare, spec, Json, Tolerances};
 use punchsim::metrics::validate_exposition;
-use punchsim::obs::{self, EventSink, RingSink, Stamped, VecSink};
+use punchsim::obs::{self, Stamped, VecSink};
 use punchsim::prelude::*;
 use punchsim::stats::Table;
 use punchsim::traffic::InjectionConfig;
@@ -90,6 +61,10 @@ fn main() -> ExitCode {
         "list-schemes" => return list_schemes(),
         _ => {}
     }
+    let Some(command) = COMMANDS.iter().find(|c| c.name == cmd) else {
+        eprintln!("unknown command {cmd:?}\n\n{}", usage());
+        return ExitCode::FAILURE;
+    };
     // The `metrics` subcommand shares the flag/value grammar but defaults
     // to the busy-suite regime instead of the sweep regime.
     let defaults = if cmd == "metrics" {
@@ -97,27 +72,14 @@ fn main() -> ExitCode {
     } else {
         Opts::defaults()
     };
-    let opts = match Opts::parse_from(defaults, &args[1..]) {
+    let opts = match Opts::parse_from(defaults, command, &args[1..]) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
-    let result = match cmd.as_str() {
-        "sweep" => sweep(&opts).map_err(sim_err),
-        "parsec" => parsec(&opts).map_err(sim_err),
-        "table1" => table1().map_err(sim_err),
-        "schemes" => schemes(&opts).map_err(sim_err),
-        "faults" => faults(&opts),
-        "trace" => trace(&opts),
-        "metrics" => metrics(&opts),
-        other => {
-            eprintln!("unknown command {other:?}\n\n{}", usage());
-            return ExitCode::FAILURE;
-        }
-    };
-    match result {
+    match (command.run)(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -166,7 +128,7 @@ const SUITES: &[Suite] = &[
     (
         "schemes",
         campaign::schemes_suite,
-        "one run per pre-registry scheme (the identity_gate.sh baseline)",
+        "one run per paper scheme (the identity_gate.sh baseline)",
     ),
 ];
 
@@ -175,39 +137,124 @@ fn suite(name: &str) -> Option<&'static Suite> {
     SUITES.iter().find(|s| s.0 == name)
 }
 
-/// The full usage text: the static template plus the suite list derived
-/// from [`SUITES`] and the scheme list derived from the registry, so a
-/// new suite or scheme shows up here without a hand edit.
+/// One `Opts`-grammar subcommand: its name, the flags it reads (in groups,
+/// each spelled as its usage text, `--flag VALUE`) and its entry point. Any
+/// other flag is an error for that command, and its usage line is printed
+/// from this list, so neither can claim a flag the command ignores.
+struct Command {
+    name: &'static str,
+    flags: &'static [&'static [&'static str]],
+    run: fn(&Opts) -> Result<(), String>,
+}
+
+/// What every synthetic-traffic command reads: the workload and substrate
+/// `build_synth` assembles, the run length, the fault profile's fixed part.
+const SYNTH: &[&str] = &[
+    "--pattern P",
+    "--mesh WxH",
+    "--topology T",
+    "--routing R",
+    "--rate R",
+    "--cycles N",
+    "--corrupt P",
+    "--fault-seed N",
+    "--shards N",
+];
+
+/// What a command that can dump its flight recorder and registry reads.
+const DUMPS: &[&str] = &["--trace-out PATH", "--trace-cap N", "--metrics-out PATH"];
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "sweep",
+        flags: &[&["--scheme S", "--faults P"], SYNTH],
+        run: sweep,
+    },
+    Command {
+        name: "parsec",
+        flags: &[&["--benchmark B", "--scheme S", "--instr N", "--shards N"]],
+        run: parsec,
+    },
+    Command {
+        name: "table1",
+        flags: &[],
+        run: table1,
+    },
+    Command {
+        name: "schemes",
+        flags: &[&["--faults P"], SYNTH],
+        run: schemes,
+    },
+    // `faults` sweeps the drop probability itself, so it takes no `--faults`.
+    Command {
+        name: "faults",
+        flags: &[&["--scheme S"], DUMPS, SYNTH],
+        run: faults,
+    },
+    Command {
+        name: "trace",
+        flags: &[
+            &["--scheme S", "--faults P", "--format chrome|jsonl|csv"],
+            DUMPS,
+            SYNTH,
+        ],
+        run: trace,
+    },
+    Command {
+        name: "metrics",
+        flags: &[&["--scheme S", "--faults P", "--metrics-out PATH"], SYNTH],
+        run: metrics,
+    },
+];
+
+impl Command {
+    /// The flags this command reads, as listed (`--mesh WxH`).
+    fn flags(&self) -> impl Iterator<Item = &'static str> {
+        self.flags.iter().flat_map(|group| group.iter().copied())
+    }
+
+    /// Whether this command reads `flag` (`--mesh`, not `--mesh WxH`).
+    fn reads(&self, flag: &str) -> bool {
+        self.flags().any(|f| f.split(' ').next() == Some(flag))
+    }
+
+    /// `  punchsim-cli sweep    [--scheme S] ...`, wrapped under the first flag.
+    fn usage_lines(&self) -> String {
+        let mut out = format!("  punchsim-cli {:<8}", self.name);
+        let mut col = out.len();
+        for flag in self.flags() {
+            if col + flag.len() + 3 > 78 {
+                out.push_str(&format!("\n{:23}", ""));
+                col = 23;
+            }
+            out.push_str(&format!(" [{flag}]"));
+            col += flag.len() + 3;
+        }
+        out.trim_end().to_string() + "\n"
+    }
+}
+
+/// The full usage text, the only copy: the static template plus the lines
+/// derived from [`COMMANDS`], [`SUITES`] and `SchemeKind::ALL`, so a new
+/// flag, suite or scheme shows up here without a hand edit.
 fn usage() -> String {
     let tags: Vec<&str> = SchemeKind::ALL.iter().map(|k| k.tag()).collect();
+    let command_help: String = COMMANDS.iter().map(Command::usage_lines).collect();
     let suite_help: String = SUITES
         .iter()
         .map(|(name, _, help)| format!("                     {name:<10} {help}\n"))
         .collect();
     format!(
         "{}\nschemes: {} (details: punchsim-cli list-schemes)\n{USAGE_TAIL}",
-        USAGE_TEMPLATE.replace("{SUITE_HELP}", &suite_help),
+        USAGE_TEMPLATE
+            .replace("{COMMAND_HELP}", &command_help)
+            .replace("{SUITE_HELP}", &suite_help),
         tags.join(" ")
     )
 }
 
 const USAGE_TEMPLATE: &str = "usage:
-  punchsim-cli sweep    [--pattern P] [--scheme S] [--mesh WxH] [--topology T]
-                        [--routing R] [--cycles N] [--shards N]
-  punchsim-cli parsec   [--benchmark B] [--scheme S] [--instr N] [--shards N]
-  punchsim-cli table1
-  punchsim-cli schemes  [--mesh WxH] [--topology T] [--routing R] [--rate R]
-                        [--cycles N] [--shards N]
-  punchsim-cli list-schemes
-  punchsim-cli faults   [--scheme S] [--mesh WxH] [--rate R] [--cycles N]
-                        [--corrupt P] [--fault-seed N] [--trace-out PATH]
-                        [--trace-cap N] [--metrics-out PATH] [--shards N]
-  punchsim-cli trace    [--scheme S] [--mesh WxH] [--rate R] [--cycles N]
-                        [--pattern P] [--trace-out PATH] [--trace-cap N]
-                        [--format chrome|jsonl|csv] [--metrics-out PATH]
-                        [--shards N]
-  punchsim-cli metrics  [--scheme S] [--mesh WxH] [--rate R] [--cycles N]
-                        [--pattern P] [--metrics-out PATH] [--shards N]
+{COMMAND_HELP}  punchsim-cli list-schemes
   punchsim-cli campaign [--suite S] [--threads N] [--shards N] [--out DIR]
                         [--name NAME] [--seed N] [--no-cache] [--sample N]
                         [--trace-out DIR] [--trace-cap N] [--metrics-out PATH]
@@ -217,7 +264,7 @@ const USAGE_TEMPLATE: &str = "usage:
                         [--max-faults N] [--out PATH] [--replay-out PATH]
                         [--chrome-out PATH] [--expect-violation]
 
-fault flags (any synthetic command):
+fault flags (any synthetic command; `faults` sweeps --faults itself):
   --faults P       drop each punch-carrying sideband event with probability P
   --corrupt P      corrupt punch codewords with probability P (wrong targets)
   --fault-seed N   seed of the fault injector's RNG stream (default 0xFA17)
@@ -379,9 +426,13 @@ impl Opts {
         }
     }
 
-    fn parse_from(mut o: Opts, args: &[String]) -> Result<Opts, String> {
+    /// Parses `cmd`'s flag/value pairs over `o`; every flag must be one it reads.
+    fn parse_from(mut o: Opts, cmd: &Command, args: &[String]) -> Result<Opts, String> {
         let mut it = args.iter();
         while let Some(flag) = it.next() {
+            if !cmd.reads(flag) {
+                return Err(format!("unknown flag {flag} for {}", cmd.name));
+            }
             let val = it
                 .next()
                 .ok_or_else(|| format!("missing value for {flag}"))?;
@@ -450,7 +501,7 @@ impl Opts {
                 "--shards" => {
                     o.shards = val.parse().map_err(|_| "bad shard count".to_string())?;
                 }
-                f => return Err(format!("unknown flag {f}")),
+                f => unreachable!("{} lists {f}, which no arm parses", cmd.name),
             }
         }
         Ok(o)
@@ -523,7 +574,7 @@ fn build_synth(
     Ok(sim)
 }
 
-fn run_synth(opts: &Opts, scheme: SchemeKind, rate: f64) -> Result<NetworkReport, SimError> {
+fn run_synth(opts: &Opts, scheme: SchemeKind, rate: f64) -> Result<NetworkReport, String> {
     Ok(run_synth_observed(opts, scheme, rate, opts.fault_drop, 0, false)?.0)
 }
 
@@ -538,42 +589,30 @@ fn run_synth_observed(
     drop: f64,
     trace_cap: usize,
     collect_metrics: bool,
-) -> Result<(NetworkReport, Vec<Stamped>, Option<Registry>), SimError> {
-    let mut sim = build_synth(opts, scheme, rate, drop)?;
-    if trace_cap > 0 {
-        sim.network_mut()
-            .set_sink(Box::new(RingSink::new(trace_cap)));
-    }
-    if collect_metrics {
-        sim.network_mut().enable_profiler();
-    }
-    let r = sim.run_experiment(opts.cycles / 4, opts.cycles)?;
-    let events = sim
-        .network_mut()
-        .take_sink()
-        .map(|s| s.snapshot())
-        .unwrap_or_default();
-    let registry = collect_metrics.then(|| collect_registry(sim.network_mut()));
+) -> Result<(NetworkReport, Vec<Stamped>, Option<Registry>), String> {
+    let mut sim = build_synth(opts, scheme, rate, drop).map_err(sim_err)?;
+    spec::attach(sim.network_mut(), trace_cap, collect_metrics);
+    let r = sim
+        .run_experiment(opts.cycles / 4, opts.cycles)
+        .map_err(sim_err)?;
+    let (events, registry) = harvest(sim.network_mut());
     Ok((r, events, registry))
 }
 
-/// Drains a network's metric surface into a fresh registry: every
-/// deterministic counter/histogram/plane, the tick-phase profile, and the
-/// shard thread-overhead counters (creations plus pooled-tick barrier
-/// waits).
-fn collect_registry(net: &mut Network) -> Registry {
-    let mut reg = Registry::new();
-    net.export_metrics(&mut reg);
-    if let Some(profiler) = net.take_profiler() {
-        profiler.export(&mut reg);
-    }
+/// The campaign layer's harvest — recorded events, and the metric registry
+/// when a profiler was attached — with the shard thread-overhead counters
+/// (creations plus pooled-tick barrier waits) added to the registry.
+fn harvest(net: &mut Network) -> (Vec<Stamped>, Option<Registry>) {
     let (spawn_count, spawn_nanos) = net.spawn_stats();
-    reg.inc("shard_spawns_total", spawn_count);
-    reg.inc("shard_spawn_nanos_total", spawn_nanos);
     let (pool_ticks, pool_wait_nanos) = net.pool_stats();
-    reg.inc("shard_pool_ticks_total", pool_ticks);
-    reg.inc("shard_pool_wait_nanos_total", pool_wait_nanos);
-    reg
+    let (events, mut registry) = spec::harvest(net);
+    if let Some(reg) = &mut registry {
+        reg.inc("shard_spawns_total", spawn_count);
+        reg.inc("shard_spawn_nanos_total", spawn_nanos);
+        reg.inc("shard_pool_ticks_total", pool_ticks);
+        reg.inc("shard_pool_wait_nanos_total", pool_wait_nanos);
+    }
+    (events, registry)
 }
 
 /// Writes a registry to `path`: Prometheus text exposition when the
@@ -586,9 +625,8 @@ fn write_metrics(path: &std::path::Path, reg: &Registry) -> Result<(), String> {
     std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
-/// Prints the scheme registry: every registered tag with its paper label
-/// and one-line description. The single source of truth for what
-/// `--scheme` accepts.
+/// Prints `SchemeKind::METAS`: every tag with its paper label and one-line
+/// description. The single source of truth for what `--scheme` accepts.
 fn list_schemes() -> ExitCode {
     let mut t = Table::new(["tag", "scheme", "description"]);
     for k in SchemeKind::ALL {
@@ -603,7 +641,7 @@ fn list_schemes() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn sweep(opts: &Opts) -> Result<(), SimError> {
+fn sweep(opts: &Opts) -> Result<(), String> {
     let pm = PowerModel::for_scheme(opts.scheme);
     println!(
         "load sweep: {} on {} under {}",
@@ -627,7 +665,7 @@ fn sweep(opts: &Opts) -> Result<(), SimError> {
     Ok(())
 }
 
-fn schemes(opts: &Opts) -> Result<(), SimError> {
+fn schemes(opts: &Opts) -> Result<(), String> {
     println!(
         "scheme comparison: {} at {} flits/node/cycle on {}",
         opts.pattern,
@@ -694,8 +732,7 @@ fn faults(opts: &Opts) -> Result<(), String> {
     for drop in [0.0, 0.25, 0.5, 0.75, 1.0] {
         let collect = opts.metrics_out.is_some();
         let (r, events, registry) =
-            run_synth_observed(opts, opts.scheme, opts.rate, drop, cap, collect)
-                .map_err(sim_err)?;
+            run_synth_observed(opts, opts.scheme, opts.rate, drop, cap, collect)?;
         if let Some(reg) = registry {
             merged.get_or_insert_with(Registry::new).merge(&reg);
         }
@@ -743,22 +780,18 @@ fn faults_dump_path(base: &std::path::Path, drop: f64) -> PathBuf {
 /// Records one run's full event stream and writes a trace artifact.
 fn trace(opts: &Opts) -> Result<(), String> {
     let mut sim = build_synth(opts, opts.scheme, opts.rate, opts.fault_drop).map_err(sim_err)?;
-    let sink: Box<dyn EventSink> = if opts.trace_cap > 0 {
-        Box::new(RingSink::new(opts.trace_cap))
-    } else {
-        Box::new(VecSink::new())
-    };
-    sim.network_mut().set_sink(sink);
-    if opts.metrics_out.is_some() {
-        sim.network_mut().enable_profiler();
+    spec::attach(
+        sim.network_mut(),
+        opts.trace_cap,
+        opts.metrics_out.is_some(),
+    );
+    if opts.trace_cap == 0 {
+        // `--trace-cap 0` records the whole run, not nothing.
+        sim.network_mut().set_sink(Box::new(VecSink::new()));
     }
     sim.run_experiment(opts.cycles / 4, opts.cycles)
         .map_err(sim_err)?;
-    let events = sim
-        .network_mut()
-        .take_sink()
-        .expect("sink attached above")
-        .snapshot();
+    let (events, registry) = harvest(sim.network_mut());
     let text = match opts.format {
         TraceFormat::Chrome => obs::chrome_trace(&events),
         TraceFormat::Jsonl => obs::to_jsonl(&events),
@@ -781,9 +814,8 @@ fn trace(opts: &Opts) -> Result<(), String> {
     if opts.format == TraceFormat::Chrome {
         println!("open it in https://ui.perfetto.dev or chrome://tracing");
     }
-    if let Some(mpath) = &opts.metrics_out {
-        let reg = collect_registry(sim.network_mut());
-        write_metrics(mpath, &reg)?;
+    if let (Some(mpath), Some(reg)) = (&opts.metrics_out, &registry) {
+        write_metrics(mpath, reg)?;
         println!("wrote {}", mpath.display());
     }
     Ok(())
@@ -796,7 +828,7 @@ fn trace(opts: &Opts) -> Result<(), String> {
 /// and optionally the JSON snapshot via `--metrics-out`.
 fn metrics(opts: &Opts) -> Result<(), String> {
     let mut sim = build_synth(opts, opts.scheme, opts.rate, opts.fault_drop).map_err(sim_err)?;
-    sim.network_mut().enable_profiler();
+    spec::attach(sim.network_mut(), 0, true);
     // No warmup/reset split: the profiler and the histograms cover the
     // whole run, so phase attribution can be gated against this wall
     // clock measured around the simulation loop alone.
@@ -807,9 +839,11 @@ fn metrics(opts: &Opts) -> Result<(), String> {
     let phase_nanos = sim
         .network()
         .profiler()
-        .expect("enabled above")
+        .expect("attached above")
         .total_nanos();
-    let reg = collect_registry(sim.network_mut());
+    let reg = harvest(sim.network_mut())
+        .1
+        .expect("a profiler was attached above");
     let expo = reg.to_prometheus();
     let stats = validate_exposition(&expo).map_err(|e| format!("invalid exposition: {e}"))?;
     let coverage = phase_nanos as f64 / wall_nanos as f64;
@@ -838,7 +872,7 @@ fn metrics(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn parsec(opts: &Opts) -> Result<(), SimError> {
+fn parsec(opts: &Opts) -> Result<(), String> {
     let mut cfg = CmpConfig::new(opts.benchmark, opts.scheme);
     cfg.instr_per_core = opts.instr;
     cfg.warmup_instr = opts.instr / 10;
@@ -847,7 +881,9 @@ fn parsec(opts: &Opts) -> Result<(), SimError> {
         opts.benchmark, opts.scheme, opts.instr
     );
     let mut sim = CmpSim::new(cfg);
-    sim.network_mut().set_shards(opts.shards)?;
+    sim.network_mut()
+        .set_shards(opts.shards)
+        .map_err(|e| sim_err(e.into()))?;
     let r = sim.run();
     println!("completed:        {}", r.completed);
     println!("execution cycles: {}", r.exec_cycles);
@@ -862,7 +898,7 @@ fn parsec(opts: &Opts) -> Result<(), SimError> {
     Ok(())
 }
 
-fn table1() -> Result<(), SimError> {
+fn table1(_: &Opts) -> Result<(), String> {
     use punchsim::core::Codebook;
     use punchsim::types::{Direction, NodeId};
     let cb = Codebook::enumerate(Mesh::new(8, 8), 3);
@@ -1451,9 +1487,17 @@ fn verify_cmd(args: &[String]) -> ExitCode {
 mod tests {
     use super::*;
 
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).expect("in table")
+    }
+
+    fn parse_for(cmd: &str, args: &[&str]) -> Result<Opts, String> {
+        Opts::parse_from(Opts::defaults(), command(cmd), &strs(args))
+    }
+
+    /// Parses for `trace`, which reads every synthetic flag.
     fn parse(args: &[&str]) -> Result<Opts, String> {
-        let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        Opts::parse_from(Opts::defaults(), &v)
+        parse_for("trace", args)
     }
 
     #[test]
@@ -1477,20 +1521,17 @@ mod tests {
             "0.01",
             "--pattern",
             "transpose",
-            "--benchmark",
-            "canneal",
             "--cycles",
             "500",
-            "--instr",
-            "1000",
         ])
         .unwrap();
         assert_eq!(o.scheme, SchemeKind::ConvOptPg);
         assert_eq!(o.mesh, Mesh::new(4, 4));
         assert_eq!(o.rate, 0.01);
         assert_eq!(o.pattern, TrafficPattern::Transpose);
-        assert_eq!(o.benchmark, Benchmark::Canneal);
         assert_eq!(o.cycles, 500);
+        let o = parse_for("parsec", &["--benchmark", "canneal", "--instr", "1000"]).unwrap();
+        assert_eq!(o.benchmark, Benchmark::Canneal);
         assert_eq!(o.instr, 1000);
     }
 
@@ -1591,12 +1632,13 @@ mod tests {
         assert_eq!(o.metrics_out, Some(PathBuf::from("m.prom")));
         // The metrics subcommand defaults to the busy regime, still
         // overridable by the usual flags.
-        let m = Opts::parse_from(Opts::metrics_defaults(), &[]).unwrap();
+        let metrics = |args| Opts::parse_from(Opts::metrics_defaults(), command("metrics"), args);
+        let m = metrics(&[]).unwrap();
         assert_eq!(m.mesh, Mesh::new(16, 16));
         assert_eq!(m.rate, 0.0005);
         assert_eq!(m.cycles, 12_000);
         assert_eq!(m.scheme, SchemeKind::PowerPunchFull);
-        let m = Opts::parse_from(Opts::metrics_defaults(), &strs(&["--mesh", "4x4"])).unwrap();
+        let m = metrics(&strs(&["--mesh", "4x4"])).unwrap();
         assert_eq!(m.mesh, Mesh::new(4, 4));
         assert_eq!(m.cycles, 12_000);
     }
@@ -1627,7 +1669,8 @@ mod tests {
             );
         }
         assert!(parse(&["--wormhole", "1"]).is_err());
-        assert!(parse(&["--benchmark", "doom"]).is_err());
+        assert!(parse_for("parsec", &["--benchmark", "doom"]).is_err());
+        assert!(parse_for("parsec", &["--instr", "many"]).is_err());
         assert!(parse(&["--faults", "1.5"]).is_err());
         assert!(parse(&["--corrupt", "-0.1"]).is_err());
         assert!(parse(&["--fault-seed", "xyz"]).is_err());
@@ -1762,6 +1805,64 @@ mod tests {
         assert!(CampaignOpts::parse(&strs(&["--shards"])).is_err());
         assert!(CampaignOpts::parse(&strs(&["--name"])).is_err());
         assert!(CampaignOpts::parse(&strs(&["--cache", "1"])).is_err());
+    }
+
+    /// A flag the command never reads is an error naming both, not a
+    /// silently ignored argument; the same flag still parses where it is
+    /// read.
+    #[test]
+    fn flags_a_command_does_not_read_are_rejected() {
+        for (cmd, flag, val, reader) in [
+            ("table1", "--mesh", "4x4", "sweep"),
+            ("table1", "--format", "csv", "trace"),
+            ("schemes", "--scheme", "nopg", "sweep"),
+            ("parsec", "--rate", "0.1", "sweep"),
+            ("sweep", "--format", "csv", "trace"),
+            ("sweep", "--benchmark", "canneal", "parsec"),
+            ("faults", "--faults", "0.5", "trace"),
+            ("metrics", "--trace-out", "t.json", "trace"),
+        ] {
+            let err = parse_for(cmd, &[flag, val]).err().expect("rejected");
+            assert_eq!(err, format!("unknown flag {flag} for {cmd}"));
+            assert!(parse_for(reader, &[flag, val]).is_ok(), "{reader} {flag}");
+        }
+        // Rejected before its value is looked at (or missed).
+        assert_eq!(
+            parse_for("table1", &["--mesh"]).err().unwrap(),
+            "unknown flag --mesh for table1"
+        );
+    }
+
+    /// Every flag a command lists has a parser arm (the listing and the
+    /// `match` cannot drift apart), and shows up in that command's usage.
+    #[test]
+    fn every_listed_flag_parses_and_is_in_the_usage() {
+        let usage = usage();
+        assert!(!usage.contains("{COMMAND"), "unexpanded placeholder");
+        for cmd in COMMANDS {
+            assert!(usage.contains(&format!("  punchsim-cli {}", cmd.name)));
+            for listed in cmd.flags() {
+                let (flag, _) = listed.split_once(' ').expect("--flag VALUE");
+                let val = match flag {
+                    "--pattern" => "transpose",
+                    "--scheme" => "ppf",
+                    "--mesh" => "4x4",
+                    "--topology" => "torus",
+                    "--routing" => "yx",
+                    "--benchmark" => "canneal",
+                    "--format" => "csv",
+                    "--rate" | "--faults" | "--corrupt" => "0.5",
+                    "--trace-out" | "--metrics-out" => "out",
+                    _ => "3",
+                };
+                let parsed = Opts::parse_from(Opts::defaults(), cmd, &strs(&[flag, val]));
+                assert!(parsed.is_ok(), "{} {flag} {val}", cmd.name);
+                assert!(cmd.reads(flag));
+                assert!(cmd.usage_lines().contains(&format!("[{listed}]")));
+            }
+            assert!(cmd.usage_lines().lines().all(|l| l.len() <= 78));
+            assert!(usage.contains(&cmd.usage_lines()));
+        }
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use punchsim_types::{
         CMesh, ConfigError, Cycle, Direction, FaultConfig, Mesh, NocConfig, NodeId, PacketId, Port,
         PowerConfig, RouteView, RoutingKind, SchemeKind, SimConfig, SimError, SimRng, StallReport,
-        StuckEpoch, Substrate, Topology, Torus, VnetId, WatchdogConfig,
+        StuckEpoch, Substrate, Torus, VnetId, WatchdogConfig,
     };
     pub use punchsim_verify::{run_verification, VerifyConfig, VerifyOutcome};
 }

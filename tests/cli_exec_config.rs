@@ -8,8 +8,9 @@
 //! ignored. This file drives the real binary (children get the variables
 //! through `Command::env`, this process's environment is never touched) to
 //! pin what replaced all that: construction ignores the environment, the
-//! retired flags are usage errors, and `--shards` is validated as a typed
-//! error on every subcommand that takes it.
+//! retired flags are usage errors, `--shards` is validated as a typed
+//! error on every subcommand that takes it, and a flag a subcommand does
+//! not read is an error rather than a silently ignored argument.
 
 use std::process::{Command, Output};
 
@@ -81,7 +82,7 @@ fn shard_counts_are_validated_on_every_subcommand_that_takes_them() {
     for sub in [
         "sweep", "schemes", "faults", "trace", "metrics", "parsec", "campaign",
     ] {
-        let mesh: &[&str] = if sub == "campaign" {
+        let mesh: &[&str] = if sub == "campaign" || sub == "parsec" {
             &[]
         } else {
             &["--mesh", "8x8"]
@@ -131,7 +132,8 @@ fn shards_reach_the_network_and_change_no_output() {
 /// the SoA shard split once 65 536 truncated through `as u16`; 300x300
 /// wrapped `NodeId`), and `--rate nan|-1` hit an `assert!` in the traffic
 /// harness while `inf` ran and printed `inf` rows. All five are one-line
-/// typed errors on every simulating subcommand.
+/// typed errors on every subcommand that reads the flag (`parsec` reads
+/// neither and says so).
 #[test]
 fn oversized_meshes_and_unusable_rates_are_typed_errors_never_panics() {
     for (flag, value, needle) in [
@@ -147,10 +149,59 @@ fn oversized_meshes_and_unusable_rates_are_typed_errors_never_panics() {
             assert!(!out.status.success(), "{sub} {flag} {value} must fail");
             assert!(!err.contains("panicked"), "{sub} {flag} {value}: {err}");
             let first = err.lines().next().unwrap_or_default();
+            let needle = if sub == "parsec" {
+                format!("unknown flag {flag} for parsec")
+            } else {
+                needle.to_string()
+            };
             assert!(
-                first.starts_with("error: ") && first.contains(needle),
+                first.starts_with("error: ") && first.contains(&needle),
                 "{sub} {flag} {value}: {err}"
             );
         }
     }
+}
+
+/// `table1 --mesh 4x4 --format csv` used to exit 0 and print the 8x8
+/// table; `schemes --scheme`, `parsec --rate` and `sweep --format` were
+/// ignored the same way. Each subcommand now rejects a flag it does not
+/// read, naming the flag and itself, and prints the one usage text.
+#[test]
+fn flags_a_subcommand_never_reads_are_errors_naming_flag_and_command() {
+    for (args, needle) in [
+        (
+            &["table1", "--mesh", "4x4", "--format", "csv"][..],
+            "unknown flag --mesh for table1",
+        ),
+        (
+            &["schemes", "--scheme", "nopg"],
+            "unknown flag --scheme for schemes",
+        ),
+        (
+            &["parsec", "--rate", "0.1"],
+            "unknown flag --rate for parsec",
+        ),
+        (
+            &["sweep", "--format", "csv"],
+            "unknown flag --format for sweep",
+        ),
+    ] {
+        let out = cli(args, &[]);
+        assert!(!out.status.success(), "{args:?} must be rejected");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+        let err = stderr(&out);
+        let first = err.lines().next().unwrap_or_default();
+        assert_eq!(first, format!("error: {needle}"), "{args:?}: {err}");
+        // The usage that follows lists what the command does read.
+        assert!(err.contains("usage:"), "{args:?}");
+        assert!(err.contains("  punchsim-cli table1\n"), "{err}");
+        assert!(
+            err.contains("  punchsim-cli parsec   [--benchmark B] [--scheme S] [--instr N]"),
+            "{err}"
+        );
+    }
+    // The flags a command does read still work: the plain table prints.
+    let out = cli(&["table1"], &[]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("22 sets, 5 bits"));
 }

@@ -13,7 +13,7 @@ use punchsim::core::build_power_manager;
 use punchsim::noc::{Message, MsgClass, Network};
 use punchsim::prelude::{RingSink, Sampler};
 use punchsim::types::{
-    FaultConfig, Mesh, NodeId, SchemeKind, SimConfig, SimError, StuckEpoch, TraceConfig, VnetId,
+    FaultConfig, Mesh, NodeId, SchemeKind, SimConfig, SimError, StuckEpoch, VnetId,
 };
 
 /// A PowerPunch-PG 4x4 config with router R5 stuck off for effectively
@@ -145,10 +145,10 @@ fn tracing_does_not_perturb_results() {
     let run = |traced: bool| {
         let mut cfg = SimConfig::with_scheme(SchemeKind::PowerPunchFull);
         cfg.noc.topology = Mesh::new(4, 4).into();
-        if traced {
-            cfg.trace = TraceConfig::enabled();
-        }
         let mut sim = SyntheticSim::new(cfg, TrafficPattern::Transpose, 0.05);
+        if traced {
+            sim.network_mut().set_sink(Box::new(RingSink::new(4096)));
+        }
         sim.run_experiment(500, 2_000).expect("run succeeds")
     };
     let plain = run(false);

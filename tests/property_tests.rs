@@ -8,7 +8,8 @@
 use punchsim::core::{build_power_manager, Codebook, PunchFabric, PunchSet};
 use punchsim::noc::{AlwaysOn, Message, MsgClass, Network};
 use punchsim::types::{
-    routing, Direction, Mesh, NocConfig, NodeId, SchemeKind, SimConfig, SimRng, VnetId,
+    routing::route_path, Direction, Mesh, NocConfig, NodeId, RouteView, SchemeKind, SimConfig,
+    SimRng, VnetId,
 };
 
 fn random_mesh(rng: &mut SimRng) -> Mesh {
@@ -21,23 +22,21 @@ fn xy_routes_minimal_and_legal() {
     let mut rng = SimRng::seed_from_u64(0x10);
     for _ in 0..64 {
         let mesh = random_mesh(&mut rng);
+        let xy = RouteView::from(mesh);
         let n = mesh.nodes() as u16;
         let a = NodeId(rng.random_range(0..n));
         let b = NodeId(rng.random_range(0..n));
-        let path: Vec<NodeId> = routing::xy_path(mesh, a, b).collect();
+        let path: Vec<NodeId> = route_path(xy, a, b).collect();
         assert_eq!(path.len(), mesh.distance(a, b) as usize);
         // Reconstruct travel directions and check turn legality.
         let mut prev = a;
         let mut prev_dir: Option<Direction> = None;
         for hop in path {
-            let dir = routing::xy_direction(mesh, prev, hop).unwrap();
+            let dir = xy.direction(prev, hop).unwrap();
             assert_eq!(mesh.neighbor(prev, dir), Some(hop));
             if let Some(pd) = prev_dir {
                 if pd != dir {
-                    assert!(
-                        routing::xy_turn_legal(pd, dir),
-                        "illegal turn {pd} -> {dir}"
-                    );
+                    assert!(xy.routing.turn_legal(pd, dir), "illegal turn {pd} -> {dir}");
                 }
             }
             prev_dir = Some(dir);
@@ -56,9 +55,10 @@ fn punch_target_min_rule() {
         let a = NodeId(rng.random_range(0..n));
         let b = NodeId(rng.random_range(0..n));
         let h = rng.random_range(1..5u16);
-        let t = routing::xy_router_ahead(mesh, a, b, h);
+        let xy = RouteView::from(mesh);
+        let t = xy.router_ahead(a, b, h);
         assert_eq!(mesh.distance(a, t), h.min(mesh.distance(a, b)));
-        assert!(routing::xy_on_path(mesh, a, b, t));
+        assert!(xy.on_path(a, b, t));
     }
 }
 
@@ -97,7 +97,7 @@ fn punch_set_normalization_order_free() {
         for &x in fwd.targets() {
             for &y in fwd.targets() {
                 if x != y {
-                    assert!(!routing::xy_on_path(mesh, sender, y, x));
+                    assert!(!RouteView::from(mesh).on_path(sender, y, x));
                 }
             }
         }
@@ -125,9 +125,9 @@ fn punch_fabric_notifies_exact_path() {
         let h = rng.random_range(1..5u16);
         let mut fabric = PunchFabric::new(mesh, h);
         fabric.generate(src, dst);
-        let target = routing::xy_router_ahead(mesh, src, dst, h);
+        let target = RouteView::from(mesh).router_ahead(src, dst, h);
         let expect: Vec<NodeId> = std::iter::once(src)
-            .chain(routing::xy_path(mesh, src, target))
+            .chain(route_path(mesh, src, target))
             .collect();
         let mut seen = Vec::new();
         for _ in 0..(h as usize + 2) {
@@ -171,6 +171,7 @@ fn codebook_merges_are_contention_free() {
     let mut books: Vec<((u16, u16, u16), Codebook)> = Vec::new();
     for _case in 0..300 {
         let mesh = random_mesh(&mut rng);
+        let xy = RouteView::from(mesh);
         let h = rng.random_range(2..5u16);
         let key = (mesh.width(), mesh.height(), h);
         if !books.iter().any(|(k, _)| *k == key) {
@@ -203,7 +204,7 @@ fn codebook_merges_are_contention_free() {
             // The relayed remainder: targets consumed at `r` drop out and
             // only those continuing through (r, dir) ride this link.
             for &t in arriving.targets() {
-                if t != r && routing::xy_direction(mesh, r, t) == Some(dir) {
+                if t != r && xy.direction(r, t) == Some(dir) {
                     merged.insert_normalized(mesh, r, t);
                 }
             }
@@ -213,11 +214,7 @@ fn codebook_merges_are_contention_free() {
             // fabric's generation arbitration enforces the "one").
             let local: Vec<NodeId> = mesh
                 .iter_nodes()
-                .filter(|&t| {
-                    t != r
-                        && mesh.distance(r, t) <= h
-                        && routing::xy_direction(mesh, r, t) == Some(dir)
-                })
+                .filter(|&t| t != r && mesh.distance(r, t) <= h && xy.direction(r, t) == Some(dir))
                 .collect();
             if !local.is_empty() {
                 merged.insert_normalized(mesh, r, local[rng.random_range(0..local.len())]);
