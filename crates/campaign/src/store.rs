@@ -8,6 +8,7 @@
 //! single-file text cache in `crates/bench`, which knew only "the whole
 //! campaign is cached" or "nothing is".
 
+use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -44,26 +45,37 @@ impl Store {
     /// Where `spec`'s result lives. The id prefix keeps the directory
     /// browsable; the hash suffix is what guarantees correctness.
     pub fn path_of(&self, spec: &RunSpec) -> PathBuf {
-        let slug: String = spec
-            .id()
-            .chars()
-            .map(|c| if c == '/' || c == '.' { '-' } else { c })
-            .collect();
-        self.dir
-            .join(format!("{slug}-{:016x}.json", spec.content_hash()))
+        self.path_for(spec, spec.content_hash())
+    }
+
+    /// [`Store::path_of`] given `spec`'s content hash: `<id, '/' and '.'
+    /// as '-'>-<hash>.json`, built in the id's own buffer.
+    fn path_for(&self, spec: &RunSpec, hash: u64) -> PathBuf {
+        let mut name = spec.id().into_bytes();
+        for b in &mut name {
+            if matches!(*b, b'/' | b'.') {
+                *b = b'-';
+            }
+        }
+        let mut name = String::from_utf8(name).expect("ASCII bytes replaced ASCII bytes");
+        write!(name, "-{hash:016x}.json").expect("writing to a String cannot fail");
+        self.dir.join(name)
     }
 
     /// Loads `spec`'s stored metrics, or `None` on any miss: absent file,
     /// unparseable JSON, schema drift, or hash mismatch. A corrupt entry is
     /// treated as a miss (the run simply re-executes and overwrites it).
     pub fn load(&self, spec: &RunSpec) -> Option<Metrics> {
-        let text = std::fs::read_to_string(self.path_of(spec)).ok()?;
+        let hash = spec.content_hash();
+        let text = std::fs::read_to_string(self.path_for(spec, hash)).ok()?;
         let v = Json::parse(&text).ok()?;
         if v.get("schema")?.as_str()? != SCHEMA_VERSION {
             return None;
         }
-        let stored_hash = v.get("hash")?.as_str()?;
-        if stored_hash != format!("{:016x}", spec.content_hash()) {
+        // Exactly the 16 lowercase hex digits `save` writes, as a number.
+        let stored = v.get("hash")?.as_str()?;
+        let digits = |s: &str| s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        if stored.len() != 16 || !digits(stored) || u64::from_str_radix(stored, 16) != Ok(hash) {
             return None;
         }
         Metrics::from_json(v.get("metrics")?)
@@ -82,10 +94,11 @@ impl Store {
         let mut doc = Json::obj();
         doc.push("schema", Json::Str(SCHEMA_VERSION.to_string()));
         doc.push("id", Json::Str(spec.id()));
-        doc.push("hash", Json::Str(format!("{:016x}", spec.content_hash())));
+        let hash = spec.content_hash();
+        doc.push("hash", Json::Str(format!("{hash:016x}")));
         doc.push("workload", spec.workload_json());
         doc.push("metrics", metrics.to_json());
-        let path = self.path_of(spec);
+        let path = self.path_for(spec, hash);
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         std::fs::write(&tmp, doc.render())?;
         std::fs::rename(&tmp, &path)?;

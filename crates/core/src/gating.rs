@@ -14,7 +14,8 @@
 //! random traces against its `EagerGateArray`, and end to end by the CI
 //! no-drift gates.
 
-use punchsim_noc::{PgCounters, PowerState};
+use punchsim_noc::soa::for_each_one;
+use punchsim_noc::{BitWords, PgCounters, PowerState};
 use punchsim_types::{Cycle, NodeId};
 
 /// Internal state of one router's sleep switch.
@@ -26,80 +27,6 @@ enum Gate {
     Off,
     /// Waking; fully on once `ready_at` is reached.
     Waking { ready_at: Cycle },
-}
-
-/// A fixed-size bitset over router indices, swept word-at-a-time (the
-/// same shape as the SoA kernel's occupancy index).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct BitSet {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl BitSet {
-    fn empty(len: usize) -> Self {
-        BitSet {
-            words: vec![0; len.div_ceil(64)],
-            len,
-        }
-    }
-
-    fn full(len: usize) -> Self {
-        let mut s = Self::empty(len);
-        for (w, word) in s.words.iter_mut().enumerate() {
-            let lo = w * 64;
-            let bits = (len - lo).min(64);
-            *word = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
-        }
-        s
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
-    #[inline]
-    fn clear(&mut self, i: usize) {
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    #[cfg(test)]
-    fn get(&self, i: usize) -> bool {
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
-    }
-
-    /// Calls `f` for every set bit, ascending. `f` may mutate this set's
-    /// bits freely: each word is snapshotted before its sweep, which is
-    /// exactly the semantics the gate loops need (a gate cleared during
-    /// the sweep is still visited once this cycle, like the eager full
-    /// scan would).
-    #[inline]
-    fn for_each_set(this: &mut GateArray, mut f: impl FnMut(&mut GateArray, usize)) {
-        for w in 0..this.active.words.len() {
-            let mut word = this.active.words[w];
-            while word != 0 {
-                let i = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                f(this, i);
-            }
-        }
-    }
-
-    /// Calls `f` for every *clear* bit below `len`, ascending.
-    fn for_each_clear(&self, mut f: impl FnMut(usize)) {
-        for (w, &word) in self.words.iter().enumerate() {
-            let lo = w * 64;
-            let bits = (self.len - lo).min(64);
-            let mask = if bits == 64 { !0 } else { (1u64 << bits) - 1 };
-            let mut inv = !word & mask;
-            while inv != 0 {
-                let i = lo + inv.trailing_zeros() as usize;
-                inv &= inv - 1;
-                f(i);
-            }
-        }
-    }
 }
 
 /// The array of sleep switches for all routers, with the wakeup/timeout
@@ -132,7 +59,7 @@ pub struct GateArray {
     idle_timeout: u32,
     /// Routers that are `On` or `Waking` — the only ones the per-cycle
     /// sweeps visit.
-    active: BitSet,
+    active: BitWords,
     /// Lazy off-cycle accounting units elapsed (see the type-level
     /// invariants).
     acct_units: u64,
@@ -148,11 +75,13 @@ pub struct GateArray {
 impl GateArray {
     /// Creates `n` routers, all powered on.
     pub fn new(n: usize, wakeup_latency: u32, idle_timeout: u32) -> Self {
+        let mut active = BitWords::new(n);
+        (0..n).for_each(|i| active.set(i));
         GateArray {
             gates: vec![Gate::On { idle_cycles: 0 }; n],
             wakeup_latency: wakeup_latency as Cycle,
             idle_timeout,
-            active: BitSet::full(n),
+            active,
             acct_units: 0,
             counters: PgCounters::new(n),
             off_mark: vec![0; n],
@@ -186,10 +115,25 @@ impl GateArray {
     /// accounting.
     pub fn counters(&self) -> PgCounters {
         let mut snap = self.counters.clone();
-        self.active.for_each_clear(|i| {
-            snap.off_cycles[i] += self.acct_units - self.off_mark[i];
-        });
+        for (i, gate) in self.gates.iter().enumerate() {
+            if *gate == Gate::Off {
+                snap.off_cycles[i] += self.acct_units - self.off_mark[i];
+            }
+        }
         snap
+    }
+
+    /// Calls `f` for every active router, ascending. `f` may flip `active`
+    /// bits freely: each word is snapshotted before its sweep, which is
+    /// exactly the semantics the gate loops need (a gate cleared during
+    /// the sweep is still visited once this cycle, like the eager full
+    /// scan would).
+    #[inline]
+    fn for_each_active(&mut self, mut f: impl FnMut(&mut GateArray, usize)) {
+        for w in 0..self.active.words().len() {
+            let word = self.active.words()[w];
+            for_each_one(&[word], 0, 64, |bit| f(self, w * 64 + bit));
+        }
     }
 
     /// Folds router `i`'s owed off-cycles (called on every transition
@@ -226,7 +170,7 @@ impl GateArray {
     /// via the accounting watermark.
     pub fn begin_cycle(&mut self, cycle: Cycle) {
         self.acct_units += 1;
-        BitSet::for_each_set(self, |this, i| {
+        self.for_each_active(|this, i| {
             if let Gate::Waking { ready_at } = this.gates[i] {
                 this.counters.waking_cycles[i] += 1;
                 if cycle + 1 >= ready_at {
@@ -296,26 +240,21 @@ impl GateArray {
         mut sleep_floor: impl FnMut(usize) -> Cycle,
     ) -> Option<Cycle> {
         let mut horizon: Option<Cycle> = None;
-        for (w, &word) in self.active.words.iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let i = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                let at = match self.gates[i] {
-                    Gate::Off => continue,
-                    Gate::Waking { ready_at } => now.max(ready_at.saturating_sub(1)),
-                    Gate::On { idle_cycles } => {
-                        let timeout_at = now
-                            + self
-                                .idle_timeout
-                                .saturating_sub(idle_cycles.saturating_add(1))
-                                as Cycle;
-                        timeout_at.max(sleep_floor(i))
-                    }
-                };
-                horizon = Some(horizon.map_or(at, |h| h.min(at)));
-            }
-        }
+        for_each_one(self.active.words(), 0, self.gates.len(), |i| {
+            let at = match self.gates[i] {
+                Gate::Off => return,
+                Gate::Waking { ready_at } => now.max(ready_at.saturating_sub(1)),
+                Gate::On { idle_cycles } => {
+                    let timeout_at = now
+                        + self
+                            .idle_timeout
+                            .saturating_sub(idle_cycles.saturating_add(1))
+                            as Cycle;
+                    timeout_at.max(sleep_floor(i))
+                }
+            };
+            horizon = Some(horizon.map_or(at, |h| h.min(at)));
+        });
         horizon
     }
 
@@ -345,7 +284,7 @@ impl GateArray {
         self.acct_units += span;
         let units = self.acct_units;
         let timeout = self.idle_timeout;
-        BitSet::for_each_set(self, |this, i| {
+        self.for_each_active(|this, i| {
             // Resolve a waking gate first: it accrues waking cycles up to and
             // including its promotion tick, then evolves as On from there.
             let (on_from, ic0) = match this.gates[i] {
@@ -420,7 +359,7 @@ impl GateArray {
     /// `may_sleep` is consulted for the same routers in the same order.
     pub fn advance_idle(&mut self, idle: &[bool], mut may_sleep: impl FnMut(usize) -> bool) {
         let timeout = self.idle_timeout;
-        BitSet::for_each_set(self, |this, i| {
+        self.for_each_active(|this, i| {
             if let Gate::On { idle_cycles } = this.gates[i] {
                 if idle[i] {
                     let ic = idle_cycles + 1;
@@ -630,7 +569,8 @@ mod tests {
             fast.advance_quiet(from, from + span, |i| floors[i]);
             assert_eq!(slow.gates, fast.gates, "trial {trial} gates diverged");
             assert_eq!(
-                slow.active, fast.active,
+                slow.active.words(),
+                fast.active.words(),
                 "trial {trial} active set diverged"
             );
             assert_eq!(

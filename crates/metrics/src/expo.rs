@@ -1,6 +1,7 @@
 //! A strict-enough parser for the Prometheus text exposition format,
-//! used by `scripts/metrics_gate.sh` (via the CLI) and by the registry's
-//! own tests to prove that everything the exporter emits is well-formed:
+//! used by the `metrics` row of `scripts/identity_gate.sh` (via the CLI)
+//! and by the registry's own tests to prove that everything the exporter
+//! emits is well-formed:
 //! every sample line parses, histogram `_bucket` series are cumulative
 //! and monotone in `le`, and every histogram ends with a `+Inf` bucket
 //! matching its `_count`.

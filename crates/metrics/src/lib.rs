@@ -12,7 +12,7 @@
 //! cycle values) or explicitly quarantined to the nondeterministic
 //! timing sidecar (wall-time phase attribution). Enabling metrics must
 //! leave every `BENCH_*.json` artifact byte-identical — CI pins this via
-//! `scripts/metrics_gate.sh`.
+//! the `ci-metered` row of `scripts/identity_gate.sh`.
 //!
 //! The crate is tier-1 and dependency-free (workspace crates only).
 

@@ -42,6 +42,7 @@ pub mod ni;
 mod pool;
 pub mod power;
 pub mod router;
+mod shard;
 pub mod snapshot;
 pub mod soa;
 pub mod stats;
@@ -51,6 +52,7 @@ pub use flit::{Flit, FlitKind, Message, MsgClass, PacketMeta};
 pub use network::Network;
 pub use power::{AlwaysOn, IdleInfo, PgCounters, PmEvent, PowerManager, PowerState};
 pub use router::{Router, RouterActivity};
+pub use shard::check_shards;
 pub use soa::BitWords;
 pub use stats::{NetStats, NetworkReport};
 pub use vc::VcLayout;

@@ -14,7 +14,7 @@
 //! [`crate::router::Router::allocate_reference`], not the request-driven
 //! allocators the kernel ships.
 
-use punchsim_metrics::Phase;
+use punchsim_metrics::{Phase, PhaseProfiler};
 use punchsim_types::{Cycle, InvariantViolation, NodeId, Port, PortMap, SimError};
 
 use super::Network;
@@ -26,25 +26,25 @@ impl Network {
     /// the switch onto this path is one-way, so nothing reads it again.
     pub(super) fn tick_reference(&mut self) -> Result<(), SimError> {
         let now = self.cycle;
-        self.moved = false;
-        self.begin_tick();
+        self.watchdog.moved = false;
+        self.obs.profile(PhaseProfiler::begin_tick);
         self.deliver_flits(now);
-        self.mark(Phase::DeliverFlits);
+        self.obs.phase(Phase::DeliverFlits);
         self.deliver_credits(now);
-        self.mark(Phase::DeliverCredits);
+        self.obs.phase(Phase::DeliverCredits);
         self.allocate_routers(now);
-        self.mark(Phase::Allocate);
+        self.obs.phase(Phase::Allocate);
         self.deliver_ejections(now);
-        self.mark(Phase::Eject);
+        self.obs.phase(Phase::Eject);
         self.inject_from_nis(now);
-        self.mark(Phase::Inject);
+        self.obs.phase(Phase::Inject);
         self.watchdog_escalate(now);
-        self.mark(Phase::Watchdog);
+        self.obs.phase(Phase::Watchdog);
         self.power_tick(now);
-        self.mark(Phase::PowerTick);
+        self.obs.phase(Phase::PowerTick);
         self.cycle = now + 1;
         let r = self.watchdog_check(now);
-        self.mark(Phase::Watchdog);
+        self.obs.phase(Phase::Watchdog);
         r
     }
 
@@ -57,12 +57,12 @@ impl Network {
         for idx in 0..self.routers.len() {
             for port in Port::ALL {
                 if let Some(flit) = slots[idx * FLIT_LANES + port.index()].take() {
-                    self.moved = true;
+                    self.watchdog.moved = true;
                     if check
-                        && self.violation.is_none()
+                        && self.watchdog.violation.is_none()
                         && self.pm.state(NodeId(idx as u16)) == PowerState::Off
                     {
-                        self.violation = Some(InvariantViolation::FlitIntoOffRouter {
+                        self.watchdog.violation = Some(InvariantViolation::FlitIntoOffRouter {
                             cycle: now,
                             router: NodeId(idx as u16),
                         });
@@ -151,7 +151,7 @@ impl Network {
             }
             for (_, dep) in outcome.departures.iter() {
                 let Some(dep) = *dep else { continue };
-                self.moved = true;
+                self.watchdog.moved = true;
                 // Credit back to the upstream of the input the flit vacated.
                 let vc = dep.in_vc as u8;
                 match dep.in_port {
@@ -183,7 +183,7 @@ impl Network {
                             Some(nd) => Port::Link(nd),
                             None => Port::Local,
                         };
-                        self.stats.link_traversals += 1;
+                        self.win.stats.link_traversals += 1;
                         let lane = Port::Link(d.opposite()).index();
                         self.flits.put(now + 2 + link, next.index(), lane, flit);
                     }
@@ -198,8 +198,8 @@ impl Network {
         }
         for idx in 0..self.nis.len() {
             if let Some(flit) = self.ejects.plane_mut(now).1[idx].take() {
-                self.ni_flits += 1;
-                self.moved = true;
+                self.win.ni_flits += 1;
+                self.watchdog.moved = true;
                 if let Some(done) = self.nis[idx].eject(&flit) {
                     self.complete_packet(idx, done, now);
                 }
@@ -233,8 +233,8 @@ impl Network {
                 }
             }
             if let Some(flit) = outcome.sent {
-                self.ni_flits += 1;
-                self.moved = true;
+                self.win.ni_flits += 1;
+                self.watchdog.moved = true;
                 self.flits
                     .put(now + 1 + link, idx, Port::Local.index(), flit);
             }
@@ -242,14 +242,14 @@ impl Network {
     }
 
     fn power_tick(&mut self, now: Cycle) {
-        self.idle_scratch.clear();
+        self.soa.idle.clear();
         if self.packets.is_empty() {
             // No packet in flight means no flit, NI work or inbound wire
             // anywhere: idleness is uniformly true without the scan.
-            self.idle_scratch.resize(self.routers.len(), true);
+            self.soa.idle.resize(self.routers.len(), true);
         } else {
             for idx in 0..self.routers.len() {
-                self.idle_scratch.push(
+                self.soa.idle.push(
                     self.routers[idx].datapath_empty()
                         && !self.nis[idx].mid_packet()
                         && !self.flits.inbound(idx),

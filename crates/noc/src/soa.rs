@@ -153,14 +153,22 @@ pub(crate) struct SoaState {
     pub ni_pend: BitWords,
     /// The NI is mid-packet (head sent, tail not) — its router must stay on.
     pub ni_mid: BitWords,
+    /// Link neighbours of every router (see [`neighbor_table`]).
+    pub neighbors: Vec<Neighbors>,
+    /// The idleness plane handed to the power manager, rebuilt by every
+    /// power phase (reused: a steady-state tick allocates nothing).
+    pub idle: Vec<bool>,
 }
 
 impl SoaState {
-    pub fn new(n: usize) -> Self {
+    pub fn new(topo: Substrate) -> Self {
+        let n = topo.nodes();
         SoaState {
             occ: BitWords::new(n),
             ni_pend: BitWords::new(n),
             ni_mid: BitWords::new(n),
+            neighbors: neighbor_table(topo),
+            idle: Vec::with_capacity(n),
         }
     }
 }
@@ -209,7 +217,7 @@ pub(crate) type Neighbors = [Option<NodeId>; 4];
 /// network so the per-departure and per-allocation lookups on the tick
 /// path are array reads instead of a substrate match plus coordinate
 /// arithmetic.
-pub(crate) fn neighbor_table(topo: Substrate) -> Vec<Neighbors> {
+fn neighbor_table(topo: Substrate) -> Vec<Neighbors> {
     topo.iter_nodes()
         .map(|n| Direction::ALL.map(|d| topo.neighbor(n, d)))
         .collect()
@@ -322,7 +330,7 @@ pub(crate) struct ShardView<'a> {
 
 /// Contiguous row-band shard boundaries as node ranges: shard `k` owns
 /// rows `[k*h/shards, (k+1)*h/shards)`. Requires `1 <= shards <= height`
-/// (validated by `Network::set_shards`), so every shard owns at least one
+/// (validated by [`crate::check_shards`]), so every shard owns at least one
 /// full row and the bands tile `0..w*h` exactly.
 pub(crate) fn shard_bounds(width: u16, height: u16, shards: usize) -> Vec<(usize, usize)> {
     let (w, h) = (width as usize, height as usize);
@@ -331,16 +339,12 @@ pub(crate) fn shard_bounds(width: u16, height: u16, shards: usize) -> Vec<(usize
         .collect()
 }
 
-/// Splits the per-router state vectors and plane slices into per-shard
-/// views along `bounds` (which must tile the full range, as `shard_bounds`
+/// Splits `whole` — the full-mesh view, `lo == 0` — into per-shard views
+/// along `bounds` (which must tile the full range, as `shard_bounds`
 /// guarantees), lazily: each `next()` cuts one shard off the front of what
 /// is left.
 pub(crate) fn split_shards<'a>(
-    mut routers: &'a mut [Router],
-    mut nis: &'a mut [Ni],
-    mut flits: &'a mut [Option<Flit>],
-    mut credits: &'a mut [Option<u8>],
-    mut ejects: &'a mut [Option<Flit>],
+    whole: ShardView<'a>,
     bounds: &'a [(usize, usize)],
 ) -> impl Iterator<Item = ShardView<'a>> {
     fn cut<'a, T>(rest: &mut &'a mut [T], take: usize) -> &'a mut [T] {
@@ -348,16 +352,17 @@ pub(crate) fn split_shards<'a>(
         *rest = tail;
         head
     }
+    let mut rest = whole;
     bounds.iter().map(move |&(lo, hi)| {
         let take = hi - lo;
         ShardView {
             lo,
             hi,
-            routers: cut(&mut routers, take),
-            nis: cut(&mut nis, take),
-            flits: cut(&mut flits, take * FLIT_LANES),
-            credits: cut(&mut credits, take * CREDIT_LANES),
-            ejects: cut(&mut ejects, take),
+            routers: cut(&mut rest.routers, take),
+            nis: cut(&mut rest.nis, take),
+            flits: cut(&mut rest.flits, take * FLIT_LANES),
+            credits: cut(&mut rest.credits, take * CREDIT_LANES),
+            ejects: cut(&mut rest.ejects, take),
         }
     })
 }

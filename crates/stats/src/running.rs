@@ -1,4 +1,4 @@
-//! Streaming mean/min/max/variance accumulator.
+//! Streaming mean/variance accumulator.
 
 /// Streaming statistics over a sequence of `f64` samples using Welford's
 /// online algorithm (numerically stable, O(1) memory).
@@ -11,16 +11,13 @@
 /// let mut s = RunningStats::new();
 /// s.extend([1.0, 2.0, 3.0, 4.0]);
 /// assert_eq!(s.mean(), 2.5);
-/// assert_eq!(s.min(), 1.0);
-/// assert_eq!(s.max(), 4.0);
+/// assert_eq!(s.sum(), 10.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
     sum: f64,
 }
 
@@ -32,13 +29,6 @@ impl RunningStats {
 
     /// Records one sample.
     pub fn record(&mut self, v: f64) {
-        if self.count == 0 {
-            self.min = v;
-            self.max = v;
-        } else {
-            self.min = self.min.min(v);
-            self.max = self.max.max(v);
-        }
         self.count += 1;
         self.sum += v;
         let delta = v - self.mean;
@@ -68,24 +58,6 @@ impl RunningStats {
         self.mean
     }
 
-    /// Smallest sample (0 when empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample (0 when empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
     /// Population variance (0 with fewer than two samples).
     pub fn variance(&self) -> f64 {
         if self.count < 2 {
@@ -93,30 +65,6 @@ impl RunningStats {
         } else {
             self.m2 / self.count as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.count + other.count) as f64;
-        let delta = other.mean - self.mean;
-        self.m2 += other.m2 + delta * delta * (self.count as f64 * other.count as f64) / n;
-        self.mean = (self.mean * self.count as f64 + other.mean * other.count as f64) / n;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -129,8 +77,6 @@ mod tests {
         let s = RunningStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
         assert_eq!(s.variance(), 0.0);
     }
 
@@ -140,36 +86,6 @@ mod tests {
         s.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert_eq!(s.mean(), 5.0);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.std_dev(), 2.0);
         assert_eq!(s.sum(), 40.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let all: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        whole.extend(all.iter().copied());
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        a.extend(all[..37].iter().copied());
-        b.extend(all[37..].iter().copied());
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = RunningStats::new();
-        a.record(3.0);
-        let b = RunningStats::new();
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let mut c = RunningStats::new();
-        c.merge(&a);
-        assert_eq!(c.mean(), 3.0);
     }
 }

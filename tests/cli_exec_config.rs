@@ -9,8 +9,9 @@
 //! through `Command::env`, this process's environment is never touched) to
 //! pin what replaced all that: construction ignores the environment, the
 //! retired flags are usage errors, `--shards` is validated as a typed
-//! error on every subcommand that takes it, and a flag a subcommand does
-//! not read is an error rather than a silently ignored argument.
+//! error on every subcommand that takes it, a flag a subcommand does not
+//! read is an error rather than a silently ignored argument, and every `N`
+//! flag reads the `0x` spelling the usage text and the banners print.
 
 use std::process::{Command, Output};
 
@@ -63,7 +64,11 @@ fn retired_mode_flags_and_suite_are_usage_errors() {
         ),
         (
             &["campaign", "--no-cache", "--struct-tick"],
-            "missing value for --struct-tick",
+            "unknown flag --struct-tick for campaign",
+        ),
+        (
+            &["campaign", "--no-cache", "--suite"],
+            "missing value for --suite",
         ),
         (&["campaign", "--suite", "pool"], "unknown suite pool"),
     ] {
@@ -204,4 +209,135 @@ fn flags_a_subcommand_never_reads_are_errors_naming_flag_and_command() {
     let out = cli(&["table1"], &[]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(String::from_utf8_lossy(&out.stdout).contains("22 sets, 5 bits"));
+}
+
+/// The usage says `--seed N ... (default 0xC0FFEE)` and `--fault-seed N ...
+/// (default 0xFA17)`, and the `faults` banner prints `seed 0xfa17`, but the
+/// decimal-only readers rejected both spellings. Every `N` flag now reads
+/// `0x` hex as well as decimal, to the same value.
+#[test]
+fn seeds_parse_in_the_hex_spelling_the_cli_prints() {
+    let banner = |seed: &str| {
+        let out = cli(
+            &[
+                "faults",
+                "--mesh",
+                "4x4",
+                "--cycles",
+                "200",
+                "--fault-seed",
+                seed,
+            ],
+            &[],
+        );
+        assert!(
+            out.status.success(),
+            "--fault-seed {seed}: {}",
+            stderr(&out)
+        );
+        out.stdout
+    };
+    let hex = banner("0xFA17");
+    assert!(String::from_utf8_lossy(&hex).contains("seed 0xfa17"));
+    assert_eq!(hex, banner("64023"), "same seed, same sweep");
+    assert_ne!(hex, banner("0xFA18"), "the seed is actually read");
+
+    let dir = std::env::temp_dir().join(format!("punchsim-cli-seed-{}", std::process::id()));
+    let artifact = |seed: &str| {
+        let out = dir.join(seed);
+        let run = cli(
+            &[
+                "campaign",
+                "--suite",
+                "schemes",
+                "--no-cache",
+                "--seed",
+                seed,
+                "--out",
+                out.to_str().expect("utf-8 temp path"),
+            ],
+            &[("PP_FAST", "1")],
+        );
+        assert!(run.status.success(), "--seed {seed}: {}", stderr(&run));
+        std::fs::read(out.join("BENCH_schemes.json")).expect("artifact written")
+    };
+    let hex = artifact("0xC0FFEE");
+    assert_eq!(hex, artifact("12648430"));
+    assert_eq!(
+        hex,
+        std::fs::read("bench/baseline_schemes.json").expect("checked-in baseline"),
+        "0xC0FFEE is the default seed the baseline was recorded under"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let bad = cli(&["campaign", "--seed", "0xC0FFEG"], &[]);
+    assert!(!bad.status.success());
+    assert!(
+        stderr(&bad).starts_with("error: bad seed\n"),
+        "{}",
+        stderr(&bad)
+    );
+}
+
+/// `campaign`, `compare` and `verify` used to parse their own argument
+/// lists and said only `unknown flag --bogus`. They are rows of the one
+/// command table now: the error names the flag and the command, and the
+/// usage that follows has one generated line per row and no other synopsis.
+#[test]
+fn every_command_is_a_table_row_with_errors_naming_flag_and_command() {
+    for (args, needle) in [
+        (
+            &["campaign", "--bogus", "1"][..],
+            "unknown flag --bogus for campaign",
+        ),
+        (
+            &["compare", "a.json", "b.json", "--bogus", "1"],
+            "unknown flag --bogus for compare",
+        ),
+        (&["verify", "--bogus"], "unknown flag --bogus for verify"),
+        (
+            &["list-schemes", "--bogus"],
+            "unknown flag --bogus for list-schemes",
+        ),
+        (
+            &["compare", "a.json", "b.json", "c.json"],
+            "unknown argument c.json for compare",
+        ),
+        (&["compare", "a.json"], "compare needs CURRENT.json"),
+    ] {
+        let out = cli(args, &[]);
+        assert!(!out.status.success(), "{args:?} must be rejected");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+        let err = stderr(&out);
+        let first = err.lines().next().unwrap_or_default();
+        assert_eq!(first, format!("error: {needle}"), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}");
+    }
+    let bare = cli(&[], &[]);
+    assert!(!bare.status.success());
+    let usage = stderr(&bare);
+    let synopsis: Vec<&str> = usage
+        .lines()
+        .filter(|l| l.starts_with("  punchsim-cli "))
+        .map(|l| l.split_whitespace().nth(1).expect("a command name"))
+        .collect();
+    assert_eq!(
+        synopsis,
+        [
+            "sweep",
+            "parsec",
+            "table1",
+            "schemes",
+            "faults",
+            "trace",
+            "metrics",
+            "list-schemes",
+            "campaign",
+            "compare",
+            "verify"
+        ]
+    );
+    assert!(usage.contains("  punchsim-cli compare  BASELINE.json CURRENT.json [--tol-latency R]"));
+    assert!(usage.contains("[--no-cache]") && usage.contains("[--expect-violation]"));
+    assert!(usage.contains("decimal or 0x-prefixed hex"));
 }
