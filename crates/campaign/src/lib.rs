@@ -4,8 +4,8 @@
 //! declarative [`RunSpec`]s (scheme × workload × config × seed), execute
 //! them on a scoped worker pool with per-run panic isolation and an
 //! incremental content-hashed result [`Store`], and emit schema-versioned
-//! `BENCH_<name>.json` artifacts that `cargo bench` targets, the CLI and
-//! CI's perf-regression gate all consume.
+//! `BENCH_<name>.json` artifacts that the CLI and CI's perf-regression gate
+//! consume.
 //!
 //! The paper's evaluation (Figures 7–13, Table 1) is an 8-benchmark ×
 //! 4-scheme full-system campaign plus synthetic sweeps. Every run is
@@ -61,7 +61,7 @@ pub const DEFAULT_SEED: u64 = 0xC0FFEE;
 /// **The** definition of smoke mode, for the whole workspace: `PP_FAST=1`
 /// selects shortened simulations; leaving the variable unset (or set to
 /// `0` or the empty string) selects full-length runs. No other value is
-/// recognized. Benches, the campaign suites and CI all resolve the switch
+/// recognized. The CLI's `figure` rows, the campaign suites and CI all resolve the switch
 /// through this function — if you are documenting `PP_FAST`, link here.
 pub fn fast_mode() -> bool {
     matches!(std::env::var("PP_FAST"), Ok(v) if v == "1")

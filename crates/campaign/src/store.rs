@@ -4,9 +4,7 @@
 //! spec's [`content hash`](crate::RunSpec::content_hash). Re-running a
 //! campaign only simulates specs whose hash has no stored entry — changing
 //! an instruction count, a seed, or the schema version changes the hash and
-//! naturally invalidates exactly the affected runs. This replaces the old
-//! single-file text cache in `crates/bench`, which knew only "the whole
-//! campaign is cached" or "nothing is".
+//! naturally invalidates exactly the affected runs.
 
 use std::fmt::Write as _;
 use std::io;
@@ -28,8 +26,8 @@ impl Store {
     }
 
     /// The shared store in the cargo target directory (or the system temp
-    /// directory when `CARGO_TARGET_DIR` is unset), so `cargo bench`
-    /// targets and the CLI all hit the same cache.
+    /// directory when `CARGO_TARGET_DIR` is unset), so `punchsim-cli`'s
+    /// `campaign` and `figure` commands hit the same cache.
     pub fn in_target() -> Store {
         let base = std::env::var_os("CARGO_TARGET_DIR")
             .map(PathBuf::from)

@@ -105,6 +105,8 @@ pub struct CmpSim {
     rng: SimRng,
     /// Scheduled protocol sends per node: `(send_at, dst, msg)` FIFO.
     sends: Vec<VecDeque<(Cycle, NodeId, ProtoMsg)>>,
+    /// [`CmpSim::deliver`]'s scratch: the tick's messages, out of the network.
+    inbox: Vec<Message>,
     warmed: bool,
     measure_start: Cycle,
 }
@@ -161,6 +163,7 @@ impl CmpSim {
             blocked: vec![false; n],
             rng,
             sends: vec![VecDeque::new(); n],
+            inbox: Vec::new(),
             warmed: false,
             measure_start: 0,
             cfg,
@@ -258,59 +261,58 @@ impl CmpSim {
     fn deliver(&mut self, now: Cycle) {
         let nodes = self.cfg.sim.noc.topology.nodes();
         let l2_lat = self.cfg.l2_latency;
-        for idx in 0..nodes {
-            let node = NodeId(idx as u16);
-            for msg in self.net.take_delivered(node) {
-                let pm = ProtoMsg::decode(msg.payload).expect("well-formed payload");
-                let src = msg.src;
-                match pm.op {
-                    // Directory-side messages.
-                    Op::GetS
-                    | Op::GetM
-                    | Op::PutM
-                    | Op::PutE
-                    | Op::InvAck
-                    | Op::OwnerData
-                    | Op::FwdNack
-                    | Op::MemData => {
-                        let mut out = Vec::new();
-                        self.dirs[idx].handle(src, pm, &mut out);
-                        if !out.is_empty() {
-                            // Slack 2: the L2/directory access that will
-                            // produce these messages starts now.
-                            self.net
-                                .notify_future_injection(node)
-                                .expect("directory node is in the topology");
-                        }
-                        for (dst, m) in out {
-                            self.sends[idx].push_back((now + l2_lat, dst, m));
-                        }
+        let mut inbox = std::mem::take(&mut self.inbox);
+        inbox.extend(self.net.drain_delivered());
+        for msg in inbox.drain(..) {
+            let (node, idx) = (msg.dst, msg.dst.index());
+            let pm = ProtoMsg::decode(msg.payload).expect("well-formed payload");
+            let src = msg.src;
+            match pm.op {
+                // Directory-side messages.
+                Op::GetS
+                | Op::GetM
+                | Op::PutM
+                | Op::PutE
+                | Op::InvAck
+                | Op::OwnerData
+                | Op::FwdNack
+                | Op::MemData => {
+                    let mut out = Vec::new();
+                    self.dirs[idx].handle(src, pm, &mut out);
+                    if !out.is_empty() {
+                        // Slack 2: the L2/directory access that will
+                        // produce these messages starts now.
+                        self.net
+                            .notify_future_injection(node)
+                            .expect("directory node is in the topology");
                     }
-                    // L1-side messages.
-                    Op::Inv | Op::FwdGetS | Op::FwdGetM | Op::Data | Op::DataExcl | Op::WbAck => {
-                        let mut out = Vec::new();
-                        let total = nodes;
-                        let resumed =
-                            self.l1s[idx].handle(src, pm, |a| home_node(a, total), &mut out);
-                        if resumed {
-                            self.blocked[idx] = false;
-                        }
-                        for (dst, m) in out {
-                            self.sends[idx].push_back((now + 1, dst, m));
-                        }
+                    for (dst, m) in out {
+                        self.sends[idx].push_back((now + l2_lat, dst, m));
                     }
-                    // Memory-controller messages.
-                    Op::MemRead | Op::MemWrite => {
-                        let mc = self
-                            .mems
-                            .iter_mut()
-                            .find(|m| m.node() == node)
-                            .expect("memory request routed to a controller");
-                        mc.handle(src, pm, now);
+                }
+                // L1-side messages.
+                Op::Inv | Op::FwdGetS | Op::FwdGetM | Op::Data | Op::DataExcl | Op::WbAck => {
+                    let mut out = Vec::new();
+                    let resumed = self.l1s[idx].handle(src, pm, |a| home_node(a, nodes), &mut out);
+                    if resumed {
+                        self.blocked[idx] = false;
                     }
+                    for (dst, m) in out {
+                        self.sends[idx].push_back((now + 1, dst, m));
+                    }
+                }
+                // Memory-controller messages.
+                Op::MemRead | Op::MemWrite => {
+                    let mc = self
+                        .mems
+                        .iter_mut()
+                        .find(|m| m.node() == node)
+                        .expect("memory request routed to a controller");
+                    mc.handle(src, pm, now);
                 }
             }
         }
+        self.inbox = inbox;
     }
 
     /// Injects scheduled protocol messages whose time has come.

@@ -30,7 +30,7 @@
 //! while net.in_flight() > 0 {
 //!     net.tick().unwrap();
 //! }
-//! assert_eq!(net.take_delivered(NodeId(63)).len(), 1);
+//! assert_eq!(net.drain_delivered().filter(|m| m.dst == NodeId(63)).count(), 1);
 //! ```
 
 pub use punchsim_obs as obs;
@@ -54,5 +54,5 @@ pub use power::{AlwaysOn, IdleInfo, PgCounters, PmEvent, PowerManager, PowerStat
 pub use router::{Router, RouterActivity};
 pub use shard::check_shards;
 pub use soa::BitWords;
-pub use stats::{NetStats, NetworkReport};
+pub use stats::{NetStats, NetworkReport, RunningStats};
 pub use vc::VcLayout;

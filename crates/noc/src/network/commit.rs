@@ -94,8 +94,8 @@ impl Network {
         // --- 4. ejections ------------------------------------------------
         self.win.ni_flits += self.ejects.retire(now) as u64;
         for buf in &mut bufs {
-            for (idx, done) in buf.completions.drain(..) {
-                self.complete_packet(idx, done, now);
+            for done in buf.completions.drain(..) {
+                self.complete_packet(done, now);
             }
         }
         // --- 5. injections -----------------------------------------------
@@ -150,10 +150,10 @@ impl Network {
         }
     }
 
-    /// Bookkeeping for packet `done` whose tail just ejected at NI `idx`:
+    /// Bookkeeping for packet `done` whose tail just ejected:
     /// retires its metadata into the sink, the conservation counters, the
-    /// measured-window statistics and the node's outbox.
-    pub(super) fn complete_packet(&mut self, idx: usize, done: PacketId, now: Cycle) {
+    /// measured-window statistics and the delivered stream.
+    pub(super) fn complete_packet(&mut self, done: PacketId, now: Cycle) {
         let meta = self
             .packets
             .remove(&done.0)
@@ -178,7 +178,6 @@ impl Network {
             stats.pg_encounters.record(meta.pg_encounters as f64);
             stats.wakeup_wait.record(meta.wakeup_wait as f64);
         }
-        self.outbox[idx].push(meta.message);
-        self.outbox_pending += 1;
+        self.delivered.push(meta.message);
     }
 }

@@ -2,12 +2,12 @@
 //! manager, advanced one cycle at a time.
 //!
 //! [`Network`] is its simulation state — the datapath, the in-flight packet
-//! table, the host-facing outbox and the measured window — plus three owned
-//! concerns that are types of their own: the [`watchdog`] (progress clock,
+//! table, the host-facing delivered stream and the measured window — plus
+//! three owned concerns that are types of their own: the [`watchdog`] (progress clock,
 //! conservation totals, blocked-WU streaks, latched violation), the
 //! [`observe`]rs (event sink, profiler) and the [`crate::shard`]ing of
 //! phase A. This file holds construction, the host API (`send`,
-//! `take_delivered`), the fork, `encode_state` and the statistics; the rest
+//! `drain_delivered`), the fork, `encode_state` and the statistics; the rest
 //! of the `impl` is cut along the tick's phases: `phase_a.rs` (`tick`, the
 //! compute half, the shard knobs), `commit.rs` (the serial half),
 //! `power.rs`, `run.rs` (quiescence, fast-forward, `run`/`run_hooked`, late
@@ -56,8 +56,8 @@ struct Window {
 /// A cycle-accurate mesh network under a pluggable power-gating scheme.
 ///
 /// Endpoints interact through [`Network::send`] (hand a [`Message`] to a
-/// node's NI), [`Network::take_delivered`] (collect messages that ejected at
-/// a node), and [`Network::tick`].
+/// node's NI), [`Network::drain_delivered`] (collect the messages that have
+/// ejected since), and [`Network::tick`].
 ///
 /// # Examples
 ///
@@ -79,9 +79,9 @@ struct Window {
 /// for _ in 0..40 {
 ///     net.tick().unwrap();
 /// }
-/// let got = net.take_delivered(NodeId(9));
+/// let got: Vec<Message> = net.drain_delivered().collect();
 /// assert_eq!(got.len(), 1);
-/// assert_eq!(got[0].payload, 42);
+/// assert_eq!((got[0].dst, got[0].payload), (NodeId(9), 42));
 /// ```
 pub struct Network {
     cfg: NocConfig,
@@ -107,10 +107,11 @@ pub struct Network {
     pm: Box<dyn PowerManager>,
     /// Events buffered for the next power phase.
     events: Vec<PmEvent>,
-    outbox: Vec<Vec<Message>>,
-    /// Messages currently sitting in `outbox` across all nodes, so hosts
-    /// can skip their per-node drain scan when nothing was delivered.
-    outbox_pending: u64,
+    /// Messages ejected since the host last called
+    /// [`Network::drain_delivered`], in ejection order. One buffer for the
+    /// whole network, reused across drains, so a delivery costs no heap
+    /// request once it has grown to the host's drain interval.
+    delivered: Vec<Message>,
     win: Window,
     /// Set (for good) by [`Network::use_reference_kernel`]: tick through
     /// the struct sweep of `reference.rs` and never fast-forward.
@@ -175,8 +176,7 @@ impl Network {
             next_packet: 0,
             pm,
             events: Vec::new(),
-            outbox: vec![Vec::new(); n],
-            outbox_pending: 0,
+            delivered: Vec::new(),
             win: Window::default(),
             reference: false,
             watchdog: Watchdog::new(n),
@@ -215,8 +215,7 @@ impl Network {
             packets: self.packets.clone(),
             next_packet: self.next_packet,
             events: self.events.clone(),
-            outbox: self.outbox.clone(),
-            outbox_pending: self.outbox_pending,
+            delivered: self.delivered.clone(),
             win: self.win.clone(),
             reference: self.reference,
         })
@@ -361,18 +360,13 @@ impl Network {
         Ok(())
     }
 
-    /// Takes every message that has been delivered to `node` so far.
-    pub fn take_delivered(&mut self, node: NodeId) -> Vec<Message> {
-        let msgs = std::mem::take(&mut self.outbox[node.index()]);
-        self.outbox_pending -= msgs.len() as u64;
-        msgs
-    }
-
-    /// Messages delivered but not yet collected with
-    /// [`Network::take_delivered`], across all nodes. Hosts polling every
-    /// node each cycle can skip the whole scan while this is zero.
-    pub fn delivered_pending(&self) -> u64 {
-        self.outbox_pending
+    /// Hands over every message delivered since the last drain, whatever
+    /// its destination (`Message::dst`), in ejection order: cycle by cycle,
+    /// and within a cycle by ascending destination (an NI ejects at most
+    /// one tail per cycle). A host that drains after every tick therefore
+    /// sees each tick's deliveries node-ascending.
+    pub fn drain_delivered(&mut self) -> std::vec::Drain<'_, Message> {
+        self.delivered.drain(..)
     }
 
     /// Canonical byte encoding of all dynamic state, for reachable-set
@@ -385,7 +379,7 @@ impl Network {
     /// every wire (delivery cycles rebased), the in-flight packet-id set,
     /// pending power-manager events, the watchdog's blocked-WU streaks and
     /// stall age, and the power manager's own state. Statistics, the
-    /// delivered-message outbox and the conservation totals are excluded —
+    /// delivered-message stream and the conservation totals are excluded —
     /// they never feed back into dynamics.
     pub fn encode_state(&self) -> Option<Vec<u8>> {
         let now = self.cycle;
@@ -540,6 +534,13 @@ pub(crate) mod testkit {
         }
     }
 
+    /// Drains `n`'s deliveries; how many of them were addressed to `node`.
+    pub fn delivered_to(n: &mut Network, node: u16) -> usize {
+        n.drain_delivered()
+            .filter(|m| m.dst == NodeId(node))
+            .count()
+    }
+
     /// A network over `cfg` under the manager `pm` builds for its size.
     pub fn net_with(cfg: &NocConfig, pm: impl FnOnce(usize) -> Box<dyn PowerManager>) -> Network {
         Network::new(cfg, pm(cfg.topology.nodes())).unwrap()
@@ -585,7 +586,7 @@ pub(crate) mod testkit {
 
 #[cfg(test)]
 mod tests {
-    use super::testkit::{msg, net};
+    use super::testkit::{delivered_to, msg, net};
     use super::*;
     use crate::power::AlwaysOn;
     use punchsim_types::{ConfigError, VnetId};
@@ -596,7 +597,7 @@ mod tests {
         // R0 -> R3: 3 hops, 3-stage pipeline, link latency 1, NI latency 3.
         n.send(msg(0, 3, MsgClass::Control)).unwrap();
         n.run(40).unwrap();
-        assert_eq!(n.take_delivered(NodeId(3)).len(), 1);
+        assert_eq!(delivered_to(&mut n, 3), 1);
         let r = n.report();
         assert_eq!(r.stats.packets_delivered, 1);
         // enqueue t=0, ready t=3, sent t=3, latch R0 t=5, per hop 4 cycles,
@@ -614,7 +615,7 @@ mod tests {
         // 5-flit packet to a neighbour: tail trails head by 4 cycles.
         n.send(msg(0, 1, MsgClass::Data)).unwrap();
         n.run(40).unwrap();
-        assert_eq!(n.take_delivered(NodeId(1)).len(), 1);
+        assert_eq!(delivered_to(&mut n, 1), 1);
         let r = n.report();
         // Head: enqueue 0, sent 3, latch R0 @5, SA @6, latch R1 @9, SA @10,
         // eject @12. The 3-flit VC depth throttles the stream through the
@@ -629,8 +630,7 @@ mod tests {
         let mut n = net();
         n.send(msg(5, 5, MsgClass::Control)).unwrap();
         n.run(20).unwrap();
-        let got = n.take_delivered(NodeId(5));
-        assert_eq!(got.len(), 1);
+        assert_eq!(delivered_to(&mut n, 5), 1);
         let r = n.report();
         assert_eq!(r.stats.hops.mean(), 0.0);
         // enqueue 0, sent 3, latch 5, SA 6, eject 8.
@@ -667,13 +667,11 @@ mod tests {
             }
         }
         assert_eq!(n.in_flight(), 0, "all packets must drain");
-        for d in 0..64u16 {
-            assert_eq!(
-                n.take_delivered(NodeId(d)).len(),
-                expected[d as usize],
-                "node {d}"
-            );
+        let mut got = vec![0usize; 64];
+        for m in n.drain_delivered() {
+            got[m.dst.index()] += 1;
         }
+        assert_eq!(got, expected);
         let r = n.report();
         assert_eq!(r.stats.packets_delivered, 300);
         assert!(r.stats.latency.mean() > 0.0);
@@ -706,7 +704,7 @@ mod tests {
         let r = n.report();
         // The warm-up packet completed but is not measured.
         assert_eq!(r.stats.packets_delivered, 0);
-        assert_eq!(n.take_delivered(NodeId(7)).len(), 1);
+        assert_eq!(delivered_to(&mut n, 7), 1);
     }
 
     #[test]
@@ -861,6 +859,6 @@ mod tests {
         m.vnet = VnetId(3);
         n.send(m).unwrap();
         n.run(200).unwrap();
-        assert_eq!(n.take_delivered(NodeId(63)).len(), 1);
+        assert_eq!(delivered_to(&mut n, 63), 1);
     }
 }

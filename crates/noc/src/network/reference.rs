@@ -201,7 +201,7 @@ impl Network {
                 self.win.ni_flits += 1;
                 self.watchdog.moved = true;
                 if let Some(done) = self.nis[idx].eject(&flit) {
-                    self.complete_packet(idx, done, now);
+                    self.complete_packet(done, now);
                 }
             }
         }

@@ -159,10 +159,9 @@ impl Network {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{msg, net};
+    use super::super::testkit::{delivered_to, msg, net};
     use super::*;
     use crate::MsgClass;
-    use punchsim_types::NodeId;
 
     #[test]
     fn run_hooked_fires_per_window_and_at_end() {
@@ -186,7 +185,7 @@ mod tests {
 
     /// Bursty traffic separated by long quiescent gaps: the fast-forward
     /// kernel must reproduce the naive per-cycle run exactly — same final
-    /// cycle, same delivered counts, same latencies, same outbox.
+    /// cycle, same delivered counts, same latencies, same deliveries.
     #[test]
     fn fast_forward_matches_naive_run() {
         let run = |reference: bool| {
@@ -201,9 +200,7 @@ mod tests {
                         .unwrap();
                 }
                 n.run(1_000).unwrap();
-                for d in 0..64u16 {
-                    delivered += n.take_delivered(NodeId(d)).len();
-                }
+                delivered += n.drain_delivered().count();
             }
             let r = n.report();
             (
@@ -240,6 +237,6 @@ mod tests {
         // per-cycle path: traffic injected afterwards still delivers.
         n.send(msg(0, 9, MsgClass::Control)).unwrap();
         n.run(60).unwrap();
-        assert_eq!(n.take_delivered(NodeId(9)).len(), 1);
+        assert_eq!(delivered_to(&mut n, 9), 1);
     }
 }

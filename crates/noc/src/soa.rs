@@ -287,8 +287,8 @@ pub(crate) struct ShardBuf {
     pub departed: Vec<(NodeId, Departure)>,
     /// Routers left with an empty datapath after allocation.
     pub alloc_empty: Vec<usize>,
-    /// Completed packets, in NI order: (NI index, packet id).
-    pub completions: Vec<(usize, PacketId)>,
+    /// Completed packets, in NI order.
+    pub completions: Vec<PacketId>,
     pub inject: Vec<InjectRes>,
     /// Packets that became ready to inject, with their destinations, NI
     /// by NI.
@@ -462,7 +462,7 @@ pub(crate) fn shard_phase_a(
         if let Some(flit) = sv.ejects[li].take() {
             buf.moved = true;
             if let Some(done) = nis[li].eject(&flit) {
-                buf.completions.push((idx, done));
+                buf.completions.push(done);
             }
         }
     });

@@ -1,11 +1,65 @@
 //! Network-level statistics and the end-of-run report.
 
 use punchsim_metrics::LogHistogram;
-use punchsim_stats::RunningStats;
 use punchsim_types::{Cycle, SchemeKind};
 
 use crate::power::PgCounters;
 use crate::router::RouterActivity;
+
+/// Streaming statistics over a sequence of `f64` samples using Welford's
+/// online algorithm (numerically stable, O(1) memory).
+///
+/// # Examples
+///
+/// ```
+/// use punchsim_noc::RunningStats;
+///
+/// let mut lat = RunningStats::default();
+/// [10.0, 12.0, 14.0].map(|v| lat.record(v));
+/// assert_eq!((lat.count(), lat.sum(), lat.mean()), (3, 36.0, 12.0));
+/// ```
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct RunningStats {
+    count: u64,
+    mean: f64,
+    m2: f64,
+    sum: f64,
+}
+
+impl RunningStats {
+    /// Records one sample.
+    pub fn record(&mut self, v: f64) {
+        self.count += 1;
+        self.sum += v;
+        let delta = v - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (v - self.mean);
+    }
+
+    /// Number of samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of all samples (0 when empty).
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Arithmetic mean (0 when empty).
+    pub fn mean(&self) -> f64 {
+        self.mean
+    }
+
+    /// Population variance (0 with fewer than two samples).
+    pub fn variance(&self) -> f64 {
+        if self.count < 2 {
+            0.0
+        } else {
+            self.m2 / self.count as f64
+        }
+    }
+}
 
 /// Aggregated per-run network statistics, updated as packets complete.
 #[derive(Debug, Clone, Default)]
@@ -43,7 +97,7 @@ impl NetStats {
     }
 }
 
-/// A snapshot of everything a power model or figure harness needs after
+/// A snapshot of everything a power model or a `figure` row needs after
 /// (or during) a run.
 #[derive(Debug, Clone)]
 pub struct NetworkReport {
@@ -139,9 +193,21 @@ mod tests {
     use super::*;
 
     #[test]
+    fn running_stats_moments() {
+        let mut s = RunningStats::default();
+        assert_eq!((s.count(), s.mean(), s.variance()), (0, 0.0, 0.0));
+        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
+            s.record(v);
+        }
+        assert_eq!((s.mean(), s.sum()), (5.0, 40.0));
+        assert!((s.variance() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
     fn report_ratios() {
         let mut stats = NetStats::default();
-        stats.latency.extend([10.0, 20.0]);
+        stats.latency.record(10.0);
+        stats.latency.record(20.0);
         stats.latency_hist.record(10);
         stats.latency_hist.record(20);
         stats.flits_delivered = 640;

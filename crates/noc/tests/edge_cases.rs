@@ -33,8 +33,9 @@ fn one_dimensional_mesh_works() {
         n.tick().unwrap();
     }
     assert_eq!(n.in_flight(), 0);
-    assert_eq!(n.take_delivered(NodeId(7)).len(), 1);
-    assert_eq!(n.take_delivered(NodeId(0)).len(), 1);
+    let mut dsts: Vec<NodeId> = n.drain_delivered().map(|m| m.dst).collect();
+    dsts.sort();
+    assert_eq!(dsts, [NodeId(0), NodeId(7)]);
 }
 
 #[test]
@@ -44,7 +45,10 @@ fn single_column_mesh_works() {
     for _ in 0..200 {
         n.tick().unwrap();
     }
-    assert_eq!(n.take_delivered(NodeId(5)).len(), 1);
+    assert_eq!(
+        n.drain_delivered().filter(|m| m.dst == NodeId(5)).count(),
+        1
+    );
 }
 
 #[test]
@@ -81,8 +85,9 @@ fn contending_flows_share_a_link_fairly() {
         }
     }
     assert_eq!(n.in_flight(), 0, "no starvation");
-    let got = n.take_delivered(NodeId(2));
+    let got: Vec<Message> = n.drain_delivered().collect();
     assert_eq!(got.len(), sent);
+    assert!(got.iter().all(|m| m.dst == NodeId(2)));
     // Both sources appear throughout the delivery order, not one after
     // the other: check the first half contains both.
     let half = &got[..got.len() / 2];
@@ -111,9 +116,8 @@ fn vnets_are_isolated_under_congestion() {
         }
         n.tick().unwrap();
         ctrl_got += n
-            .take_delivered(NodeId(15))
-            .iter()
-            .filter(|m| m.vnet == VnetId(2))
+            .drain_delivered()
+            .filter(|m| m.dst == NodeId(15) && m.vnet == VnetId(2))
             .count();
     }
     // All but possibly the last in-flight control packet arrived while the

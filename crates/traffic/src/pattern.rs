@@ -83,13 +83,15 @@ impl TrafficPattern {
 
     /// Picks the destination for a packet injected at `src`.
     ///
-    /// Deterministic patterns ignore `rng`. Index-bit patterns assume the
-    /// node count is a power of two (true for the evaluated 4x4/8x8/16x16
-    /// meshes); for other sizes they fall back to a modulo mapping.
+    /// Deterministic patterns ignore `rng`. Index-bit patterns permute the
+    /// `ceil(log2 nodes)`-bit index space and fold it back with `% nodes`:
+    /// exact on a power-of-two node count (the evaluated 4x4/8x8/16x16
+    /// meshes), a modulo mapping on any other.
     pub fn destination(self, topo: impl Into<Substrate>, src: NodeId, rng: &mut SimRng) -> NodeId {
         let mesh: Substrate = topo.into();
         let n = mesh.nodes() as u16;
-        let bits = n.trailing_zeros();
+        let bits = (n as u32).next_power_of_two().trailing_zeros().max(1);
+        let mask = ((1u32 << bits) - 1) as u16;
         match self {
             TrafficPattern::UniformRandom => NodeId(rng.random_range(0..n)),
             TrafficPattern::Transpose => {
@@ -99,13 +101,10 @@ impl TrafficPattern {
                 let y = c.x.min(mesh.height() - 1);
                 mesh.node(Coord::new(x, y))
             }
-            TrafficPattern::BitComplement => NodeId((!src.0) & (n - 1)),
-            TrafficPattern::BitReverse => {
-                let r = src.0.reverse_bits() >> (16 - bits);
-                NodeId(r % n)
-            }
+            TrafficPattern::BitComplement => NodeId((!src.0 & mask) % n),
+            TrafficPattern::BitReverse => NodeId((src.0.reverse_bits() >> (16 - bits)) % n),
             TrafficPattern::Shuffle => {
-                let s = ((src.0 << 1) | (src.0 >> (bits.max(1) - 1) as u16 & 1)) & (n - 1);
+                let s = ((src.0 << 1) | (src.0 >> (bits - 1) & 1)) & mask;
                 NodeId(s % n)
             }
             TrafficPattern::Tornado => {
@@ -165,23 +164,30 @@ mod tests {
         }
     }
 
+    /// Every pattern, on every mesh up to 6x6 (most of them not a power of
+    /// two in nodes) plus the 8x8, from every source: a destination inside
+    /// the mesh and no shift overflow (the test profile checks those). And
+    /// bit-reverse stays a spread-out mapping off the powers of two — it
+    /// used to reverse `trailing_zeros` bits: 2 on a 6x6, so every packet
+    /// went to nodes 0-3.
     #[test]
     fn all_destinations_in_mesh() {
-        let m = Mesh::new(8, 8);
         let mut r = rng();
-        for p in [
-            TrafficPattern::UniformRandom,
-            TrafficPattern::Transpose,
-            TrafficPattern::BitComplement,
-            TrafficPattern::BitReverse,
-            TrafficPattern::Shuffle,
-            TrafficPattern::Tornado,
-            TrafficPattern::Neighbor,
-            TrafficPattern::Hotspot(NodeId(5)),
-        ] {
-            for src in m.iter_nodes() {
-                let d = p.destination(m, src, &mut r);
-                assert!(m.contains(d), "{p} from {src} gave {d}");
+        let small = (1..=6u16).flat_map(|w| (1..=6u16).map(move |h| (w, h)));
+        for (w, h) in small.chain([(8, 8)]) {
+            let m = Mesh::new(w, h);
+            let hotspot = TrafficPattern::Hotspot(NodeId(m.nodes() as u16 - 1));
+            for p in TrafficPattern::SYNTHETIC.into_iter().chain([hotspot]) {
+                let mut seen = vec![false; m.nodes()];
+                for src in m.iter_nodes() {
+                    let d = p.destination(m, src, &mut r);
+                    assert!(m.contains(d), "{p} on {w}x{h} from {src} gave {d}");
+                    seen[d.index()] = true;
+                }
+                if p == TrafficPattern::BitReverse && !m.nodes().is_power_of_two() {
+                    let distinct = seen.iter().filter(|&&s| s).count();
+                    assert!(distinct >= m.nodes() / 4, "{w}x{h}: {distinct} targets");
+                }
             }
         }
     }

@@ -271,15 +271,7 @@ impl SyntheticSim {
             }
         }
         self.net.tick()?;
-        // Drain deliveries — but only scan the nodes when something was
-        // actually delivered; on large meshes the common busy cycle
-        // delivers nothing and this is the difference between O(1) and
-        // O(nodes) of pure harness overhead per tick.
-        if self.net.delivered_pending() > 0 {
-            for idx in 0..self.next_arrival.len() {
-                self.delivered_sink += self.net.take_delivered(NodeId(idx as u16)).len() as u64;
-            }
-        }
+        self.delivered_sink += self.net.drain_delivered().len() as u64;
         Ok(())
     }
 

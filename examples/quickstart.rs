@@ -6,36 +6,31 @@
 //! ```
 
 use punchsim::prelude::*;
-use punchsim::stats::Table;
 
 fn main() {
     let pm = PowerModel::default_45nm();
-    let mut table = Table::new([
-        "scheme",
-        "avg latency (cyc)",
-        "blocked routers/pkt",
-        "wakeup wait (cyc)",
-        "router off %",
-        "static energy saved %",
-    ]);
+    println!("punchsim quickstart — 8x8 mesh, uniform random, 0.005 flits/node/cycle\n");
+    println!(
+        "{:<18} {:>13} {:>12} {:>10} {:>6} {:>15}",
+        "scheme", "latency (cyc)", "blocked/pkt", "wait (cyc)", "off %", "static saved %"
+    );
     for scheme in SchemeKind::EVALUATED {
         // An 8x8 mesh (Table 2 of the paper) under light uniform traffic.
         let cfg = SimConfig::with_scheme(scheme);
         let mut sim = SyntheticSim::new(cfg, TrafficPattern::UniformRandom, 0.005);
         let report = sim.run_experiment(5_000, 20_000).unwrap();
-        table.row([
-            scheme.label().to_string(),
-            format!("{:.1}", report.avg_packet_latency()),
-            format!("{:.2}", report.avg_pg_encounters()),
-            format!("{:.2}", report.avg_wakeup_wait()),
-            format!("{:.1}", report.off_fraction() * 100.0),
-            format!("{:.1}", pm.static_savings(&report) * 100.0),
-        ]);
+        println!(
+            "{:<18} {:>13.1} {:>12.2} {:>10.2} {:>6.1} {:>15.1}",
+            scheme.label(),
+            report.avg_packet_latency(),
+            report.avg_pg_encounters(),
+            report.avg_wakeup_wait(),
+            report.off_fraction() * 100.0,
+            pm.static_savings(&report) * 100.0,
+        );
     }
-    println!("punchsim quickstart — 8x8 mesh, uniform random, 0.005 flits/node/cycle\n");
-    println!("{table}");
     println!(
-        "Power Punch wakes routers ahead of packets, so it keeps the No-PG\n\
+        "\nPower Punch wakes routers ahead of packets, so it keeps the No-PG\n\
          latency while saving almost as much static energy as blind gating."
     );
 }

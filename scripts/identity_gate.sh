@@ -53,6 +53,15 @@
 #                    it into a non-empty obs event stream. A checker that
 #                    can no longer catch the bug it was built for is itself
 #                    broken.
+#   figures          `figure all` — the reproduction itself: Table 1, Figures
+#                    7-13, §6.6, §2.1 and the ablations print the tables in
+#                    bench/FIGURES_smoke.txt, and exit zero: every shape a
+#                    row asserts (22 sets / 5 bits / 2 bits exactly, the
+#                    area band, static power dominating, the advantage over
+#                    ConvOpt growing from 4x4 to 16x16) still holds. With
+#                    `--no-cache` because CI caches `target/`, where the
+#                    result store lives, and the store's key knows the
+#                    schema version but not the model.
 #   metrics          `punchsim-cli metrics` exits zero (it validates its own
 #                    Prometheus exposition before printing) and its trailing
 #                    `# punchsim_coverage ... ratio=R` line reports the
@@ -149,6 +158,7 @@ verify-2x2-ppf-f  | bench/VERIFY_2x2_ppf_faulty.json  | verify --mesh 2x2 --sche
 verify-2x2-conv-f | bench/VERIFY_2x2_conv_faulty.json | verify --mesh 2x2 --scheme conv --faulty
 verify-2x3-ppf-f  | bench/VERIFY_2x3_ppf_faulty.json  | verify --mesh 2x3 --scheme ppf --faulty
 verify-broken     | bench/VERIFY_2x2_conv_broken.json | verify --mesh 2x2 --scheme conv --broken --expect-violation --replay-out @/replay.jsonl --chrome-out @/replay.chrome.json
+figures           | bench/FIGURES_smoke.txt           | figure all --no-cache
 metrics           | coverage>=0.90                    | metrics --metrics-out @/snapshot.json
 ROWS
 

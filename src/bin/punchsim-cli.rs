@@ -366,8 +366,9 @@ mod tests {
     #[test]
     fn flags_a_command_does_not_read_are_rejected() {
         for (cmd, flag, val, reader) in [
-            ("table1", "--mesh", "4x4", "sweep"),
-            ("table1", "--format", "csv", "trace"),
+            ("figure", "--mesh", "4x4", "sweep"),
+            ("figure", "--format", "csv", "trace"),
+            ("list-schemes", "--scheme", "ppf", "sweep"),
             ("schemes", "--scheme", "nopg", "sweep"),
             ("parsec", "--rate", "0.1", "sweep"),
             ("sweep", "--format", "csv", "trace"),
@@ -375,14 +376,20 @@ mod tests {
             ("faults", "--faults", "0.5", "trace"),
             ("metrics", "--trace-out", "t.json", "trace"),
         ] {
-            let err = parse_for(cmd, &[flag, val]).err().expect("rejected");
+            let name: &[&str] = if cmd == "figure" {
+                &["table1_codebook"]
+            } else {
+                &[]
+            };
+            let err = parse_for(cmd, &[name, &[flag, val]].concat());
+            let err = err.err().expect("rejected");
             assert_eq!(err, format!("unknown flag {flag} for {cmd}"));
             assert!(parse_for(reader, &[flag, val]).is_ok(), "{reader} {flag}");
         }
         // Rejected before its value is looked at (or missed).
         assert_eq!(
-            parse_for("table1", &["--mesh"]).err().unwrap(),
-            "unknown flag --mesh for table1"
+            parse_for("figure", &["--mesh"]).err().unwrap(),
+            "unknown flag --mesh for figure"
         );
     }
 
@@ -405,6 +412,7 @@ mod tests {
             let positionals: Vec<&str> = cmd
                 .args()
                 .filter(|a| Kind::of(a) == Kind::Positional)
+                .map(|a| if a == "NAME" { "all" } else { a })
                 .collect();
             for listed in cmd.args() {
                 let flag = listed.split(' ').next().expect("non-empty listing");

@@ -11,9 +11,9 @@ use punchsim::campaign::{self, compare as gate, Json};
 use punchsim::noc::check_shards;
 use punchsim::obs;
 use punchsim::prelude::*;
-use punchsim::stats::Table;
 
 use super::parse::Opts;
+use super::table::Table;
 use super::write_metrics;
 
 /// The campaign suites: `--suite` name, spec-list builder (from the
@@ -221,7 +221,7 @@ fn artifact_percentiles(doc: &Json) -> Vec<(String, [u64; 4])> {
 fn print_percentiles(base: &Json, cur: &Json) {
     let b = artifact_percentiles(base);
     let c = artifact_percentiles(cur);
-    let mut t = Table::new(["run", "p50", "p95", "p99", "max"]);
+    let mut t = Table::new("run|p50|p95|p99|max");
     let mut rows = 0;
     for (id, bq) in &b {
         let Some((_, cq)) = c.iter().find(|(cid, _)| cid == id) else {

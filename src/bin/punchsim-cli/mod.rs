@@ -10,14 +10,16 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use punchsim::prelude::{Registry, SchemeKind};
+use punchsim::prelude::{Benchmark, Registry, SchemeKind, TrafficPattern};
 
 use parse::Opts;
 
 pub mod campaign;
+pub mod figure;
 pub mod parse;
 pub mod synth;
 pub mod system;
+pub mod table;
 pub mod verify;
 
 /// A subcommand's entry point: runs over its parsed options and says how
@@ -82,11 +84,6 @@ pub const COMMANDS: &[Command] = &[
         run: system::parsec,
     },
     Command {
-        name: "table1",
-        args: &[],
-        run: system::table1,
-    },
-    Command {
         name: "schemes",
         args: &[&["--faults P"], SYNTH],
         run: synth::schemes,
@@ -143,6 +140,12 @@ pub const COMMANDS: &[Command] = &[
             "--tol-escalations N",
         ]],
         run: campaign::compare,
+    },
+    // `--threads` and `--no-cache` steer the PARSEC rows' campaign pass.
+    Command {
+        name: "figure",
+        args: &[&["NAME", "--threads N", "--no-cache"]],
+        run: figure::figure,
     },
     Command {
         name: "verify",
@@ -227,23 +230,33 @@ fn write_metrics(path: &Path, reg: &Registry) -> Result<(), String> {
 }
 
 /// The full usage text, the only copy: the static template plus the lines
-/// derived from [`COMMANDS`], [`campaign::SUITES`] and `SchemeKind::ALL`,
-/// so a new command, flag, suite or scheme shows up here without a hand
-/// edit.
+/// derived from [`COMMANDS`], [`campaign::SUITES`], [`figure::FIGURES`],
+/// `SchemeKind::ALL`, `TrafficPattern::SYNTHETIC` and `Benchmark::ALL`, so
+/// a new command, flag, suite, figure, scheme, pattern or benchmark shows
+/// up here without a hand edit.
 pub fn usage() -> String {
-    let tags: Vec<&str> = SchemeKind::ALL.iter().map(|k| k.tag()).collect();
     let command_help: String = COMMANDS.iter().map(Command::usage_lines).collect();
     let suite_help: String = campaign::SUITES
         .iter()
         .map(|(name, _, help)| format!("                     {name:<10} {help}\n"))
         .collect();
-    format!(
-        "{}\nschemes: {} (details: punchsim-cli list-schemes)\n{USAGE_TAIL}",
-        USAGE_TEMPLATE
-            .replace("{COMMAND_HELP}", &command_help)
-            .replace("{SUITE_HELP}", &suite_help),
-        tags.join(" ")
-    )
+    let figure_help: String = figure::FIGURES
+        .iter()
+        .map(|f| format!("  {:<22} {}\n", f.name, f.artifact))
+        .collect();
+    USAGE_TEMPLATE
+        .replace("{COMMAND_HELP}", &command_help)
+        .replace("{SUITE_HELP}", &suite_help)
+        .replace("{FIGURE_HELP}", &figure_help)
+        .replace("{SCHEMES}", &SchemeKind::ALL.map(SchemeKind::tag).join(" "))
+        .replace(
+            "{PATTERNS}",
+            &TrafficPattern::SYNTHETIC.map(TrafficPattern::tag).join(" "),
+        )
+        .replace(
+            "{BENCHMARKS}",
+            &Benchmark::ALL.map(Benchmark::name).join(" "),
+        )
 }
 
 const USAGE_TEMPLATE: &str = "usage:
@@ -294,6 +307,10 @@ campaign flags:
                    it to P (.prom/.txt: Prometheus text; else JSON)
   PP_FAST=1 in the environment shortens every run (CI smoke mode)
 
+figure NAME: `all`, or one row of the paper's evaluation (exit 1 if the
+reproduction loses a shape it must have; --threads / --no-cache as for
+campaign, used by the PARSEC rows; PP_FAST=1 for the smoke size):
+{FIGURE_HELP}
 metrics flags:
   --metrics-out P  write the registry snapshot to P in addition to the
                    stdout exposition (metrics/faults/trace commands)
@@ -304,7 +321,7 @@ substrate flags (any synthetic command):
   --routing R      xy (default), yx, wf (west-first), nl (north-last),
                    nf (negative-first); turn-model routings are rejected on
                    the torus (wrap links would close their turn cycles)
-";
 
-const USAGE_TAIL: &str = "patterns: uniform transpose bitcomp bitrev shuffle tornado neighbor
-benchmarks: blackscholes bodytrack canneal dedup ferret fluidanimate swaptions x264";
+schemes: {SCHEMES} (details: punchsim-cli list-schemes)
+patterns: {PATTERNS}
+benchmarks: {BENCHMARKS}";

@@ -9,6 +9,7 @@ use punchsim::prelude::*;
 use punchsim::traffic::InjectionConfig;
 
 use super::campaign::{suite, Suite, SUITES};
+use super::figure::{Figure, FIGURES};
 use super::{Command, Kind};
 
 /// Reads the value of an `N` flag — decimal, or hex behind `0x` — into
@@ -69,6 +70,8 @@ pub struct Opts {
     pub seed: u64,
     pub no_cache: bool,
     pub sample: u64,
+    // figure
+    pub figures: &'static [Figure],
     // compare
     pub baseline: PathBuf,
     pub current: PathBuf,
@@ -147,6 +150,7 @@ impl Opts {
             seed: campaign::DEFAULT_SEED,
             no_cache: false,
             sample: 0,
+            figures: &[],
             baseline: PathBuf::new(),
             current: PathBuf::new(),
             tol: Tolerances::default(),
@@ -252,6 +256,14 @@ impl Opts {
             "--seed" => self.seed = int(val, "seed")?,
             "--no-cache" => self.no_cache = true,
             "--sample" => self.sample = int(val, "sample period")?,
+            "NAME" => {
+                let row = FIGURES.iter().find(|f| f.name == val);
+                let all = (val == "all").then_some(FIGURES);
+                self.figures = row.map(std::slice::from_ref).or(all).ok_or_else(|| {
+                    let valid: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+                    format!("unknown figure {val} (valid: all|{})", valid.join("|"))
+                })?;
+            }
             "BASELINE.json" => self.baseline = PathBuf::from(val),
             "CURRENT.json" => self.current = PathBuf::from(val),
             "--tol-latency" => self.tol.latency_rel = tolerance(flag, val)?,

@@ -20,14 +20,27 @@ use punchsim::campaign::spec;
 use punchsim::metrics::validate_exposition;
 use punchsim::obs::{self, Stamped, VecSink};
 use punchsim::prelude::*;
-use punchsim::stats::Table;
 
 use super::parse::Opts;
+use super::table::Table;
 use super::write_metrics;
 
 pub fn sim_err(e: SimError) -> String {
     format!("simulation error: {e}")
 }
+
+/// `0.123` as `12.3`.
+pub fn percent(ratio: f64) -> String {
+    format!("{:.1}", ratio * 100.0)
+}
+
+/// How a table cell reads off a run's report; and the columns the synthetic
+/// commands and the `figure` rows share.
+pub type Cell = fn(&NetworkReport) -> String;
+pub const LATENCY: Cell = |r| format!("{:.1}", r.avg_packet_latency());
+pub const BLOCKED: Cell = |r| format!("{:.2}", r.avg_pg_encounters());
+pub const WAIT: Cell = |r| format!("{:.2}", r.avg_wakeup_wait());
+pub const OFF: Cell = |r| percent(r.off_fraction());
 
 /// Builds the synthetic simulation every command here runs: substrate,
 /// routing, fault profile and `--shards` applied (a bad shard count is the
@@ -97,14 +110,14 @@ pub fn sweep(opts: &Opts) -> Result<ExitCode, String> {
         opts.substrate_label(),
         opts.scheme
     );
-    let mut t = Table::new(["load", "latency", "off %", "static W", "throughput"]);
+    let mut t = Table::new("load|latency|off %|static W|throughput");
     for mult in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0] {
         let rate = opts.rate * mult;
         let r = run_synth(opts, opts.scheme, rate)?;
         t.row([
             format!("{rate:.4}"),
-            format!("{:.1}", r.avg_packet_latency()),
-            format!("{:.1}", r.off_fraction() * 100.0),
+            LATENCY(&r),
+            OFF(&r),
             format!("{:.2}", pm.static_power_watts(&r)),
             format!("{:.4}", r.throughput()),
         ]);
@@ -120,14 +133,7 @@ pub fn schemes(opts: &Opts) -> Result<ExitCode, String> {
         opts.rate,
         opts.substrate_label()
     );
-    let mut t = Table::new([
-        "scheme",
-        "latency",
-        "blocked/pkt",
-        "wait/pkt",
-        "off %",
-        "static saved %",
-    ]);
+    let mut t = Table::new("scheme|latency|blocked/pkt|wait/pkt|off %|static saved %");
     // Every registered scheme, rivals included, with its own power model
     // (identical to the default model for the paper's five schemes).
     for scheme in SchemeKind::ALL {
@@ -135,11 +141,11 @@ pub fn schemes(opts: &Opts) -> Result<ExitCode, String> {
         let r = run_synth(opts, scheme, opts.rate)?;
         t.row([
             scheme.label().to_string(),
-            format!("{:.1}", r.avg_packet_latency()),
-            format!("{:.2}", r.avg_pg_encounters()),
-            format!("{:.2}", r.avg_wakeup_wait()),
-            format!("{:.1}", r.off_fraction() * 100.0),
-            format!("{:.1}", pm.static_savings(&r) * 100.0),
+            LATENCY(&r),
+            BLOCKED(&r),
+            WAIT(&r),
+            OFF(&r),
+            percent(pm.static_savings(&r)),
         ]);
     }
     println!("{t}");
@@ -162,15 +168,7 @@ pub fn faults(opts: &Opts) -> Result<ExitCode, String> {
         opts.fault_seed,
     );
     let cap = opts.effective_trace_cap();
-    let mut t = Table::new([
-        "drop p",
-        "delivered",
-        "latency",
-        "wait/pkt",
-        "faults",
-        "escalations",
-        "off %",
-    ]);
+    let mut t = Table::new("drop p|delivered|latency|wait/pkt|faults|escalations|off %");
     let mut dumps = Vec::new();
     let mut merged: Option<Registry> = None;
     for drop in [0.0, 0.25, 0.5, 0.75, 1.0] {
@@ -183,11 +181,11 @@ pub fn faults(opts: &Opts) -> Result<ExitCode, String> {
         t.row([
             format!("{drop:.2}"),
             format!("{}", r.stats.packets_delivered),
-            format!("{:.1}", r.avg_packet_latency()),
-            format!("{:.2}", r.avg_wakeup_wait()),
+            LATENCY(&r),
+            WAIT(&r),
             format!("{}", r.pg.faults_injected),
             format!("{}", r.pg.escalations),
-            format!("{:.1}", r.off_fraction() * 100.0),
+            OFF(&r),
         ]);
         if let Some(base) = &opts.trace_out {
             let path = faults_dump_path(base, drop);

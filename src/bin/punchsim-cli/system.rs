@@ -1,14 +1,13 @@
 //! The commands that run no synthetic traffic: the full-system `parsec`
-//! run, and the two tables — `table1` (the paper's punch codebook) and
-//! `list-schemes` (what `--scheme` accepts).
+//! run, and `list-schemes` (what `--scheme` accepts).
 
 use std::process::ExitCode;
 
 use punchsim::prelude::*;
-use punchsim::stats::Table;
 
 use super::parse::Opts;
 use super::synth::sim_err;
+use super::table::Table;
 
 pub fn parsec(opts: &Opts) -> Result<ExitCode, String> {
     let mut cfg = CmpConfig::new(opts.benchmark, opts.scheme);
@@ -36,37 +35,12 @@ pub fn parsec(opts: &Opts) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-pub fn table1(_: &Opts) -> Result<ExitCode, String> {
-    use punchsim::core::Codebook;
-    let cb = Codebook::enumerate(Mesh::new(8, 8), 3);
-    let link = cb.link(NodeId(27), Direction::East).expect("interior");
-    let mut t = Table::new(["#", "targeted routers", "punch signal"]);
-    for (i, s) in link.sets().iter().enumerate() {
-        t.row([
-            (i + 1).to_string(),
-            s.to_string(),
-            format!("{:05b}", link.encode(s).expect("in book")),
-        ]);
-    }
-    println!("{t}");
-    println!(
-        "{} sets, {} bits (paper: 22 sets, 5 bits)",
-        link.set_count(),
-        link.width_bits()
-    );
-    Ok(ExitCode::SUCCESS)
-}
-
 /// Prints `SchemeKind::METAS`: every tag with its paper label and one-line
 /// description. The single source of truth for what `--scheme` accepts.
 pub fn list_schemes(_: &Opts) -> Result<ExitCode, String> {
-    let mut t = Table::new(["tag", "scheme", "description"]);
+    let mut t = Table::new("tag|scheme|description");
     for k in SchemeKind::ALL {
-        t.row([
-            k.tag().to_string(),
-            k.label().to_string(),
-            k.meta().description.to_string(),
-        ]);
+        t.row([k.tag(), k.label(), k.meta().description]);
     }
     println!("registered schemes (pass a tag or label to --scheme):");
     println!("{t}");

@@ -23,7 +23,6 @@
 //! * [`cmp`] — MESI-directory CMP substrate standing in for gem5+PARSEC
 //! * [`campaign`] — parallel campaign runner, content-hashed result store
 //!   and machine-readable `BENCH_*.json` artifacts (the CI perf gate)
-//! * [`stats`] — counters, histograms and table rendering
 //!
 //! # Quickstart
 //!
@@ -52,7 +51,6 @@ pub use punchsim_metrics as metrics;
 pub use punchsim_noc as noc;
 pub use punchsim_obs as obs;
 pub use punchsim_power as power;
-pub use punchsim_stats as stats;
 pub use punchsim_traffic as traffic;
 pub use punchsim_types as types;
 pub use punchsim_verify as verify;

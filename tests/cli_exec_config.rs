@@ -167,16 +167,24 @@ fn oversized_meshes_and_unusable_rates_are_typed_errors_never_panics() {
     }
 }
 
-/// `table1 --mesh 4x4 --format csv` used to exit 0 and print the 8x8
-/// table; `schemes --scheme`, `parsec --rate` and `sweep --format` were
-/// ignored the same way. Each subcommand now rejects a flag it does not
-/// read, naming the flag and itself, and prints the one usage text.
+/// `table1 --mesh 4x4 --format csv` (the `figure table1_codebook` row now)
+/// used to exit 0 and print the 8x8 table; `schemes --scheme`, `parsec
+/// --rate` and `sweep --format` were ignored the same way. Each subcommand
+/// now rejects a flag it does not read, naming the flag and itself, and
+/// prints the one usage text.
 #[test]
 fn flags_a_subcommand_never_reads_are_errors_naming_flag_and_command() {
     for (args, needle) in [
         (
-            &["table1", "--mesh", "4x4", "--format", "csv"][..],
-            "unknown flag --mesh for table1",
+            &[
+                "figure",
+                "table1_codebook",
+                "--mesh",
+                "4x4",
+                "--format",
+                "csv",
+            ][..],
+            "unknown flag --mesh for figure",
         ),
         (
             &["schemes", "--scheme", "nopg"],
@@ -199,16 +207,106 @@ fn flags_a_subcommand_never_reads_are_errors_naming_flag_and_command() {
         assert_eq!(first, format!("error: {needle}"), "{args:?}: {err}");
         // The usage that follows lists what the command does read.
         assert!(err.contains("usage:"), "{args:?}");
-        assert!(err.contains("  punchsim-cli table1\n"), "{err}");
+        assert!(
+            err.contains("  punchsim-cli figure   NAME [--threads N] [--no-cache]\n"),
+            "{err}"
+        );
         assert!(
             err.contains("  punchsim-cli parsec   [--benchmark B] [--scheme S] [--instr N]"),
             "{err}"
         );
     }
     // The flags a command does read still work: the plain table prints.
-    let out = cli(&["table1"], &[]);
+    let out = cli(&["figure", "table1_codebook"], &[]);
     assert!(out.status.success(), "{}", stderr(&out));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("22 sets, 5 bits"));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("measured: 22 sets in 5 bits"));
+    // The command that row replaced is gone.
+    let out = cli(&["table1"], &[]);
+    assert!(!out.status.success());
+    assert!(stderr(&out).starts_with("unknown command \"table1\""));
+}
+
+/// The 16 figure names, from EXPERIMENTS.md's per-experiment index — which
+/// a unit test of the binary pins to be exactly its `FIGURES` table.
+fn figure_names() -> Vec<&'static str> {
+    let index = include_str!("../EXPERIMENTS.md")
+        .split("## Per-experiment index")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("EXPERIMENTS.md has a per-experiment index");
+    index
+        .lines()
+        .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+        .collect()
+}
+
+/// The evaluation is rows of one table behind `figure NAME`: a row prints
+/// its tables next to the paper's numbers and exits 0 when every shape it
+/// asserts holds; an unknown name is an error listing the table's names;
+/// the command reads `--threads` and `--no-cache` and nothing else.
+#[test]
+fn figure_rows_print_their_tables_and_unknown_names_list_the_rows() {
+    let names = figure_names();
+    assert_eq!(names.len(), 16);
+    for (name, cells) in [
+        (
+            "table1_codebook",
+            &["{20, 21}", "00101", "measured: 22 sets in 5 bits"][..],
+        ),
+        ("disc_area", &["wire bits/router", "2.5%"]),
+        (
+            "abl_conv_opts",
+            &["blocked/pkt", "ConvOpt-PG", "PowerPunch-Signal"],
+        ),
+    ] {
+        let out = cli(&["figure", name, "--no-cache"], &[("PP_FAST", "1")]);
+        assert!(out.status.success(), "{name}: {}", stderr(&out));
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.starts_with(&format!("== {name}: ")), "{text}");
+        assert!(text.contains("\npaper: "), "{text}");
+        assert!(text.ends_with(&format!("{name}: OK\n\n")), "{text}");
+        for cell in cells {
+            assert!(text.contains(cell), "{name} lacks {cell:?}: {text}");
+        }
+    }
+    let out = cli(&["figure", "nope"], &[]);
+    assert!(!out.status.success() && out.stdout.is_empty());
+    let err = stderr(&out);
+    let first = err.lines().next().unwrap_or_default();
+    assert!(
+        first.starts_with("error: unknown figure nope (valid: all|"),
+        "{err}"
+    );
+    for name in &names {
+        assert!(
+            first.contains(&format!("|{name}")),
+            "{name} not offered: {first}"
+        );
+        assert!(
+            err.contains(&format!("\n  {name} ")),
+            "{name} not in the usage"
+        );
+    }
+    for flag in [
+        "--mesh",
+        "--scheme",
+        "--pattern",
+        "--rate",
+        "--cycles",
+        "--shards",
+        "--suite",
+        "--out",
+        "--seed",
+        "--sample",
+        "--benchmark",
+        "--instr",
+        "--faults",
+    ] {
+        let out = cli(&["figure", "table1_codebook", flag, "1"], &[]);
+        assert!(!out.status.success() && out.stdout.is_empty(), "{flag}");
+        let first = format!("error: unknown flag {flag} for figure\n");
+        assert!(stderr(&out).starts_with(&first), "{flag}: {}", stderr(&out));
+    }
 }
 
 /// The usage says `--seed N ... (default 0xC0FFEE)` and `--fault-seed N ...
@@ -304,6 +402,11 @@ fn every_command_is_a_table_row_with_errors_naming_flag_and_command() {
             "unknown argument c.json for compare",
         ),
         (&["compare", "a.json"], "compare needs CURRENT.json"),
+        (&["figure"], "figure needs NAME"),
+        (
+            &["figure", "all", "disc_area"],
+            "unknown argument disc_area for figure",
+        ),
     ] {
         let out = cli(args, &[]);
         assert!(!out.status.success(), "{args:?} must be rejected");
@@ -326,7 +429,6 @@ fn every_command_is_a_table_row_with_errors_naming_flag_and_command() {
         [
             "sweep",
             "parsec",
-            "table1",
             "schemes",
             "faults",
             "trace",
@@ -334,6 +436,7 @@ fn every_command_is_a_table_row_with_errors_naming_flag_and_command() {
             "list-schemes",
             "campaign",
             "compare",
+            "figure",
             "verify"
         ]
     );

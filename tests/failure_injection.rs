@@ -52,7 +52,7 @@ fn run_faulted_net(mesh: Mesh, faults: FaultConfig) -> (usize, usize, Network) {
         guard += 1;
         assert!(guard < 100_000, "network failed to drain");
     }
-    let delivered: usize = (0..n).map(|i| net.take_delivered(NodeId(i)).len()).sum();
+    let delivered = net.drain_delivered().count();
     (sent, delivered, net)
 }
 
@@ -215,7 +215,7 @@ fn run_wedged(
         round += 1;
         assert!(round < 100_000, "network failed to drain");
     }
-    let delivered: usize = (0..n).map(|i| net.take_delivered(NodeId(i)).len()).sum();
+    let delivered = net.drain_delivered().count();
     let stall = stall.expect("the wedged sideband must produce a stall report");
     (sent, delivered, stall, net.report().pg.clone())
 }

@@ -126,7 +126,10 @@ fn escalated_recovery_is_visible_in_the_trace() {
         guard += 1;
         assert!(guard < 50_000, "network failed to drain");
     }
-    assert_eq!(net.take_delivered(NodeId(6)).len(), 1);
+    assert_eq!(
+        net.drain_delivered().filter(|m| m.dst == NodeId(6)).count(),
+        1
+    );
 
     let events = net.take_sink().expect("sink was attached").snapshot();
     let text: Vec<String> = events.iter().map(ToString::to_string).collect();
@@ -241,5 +244,10 @@ fn watchdog_sees_no_phantom_stall_across_jumps() {
     .expect("in-mesh send");
     net.run(500).expect("post-jump traffic must flow");
     assert_eq!(net.in_flight(), 0);
-    assert_eq!(net.take_delivered(NodeId(15)).len(), 1);
+    assert_eq!(
+        net.drain_delivered()
+            .filter(|m| m.dst == NodeId(15))
+            .count(),
+        1
+    );
 }

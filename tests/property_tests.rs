@@ -267,11 +267,14 @@ fn network_delivers_everything_exactly_once() {
         };
         let mut net = Network::new(&cfg, Box::new(AlwaysOn::new(16))).unwrap();
         let mut expected = [0usize; 16];
+        let mut distance = 0u64;
         let sends = rng.random_range(1..120usize);
         for i in 0..sends {
             let dst = rng.random_range(0..16u16);
+            let src = rng.random_range(0..16u16);
+            distance += u64::from(cfg.topology.distance(NodeId(src), NodeId(dst)));
             net.send(Message {
-                src: NodeId(rng.random_range(0..16u16)),
+                src: NodeId(src),
                 dst: NodeId(dst),
                 vnet: VnetId(rng.random_range(0..3u8)),
                 class: if rng.random_bool_ppm(500_000) {
@@ -292,13 +295,16 @@ fn network_delivers_everything_exactly_once() {
             guard += 1;
             assert!(guard < 50_000, "drain stalled");
         }
-        for n in 0..16u16 {
-            let got = net.take_delivered(NodeId(n));
-            assert_eq!(got.len(), expected[n as usize], "node {n}");
-            for m in got {
-                assert_eq!(m.dst, NodeId(n));
-            }
+        // Payloads are the send indices: each must come out exactly once —
+        // and where it was addressed, so having travelled its distance.
+        assert_eq!(net.report().stats.hops.sum(), distance as f64);
+        let mut got = [0usize; 16];
+        let mut seen = vec![false; sends];
+        for m in net.drain_delivered() {
+            got[m.dst.index()] += 1;
+            assert!(!std::mem::replace(&mut seen[m.payload as usize], true));
         }
+        assert_eq!(got, expected);
     }
 }
 
@@ -335,9 +341,7 @@ fn gated_network_loses_nothing() {
             guard += 1;
             assert!(guard < 100_000, "drain stalled under gating");
         }
-        let delivered: usize = (0..16u16)
-            .map(|n| net.take_delivered(NodeId(n)).len())
-            .sum();
+        let delivered = net.drain_delivered().count();
         assert_eq!(delivered, total);
     }
 }

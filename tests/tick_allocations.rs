@@ -6,9 +6,8 @@
 //! delivery wheels' slots, the per-shard outcome buffers, the event list),
 //! so once a route has been travelled a second trip over it must not touch
 //! the heap: not per hop, not per cycle blocked on a sleeping router, not
-//! in the power manager. The one exception is the destination's outbox
-//! slot, which `take_delivered` hands to the host and which is therefore
-//! empty again.
+//! in the power manager, and not on the delivering tick either — the
+//! delivered stream is one buffer that `drain_delivered` empties in place.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -87,8 +86,12 @@ fn trip(net: &mut Network, src: u16, dst: u16) -> (u64, u64, u64) {
             while_blocked += n;
             blocked_ticks += 1;
         }
-        if net.delivered_pending() > 0 {
-            assert_eq!(net.take_delivered(NodeId(dst)).len(), 1);
+        if net
+            .drain_delivered()
+            .filter(|m| m.dst == NodeId(dst))
+            .count()
+            == 1
+        {
             return (total, while_blocked, blocked_ticks);
         }
     }
@@ -96,7 +99,7 @@ fn trip(net: &mut Network, src: u16, dst: u16) -> (u64, u64, u64) {
 }
 
 #[test]
-fn a_second_trip_over_a_warm_route_allocates_at_most_the_outbox_slot() {
+fn a_second_trip_over_a_warm_route_allocates_nothing() {
     for scheme in [
         SchemeKind::NoPg,
         SchemeKind::ConvOptPg,
@@ -113,10 +116,7 @@ fn a_second_trip_over_a_warm_route_allocates_at_most_the_outbox_slot() {
         trip(&mut net, 0, 6);
         net.run(250).unwrap();
         let (total, while_blocked, blocked_ticks) = trip(&mut net, 0, 6);
-        assert!(
-            total <= 1,
-            "{scheme:?}: {total} allocations on a warm route"
-        );
+        assert_eq!(total, 0, "{scheme:?}: allocated on a warm route");
         assert_eq!(while_blocked, 0, "{scheme:?}: allocated while blocked");
         // The trip must really have met sleeping routers where the scheme
         // gates any: ConvOpt stalls at the source and at every hop, Power
