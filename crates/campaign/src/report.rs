@@ -137,12 +137,12 @@ impl CampaignReport {
     /// merge elementwise, planes add cell-wise), so the result is the same
     /// no matter which worker ran which spec. `None` when no run collected
     /// metrics.
-    pub fn merged_registry(&self) -> Option<punchsim_metrics::Registry> {
-        let mut merged: Option<punchsim_metrics::Registry> = None;
+    pub fn merged_registry(&self) -> Option<punchsim_obs::metrics::Registry> {
+        let mut merged: Option<punchsim_obs::metrics::Registry> = None;
         for rec in self.outcomes.iter().filter_map(Outcome::record) {
             if let Some(reg) = &rec.registry {
                 merged
-                    .get_or_insert_with(punchsim_metrics::Registry::new)
+                    .get_or_insert_with(punchsim_obs::metrics::Registry::new)
                     .merge(reg);
             }
         }
@@ -173,7 +173,7 @@ mod tests {
     use punchsim_types::{Mesh, RoutingKind, SchemeKind};
 
     use crate::runner::Runner;
-    use crate::spec::{RunSpec, Workload};
+    use crate::spec::{ObserveOpts, RunSpec, Workload};
 
     fn tiny_campaign() -> CampaignReport {
         let specs = vec![
@@ -284,7 +284,10 @@ mod tests {
         ];
         let runner = Runner {
             threads: 2,
-            collect_metrics: true,
+            observe: ObserveOpts {
+                metrics: true,
+                ..ObserveOpts::NONE
+            },
             ..Default::default()
         };
         let report = CampaignReport {
@@ -325,7 +328,10 @@ mod tests {
         }];
         let runner = Runner {
             threads: 1,
-            sample_every: 100,
+            observe: ObserveOpts {
+                sample_every: 100,
+                ..ObserveOpts::NONE
+            },
             ..Default::default()
         };
         let report = CampaignReport {

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use punchsim_metrics::Registry;
+use punchsim_obs::metrics::Registry;
 use punchsim_obs::{IntervalRow, Stamped};
 
 use crate::spec::{Metrics, ObserveOpts, RunSpec};
@@ -136,18 +136,11 @@ pub struct Runner {
     pub threads: usize,
     /// Result store for incremental re-runs; `None` always simulates.
     pub store: Option<Store>,
-    /// Per-interval sampling period in cycles; `0` disables the series.
-    /// Sampling forces simulation (the store holds metrics, not series),
-    /// but results are still saved, so a later unsampled campaign hits the
-    /// cache — and the metrics themselves are unchanged by sampling.
-    pub sample_every: u64,
-    /// Per-run flight-recorder capacity in events; `0` disables tracing.
-    /// Like sampling, tracing forces simulation without changing metrics.
-    pub trace_cap: usize,
-    /// When `true`, every run collects a metric registry (counters,
-    /// latency histograms, per-router planes, tick-phase profile). Like
-    /// sampling, collection forces simulation without changing metrics.
-    pub collect_metrics: bool,
+    /// What every run collects beyond its metrics. Any observation forces
+    /// simulation (the store holds metrics, not series, events or
+    /// registries), but results are still saved, so a later unobserved
+    /// campaign hits the cache — and the metrics themselves are unchanged.
+    pub observe: ObserveOpts,
     /// Row-band shard count every run's network ticks with (see
     /// `Network::set_shards`); `0` and `1` both mean unsharded. Like
     /// `threads`, an execution detail: it never changes a result and never
@@ -195,12 +188,8 @@ impl Runner {
                 scope.spawn(|| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = specs.get(i) else { break };
-                    let opts = ObserveOpts {
-                        sample_every: self.sample_every,
-                        trace_cap: self.trace_cap,
-                        metrics: self.collect_metrics,
-                    };
-                    let outcome = execute_one(spec, self.store.as_ref(), opts, self.shards.max(1));
+                    let (store, shards) = (self.store.as_ref(), self.shards.max(1));
+                    let outcome = execute_one(spec, store, self.observe, shards);
                     on_done(i, &outcome);
                     *slots[i].lock().expect("result slot poisoned") = Some(outcome);
                 });
@@ -414,8 +403,11 @@ mod tests {
         let sampled = Runner {
             threads: 1,
             store: Some(Store::new(&dir)),
-            sample_every: 50,
-            trace_cap: 512,
+            observe: ObserveOpts {
+                sample_every: 50,
+                trace_cap: 512,
+                metrics: false,
+            },
             ..Default::default()
         }
         .run(&specs);
@@ -449,7 +441,10 @@ mod tests {
         let collected = Runner {
             threads: 1,
             store: Some(Store::new(&dir)),
-            collect_metrics: true,
+            observe: ObserveOpts {
+                metrics: true,
+                ..ObserveOpts::NONE
+            },
             ..Default::default()
         }
         .run(&specs);

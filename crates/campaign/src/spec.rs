@@ -6,8 +6,8 @@
 //! artifacts, and executed ([`RunSpec::execute`]) into [`Metrics`].
 
 use punchsim_cmp::{Benchmark, CmpConfig, CmpSim};
-use punchsim_metrics::Registry;
 use punchsim_noc::{Network, NetworkReport};
+use punchsim_obs::metrics::Registry;
 use punchsim_obs::{IntervalRow, RingSink, Sampler, Stamped};
 use punchsim_power::PowerModel;
 use punchsim_traffic::{InjectionConfig, SyntheticSim, TrafficPattern};
@@ -323,8 +323,9 @@ pub fn harvest(net: &mut Network) -> (Vec<Stamped>, Option<Registry>) {
     (events, registry)
 }
 
-/// What [`RunSpec::execute_observed`] should collect beyond [`Metrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What [`RunSpec::execute_observed`] should collect beyond [`Metrics`];
+/// the default is [`ObserveOpts::NONE`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ObserveOpts {
     /// Sampling interval in cycles for the per-interval time series;
     /// `0` disables sampling.
@@ -700,6 +701,7 @@ mod tests {
     #[test]
     fn observe_opts_none_collects_nothing() {
         assert!(ObserveOpts::NONE.is_none());
+        assert_eq!(ObserveOpts::default(), ObserveOpts::NONE);
         let obs = synth_spec().execute_observed(ObserveOpts::NONE, 1).unwrap();
         assert!(obs.series.is_empty());
         assert!(obs.events.is_empty());

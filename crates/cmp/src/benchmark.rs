@@ -234,9 +234,6 @@ impl SyntheticCore {
         Some(self.gen_ref(rng))
     }
 
-    /// Acknowledge that the pending reference completed (the core resumes).
-    pub fn resume(&mut self) {}
-
     fn gen_ref(&self, rng: &mut SimRng) -> MemRef {
         let p = &self.params;
         let is_write;

@@ -102,11 +102,6 @@ impl DirBank {
         }
     }
 
-    /// This bank's node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// The memory controller responsible for `addr`.
     fn mem_for(&self, addr: BlockAddr) -> NodeId {
         let h = (addr ^ (addr >> 13)) as usize;

@@ -432,42 +432,6 @@ fn home_node(addr: BlockAddr, nodes: usize) -> NodeId {
     NodeId((h % nodes as u64) as u16)
 }
 
-impl CmpSim {
-    /// Prints a forward-progress diagnostic (debugging aid).
-    pub fn debug_dump(&mut self) {
-        println!("cycle {}", self.net.cycle());
-        println!("net in_flight {}", self.net.in_flight());
-        for (i, c) in self.cores.iter().enumerate() {
-            if !c.done() {
-                let pend = self.l1s[i].pending();
-                println!(
-                    "core {i}: retired {}/{} blocked={} pending={:?}",
-                    c.retired, c.quota, self.blocked[i], pend
-                );
-                if let Some(p) = pend {
-                    let home = home_node(p.addr, self.cfg.sim.noc.topology.nodes());
-                    let d = &self.dirs[home.index()];
-                    println!(
-                        "   home {home}: state {:?} busy {}",
-                        d.dir_state(p.addr),
-                        d.is_busy(p.addr)
-                    );
-                }
-            }
-        }
-        for (i, s) in self.sends.iter().enumerate() {
-            if !s.is_empty() {
-                println!("sends[{i}]: {:?}", s.front());
-            }
-        }
-        for m in &self.mems {
-            if m.outstanding() > 0 {
-                println!("mem {} outstanding {}", m.node(), m.outstanding());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -93,16 +93,6 @@ impl L1 {
         }
     }
 
-    /// This tile's node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The outstanding demand miss, if any.
-    pub fn pending(&self) -> Option<PendingMiss> {
-        self.pending
-    }
-
     /// Issues a core reference. `home` is the block's home bank.
     ///
     /// # Panics

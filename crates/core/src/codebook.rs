@@ -261,11 +261,6 @@ impl Codebook {
             .max()
             .unwrap_or(0)
     }
-
-    /// Total punch wiring bits leaving all routers (area-model input).
-    pub fn total_wire_bits(&self) -> u64 {
-        self.iter().map(|l| l.width_bits() as u64).sum()
-    }
 }
 
 #[cfg(test)]

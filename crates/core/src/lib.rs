@@ -10,6 +10,9 @@
 //!   and the codeword widths (Table 1: 5-bit X links, 2-bit Y links at H=3)
 //! * [`manager`] — [`PowerManager`] implementations: conventional gating,
 //!   ConvOpt (timeout + early wakeup), PowerPunch-Signal, PowerPunch-PG
+//! * [`faults`] — the deterministic [`faults::FaultInjector`] that
+//!   [`build_power_manager`] wraps around a scheme when `cfg.faults` is
+//!   active (punch drops/corruption, lost WU, stuck-off gates)
 //!
 //! # Examples
 //!
@@ -29,6 +32,7 @@
 #![forbid(unsafe_code)]
 
 pub mod codebook;
+pub mod faults;
 pub mod gating;
 #[cfg(test)]
 mod gating_reference;
@@ -44,7 +48,7 @@ pub use manager::{ConvPgManager, PowerPunchManager};
 pub use punch::{PunchFabric, PunchSet};
 pub use rivals::{RingRouterManager, SdmCircuitManager};
 
-use punchsim_faults::FaultInjector;
+use faults::FaultInjector;
 use punchsim_noc::{AlwaysOn, PowerManager};
 use punchsim_types::{SchemeKind, SimConfig, SimError};
 

@@ -12,8 +12,8 @@
 //! before the seeded and the scripted injector were merged, so a changed
 //! RNG draw order cannot hide behind "still deterministic".
 
+use punchsim_core::faults::{FaultInjector, FaultStats};
 use punchsim_core::PowerPunchManager;
-use punchsim_faults::{FaultInjector, FaultStats};
 use punchsim_noc::{IdleInfo, PgCounters, PmEvent, PowerManager, PowerState};
 use punchsim_types::{Cycle, FaultChoice, FaultConfig, Mesh, NodeId, PowerConfig, StuckEpoch};
 

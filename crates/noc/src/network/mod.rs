@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use punchsim_metrics::{PhaseProfiler, Registry};
+use punchsim_obs::metrics::{PhaseProfiler, Registry};
 use punchsim_obs::Event;
 use punchsim_types::{
     Cycle, FaultChoice, NocConfig, NodeId, PacketId, Port, PortMap, RouteView, SimError, Substrate,

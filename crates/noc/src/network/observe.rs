@@ -8,7 +8,7 @@
 //! simulation state (it only switches the manager's own tracing on and off).
 //! Observers never clone: a fork starts with `Observers::default()`.
 
-use punchsim_metrics::{Phase, PhaseProfiler};
+use punchsim_obs::metrics::{Phase, PhaseProfiler};
 use punchsim_obs::{self as obs, Event, EventSink, PowerTag};
 use punchsim_types::{Cycle, NodeId};
 

@@ -4,7 +4,7 @@
 //! every cross-router effect for the serial commit. The shard-count knobs
 //! the host sees live here with it.
 
-use punchsim_metrics::{Phase, PhaseProfiler};
+use punchsim_obs::metrics::{Phase, PhaseProfiler};
 use punchsim_types::{ConfigError, Cycle, SimError};
 
 use super::Network;

@@ -14,7 +14,7 @@
 //! [`crate::router::Router::allocate_reference`], not the request-driven
 //! allocators the kernel ships.
 
-use punchsim_metrics::{Phase, PhaseProfiler};
+use punchsim_obs::metrics::{Phase, PhaseProfiler};
 use punchsim_types::{Cycle, InvariantViolation, NodeId, Port, PortMap, SimError};
 
 use super::Network;

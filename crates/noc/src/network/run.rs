@@ -2,7 +2,7 @@
 //! fast-forward over quiescent spans, `run`/`run_hooked`, and the late
 //! delivery of the one thing a skip can leave in flight — credits.
 
-use punchsim_metrics::PhaseProfiler;
+use punchsim_obs::metrics::PhaseProfiler;
 use punchsim_types::{ConfigError, Cycle, SimError};
 
 use super::Network;

@@ -1,6 +1,6 @@
 //! Network-level statistics and the end-of-run report.
 
-use punchsim_metrics::LogHistogram;
+use punchsim_obs::metrics::LogHistogram;
 use punchsim_types::{Cycle, SchemeKind};
 
 use crate::power::PgCounters;

@@ -21,6 +21,9 @@
 //! * [`json`] — the workspace's shared dependency-free JSON value
 //!   (deterministic emission, strict parsing), previously private to the
 //!   campaign crate.
+//! * [`metrics`] — the typed metric [`metrics::Registry`], log-bucketed
+//!   histograms, per-router counter planes, the tick-phase profiler and
+//!   the Prometheus/JSON exposition (the former `punchsim-metrics` crate).
 //!
 //! Only `punchsim-types` sits below this crate, so every layer of the
 //! simulator — NoC, power managers, fault injector, CMP, campaign runner —
@@ -31,6 +34,7 @@
 pub mod event;
 pub mod export;
 pub mod json;
+pub mod metrics;
 pub mod sampler;
 pub mod sink;
 

@@ -5,18 +5,14 @@
 //!
 //! # Zero-overhead contract
 //!
-//! Like `punchsim-obs` sinks, metrics *observe* the simulation and never
-//! steer it. The network-side hooks are `Option`-gated so the disabled
+//! Like the event sinks of [`crate::sink`], metrics *observe* the
+//! simulation and never steer it. The network-side hooks are `Option`-gated so the disabled
 //! path costs one well-predicted branch per tick, and everything a
 //! registry exports is either deterministic (counters, histograms of
 //! cycle values) or explicitly quarantined to the nondeterministic
 //! timing sidecar (wall-time phase attribution). Enabling metrics must
 //! leave every `BENCH_*.json` artifact byte-identical — CI pins this via
 //! the `ci-metered` row of `scripts/identity_gate.sh`.
-//!
-//! The crate is tier-1 and dependency-free (workspace crates only).
-
-#![forbid(unsafe_code)]
 
 mod expo;
 mod hist;

@@ -27,7 +27,7 @@
 
 use std::time::Instant;
 
-use crate::registry::Registry;
+use super::registry::Registry;
 
 /// One slice of a simulation tick (or of the run loop around it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

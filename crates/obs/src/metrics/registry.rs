@@ -4,9 +4,9 @@
 
 use std::collections::BTreeMap;
 
-use punchsim_obs::json::Json;
+use crate::json::Json;
 
-use crate::hist::LogHistogram;
+use super::hist::LogHistogram;
 
 /// A per-router counter grid (one `u64` per `(x, y)` cell) — the heatmap
 /// shape behind per-router off-cycle, punch, WU and escalation planes.
@@ -436,7 +436,7 @@ mod tests {
         assert!(text.contains("latency_cycles_sum 907"));
         assert!(text.contains("latency_cycles_count 2"));
         assert!(text.contains("escalations{x=\"1\",y=\"0\"} 4"));
-        crate::validate_exposition(&text).expect("self-parse");
+        crate::metrics::validate_exposition(&text).expect("self-parse");
     }
 
     #[test]

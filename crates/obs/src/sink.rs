@@ -128,11 +128,6 @@ impl VecSink {
     pub fn events(&self) -> &[Stamped] {
         &self.events
     }
-
-    /// Consumes the sink, returning the captured events.
-    pub fn into_events(self) -> Vec<Stamped> {
-        self.events
-    }
 }
 
 impl EventSink for VecSink {

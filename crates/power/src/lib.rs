@@ -5,8 +5,10 @@
 //! per-event dynamic energy, and power-gating overhead anchored to the
 //! break-even time — calibrated to the paper's two observable anchors:
 //!
-//! * router static power is ~64% of total router power at PARSEC-average
-//!   load (§2.1);
+//! * router static power is ~64% of total router power (§2.1) — pinned by
+//!   `static_share_near_64pct_at_parsec_load` at 0.05 flits/node/cycle.
+//!   The campaign suites and `figure` rows run ten times lower, at 0.005,
+//!   where the share measures 92.7% (`figure disc_motivation`);
 //! * total 8x8-mesh router static power is ≈ 1.8 W (Figure 12, bottom row).
 //!
 //! All energy results in the paper are *ratios* against the same model's

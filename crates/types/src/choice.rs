@@ -1,6 +1,6 @@
 //! Enumerable fault choices for exhaustive protocol verification.
 //!
-//! `punchsim-faults::FaultInjector` has two decision sources. The seeded
+//! `punchsim_core::faults::FaultInjector` has two decision sources. The seeded
 //! one samples perturbations from an RNG stream — right for soak testing,
 //! useless for model checking, where every transition out of a state must
 //! be *enumerable* and *deterministic*. A [`FaultChoice`] names one

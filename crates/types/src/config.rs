@@ -423,7 +423,7 @@ pub struct StuckEpoch {
 }
 
 /// Fault-injection parameters for the power-gating machinery (sideband
-/// wires, wakeup gates), applied by `punchsim-faults`.
+/// wires, wakeup gates), applied by `punchsim_core::faults`.
 ///
 /// Probabilities are expressed in parts per million so the configuration
 /// stays `Eq`/hashable and the determinism contract ("same config + seed ⇒

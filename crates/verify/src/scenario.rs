@@ -8,7 +8,7 @@
 //! canonical encodings (all absolute cycles rebased to "now") collide.
 
 use punchsim_core::build_power_manager;
-use punchsim_faults::FaultInjector;
+use punchsim_core::faults::FaultInjector;
 use punchsim_noc::{Message, MsgClass, Network};
 use punchsim_obs::EventSink;
 use punchsim_types::{

@@ -6,7 +6,9 @@
 #   label | against | punchsim-cli arguments
 #
 # `campaign` rows get `--out OUT/<label> --no-cache` appended and yield the
-# BENCH_*.json they write; every other row yields its stdout. `@` in the
+# BENCH_*.json they write; every other row yields its stdout. The campaign
+# and figure rows pass `--smoke`, the run length every baseline is recorded
+# at (the other commands take their length from `--cycles`). `@` in the
 # arguments stands for the row's own output directory, and every `@/file`
 # a row names must exist, non-empty, once it ran. `against` is a checked-in
 # `bench/...` file, `=<label>` for an earlier row's artifact, `-` for a row
@@ -71,16 +73,12 @@
 #                    of the benchmark, `metrics.profiler_overhead_frac` in
 #                    perf/, not a single-shot ratio here.)
 #
-# The baselines are defined under PP_FAST=1, so the gate sets it.
-#
 # Usage: scripts/identity_gate.sh [OUT_DIR]
 set -eu
 
 cd "$(dirname "$0")/.."
 
 OUT="${1:-bench-out/identity}"
-PP_FAST=1
-export PP_FAST
 
 cargo build --release -q
 
@@ -135,16 +133,16 @@ while IFS='|' read -r label against args; do
     fi
     echo "identity_gate: $label byte-identical to $against"
 done <<'ROWS'
-ci                | bench/baseline.json               | campaign --suite ci --name ci
-ci-observed       | =ci                               | campaign --suite ci --name ci --sample 1000 --trace-out @/dumps
-ci-metered        | =ci                               | campaign --suite ci --name ci --metrics-out @/campaign.prom
-schemes           | bench/baseline_schemes.json       | campaign --suite schemes --name schemes
-substrate-t4      | bench/baseline_substrate.json     | campaign --suite substrate --name substrate --threads 4
-substrate-t1      | =substrate-t4                     | campaign --suite substrate --name substrate --threads 1
-rivals            | bench/baseline_rivals.json        | campaign --suite rivals --name rivals
-busy-s1           | -                                 | campaign --suite busy --name busy --shards 1
-busy-s2           | =busy-s1                          | campaign --suite busy --name busy --shards 2
-busy-s4           | =busy-s1                          | campaign --suite busy --name busy --shards 4
+ci                | bench/baseline.json               | campaign --suite ci --name ci --smoke
+ci-observed       | =ci                               | campaign --suite ci --name ci --smoke --sample 1000 --trace-out @/dumps
+ci-metered        | =ci                               | campaign --suite ci --name ci --smoke --metrics-out @/campaign.prom
+schemes           | bench/baseline_schemes.json       | campaign --suite schemes --name schemes --smoke
+substrate-t4      | bench/baseline_substrate.json     | campaign --suite substrate --name substrate --smoke --threads 4
+substrate-t1      | =substrate-t4                     | campaign --suite substrate --name substrate --smoke --threads 1
+rivals            | bench/baseline_rivals.json        | campaign --suite rivals --name rivals --smoke
+busy-s1           | -                                 | campaign --suite busy --name busy --smoke --shards 1
+busy-s2           | =busy-s1                          | campaign --suite busy --name busy --smoke --shards 2
+busy-s4           | =busy-s1                          | campaign --suite busy --name busy --smoke --shards 4
 faults-ppf-s1     | bench/FAULTS_ppf.txt              | faults --scheme ppf --shards 1
 faults-ppf-s2     | bench/FAULTS_ppf.txt              | faults --scheme ppf --shards 2
 faults-ppf-s4     | bench/FAULTS_ppf.txt              | faults --scheme ppf --shards 4
@@ -158,7 +156,7 @@ verify-2x2-ppf-f  | bench/VERIFY_2x2_ppf_faulty.json  | verify --mesh 2x2 --sche
 verify-2x2-conv-f | bench/VERIFY_2x2_conv_faulty.json | verify --mesh 2x2 --scheme conv --faulty
 verify-2x3-ppf-f  | bench/VERIFY_2x3_ppf_faulty.json  | verify --mesh 2x3 --scheme ppf --faulty
 verify-broken     | bench/VERIFY_2x2_conv_broken.json | verify --mesh 2x2 --scheme conv --broken --expect-violation --replay-out @/replay.jsonl --chrome-out @/replay.chrome.json
-figures           | bench/FIGURES_smoke.txt           | figure all --no-cache
+figures           | bench/FIGURES_smoke.txt           | figure all --smoke --no-cache
 metrics           | coverage>=0.90                    | metrics --metrics-out @/snapshot.json
 ROWS
 

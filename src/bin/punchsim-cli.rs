@@ -25,10 +25,9 @@ fn main() -> std::process::ExitCode {
 mod tests {
     use std::path::{Path, PathBuf};
 
-    use punchsim::campaign::{self, Tolerances};
+    use punchsim::campaign::{self, Size, Tolerances, SUITES};
     use punchsim::prelude::*;
 
-    use super::cli::campaign::SUITES;
     use super::cli::parse::{int, Opts, TopoChoice, DEFAULT_DUMP_CAP};
     use super::cli::synth::faults_dump_path;
     use super::cli::{usage, Command, Kind, COMMANDS};
@@ -238,7 +237,8 @@ mod tests {
     #[test]
     fn campaign_defaults_and_flags_parse() {
         let o = campaign_opts(&[]).unwrap();
-        assert_eq!(o.suite.0, "ci");
+        assert_eq!(o.suite.name, "ci");
+        assert_eq!(o.size, Size::Full);
         assert_eq!(o.threads, 0);
         assert_eq!(o.out, None, "campaign then writes into bench-out");
         assert_eq!(o.seed, campaign::DEFAULT_SEED);
@@ -262,17 +262,19 @@ mod tests {
             "--no-cache",
         ])
         .unwrap();
-        assert_eq!(o.suite.0, "synth");
+        assert_eq!(o.suite.name, "synth");
         assert_eq!(o.threads, 3);
         assert_eq!(o.shards, 4);
         assert_eq!(o.out, Some(PathBuf::from("tmp")));
         assert_eq!(o.name.as_deref(), Some("pr"));
         assert_eq!(o.seed, 7);
         assert!(o.no_cache);
-        assert_eq!(o.specs().len(), campaign::synthetic_suite(7).len());
+        assert_eq!(o.specs(), campaign::SYNTH.specs(7, Size::Full));
 
-        let o = campaign_opts(&["--suite", "busy"]).unwrap();
-        assert_eq!(o.specs().len(), campaign::busy_suite(o.seed).len());
+        let o = campaign_opts(&["--suite", "busy", "--smoke"]).unwrap();
+        let busy = campaign::suite("busy").unwrap();
+        assert_eq!(o.specs(), busy.specs(o.seed, Size::Smoke));
+        assert_ne!(o.specs(), busy.specs(o.seed, Size::Full));
     }
 
     #[test]
@@ -341,13 +343,30 @@ mod tests {
             .err()
             .expect("unknown suite is rejected");
         assert!(!usage.contains("{SUITE"), "unexpanded placeholder");
-        for &(name, _, help) in SUITES {
+        for &campaign::Suite { name, help, .. } in SUITES {
             let o = campaign_opts(&["--suite", name]).unwrap();
-            assert_eq!(o.suite.0, name);
+            assert_eq!(o.suite.name, name);
             assert!(!o.specs().is_empty(), "suite {name} is empty");
             assert!(usage.contains(help), "usage misses suite {name}");
             assert!(err.contains(name), "error misses suite {name}: {err}");
         }
+    }
+
+    /// The run length is an argument of the two commands that run suites —
+    /// and of nothing else.
+    #[test]
+    fn smoke_is_a_flag_of_campaign_and_figure_only() {
+        assert_eq!(campaign_opts(&["--smoke"]).unwrap().size, Size::Smoke);
+        let o = parse_for("figure", &["all", "--smoke"]).unwrap();
+        assert_eq!(o.size, Size::Smoke);
+        assert_eq!(parse_for("figure", &["all"]).unwrap().size, Size::Full);
+        for cmd in COMMANDS {
+            if !["campaign", "figure"].contains(&cmd.name) {
+                let err = parse_for(cmd.name, &["--smoke"]).err().expect("rejected");
+                assert_eq!(err, format!("unknown flag --smoke for {}", cmd.name));
+            }
+        }
+        assert!(usage().contains("  --smoke "), "the flag is documented");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use punchsim::campaign::{self, compare as gate, Json};
+use punchsim::campaign::{compare as gate, Json};
 use punchsim::noc::check_shards;
 use punchsim::obs;
 use punchsim::prelude::*;
@@ -16,54 +16,9 @@ use super::parse::Opts;
 use super::table::Table;
 use super::write_metrics;
 
-/// The campaign suites: `--suite` name, spec-list builder (from the
-/// campaign seed), one-line help. The one table behind `--suite`
-/// validation, [`Opts::specs`], the usage text and the
-/// `unknown suite` message.
-pub type Suite = (&'static str, fn(u64) -> Vec<RunSpec>, &'static str);
-pub const SUITES: &[Suite] = &[
-    (
-        "parsec",
-        campaign::parsec_suite,
-        "closed-loop PARSEC-like CMP runs",
-    ),
-    (
-        "synth",
-        campaign::synthetic_suite,
-        "synthetic traffic sweeps",
-    ),
-    ("ci", campaign::ci_suite, "parsec + synth"),
-    ("fastpath", campaign::fastpath_suite, "idle-dominated runs"),
-    (
-        "substrate",
-        campaign::substrate_suite,
-        "torus / YX / west-first sweep",
-    ),
-    (
-        "busy",
-        campaign::busy_suite,
-        "large-mesh busy-regime scalability runs",
-    ),
-    (
-        "rivals",
-        campaign::rivals_suite,
-        "Power Punch vs. SDM circuits vs. ring router",
-    ),
-    (
-        "schemes",
-        campaign::schemes_suite,
-        "one run per paper scheme (the identity_gate.sh baseline)",
-    ),
-];
-
-/// Looks a suite up by its `--suite` name.
-pub fn suite(name: &str) -> Option<&'static Suite> {
-    SUITES.iter().find(|s| s.0 == name)
-}
-
 impl Opts {
     pub fn specs(&self) -> Vec<RunSpec> {
-        (self.suite.1)(self.seed)
+        self.suite.specs(self.seed, self.size)
     }
 
     /// Checks `--shards` against the router rows of every spec in the suite
@@ -88,30 +43,20 @@ pub fn campaign(opts: &Opts) -> Result<ExitCode, String> {
     let name = opts
         .name
         .clone()
-        .unwrap_or_else(|| opts.suite.0.to_string());
+        .unwrap_or_else(|| opts.suite.name.to_string());
     let runner = Runner {
         threads: opts.threads,
-        store: if opts.no_cache {
-            None
-        } else {
-            Some(Store::in_target())
+        store: (!opts.no_cache).then(Store::in_target),
+        observe: ObserveOpts {
+            sample_every: opts.sample,
+            trace_cap: opts.effective_trace_cap(),
+            metrics: opts.metrics_out.is_some(),
         },
-        sample_every: opts.sample,
-        trace_cap: opts.effective_trace_cap(),
-        collect_metrics: opts.metrics_out.is_some(),
         shards: opts.shards,
     };
     let threads = runner.effective_threads(specs.len());
-    eprintln!(
-        "campaign {name}: {} runs on {threads} thread(s){}",
-        specs.len(),
-        if campaign::fast_mode() {
-            " [PP_FAST=1]"
-        } else {
-            ""
-        }
-    );
-    let total = specs.len();
+    let (total, size) = (specs.len(), opts.size);
+    eprintln!("campaign {name}: {total} {size:?}-size runs on {threads} thread(s)");
     let done = AtomicUsize::new(0);
     let started = Instant::now();
     let outcomes = runner.run_with(&specs, &|_, outcome| {

@@ -1,15 +1,16 @@
 //! `figure NAME`: the paper's evaluation, one [`FIGURES`] row per artifact —
 //! Table 1, Figures 7–13, §6.6, the §2.1 motivation number and the ablations
 //! of the design choices. A row's `Err` — a shape the reproduction must have
-//! and does not — is the command's exit status. `PP_FAST=1` shortens every run.
+//! and does not — is the command's exit status. `--smoke` shortens every run.
 //!
 //! Three families: the analytic rows read the [`Codebook`]; the PARSEC rows
-//! share one pass over `campaign::parsec_suite` ([`Ctx::parsec`]); the
-//! synthetic rows are points × schemes × columns through [`synth_table`].
+//! share one pass over `campaign::PARSEC` ([`Ctx::parsec`]); the synthetic
+//! rows are points × schemes × columns through [`synth_table`], each run
+//! as long as `campaign::SYNTH`'s.
 
 use std::process::ExitCode;
 
-use punchsim::campaign::{self, Metrics};
+use punchsim::campaign::{self, Metrics, Size};
 use punchsim::core::manager::PowerPunchManager;
 use punchsim::core::Codebook;
 use punchsim::noc::{Message, MsgClass};
@@ -216,12 +217,12 @@ fn disc_area(_: &mut Ctx) -> Result<(), String> {
 const EVALUATED: usize = SchemeKind::EVALUATED.len();
 
 impl Ctx<'_> {
-    /// The metrics of `campaign::parsec_suite` — every benchmark under
+    /// The metrics of `campaign::PARSEC` — every benchmark under
     /// every evaluated scheme, benchmark-major — run (or loaded from the
     /// result store) on first use and shared by all six PARSEC rows.
     fn parsec(&mut self) -> Result<&[Metrics], String> {
         if self.parsec.is_none() {
-            let specs = campaign::parsec_suite(campaign::DEFAULT_SEED);
+            let specs = campaign::PARSEC.specs(campaign::DEFAULT_SEED, self.opts.size);
             let runner = Runner {
                 threads: self.opts.threads,
                 store: (!self.opts.no_cache).then(Store::in_target),
@@ -392,12 +393,11 @@ impl Exp {
         Exp { cfg, pattern, inj }
     }
 
-    /// Runs for the figure length: a quarter of it to warm up, then the
-    /// measured window.
-    fn run(self) -> Result<NetworkReport, String> {
-        let cycles = campaign::synth_cycles();
+    /// Runs for the `synth` suite's window at `size`.
+    fn run(self, size: Size) -> Result<NetworkReport, String> {
+        let (warmup, measure) = campaign::SYNTH.window(size);
         SyntheticSim::with_injection(self.cfg, self.pattern, self.inj)
-            .run_experiment(cycles / 4, cycles)
+            .run_experiment(warmup, measure)
             .map_err(sim_err)
     }
 }
@@ -419,6 +419,7 @@ const SAVED: Cell = |r| percent(PowerModel::default_45nm().static_savings(r));
 /// the second, ...), then `tail`'s cell over the row's reports. `header` and
 /// each label separate their cells with `|`. Prints the table; returns the reports.
 fn synth_table(
+    size: Size,
     header: &str,
     points: impl IntoIterator<Item = (String, Vec<Exp>)>,
     cols: &[Col],
@@ -428,7 +429,7 @@ fn synth_table(
     let mut all = Vec::new();
     for (label, exps) in points {
         let mut cells: Vec<String> = label.split('|').map(String::from).collect();
-        let reports = exps.into_iter().map(Exp::run);
+        let reports = exps.into_iter().map(|exp| exp.run(size));
         let reports: Vec<NetworkReport> = reports.collect::<Result<_, _>>()?;
         for col in cols {
             cells.extend(reports.iter().map(col));
@@ -441,7 +442,7 @@ fn synth_table(
     Ok(all)
 }
 
-fn fig12_sweeps(_: &mut Ctx) -> Result<(), String> {
+fn fig12_sweeps(ctx: &mut Ctx) -> Result<(), String> {
     let pm = PowerModel::default_45nm();
     for pattern in TrafficPattern::FIGURE12 {
         // Transpose and bit-complement saturate earlier than uniform.
@@ -459,6 +460,7 @@ fn fig12_sweeps(_: &mut Ctx) -> Result<(), String> {
         };
         println!("{pattern}:");
         synth_table(
+            ctx.opts.size,
             "load|No-PG lat|ConvOpt lat|PP-PG lat|No-PG W|ConvOpt W|PP-PG W",
             rates.iter().map(point),
             &[&LATENCY, &|r| format!("{:.2}", pm.static_power_watts(r))],
@@ -468,7 +470,7 @@ fn fig12_sweeps(_: &mut Ctx) -> Result<(), String> {
     Ok(())
 }
 
-fn fig13_sensitivity(_: &mut Ctx) -> Result<(), String> {
+fn fig13_sensitivity(ctx: &mut Ctx) -> Result<(), String> {
     let grid = [(3u8, [6u32, 8, 10]), (4u8, [8, 10, 12])];
     let points = grid.into_iter().flat_map(|(stages, wakeups)| {
         wakeups.map(|wakeup| {
@@ -482,6 +484,7 @@ fn fig13_sensitivity(_: &mut Ctx) -> Result<(), String> {
         })
     });
     synth_table(
+        ctx.opts.size,
         "router|Twakeup|No-PG|ConvOpt-PG|PowerPunch-PG|PP-PG vs No-PG",
         points,
         &[&LATENCY],
@@ -495,7 +498,7 @@ fn fig13_sensitivity(_: &mut Ctx) -> Result<(), String> {
 
 /// The 32x32 and 64x64 rows extrapolate past the paper's largest mesh: they
 /// are printed as observations, not asserted — the reduction peaks at 16x16.
-fn disc_scalability(_: &mut Ctx) -> Result<(), String> {
+fn disc_scalability(ctx: &mut Ctx) -> Result<(), String> {
     let paper = ["43.4%", "54.9%", "69.1%", "—", "—"];
     let point = |(side, paper): (u16, &str)| {
         let tweak = |cfg: &mut SimConfig| cfg.noc.topology = Mesh::new(side, side).into();
@@ -505,6 +508,7 @@ fn disc_scalability(_: &mut Ctx) -> Result<(), String> {
     let reduction =
         |r: &[NetworkReport]| 1.0 - r[2].avg_packet_latency() / r[1].avg_packet_latency();
     let reports = synth_table(
+        ctx.opts.size,
         "mesh|paper|No-PG|ConvOpt-PG|PowerPunch-PG|PP-PG reduction vs ConvOpt",
         [4, 8, 16, 32, 64].into_iter().zip(paper).map(point),
         &[&LATENCY],
@@ -519,8 +523,8 @@ fn disc_scalability(_: &mut Ctx) -> Result<(), String> {
     })
 }
 
-fn abl_punch_hops(_: &mut Ctx) -> Result<(), String> {
-    let base = Exp::uniform(NoPg, PARSEC_LOAD, |_| {}).run()?;
+fn abl_punch_hops(ctx: &mut Ctx) -> Result<(), String> {
+    let base = Exp::uniform(NoPg, PARSEC_LOAD, |_| {}).run(ctx.opts.size)?;
     let base = base.avg_packet_latency();
     let point = |h: u16| {
         let exp = Exp::uniform(PowerPunchFull, PARSEC_LOAD, |cfg| cfg.power.punch_hops = h);
@@ -530,6 +534,7 @@ fn abl_punch_hops(_: &mut Ctx) -> Result<(), String> {
         |r: &NetworkReport| format!("{:+.1}%", (r.avg_packet_latency() / base - 1.0) * 100.0);
     let punch_hops = |r: &NetworkReport| r.pg.punch_hops.to_string();
     synth_table(
+        ctx.opts.size,
         "H|latency|vs No-PG|wait cyc/pkt|off %|static saved %|punch hops sent",
         (1..=4).map(point),
         &[&LATENCY, &vs_base, &WAIT, &OFF, &SAVED, &punch_hops],
@@ -538,7 +543,7 @@ fn abl_punch_hops(_: &mut Ctx) -> Result<(), String> {
     .map(drop)
 }
 
-fn abl_timeout(_: &mut Ctx) -> Result<(), String> {
+fn abl_timeout(ctx: &mut Ctx) -> Result<(), String> {
     for scheme in [ConvOptPg, PowerPunchFull] {
         let point = |timeout: u32| {
             let tweak = |cfg: &mut SimConfig| cfg.power.idle_timeout = timeout;
@@ -548,6 +553,7 @@ fn abl_timeout(_: &mut Ctx) -> Result<(), String> {
         let wakes = |r: &NetworkReport| r.pg.total_wake_events().to_string();
         println!("under {scheme}:");
         synth_table(
+            ctx.opts.size,
             "timeout (cyc)|latency|wait cyc/pkt|off %|wake events|static saved %",
             [2, 4, 8, 16, 32].map(point),
             &[&LATENCY, &WAIT, &OFF, &wakes, &SAVED],
@@ -557,13 +563,14 @@ fn abl_timeout(_: &mut Ctx) -> Result<(), String> {
     Ok(())
 }
 
-fn abl_conv_opts(_: &mut Ctx) -> Result<(), String> {
+fn abl_conv_opts(ctx: &mut Ctx) -> Result<(), String> {
     let ladder = [NoPg, ConvPg, ConvOptPg, PowerPunchSignal, PowerPunchFull];
     let point = |scheme: SchemeKind| {
         let exp = Exp::uniform(scheme, PARSEC_LOAD, |_| {});
         (scheme.label().to_string(), vec![exp])
     };
     synth_table(
+        ctx.opts.size,
         "scheme|latency|blocked/pkt|wait cyc/pkt|off %",
         ladder.map(point),
         &[&LATENCY, &BLOCKED, &WAIT, &OFF],
@@ -572,7 +579,7 @@ fn abl_conv_opts(_: &mut Ctx) -> Result<(), String> {
     .map(drop)
 }
 
-fn abl_burstiness(_: &mut Ctx) -> Result<(), String> {
+fn abl_burstiness(ctx: &mut Ctx) -> Result<(), String> {
     let points = [0.0, 0.3, 0.6, 0.8].into_iter().flat_map(|b| {
         THREE.map(|scheme| {
             let mut exp = Exp::uniform(scheme, PARSEC_LOAD, |_| {});
@@ -581,6 +588,7 @@ fn abl_burstiness(_: &mut Ctx) -> Result<(), String> {
         })
     });
     synth_table(
+        ctx.opts.size,
         "burstiness|scheme|latency|wait/pkt|off %|static saved %",
         points,
         &[&LATENCY, &WAIT, &OFF, &SAVED],
@@ -594,7 +602,7 @@ fn abl_burstiness(_: &mut Ctx) -> Result<(), String> {
 /// coming" at resource-access start, so the local router wakes ~6 cycles
 /// earlier still. `PowerPunchManager::with_slacks` pulls them apart; it is the
 /// one manager `build_power_manager` cannot build, hence the hand-driven network.
-fn abl_ni_slacks(_: &mut Ctx) -> Result<(), String> {
+fn abl_ni_slacks(ctx: &mut Ctx) -> Result<(), String> {
     let header = "slack 1 (NI entry)|slack 2 (resource access)|latency|wait cyc/pkt|blocked/pkt";
     let mut t = Table::new(header);
     let on_off = |on| if on { "on" } else { "off" }.to_string();
@@ -603,7 +611,7 @@ fn abl_ni_slacks(_: &mut Ctx) -> Result<(), String> {
         let (topo, hop) = (cfg.noc.topology, cfg.noc.hop_latency());
         let pm = PowerPunchManager::with_slacks(topo, &cfg.power, hop, s1, s2);
         let mut net = Network::new(&cfg.noc, Box::new(pm)).map_err(sim_err)?;
-        let r = drive(&mut net, campaign::synth_cycles()).map_err(sim_err)?;
+        let r = drive(&mut net, campaign::SYNTH.window(ctx.opts.size)).map_err(sim_err)?;
         t.row([on_off(s1), on_off(s2), LATENCY(&r), WAIT(&r), BLOCKED(&r)]);
     }
     println!("{t}");
@@ -613,7 +621,7 @@ fn abl_ni_slacks(_: &mut Ctx) -> Result<(), String> {
 /// Drives `net` with a deterministic light load (about one packet every 8
 /// cycles on the 64-node mesh), announcing each injection to its node 6
 /// cycles ahead — the slack-2 notification.
-fn drive(net: &mut Network, cycles: u64) -> Result<NetworkReport, SimError> {
+fn drive(net: &mut Network, (warmup, cycles): (u64, u64)) -> Result<NetworkReport, SimError> {
     let nodes = net.topology().nodes() as u64;
     let mut pending: Vec<(u64, NodeId, NodeId)> = Vec::new();
     let mut seed = 0x9E3779B97F4A7C15u64;
@@ -623,7 +631,6 @@ fn drive(net: &mut Network, cycles: u64) -> Result<NetworkReport, SimError> {
         seed ^= seed << 17;
         seed
     };
-    let warmup = cycles / 4;
     for c in 0..(warmup + cycles) {
         if c == warmup {
             net.reset_stats();

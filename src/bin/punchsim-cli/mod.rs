@@ -123,6 +123,7 @@ pub const COMMANDS: &[Command] = &[
             "--name NAME",
             "--seed N",
             "--no-cache",
+            "--smoke",
             "--sample N",
             "--trace-out DIR",
             "--trace-cap N",
@@ -144,7 +145,7 @@ pub const COMMANDS: &[Command] = &[
     // `--threads` and `--no-cache` steer the PARSEC rows' campaign pass.
     Command {
         name: "figure",
-        args: &[&["NAME", "--threads N", "--no-cache"]],
+        args: &[&["NAME", "--threads N", "--no-cache", "--smoke"]],
         run: figure::figure,
     },
     Command {
@@ -230,15 +231,15 @@ fn write_metrics(path: &Path, reg: &Registry) -> Result<(), String> {
 }
 
 /// The full usage text, the only copy: the static template plus the lines
-/// derived from [`COMMANDS`], [`campaign::SUITES`], [`figure::FIGURES`],
+/// derived from [`COMMANDS`], `punchsim::campaign::SUITES`, [`figure::FIGURES`],
 /// `SchemeKind::ALL`, `TrafficPattern::SYNTHETIC` and `Benchmark::ALL`, so
 /// a new command, flag, suite, figure, scheme, pattern or benchmark shows
 /// up here without a hand edit.
 pub fn usage() -> String {
     let command_help: String = COMMANDS.iter().map(Command::usage_lines).collect();
-    let suite_help: String = campaign::SUITES
+    let suite_help: String = punchsim::campaign::SUITES
         .iter()
-        .map(|(name, _, help)| format!("                     {name:<10} {help}\n"))
+        .map(|s| format!("                     {:<10} {}\n", s.name, s.help))
         .collect();
     let figure_help: String = figure::FIGURES
         .iter()
@@ -295,6 +296,8 @@ campaign flags:
   --name NAME      artifact name: BENCH_<NAME>.json (default: the suite)
   --seed N         campaign seed (default 0xC0FFEE)
   --no-cache       ignore the result store; simulate every spec
+  --smoke          the shortened run lengths of CI and the bench/ baselines
+                   (e.g. 6000 measured cycles instead of 20000)
   --shards N       tick each network in N row shards on a persistent
                    worker pool (bit-exact for any N; N must be >= 1 and no
                    larger than the smallest mesh's rows; default 1). Also
@@ -305,11 +308,10 @@ campaign flags:
   --metrics-out P  collect per-run metric registries (forces simulation),
                    embed the merge into the .timing.json sidecar and write
                    it to P (.prom/.txt: Prometheus text; else JSON)
-  PP_FAST=1 in the environment shortens every run (CI smoke mode)
 
 figure NAME: `all`, or one row of the paper's evaluation (exit 1 if the
 reproduction loses a shape it must have; --threads / --no-cache as for
-campaign, used by the PARSEC rows; PP_FAST=1 for the smoke size):
+campaign, used by the PARSEC rows; --smoke for the shortened size):
 {FIGURE_HELP}
 metrics flags:
   --metrics-out P  write the registry snapshot to P in addition to the

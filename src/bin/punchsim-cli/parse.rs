@@ -3,12 +3,11 @@
 
 use std::path::PathBuf;
 
-use punchsim::campaign::{self, Tolerances};
+use punchsim::campaign::{self, Size, Suite, Tolerances, SUITES};
 use punchsim::obs::{self, Stamped};
 use punchsim::prelude::*;
 use punchsim::traffic::InjectionConfig;
 
-use super::campaign::{suite, Suite, SUITES};
 use super::figure::{Figure, FIGURES};
 use super::{Command, Kind};
 
@@ -64,6 +63,7 @@ pub struct Opts {
     pub shards: usize,
     // campaign
     pub suite: &'static Suite,
+    pub size: Size,
     pub threads: usize,
     pub out: Option<PathBuf>,
     pub name: Option<String>,
@@ -143,7 +143,8 @@ impl Opts {
             format: &FORMATS[0],
             metrics_out: None,
             shards: 1,
-            suite: suite("ci").expect("the default suite is in the table"),
+            suite: campaign::suite("ci").expect("the default suite is in the table"),
+            size: Size::Full,
             threads: 0,
             out: None,
             name: None,
@@ -245,8 +246,8 @@ impl Opts {
             "--metrics-out" => self.metrics_out = Some(PathBuf::from(val)),
             "--shards" => self.shards = int(val, "shard count")?,
             "--suite" => {
-                self.suite = suite(val).ok_or_else(|| {
-                    let valid: Vec<&str> = SUITES.iter().map(|s| s.0).collect();
+                self.suite = campaign::suite(val).ok_or_else(|| {
+                    let valid: Vec<&str> = SUITES.iter().map(|s| s.name).collect();
                     format!("unknown suite {val} (valid: {})", valid.join("|"))
                 })?;
             }
@@ -255,6 +256,7 @@ impl Opts {
             "--name" => self.name = Some(val.to_string()),
             "--seed" => self.seed = int(val, "seed")?,
             "--no-cache" => self.no_cache = true,
+            "--smoke" => self.size = Size::Smoke,
             "--sample" => self.sample = int(val, "sample period")?,
             "NAME" => {
                 let row = FIGURES.iter().find(|f| f.name == val);

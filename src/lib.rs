@@ -4,25 +4,29 @@
 //! *Power Punch: Towards Non-blocking Power-gating of NoC Routers*
 //! (Chen, Zhu, Pedram, Pinkston — HPCA 2015).
 //!
-//! This facade crate re-exports the workspace crates:
+//! This facade crate re-exports the nine workspace crates (and, under their
+//! old crate-level names, the two modules that used to be crates):
 //!
 //! * [`types`] — mesh geometry, XY routing, configuration (Table 2)
 //! * [`noc`] — the cycle-accurate router/network substrate
 //! * [`core`] — the paper's contribution: power-gating controllers and the
 //!   Power Punch punch-signal fabric and codebook (Table 1)
+//!   * [`faults`] (`core::faults`) — deterministic fault injection for the
+//!     power-gating machinery (punch drops/corruption, stuck-off routers)
 //! * [`obs`] — cycle-resolved observability: structured event tracing,
 //!   flight recording, per-interval sampling, and JSONL/CSV/Chrome-trace
 //!   exporters (load the latter in Perfetto)
-//! * [`faults`] — deterministic fault injection for the power-gating
-//!   machinery (punch drops/corruption, stuck-off routers)
-//! * [`metrics`] — typed metric registry, log-bucketed latency
-//!   histograms, per-router counter planes, tick-phase profiler, and
-//!   Prometheus/JSON exposition
+//!   * [`metrics`] (`obs::metrics`) — typed metric registry, log-bucketed
+//!     latency histograms, per-router counter planes, tick-phase profiler,
+//!     and Prometheus/JSON exposition
 //! * [`power`] — DSENT-like router energy model and accounting
 //! * [`traffic`] — synthetic traffic patterns and injection processes
 //! * [`cmp`] — MESI-directory CMP substrate standing in for gem5+PARSEC
 //! * [`campaign`] — parallel campaign runner, content-hashed result store
-//!   and machine-readable `BENCH_*.json` artifacts (the CI perf gate)
+//!   and machine-readable `BENCH_*.json` artifacts (the CI perf gate);
+//!   `campaign::SUITES` is the one table of what each suite runs
+//! * [`verify`] — exhaustive wakeup-protocol model checker with
+//!   counterexample replay
 //!
 //! # Quickstart
 //!
@@ -46,10 +50,10 @@
 pub use punchsim_campaign as campaign;
 pub use punchsim_cmp as cmp;
 pub use punchsim_core as core;
-pub use punchsim_faults as faults;
-pub use punchsim_metrics as metrics;
+pub use punchsim_core::faults;
 pub use punchsim_noc as noc;
 pub use punchsim_obs as obs;
+pub use punchsim_obs::metrics;
 pub use punchsim_power as power;
 pub use punchsim_traffic as traffic;
 pub use punchsim_types as types;
@@ -63,9 +67,9 @@ pub mod prelude {
     };
     pub use punchsim_cmp::{Benchmark, CmpConfig, CmpReport, CmpSim};
     pub use punchsim_core::build_power_manager;
-    pub use punchsim_faults::{FaultInjector, FaultStats};
-    pub use punchsim_metrics::{LogHistogram, Phase, PhaseProfiler, Plane, Registry};
+    pub use punchsim_core::faults::{FaultInjector, FaultStats};
     pub use punchsim_noc::{Network, NetworkReport, PowerManager};
+    pub use punchsim_obs::metrics::{LogHistogram, Phase, PhaseProfiler, Plane, Registry};
     pub use punchsim_obs::{Event, EventSink, RingSink, Sampler, Stamped, VecSink};
     pub use punchsim_power::{EnergyBreakdown, PowerModel};
     pub use punchsim_traffic::{SyntheticSim, TrafficPattern};

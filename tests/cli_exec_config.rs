@@ -208,7 +208,7 @@ fn flags_a_subcommand_never_reads_are_errors_naming_flag_and_command() {
         // The usage that follows lists what the command does read.
         assert!(err.contains("usage:"), "{args:?}");
         assert!(
-            err.contains("  punchsim-cli figure   NAME [--threads N] [--no-cache]\n"),
+            err.contains("  punchsim-cli figure   NAME [--threads N] [--no-cache] [--smoke]\n"),
             "{err}"
         );
         assert!(
@@ -243,7 +243,8 @@ fn figure_names() -> Vec<&'static str> {
 /// The evaluation is rows of one table behind `figure NAME`: a row prints
 /// its tables next to the paper's numbers and exits 0 when every shape it
 /// asserts holds; an unknown name is an error listing the table's names;
-/// the command reads `--threads` and `--no-cache` and nothing else.
+/// the command reads `--threads`, `--no-cache` and `--smoke` and nothing
+/// else.
 #[test]
 fn figure_rows_print_their_tables_and_unknown_names_list_the_rows() {
     let names = figure_names();
@@ -259,7 +260,7 @@ fn figure_rows_print_their_tables_and_unknown_names_list_the_rows() {
             &["blocked/pkt", "ConvOpt-PG", "PowerPunch-Signal"],
         ),
     ] {
-        let out = cli(&["figure", name, "--no-cache"], &[("PP_FAST", "1")]);
+        let out = cli(&["figure", name, "--no-cache", "--smoke"], &[]);
         assert!(out.status.success(), "{name}: {}", stderr(&out));
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(text.starts_with(&format!("== {name}: ")), "{text}");
@@ -349,12 +350,13 @@ fn seeds_parse_in_the_hex_spelling_the_cli_prints() {
                 "--suite",
                 "schemes",
                 "--no-cache",
+                "--smoke",
                 "--seed",
                 seed,
                 "--out",
                 out.to_str().expect("utf-8 temp path"),
             ],
-            &[("PP_FAST", "1")],
+            &[],
         );
         assert!(run.status.success(), "--seed {seed}: {}", stderr(&run));
         std::fs::read(out.join("BENCH_schemes.json")).expect("artifact written")
@@ -375,6 +377,22 @@ fn seeds_parse_in_the_hex_spelling_the_cli_prints() {
         "{}",
         stderr(&bad)
     );
+}
+
+/// How long a suite's runs are used to hang off `PP_FAST=1`, read from
+/// inside the campaign library: the last setting no flag, spec or artifact
+/// recorded. `--smoke` replaced it; the variable is inert.
+#[test]
+fn run_length_is_the_smoke_flag_and_the_old_variable_is_inert() {
+    let dir = std::env::temp_dir().join(format!("punchsim-cli-size-{}", std::process::id()));
+    let out = dir.to_str().expect("utf-8 temp path");
+    let args = ["campaign", "--suite", "schemes", "--no-cache", "--out", out];
+    let run = cli(&args, &[("PP_FAST", "1")]);
+    assert!(run.status.success(), "{}", stderr(&run));
+    let artifact = std::fs::read_to_string(dir.join("BENCH_schemes.json")).expect("written");
+    assert_eq!(artifact.matches("\"measure_cycles\": 20000").count(), 5);
+    assert!(!artifact.contains("\"measure_cycles\": 6000"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `campaign`, `compare` and `verify` used to parse their own argument
