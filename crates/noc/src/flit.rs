@@ -87,6 +87,11 @@ impl FlitKind {
 /// paper): the output port a flit will request at router `i` is computed at
 /// router `i-1` (or at the NI for the first hop), so route computation never
 /// occupies a pipeline stage.
+///
+/// 24 bytes, and the build keeps it so: every wheel slot, ring slot and
+/// [`crate::router::Departure`] holds one. It carries no latch cycle — the
+/// router knows which front flits are in their BW cycle (see
+/// [`crate::router::Router::latch`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Packet this flit belongs to.
@@ -104,20 +109,16 @@ pub struct Flit {
     pub route_port: Port,
     /// Input VC index at the router currently holding the flit, assigned by
     /// the upstream VC allocator (or the NI for the first hop).
-    pub vc: usize,
+    pub vc: u8,
     /// Sequence number within the packet (head = 0).
     pub seq: u16,
-    /// Cycle the flit was latched into the current input buffer; it becomes
-    /// eligible for allocation the following cycle (the BW stage).
-    pub latched_at: Cycle,
 }
+
+const _: () = assert!(std::mem::size_of::<Flit>() == 24);
 
 impl Flit {
     /// Appends this flit's canonical snapshot encoding (see
     /// [`crate::snapshot`]): every field that affects future dynamics.
-    /// `latched_at` is excluded — between ticks it is always strictly below
-    /// the current cycle (a flit latched during cycle `t` becomes eligible
-    /// at `t + 1`), so the rebased encoding carries no information in it.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         use crate::snapshot::{put_u16, put_u64, put_u8};
         put_u64(out, self.packet.0);
@@ -126,7 +127,7 @@ impl Flit {
         put_u8(out, self.class.index() as u8);
         put_u16(out, self.dst.0);
         put_u8(out, self.route_port.index() as u8);
-        put_u8(out, self.vc as u8);
+        put_u8(out, self.vc);
         put_u16(out, self.seq);
     }
 }

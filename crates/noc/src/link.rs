@@ -14,8 +14,8 @@ use crate::soa::BitWords;
 /// In-flight items of one kind (flits, credits, ejections) for a whole
 /// mesh: `period` planes of `nodes * lanes` direct-mapped slots, the plane
 /// of due cycle `c` being `c % period`, plus per plane one bit per router
-/// (set iff the router has an item there), the due cycle its items share
-/// and how many it holds.
+/// (set iff the router has an item there), the due cycle its items share,
+/// how many it holds and the span of bit words its puts touched.
 ///
 /// The owner sweeps plane `now` every cycle ([`Wheel::plane_mut`], `take`
 /// each slot under a set bit, then [`Wheel::retire`]) and may schedule up
@@ -51,6 +51,9 @@ pub struct Wheel<T> {
     due_at: Vec<Cycle>,
     /// Per plane, items put and not yet retired.
     held: Vec<usize>,
+    /// Per plane, the words `[lo, hi)` of its router bits that hold a set
+    /// bit (meaningful while it holds any): all `retire` clears.
+    touched: Vec<(usize, usize)>,
     /// Items in flight across all planes.
     live: usize,
 }
@@ -66,6 +69,7 @@ impl<T> Wheel<T> {
             due: vec![BitWords::new(nodes); period],
             due_at: vec![0; period],
             held: vec![0; period],
+            touched: vec![(0, 0); period],
             live: 0,
         }
     }
@@ -107,6 +111,13 @@ impl<T> Wheel<T> {
         );
         *slot = Some(item);
         self.due[step].set(node);
+        let w = node / 64;
+        let touched = &mut self.touched[step];
+        *touched = if self.held[step] == 0 {
+            (w, w + 1)
+        } else {
+            (touched.0.min(w), touched.1.max(w + 1))
+        };
         self.due_at[step] = due;
         self.held[step] += 1;
         self.live += 1;
@@ -164,14 +175,17 @@ impl<T> Wheel<T> {
     }
 
     /// Closes the sweep of plane `due`, every slot of which has been taken;
-    /// returns how many items it held. O(1) for a plane that held none.
+    /// returns how many items it held. Clears only the bit words its puts
+    /// touched, so it is O(1) for a plane that held none.
     pub fn retire(&mut self, due: Cycle) -> usize {
         let step = self.step(due);
         let held = std::mem::take(&mut self.held[step]);
         if held > 0 {
             debug_assert_eq!(self.due_at[step], due);
             debug_assert!(self.slots[self.plane_of(step)].iter().all(Option::is_none));
-            self.due[step].clear_all();
+            let (lo, hi) = self.touched[step];
+            self.due[step].clear_words(lo..hi);
+            debug_assert!(self.due[step].none_set());
             self.live -= held;
         }
         held

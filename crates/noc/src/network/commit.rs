@@ -63,13 +63,13 @@ impl Network {
                 match dep.in_port {
                     Port::Local => {
                         self.credits
-                            .put(now + 1 + link, idx, NI_CREDIT_LANE, dep.in_vc as u8);
+                            .put(now + 1 + link, idx, NI_CREDIT_LANE, dep.in_vc);
                     }
                     Port::Link(d) => {
                         let up = near[d.index()].expect("flits only arrive over real links");
                         let lane = Port::Link(d.opposite()).index();
                         self.credits
-                            .put(now + 1 + link, up.index(), lane, dep.in_vc as u8);
+                            .put(now + 1 + link, up.index(), lane, dep.in_vc);
                     }
                 }
                 match dep.out_port {

@@ -7,15 +7,16 @@
 //!
 //! To stay a real oracle it shares only pure bookkeeping with the kernel —
 //! `note_blocked`, `complete_packet`, the power/watchdog phases and the
-//! router's `latch`/`pop_front`, none of which decide what moves where.
-//! Traversal order and the application of departures are implemented here
-//! independently (neighbours come from the substrate, not the kernel's
-//! table), and allocation runs the exhaustive rotating-priority scan
-//! [`crate::router::Router::allocate_reference`], not the request-driven
-//! allocators the kernel ships.
+//! router's storage (its VC rings, `latch`/`pop_front`, `credit`), none of
+//! which decide what moves where; the rings have their own FIFO oracle in
+//! `router.rs`. Traversal order and the application of departures are
+//! implemented here independently (neighbours come from the substrate, not
+//! the kernel's table), and allocation runs the exhaustive rotating-priority
+//! scan [`crate::router::Router::allocate_reference`], not the
+//! request-driven allocators the kernel ships.
 
 use punchsim_obs::metrics::{Phase, PhaseProfiler};
-use punchsim_types::{Cycle, InvariantViolation, NodeId, Port, PortMap, SimError};
+use punchsim_types::{Cycle, Direction, InvariantViolation, NodeId, Port, PortMap, SimError};
 
 use super::Network;
 use crate::power::{PmEvent, PowerState};
@@ -95,9 +96,9 @@ impl Network {
             let (_, slots) = self.credits.plane_mut(due);
             for idx in 0..self.routers.len() {
                 let lanes = &mut slots[idx * CREDIT_LANES..][..CREDIT_LANES];
-                for port in Port::ALL {
-                    if let Some(vc) = lanes[port.index()].take() {
-                        self.routers[idx].credit(port, vc as usize);
+                for dir in Direction::ALL {
+                    if let Some(vc) = lanes[Port::Link(dir).index()].take() {
+                        self.routers[idx].credit(dir, vc as usize);
                     }
                 }
                 if let Some(vc) = lanes[NI_CREDIT_LANE].take() {
@@ -153,7 +154,7 @@ impl Network {
                 let Some(dep) = *dep else { continue };
                 self.watchdog.moved = true;
                 // Credit back to the upstream of the input the flit vacated.
-                let vc = dep.in_vc as u8;
+                let vc = dep.in_vc;
                 match dep.in_port {
                     Port::Local => {
                         self.credits.put(now + 1 + link, idx, NI_CREDIT_LANE, vc);

@@ -267,9 +267,8 @@ impl Ni {
                     class: p.class,
                     dst: p.dst,
                     route_port: p.route_port,
-                    vc,
+                    vc: vc as u8,
                     seq: p.next_seq,
-                    latched_at: cycle,
                 };
                 if kind.is_head() {
                     out.head_injected = Some(p.id);
@@ -416,7 +415,6 @@ mod tests {
             route_port: Port::Local,
             vc: 0,
             seq,
-            latched_at: 0,
         };
         assert_eq!(ni.eject(&mk(FlitKind::Head, 0)), None);
         assert_eq!(ni.eject(&mk(FlitKind::Body, 1)), None);

@@ -13,11 +13,15 @@
 //! flits) or from `v + 1` in 4-stage mode. An SA winner traverses the
 //! crossbar (ST) at `s + 1` and is latched downstream at
 //! `s + 1 + link_latency + 1`.
+//!
+//! Router state is plain data: one flit slab holding every input VC's ring,
+//! one control word per input VC, and per port a few `u32` words with one
+//! bit per VC, which the allocators walk instead of the VCs.
 
-use punchsim_types::{Cycle, NocConfig, NodeId, PacketId, Port, PortMap};
+use punchsim_types::{Cycle, Direction, NocConfig, NodeId, PacketId, Port, PortMap};
 
 use crate::flit::Flit;
-use crate::vc::{Vc, VcLayout, VcRoute};
+use crate::vc::{VcLayout, VcState, VACANT};
 
 /// Per-router dynamic-activity counters consumed by the power model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,7 +62,7 @@ pub struct Departure {
     /// Input port it came from (for credit return).
     pub in_port: Port,
     /// Input VC it came from (for credit return).
-    pub in_vc: usize,
+    pub in_vc: u8,
     /// The flit itself, with `vc` already set to the downstream VC.
     pub flit: Flit,
 }
@@ -96,35 +100,49 @@ struct Cand {
 }
 
 /// One mesh router: five ports of VC buffers plus separable VA/SA allocators.
+///
+/// Three heap blocks, whatever the VC count: the flit slab, the VC control
+/// words and the link credits. Every other field is a fixed-size word or
+/// array — one bit per VC — indexed by [`Port::index`].
 #[derive(Debug, Clone)]
 pub struct Router {
     id: NodeId,
     layout: VcLayout,
     stages: u8,
-    inputs: PortMap<Vec<Vc>>,
+    /// Every input VC's ring, back to back: port by port in [`Port::ALL`]
+    /// order, VC by VC at [`VcLayout::offset`] within a port.
+    slab: Box<[Flit]>,
+    /// One control word per input VC, indexed `port * total + vc`.
+    vcs: Box<[VcState]>,
+    /// Credits toward each downstream VC of the four link outputs, indexed
+    /// `direction * total + vc`. The `Local` output has none: the NI is a
+    /// guaranteed sink (DESIGN §4), so ejection is never credit-limited.
+    credits: Box<[u8]>,
     /// Per input port, bit `v` set iff VC `v` holds at least one flit.
-    /// Kept in sync by `latch` and `pop_front`; the allocators visit set
-    /// bits only, so their cost follows buffered head-of-line flits rather
-    /// than ports x VCs.
-    occ: PortMap<u32>,
-    /// Credits toward each downstream VC, per output port. `Local` is the
-    /// ejection port and is initialized effectively infinite (the NI is a
-    /// guaranteed sink, required for protocol-level deadlock freedom).
-    out_credits: PortMap<Vec<u32>>,
-    /// Output VCs currently owned by an in-flight packet.
-    out_vc_busy: PortMap<Vec<bool>>,
-    va_rr: PortMap<usize>,
-    sa_in_rr: PortMap<usize>,
-    sa_out_rr: PortMap<usize>,
+    /// Kept in sync by `latch` and `pop_front`.
+    occ: [u32; 5],
+    /// Per input port, bit `v` set iff VC `v`'s front packet owns an output
+    /// VC (won VA, tail not yet granted SA); the route is in its
+    /// [`VcState`].
+    routed: [u32; 5],
+    /// Per input port, bit `v` set iff VC `v` was empty when a flit latched
+    /// into it during cycle `fresh_at`: that flit is its front and still in
+    /// its BW cycle. Read as all-clear once the clock has passed
+    /// `fresh_at`.
+    fresh: [u32; 5],
+    fresh_at: Cycle,
+    /// Per output port, bit `v` set iff downstream VC `v` is owned by an
+    /// in-flight packet.
+    out_vc_busy: [u32; 5],
+    va_rr: [u8; 5],
+    sa_in_rr: [u8; 5],
+    sa_out_rr: [u8; 5],
     /// Total flits across all input VCs, kept in sync by `latch` and
     /// `pop_front` so `datapath_empty` is O(1).
     buffered: u32,
     /// Activity counters for the power model.
     pub activity: RouterActivity,
 }
-
-/// Effectively-infinite ejection credit for the `Local` output port.
-const EJECT_CREDITS: u32 = 1 << 30;
 
 /// Calls `f(i)` for every set bit `i` of `mask`, ascending.
 #[inline]
@@ -133,6 +151,12 @@ fn for_each_bit(mut mask: u32, mut f: impl FnMut(usize)) {
         f(mask.trailing_zeros() as usize);
         mask &= mask - 1;
     }
+}
+
+/// Bit `v` of word `w`.
+#[inline]
+fn bit(w: u32, v: usize) -> bool {
+    (w >> v) & 1 == 1
 }
 
 impl Router {
@@ -153,25 +177,38 @@ impl Router {
             total <= NocConfig::MAX_VCS_PER_PORT,
             "{total} VCs per port exceed the occupancy-mask width"
         );
-        let inputs = PortMap::from_fn(|_| (0..total).map(|i| Vc::new(layout.depth(i))).collect());
-        let out_credits = PortMap::from_fn(|p| match p {
-            Port::Local => vec![EJECT_CREDITS; total],
-            Port::Link(_) if has_neighbor[p] => {
-                (0..total).map(|i| layout.depth(i) as u32).collect()
-            }
-            Port::Link(_) => vec![0; total],
-        });
+        let port_flits = layout.port_flits();
+        let vcs = (0..5 * total)
+            .map(|i| {
+                let (p, v) = (i / total, i % total);
+                VcState::new(p * port_flits + layout.offset(v), layout.depth(v))
+            })
+            .collect();
+        let credits = (0..4 * total)
+            .map(|i| {
+                let linked = has_neighbor[Port::Link(Direction::ALL[i / total])];
+                if linked {
+                    layout.depth(i % total) as u8
+                } else {
+                    0
+                }
+            })
+            .collect();
         Router {
             id,
             layout,
             stages,
-            inputs,
-            occ: PortMap::default(),
-            out_credits,
-            out_vc_busy: PortMap::from_fn(|_| vec![false; total]),
-            va_rr: PortMap::default(),
-            sa_in_rr: PortMap::default(),
-            sa_out_rr: PortMap::default(),
+            slab: vec![VACANT; 5 * port_flits].into_boxed_slice(),
+            vcs,
+            credits,
+            occ: [0; 5],
+            routed: [0; 5],
+            fresh: [0; 5],
+            fresh_at: 0,
+            out_vc_busy: [0; 5],
+            va_rr: [0; 5],
+            sa_in_rr: [0; 5],
+            sa_out_rr: [0; 5],
             buffered: 0,
             activity: RouterActivity::default(),
         }
@@ -182,54 +219,121 @@ impl Router {
         self.id
     }
 
-    /// Latches `flit` into input `port` (the BW stage) during `cycle`.
-    pub fn latch(&mut self, port: Port, mut flit: Flit, cycle: Cycle) {
-        flit.latched_at = cycle;
-        self.activity.buffer_writes += 1;
-        self.buffered += 1;
-        let vc = flit.vc;
-        self.occ[port] |= 1 << vc;
-        self.inputs[port][vc].push(flit);
+    /// The control word of input VC `(p, v)`, `p` a [`Port::index`].
+    #[inline]
+    fn vc(&self, p: usize, v: usize) -> &VcState {
+        &self.vcs[p * self.layout.total() + v]
     }
 
-    /// Pops the front flit of input `(port, vc)` on an SA grant — the one
+    /// The front flit of input VC `(p, v)`, if it holds any.
+    fn front(&self, p: usize, v: usize) -> Option<&Flit> {
+        let vc = self.vc(p, v);
+        (!vc.is_empty()).then(|| vc.front(&self.slab))
+    }
+
+    /// Per input port, the VCs whose front flit is in its BW cycle during
+    /// `cycle` (see [`Router::latch`]).
+    #[inline]
+    fn fresh_words(&self, cycle: Cycle) -> [u32; 5] {
+        if self.fresh_at == cycle {
+            self.fresh
+        } else {
+            [0; 5]
+        }
+    }
+
+    /// Latches `flit` into input `port` (the BW stage) during `cycle`.
+    ///
+    /// A VC's front flit is in its BW cycle exactly when the VC was empty
+    /// and the flit latched this cycle: a flit latched behind another
+    /// cannot reach the front before the next cycle's allocation, because
+    /// the wire into a port delivers at most one flit per cycle (the wheel
+    /// asserts it) and allocation follows delivery. So `latch` records that
+    /// case in the `fresh` word instead of stamping the flit.
+    pub fn latch(&mut self, port: Port, flit: Flit, cycle: Cycle) {
+        let (p, v) = (port.index(), flit.vc as usize);
+        if self.fresh_at != cycle {
+            self.fresh = [0; 5];
+            self.fresh_at = cycle;
+        }
+        let vc = &mut self.vcs[p * self.layout.total() + v];
+        if vc.is_empty() {
+            self.fresh[p] |= 1 << v;
+        }
+        vc.push(&mut self.slab, flit);
+        self.occ[p] |= 1 << v;
+        self.buffered += 1;
+        self.activity.buffer_writes += 1;
+    }
+
+    /// Pops the front flit of input VC `(p, v)` on an SA grant — the one
     /// place flits leave the buffers, so the buffered count and the
     /// occupancy mask stay in sync under either allocator.
-    fn pop_front(&mut self, port: Port, vc: usize) -> Flit {
-        let q = &mut self.inputs[port][vc];
-        let flit = q.pop().expect("winner has a front flit");
-        if q.is_empty() {
-            self.occ[port] &= !(1 << vc);
+    fn pop_front(&mut self, p: usize, v: usize) -> Flit {
+        let vc = &mut self.vcs[p * self.layout.total() + v];
+        let flit = vc.pop(&self.slab);
+        if vc.is_empty() {
+            self.occ[p] &= !(1 << v);
         }
         self.buffered -= 1;
         flit
     }
 
-    /// Returns a credit for downstream VC `vc` of output `port`.
-    pub fn credit(&mut self, port: Port, vc: usize) {
-        self.out_credits[port][vc] += 1;
+    /// Returns a credit for downstream VC `vc` of the link output toward
+    /// `dir`. There is no `Local` credit: ejection is not a credit loop.
+    pub fn credit(&mut self, dir: Direction, vc: usize) {
+        let c = &mut self.credits[dir.index() * self.layout.total() + vc];
+        *c += 1;
         debug_assert!(
-            port == Port::Local || self.out_credits[port][vc] <= self.layout.depth(vc) as u32,
-            "credit overflow on {port} vc{vc}"
+            *c as usize <= self.layout.depth(vc),
+            "credit overflow on {dir} vc{vc}"
         );
     }
 
+    /// `true` when output `port` may send one more flit on downstream VC
+    /// `vc` (always, for `Local`).
+    #[inline]
+    fn has_credit(&self, port: Port, vc: usize) -> bool {
+        match port {
+            Port::Local => true,
+            Port::Link(d) => self.credits[d.index() * self.layout.total() + vc] > 0,
+        }
+    }
+
+    /// Spends the credit [`Router::has_credit`] saw.
+    #[inline]
+    fn spend_credit(&mut self, port: Port, vc: usize) {
+        if let Port::Link(d) = port {
+            self.credits[d.index() * self.layout.total() + vc] -= 1;
+        }
+    }
+
+    /// Marks input VC `(p, v)`'s front packet as owning `out_vc` of
+    /// `out_port` from `cycle` on.
+    fn route(&mut self, p: usize, v: usize, out_port: Port, out_vc: usize, cycle: Cycle) {
+        self.out_vc_busy[out_port.index()] |= 1 << out_vc;
+        self.routed[p] |= 1 << v;
+        let vc = &mut self.vcs[p * self.layout.total() + v];
+        vc.out_port = out_port.index() as u8;
+        vc.out_vc = out_vc as u8;
+        vc.va_cycle = cycle;
+        self.activity.va_grants += 1;
+    }
+
     /// Debug builds cross-check the two derived summaries (`buffered`, the
-    /// occupancy mask) against the VC buffers they summarize.
+    /// occupancy mask) against the VC rings they summarize.
     fn debug_check_summaries(&self) {
+        let total = self.layout.total();
         debug_assert_eq!(
             self.buffered as usize,
-            self.inputs
-                .iter()
-                .map(|(_, vcs)| vcs.iter().map(Vc::len).sum::<usize>())
-                .sum::<usize>(),
+            self.vcs.iter().map(VcState::len).sum::<usize>(),
             "buffered-flit counter out of sync with the input VCs"
         );
         debug_assert!(
-            self.inputs.iter().all(|(p, vcs)| vcs
+            self.vcs
                 .iter()
                 .enumerate()
-                .all(|(v, vc)| (self.occ[p] >> v) & 1 == u32::from(!vc.is_empty()))),
+                .all(|(i, vc)| bit(self.occ[i / total], i % total) != vc.is_empty()),
             "occupancy mask out of sync with the input VCs"
         );
     }
@@ -252,48 +356,47 @@ impl Router {
 
     /// Appends this router's canonical snapshot encoding (see
     /// [`crate::snapshot`]): input VCs (sparse — an empty, unrouted VC is a
-    /// single zero byte), link-port credit *deficits* (depth minus current
-    /// credits, so a fully-credited idle router encodes as zeros), output-VC
-    /// ownership and the three round-robin pointers. `Local` ejection
-    /// credits are excluded: they start effectively infinite and only ever
-    /// decrease, which makes them a monotone counter in disguise. Activity
-    /// counters are statistics and excluded per the snapshot rules.
+    /// single zero byte; otherwise its flits front first and its route),
+    /// link-port credit *deficits* (depth minus current credits, so a
+    /// fully-credited idle router encodes as zeros), output-VC ownership
+    /// and the three round-robin pointers. The `Local` output has no
+    /// credits to encode. Activity counters are statistics, and `fresh` and
+    /// `va_cycle` only distinguish the current cycle, which between ticks
+    /// has passed; all are excluded per the snapshot rules.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         use crate::snapshot::{put_bool, put_u8};
-        for (_, vcs) in self.inputs.iter() {
-            for vc in vcs {
-                if vc.is_empty() && vc.route == VcRoute::Unrouted {
-                    put_u8(out, 0);
-                } else {
-                    put_u8(out, 1);
-                    vc.encode_state(out);
-                }
-            }
-        }
-        for (port, credits) in self.out_credits.iter() {
-            if port == Port::Local {
+        let total = self.layout.total();
+        for (i, vc) in self.vcs.iter().enumerate() {
+            let routed = bit(self.routed[i / total], i % total);
+            if vc.is_empty() && !routed {
+                put_u8(out, 0);
                 continue;
             }
-            for (idx, &c) in credits.iter().enumerate() {
-                let depth = self.layout.depth(idx) as u32;
-                put_u8(out, depth.saturating_sub(c) as u8);
+            put_u8(out, 1);
+            put_u8(out, vc.len() as u8);
+            for flit in vc.flits(&self.slab) {
+                flit.encode_state(out);
+            }
+            if routed {
+                put_u8(out, 1);
+                put_u8(out, vc.out_port);
+                put_u8(out, vc.out_vc);
+            } else {
+                put_u8(out, 0);
             }
         }
-        for (_, busy) in self.out_vc_busy.iter() {
-            for &b in busy {
-                put_bool(out, b);
+        for (i, &c) in self.credits.iter().enumerate() {
+            put_u8(out, (self.layout.depth(i % total) as u8).saturating_sub(c));
+        }
+        for busy in self.out_vc_busy {
+            for v in 0..total {
+                put_bool(out, bit(busy, v));
             }
         }
         // Every pointer fits a byte: `va_rr < 5 * MAX_VCS_PER_PORT = 160`.
-        for (_, &rr) in self.va_rr.iter() {
-            put_u8(out, rr as u8);
-        }
-        for (_, &rr) in self.sa_in_rr.iter() {
-            put_u8(out, rr as u8);
-        }
-        for (_, &rr) in self.sa_out_rr.iter() {
-            put_u8(out, rr as u8);
-        }
+        out.extend_from_slice(&self.va_rr);
+        out.extend_from_slice(&self.sa_in_rr);
+        out.extend_from_slice(&self.sa_out_rr);
     }
 
     /// Runs VC allocation then switch allocation for `cycle`.
@@ -309,9 +412,9 @@ impl Router {
     /// next router; the network layer does that, so `route_port` on
     /// departures still refers to *this* router's output.
     ///
-    /// Cost follows the buffered head-of-line flits (the set bits of the
-    /// occupancy mask), not ports x VCs; grants are those of the
-    /// rotating-priority full scan, which survives as the test oracle
+    /// Cost follows the buffered head-of-line flits (set bits of the
+    /// `occ`/`routed`/`fresh` words), not ports x VCs; grants are those of
+    /// the rotating-priority full scan, which survives as the test oracle
     /// [`Router::allocate_reference`].
     pub fn allocate(
         &mut self,
@@ -320,26 +423,26 @@ impl Router {
         blocked: &mut Vec<(NodeId, PgBlocked)>,
         departed: &mut Vec<(NodeId, Departure)>,
     ) {
-        self.vc_allocate(cycle);
-        self.switch_allocate(cycle, down_on, blocked, departed);
+        let fresh = self.fresh_words(cycle);
+        self.vc_allocate(cycle, &fresh);
+        self.switch_allocate(cycle, &fresh, down_on, blocked, departed);
     }
 
     /// VC allocation: head flits at the front of their VC request an output
     /// VC of their (vnet, class) at their look-ahead output port.
-    fn vc_allocate(&mut self, cycle: Cycle) {
-        // Gather requests as one VC mask per input port (eligible unrouted
-        // heads), plus the set of output ports anyone asks for.
-        let mut requests = [0u32; 5];
+    fn vc_allocate(&mut self, cycle: Cycle, fresh: &[u32; 5]) {
+        // Gather requests once, as per-output words: `req[o][p]` bit `v`
+        // set iff VC `(p, v)` holds an eligible unrouted head for output
+        // `o`.
+        let mut req = [[0u32; 5]; 5];
         let mut wanted = 0u8;
-        for (ip, in_port) in Port::ALL.into_iter().enumerate() {
-            let vcs = &self.inputs[in_port];
-            for_each_bit(self.occ[in_port], |iv| {
-                let vc = &vcs[iv];
-                let front = vc.front().expect("occupancy bit implies a front flit");
-                if vc.route == VcRoute::Unrouted && front.kind.is_head() && front.latched_at < cycle
-                {
-                    requests[ip] |= 1 << iv;
-                    wanted |= 1 << front.route_port.index();
+        for p in 0..5 {
+            for_each_bit(self.occ[p] & !self.routed[p] & !fresh[p], |v| {
+                let front = self.vc(p, v).front(&self.slab);
+                if front.kind.is_head() {
+                    let o = front.route_port.index();
+                    req[o][p] |= 1 << v;
+                    wanted |= 1 << o;
                 }
             });
         }
@@ -347,50 +450,41 @@ impl Router {
             return;
         }
         // Grant per output port, rotating priority across the global input
-        // VC index `g = in_port * total + in_vc` so no input starves. The
-        // masks list requests in ascending `g`, so walking them once for
-        // `g >= va_rr` and once more for `g < va_rr` visits exactly the
-        // requesters a scan of all `5 * total` slots from `va_rr` would
-        // meet, in the same order.
+        // VC index `g = p * total + v`: the walk starts at `va_rr`'s bit of
+        // its port, runs through the later ports, wraps round the earlier
+        // ones and ends with the bits of the start port below `va_rr` —
+        // the order of a full scan of all `5 * total` slots (DESIGN §15).
         let total = self.layout.total();
-        for out_port in Port::ALL {
-            if (wanted >> out_port.index()) & 1 == 0 {
+        for (o, out_port) in Port::ALL.into_iter().enumerate() {
+            if (wanted >> o) & 1 == 0 {
                 continue;
             }
-            let start = self.va_rr[out_port];
+            let start = self.va_rr[o] as usize;
+            let (sp, sv) = (start / total, start % total);
+            let at_or_above = !0u32 << sv;
             let mut granted_any = false;
-            for wrapped in [false, true] {
-                for (ip, in_port) in Port::ALL.into_iter().enumerate() {
-                    for_each_bit(requests[ip], |iv| {
-                        let g = ip * total + iv;
-                        if (g < start) != wrapped {
-                            return;
-                        }
-                        let front = self.inputs[in_port][iv]
-                            .front()
-                            .expect("request implies a front flit");
-                        if front.route_port != out_port {
-                            return;
-                        }
-                        // Find a free output VC of the right vnet/class.
-                        let mut cand = self.layout.candidates(front.vnet, front.class);
-                        let Some(out_vc) = cand.find(|&ov| !self.out_vc_busy[out_port][ov]) else {
-                            return;
-                        };
-                        self.out_vc_busy[out_port][out_vc] = true;
-                        self.inputs[in_port][iv].route = VcRoute::Routed {
-                            out_port,
-                            out_vc,
-                            va_cycle: cycle,
-                        };
-                        self.activity.va_grants += 1;
-                        if !granted_any {
-                            // Rotate past the first winner.
-                            self.va_rr[out_port] = if g + 1 == 5 * total { 0 } else { g + 1 };
-                            granted_any = true;
-                        }
-                    });
-                }
+            for k in 0..=5 {
+                let p = (sp + k) % 5;
+                let mask = match k {
+                    0 => at_or_above,
+                    5 => !at_or_above,
+                    _ => !0,
+                };
+                for_each_bit(req[o][p] & mask, |v| {
+                    let front = self.vc(p, v).front(&self.slab);
+                    let free =
+                        self.layout.candidate_mask(front.vnet, front.class) & !self.out_vc_busy[o];
+                    if free == 0 {
+                        return;
+                    }
+                    self.route(p, v, out_port, free.trailing_zeros() as usize, cycle);
+                    if !granted_any {
+                        // Rotate past the first winner.
+                        let g = p * total + v;
+                        self.va_rr[o] = if g + 1 == 5 * total { 0 } else { g as u8 + 1 };
+                        granted_any = true;
+                    }
+                });
             }
         }
     }
@@ -399,6 +493,7 @@ impl Router {
     fn switch_allocate(
         &mut self,
         cycle: Cycle,
+        fresh: &[u32; 5],
         mut down_on: impl FnMut(Port) -> bool,
         blocked: &mut Vec<(NodeId, PgBlocked)>,
         departed: &mut Vec<(NodeId, Departure)>,
@@ -407,47 +502,37 @@ impl Router {
         // This router's reports start here: the once-per-packet check
         // below looks no further back.
         let first_blocked = blocked.len();
-        // Phase 1: each occupied input port offers one front flit.
-        // candidate = eligible + routed + credit + downstream on.
-        // blocked = eligible + routed + credit, downstream off.
+        // Phase 1: each input port offers one front flit among its routed
+        // VCs past their BW cycle.
+        // candidate = credit + downstream on; blocked = credit, downstream
+        // off.
         let mut per_input: PortMap<Option<Cand>> = PortMap::default();
         let mut wanted = 0u8;
-        for in_port in Port::ALL {
-            let occ = self.occ[in_port];
-            if occ == 0 {
+        for (p, in_port) in Port::ALL.into_iter().enumerate() {
+            let eligible = self.occ[p] & self.routed[p] & !fresh[p];
+            if eligible == 0 {
                 continue;
             }
-            // Rotating priority from `sa_in_rr`: occupied VCs at or above
+            // Rotating priority from `sa_in_rr`: eligible VCs at or above
             // the pointer first, then the wrapped-around ones below it.
-            let below = (1u32 << self.sa_in_rr[in_port]) - 1;
+            let below = (1u32 << self.sa_in_rr[p]) - 1;
             let mut best: Option<Cand> = None;
-            for mask in [occ & !below, occ & below] {
-                for_each_bit(mask, |iv| {
-                    let vc = &self.inputs[in_port][iv];
-                    let front = vc.front().expect("occupancy bit implies a front flit");
-                    if front.latched_at >= cycle {
-                        return;
-                    }
-                    let VcRoute::Routed {
-                        out_port,
-                        out_vc,
-                        va_cycle,
-                    } = vc.route
-                    else {
-                        return;
-                    };
-                    let speculative = va_cycle == cycle;
+            for mask in [eligible & !below, eligible & below] {
+                for_each_bit(mask, |v| {
+                    let vc = self.vc(p, v);
+                    let (out_port, out_vc) = (Port::ALL[vc.out_port as usize], vc.out_vc);
+                    let speculative = vc.va_cycle == cycle;
                     if speculative && self.stages != 3 {
                         return; // 4-stage: SA starts the cycle after VA.
                     }
-                    if self.out_credits[out_port][out_vc] == 0 {
+                    if !self.has_credit(out_port, out_vc as usize) {
                         return; // no downstream buffer space
                     }
                     if !down_on(out_port) {
                         // Stalled purely by power-gating: report for the WU
                         // handshake and the Fig. 9/10 metrics (once per
                         // packet).
-                        let packet = front.packet;
+                        let packet = vc.front(&self.slab).packet;
                         if !blocked[first_blocked..]
                             .iter()
                             .any(|(_, b)| b.packet == packet)
@@ -466,7 +551,7 @@ impl Router {
                     if best.is_none_or(|b| b.speculative && !speculative) {
                         best = Some(Cand {
                             in_port,
-                            in_vc: iv,
+                            in_vc: v,
                             out_port,
                             speculative,
                         });
@@ -481,10 +566,11 @@ impl Router {
         // Phase 2: output arbitration, committed-over-speculative, then
         // round-robin over input ports.
         for out_port in Port::ALL {
-            if (wanted >> out_port.index()) & 1 == 0 {
+            let o = out_port.index();
+            if (wanted >> o) & 1 == 0 {
                 continue;
             }
-            let start = self.sa_out_rr[out_port];
+            let start = self.sa_out_rr[o] as usize;
             let mut winner: Option<(usize, Cand)> = None;
             for off in 0..5 {
                 let ip_idx = (start + off) % 5;
@@ -498,24 +584,22 @@ impl Router {
                     winner = Some((ip_idx, c));
                 }
             }
-            let (ip_idx, c) = winner.expect("a wanted output has a candidate");
-            self.sa_out_rr[out_port] = (ip_idx + 1) % 5;
+            let (p, c) = winner.expect("a wanted output has a candidate");
+            self.sa_out_rr[o] = ((p + 1) % 5) as u8;
             // Grant: pop the flit, consume a credit, update VC state. One
             // candidate per input port means no other output can pick the
             // same input (each input feeds one crossbar line).
-            let VcRoute::Routed { out_vc, .. } = self.inputs[c.in_port][c.in_vc].route else {
-                unreachable!("winner must be routed")
-            };
-            let mut flit = self.pop_front(c.in_port, c.in_vc);
+            let out_vc = self.vc(p, c.in_vc).out_vc;
+            let mut flit = self.pop_front(p, c.in_vc);
             if flit.kind.is_tail() {
-                self.inputs[c.in_port][c.in_vc].route = VcRoute::Unrouted;
-                self.out_vc_busy[out_port][out_vc] = false;
+                self.routed[p] &= !(1 << c.in_vc);
+                self.out_vc_busy[o] &= !(1 << out_vc);
             }
-            self.out_credits[out_port][out_vc] -= 1;
-            self.sa_in_rr[c.in_port] = if c.in_vc + 1 == self.layout.total() {
+            self.spend_credit(out_port, out_vc as usize);
+            self.sa_in_rr[p] = if c.in_vc + 1 == self.layout.total() {
                 0
             } else {
-                c.in_vc + 1
+                c.in_vc as u8 + 1
             };
             self.activity.buffer_reads += 1;
             self.activity.crossbar_traversals += 1;
@@ -526,7 +610,7 @@ impl Router {
                 Departure {
                     out_port,
                     in_port: c.in_port,
-                    in_vc: c.in_vc,
+                    in_vc: c.in_vc as u8,
                     flit,
                 },
             ));
@@ -535,11 +619,12 @@ impl Router {
 }
 
 /// The test oracle: the full-scan allocators the shipped
-/// [`Router::allocate`] replaced, kept verbatim (every `5 * total` VA slot
-/// and every SA VC is probed whether or not it holds a flit). Only
-/// `Network::tick_reference` and the lock-step differential test below call
-/// it; it shares nothing with the shipped path but `latch`/`pop_front`,
-/// which is how the occupancy mask stays valid under it.
+/// [`Router::allocate`] replaced (every `5 * total` VA slot and every SA VC
+/// is probed whether or not it holds a flit, and nothing reads a request
+/// word). Only `Network::tick_reference` and the lock-step differential
+/// test below call it. It shares the router's storage with the shipped
+/// path — the rings, `latch`/`pop_front` and the `fresh` word — which is
+/// why the lock-step test also runs the rings against a plain FIFO per VC.
 impl Router {
     /// [`Router::allocate`] by exhaustive rotating-priority scan.
     pub(crate) fn allocate_reference(
@@ -547,20 +632,24 @@ impl Router {
         cycle: Cycle,
         down_on: &PortMap<bool>,
     ) -> AllocOutcome {
-        self.vc_allocate_reference(cycle);
-        self.switch_allocate_reference(cycle, down_on)
+        let fresh = self.fresh_words(cycle);
+        self.vc_allocate_reference(cycle, &fresh);
+        self.switch_allocate_reference(cycle, &fresh, down_on)
     }
 
-    fn vc_allocate_reference(&mut self, cycle: Cycle) {
+    fn vc_allocate_reference(&mut self, cycle: Cycle, fresh: &[u32; 5]) {
+        let total = self.layout.total();
         // Gather requests: (in_port, in_vc, out_port) for eligible unrouted heads.
         let mut requests: Vec<(Port, usize, Port)> = Vec::new();
-        for (in_port, vcs) in self.inputs.iter() {
-            for (in_vc, vc) in vcs.iter().enumerate() {
-                if !matches!(vc.route, VcRoute::Unrouted) {
+        for (p, in_port) in Port::ALL.into_iter().enumerate() {
+            for in_vc in 0..total {
+                if bit(self.routed[p], in_vc) {
                     continue;
                 }
-                let Some(front) = vc.front() else { continue };
-                if !front.kind.is_head() || front.latched_at >= cycle {
+                let Some(front) = self.front(p, in_vc) else {
+                    continue;
+                };
+                if !front.kind.is_head() || bit(fresh[p], in_vc) {
                     continue;
                 }
                 requests.push((in_port, in_vc, front.route_port));
@@ -569,9 +658,9 @@ impl Router {
         // Grant per output port, rotating priority across the global input
         // VC index so no input starves.
         for out_port in Port::ALL {
-            let total = self.layout.total();
+            let o = out_port.index();
             let space = 5 * total;
-            let start = self.va_rr[out_port] % space;
+            let start = self.va_rr[o] as usize % space;
             let mut granted_any = false;
             for off in 0..space {
                 let g = (start + off) % space;
@@ -584,59 +673,53 @@ impl Router {
                     continue;
                 }
                 // Find a free output VC of the right vnet/class.
-                let front = self.inputs[in_port][iv]
-                    .front()
+                let front = *self
+                    .front(ip_idx, iv)
                     .expect("request implies a front flit");
-                let cand = self.layout.candidates(front.vnet, front.class);
-                let free = cand.clone().find(|&ov| !self.out_vc_busy[out_port][ov]);
+                let mut cand = self.layout.candidates(front.vnet, front.class);
+                let free = cand.find(|&ov| !bit(self.out_vc_busy[o], ov));
                 let Some(out_vc) = free else { continue };
-                self.out_vc_busy[out_port][out_vc] = true;
-                self.inputs[in_port][iv].route = VcRoute::Routed {
-                    out_port,
-                    out_vc,
-                    va_cycle: cycle,
-                };
-                self.activity.va_grants += 1;
+                self.route(ip_idx, iv, out_port, out_vc, cycle);
                 if !granted_any {
                     // Rotate past the first winner.
-                    self.va_rr[out_port] = (g + 1) % space;
+                    self.va_rr[o] = ((g + 1) % space) as u8;
                     granted_any = true;
                 }
             }
         }
     }
 
-    fn switch_allocate_reference(&mut self, cycle: Cycle, down_on: &PortMap<bool>) -> AllocOutcome {
+    fn switch_allocate_reference(
+        &mut self,
+        cycle: Cycle,
+        fresh: &[u32; 5],
+        down_on: &PortMap<bool>,
+    ) -> AllocOutcome {
         let mut outcome = AllocOutcome::default();
+        let total = self.layout.total();
         // Phase 0: classify each VC's front flit.
         // candidate = eligible + routed + credit + downstream on.
         // pg_blocked = eligible + routed + credit, downstream off.
         let mut per_input: PortMap<Option<Cand>> = PortMap::default();
         let mut seen_blocked: Vec<PacketId> = Vec::new();
-        for in_port in Port::ALL {
-            let total = self.layout.total();
-            let start = self.sa_in_rr[in_port] % total;
+        for (p, in_port) in Port::ALL.into_iter().enumerate() {
+            let start = self.sa_in_rr[p] as usize % total;
             let mut best: Option<Cand> = None;
             for off in 0..total {
                 let iv = (start + off) % total;
-                let vc = &self.inputs[in_port][iv];
-                let Some(front) = vc.front() else { continue };
-                if front.latched_at >= cycle {
-                    continue;
-                }
-                let VcRoute::Routed {
-                    out_port,
-                    out_vc,
-                    va_cycle,
-                } = vc.route
-                else {
+                let Some(front) = self.front(p, iv) else {
                     continue;
                 };
-                let speculative = va_cycle == cycle;
+                if bit(fresh[p], iv) || !bit(self.routed[p], iv) {
+                    continue;
+                }
+                let vc = self.vc(p, iv);
+                let (out_port, out_vc) = (Port::ALL[vc.out_port as usize], vc.out_vc as usize);
+                let speculative = vc.va_cycle == cycle;
                 if speculative && self.stages != 3 {
                     continue; // 4-stage: SA starts the cycle after VA.
                 }
-                if self.out_credits[out_port][out_vc] == 0 {
+                if !self.has_credit(out_port, out_vc) {
                     continue; // no downstream buffer space
                 }
                 if !down_on[out_port] {
@@ -669,7 +752,8 @@ impl Router {
         // Phase 2: output arbitration, committed-over-speculative, then
         // round-robin over input ports.
         for out_port in Port::ALL {
-            let start = self.sa_out_rr[out_port] % 5;
+            let o = out_port.index();
+            let start = self.sa_out_rr[o] as usize % 5;
             let mut winner: Option<(usize, Cand)> = None;
             for off in 0..5 {
                 let ip_idx = (start + off) % 5;
@@ -689,18 +773,16 @@ impl Router {
                 }
             }
             let Some((ip_idx, c)) = winner else { continue };
-            self.sa_out_rr[out_port] = (ip_idx + 1) % 5;
+            self.sa_out_rr[o] = ((ip_idx + 1) % 5) as u8;
             // Grant: pop the flit, consume a credit, update VC state.
-            let VcRoute::Routed { out_vc, .. } = self.inputs[c.in_port][c.in_vc].route else {
-                unreachable!("winner must be routed")
-            };
-            let mut flit = self.pop_front(c.in_port, c.in_vc);
+            let out_vc = self.vc(ip_idx, c.in_vc).out_vc;
+            let mut flit = self.pop_front(ip_idx, c.in_vc);
             if flit.kind.is_tail() {
-                self.inputs[c.in_port][c.in_vc].route = VcRoute::Unrouted;
-                self.out_vc_busy[c.out_port][out_vc] = false;
+                self.routed[ip_idx] &= !(1 << c.in_vc);
+                self.out_vc_busy[o] &= !(1 << out_vc);
             }
-            self.out_credits[c.out_port][out_vc] -= 1;
-            self.sa_in_rr[c.in_port] = (c.in_vc + 1) % self.layout.total();
+            self.spend_credit(c.out_port, out_vc as usize);
+            self.sa_in_rr[ip_idx] = ((c.in_vc + 1) % total) as u8;
             self.activity.buffer_reads += 1;
             self.activity.crossbar_traversals += 1;
             self.activity.sa_grants += 1;
@@ -708,7 +790,7 @@ impl Router {
             outcome.departures[c.out_port] = Some(Departure {
                 out_port: c.out_port,
                 in_port: c.in_port,
-                in_vc: c.in_vc,
+                in_vc: c.in_vc as u8,
                 flit,
             });
         }
@@ -720,7 +802,8 @@ impl Router {
 mod tests {
     use super::*;
     use crate::flit::{FlitKind, MsgClass};
-    use punchsim_types::{Direction, SimRng, VnetId};
+    use punchsim_types::{SimRng, VnetId};
+    use std::collections::VecDeque;
 
     fn mk_router() -> Router {
         let cfg = NocConfig::default();
@@ -742,7 +825,6 @@ mod tests {
             route_port: out,
             vc: 0,
             seq,
-            latched_at: 0,
         }
     }
 
@@ -868,11 +950,27 @@ mod tests {
         }
         assert_eq!(sent, 3);
         // Return one credit; one more flit flows.
-        r.credit(out, 0);
+        r.credit(Direction::East, 0);
         for c in 30..33 {
             sent += depart(&mut r, c, &all_on()).len();
         }
         assert_eq!(sent, 4);
+    }
+
+    /// Ejection is not a credit loop: nothing ever returns a `Local`
+    /// credit, and a VC keeps ejecting however many flits it has sent.
+    #[test]
+    fn ejection_spends_no_credit() {
+        let mut r = mk_router();
+        let mut sent = 0;
+        for c in 10..40 {
+            let mut f = flit(FlitKind::HeadTail, 0, Port::Local);
+            f.packet = PacketId(c);
+            r.latch(Port::Link(Direction::West), f, c);
+            sent += depart(&mut r, c, &all_on()).len();
+        }
+        assert_eq!(sent, 29, "every flit after the first ejects next cycle");
+        assert_eq!(r.credits, mk_router().credits);
     }
 
     #[test]
@@ -946,25 +1044,95 @@ mod tests {
 
     /// The occupancy mask, checked without relying on debug assertions.
     fn assert_mask_in_sync(r: &Router) {
-        for (port, vcs) in r.inputs.iter() {
-            for (v, vc) in vcs.iter().enumerate() {
-                assert_eq!(
-                    (r.occ[port] >> v) & 1 == 1,
-                    !vc.is_empty(),
-                    "occupancy bit of {port} vc{v}"
-                );
-            }
+        let total = r.layout.total();
+        for (i, vc) in r.vcs.iter().enumerate() {
+            assert_eq!(
+                bit(r.occ[i / total], i % total),
+                !vc.is_empty(),
+                "occupancy bit of port {} vc{}",
+                i / total,
+                i % total
+            );
         }
         assert_eq!(r.datapath_empty(), r.occupancy() == 0);
     }
 
-    fn layout(vnets: u8, data: u8, ctrl: u8) -> VcLayout {
+    fn layout(vnets: u8, data: u8, ctrl: u8, data_depth: u8, ctrl_depth: u8) -> VcLayout {
         VcLayout::new(&NocConfig {
             vnets,
             data_vcs_per_vnet: data,
             ctrl_vcs_per_vnet: ctrl,
+            data_vc_depth: data_depth,
+            ctrl_vc_depth: ctrl_depth,
             ..NocConfig::default()
         })
+    }
+
+    /// The ring oracle: one `VecDeque` per input VC, fed the same latches
+    /// and pops as the router, so a ring bug cannot hide behind the
+    /// storage the two allocators share.
+    struct Fifos {
+        total: usize,
+        queues: Vec<VecDeque<Flit>>,
+    }
+
+    impl Fifos {
+        fn new(total: usize) -> Self {
+            Fifos {
+                total,
+                queues: vec![VecDeque::new(); 5 * total],
+            }
+        }
+
+        fn latch(&mut self, port: Port, flit: Flit) {
+            self.queues[port.index() * self.total + flit.vc as usize].push_back(flit);
+        }
+
+        /// Pops what `d` took out of its input VC: the same flit, bar the
+        /// downstream VC it now carries.
+        fn depart(&mut self, d: &Departure) {
+            let q = &mut self.queues[d.in_port.index() * self.total + d.in_vc as usize];
+            let want = q.pop_front().expect("departure from an empty FIFO");
+            assert_eq!(
+                Flit {
+                    vc: want.vc,
+                    ..d.flit
+                },
+                want
+            );
+        }
+
+        /// Equal lengths and fronts for every VC, and the input-VC part of
+        /// `r`'s encoding byte for byte (routes read from `r`: the FIFOs
+        /// model storage, not allocation).
+        fn check(&self, r: &Router, cycle: Cycle) {
+            use crate::snapshot::put_u8;
+            let mut want = Vec::new();
+            for (i, q) in self.queues.iter().enumerate() {
+                let (p, v) = (i / self.total, i % self.total);
+                assert_eq!(r.vc(p, v).len(), q.len(), "cycle {cycle} port {p} vc{v}");
+                assert_eq!(r.front(p, v), q.front(), "cycle {cycle} port {p} vc{v}");
+                let routed = bit(r.routed[p], v);
+                if q.is_empty() && !routed {
+                    put_u8(&mut want, 0);
+                    continue;
+                }
+                put_u8(&mut want, 1);
+                put_u8(&mut want, q.len() as u8);
+                for f in q {
+                    f.encode_state(&mut want);
+                }
+                if routed {
+                    let vc = r.vc(p, v);
+                    want.extend_from_slice(&[1, vc.out_port, vc.out_vc]);
+                } else {
+                    put_u8(&mut want, 0);
+                }
+            }
+            let mut got = Vec::new();
+            r.encode_state(&mut got);
+            assert_eq!(got[..want.len()], want[..], "cycle {cycle}");
+        }
     }
 
     /// The packet an upstream is streaming into one input VC.
@@ -980,15 +1148,18 @@ mod tests {
     /// stimulus — latches that honour the buffer depth (as upstream credits
     /// would), credit returns and per-port downstream power — one through
     /// the shipped allocators, one through the full-scan oracle, and
-    /// demands equal outcomes and equal state every cycle.
+    /// demands equal outcomes and equal state every cycle; the shipped
+    /// router's rings also track one `VecDeque` per VC.
     fn lockstep(layout: VcLayout, stages: u8, seed: u64) {
         let total = layout.total();
         let mut new = Router::new(NodeId(0), layout, stages, PortMap::from_fn(|_| true));
         let mut old = new.clone();
+        let mut fifos = Fifos::new(total);
         let mut rng = SimRng::seed_from_u64(seed);
         let mut streams: PortMap<Vec<Option<Stream>>> = PortMap::from_fn(|_| vec![None; total]);
-        // Credits this router consumed and the downstream has yet to return.
-        let mut owed: PortMap<Vec<u32>> = PortMap::from_fn(|_| vec![0; total]);
+        // Link credits this router consumed and the downstream has yet to
+        // return.
+        let mut owed = vec![vec![0u32; total]; 4];
         let mut next_packet = 0u64;
         let (mut departed, mut blocked) = (0u64, 0u64);
         for cycle in 1..=2_000u64 {
@@ -997,8 +1168,7 @@ mod tests {
                     continue;
                 }
                 let vc = rng.random_range(0..total);
-                let q = &new.inputs[in_port][vc];
-                if q.len() == q.depth() {
+                if new.vc(in_port.index(), vc).len() == layout.depth(vc) {
                     continue; // no credit upstream
                 }
                 let st = streams[in_port][vc].get_or_insert_with(|| {
@@ -1023,9 +1193,8 @@ mod tests {
                     class: layout.class(vc),
                     dst: NodeId(9),
                     route_port: st.out,
-                    vc,
+                    vc: vc as u8,
                     seq: st.next_seq,
-                    latched_at: 0,
                 };
                 st.next_seq += 1;
                 if kind.is_tail() {
@@ -1033,13 +1202,14 @@ mod tests {
                 }
                 new.latch(in_port, f, cycle);
                 old.latch(in_port, f, cycle);
+                fifos.latch(in_port, f);
             }
-            for out_port in Port::ALL {
-                for vc in 0..total {
-                    if owed[out_port][vc] > 0 && rng.random_bool_ppm(300_000) {
-                        owed[out_port][vc] -= 1;
-                        new.credit(out_port, vc);
-                        old.credit(out_port, vc);
+            for (dir, owed) in Direction::ALL.into_iter().zip(&mut owed) {
+                for (vc, n) in owed.iter_mut().enumerate() {
+                    if *n > 0 && rng.random_bool_ppm(300_000) {
+                        *n -= 1;
+                        new.credit(dir, vc);
+                        old.credit(dir, vc);
                     }
                 }
             }
@@ -1058,9 +1228,13 @@ mod tests {
             for (_, d) in got.departures.iter() {
                 if let Some(d) = d {
                     departed += 1;
-                    owed[d.out_port][d.flit.vc] += 1;
+                    fifos.depart(d);
+                    if let Port::Link(dir) = d.out_port {
+                        owed[dir.index()][d.flit.vc as usize] += 1;
+                    }
                 }
             }
+            fifos.check(&new, cycle);
         }
         // The stimulus must actually exercise grants and PG stalls.
         assert!(departed > 500, "only {departed} departures");
@@ -1070,10 +1244,12 @@ mod tests {
     #[test]
     fn request_driven_allocators_match_the_full_scan_in_lockstep() {
         let layouts = [
-            layout(3, 2, 1), // Table 2 default
-            layout(1, 1, 0), // a single VC per port
-            layout(4, 3, 2),
-            layout(4, 5, 3), // the 32-VC mask width
+            layout(3, 2, 1, 3, 1), // Table 2 default
+            layout(1, 1, 0, 1, 1), // a single one-flit VC per port
+            layout(4, 3, 2, 2, 4),
+            layout(4, 5, 3, 5, 2), // the 32-VC mask width
+            layout(2, 2, 2, 16, 4),
+            layout(3, 2, 1, 1, 2),
         ];
         assert_eq!(layouts[3].total(), NocConfig::MAX_VCS_PER_PORT);
         for (i, l) in layouts.into_iter().enumerate() {
@@ -1093,15 +1269,15 @@ mod tests {
         let mut f = flit(FlitKind::HeadTail, 0, out);
         f.vnet = VnetId(2);
         f.class = MsgClass::Control;
-        f.vc = total - 1;
-        r.va_rr[out] = 5 * total - 1;
-        r.sa_in_rr[west] = total - 1;
-        r.sa_out_rr[out] = 4;
+        f.vc = total as u8 - 1;
+        r.va_rr[out.index()] = 5 * total as u8 - 1;
+        r.sa_in_rr[west.index()] = total as u8 - 1;
+        r.sa_out_rr[out.index()] = 4;
         r.latch(west, f, 10);
         assert_eq!(depart(&mut r, 11, &all_on()).len(), 1);
-        assert_eq!(r.va_rr[out], 0);
-        assert_eq!(r.sa_in_rr[west], 0);
-        assert_eq!(r.sa_out_rr[out], 0);
+        assert_eq!(r.va_rr[out.index()], 0);
+        assert_eq!(r.sa_in_rr[west.index()], 0);
+        assert_eq!(r.sa_out_rr[out.index()], 0);
     }
 
     #[test]

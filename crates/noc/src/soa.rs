@@ -9,10 +9,12 @@
 //! [`crate::link`], whose plane for the current cycle carries one bit per
 //! router with something due. Busy sweeps iterate set bits
 //! (`trailing_zeros` per active router, one word test per 64 idle routers)
-//! instead of chasing structs or polling wires. The `Router`/`Vc`/`Ni`
-//! structs remain the flit storage (and what `encode_state` and the test
-//! oracle in `reference.rs` read); the bit words are the primary busy index
-//! over them, maintained by every tick commit from construction on.
+//! instead of chasing structs or polling wires. Each `Router` stores its
+//! buffered flits as plain data — one slab of VC rings, per-port VC words
+//! (see [`crate::router`]) — and the `Ni`s their injection queues (what
+//! `encode_state` and the test oracle in `reference.rs` read); the bit
+//! words here are the primary busy index over routers and NIs, maintained
+//! by every tick commit from construction on.
 //!
 //! On top of the flat layout sits deterministic sharding: the mesh is cut
 //! into contiguous row bands, each shard runs the *compute* half of a tick
@@ -82,6 +84,11 @@ impl BitWords {
     /// Clears every bit, keeping capacity.
     pub fn clear_all(&mut self) {
         self.words.fill(0);
+    }
+
+    /// Clears every bit of the backing words `words`.
+    pub(crate) fn clear_words(&mut self, words: std::ops::Range<usize>) {
+        self.words[words].fill(0);
     }
 
     /// `true` when no bit is set.
@@ -368,11 +375,12 @@ pub(crate) fn split_shards<'a>(
 }
 
 /// Applies the credits due on one router's [`CREDIT_LANES`] wires: to the
-/// router's output ports, and to its NI for the local input.
+/// router's link outputs, and to its NI for the local input. The `Local`
+/// output's lane is never written: ejection is not a credit loop.
 pub(crate) fn deliver_credits(lanes: &mut [Option<u8>], router: &mut Router, ni: &mut Ni) {
-    for port in Port::ALL {
-        if let Some(vc) = lanes[port.index()].take() {
-            router.credit(port, vc as usize);
+    for dir in Direction::ALL {
+        if let Some(vc) = lanes[Port::Link(dir).index()].take() {
+            router.credit(dir, vc as usize);
         }
     }
     if let Some(vc) = lanes[NI_CREDIT_LANE].take() {

@@ -1,10 +1,10 @@
-//! Virtual channels and input-port buffering.
+//! Virtual channels: the layout of an input port's VCs, and one VC as
+//! plain data — a ring in its router's flit slab plus a compact control
+//! word.
 
-use std::collections::VecDeque;
+use punchsim_types::{Cycle, NocConfig, NodeId, PacketId, Port, VnetId};
 
-use punchsim_types::{NocConfig, Port, VnetId};
-
-use crate::flit::{Flit, MsgClass};
+use crate::flit::{Flit, FlitKind, MsgClass};
 
 /// Layout of the VCs of one input port: for each virtual network, first the
 /// data VCs, then the control VCs (§2.1: two 3-flit data VCs and one 1-flit
@@ -52,6 +52,29 @@ impl VcLayout {
         }
     }
 
+    /// Buffer slots of one whole port (the sum of its VCs' depths).
+    pub fn port_flits(self) -> usize {
+        self.vnets as usize * self.vnet_flits()
+    }
+
+    fn vnet_flits(self) -> usize {
+        let data = self.data_per_vnet as usize * self.data_depth as usize;
+        data + self.ctrl_per_vnet as usize * self.ctrl_depth as usize
+    }
+
+    /// Where VC `idx`'s ring starts within its port's share of a router's
+    /// flit slab: the depths of the VCs before it, back to back.
+    pub fn offset(self, idx: usize) -> usize {
+        let (vnet, within) = (idx / self.per_vnet(), idx % self.per_vnet());
+        let data = self.data_per_vnet as usize;
+        let before = if within < data {
+            within * self.data_depth as usize
+        } else {
+            data * self.data_depth as usize + (within - data) * self.ctrl_depth as usize
+        };
+        vnet * self.vnet_flits() + before
+    }
+
     /// The vnet VC `idx` belongs to.
     pub fn vnet(self, idx: usize) -> VnetId {
         VnetId((idx / self.per_vnet()) as u8)
@@ -75,109 +98,117 @@ impl VcLayout {
             MsgClass::Control => base + self.data_per_vnet as usize..base + self.per_vnet(),
         }
     }
-}
 
-/// State of the packet currently at the front of a VC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VcRoute {
-    /// No packet, or the head flit has not been granted an output VC yet.
-    Unrouted,
-    /// The head won VC allocation in the given cycle for `(out_port, out_vc)`;
-    /// in 4-stage mode switch allocation may only start the following cycle.
-    Routed {
-        /// Output port the packet is traversing toward.
-        out_port: Port,
-        /// Downstream VC index granted by VA.
-        out_vc: usize,
-        /// Cycle VA was won (for the VA->SA pipeline bubble in 4-stage mode).
-        va_cycle: u64,
-    },
-}
-
-/// One virtual-channel FIFO of an input port.
-#[derive(Debug, Clone)]
-pub struct Vc {
-    flits: VecDeque<Flit>,
-    depth: usize,
-    /// Allocation state of the packet at the front of the queue.
-    pub route: VcRoute,
-}
-
-impl Vc {
-    /// Creates an empty VC with the given buffer depth.
-    pub fn new(depth: usize) -> Self {
-        Vc {
-            flits: VecDeque::with_capacity(depth),
-            depth,
-            route: VcRoute::Unrouted,
-        }
-    }
-
-    /// Buffer depth in flits.
+    /// [`VcLayout::candidates`] as a VC mask (bit `v` set iff VC `v`
+    /// serves `(vnet, class)`).
     #[inline]
-    pub fn depth(&self) -> usize {
-        self.depth
+    pub fn candidate_mask(self, vnet: VnetId, class: MsgClass) -> u32 {
+        let r = self.candidates(vnet, class);
+        ((1u64 << r.end) - (1u64 << r.start)) as u32
+    }
+}
+
+/// What an unwritten ring slot holds; never read as a flit.
+pub(crate) const VACANT: Flit = Flit {
+    packet: PacketId(0),
+    kind: FlitKind::Body,
+    vnet: VnetId(0),
+    class: MsgClass::Data,
+    dst: NodeId(0),
+    route_port: Port::Local,
+    vc: 0,
+    seq: 0,
+};
+
+/// One input VC's control word: where its ring sits in the router's flit
+/// slab, the ring's head and length, and the output its front packet won
+/// in VC allocation — meaningful while the router's `routed` bit for the
+/// VC is set.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VcState {
+    base: u16,
+    head: u8,
+    len: u8,
+    depth: u8,
+    /// [`Port::index`] of the output the front packet won.
+    pub out_port: u8,
+    /// The downstream VC it won there.
+    pub out_vc: u8,
+    /// Cycle VA was won (for the VA->SA bubble in 4-stage mode). Not part
+    /// of the snapshot: between ticks it is always below the current cycle.
+    pub va_cycle: Cycle,
+}
+
+impl VcState {
+    /// An empty VC of `depth` flits whose ring starts at slab index `base`.
+    pub fn new(base: usize, depth: usize) -> Self {
+        VcState {
+            base: u16::try_from(base).expect("a router's slab fits u16 offsets"),
+            head: 0,
+            len: 0,
+            depth: depth as u8,
+            out_port: 0,
+            out_vc: 0,
+            va_cycle: 0,
+        }
     }
 
     /// Number of buffered flits.
     #[inline]
     pub fn len(&self) -> usize {
-        self.flits.len()
+        self.len as usize
     }
 
     /// `true` when no flits are buffered.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.flits.is_empty()
+        self.len == 0
     }
 
-    /// Latches a flit into the buffer (the BW stage).
+    /// Appends `flit` to the ring in `slab` (the BW stage).
     ///
     /// # Panics
     ///
-    /// Panics if the buffer is full — upstream credit accounting must make
+    /// Panics if the ring is full — upstream credit accounting must make
     /// this impossible.
-    pub fn push(&mut self, flit: Flit) {
+    #[inline]
+    pub fn push(&mut self, slab: &mut [Flit], flit: Flit) {
         assert!(
-            self.flits.len() < self.depth,
+            self.len < self.depth,
             "VC overflow: credit accounting violated"
         );
-        self.flits.push_back(flit);
+        let mut at = self.head as usize + self.len as usize;
+        if at >= self.depth as usize {
+            at -= self.depth as usize;
+        }
+        slab[self.base as usize + at] = flit;
+        self.len += 1;
     }
 
-    /// The flit at the front of the queue, if any.
+    /// The flit at the front of a non-empty ring.
     #[inline]
-    pub fn front(&self) -> Option<&Flit> {
-        self.flits.front()
+    pub fn front<'a>(&self, slab: &'a [Flit]) -> &'a Flit {
+        debug_assert!(self.len > 0, "front of an empty VC");
+        &slab[self.base as usize + self.head as usize]
     }
 
-    /// Removes and returns the front flit (on a switch-allocation grant).
-    pub fn pop(&mut self) -> Option<Flit> {
-        self.flits.pop_front()
+    /// Removes and returns the front flit of a non-empty ring (on a
+    /// switch-allocation grant).
+    #[inline]
+    pub fn pop(&mut self, slab: &[Flit]) -> Flit {
+        let flit = *self.front(slab);
+        self.head += 1;
+        if self.head == self.depth {
+            self.head = 0;
+        }
+        self.len -= 1;
+        flit
     }
 
-    /// Appends this VC's canonical snapshot encoding (see
-    /// [`crate::snapshot`]): the buffered flits and the allocation state of
-    /// the front packet. `va_cycle` is excluded — it only distinguishes
-    /// same-cycle speculative grants, and between ticks it is always
-    /// strictly below the current cycle, so it carries no information in
-    /// the rebased encoding.
-    pub fn encode_state(&self, out: &mut Vec<u8>) {
-        use crate::snapshot::put_u8;
-        put_u8(out, self.flits.len() as u8);
-        for flit in &self.flits {
-            flit.encode_state(out);
-        }
-        match self.route {
-            VcRoute::Unrouted => put_u8(out, 0),
-            VcRoute::Routed {
-                out_port, out_vc, ..
-            } => {
-                put_u8(out, 1);
-                put_u8(out, out_port.index() as u8);
-                put_u8(out, out_vc as u8);
-            }
-        }
+    /// The buffered flits, front first.
+    pub fn flits<'a>(&self, slab: &'a [Flit]) -> impl Iterator<Item = &'a Flit> {
+        let (base, head, depth) = (self.base as usize, self.head as usize, self.depth as usize);
+        (0..self.len as usize).map(move |i| &slab[base + (head + i) % depth])
     }
 }
 
@@ -203,6 +234,10 @@ mod tests {
         assert_eq!(l.depth(2), 1);
         assert_eq!(l.vnet(5), VnetId(1));
         assert_eq!(l.vnet(8), VnetId(2));
+        // Rings back to back: 3 + 3 + 1 flits per vnet.
+        assert_eq!(l.port_flits(), 21);
+        let offsets: Vec<usize> = (0..9).map(|i| l.offset(i)).collect();
+        assert_eq!(offsets, vec![0, 3, 6, 7, 10, 13, 14, 17, 20]);
     }
 
     #[test]
@@ -212,54 +247,69 @@ mod tests {
         assert_eq!(l.candidates(VnetId(0), MsgClass::Control), 2..3);
         assert_eq!(l.candidates(VnetId(2), MsgClass::Data), 6..8);
         assert_eq!(l.candidates(VnetId(2), MsgClass::Control), 8..9);
+        assert_eq!(l.candidate_mask(VnetId(2), MsgClass::Data), 0b0_1100_0000);
+        // The last VC of the widest layout sits on the mask's top bit.
+        let wide = VcLayout::new(&NocConfig {
+            vnets: 4,
+            data_vcs_per_vnet: 5,
+            ctrl_vcs_per_vnet: 3,
+            ..NocConfig::default()
+        });
+        assert_eq!(
+            wide.candidate_mask(VnetId(3), MsgClass::Control),
+            0xE000_0000
+        );
+    }
+
+    fn flit(seq: u16) -> Flit {
+        Flit {
+            packet: PacketId(1),
+            kind: if seq == 0 {
+                FlitKind::Head
+            } else {
+                FlitKind::Body
+            },
+            dst: NodeId(5),
+            seq,
+            ..VACANT
+        }
     }
 
     #[test]
     fn vc_fifo_order() {
-        use crate::flit::{FlitKind, MsgClass};
-        use punchsim_types::{NodeId, PacketId, Port};
-        let mut vc = Vc::new(3);
+        // A 3-deep ring in the middle of a slab, pushed and popped across
+        // its wrap point; its neighbours' slots are never written.
+        let mut slab = vec![VACANT; 7];
+        let mut vc = VcState::new(2, 3);
         for seq in 0..3 {
-            vc.push(Flit {
-                packet: PacketId(1),
-                kind: if seq == 0 {
-                    FlitKind::Head
-                } else {
-                    FlitKind::Body
-                },
-                vnet: VnetId(0),
-                class: MsgClass::Data,
-                dst: NodeId(5),
-                route_port: Port::Local,
-                vc: 0,
-                seq,
-                latched_at: 0,
-            });
+            vc.push(&mut slab, flit(seq));
         }
         assert_eq!(vc.len(), 3);
-        assert_eq!(vc.pop().unwrap().seq, 0);
-        assert_eq!(vc.pop().unwrap().seq, 1);
-        assert_eq!(vc.front().unwrap().seq, 2);
+        assert_eq!(vc.pop(&slab).seq, 0);
+        assert_eq!(vc.pop(&slab).seq, 1);
+        assert_eq!(vc.front(&slab).seq, 2);
+        vc.push(&mut slab, flit(3));
+        vc.push(&mut slab, flit(4));
+        let order: Vec<u16> = vc.flits(&slab).map(|f| f.seq).collect();
+        assert_eq!(order, vec![2, 3, 4]);
+        assert_eq!((vc.pop(&slab).seq, vc.pop(&slab).seq), (2, 3));
+        assert_eq!(vc.front(&slab).seq, 4);
+        for i in [0, 1, 5, 6] {
+            assert_eq!(slab[i], VACANT, "slot {i}");
+        }
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "VC overflow")]
     fn vc_overflow_panics() {
-        use crate::flit::{FlitKind, MsgClass};
-        use punchsim_types::{NodeId, PacketId, Port};
-        let mut vc = Vc::new(1);
+        let mut slab = vec![VACANT; 1];
+        let mut vc = VcState::new(0, 1);
         let f = Flit {
-            packet: PacketId(1),
             kind: FlitKind::HeadTail,
-            vnet: VnetId(0),
             class: MsgClass::Control,
-            dst: NodeId(0),
-            route_port: Port::Local,
-            vc: 0,
-            seq: 0,
-            latched_at: 0,
+            ..VACANT
         };
-        vc.push(f);
-        vc.push(f);
+        vc.push(&mut slab, f);
+        vc.push(&mut slab, f);
     }
 }

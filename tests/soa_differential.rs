@@ -68,6 +68,9 @@ struct Case {
     /// Link traversal cycles (1 is the Table 2 default every other suite
     /// runs; more planes of the delivery wheels are live at 3).
     link: u8,
+    /// The VC layout ([`table2`] everywhere but the two rows that move
+    /// every VC ring's offset and wrap point).
+    vcs: fn(&mut NocConfig),
     scheme: SchemeKind,
     inj: InjectionConfig,
     warmup: u64,
@@ -75,12 +78,31 @@ struct Case {
     chunk: u64,
 }
 
+/// Table 2's VC layout: three vnets of two 3-flit data VCs and one 1-flit
+/// control VC.
+fn table2(_: &mut NocConfig) {}
+
+/// 5-flit data and 2-flit control VCs.
+fn deep(noc: &mut NocConfig) {
+    noc.data_vc_depth = 5;
+    noc.ctrl_vc_depth = 2;
+}
+
+/// The widest legal layout: 4 vnets x 8 VCs, the 32-bit mask width.
+fn widest(noc: &mut NocConfig) {
+    noc.vnets = 4;
+    noc.data_vcs_per_vnet = 5;
+    noc.ctrl_vcs_per_vnet = 3;
+    assert_eq!(noc.vcs_per_port(), NocConfig::MAX_VCS_PER_PORT);
+}
+
 /// Mixed load on the small substrates (moderate rate with bursts, so the
 /// network oscillates between busy sweeps and quiescent gaps), plus the
-/// same mixed load over 3-cycle links, plus the two regimes the retired CI
-/// ratio gates ran at shortened windows: the busy suite's sparse-busy
-/// 16x16/32x32 meshes (rate 5e-4, never quiescent) and the fastpath
-/// suite's idle-dominated 8x8 (rate 5e-5, mostly skipped).
+/// same mixed load over 3-cycle links and under two other VC layouts, plus
+/// the two regimes the retired CI ratio gates ran at shortened windows: the
+/// busy suite's sparse-busy 16x16/32x32 meshes (rate 5e-4, never
+/// quiescent) and the fastpath suite's idle-dominated 8x8 (rate 5e-5,
+/// mostly skipped).
 fn cases() -> Vec<Case> {
     let mut mixed = InjectionConfig::at_rate(0.02);
     mixed.burstiness = 0.5;
@@ -102,6 +124,7 @@ fn cases() -> Vec<Case> {
             name,
             topo,
             link: 1,
+            vcs: table2,
             scheme,
             inj: mixed.clone(),
             warmup: 200,
@@ -114,6 +137,7 @@ fn cases() -> Vec<Case> {
             name: "mesh8x8-link3",
             topo: Mesh::new(8, 8).into(),
             link: 3,
+            vcs: table2,
             scheme,
             inj: mixed.clone(),
             warmup: 200,
@@ -124,6 +148,7 @@ fn cases() -> Vec<Case> {
             name: "busy16x16",
             topo: Mesh::new(16, 16).into(),
             link: 1,
+            vcs: table2,
             scheme,
             inj: InjectionConfig::at_rate(0.0005),
             warmup: 300,
@@ -134,6 +159,7 @@ fn cases() -> Vec<Case> {
             name: "busy32x32",
             topo: Mesh::new(32, 32).into(),
             link: 1,
+            vcs: table2,
             scheme,
             inj: InjectionConfig::at_rate(0.0005),
             warmup: 200,
@@ -144,11 +170,32 @@ fn cases() -> Vec<Case> {
             name: "idle8x8",
             topo: Mesh::new(8, 8).into(),
             link: 1,
+            vcs: table2,
             scheme,
             inj: InjectionConfig::at_rate(0.00005),
             warmup: 5_000,
             measure: 40_000,
             chunk: 10_000,
+        });
+    }
+    for (name, vcs, scheme) in [
+        (
+            "mesh8x8-depth5/2",
+            deep as fn(&mut NocConfig),
+            SchemeKind::ConvOptPg,
+        ),
+        ("mesh8x8-32vcs", widest, SchemeKind::PowerPunchFull),
+    ] {
+        cases.push(Case {
+            name,
+            topo: Mesh::new(8, 8).into(),
+            link: 1,
+            vcs,
+            scheme,
+            inj: mixed.clone(),
+            warmup: 200,
+            measure: 800,
+            chunk: 100,
         });
     }
     cases
@@ -162,6 +209,7 @@ fn soa_kernel_is_observably_identical_to_struct_reference() {
         let mut cfg = SimConfig::with_scheme(case.scheme);
         cfg.noc.topology = case.topo;
         cfg.noc.link_latency = case.link;
+        (case.vcs)(&mut cfg.noc);
         cfg.seed = 0x50A0 + i as u64;
         let pattern = TrafficPattern::UniformRandom;
         let mut reference = build(&cfg, pattern, &case.inj, None);

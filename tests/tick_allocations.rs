@@ -54,11 +54,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Runs `f`; returns its result and the heap requests made inside it.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.set(Some(0));
+    let r = f();
+    (r, ALLOCS.replace(None).expect("armed above"))
+}
+
 /// One tick; returns the heap requests made inside it.
 fn counted_tick(net: &mut Network) -> u64 {
-    ALLOCS.set(Some(0));
-    let r = net.tick();
-    let n = ALLOCS.replace(None).expect("armed above");
+    let (r, n) = counted(|| net.tick());
     r.expect("tick");
     n
 }
@@ -127,4 +132,27 @@ fn a_second_trip_over_a_warm_route_allocates_nothing() {
             _ => assert!(blocked_ticks >= 1, "{blocked_ticks}"),
         }
     }
+}
+
+/// Router state is plain data: a router is three heap blocks (flit slab,
+/// VC control words, link credits) and its NI three more, whatever the VC
+/// count — not one `VecDeque` per VC. Building a 16x16 `nopg` network and
+/// forking it (what the exhaustive checker does per expansion) each stay
+/// within 8 heap requests per router; one deque per VC made 63 and 18.
+#[test]
+fn network_new_and_try_clone_make_few_heap_requests_per_router() {
+    let mut cfg = SimConfig::with_scheme(SchemeKind::NoPg);
+    cfg.noc.topology = Mesh::new(16, 16).into();
+    let pm = build_power_manager(&cfg).unwrap();
+    let (net, built) = counted(|| Network::new(&cfg.noc, pm).unwrap());
+    let (fork, forked) = counted(|| net.try_clone().expect("nopg forks"));
+    let routers = cfg.noc.topology.nodes() as f64;
+    for (what, requests) in [("Network::new", built), ("try_clone", forked)] {
+        let per_router = requests as f64 / routers;
+        assert!(
+            per_router <= 8.0,
+            "{what}: {per_router:.1} heap requests per router"
+        );
+    }
+    drop(fork);
 }
