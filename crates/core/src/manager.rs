@@ -668,7 +668,7 @@ mod tests {
     }
 
     /// The fabric's worklist plane is derived state: a fork taken mid-flight
-    /// (what `verify::Checker` does through `Network::try_clone`) must
+    /// (what `verify::explore` does through `Network::try_clone`) must
     /// carry it, and a counter reset must not strand punches on the wires.
     #[test]
     fn mid_flight_clone_and_counter_reset_keep_punches_moving() {

@@ -12,10 +12,13 @@
 //! counterexample is a shortest one under the fixed choice enumeration
 //! order.
 //!
-//! Expanded states are *materialized by path replay* from a single forked
-//! root rather than stored as live clones — the frontier holds only byte
-//! keys and parent pointers, keeping memory proportional to the number of
-//! distinct states, not their size.
+//! The frontier is live: each queued state carries the network that first
+//! reached it, every enabled choice steps a fork of that network, and the
+//! network is dropped once its state has been expanded. Nothing is replayed
+//! to be expanded. A path is replayed only to export a counterexample or
+//! witness, once per violated property, and there it must re-reach the key
+//! recorded for its state or the run fails with
+//! [`VerifyError::ReplayDiverged`].
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -23,6 +26,10 @@ use std::fmt;
 use punchsim_noc::Network;
 use punchsim_obs::PowerTag;
 use punchsim_types::{Cycle, FaultChoice, NodeId, SimError};
+
+use crate::scenario::{
+    build_network, VerifyConfig, MAX_DEPTH, MAX_ROUTERS, MAX_STATES, STALL_BOUND, STICK_DURATION,
+};
 
 /// Property name: every asserted-and-unanswered WU handshake eventually
 /// reaches a state where the target router is on or waking (or the
@@ -61,19 +68,6 @@ impl ViolationKind {
             ViolationKind::Deadlock => "deadlock",
         }
     }
-}
-
-/// One violating edge found during exploration.
-#[derive(Debug, Clone)]
-pub struct Violation {
-    /// Index of the state the violating step was taken from.
-    pub state: usize,
-    /// The choice whose step errored.
-    pub choice: FaultChoice,
-    /// Classification of the error.
-    pub kind: ViolationKind,
-    /// Human-readable diagnosis from the underlying error.
-    pub detail: String,
 }
 
 /// A concrete replayable trace: the per-cycle choices from the BFS root.
@@ -117,6 +111,9 @@ pub struct Exploration {
     pub max_depth: u64,
     /// Largest stall age observed in any reachable state.
     pub max_stall_age: Cycle,
+    /// The most networks held live at once: those queued plus the one
+    /// being expanded. Not part of the artifact.
+    pub peak_frontier: usize,
     /// Verdicts in fixed order: no-lost-wakeup, no-deadlock, bounded-stall.
     pub properties: Vec<PropertyResult>,
 }
@@ -139,14 +136,21 @@ impl Exploration {
 /// Why an exploration could not complete.
 #[derive(Debug)]
 pub enum VerifyError {
+    /// The mesh has more than [`MAX_ROUTERS`] routers.
+    Intractable {
+        /// Mesh width asked for.
+        width: u16,
+        /// Mesh height asked for.
+        height: u16,
+    },
     /// The network cannot be fingerprinted or forked (unsupported manager).
     Unsupported(&'static str),
-    /// More distinct states than the configured cap.
+    /// More distinct states than [`MAX_STATES`].
     StateCap(usize),
-    /// A BFS layer deeper than the configured cap.
+    /// A BFS layer deeper than [`MAX_DEPTH`].
     DepthCap(u64),
-    /// Replaying a recorded edge produced a different outcome — an
-    /// internal soundness bug, never a property verdict.
+    /// Replaying a recorded path produced a different outcome — an internal
+    /// soundness bug, never a property verdict.
     ReplayDiverged(String),
     /// Scenario construction failed.
     Sim(SimError),
@@ -155,6 +159,11 @@ pub enum VerifyError {
 impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            VerifyError::Intractable { width, height } => write!(
+                f,
+                "verify explores the joint state space exhaustively; meshes beyond \
+                 {MAX_ROUTERS} routers are intractable (got {width}x{height})"
+            ),
             VerifyError::Unsupported(what) => {
                 write!(f, "system cannot be verified: {what}")
             }
@@ -162,7 +171,7 @@ impl fmt::Display for VerifyError {
                 write!(f, "state cap exceeded: more than {n} distinct states")
             }
             VerifyError::DepthCap(d) => write!(f, "depth cap exceeded at BFS layer {d}"),
-            VerifyError::ReplayDiverged(why) => write!(f, "edge replay diverged: {why}"),
+            VerifyError::ReplayDiverged(why) => write!(f, "path replay diverged: {why}"),
             VerifyError::Sim(e) => write!(f, "scenario error: {e}"),
         }
     }
@@ -175,6 +184,19 @@ impl From<SimError> for VerifyError {
         VerifyError::Sim(e)
     }
 }
+
+/// Where a property fails: the violating edge `choice` taken from `state`,
+/// or, when `choice` is `None`, the witness `state` itself.
+#[derive(Debug, Clone)]
+struct Violation {
+    state: usize,
+    choice: Option<FaultChoice>,
+    kind: ViolationKind,
+    detail: String,
+}
+
+/// The per-router masks of [`StateRec`] are `u32`s.
+const _: () = assert!(MAX_ROUTERS <= 32);
 
 /// Per-state record: parent pointer for path reconstruction plus the
 /// property observations extracted when the state was first discovered.
@@ -194,336 +216,293 @@ struct StateRec {
     succs: Vec<usize>,
 }
 
-/// The exhaustive checker, stepping forks of one root [`Network`].
-pub struct Checker {
-    root: Network,
-    faulty: bool,
-    max_faults: u32,
-    max_states: usize,
-    max_depth: u64,
-    stall_bound: Cycle,
-    stick_duration: Cycle,
+/// The explored graph: one record per state, the key each was recorded
+/// under, and the violating edges.
+struct Graph {
+    routers: usize,
+    states: Vec<StateRec>,
+    index: HashMap<Vec<u8>, usize>,
+    violations: Vec<Violation>,
+    edges: usize,
+    peak_frontier: usize,
 }
 
-impl Checker {
-    /// Builds a checker rooted at `root`'s current state.
-    ///
-    /// `faulty` enables the per-cycle fault alphabet; `stall_bound` is the
-    /// bounded-stall property's bound (must match the network's watchdog
-    /// threshold); `stick_duration` is the bounded stuck-off epoch length
-    /// enumerated alongside the unbounded one.
-    pub fn new(
-        root: Network,
-        faulty: bool,
-        max_faults: u32,
-        max_states: usize,
-        max_depth: u64,
-        stall_bound: Cycle,
-        stick_duration: Cycle,
-    ) -> Self {
-        Checker {
-            root,
-            faulty,
-            max_faults,
-            max_states,
-            max_depth,
-            stall_bound,
-            stick_duration,
-        }
+/// Builds `cfg`'s scenario, explores every state reachable from it and
+/// evaluates the three properties.
+///
+/// # Errors
+///
+/// [`VerifyError::Intractable`] for a mesh beyond [`MAX_ROUTERS`] (checked
+/// before anything is built), scenario-construction failures,
+/// [`VerifyError::Unsupported`] for an unforkable or unencodable network,
+/// the cap errors when exploration outgrows [`MAX_STATES`] or
+/// [`MAX_DEPTH`], and [`VerifyError::ReplayDiverged`] if an exported path
+/// does not re-reach the state it was recorded for (an internal bug,
+/// reported honestly instead of being folded into a verdict). A property
+/// *violation* is not an error.
+pub fn explore(cfg: &VerifyConfig) -> Result<Exploration, VerifyError> {
+    let g = search(cfg)?;
+    let mut properties = Vec::new();
+    for (name, verdict) in verdicts(&g) {
+        let (detail, counterexample) = match verdict {
+            Ok(detail) => (detail, None),
+            Err(v) => (v.detail.clone(), Some(export(cfg, &g, &v)?)),
+        };
+        properties.push(PropertyResult {
+            name,
+            proved: counterexample.is_none(),
+            detail,
+            counterexample,
+        });
     }
+    let states = &g.states;
+    Ok(Exploration {
+        reachable: states.len(),
+        edges: g.edges,
+        terminals: states.iter().filter(|s| s.terminal).count(),
+        max_depth: states.iter().map(|s| s.depth).max().unwrap_or(0),
+        max_stall_age: states.iter().map(|s| s.stall_age).max().unwrap_or(0),
+        peak_frontier: g.peak_frontier,
+        properties,
+    })
+}
 
-    /// Runs the exhaustive exploration and evaluates the three properties.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError::Unsupported`] for an unforkable/unencodable network,
-    /// the cap errors when exploration outgrows the configured limits, and
-    /// [`VerifyError::ReplayDiverged`] if path-replay materialization ever
-    /// disagrees with a recorded edge (an internal bug, reported honestly
-    /// instead of being folded into a verdict).
-    pub fn run(&self) -> Result<Exploration, VerifyError> {
-        let root_key = self
-            .root
-            .encode_state()
-            .ok_or(VerifyError::Unsupported("canonical encoding unavailable"))?;
-        if self.root.try_clone().is_none() {
-            return Err(VerifyError::Unsupported("system is not forkable"));
+/// The BFS itself. The root moves into the queue; every enabled choice of
+/// a popped state steps its own fork, a successor with a new key joins the
+/// queue with its network, and the popped network is dropped.
+fn search(cfg: &VerifyConfig) -> Result<Graph, VerifyError> {
+    let routers = usize::from(cfg.width) * usize::from(cfg.height);
+    if routers > MAX_ROUTERS {
+        return Err(VerifyError::Intractable {
+            width: cfg.width,
+            height: cfg.height,
+        });
+    }
+    let root = build_network(cfg, None)?;
+    let mut g = Graph {
+        routers,
+        states: vec![observe(&root, None, 0, 0)],
+        index: HashMap::from([(key_of(&root, 0)?, 0)]),
+        violations: Vec::new(),
+        edges: 0,
+        peak_frontier: 1,
+    };
+    let mut queue = VecDeque::from([(0, root)]);
+
+    while let Some((cur, net)) = queue.pop_front() {
+        if g.states[cur].terminal {
+            continue;
         }
-
-        let mut states: Vec<StateRec> = vec![observe(&self.root, None, 0, 0)];
-        let mut index: HashMap<Vec<u8>, usize> = HashMap::new();
-        index.insert(budgeted(root_key, 0), 0);
-        let mut queue: VecDeque<usize> = VecDeque::from([0]);
-        let mut violations: Vec<Violation> = Vec::new();
-        let mut edges = 0usize;
-
-        while let Some(cur) = queue.pop_front() {
-            if states[cur].terminal {
-                continue;
-            }
-            let depth = states[cur].depth;
-            if depth >= self.max_depth {
-                return Err(VerifyError::DepthCap(depth));
-            }
-            let spent = states[cur].faults_used;
-            let net = self.materialize(&states, cur)?;
-            for choice in self.enabled_choices(&net, spent) {
-                let now_spent = spent + u32::from(!choice.is_none());
-                let mut succ = net
-                    .try_clone()
-                    .ok_or(VerifyError::Unsupported("fork failed mid-exploration"))?;
-                match step(&mut succ, choice) {
-                    Ok(false) => continue,
-                    Ok(true) => {
-                        edges += 1;
-                        let key = budgeted(
-                            succ.encode_state().ok_or(VerifyError::Unsupported(
-                                "canonical encoding unavailable mid-exploration",
-                            ))?,
-                            now_spent,
-                        );
-                        let next = match index.get(&key) {
-                            Some(&i) => i,
-                            None => {
-                                let i = states.len();
-                                if i >= self.max_states {
-                                    return Err(VerifyError::StateCap(self.max_states));
-                                }
-                                states.push(observe(
-                                    &succ,
-                                    Some((cur, choice)),
-                                    depth + 1,
-                                    now_spent,
-                                ));
-                                index.insert(key, i);
-                                queue.push_back(i);
-                                i
+        let depth = g.states[cur].depth;
+        if depth >= MAX_DEPTH {
+            return Err(VerifyError::DepthCap(depth));
+        }
+        let spent = g.states[cur].faults_used;
+        for choice in enabled_choices(cfg, &net, spent) {
+            let mut succ = net
+                .try_clone()
+                .ok_or(VerifyError::Unsupported("system is not forkable"))?;
+            match step(&mut succ, choice) {
+                Ok(false) => continue,
+                Ok(true) => {
+                    g.edges += 1;
+                    let now_spent = spent + u32::from(!choice.is_none());
+                    let key = key_of(&succ, now_spent)?;
+                    let next = match g.index.get(&key) {
+                        Some(&i) => i,
+                        None => {
+                            let i = g.states.len();
+                            if i >= MAX_STATES {
+                                return Err(VerifyError::StateCap(MAX_STATES));
                             }
-                        };
-                        states[cur].succs.push(next);
-                    }
-                    Err(e) => {
-                        edges += 1;
-                        violations.push(classify(&succ, cur, choice, &e));
-                    }
-                }
-            }
-        }
-
-        let properties = self.evaluate(&states, &violations);
-        Ok(Exploration {
-            reachable: states.len(),
-            edges,
-            terminals: states.iter().filter(|s| s.terminal).count(),
-            max_depth: states.iter().map(|s| s.depth).max().unwrap_or(0),
-            max_stall_age: states.iter().map(|s| s.stall_age).max().unwrap_or(0),
-            properties,
-        })
-    }
-
-    /// Rebuilds the live system for state `target` by replaying its choice
-    /// path from a fresh fork of the root.
-    fn materialize(&self, states: &[StateRec], target: usize) -> Result<Network, VerifyError> {
-        let path = path_to(states, target);
-        let mut net = self
-            .root
-            .try_clone()
-            .ok_or(VerifyError::Unsupported("fork failed mid-exploration"))?;
-        for &choice in &path {
-            match step(&mut net, choice) {
-                Ok(true) => {}
-                Ok(false) => {
-                    return Err(VerifyError::ReplayDiverged(format!(
-                        "choice {} no longer honoured",
-                        choice.label()
-                    )))
+                            g.states.push(observe(
+                                &succ,
+                                Some((cur, choice)),
+                                depth + 1,
+                                now_spent,
+                            ));
+                            g.index.insert(key, i);
+                            queue.push_back((i, succ));
+                            g.peak_frontier = g.peak_frontier.max(queue.len() + 1);
+                            i
+                        }
+                    };
+                    g.states[cur].succs.push(next);
                 }
                 Err(e) => {
-                    return Err(VerifyError::ReplayDiverged(format!(
-                        "recorded Ok edge now errors: {e}"
-                    )))
+                    g.edges += 1;
+                    g.violations.push(classify(&succ, cur, choice, &e));
                 }
             }
         }
-        Ok(net)
     }
+    Ok(g)
+}
 
-    /// The fixed choice enumeration order at `net`'s current state:
-    /// fault-free first, then punch drops, WU drops, per-destination punch
-    /// corruption, and bounded/unbounded stuck-off epochs for every
-    /// currently-gated router. Fault choices are enabled only while budget
-    /// remains. The order is part of the determinism contract — artifacts
-    /// are byte-compared in CI.
-    fn enabled_choices(&self, net: &Network, faults_used: u32) -> Vec<FaultChoice> {
-        let mut v = vec![FaultChoice::None];
-        if self.faulty && faults_used < self.max_faults {
-            v.push(FaultChoice::DropPunch);
-            v.push(FaultChoice::DropWu);
-            let routers = || net.topology().iter_nodes();
-            for dst in routers() {
-                v.push(FaultChoice::CorruptPunch { dst });
-            }
-            for router in routers() {
-                if net.power_state(router).tag() == PowerTag::Off {
-                    v.push(FaultChoice::StickOff {
-                        router,
-                        duration: Some(self.stick_duration),
-                    });
-                    v.push(FaultChoice::StickOff {
-                        router,
-                        duration: None,
-                    });
-                }
-            }
+/// The fixed choice enumeration order at `net`'s current state:
+/// fault-free first, then punch drops, WU drops, per-destination punch
+/// corruption, and bounded/unbounded stuck-off epochs for every
+/// currently-gated router. Fault choices are enabled only while budget
+/// remains. The order is part of the determinism contract — artifacts
+/// are byte-compared in CI.
+fn enabled_choices(cfg: &VerifyConfig, net: &Network, faults_used: u32) -> Vec<FaultChoice> {
+    let mut v = vec![FaultChoice::None];
+    if cfg.faulty && faults_used < cfg.max_faults {
+        v.push(FaultChoice::DropPunch);
+        v.push(FaultChoice::DropWu);
+        let routers = || net.topology().iter_nodes();
+        for dst in routers() {
+            v.push(FaultChoice::CorruptPunch { dst });
         }
-        v
-    }
-
-    /// Evaluates the three properties over the explored graph.
-    fn evaluate(&self, states: &[StateRec], violations: &[Violation]) -> Vec<PropertyResult> {
-        let routers = self.root.topology().nodes();
-        // States with at least one violating edge: their trajectories end
-        // in a *reported* watchdog event, so reverse-reachability passes
-        // treat them as accounted-for rather than silently wedged.
-        let mut reported = vec![false; states.len()];
-        for v in violations {
-            reported[v.state] = true;
-        }
-        let reverse = reverse_edges(states);
-
-        vec![
-            self.eval_no_lost_wakeup(states, violations, &reported, &reverse, routers),
-            self.eval_no_deadlock(states, violations, &reported, &reverse),
-            self.eval_bounded_stall(states, violations),
-        ]
-    }
-
-    fn eval_no_lost_wakeup(
-        &self,
-        states: &[StateRec],
-        violations: &[Violation],
-        reported: &[bool],
-        reverse: &[Vec<usize>],
-        routers: usize,
-    ) -> PropertyResult {
-        if let Some(v) = violations
-            .iter()
-            .find(|v| v.kind == ViolationKind::LostWakeup)
-        {
-            return PropertyResult {
-                name: PROP_NO_LOST_WAKEUP,
-                proved: false,
-                detail: v.detail.clone(),
-                counterexample: Some(violation_trace(states, v)),
-            };
-        }
-        // EF pass: every wu_pending(r) state must reach awake(r) or a
-        // reported-violation state.
-        for r in 0..routers {
-            let bit = 1u32 << r;
-            let good: Vec<usize> = (0..states.len())
-                .filter(|&s| states[s].awake_mask & bit != 0 || reported[s])
-                .collect();
-            let can_reach = reach_backward(reverse, &good);
-            if let Some(bad) =
-                (0..states.len()).find(|&s| states[s].wu_mask & bit != 0 && !can_reach[s])
-            {
-                let detail =
-                    format!("router {r}: WU pending in a state from which no path wakes it");
-                return PropertyResult {
-                    name: PROP_NO_LOST_WAKEUP,
-                    proved: false,
-                    detail: detail.clone(),
-                    counterexample: Some(Counterexample {
-                        choices: path_to(states, bad),
-                        kind: ViolationKind::LostWakeup,
-                        detail,
-                        ends_in_error: false,
-                    }),
-                };
+        for router in routers() {
+            if net.power_state(router).tag() == PowerTag::Off {
+                v.push(FaultChoice::StickOff {
+                    router,
+                    duration: Some(STICK_DURATION),
+                });
+                v.push(FaultChoice::StickOff {
+                    router,
+                    duration: None,
+                });
             }
         }
-        PropertyResult {
-            name: PROP_NO_LOST_WAKEUP,
-            proved: true,
-            detail: format!(
-                "every pending WU handshake in {} reachable states can reach a wake",
-                states.len()
-            ),
-            counterexample: None,
-        }
     }
+    v
+}
 
-    fn eval_no_deadlock(
-        &self,
-        states: &[StateRec],
-        violations: &[Violation],
-        reported: &[bool],
-        reverse: &[Vec<usize>],
-    ) -> PropertyResult {
+/// The three properties over the explored graph, in artifact order: the
+/// proved detail, or where the property fails.
+fn verdicts(g: &Graph) -> [(&'static str, Result<String, Violation>); 3] {
+    // States with at least one violating edge: their trajectories end in a
+    // *reported* watchdog event, so reverse-reachability passes treat them
+    // as accounted-for rather than silently wedged.
+    let mut reported = vec![false; g.states.len()];
+    for v in &g.violations {
+        reported[v.state] = true;
+    }
+    let reverse = reverse_edges(&g.states);
+    [
+        (PROP_NO_LOST_WAKEUP, no_lost_wakeup(g, &reported, &reverse)),
+        (PROP_NO_DEADLOCK, no_deadlock(g, &reported, &reverse)),
+        (PROP_BOUNDED_STALL, bounded_stall(g)),
+    ]
+}
+
+fn no_lost_wakeup(
+    g: &Graph,
+    reported: &[bool],
+    reverse: &[Vec<usize>],
+) -> Result<String, Violation> {
+    let states = &g.states;
+    if let Some(v) = g
+        .violations
+        .iter()
+        .find(|v| v.kind == ViolationKind::LostWakeup)
+    {
+        return Err(v.clone());
+    }
+    // EF pass: every wu_pending(r) state must reach awake(r) or a
+    // reported-violation state.
+    for r in 0..g.routers {
+        let bit = 1u32 << r;
         let good: Vec<usize> = (0..states.len())
-            .filter(|&s| states[s].terminal || reported[s])
+            .filter(|&s| states[s].awake_mask & bit != 0 || reported[s])
             .collect();
-        let resolved = reach_backward(reverse, &good);
-        if let Some(stuck) = (0..states.len()).find(|&s| !resolved[s]) {
-            let detail =
-                "state from which neither delivery nor a watchdog report is reachable".to_string();
-            return PropertyResult {
-                name: PROP_NO_DEADLOCK,
-                proved: false,
-                detail: detail.clone(),
-                counterexample: Some(Counterexample {
-                    choices: path_to(states, stuck),
-                    kind: ViolationKind::Deadlock,
-                    detail,
-                    ends_in_error: false,
-                }),
-            };
-        }
-        let via_report = violations.len();
-        PropertyResult {
-            name: PROP_NO_DEADLOCK,
-            proved: true,
-            detail: if via_report == 0 {
-                format!(
-                    "all {} reachable states can reach full delivery",
-                    states.len()
-                )
-            } else {
-                format!(
-                    "all {} reachable states reach delivery or one of {via_report} reported stalls",
-                    states.len()
-                )
-            },
-            counterexample: None,
+        let can_reach = reach_backward(reverse, &good);
+        if let Some(bad) =
+            (0..states.len()).find(|&s| states[s].wu_mask & bit != 0 && !can_reach[s])
+        {
+            return Err(Violation {
+                state: bad,
+                choice: None,
+                kind: ViolationKind::LostWakeup,
+                detail: format!("router {r}: WU pending in a state from which no path wakes it"),
+            });
         }
     }
+    Ok(format!(
+        "every pending WU handshake in {} reachable states can reach a wake",
+        states.len()
+    ))
+}
 
-    fn eval_bounded_stall(&self, states: &[StateRec], violations: &[Violation]) -> PropertyResult {
-        if let Some(v) = violations.iter().find(|v| {
-            matches!(
-                v.kind,
-                ViolationKind::BoundedStall | ViolationKind::Invariant
-            )
-        }) {
-            return PropertyResult {
-                name: PROP_BOUNDED_STALL,
-                proved: false,
-                detail: v.detail.clone(),
-                counterexample: Some(violation_trace(states, v)),
-            };
-        }
-        let max = states.iter().map(|s| s.stall_age).max().unwrap_or(0);
-        PropertyResult {
-            name: PROP_BOUNDED_STALL,
-            proved: true,
-            detail: format!(
-                "worst observed stall age {max} of bound {}",
-                self.stall_bound
-            ),
-            counterexample: None,
-        }
+fn no_deadlock(g: &Graph, reported: &[bool], reverse: &[Vec<usize>]) -> Result<String, Violation> {
+    let states = &g.states;
+    let good: Vec<usize> = (0..states.len())
+        .filter(|&s| states[s].terminal || reported[s])
+        .collect();
+    let resolved = reach_backward(reverse, &good);
+    if let Some(stuck) = (0..states.len()).find(|&s| !resolved[s]) {
+        return Err(Violation {
+            state: stuck,
+            choice: None,
+            kind: ViolationKind::Deadlock,
+            detail: "state from which neither delivery nor a watchdog report is reachable"
+                .to_string(),
+        });
     }
+    let via_report = g.violations.len();
+    Ok(if via_report == 0 {
+        format!(
+            "all {} reachable states can reach full delivery",
+            states.len()
+        )
+    } else {
+        format!(
+            "all {} reachable states reach delivery or one of {via_report} reported stalls",
+            states.len()
+        )
+    })
+}
+
+fn bounded_stall(g: &Graph) -> Result<String, Violation> {
+    if let Some(v) = g.violations.iter().find(|v| {
+        matches!(
+            v.kind,
+            ViolationKind::BoundedStall | ViolationKind::Invariant
+        )
+    }) {
+        return Err(v.clone());
+    }
+    let max = g.states.iter().map(|s| s.stall_age).max().unwrap_or(0);
+    Ok(format!(
+        "worst observed stall age {max} of bound {STALL_BOUND}"
+    ))
+}
+
+/// The counterexample for `v`: the choice path from the root to `v.state`,
+/// plus the violating choice when `v` is an edge. The path is replayed once
+/// on a freshly built root. It must re-reach the key recorded for
+/// `v.state`, and the violating choice must error again.
+fn export(cfg: &VerifyConfig, g: &Graph, v: &Violation) -> Result<Counterexample, VerifyError> {
+    let mut choices = path_to(&g.states, v.state);
+    let mut net = build_network(cfg, None)?;
+    if let Some(e) = advance(&mut net, &choices)? {
+        return Err(VerifyError::ReplayDiverged(format!(
+            "a recorded edge now errors: {e}"
+        )));
+    }
+    if g.index.get(&key_of(&net, g.states[v.state].faults_used)?) != Some(&v.state) {
+        return Err(VerifyError::ReplayDiverged(format!(
+            "the path to state {} re-reaches a different state",
+            v.state
+        )));
+    }
+    if let Some(choice) = v.choice {
+        if advance(&mut net, &[choice])?.is_none() {
+            return Err(VerifyError::ReplayDiverged(format!(
+                "violating edge {} no longer errors",
+                choice.label()
+            )));
+        }
+        choices.push(choice);
+    }
+    Ok(Counterexample {
+        choices,
+        kind: v.kind,
+        detail: v.detail.clone(),
+        ends_in_error: v.choice.is_some(),
+    })
 }
 
 /// Arms `choice` for the next cycle, then advances `net` one cycle. Returns
@@ -536,6 +515,29 @@ fn step(net: &mut Network, choice: FaultChoice) -> Result<bool, SimError> {
     }
     net.tick()?;
     Ok(true)
+}
+
+/// Steps `net` through a recorded path with [`step`], stopping at and
+/// returning the first tick error. A choice the network's manager does not
+/// honour is [`VerifyError::ReplayDiverged`]: the path was recorded from a
+/// manager that did.
+pub(crate) fn advance(
+    net: &mut Network,
+    choices: &[FaultChoice],
+) -> Result<Option<SimError>, VerifyError> {
+    for &choice in choices {
+        match step(net, choice) {
+            Ok(true) => {}
+            Ok(false) => {
+                return Err(VerifyError::ReplayDiverged(format!(
+                    "choice {} not honoured",
+                    choice.label()
+                )))
+            }
+            Err(e) => return Ok(Some(e)),
+        }
+    }
+    Ok(None)
 }
 
 /// Extracts the property observations of `net` into a state record:
@@ -552,7 +554,7 @@ fn observe(
 ) -> StateRec {
     let mut wu_mask = 0u32;
     let mut awake_mask = 0u32;
-    for (r, &streak) in net.blocked_streaks().iter().enumerate().take(32) {
+    for (r, &streak) in net.blocked_streaks().iter().enumerate() {
         if streak > 0 {
             wu_mask |= 1 << r;
         }
@@ -573,16 +575,19 @@ fn observe(
     }
 }
 
-/// Appends the spent-fault count to a canonical key so states reached with
-/// different remaining budgets stay distinct in the index.
-fn budgeted(mut key: Vec<u8>, faults_used: u32) -> Vec<u8> {
+/// `net`'s canonical key with the spent-fault count appended, so states
+/// reached with different remaining budgets stay distinct in the index.
+fn key_of(net: &Network, faults_used: u32) -> Result<Vec<u8>, VerifyError> {
+    let mut key = net
+        .encode_state()
+        .ok_or(VerifyError::Unsupported("canonical encoding unavailable"))?;
     key.extend_from_slice(&faults_used.to_le_bytes());
-    key
+    Ok(key)
 }
 
 /// Classifies a step error into a violation record.
 fn classify(net: &Network, state: usize, choice: FaultChoice, e: &SimError) -> Violation {
-    match e {
+    let (kind, detail) = match e {
         SimError::Stall(report) => {
             let lost = report.oldest_blocked.as_ref().is_some_and(|b| {
                 b.blocked_on
@@ -593,24 +598,21 @@ fn classify(net: &Network, state: usize, choice: FaultChoice, e: &SimError) -> V
             } else {
                 ViolationKind::BoundedStall
             };
-            Violation {
-                state,
-                choice,
-                kind,
-                detail: format!(
-                    "stalled {} cycles with {} in flight ({} routers off)",
-                    report.stalled_for,
-                    report.in_flight_packets,
-                    report.off_routers.len()
-                ),
-            }
+            let detail = format!(
+                "stalled {} cycles with {} in flight ({} routers off)",
+                report.stalled_for,
+                report.in_flight_packets,
+                report.off_routers.len()
+            );
+            (kind, detail)
         }
-        other => Violation {
-            state,
-            choice,
-            kind: ViolationKind::Invariant,
-            detail: format!("{other}"),
-        },
+        other => (ViolationKind::Invariant, format!("{other}")),
+    };
+    Violation {
+        state,
+        choice: Some(choice),
+        kind,
+        detail,
     }
 }
 
@@ -624,19 +626,6 @@ fn path_to(states: &[StateRec], target: usize) -> Vec<FaultChoice> {
     }
     path.reverse();
     path
-}
-
-/// The full replayable trace of a violating edge: path to its source state
-/// plus the violating choice itself.
-fn violation_trace(states: &[StateRec], v: &Violation) -> Counterexample {
-    let mut choices = path_to(states, v.state);
-    choices.push(v.choice);
-    Counterexample {
-        choices,
-        kind: v.kind,
-        detail: v.detail.clone(),
-        ends_in_error: true,
-    }
 }
 
 /// Reverse adjacency lists of the explored Ok-edge graph.
@@ -670,4 +659,60 @@ fn reach_backward(reverse: &[Vec<usize>], sources: &[usize]) -> Vec<bool> {
         }
     }
     seen
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::replay::replay;
+    use punchsim_types::SchemeKind;
+
+    /// Every counterexample the broken scenarios export re-reaches, on a
+    /// fresh root, the state key recorded for its source state, and its
+    /// replay through the obs pipeline still ends in the watchdog's stall.
+    #[test]
+    fn exported_counterexamples_re_reach_their_recorded_keys() {
+        let broken = VerifyConfig::mesh2x2(SchemeKind::ConvPg).with_broken_manager();
+        for cfg in [broken, broken.with_faults()] {
+            let g = search(&cfg).unwrap();
+            let violated: Vec<Violation> = verdicts(&g)
+                .into_iter()
+                .filter_map(|(_, v)| v.err())
+                .collect();
+            assert!(!violated.is_empty(), "{} must violate", cfg.label());
+            for v in &violated {
+                let ce = export(&cfg, &g, v).unwrap();
+                let to_state = &ce.choices[..ce.choices.len() - usize::from(ce.ends_in_error)];
+                let mut net = build_network(&cfg, None).unwrap();
+                for &choice in to_state {
+                    assert!(step(&mut net, choice).unwrap(), "{}", choice.label());
+                }
+                let key = key_of(&net, g.states[v.state].faults_used).unwrap();
+                assert_eq!(g.index.get(&key), Some(&v.state), "{}", cfg.label());
+                let rep = replay(&cfg, &ce).unwrap();
+                assert!(
+                    matches!(rep.error, Some(SimError::Stall(_))),
+                    "{}: {:?}",
+                    cfg.label(),
+                    rep.error
+                );
+            }
+        }
+    }
+
+    /// The export-time check is live: a graph whose record for the
+    /// violating state no longer matches the replayed path (here, a
+    /// tampered fault budget, so the replayed key misses the index) fails
+    /// the run instead of exporting a trace to some other state.
+    #[test]
+    fn export_rejects_a_path_that_misses_its_recorded_key() {
+        let cfg = VerifyConfig::mesh2x2(SchemeKind::ConvPg).with_broken_manager();
+        let mut g = search(&cfg).unwrap();
+        let v = g.violations[0].clone();
+        g.states[v.state].faults_used += 1;
+        assert!(matches!(
+            export(&cfg, &g, &v),
+            Err(VerifyError::ReplayDiverged(_))
+        ));
+    }
 }

@@ -40,13 +40,14 @@ pub mod report;
 pub mod scenario;
 
 pub use checker::{
-    Checker, Counterexample, Exploration, PropertyResult, VerifyError, Violation, ViolationKind,
+    explore, Counterexample, Exploration, PropertyResult, VerifyError, ViolationKind,
     PROP_BOUNDED_STALL, PROP_NO_DEADLOCK, PROP_NO_LOST_WAKEUP,
 };
 pub use replay::{replay, Replay};
 pub use report::{render_report, SCHEMA};
 pub use scenario::{
-    build_network, VerifyConfig, ESCALATE_AFTER, STALL_BOUND, STICK_DURATION, WARMUP,
+    build_network, VerifyConfig, ESCALATE_AFTER, MAX_DEPTH, MAX_ROUTERS, MAX_STATES, STALL_BOUND,
+    STICK_DURATION, WARMUP,
 };
 
 /// One completed verification: the exploration plus the rendered artifact.
@@ -58,26 +59,14 @@ pub struct VerifyOutcome {
     pub report: String,
 }
 
-/// Builds `cfg`'s scenario, runs the exhaustive exploration and renders
-/// the artifact.
+/// Runs [`explore`] on `cfg` and renders the artifact.
 ///
 /// # Errors
 ///
-/// Propagates scenario-construction failures and exploration cap/support
-/// errors. A property *violation* is not an error — it is reported in the
-/// outcome with a minimal counterexample.
+/// Those of [`explore`]. A property *violation* is not an error — it is
+/// reported in the outcome with a minimal counterexample.
 pub fn run_verification(cfg: &VerifyConfig) -> Result<VerifyOutcome, VerifyError> {
-    let root = scenario::build_network(cfg, None)?;
-    let checker = Checker::new(
-        root,
-        cfg.faulty,
-        cfg.max_faults,
-        cfg.max_states,
-        cfg.max_depth,
-        STALL_BOUND,
-        STICK_DURATION,
-    );
-    let exploration = checker.run()?;
+    let exploration = explore(cfg)?;
     let report = render_report(cfg, &exploration);
     Ok(VerifyOutcome {
         exploration,
@@ -88,7 +77,7 @@ pub fn run_verification(cfg: &VerifyConfig) -> Result<VerifyOutcome, VerifyError
 #[cfg(test)]
 mod tests {
     use super::*;
-    use punchsim_types::SchemeKind;
+    use punchsim_types::{FaultChoice, SchemeKind};
 
     #[test]
     fn clean_2x2_power_punch_proves_all_three() {
@@ -180,6 +169,48 @@ mod tests {
         let a = run_verification(&cfg).unwrap().report;
         let b = run_verification(&cfg).unwrap().report;
         assert_eq!(a, b);
+    }
+
+    /// `replay` steps the checker's own edge: a choice the replayed manager
+    /// cannot honour (a clean scenario has no fault layer) is a typed
+    /// error, not a tick without the fault.
+    #[test]
+    fn replay_rejects_a_choice_the_manager_cannot_honour() {
+        let cfg = VerifyConfig::mesh2x2(SchemeKind::PowerPunchFull);
+        let ce = Counterexample {
+            choices: vec![FaultChoice::None, FaultChoice::DropPunch],
+            kind: ViolationKind::LostWakeup,
+            detail: String::new(),
+            ends_in_error: false,
+        };
+        assert!(matches!(
+            replay(&cfg, &ce),
+            Err(VerifyError::ReplayDiverged(_))
+        ));
+    }
+
+    /// A mesh past `MAX_ROUTERS` is a typed error before anything is built,
+    /// not a mask shift overflow (debug) or routers silently left unchecked
+    /// (release).
+    #[test]
+    fn a_6x6_mesh_is_intractable() {
+        let cfg = VerifyConfig {
+            width: 6,
+            height: 6,
+            ..VerifyConfig::mesh2x2(SchemeKind::PowerPunchFull)
+        };
+        let err = run_verification(&cfg).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                VerifyError::Intractable {
+                    width: 6,
+                    height: 6
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("(got 6x6)"), "{err}");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! inspected in Perfetto.
 
 use punchsim_noc::obs::{chrome_trace, to_jsonl, Stamped, VecSink};
-use punchsim_types::{FaultChoice, SimError};
+use punchsim_types::SimError;
 
-use crate::checker::Counterexample;
+use crate::checker::{advance, Counterexample, VerifyError};
 use crate::scenario::{build_network, VerifyConfig};
 
 /// The replayed event stream of one counterexample.
@@ -31,26 +31,18 @@ impl Replay {
 }
 
 /// Rebuilds `cfg`'s scenario with a recording sink and replays `ce`'s
-/// choices cycle by cycle, capturing the violating error if the trace ends
-/// in one.
+/// choices cycle by cycle, over the same edge the checker steps, capturing
+/// the violating error if the trace ends in one.
 ///
 /// # Errors
 ///
-/// Returns scenario-construction errors verbatim. Replay `tick` errors are
-/// the expected outcome and are captured in [`Replay::error`], not
-/// returned.
-pub fn replay(cfg: &VerifyConfig, ce: &Counterexample) -> Result<Replay, SimError> {
+/// Returns scenario-construction errors, and
+/// [`VerifyError::ReplayDiverged`] for a choice the replayed manager does
+/// not honour. Replay `tick` errors are the expected outcome and are
+/// captured in [`Replay::error`], not returned.
+pub fn replay(cfg: &VerifyConfig, ce: &Counterexample) -> Result<Replay, VerifyError> {
     let mut net = build_network(cfg, Some(Box::new(VecSink::new())))?;
-    let mut error = None;
-    for &choice in &ce.choices {
-        if !matches!(choice, FaultChoice::None) {
-            net.arm_fault_choice(choice);
-        }
-        if let Err(e) = net.tick() {
-            error = Some(e);
-            break;
-        }
-    }
+    let error = advance(&mut net, &ce.choices)?;
     let events = net.take_sink().map(|s| s.snapshot()).unwrap_or_default();
     Ok(Replay { events, error })
 }

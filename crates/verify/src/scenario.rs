@@ -32,10 +32,20 @@ pub const WARMUP: Cycle = 32;
 /// enumerates (the unbounded variant is enumerated alongside it).
 pub const STICK_DURATION: Cycle = 16;
 
+/// Largest mesh, in routers, the checker accepts: the joint state space of
+/// anything bigger than a 3x3 is out of exhaustive reach.
+pub const MAX_ROUTERS: usize = 9;
+
+/// Exploration aborts beyond this many distinct states.
+pub const MAX_STATES: usize = 400_000;
+
+/// Exploration aborts beyond this BFS depth.
+pub const MAX_DEPTH: u64 = 4_000;
+
 /// One bounded verification instance: mesh size, scheme and fault mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifyConfig {
-    /// Mesh width (2 or 3 keeps the state space exhaustive-friendly).
+    /// Mesh width; `width * height` may not exceed [`MAX_ROUTERS`].
     pub width: u16,
     /// Mesh height.
     pub height: u16,
@@ -58,10 +68,6 @@ pub struct VerifyConfig {
     /// the blocked packet stalls forever). Composes with `faulty`: both
     /// live in the one fault layer.
     pub broken: bool,
-    /// Abort exploration beyond this many distinct states.
-    pub max_states: usize,
-    /// Abort exploration beyond this BFS depth.
-    pub max_depth: u64,
 }
 
 impl VerifyConfig {
@@ -74,8 +80,6 @@ impl VerifyConfig {
             faulty: false,
             max_faults: 2,
             broken: false,
-            max_states: 400_000,
-            max_depth: 4_000,
         }
     }
 

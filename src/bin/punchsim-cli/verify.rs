@@ -11,14 +11,6 @@ use punchsim::prelude::*;
 use super::parse::Opts;
 
 pub fn verify(opts: &Opts) -> Result<ExitCode, String> {
-    if opts.mesh.nodes() > 9 {
-        return Err(format!(
-            "verify explores the joint state space exhaustively; meshes beyond \
-             9 routers are intractable (got {}x{})",
-            opts.mesh.width(),
-            opts.mesh.height()
-        ));
-    }
     let cfg = &VerifyConfig {
         width: opts.mesh.width(),
         height: opts.mesh.height(),
@@ -31,12 +23,13 @@ pub fn verify(opts: &Opts) -> Result<ExitCode, String> {
     let out = run_verification(cfg).map_err(|e| e.to_string())?;
     let exp = &out.exploration;
     eprintln!(
-        "verify {}: {} states, {} edges, {} terminal(s), depth {} in {:.2?}",
+        "verify {}: {} states, {} edges, {} terminal(s), depth {}, peak frontier {} in {:.2?}",
         cfg.label(),
         exp.reachable,
         exp.edges,
         exp.terminals,
         exp.max_depth,
+        exp.peak_frontier,
         started.elapsed()
     );
     for p in &exp.properties {
