@@ -1,33 +1,26 @@
 //! Per-router power-gate state machines shared by every gating scheme.
 //!
-//! Since PR 9 the hot per-cycle entry points ([`GateArray::begin_cycle`]
-//! and [`GateArray::advance_idle`]) are sub-O(routers): they sweep an
-//! *active-set* bitset (routers that are `On` or `Waking`) instead of
-//! the whole gate vector, and powered-off routers accrue their
-//! off-cycle statistics lazily — a per-router accounting watermark plus
-//! a global unit counter; [`GateArray::counters`] returns a snapshot with
-//! the outstanding debt added in. In the regime power gating exists for
-//! (almost every router asleep) a cycle costs O(occupied) instead of
-//! O(n). A snapshot is exactly equal to what the eager implementation
-//! would report at every observation point; that contract is pinned by
-//! the unit tests below, by the `gating_reference` test module replaying
-//! random traces against its `EagerGateArray`, and end to end by the CI
-//! no-drift gates.
+//! A cycle of the gate array costs what changes, not what exists. The three
+//! router states are two bit planes — `on` and `waking`; Off is neither bit
+//! — beside per-router scalars that only the owning state reads. Waking
+//! routers also sit in a *promotion queue* ordered by `ready_at`, so
+//! [`GateArray::begin_cycle`] pops only the routers whose transient ends
+//! this cycle, and [`GateArray::advance_idle`] sweeps the `on` words only.
+//! Off and waking routers accrue their per-cycle statistics lazily — one
+//! global unit counter plus one watermark per router; [`GateArray::counters`]
+//! returns a snapshot with the outstanding debt added in. In the regime
+//! power gating exists for (almost every router asleep) a cycle costs
+//! O(on + promotions) instead of O(n). A snapshot is exactly equal to what
+//! the eager implementation would report at every observation point; that
+//! contract is pinned by the unit tests below, by the `gating_reference`
+//! test module replaying random traces against its `EagerGateArray`, and
+//! end to end by the CI no-drift gates.
+
+use std::collections::VecDeque;
 
 use punchsim_noc::soa::for_each_one;
 use punchsim_noc::{BitWords, PgCounters, PowerState};
 use punchsim_types::{Cycle, NodeId};
-
-/// Internal state of one router's sleep switch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Gate {
-    /// Powered on; tracks consecutive idle cycles for the timeout filter.
-    On { idle_cycles: u32 },
-    /// Power-gated.
-    Off,
-    /// Waking; fully on once `ready_at` is reached.
-    Waking { ready_at: Cycle },
-}
 
 /// The array of sleep switches for all routers, with the wakeup/timeout
 /// bookkeeping every scheme needs (Figure 1/2 of the paper).
@@ -37,126 +30,127 @@ enum Gate {
 /// requested during `tick(c)` become visible to the network at cycle `c+1`,
 /// modelling the one-cycle latency of the power-gating controller.
 ///
-/// # Laziness invariants
+/// # Invariants
 ///
-/// - `active` bit `i` is set iff `gates[i]` is `On` or `Waking`; `Off`
-///   routers are swept by no per-cycle path.
-/// - `acct_units` advances by 1 per [`GateArray::begin_cycle`] call and
-///   by the span length per [`GateArray::advance_quiet`] call — the two
-///   ways the eager implementation would have credited an off router.
-/// - An `Off` router `i` is owed `acct_units - off_mark[i]` off-cycles
-///   beyond `counters.off_cycles[i]`; every transition out of `Off`
+/// - `on` and `waking` never share a bit; a router with neither is Off.
+/// - `promotions` holds exactly the waking routers, ordered by `ready_at`
+///   (ties in any order — promotions commute).
+/// - `acct_units` advances by 1 per [`GateArray::begin_cycle`] call and by
+///   the span length per [`GateArray::advance_quiet`] call — the two ways
+///   the eager implementation would have credited an off or waking router.
+/// - An Off router `i` is owed `acct_units - mark[i]` off-cycles beyond
+///   `counters.off_cycles[i]`, a waking one as many waking cycles beyond
+///   `counters.waking_cycles[i]`. Every transition out of either state
 ///   folds that debt eagerly, and [`GateArray::counters`] adds all
 ///   remaining debt to the snapshot it returns.
 ///
 /// Gate *states* (and therefore [`GateArray::state`],
 /// [`GateArray::next_event_at`] and [`GateArray::encode_state`]) are
-/// never deferred — only the off-cycle statistics are.
+/// never deferred — only the off and waking statistics are.
 #[derive(Debug, Clone)]
 pub struct GateArray {
-    gates: Vec<Gate>,
     wakeup_latency: Cycle,
     idle_timeout: u32,
-    /// Routers that are `On` or `Waking` — the only ones the per-cycle
-    /// sweeps visit.
-    active: BitWords,
-    /// Lazy off-cycle accounting units elapsed (see the type-level
-    /// invariants).
+    /// Routers powered on — the only ones the idle sweep visits.
+    on: BitWords,
+    /// Routers in a wakeup transient.
+    waking: BitWords,
+    /// For an on router: consecutive idle cycles, the timeout filter's
+    /// counter. Stale otherwise.
+    idle_cycles: Vec<u32>,
+    /// For a waking router: the cycle it is fully on. Stale otherwise.
+    ready_at: Vec<Cycle>,
+    /// The waking routers, earliest `ready_at` first.
+    promotions: VecDeque<NodeId>,
+    /// Lazy accounting units elapsed (see the type-level invariants).
     acct_units: u64,
-    /// The stored counters; `off_cycles` excludes the debt described
-    /// above, every other entry is exact.
+    /// The stored counters; `off_cycles` and `waking_cycles` exclude the
+    /// debt described above, every other entry is exact.
     counters: PgCounters,
-    /// For an `Off` router `i`: the `acct_units` value through which
-    /// `counters.off_cycles[i]` is folded. Meaningless (and unread) while
-    /// the router is not `Off`.
-    off_mark: Vec<u64>,
+    /// For an Off or waking router `i`: the `acct_units` value through
+    /// which its current state's counter is folded. Unread while on.
+    mark: Vec<u64>,
 }
 
 impl GateArray {
     /// Creates `n` routers, all powered on.
     pub fn new(n: usize, wakeup_latency: u32, idle_timeout: u32) -> Self {
-        let mut active = BitWords::new(n);
-        (0..n).for_each(|i| active.set(i));
+        let mut on = BitWords::new(n);
+        (0..n).for_each(|i| on.set(i));
         GateArray {
-            gates: vec![Gate::On { idle_cycles: 0 }; n],
             wakeup_latency: wakeup_latency as Cycle,
             idle_timeout,
-            active,
+            on,
+            waking: BitWords::new(n),
+            idle_cycles: vec![0; n],
+            ready_at: vec![0; n],
+            promotions: VecDeque::new(),
             acct_units: 0,
             counters: PgCounters::new(n),
-            off_mark: vec![0; n],
+            mark: vec![0; n],
         }
     }
 
     /// Number of routers.
     pub fn len(&self) -> usize {
-        self.gates.len()
+        self.idle_cycles.len()
     }
 
     /// `true` when managing zero routers.
     pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
+        self.idle_cycles.is_empty()
     }
 
     /// Public power state of router `r`.
     pub fn state(&self, r: NodeId) -> PowerState {
-        match self.gates[r.index()] {
-            Gate::On { .. } => PowerState::On,
-            Gate::Off => PowerState::Off,
-            Gate::Waking { ready_at } => PowerState::WakingUp { ready_at },
+        let i = r.index();
+        if self.on.get(i) {
+            PowerState::On
+        } else if self.waking.get(i) {
+            PowerState::WakingUp {
+                ready_at: self.ready_at[i],
+            }
+        } else {
+            PowerState::Off
         }
     }
 
-    /// A snapshot of the activity counters: the stored counters plus
-    /// every off router's owed off-cycles — exactly what the eager
+    /// A snapshot of the activity counters: the stored counters plus every
+    /// off and waking router's owed cycles — exactly what the eager
     /// implementation would hold after the same call sequence. O(n): a
-    /// copy of the per-router planes and one pass over the off routers.
+    /// copy of the per-router planes and one pass over the plane words.
     /// The array itself is untouched, so observing never perturbs later
     /// accounting.
     pub fn counters(&self) -> PgCounters {
         let mut snap = self.counters.clone();
-        for (i, gate) in self.gates.iter().enumerate() {
-            if *gate == Gate::Off {
-                snap.off_cycles[i] += self.acct_units - self.off_mark[i];
-            }
+        let n = self.len();
+        for (w, (&on, &waking)) in self.on.words().iter().zip(self.waking.words()).enumerate() {
+            let base = w * 64;
+            let top = (n - base).min(64);
+            for_each_one(&[waking], 0, top, |b| {
+                snap.waking_cycles[base + b] += self.acct_units - self.mark[base + b];
+            });
+            for_each_one(&[!(on | waking)], 0, top, |b| {
+                snap.off_cycles[base + b] += self.acct_units - self.mark[base + b];
+            });
         }
         snap
     }
 
-    /// Calls `f` for every active router, ascending. `f` may flip `active`
-    /// bits freely: each word is snapshotted before its sweep, which is
-    /// exactly the semantics the gate loops need (a gate cleared during
-    /// the sweep is still visited once this cycle, like the eager full
-    /// scan would).
-    #[inline]
-    fn for_each_active(&mut self, mut f: impl FnMut(&mut GateArray, usize)) {
-        for w in 0..self.active.words().len() {
-            let word = self.active.words()[w];
-            for_each_one(&[word], 0, 64, |bit| f(self, w * 64 + bit));
-        }
-    }
-
-    /// Folds router `i`'s owed off-cycles (called on every transition
-    /// out of `Off`, so the debt never survives a state change).
-    fn fold_one(&mut self, i: usize) {
-        self.counters.off_cycles[i] += self.acct_units - self.off_mark[i];
-        self.off_mark[i] = self.acct_units;
-    }
-
-    /// Resets counters (end of warm-up); states are preserved. Off
-    /// routers restart their lazy accounting from zero debt.
+    /// Resets counters (end of warm-up); states are preserved. Off and
+    /// waking routers restart their lazy accounting from zero debt.
     pub fn reset_counters(&mut self) {
         self.counters.reset();
-        self.off_mark.fill(self.acct_units);
+        self.mark.fill(self.acct_units);
     }
 
     /// Extra sideband-activity counter hooks for the schemes.
     ///
     /// This handle is for *writing* scheme-owned scalars (punch hops, WU
-    /// assertions, escalations); the per-router `off_cycles` plane may be
-    /// stale through it, because folding it here every tick would undo
-    /// the lazy accounting. Read through [`GateArray::counters`], whose
-    /// snapshot includes the debt.
+    /// assertions, escalations); the per-router `off_cycles` and
+    /// `waking_cycles` planes may be stale through it, because folding them
+    /// here every tick would undo the lazy accounting. Read through
+    /// [`GateArray::counters`], whose snapshot includes the debt.
     pub fn counters_mut(&mut self) -> &mut PgCounters {
         &mut self.counters
     }
@@ -166,18 +160,55 @@ impl GateArray {
     /// once at the start of every power-manager tick, before processing
     /// events.
     ///
-    /// Cost: O(active routers) — powered-off routers are credited lazily
+    /// Cost: O(promotions) — off and waking routers are credited lazily
     /// via the accounting watermark.
     pub fn begin_cycle(&mut self, cycle: Cycle) {
         self.acct_units += 1;
-        self.for_each_active(|this, i| {
-            if let Gate::Waking { ready_at } = this.gates[i] {
-                this.counters.waking_cycles[i] += 1;
-                if cycle + 1 >= ready_at {
-                    this.gates[i] = Gate::On { idle_cycles: 0 };
-                }
+        while let Some(&r) = self.promotions.front() {
+            if cycle + 1 < self.ready_at[r.index()] {
+                break;
             }
-        });
+            self.promotions.pop_front();
+            self.promote(r.index(), self.acct_units);
+        }
+    }
+
+    /// Calls `f` for every on router, ascending. `f` may clear `on` bits:
+    /// each word is read before its visits, so a router put to sleep during
+    /// the sweep is still visited exactly once, like the eager full scan.
+    #[inline]
+    fn for_each_on(&mut self, mut f: impl FnMut(&mut GateArray, usize)) {
+        for w in 0..self.on.words().len() {
+            let word = self.on.words()[w];
+            for_each_one(&[word], 0, 64, |bit| f(self, w * 64 + bit));
+        }
+    }
+
+    /// Turns waking router `i` on, folding its waking cycles through
+    /// accounting unit `units` (its promotion tick included).
+    fn promote(&mut self, i: usize, units: u64) {
+        self.counters.waking_cycles[i] += units - self.mark[i];
+        self.waking.clear(i);
+        self.on.set(i);
+        self.idle_cycles[i] = 0;
+    }
+
+    /// Starts the wakeup transient of off router `r` during `cycle`.
+    fn start_wake(&mut self, r: NodeId, cycle: Cycle) {
+        let i = r.index();
+        self.counters.off_cycles[i] += self.acct_units - self.mark[i];
+        self.mark[i] = self.acct_units;
+        self.counters.wake_events[i] += 1;
+        let ready_at = cycle + self.wakeup_latency;
+        self.ready_at[i] = ready_at;
+        self.waking.set(i);
+        // Every in-tree caller wakes at the current cycle, so this lands at
+        // the back; an earlier `cycle` through the public API still
+        // inserts in order.
+        let at = self
+            .promotions
+            .partition_point(|q| self.ready_at[q.index()] <= ready_at);
+        self.promotions.insert(at, r);
     }
 
     /// Requests a wakeup of router `r` during `cycle`: an off router starts
@@ -188,18 +219,13 @@ impl GateArray {
     /// is reset).
     pub fn request_wake(&mut self, r: NodeId, cycle: Cycle) {
         let i = r.index();
-        match self.gates[i] {
-            Gate::Off => {
-                self.fold_one(i);
-                self.counters.wake_events[i] += 1;
-                self.gates[i] = Gate::Waking {
-                    ready_at: cycle + self.wakeup_latency,
-                };
-                self.active.set(i);
-            }
-            Gate::On { .. } => self.gates[i] = Gate::On { idle_cycles: 0 },
+        if self.on.get(i) {
+            self.idle_cycles[i] = 0;
+        } else if self.waking.get(i) {
             // The level signal keeps retrying while the transient completes.
-            Gate::Waking { .. } => self.counters.wu_retries += 1,
+            self.counters.wu_retries += 1;
+        } else {
+            self.start_wake(r, cycle);
         }
     }
 
@@ -209,50 +235,41 @@ impl GateArray {
     /// non-zero [`PgCounters::escalations`] flags that the safety net fired.
     pub fn force_wake(&mut self, r: NodeId, cycle: Cycle) {
         self.counters.record_escalation(r);
-        if self.gates[r.index()] == Gate::Off {
-            let i = r.index();
-            self.fold_one(i);
-            self.counters.wake_events[i] += 1;
-            self.gates[i] = Gate::Waking {
-                ready_at: cycle + self.wakeup_latency,
-            };
-            self.active.set(i);
+        if self.state(r) == PowerState::Off {
+            self.start_wake(r, cycle);
         }
     }
 
     /// Marks router `r` as "needed soon": resets the idle timer so the
     /// timeout filter will not power it off this cycle.
     pub fn keep_awake(&mut self, r: NodeId) {
-        if let Gate::On { .. } = self.gates[r.index()] {
-            self.gates[r.index()] = Gate::On { idle_cycles: 0 };
+        if self.on.get(r.index()) {
+            self.idle_cycles[r.index()] = 0;
         }
     }
 
     /// Earliest cycle `>= now` at which any gate changes state under quiet
-    /// all-idle ticks: a waking router's promotion tick, or an on router's
+    /// all-idle ticks: the earliest promotion tick, or an on router's
     /// sleep tick (its idle timeout, deferred past the scheme's
     /// `sleep_floor(i)` — the first cycle at which `may_sleep(i)` would hold).
     /// `None` when every gate is already off, i.e. the array is a fixed
-    /// point apart from its off-cycle accounting. O(active routers).
+    /// point apart from its off-cycle accounting. O(on routers).
     pub fn next_event_at(
         &self,
         now: Cycle,
         mut sleep_floor: impl FnMut(usize) -> Cycle,
     ) -> Option<Cycle> {
-        let mut horizon: Option<Cycle> = None;
-        for_each_one(self.active.words(), 0, self.gates.len(), |i| {
-            let at = match self.gates[i] {
-                Gate::Off => return,
-                Gate::Waking { ready_at } => now.max(ready_at.saturating_sub(1)),
-                Gate::On { idle_cycles } => {
-                    let timeout_at = now
-                        + self
-                            .idle_timeout
-                            .saturating_sub(idle_cycles.saturating_add(1))
-                            as Cycle;
-                    timeout_at.max(sleep_floor(i))
-                }
-            };
+        let mut horizon = self
+            .promotions
+            .front()
+            .map(|r| now.max(self.ready_at[r.index()].saturating_sub(1)));
+        for_each_one(self.on.words(), 0, self.len(), |i| {
+            let timeout_at = now
+                + self
+                    .idle_timeout
+                    .saturating_sub(self.idle_cycles[i].saturating_add(1))
+                    as Cycle;
+            let at = timeout_at.max(sleep_floor(i));
             horizon = Some(horizon.map_or(at, |h| h.min(at)));
         });
         horizon
@@ -261,11 +278,12 @@ impl GateArray {
     /// Closed-form replay of the quiet span `[from, to)`: for every cycle
     /// `c` in the span, behaves exactly like
     /// `begin_cycle(c); advance_idle(&all_true, |i| c >= sleep_floor(i))`
-    /// but in O(active routers) total instead of O(routers × span) —
-    /// off routers' accounting advances through the shared unit counter
-    /// without being visited. `sleep_floor` is the scheme's sleep veto
-    /// expressed as a cycle: router `i` may not sleep before cycle
-    /// `sleep_floor(i)` (0 for unconditional sleeping).
+    /// but in O(on routers + promotions in the span) total instead of
+    /// O(routers × span) — off and still-waking routers' accounting
+    /// advances through the shared unit counter without being visited.
+    /// `sleep_floor` is the scheme's sleep veto expressed as a cycle: router
+    /// `i` may not sleep before cycle `sleep_floor(i)` (0 for unconditional
+    /// sleeping).
     ///
     /// The per-cycle equivalence is pinned by `quiet_advance_matches_loop`
     /// below and, end to end, by `tests/differential.rs`.
@@ -278,75 +296,71 @@ impl GateArray {
         if to <= from {
             return;
         }
-        let span = to - from;
-        // Off routers owe `span` more off-cycles after this call — the
-        // unit counter advances, their watermarks stay put.
-        self.acct_units += span;
-        let units = self.acct_units;
-        let timeout = self.idle_timeout;
-        self.for_each_active(|this, i| {
-            // Resolve a waking gate first: it accrues waking cycles up to and
-            // including its promotion tick, then evolves as On from there.
-            let (on_from, ic0) = match this.gates[i] {
-                Gate::Off => return,
-                Gate::Waking { ready_at } => {
-                    let promo = from.max(ready_at.saturating_sub(1));
-                    if promo >= to {
-                        this.counters.waking_cycles[i] += span;
-                        return;
-                    }
-                    this.counters.waking_cycles[i] += promo - from + 1;
-                    (promo, 0u32)
-                }
-                Gate::On { idle_cycles } => (from, idle_cycles),
-            };
-            // During tick `c >= on_from` the idle counter reads
-            // `ic0 + (c - on_from) + 1`, so the timeout filter first passes
-            // at `timeout_at`; the sleep lands at the later of that and the
-            // scheme's floor.
-            let timeout_at = on_from + timeout.saturating_sub(ic0.saturating_add(1)) as Cycle;
-            let sleep_at = timeout_at.max(sleep_floor(i));
-            if sleep_at < to {
-                this.counters.sleep_events[i] += 1;
-                // The eager form credits `(to - 1) - sleep_at` off-cycles
-                // inside the span; express the same amount as lazy debt so
-                // a follow-up fold is exact.
-                this.off_mark[i] = units - ((to - 1) - sleep_at);
-                this.gates[i] = Gate::Off;
-                this.active.clear(i);
-            } else {
-                let add = (to - on_from).min(u32::MAX as Cycle) as u32;
-                this.gates[i] = Gate::On {
-                    idle_cycles: ic0.saturating_add(add),
-                };
-            }
+        let units_at_from = self.acct_units;
+        self.acct_units += to - from;
+        // On routers idle through the whole span. Swept before any
+        // promotion below sets an `on` bit.
+        self.for_each_on(|this, i| {
+            let floor = sleep_floor(i);
+            this.settle(i, from, this.idle_cycles[i], to, floor);
         });
+        // Waking routers whose promotion tick falls inside the span accrue
+        // waking cycles up to and including it, then evolve as on from
+        // there; the rest keep accruing lazily.
+        while let Some(&r) = self.promotions.front() {
+            let i = r.index();
+            let promo = from.max(self.ready_at[i].saturating_sub(1));
+            if promo >= to {
+                break;
+            }
+            self.promotions.pop_front();
+            self.promote(i, units_at_from + (promo - from + 1));
+            let floor = sleep_floor(i);
+            self.settle(i, promo, 0, to, floor);
+        }
+    }
+
+    /// Evolves on router `i` through the quiet ticks `on_from..to`, its
+    /// idle counter reading `ic0` before `on_from`. During tick
+    /// `c >= on_from` the counter reads `ic0 + (c - on_from) + 1`, so the
+    /// timeout filter first passes at `timeout_at`; the sleep lands at the
+    /// later of that and the scheme's `floor`.
+    fn settle(&mut self, i: usize, on_from: Cycle, ic0: u32, to: Cycle, floor: Cycle) {
+        let timeout_at = on_from + self.idle_timeout.saturating_sub(ic0.saturating_add(1)) as Cycle;
+        let sleep_at = timeout_at.max(floor);
+        if sleep_at < to {
+            self.counters.sleep_events[i] += 1;
+            // The eager form credits `(to - 1) - sleep_at` off-cycles inside
+            // the span; express the same amount as lazy debt so a follow-up
+            // fold is exact.
+            self.mark[i] = self.acct_units - ((to - 1) - sleep_at);
+            self.on.clear(i);
+        } else {
+            let add = (to - on_from).min(u32::MAX as Cycle) as u32;
+            self.idle_cycles[i] = ic0.saturating_add(add);
+        }
     }
 
     /// Appends the canonical snapshot encoding of every gate (see
     /// `punchsim_noc::snapshot`): the state tag plus its dynamic payload —
-    /// `On` carries the idle counter (bounded by the timeout, past which the
-    /// gate sleeps), `Waking` carries the remaining transient rebased
+    /// On carries the idle counter (bounded by the timeout, past which the
+    /// gate sleeps), Waking carries the remaining transient rebased
     /// against `now`. Counters are statistics and excluded.
     pub fn encode_state(&self, now: Cycle, out: &mut Vec<u8>) {
         use punchsim_noc::snapshot::{put_u32, put_u64, put_u8};
-        for g in &self.gates {
-            match *g {
-                Gate::On { idle_cycles } => {
-                    put_u8(out, 0);
-                    // The timeout filter compares against `idle_timeout`;
-                    // larger values behave identically, so saturate to keep
-                    // long-idle states from encoding distinctly.
-                    put_u32(out, idle_cycles.min(self.idle_timeout));
-                }
-                Gate::Off => {
-                    put_u8(out, 1);
-                    put_u32(out, 0);
-                }
-                Gate::Waking { ready_at } => {
-                    put_u8(out, 2);
-                    put_u64(out, ready_at.saturating_sub(now));
-                }
+        for i in 0..self.len() {
+            if self.on.get(i) {
+                put_u8(out, 0);
+                // The timeout filter compares against `idle_timeout`;
+                // larger values behave identically, so saturate to keep
+                // long-idle states from encoding distinctly.
+                put_u32(out, self.idle_cycles[i].min(self.idle_timeout));
+            } else if self.waking.get(i) {
+                put_u8(out, 2);
+                put_u64(out, self.ready_at[i].saturating_sub(now));
+            } else {
+                put_u8(out, 1);
+                put_u32(out, 0);
             }
         }
     }
@@ -354,27 +368,24 @@ impl GateArray {
     /// Advances idle timers using the network's per-router idleness and
     /// powers off routers that pass the timeout filter and the
     /// scheme-specific `may_sleep` predicate. Call once per tick, after
-    /// event processing. O(active routers): off and waking gates are
-    /// skipped, exactly like the eager full scan would no-op them, and
-    /// `may_sleep` is consulted for the same routers in the same order.
+    /// event processing. O(on routers): off and waking gates are skipped,
+    /// exactly like the eager full scan would no-op them, and `may_sleep`
+    /// is consulted for the same routers in the same (ascending) order.
     pub fn advance_idle(&mut self, idle: &[bool], mut may_sleep: impl FnMut(usize) -> bool) {
         let timeout = self.idle_timeout;
-        self.for_each_active(|this, i| {
-            if let Gate::On { idle_cycles } = this.gates[i] {
-                if idle[i] {
-                    let ic = idle_cycles + 1;
-                    if ic >= timeout && may_sleep(i) {
-                        this.counters.sleep_events[i] += 1;
-                        // Freshly asleep: zero debt as of now.
-                        this.off_mark[i] = this.acct_units;
-                        this.gates[i] = Gate::Off;
-                        this.active.clear(i);
-                    } else {
-                        this.gates[i] = Gate::On { idle_cycles: ic };
-                    }
-                } else {
-                    this.gates[i] = Gate::On { idle_cycles: 0 };
-                }
+        self.for_each_on(|this, i| {
+            if !idle[i] {
+                this.idle_cycles[i] = 0;
+                return;
+            }
+            let ic = this.idle_cycles[i] + 1;
+            if ic >= timeout && may_sleep(i) {
+                this.counters.sleep_events[i] += 1;
+                // Freshly asleep: zero debt as of now.
+                this.mark[i] = this.acct_units;
+                this.on.clear(i);
+            } else {
+                this.idle_cycles[i] = ic;
             }
         });
     }
@@ -383,6 +394,19 @@ impl GateArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The state tag of every router, read back from `encode_state`.
+    fn tags(g: &GateArray, now: Cycle) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        g.encode_state(now, &mut bytes);
+        let mut tags = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            tags.push(bytes[at]);
+            at += if bytes[at] == 2 { 9 } else { 5 };
+        }
+        tags
+    }
 
     #[test]
     fn sleeps_after_timeout_idle_cycles() {
@@ -518,10 +542,10 @@ mod tests {
     }
 
     /// Replays the quiet span per-cycle and via the closed form and demands
-    /// bit-identical gates *and* counters, over randomized initial states,
-    /// sleep floors and span lengths. This is the unit-level half of the
-    /// fast-forward equivalence argument (the end-to-end half lives in
-    /// `tests/differential.rs`).
+    /// identical states, snapshot bytes, horizons *and* counters, over
+    /// randomized initial states, sleep floors and span lengths. This is
+    /// the unit-level half of the fast-forward equivalence argument (the
+    /// end-to-end half lives in `tests/differential.rs`).
     #[test]
     fn quiet_advance_matches_loop() {
         use punchsim_types::SimRng;
@@ -536,7 +560,7 @@ mod tests {
             // Randomize initial gate states through the public API.
             for i in 0..n {
                 match rng.next_u64() % 3 {
-                    0 => {} // stays On { idle_cycles: 0 }
+                    0 => {} // stays on with an idle counter of 0
                     1 => {
                         // Drive it Off: enough all-idle ticks starting well
                         // before `from`.
@@ -567,11 +591,19 @@ mod tests {
                 slow.advance_idle(&all_idle, |i| c >= floors[i]);
             }
             fast.advance_quiet(from, from + span, |i| floors[i]);
-            assert_eq!(slow.gates, fast.gates, "trial {trial} gates diverged");
+            let to = from + span;
+            for i in 0..n {
+                let r = NodeId(i as u16);
+                assert_eq!(slow.state(r), fast.state(r), "trial {trial} router {i}");
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            slow.encode_state(to, &mut a);
+            fast.encode_state(to, &mut b);
+            assert_eq!(a, b, "trial {trial} snapshot bytes diverged");
             assert_eq!(
-                slow.active.words(),
-                fast.active.words(),
-                "trial {trial} active set diverged"
+                slow.next_event_at(to, |i| floors[i]),
+                fast.next_event_at(to, |i| floors[i]),
+                "trial {trial} horizon diverged"
             );
             assert_eq!(
                 slow.counters(),
@@ -605,28 +637,35 @@ mod tests {
         assert_eq!(g.next_event_at(5, |_| 0), None);
     }
 
-    /// The active set must mirror gate states exactly through every
-    /// transition path (sleep, wake, force-wake, quiet spans).
+    /// Every transition path (sleep, veto, wake, force-wake, a quiet span
+    /// that promotes and re-sleeps) lands in the expected state, and the
+    /// snapshot encoding and counters agree with it.
     #[test]
-    fn active_set_tracks_gate_states() {
+    fn transition_paths_agree_on_state_encoding_and_counters() {
         let mut g = GateArray::new(4, 3, 1);
         for c in 0..4 {
             g.begin_cycle(c);
             g.advance_idle(&[true, true, false, true], |i| i != 3);
         }
         // Routers 0/1 slept; 2 stayed busy; 3 was vetoed.
-        for i in 0..4 {
-            let on = !matches!(g.state(NodeId(i as u16)), PowerState::Off);
-            assert_eq!(g.active.get(i), on, "router {i}");
-        }
+        let on = PowerState::On;
+        let states = |g: &GateArray| (0..4).map(|i| g.state(NodeId(i))).collect::<Vec<_>>();
+        assert_eq!(states(&g), [PowerState::Off, PowerState::Off, on, on]);
+        assert_eq!(tags(&g, 4), [1, 1, 0, 0]);
         g.request_wake(NodeId(0), 10);
-        assert!(g.active.get(0));
         g.force_wake(NodeId(1), 10);
-        assert!(g.active.get(1));
+        let waking = PowerState::WakingUp { ready_at: 13 };
+        assert_eq!(states(&g), [waking, waking, on, on]);
+        assert_eq!(tags(&g, 10), [2, 2, 0, 0]);
+        let c = g.counters();
+        assert_eq!((c.wake_events[0], c.wake_events[1]), (1, 1));
+        assert_eq!((c.escalations_at[0], c.escalations_at[1]), (0, 1));
+        // Both promote at tick 12 (two waking cycles, 11 and 12), then
+        // every router times out and sleeps inside the span.
         g.advance_quiet(11, 40, |_| 0);
-        for i in 0..4 {
-            let on = !matches!(g.state(NodeId(i as u16)), PowerState::Off);
-            assert_eq!(g.active.get(i), on, "router {i} after quiet span");
-        }
+        assert_eq!(states(&g), [PowerState::Off; 4]);
+        assert_eq!(tags(&g, 40), [1; 4]);
+        assert_eq!(g.counters().waking_cycles, [2, 2, 0, 0]);
+        assert_eq!(g.next_event_at(40, |_| 0), None);
     }
 }

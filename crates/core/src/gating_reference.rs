@@ -167,12 +167,36 @@ fn assert_same(trial: usize, cycle: Cycle, lazy: &GateArray, eager: &EagerGateAr
     );
 }
 
+/// `ready_at` of every router the eager reference holds mid-wakeup.
+fn transients(eager: &EagerGateArray) -> Vec<Cycle> {
+    eager
+        .gates
+        .iter()
+        .filter_map(|g| match *g {
+            EGate::Waking { ready_at } => Some(ready_at),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A wake cycle near `cycle`, possibly earlier than ones already used:
+/// the public API accepts any order, so the promotion queue must insert
+/// in order rather than append.
+fn jittered(rng: &mut SimRng, cycle: Cycle) -> Cycle {
+    (cycle + rng.next_u64() % 8).saturating_sub(4)
+}
+
 /// Random single-cycle traces, observed after every cycle. The sleep
 /// veto, wake pattern and idleness all come from the same seeded stream
 /// on both sides, so the two arrays see byte-identical call sequences.
+/// Wakes and forced wakes arrive at jittered (non-monotone) cycles, and
+/// counter resets land at random points; the trace must have observed
+/// counters mid-wakeup, reset inside a transient and queued a wake ahead
+/// of a later one.
 #[test]
 fn lazy_matches_eager_on_random_cycle_traces() {
     let mut rng = SimRng::seed_from_u64(0x1A2E61);
+    let (mut mid_wake, mut reset_in_transient, mut out_of_order) = (0, 0, 0);
     for trial in 0..40 {
         let n = 1 + (rng.next_u64() % 24) as usize;
         let latency = 1 + (rng.next_u64() % 10) as u32;
@@ -186,21 +210,34 @@ fn lazy_matches_eager_on_random_cycle_traces() {
             lazy.begin_cycle(cycle);
             eager.begin_cycle(cycle);
             // Sparse random events, identical on both sides.
-            match rng.next_u64() % 8 {
-                0 => {
+            match rng.next_u64() % 16 {
+                e @ 0..=3 => {
                     let r = NodeId((rng.next_u64() % n as u64) as u16);
-                    lazy.request_wake(r, cycle);
-                    eager.request_wake(r, cycle);
+                    let at = jittered(&mut rng, cycle);
+                    if eager.gates[r.index()] == EGate::Off
+                        && transients(&eager)
+                            .iter()
+                            .any(|&t| t > at + latency as Cycle)
+                    {
+                        out_of_order += 1;
+                    }
+                    if e < 2 {
+                        lazy.request_wake(r, at);
+                        eager.request_wake(r, at);
+                    } else {
+                        lazy.force_wake(r, at);
+                        eager.force_wake(r, at);
+                    }
                 }
-                1 => {
-                    let r = NodeId((rng.next_u64() % n as u64) as u16);
-                    lazy.force_wake(r, cycle);
-                    eager.force_wake(r, cycle);
-                }
-                2 => {
+                4 | 5 => {
                     let r = NodeId((rng.next_u64() % n as u64) as u16);
                     lazy.keep_awake(r);
                     eager.keep_awake(r);
+                }
+                6 => {
+                    reset_in_transient += !transients(&eager).is_empty() as u32;
+                    lazy.reset_counters();
+                    eager.reset_counters();
                 }
                 _ => {}
             }
@@ -210,17 +247,24 @@ fn lazy_matches_eager_on_random_cycle_traces() {
             // Observe after EVERY cycle: the counters must already be
             // exact, no matter how much debt the lazy side is carrying.
             assert_same(trial, cycle, &lazy, &eager, n);
+            mid_wake += !transients(&eager).is_empty() as u32;
         }
     }
+    assert!(mid_wake > 0, "no observation mid-wakeup");
+    assert!(reset_in_transient > 0, "no reset inside a transient");
+    assert!(out_of_order > 0, "every wake landed behind the queue");
 }
 
 /// Interleaved cycle-by-cycle stretches and bulk quiet-span jumps, with
 /// mid-trace counter resets. Observation happens after every cycle *and*
 /// after every jump; a jump that leaves stale debt or a reset that fails
-/// to cancel it diverges immediately.
+/// to cancel it diverges immediately. Wake bursts right before a jump make
+/// spans that promote several routers at once and spans that end with a
+/// transient still running.
 #[test]
 fn lazy_matches_eager_across_bulk_jumps_and_resets() {
     let mut rng = SimRng::seed_from_u64(0xFA57_F01D);
+    let (mut ends_mid_wake, mut promotes_several) = (0, 0);
     for trial in 0..30 {
         let n = 1 + (rng.next_u64() % 16) as usize;
         let latency = 1 + (rng.next_u64() % 8) as u32;
@@ -230,17 +274,30 @@ fn lazy_matches_eager_across_bulk_jumps_and_resets() {
         let floors: Vec<Cycle> = (0..n).map(|_| rng.next_u64() % 200).collect();
         let mut cycle: Cycle = 0;
         for _segment in 0..12 {
-            match rng.next_u64() % 4 {
-                // Bulk jump: the quiet fast-forward path.
-                0 => {
+            match rng.next_u64() % 5 {
+                // Bulk jump: the quiet fast-forward path, sometimes right
+                // after a burst of wakes at jittered cycles.
+                k @ 0..=1 => {
+                    if k == 1 {
+                        for _ in 0..(1 + rng.next_u64() % 4) {
+                            let r = NodeId((rng.next_u64() % n as u64) as u16);
+                            let at = jittered(&mut rng, cycle);
+                            lazy.request_wake(r, at);
+                            eager.request_wake(r, at);
+                        }
+                    }
+                    let before = transients(&eager).len();
                     let span = 1 + rng.next_u64() % 60;
                     lazy.advance_quiet(cycle, cycle + span, |i| floors[i]);
                     eager.advance_quiet(cycle, cycle + span, |i| floors[i]);
                     cycle += span;
+                    let after = transients(&eager).len();
+                    ends_mid_wake += (after > 0) as u32;
+                    promotes_several += (before >= after + 2) as u32;
                 }
                 // Counter reset at a window boundary (both sides must
                 // forget exactly the same history, including lazy debt).
-                1 => {
+                2 => {
                     lazy.reset_counters();
                     eager.reset_counters();
                 }
@@ -265,6 +322,8 @@ fn lazy_matches_eager_across_bulk_jumps_and_resets() {
             assert_same(trial, cycle, &lazy, &eager, n);
         }
     }
+    assert!(ends_mid_wake > 0, "no quiet span ended mid-wakeup");
+    assert!(promotes_several > 0, "no quiet span promoted two routers");
 }
 
 /// Cloning mid-run must carry the lazy debt with it: the clone and the

@@ -667,9 +667,10 @@ mod tests {
         assert_eq!(m.next_event_at(11), Some(11));
     }
 
-    /// The fabric's worklist plane is derived state: a fork taken mid-flight
-    /// (what `verify::explore` does through `Network::try_clone`) must
-    /// carry it, and a counter reset must not strand punches on the wires.
+    /// The fabric's transit lists are dynamic state: a fork taken
+    /// mid-flight (what `verify::explore` does through `Network::try_clone`)
+    /// must carry them, and a counter reset must not strand punches on the
+    /// wires.
     #[test]
     fn mid_flight_clone_and_counter_reset_keep_punches_moving() {
         let idle = all_idle(64);

@@ -8,10 +8,12 @@
 //! for 3-hop punches (Table 1), 3 on a Y link — so merging is contention-free
 //! with 5-bit/2-bit wires. This module carries the *sets*; the codeword
 //! assignment lives in [`crate::codebook`].
+//!
+//! [`PunchFabric`] holds state only for what is in flight — a list of the
+//! sets on the wires and a list of queued local generations, merged in
+//! ascending router order each tick — so the sideband costs what it
+//! carries, not the size of the mesh.
 
-use std::collections::VecDeque;
-
-use punchsim_noc::BitWords;
 use punchsim_types::{Direction, NodeId, RouteView};
 
 /// Maximum distinct targets a single punch signal can carry after
@@ -114,47 +116,57 @@ impl std::fmt::Display for PunchSet {
     }
 }
 
+/// One punch set on a wire: it reaches router `to` over the link on `to`'s
+/// `from` side (the sender is `to`'s neighbour that way) at the next tick.
+#[derive(Debug, Clone, Copy)]
+struct Wire {
+    to: NodeId,
+    from: Direction,
+    set: PunchSet,
+}
+
+/// One queued local generation: a wakeup for `target`, waiting to leave
+/// `router` toward `dir`.
+#[derive(Debug, Clone, Copy)]
+struct Gen {
+    router: NodeId,
+    dir: Direction,
+    target: NodeId,
+}
+
 /// The per-link punch wires of the whole mesh, advanced one hop per cycle.
 ///
-/// Each cycle, a router merges (a) punch sets arriving on its input wires
+/// Each cycle, a router merges (a) punch sets reaching it on its input wires
 /// and (b) at most one locally generated wakeup per output direction
 /// (additional local wakeups wait a cycle in a small queue — the hardware
 /// encoder can only express codebook sets), then forwards each target along
 /// its route. Every router a set arrives at is *notified*: the power
 /// manager wakes it if off and defers its sleep timer.
 ///
-/// # Worklist invariants
+/// # Transit lists
 ///
-/// A tick visits only the set bits of the `active` plane, so it costs
-/// O(routers touched by a punch), not O(mesh). Between ticks:
+/// The fabric holds state only for what is in flight: two short lists,
+/// not per-router wires and queues, so a tick costs O(sets in flight +
+/// queued generations), not O(mesh). Between ticks:
 ///
-/// - `active` bit `r` is set iff router `r` has a non-empty `arriving`
-///   wire or a non-empty `gen_queues` entry;
-/// - `next` (the plane a tick builds for the following cycle) and
-///   `scratch` are all-clear;
-/// - bits are visited ascending, so notify order, merge order and
-///   `hops_sent_at` are exactly those of a `0..n` sweep (kept as the test
-///   oracle in `punch_reference.rs`).
+/// - `wires` holds one entry per non-empty wire, sorted by `(to, from)`
+///   (each key is unique: `from` names the sender);
+/// - `gens` holds the queued generations sorted by router, FIFO within
+///   each `(router, dir)`;
+/// - a tick merges the two in ascending router order, visiting each router
+///   once with its arrivals in `from` order and then at most one
+///   generation per output, so notify order, merge order (`insert_normalized`),
+///   `hops_sent_at`, [`PunchFabric::in_flight`] and `encode_state` are
+///   exactly those of a `0..n` sweep (kept as the test oracle in
+///   `punch_reference.rs`).
 #[derive(Debug, Clone)]
 pub struct PunchFabric {
     view: RouteView,
     hops: u16,
-    /// Sets that will arrive at router `r` from direction `d` next cycle.
-    arriving: Vec<[PunchSet; 4]>,
-    /// Double buffer for `arriving`, reused across ticks so the steady-state
-    /// tick allocates nothing. Always all-empty between ticks.
-    scratch: Vec<[PunchSet; 4]>,
-    /// Pending locally generated targets per router and output direction.
-    gen_queues: Vec<[VecDeque<NodeId>; 4]>,
-    /// The worklist plane: one bit per router.
-    active: BitWords,
-    /// Double buffer for `active`.
-    next: BitWords,
-    /// Exact count of non-empty `arriving` sets, maintained incrementally so
-    /// `is_idle`/`pending` never rescan the mesh.
-    wires_live: usize,
-    /// Exact count of queued local generations (same purpose).
-    gens_queued: usize,
+    /// Sets in flight, delivered next tick.
+    wires: Vec<Wire>,
+    /// Locally generated targets not yet sent.
+    gens: Vec<Gen>,
     /// Total non-idle signal link traversals (wire energy metric).
     pub hops_sent: u64,
     /// Per-router breakdown of `hops_sent`: `hops_sent_at[r]` counts the
@@ -175,13 +187,8 @@ impl PunchFabric {
         PunchFabric {
             view,
             hops,
-            arriving: vec![[PunchSet::new(); 4]; n],
-            scratch: vec![[PunchSet::new(); 4]; n],
-            gen_queues: vec![Default::default(); n],
-            active: BitWords::new(n),
-            next: BitWords::new(n),
-            wires_live: 0,
-            gens_queued: 0,
+            wires: Vec::new(),
+            gens: Vec::new(),
             hops_sent: 0,
             hops_sent_at: vec![0; n],
             #[cfg(test)]
@@ -195,28 +202,37 @@ impl PunchFabric {
     }
 
     /// Appends the fabric's canonical snapshot encoding (see
-    /// `punchsim_noc::snapshot`): the punch sets on every wire (canonical
-    /// target order — merge order within a cycle is not semantic) and the
-    /// queued locally-generated targets per output direction. `hops_sent`
-    /// is a statistic (monotone) and excluded; `scratch` is empty between
-    /// ticks; `wires_live`/`gens_queued` and the worklist planes are derived
-    /// (`Clone` carries them).
+    /// `punchsim_noc::snapshot`): for every router and input direction the
+    /// punch set on that wire (canonical target order — merge order within
+    /// a cycle is not semantic; an idle wire is an empty set), then for
+    /// every router and output direction its queued locally-generated
+    /// targets. `hops_sent` is a statistic (monotone) and excluded.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         use punchsim_noc::snapshot::{put_u16, put_u8};
-        for wires in &self.arriving {
-            for set in wires {
-                let canon = set.canonical();
-                put_u8(out, canon.len() as u8);
-                for &t in canon.targets() {
-                    put_u16(out, t.0);
+        let n = self.view.topo.nodes();
+        let mut wires = self.wires.iter().peekable();
+        for r in 0..n {
+            for from in Direction::ALL {
+                match wires.next_if(|w| w.to.index() == r && w.from == from) {
+                    Some(w) => {
+                        let canon = w.set.canonical();
+                        put_u8(out, canon.len() as u8);
+                        for &t in canon.targets() {
+                            put_u16(out, t.0);
+                        }
+                    }
+                    None => put_u8(out, 0),
                 }
             }
         }
-        for queues in &self.gen_queues {
-            for q in queues {
-                put_u8(out, q.len() as u8);
-                for t in q {
-                    put_u16(out, t.0);
+        let mut rest = &self.gens[..];
+        for r in 0..n {
+            let (run, tail) = rest.split_at(rest.partition_point(|g| g.router.index() == r));
+            rest = tail;
+            for dir in Direction::ALL {
+                put_u8(out, run.iter().filter(|g| g.dir == dir).count() as u8);
+                for g in run.iter().filter(|g| g.dir == dir) {
+                    put_u16(out, g.target.0);
                 }
             }
         }
@@ -237,9 +253,16 @@ impl PunchFabric {
             .view
             .direction(router, target)
             .expect("target != router by construction");
-        self.gen_queues[router.index()][dir.index()].push_back(target);
-        self.gens_queued += 1;
-        self.active.set(router.index());
+        // Behind every generation already queued at `router`: FIFO.
+        let at = self.gens.partition_point(|g| g.router <= router);
+        self.gens.insert(
+            at,
+            Gen {
+                router,
+                dir,
+                target,
+            },
+        );
         Some(target)
     }
 
@@ -247,158 +270,107 @@ impl PunchFabric {
     /// router that receives a punch arrival (targeted *or* en route — both
     /// must stay awake or wake up), in ascending router order.
     ///
-    /// Cost: O(routers holding an arrival or a queued generation).
+    /// Cost: O(sets in flight + queued generations).
     pub fn tick(&mut self, mut notify: impl FnMut(NodeId)) {
-        if self.wires_live == 0 && self.gens_queued == 0 {
-            return; // idle fabric: nothing can arrive, nothing to relay
-        }
-        let mut live = 0usize;
-        for w in 0..self.active.words().len() {
-            // Ships only ever mark `next`, so this word is the cycle's
-            // complete visit list for routers `64w..64w+64`.
-            let mut word = self.active.words()[w];
-            while word != 0 {
-                let idx = w * 64 + word.trailing_zeros() as usize;
-                word &= word - 1;
-                live += self.relay(idx, &mut notify);
-            }
-        }
-        // `arriving` is all-empty after the take() sweep above, so the two
-        // buffers swap roles with no clearing pass; the planes need one of
-        // a word per 64 routers.
-        std::mem::swap(&mut self.arriving, &mut self.scratch);
-        self.active.clear_all();
-        std::mem::swap(&mut self.active, &mut self.next);
-        self.wires_live = live;
-        debug_assert!(self
-            .scratch
-            .iter()
-            .all(|a| a.iter().all(PunchSet::is_empty)));
-    }
-
-    /// One router's share of a tick: merge arrivals with at most one local
-    /// generation per output, notify, ship each merged set one hop, mark
-    /// who must be visited next cycle. Returns the number of sets shipped.
-    fn relay(&mut self, idx: usize, notify: &mut impl FnMut(NodeId)) -> usize {
-        #[cfg(test)]
-        {
-            self.visits += 1;
-        }
-        let here = NodeId(idx as u16);
-        // Collect arrivals; any non-empty arrival notifies this router.
-        let mut outgoing = [PunchSet::new(); 4];
-        let mut any_arrival = false;
-        for d in 0..4 {
-            let set = std::mem::take(&mut self.arriving[idx][d]);
-            if set.is_empty() {
-                continue;
-            }
-            any_arrival = true;
-            for &t in set.targets() {
-                if t == here {
-                    continue; // final target reached; consumed
-                }
-                let dir = self.view.direction(here, t).expect("t != here");
-                outgoing[dir.index()].insert_normalized(self.view, here, t);
-            }
-        }
-        // Local generations also notify (they wake the local router when
-        // it is the first hop of an injection punch).
-        for (d, out) in outgoing.iter_mut().enumerate() {
-            if let Some(t) = self.pop_gen(idx, d) {
-                any_arrival = true;
-                out.insert_normalized(self.view, here, t);
-            }
-        }
-        if any_arrival {
-            notify(here);
-        }
-        // Generations still queued behind this cycle's one-per-output pop
-        // re-arm the router.
-        if self.gen_queues[idx].iter().any(|q| !q.is_empty()) {
-            self.next.set(idx);
-        }
-        // Ship each non-empty outgoing set one hop.
-        let mut shipped = 0;
-        for (d, set) in outgoing.into_iter().enumerate() {
-            if set.is_empty() {
-                continue;
-            }
-            let dir = Direction::ALL[d];
-            let Some(nb) = self.view.topo.neighbor(here, dir) else {
-                debug_assert!(false, "punch target routed off the substrate");
-                continue;
+        let arrived = self.wires.len();
+        let queued = self.gens.len();
+        // `w`/`g` read this cycle's entries; generations that stay queued
+        // are compacted to `kept`, and shipped sets are appended behind
+        // the arrivals (dropped below).
+        let (mut w, mut g, mut kept) = (0, 0, 0);
+        loop {
+            let wire = self.wires[..arrived].get(w).map(|x| x.to);
+            let gen = self.gens[..queued].get(g).map(|x| x.router);
+            let Some(here) = wire.into_iter().chain(gen).min() else {
+                break;
             };
-            self.hops_sent += 1;
-            self.hops_sent_at[idx] += 1;
-            shipped += 1;
-            self.scratch[nb.index()][dir.opposite().index()] = set;
-            self.next.set(nb.index());
+            #[cfg(test)]
+            {
+                self.visits += 1;
+            }
+            let mut outgoing = [PunchSet::new(); 4];
+            while w < arrived && self.wires[w].to == here {
+                for &t in self.wires[w].set.targets() {
+                    if t == here {
+                        continue; // final target reached; consumed
+                    }
+                    let dir = self.view.direction(here, t).expect("t != here");
+                    outgoing[dir.index()].insert_normalized(self.view, here, t);
+                }
+                w += 1;
+            }
+            // One local generation per output; later ones for the same
+            // output stay queued, in order.
+            let mut popped = [false; 4];
+            while g < queued && self.gens[g].router == here {
+                let gen = self.gens[g];
+                g += 1;
+                let d = gen.dir.index();
+                if popped[d] {
+                    self.gens[kept] = gen;
+                    kept += 1;
+                } else {
+                    popped[d] = true;
+                    outgoing[d].insert_normalized(self.view, here, gen.target);
+                }
+            }
+            // Every visited router holds an arrival or pops a generation
+            // (the first of its output), and both notify: generations wake
+            // the local router when it is the first hop of an injection
+            // punch.
+            notify(here);
+            for (d, set) in outgoing.into_iter().enumerate() {
+                if set.is_empty() {
+                    continue;
+                }
+                let dir = Direction::ALL[d];
+                let Some(to) = self.view.topo.neighbor(here, dir) else {
+                    debug_assert!(false, "punch target routed off the substrate");
+                    continue;
+                };
+                self.hops_sent += 1;
+                self.hops_sent_at[here.index()] += 1;
+                self.wires.push(Wire {
+                    to,
+                    from: dir.opposite(),
+                    set,
+                });
+            }
         }
-        shipped
-    }
-
-    /// Pops the next queued local generation for output `d` of router `idx`,
-    /// skipping targets that merge into already-forwarded sets for free.
-    fn pop_gen(&mut self, idx: usize, d: usize) -> Option<NodeId> {
-        let t = self.gen_queues[idx][d].pop_front()?;
-        self.gens_queued -= 1;
-        Some(t)
+        self.gens.truncate(kept);
+        self.wires.drain(..arrived);
+        self.wires.sort_unstable_by_key(|w| (w.to, w.from));
     }
 
     /// In-flight punch sets as `(link_source, direction, set)` — the set is
     /// currently traversing the wire leaving `link_source` toward
     /// `direction` (test and validation hook).
     pub fn in_flight(&self) -> Vec<(NodeId, Direction, PunchSet)> {
-        let mut v = Vec::new();
-        for (idx, arr) in self.arriving.iter().enumerate() {
-            for (d, set) in arr.iter().enumerate() {
-                if set.is_empty() {
-                    continue;
-                }
-                // Arriving at router `idx` from direction `d` means the set
-                // was sent by the neighbour in that direction.
-                let dir = Direction::ALL[d];
+        self.wires
+            .iter()
+            .map(|w| {
                 let src = self
                     .view
                     .topo
-                    .neighbor(NodeId(idx as u16), dir)
+                    .neighbor(w.to, w.from)
                     .expect("punch arrived over a real link");
-                v.push((src, dir.opposite(), *set));
-            }
-        }
-        v
+                (src, w.from.opposite(), w.set)
+            })
+            .collect()
     }
 
     /// Number of punch signals in flight on wires plus locally queued
     /// generations — the sideband backlog reported in stall diagnostics.
-    /// O(1): both counts are maintained incrementally.
+    /// O(1): the two list lengths.
     pub fn pending(&self) -> usize {
-        debug_assert_eq!(
-            self.wires_live,
-            self.arriving
-                .iter()
-                .flat_map(|a| a.iter())
-                .filter(|s| !s.is_empty())
-                .count()
-        );
-        debug_assert_eq!(
-            self.gens_queued,
-            self.gen_queues
-                .iter()
-                .flat_map(|g| g.iter())
-                .map(VecDeque::len)
-                .sum::<usize>()
-        );
         debug_assert!(
-            (0..self.arriving.len()).all(|r| {
-                self.active.get(r)
-                    == (self.arriving[r].iter().any(|s| !s.is_empty())
-                        || self.gen_queues[r].iter().any(|q| !q.is_empty()))
-            }) && self.next.none_set(),
-            "worklist plane out of step with arriving + gen_queues"
+            self.wires
+                .windows(2)
+                .all(|p| (p[0].to, p[0].from) < (p[1].to, p[1].from))
+                && self.gens.windows(2).all(|p| p[0].router <= p[1].router),
+            "transit lists out of order"
         );
-        self.wires_live + self.gens_queued
+        self.wires.len() + self.gens.len()
     }
 
     /// `true` when no signals are in flight and no generations queued. O(1).

@@ -9,8 +9,10 @@
 //! execution detail, so any observable divergence — notify sequence,
 //! wires, snapshot bytes, hop statistics, backlog — is a bug.
 
-use punchsim_types::{Direction, Mesh, NodeId, RouteView, RoutingKind, SimRng, Torus};
+use punchsim_noc::{IdleInfo, PmEvent, PowerManager};
+use punchsim_types::{Direction, Mesh, NodeId, PowerConfig, RouteView, RoutingKind, SimRng, Torus};
 
+use crate::manager::PowerPunchManager;
 use crate::punch::{PunchFabric, PunchSet};
 
 /// Full-sweep punch fabric; same observable API subset as
@@ -249,7 +251,8 @@ fn worklist_matches_sweep_in_lock_step() {
 }
 
 /// The cost model, pinned without a clock: a tick visits the routers a
-/// punch touches, not the mesh.
+/// punch touches, not the mesh, and the fabric holds entries only for what
+/// is in flight.
 #[test]
 fn one_punch_on_a_large_fabric_visits_at_most_two_routers_per_tick() {
     let mut f = PunchFabric::new(Mesh::new(32, 32), 3);
@@ -258,14 +261,17 @@ fn one_punch_on_a_large_fabric_visits_at_most_two_routers_per_tick() {
     }
     assert_eq!(f.visits, 0, "an idle fabric visits nothing");
     // Two generations on one router/direction: while the second waits in
-    // the queue the sender is re-armed next to the first one's relay.
+    // the generation list the sender is visited again next to the first
+    // one's relay.
     f.generate(NodeId(40), NodeId(47));
     f.generate(NodeId(40), NodeId(47));
+    assert_eq!(f.pending(), 2, "two list entries, no per-router state");
     let mut notified = Vec::new();
     for _ in 0..5 {
         let before = f.visits;
         f.tick(|r| notified.push(r.0));
         assert!(f.visits - before <= 2, "visited {}", f.visits - before);
+        assert!(f.pending() <= 2, "{} entries held", f.pending());
     }
     assert!(f.is_idle());
     assert_eq!(notified, [40, 40, 41, 41, 42, 42, 43, 43]);
@@ -273,4 +279,37 @@ fn one_punch_on_a_large_fabric_visits_at_most_two_routers_per_tick() {
     let spent = f.visits;
     f.tick(|_| {});
     assert_eq!(f.visits, spent, "drained: back to zero visits per tick");
+}
+
+/// A manager forked (`clone_boxed`, what the checker and
+/// `Network::try_clone` do) while two generations wait on the same
+/// `(router, dir)` carries the list order with it: the fork and the
+/// original tick in lock step until the sideband drains.
+#[test]
+fn fork_with_two_generations_queued_on_one_output_ticks_in_lock_step() {
+    let mesh = Mesh::new(8, 8);
+    let idle = vec![true; 64];
+    let idle = IdleInfo { idle: &idle };
+    let mut orig = PowerPunchManager::new(mesh, &PowerConfig::default(), 4, false);
+    // Three eastward punches from R26 (targets R29, R28 and R36, the last
+    // turning south at R28): the tick sends the first, the other two stay
+    // queued on (R26, East) in that order.
+    let heads = [(26, 31), (26, 28), (26, 44)].map(|(r, d)| PmEvent::HeadArrival {
+        router: NodeId(r),
+        dst: NodeId(d),
+    });
+    orig.tick(10, &heads, idle);
+    assert_eq!(orig.pending_punches(), 3, "one wire, two queued");
+    let mut fork = orig.clone_boxed().expect("ppf forks");
+    for c in 11..30 {
+        orig.tick(c, &[], idle);
+        fork.tick(c, &[], idle);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        assert!(orig.encode_state(c + 1, &mut a) && fork.encode_state(c + 1, &mut b));
+        assert_eq!(a, b, "cycle {c}");
+        assert_eq!(orig.counters(), fork.counters(), "cycle {c}");
+        assert_eq!(orig.pending_punches(), fork.pending_punches(), "cycle {c}");
+    }
+    assert_eq!(orig.pending_punches(), 0);
+    assert_eq!(orig.counters().punch_hops, 3 + 2 + 3);
 }

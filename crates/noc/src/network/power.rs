@@ -11,24 +11,22 @@ impl Network {
     /// The power phase with idleness derived from the SoA words: a router
     /// is idle iff its occupancy and NI-mid-packet bits are clear and no
     /// flit is in flight toward it — exactly the oracle's per-router struct
-    /// predicate.
+    /// predicate. The plane persists, so only routers whose busy bit
+    /// changed since the last power phase are rewritten.
     pub(super) fn power_tick_soa(&mut self, now: Cycle) {
-        self.soa.idle.clear();
-        self.soa.idle.resize(self.routers.len(), true);
-        if !self.packets.is_empty() {
-            let occ = self.soa.occ.words();
-            let mid = self.soa.ni_mid.words();
-            let inbound = self.flits.live() > 0;
-            for (w, chunk) in self.soa.idle.chunks_mut(64).enumerate() {
-                let mut busy = occ[w] | mid[w];
-                if inbound {
-                    busy |= self.flits.live_word(w);
-                }
-                while busy != 0 {
-                    chunk[busy.trailing_zeros() as usize] = false;
-                    busy &= busy - 1;
-                }
+        // No packet in flight means no flit, NI work or inbound wire
+        // anywhere: every router is idle.
+        let any = !self.packets.is_empty();
+        let inbound = any && self.flits.live() > 0;
+        for w in 0..self.soa.occ.words().len() {
+            let mut busy = 0;
+            if any {
+                busy = self.soa.occ.words()[w] | self.soa.ni_mid.words()[w];
             }
+            if inbound {
+                busy |= self.flits.live_word(w);
+            }
+            self.soa.set_busy(w, busy);
         }
         self.power_tick_finish(now);
     }

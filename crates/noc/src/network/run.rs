@@ -65,8 +65,9 @@ impl Network {
             .all(crate::router::Router::datapath_empty));
         let from = self.cycle;
         let to = from + span;
-        self.soa.idle.clear();
-        self.soa.idle.resize(self.routers.len(), true);
+        for w in 0..self.soa.occ.words().len() {
+            self.soa.set_busy(w, 0);
+        }
         let idle = IdleInfo {
             idle: &self.soa.idle,
         };

@@ -152,7 +152,7 @@ pub fn for_each_one(words: &[u64], lo: usize, hi: usize, mut f: impl FnMut(usize
 /// corresponding struct-side predicate holds — `occ[r]` iff
 /// `!routers[r].datapath_empty()`, and so on. (The reference sweep does not
 /// maintain the bits, and never needs to: the switch onto it is one-way.)
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct SoaState {
     /// Router datapath holds at least one buffered flit.
     pub occ: BitWords,
@@ -162,9 +162,14 @@ pub(crate) struct SoaState {
     pub ni_mid: BitWords,
     /// Link neighbours of every router (see [`neighbor_table`]).
     pub neighbors: Vec<Neighbors>,
-    /// The idleness plane handed to the power manager, rebuilt by every
-    /// power phase (reused: a steady-state tick allocates nothing).
+    /// The idleness plane handed to the power manager: `idle[r]` iff bit
+    /// `r` of `busy` is clear. Persistent across power phases, which
+    /// rewrite only the entries whose busy bit changed (see
+    /// [`SoaState::set_busy`]).
     pub idle: Vec<bool>,
+    /// Last power phase's busy words (`occ | ni_mid | flit-wheel live`,
+    /// or zero when no packet was in flight), one per 64 routers.
+    busy: Vec<u64>,
 }
 
 impl SoaState {
@@ -175,7 +180,22 @@ impl SoaState {
             ni_pend: BitWords::new(n),
             ni_mid: BitWords::new(n),
             neighbors: neighbor_table(topo),
-            idle: Vec::with_capacity(n),
+            idle: vec![true; n],
+            busy: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// Records this cycle's busy bits for routers `64w..64w+64`, rewriting
+    /// `idle` only where a bit changed since the last call. `busy` has no
+    /// bit at or past the router count.
+    #[inline]
+    pub fn set_busy(&mut self, w: usize, busy: u64) {
+        let mut changed = busy ^ self.busy[w];
+        self.busy[w] = busy;
+        while changed != 0 {
+            let bit = changed.trailing_zeros() as usize;
+            changed &= changed - 1;
+            self.idle[w * 64 + bit] = busy & (1 << bit) == 0;
         }
     }
 }

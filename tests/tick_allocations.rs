@@ -134,25 +134,36 @@ fn a_second_trip_over_a_warm_route_allocates_nothing() {
     }
 }
 
-/// Router state is plain data: a router is three heap blocks (flit slab,
-/// VC control words, link credits) and its NI three more, whatever the VC
-/// count — not one `VecDeque` per VC. Building a 16x16 `nopg` network and
-/// forking it (what the exhaustive checker does per expansion) each stay
-/// within 8 heap requests per router; one deque per VC made 63 and 18.
+/// Router and manager state are plain data: a router is three heap blocks
+/// (flit slab, VC control words, link credits) and its NI three more,
+/// whatever the VC count — not one `VecDeque` per VC — and a power
+/// manager's gate array and punch fabric are a fixed number of planes and
+/// lists, not per-router queues. Building a 16x16 network, its manager
+/// included, and forking it (what the exhaustive checker does per
+/// expansion) each stay within 8 heap requests per router under no gating,
+/// handshake gating and Power Punch; one deque per VC made 63 and 18.
 #[test]
 fn network_new_and_try_clone_make_few_heap_requests_per_router() {
-    let mut cfg = SimConfig::with_scheme(SchemeKind::NoPg);
-    cfg.noc.topology = Mesh::new(16, 16).into();
-    let pm = build_power_manager(&cfg).unwrap();
-    let (net, built) = counted(|| Network::new(&cfg.noc, pm).unwrap());
-    let (fork, forked) = counted(|| net.try_clone().expect("nopg forks"));
-    let routers = cfg.noc.topology.nodes() as f64;
-    for (what, requests) in [("Network::new", built), ("try_clone", forked)] {
-        let per_router = requests as f64 / routers;
-        assert!(
-            per_router <= 8.0,
-            "{what}: {per_router:.1} heap requests per router"
-        );
+    for scheme in [
+        SchemeKind::NoPg,
+        SchemeKind::ConvOptPg,
+        SchemeKind::PowerPunchFull,
+    ] {
+        let mut cfg = SimConfig::with_scheme(scheme);
+        cfg.noc.topology = Mesh::new(16, 16).into();
+        let (net, built) = counted(|| {
+            let pm = build_power_manager(&cfg).unwrap();
+            Network::new(&cfg.noc, pm).unwrap()
+        });
+        let (fork, forked) = counted(|| net.try_clone().expect("every scheme forks"));
+        let routers = cfg.noc.topology.nodes() as f64;
+        for (what, requests) in [("Network::new", built), ("try_clone", forked)] {
+            let per_router = requests as f64 / routers;
+            assert!(
+                per_router <= 8.0,
+                "{scheme:?} {what}: {per_router:.1} heap requests per router"
+            );
+        }
+        drop(fork);
     }
-    drop(fork);
 }
