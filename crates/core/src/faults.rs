@@ -416,13 +416,14 @@ impl FaultInjector {
         }
     }
 
-    /// `true` while the injector itself has nothing in flight: no jittered
-    /// event queued, no gate stuck, no epoch waiting to arm, no choice
-    /// armed. (A standing choice only filters events, and a quiet window
-    /// has none.)
+    /// `true` while the injector has no transient of its own: no jittered
+    /// event queued, no timed stuck window running, no epoch waiting to
+    /// arm, no choice armed. A stick until forced and a standing choice
+    /// never change on their own — the first only masks `state`, the
+    /// second only filters events, and a quiet span has none.
     fn dormant(&self) -> bool {
         self.delayed.is_empty()
-            && self.stuck.iter().all(|s| *s == Stuck::No)
+            && !self.stuck.iter().any(|s| matches!(s, Stuck::Until(_)))
             && match &self.source {
                 Source::Seeded { pending, .. } => pending.is_empty(),
                 Source::Scripted { armed, .. } => armed.is_none(),
@@ -492,47 +493,20 @@ impl PowerManager for FaultInjector {
         self.inner.pending_punches() + self.delayed.len()
     }
 
-    /// Earliest cycle at which this injector (or the wrapped scheme) could
-    /// act: a jittered event coming due, a stuck window expiring, a
-    /// scheduled epoch starting, or the inner manager's own horizon.
-    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        let mut horizon = self.inner.next_event_at(now);
-        let mut merge = |c: Cycle| {
-            let c = c.max(now);
-            horizon = Some(horizon.map_or(c, |h| h.min(c)));
-        };
-        for &(at, _) in &self.delayed {
-            merge(at);
-        }
-        for s in &self.stuck {
-            if let Stuck::Until(until) = *s {
-                merge(until);
-            }
-        }
-        if let Source::Seeded { pending, .. } = &self.source {
-            // Arming also depends on the inner gate being Off, which can
-            // change any cycle once the start has passed.
-            for e in pending {
-                merge(e.start);
-            }
-        }
-        horizon
-    }
-
-    /// Bulk-advances over a quiescent window. Safe to delegate to the
-    /// wrapped manager only while the injector is [dormant]: a pending
-    /// epoch could arm and a timed window expires on a schedule, both of
-    /// which `advance_stuck` must observe per cycle.
+    /// Ticks until the injector is [dormant] — a jittered event comes due,
+    /// a timed window expires, a pending epoch arms, an armed choice is
+    /// consumed, each on a schedule `tick` must observe per cycle — then
+    /// hands the rest of the span to the wrapped manager's own
+    /// `tick_quiet`.
     ///
     /// [dormant]: FaultInjector::dormant
     fn tick_quiet(&mut self, from: Cycle, to: Cycle, idle: IdleInfo<'_>) {
-        if self.dormant() && idle.idle.iter().all(|&b| b) {
-            self.inner.tick_quiet(from, to, idle);
-        } else {
-            for c in from..to {
-                self.tick(c, &[], idle);
-            }
+        let mut c = from;
+        while c < to && !self.dormant() {
+            self.tick(c, &[], idle);
+            c += 1;
         }
+        self.inner.tick_quiet(c, to, idle);
     }
 
     /// The wrapped manager's snapshot with this injector's fault total
@@ -618,9 +592,9 @@ impl PowerManager for FaultInjector {
 
 #[cfg(test)]
 mod tests {
-    //! Only what reaches private state (`corrupt_dst`, the `delayed`
-    //! queue); everything the public API can show is pinned in
-    //! `tests/faults.rs` and `tests/wrapper_counters.rs`.
+    //! Only what reaches private state (`corrupt_dst`); everything the
+    //! public API can show is pinned in `tests/faults.rs` and
+    //! `tests/wrapper_counters.rs`.
 
     use super::*;
     use punchsim_noc::AlwaysOn;
@@ -631,29 +605,6 @@ mod tests {
 
     fn mesh() -> Mesh {
         Mesh::new(4, 4)
-    }
-
-    /// Inner double for horizon tests: always Off, no events of its own.
-    struct Dormant(PgCounters);
-
-    impl PowerManager for Dormant {
-        fn kind(&self) -> SchemeKind {
-            SchemeKind::ConvPg
-        }
-        fn state(&self, _r: NodeId) -> PowerState {
-            PowerState::Off
-        }
-        fn tick(&mut self, _cycle: Cycle, _events: &[PmEvent], _idle: IdleInfo<'_>) {}
-        fn force_wake(&mut self, _r: NodeId, _cycle: Cycle) {}
-        fn counters(&self) -> PgCounters {
-            self.0.clone()
-        }
-        fn reset_counters(&mut self) {
-            self.0.reset();
-        }
-        fn next_event_at(&self, _now: Cycle) -> Option<Cycle> {
-            None
-        }
     }
 
     fn head(router: u16, dst: u16) -> PmEvent {
@@ -685,35 +636,5 @@ mod tests {
             assert_ne!(d, NodeId(5));
             assert!(mesh().contains(d), "corrupted dst {d} must stay in-mesh");
         }
-    }
-
-    #[test]
-    fn next_event_at_tracks_epochs_and_delayed_events() {
-        let cfg = FaultConfig {
-            stuck_epochs: vec![StuckEpoch {
-                router: NodeId(3),
-                start: 50,
-                duration: 100,
-            }],
-            ..FaultConfig::default()
-        };
-        let mut f = seeded(Box::new(Dormant(PgCounters::new(N))), &cfg);
-        // Pending epoch: the horizon is its start cycle (clamped to now).
-        assert_eq!(f.next_event_at(10), Some(50));
-        assert_eq!(f.next_event_at(60), Some(60));
-        // A jittered event in flight bounds the horizon too.
-        f.delayed.push((30, head(0, 5)));
-        assert_eq!(f.next_event_at(10), Some(30));
-        assert_eq!(f.next_event_at(40), Some(40), "overdue events fire now");
-        f.delayed.clear();
-        // Arm the epoch (the Dormant inner is Off) and check expiry.
-        f.tick(50, &[], IdleInfo { idle: &BUSY });
-        assert_eq!(f.stats().stuck_epochs_started, 1);
-        assert_eq!(f.next_event_at(60), Some(150));
-        // Once every epoch is done the injector adds no horizon.
-        for c in 150..152 {
-            f.tick(c, &[], IdleInfo { idle: &BUSY });
-        }
-        assert_eq!(f.next_event_at(200), None);
     }
 }

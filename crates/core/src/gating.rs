@@ -44,9 +44,9 @@ use punchsim_types::{Cycle, NodeId};
 ///   folds that debt eagerly, and [`GateArray::counters`] adds all
 ///   remaining debt to the snapshot it returns.
 ///
-/// Gate *states* (and therefore [`GateArray::state`],
-/// [`GateArray::next_event_at`] and [`GateArray::encode_state`]) are
-/// never deferred — only the off and waking statistics are.
+/// Gate *states* (and therefore [`GateArray::state`] and
+/// [`GateArray::encode_state`]) are never deferred — only the off and
+/// waking statistics are.
 #[derive(Debug, Clone)]
 pub struct GateArray {
     wakeup_latency: Cycle,
@@ -240,41 +240,6 @@ impl GateArray {
         }
     }
 
-    /// Marks router `r` as "needed soon": resets the idle timer so the
-    /// timeout filter will not power it off this cycle.
-    pub fn keep_awake(&mut self, r: NodeId) {
-        if self.on.get(r.index()) {
-            self.idle_cycles[r.index()] = 0;
-        }
-    }
-
-    /// Earliest cycle `>= now` at which any gate changes state under quiet
-    /// all-idle ticks: the earliest promotion tick, or an on router's
-    /// sleep tick (its idle timeout, deferred past the scheme's
-    /// `sleep_floor(i)` — the first cycle at which `may_sleep(i)` would hold).
-    /// `None` when every gate is already off, i.e. the array is a fixed
-    /// point apart from its off-cycle accounting. O(on routers).
-    pub fn next_event_at(
-        &self,
-        now: Cycle,
-        mut sleep_floor: impl FnMut(usize) -> Cycle,
-    ) -> Option<Cycle> {
-        let mut horizon = self
-            .promotions
-            .front()
-            .map(|r| now.max(self.ready_at[r.index()].saturating_sub(1)));
-        for_each_one(self.on.words(), 0, self.len(), |i| {
-            let timeout_at = now
-                + self
-                    .idle_timeout
-                    .saturating_sub(self.idle_cycles[i].saturating_add(1))
-                    as Cycle;
-            let at = timeout_at.max(sleep_floor(i));
-            horizon = Some(horizon.map_or(at, |h| h.min(at)));
-        });
-        horizon
-    }
-
     /// Closed-form replay of the quiet span `[from, to)`: for every cycle
     /// `c` in the span, behaves exactly like
     /// `begin_cycle(c); advance_idle(&all_true, |i| c >= sleep_floor(i))`
@@ -465,11 +430,11 @@ mod tests {
     }
 
     #[test]
-    fn keep_awake_blocks_sleep() {
+    fn wake_requests_to_an_on_router_block_sleep() {
         let mut g = GateArray::new(1, 8, 2);
         for c in 0..20 {
             g.begin_cycle(c);
-            g.keep_awake(NodeId(0)); // e.g. a punch forewarning each cycle
+            g.request_wake(NodeId(0), c); // e.g. a punch forewarning each cycle
             g.advance_idle(&[true], |_| true);
         }
         assert_eq!(g.state(NodeId(0)), PowerState::On);
@@ -542,7 +507,7 @@ mod tests {
     }
 
     /// Replays the quiet span per-cycle and via the closed form and demands
-    /// identical states, snapshot bytes, horizons *and* counters, over
+    /// identical states, snapshot bytes *and* counters, over
     /// randomized initial states, sleep floors and span lengths. This is
     /// the unit-level half of the fast-forward equivalence argument (the
     /// end-to-end half lives in `tests/differential.rs`).
@@ -601,40 +566,11 @@ mod tests {
             fast.encode_state(to, &mut b);
             assert_eq!(a, b, "trial {trial} snapshot bytes diverged");
             assert_eq!(
-                slow.next_event_at(to, |i| floors[i]),
-                fast.next_event_at(to, |i| floors[i]),
-                "trial {trial} horizon diverged"
-            );
-            assert_eq!(
                 slow.counters(),
                 fast.counters(),
                 "trial {trial} counters diverged"
             );
         }
-    }
-
-    #[test]
-    fn next_event_at_predicts_first_transition() {
-        // One on router, timeout 4, floor 10: the timeout passes at tick 3
-        // but the floor defers the sleep to tick 10.
-        let g = GateArray::new(1, 8, 4);
-        assert_eq!(g.next_event_at(0, |_| 10), Some(10));
-        assert_eq!(g.next_event_at(0, |_| 0), Some(3));
-        // A waking router promotes at ready_at - 1.
-        let mut g = GateArray::new(1, 8, 1);
-        for c in 0..2 {
-            g.begin_cycle(c);
-            g.advance_idle(&[true], |_| true);
-        }
-        g.request_wake(NodeId(0), 10);
-        assert_eq!(g.next_event_at(10, |_| 0), Some(17));
-        // An off router is a fixed point.
-        let mut g = GateArray::new(1, 8, 1);
-        for c in 0..2 {
-            g.begin_cycle(c);
-            g.advance_idle(&[true], |_| true);
-        }
-        assert_eq!(g.next_event_at(5, |_| 0), None);
     }
 
     /// Every transition path (sleep, veto, wake, force-wake, a quiet span
@@ -666,6 +602,5 @@ mod tests {
         assert_eq!(states(&g), [PowerState::Off; 4]);
         assert_eq!(tags(&g, 40), [1; 4]);
         assert_eq!(g.counters().waking_cycles, [2, 2, 0, 0]);
-        assert_eq!(g.next_event_at(40, |_| 0), None);
     }
 }

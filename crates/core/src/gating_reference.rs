@@ -6,7 +6,7 @@
 //!
 //! Every trial drives the lazy array and the eager reference through an
 //! identical random call sequence (idle vectors, wake requests, forced
-//! wakes, keep-awakes, quiet-span jumps, counter resets) and demands equal
+//! wakes, quiet-span jumps, counter resets) and demands equal
 //! per-router power states and equal [`PgCounters`] at every observation
 //! point — including after *every single cycle*, which is exactly the
 //! access pattern laziness could silently break. Watermark bookkeeping is
@@ -101,13 +101,6 @@ impl EagerGateArray {
             self.gates[i] = EGate::Waking {
                 ready_at: cycle + self.wakeup_latency,
             };
-        }
-    }
-
-    /// See [`GateArray::keep_awake`].
-    fn keep_awake(&mut self, r: NodeId) {
-        if let EGate::On { .. } = self.gates[r.index()] {
-            self.gates[r.index()] = EGate::On { idle_cycles: 0 };
         }
     }
 
@@ -229,12 +222,7 @@ fn lazy_matches_eager_on_random_cycle_traces() {
                         eager.force_wake(r, at);
                     }
                 }
-                4 | 5 => {
-                    let r = NodeId((rng.next_u64() % n as u64) as u16);
-                    lazy.keep_awake(r);
-                    eager.keep_awake(r);
-                }
-                6 => {
+                4 => {
                     reset_in_transient += !transients(&eager).is_empty() as u32;
                     lazy.reset_counters();
                     eager.reset_counters();

@@ -96,20 +96,11 @@ impl PowerManager for ConvPgManager {
         self.gate.reset_counters();
     }
 
-    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        // Conventional gating sleeps unconditionally once the timeout
-        // passes: the horizon is purely the gate array's.
-        self.gate.next_event_at(now, |_| 0)
-    }
-
-    fn tick_quiet(&mut self, from: Cycle, to: Cycle, idle: IdleInfo<'_>) {
-        if idle.idle.iter().all(|&b| b) {
-            self.gate.advance_quiet(from, to, |_| 0);
-        } else {
-            for c in from..to {
-                self.tick(c, &[], idle);
-            }
-        }
+    /// Conventional gating has no transient of its own: a quiet tick is
+    /// `begin_cycle` + an unconditional idle sweep, which the gate array
+    /// replays in closed form.
+    fn tick_quiet(&mut self, from: Cycle, to: Cycle, _idle: IdleInfo<'_>) {
+        self.gate.advance_quiet(from, to, |_| 0);
     }
 
     fn clone_boxed(&self) -> Option<Box<dyn PowerManager>> {
@@ -321,28 +312,18 @@ impl PowerManager for PowerPunchManager {
         self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        if !self.fabric.is_idle() {
-            // Punches sweep one hop per cycle: deliveries (wakeups and
-            // forewarn extensions) can land every cycle until drained.
-            return Some(now);
+    /// Ticks while punches still sweep the sideband (at most `H` hops per
+    /// punch), then the idle fabric makes the per-cycle tick collapse to
+    /// `begin_cycle` + `advance_idle` with the forewarning floor, which the
+    /// gate array replays in closed form.
+    fn tick_quiet(&mut self, from: Cycle, to: Cycle, idle: IdleInfo<'_>) {
+        let mut c = from;
+        while c < to && !self.fabric.is_idle() {
+            self.tick(c, &[], idle);
+            c += 1;
         }
         let fw = &self.forewarn_until;
-        self.gate.next_event_at(now, |i| fw[i])
-    }
-
-    fn tick_quiet(&mut self, from: Cycle, to: Cycle, idle: IdleInfo<'_>) {
-        if self.fabric.is_idle() && idle.idle.iter().all(|&b| b) {
-            // An idle fabric makes the per-cycle tick collapse to
-            // begin_cycle + advance_idle with the forewarning floor, which
-            // the gate array replays in closed form.
-            let fw = &self.forewarn_until;
-            self.gate.advance_quiet(from, to, |i| fw[i]);
-        } else {
-            for c in from..to {
-                self.tick(c, &[], idle);
-            }
-        }
+        self.gate.advance_quiet(c, to, |i| fw[i]);
     }
 
     fn clone_boxed(&self) -> Option<Box<dyn PowerManager>> {
@@ -594,15 +575,18 @@ mod tests {
 
     /// Drives two identically-prepared managers through the same quiet span
     /// — one per-cycle, one via `tick_quiet` — and demands identical power
-    /// states and counters. The forewarning floor, wakeup promotions and
-    /// sleep timeouts must all survive the closed form.
+    /// states, counters and snapshot bytes. The span starts while the punch
+    /// still sweeps the sideband (Power Punch's per-cycle prefix) or after
+    /// it drained, and outlives every transient by 10 000 cycles: the
+    /// forewarning floor, wakeup promotions and sleep timeouts must all
+    /// survive the closed form.
     #[test]
     fn tick_quiet_matches_per_cycle_loop() {
         let mesh = Mesh::new(8, 8);
         let idle = all_idle(64);
-        let prologue = |m: &mut dyn PowerManager| {
-            // Punch from R26 (sweeps 26..=29 over ticks 10..=13), a blocked
-            // wakeup on R5, then let the fabric drain.
+        let prologue = |m: &mut dyn PowerManager, start: Cycle| {
+            // Punch from R26 (sweeps 26..=29 over ticks 10..=13) and a
+            // blocked wakeup on R5, then tick up to the span.
             sleep_all(m, 64, 0, 10);
             m.tick(
                 10,
@@ -615,7 +599,7 @@ mod tests {
                 ],
                 IdleInfo { idle: &idle },
             );
-            for c in 11..=16 {
+            for c in 11..start {
                 m.tick(c, &[], IdleInfo { idle: &idle });
             }
         };
@@ -624,47 +608,34 @@ mod tests {
             |m| Box::new(ConvPgManager::new(m, &PowerConfig::default(), true)),
             |m| Box::new(ConvPgManager::new(m, &PowerConfig::default(), false)),
         ];
-        for mk in make {
-            let mut slow = mk(mesh);
-            let mut fast = mk(mesh);
-            prologue(slow.as_mut());
-            prologue(fast.as_mut());
-            assert_eq!(fast.next_event_at(17), slow.next_event_at(17));
-            for c in 17..80 {
-                slow.tick(c, &[], IdleInfo { idle: &idle });
+        for (start, busy) in [(11, true), (17, false)] {
+            for mk in make {
+                let mut slow = mk(mesh);
+                let mut fast = mk(mesh);
+                prologue(slow.as_mut(), start);
+                prologue(fast.as_mut(), start);
+                let kind = slow.kind();
+                if kind == SchemeKind::PowerPunchFull {
+                    assert_eq!(fast.pending_punches() > 0, busy, "start {start}");
+                }
+                let end = start + 10_000;
+                for c in start..end {
+                    slow.tick(c, &[], IdleInfo { idle: &idle });
+                }
+                fast.tick_quiet(start, end, IdleInfo { idle: &idle });
+                for r in 0..64 {
+                    assert_eq!(
+                        slow.state(NodeId(r)),
+                        fast.state(NodeId(r)),
+                        "router {r} diverged under {kind:?} from {start}"
+                    );
+                }
+                assert_eq!(slow.counters(), fast.counters(), "{kind:?} from {start}");
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                assert!(slow.encode_state(end, &mut a) && fast.encode_state(end, &mut b));
+                assert_eq!(a, b, "{kind:?} from {start}: snapshot bytes");
             }
-            fast.tick_quiet(17, 80, IdleInfo { idle: &idle });
-            for r in 0..64 {
-                assert_eq!(
-                    slow.state(NodeId(r)),
-                    fast.state(NodeId(r)),
-                    "router {r} diverged under {:?}",
-                    slow.kind()
-                );
-            }
-            assert_eq!(slow.counters(), fast.counters(), "{:?}", slow.kind());
         }
-    }
-
-    /// While punches are still sweeping, the horizon must be immediate (no
-    /// skipping over in-flight sideband activity).
-    #[test]
-    fn busy_fabric_pins_horizon_to_now() {
-        let mesh = Mesh::new(8, 8);
-        let mut m = PowerPunchManager::new(mesh, &power(), 4, false);
-        sleep_all(&mut m, 64, 0, 10);
-        m.tick(
-            10,
-            &[PmEvent::HeadArrival {
-                router: NodeId(26),
-                dst: NodeId(31),
-            }],
-            IdleInfo {
-                idle: &all_idle(64),
-            },
-        );
-        assert!(m.pending_punches() > 0);
-        assert_eq!(m.next_event_at(11), Some(11));
     }
 
     /// The fabric's transit lists are dynamic state: a fork taken

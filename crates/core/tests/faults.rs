@@ -1,13 +1,17 @@
 //! The fault injector through its public API: the behaviours both decision
 //! sources share (one body, run over a seeded and a scripted injector),
-//! then what is particular to each. The two tests that reach private state
-//! stay beside the code in `src/faults.rs`.
+//! then what is particular to each. The one test that reaches private
+//! state stays beside the code in `src/faults.rs`.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use punchsim_core::faults::FaultInjector;
+use punchsim_core::PowerPunchManager;
 use punchsim_noc::obs::{Event, FaultKind};
 use punchsim_noc::{AlwaysOn, IdleInfo, PgCounters, PmEvent, PowerManager, PowerState};
 use punchsim_types::{
-    ConfigError, Cycle, FaultChoice, FaultConfig, Mesh, NodeId, SchemeKind, StuckEpoch,
+    ConfigError, Cycle, FaultChoice, FaultConfig, Mesh, NodeId, PowerConfig, SchemeKind, StuckEpoch,
 };
 
 const N: usize = 16;
@@ -62,20 +66,25 @@ impl PowerManager for Recorder {
     fn reset_counters(&mut self) {
         self.counters.reset();
     }
-    fn next_event_at(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
 }
 
-/// Inner double for horizon tests: always Off, no events of its own.
+/// Inner double for quiet-span tests: always Off, no events or state of
+/// its own, so a quiet span is a no-op in closed form; counts the cycles
+/// it is ticked one at a time.
 struct Dormant {
     counters: PgCounters,
+    ticks: Arc<AtomicU64>,
 }
 
 impl Dormant {
     fn boxed() -> Box<dyn PowerManager> {
+        Self::counting(Arc::default())
+    }
+
+    fn counting(ticks: Arc<AtomicU64>) -> Box<dyn PowerManager> {
         Box::new(Dormant {
             counters: PgCounters::new(N),
+            ticks,
         })
     }
 }
@@ -87,7 +96,9 @@ impl PowerManager for Dormant {
     fn state(&self, _r: NodeId) -> PowerState {
         PowerState::Off
     }
-    fn tick(&mut self, _cycle: Cycle, _events: &[PmEvent], _idle: IdleInfo<'_>) {}
+    fn tick(&mut self, _cycle: Cycle, _events: &[PmEvent], _idle: IdleInfo<'_>) {
+        self.ticks.fetch_add(1, Ordering::Relaxed);
+    }
     fn force_wake(&mut self, _r: NodeId, _cycle: Cycle) {}
     fn counters(&self) -> PgCounters {
         self.counters.clone()
@@ -95,10 +106,10 @@ impl PowerManager for Dormant {
     fn reset_counters(&mut self) {
         self.counters.reset();
     }
-    fn next_event_at(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
     fn tick_quiet(&mut self, _from: Cycle, _to: Cycle, _idle: IdleInfo<'_>) {}
+    fn encode_state(&self, _now: Cycle, _out: &mut Vec<u8>) -> bool {
+        true
+    }
 }
 
 fn head(router: u16, dst: u16) -> PmEvent {
@@ -146,9 +157,10 @@ fn both_sources(
     ]
 }
 
-/// Ticks `f` at `c`, first arming the scripted counterpart of `epoch`
-/// when its start cycle comes up (`arm_choice` is a `false` no-op on
-/// the seeded source, whose config schedules the epoch).
+/// Ticks `f` at `c` over an all-idle plane, first arming the scripted
+/// counterpart of `epoch` when its start cycle comes up (`arm_choice` is
+/// a `false` no-op on the seeded source, whose config schedules the
+/// epoch).
 fn tick_both_ways(f: &mut FaultInjector, epoch: StuckEpoch, c: Cycle, events: &[PmEvent]) {
     if c == epoch.start {
         f.arm_choice(FaultChoice::StickOff {
@@ -156,7 +168,7 @@ fn tick_both_ways(f: &mut FaultInjector, epoch: StuckEpoch, c: Cycle, events: &[
             duration: Some(epoch.duration),
         });
     }
-    f.tick(c, events, IdleInfo { idle: &BUSY });
+    f.tick(c, events, IdleInfo { idle: &IDLE });
 }
 
 fn one_epoch(router: u16, start: Cycle, duration: Cycle) -> FaultConfig {
@@ -233,7 +245,6 @@ fn stick_only_applies_to_an_off_router_and_expires() {
         // Router 3 is off: it sticks, swallowing WU, until the expiry.
         tick_both_ways(&mut f, epoch, 1, &[]);
         assert_eq!(f.stats().stuck_epochs_started, 1, "{name}");
-        assert_eq!(f.next_event_at(2), Some(6), "{name}: expiry horizon");
         tick_both_ways(&mut f, epoch, 2, &[wu(3)]);
         assert_eq!(f.stats().wu_dropped, 1, "{name}");
         // Past the expiry the mask is released (the inner gate is
@@ -241,7 +252,6 @@ fn stick_only_applies_to_an_off_router_and_expires() {
         tick_both_ways(&mut f, epoch, 6, &[]);
         tick_both_ways(&mut f, epoch, 7, &[wu(3)]);
         assert_eq!(f.stats().wu_dropped, 1, "{name}: released");
-        assert_eq!(f.next_event_at(8), None, "{name}");
     }
 }
 
@@ -282,35 +292,84 @@ fn tracing_surfaces_injected_faults_as_events() {
     }
 }
 
+/// A quiet span that opens with the injector's own work pending — a stuck
+/// window ending in the span's second cycle and, on the seeded source,
+/// jittered events due after that — over an inner with nothing of its own
+/// and over a Power Punch manager whose fabric is still sweeping (on the
+/// scripted source it outlives the injector's transient). Every transient
+/// is over by cycle 60; the span runs 10 000 cycles past that.
 #[test]
 fn tick_quiet_matches_per_cycle_loop_with_pending_work() {
+    const END: Cycle = 10_060;
     let cfg = FaultConfig {
         max_wakeup_jitter: 4,
         seed: 42,
-        ..one_epoch(3, 10, 25)
+        ..one_epoch(3, 10, 3)
     };
     let epoch = cfg.stuck_epochs[0];
-    // Prologue: populate the (seeded) jitter queue and arm the epoch.
-    let build = || {
-        both_sources(Dormant::boxed, &cfg).map(|(name, mut f)| {
-            for c in 0..12 {
-                tick_both_ways(&mut f, epoch, c, &[head(1, 9)]);
-            }
-            assert_eq!(f.stats().stuck_epochs_started, 1, "{name}");
-            (name, f)
-        })
-    };
-    for ((name, mut slow), (_, mut fast)) in build().into_iter().zip(build()) {
-        for c in 12..80 {
-            slow.tick(c, &[], IdleInfo { idle: &IDLE });
-        }
-        fast.tick_quiet(12, 80, IdleInfo { idle: &IDLE });
-        assert_eq!(slow.stats(), fast.stats(), "{name}");
-        assert_eq!(slow.pending_punches(), fast.pending_punches(), "{name}");
-        assert_eq!(slow.counters(), fast.counters(), "{name}");
-        assert_eq!(slow.next_event_at(80), fast.next_event_at(80), "{name}");
-        assert_eq!(slow.state(NodeId(3)), fast.state(NodeId(3)), "{name}");
+    fn ppf() -> Box<dyn PowerManager> {
+        Box::new(PowerPunchManager::new(
+            mesh(),
+            &PowerConfig::default(),
+            4,
+            true,
+        ))
     }
+    let dormant: fn() -> Box<dyn PowerManager> = Dormant::boxed;
+    for (inner_name, inner) in [("dormant", dormant), ("ppf", ppf)] {
+        // Prologue: populate the (seeded) jitter queue, arm the epoch and
+        // leave a punch on the sideband.
+        let build = || {
+            both_sources(inner, &cfg).map(|(name, mut f)| {
+                for c in 0..12 {
+                    tick_both_ways(&mut f, epoch, c, &[head(1, 9)]);
+                }
+                assert_eq!(f.stats().stuck_epochs_started, 1, "{inner_name}/{name}");
+                if inner_name == "ppf" {
+                    assert!(f.pending_punches() > 0, "{name}: sideband busy");
+                }
+                (name, f)
+            })
+        };
+        for ((name, mut slow), (_, mut fast)) in build().into_iter().zip(build()) {
+            for c in 12..END {
+                slow.tick(c, &[], IdleInfo { idle: &IDLE });
+            }
+            fast.tick_quiet(12, END, IdleInfo { idle: &IDLE });
+            let at = format!("{inner_name}/{name}");
+            assert_eq!(slow.stats(), fast.stats(), "{at}");
+            assert_eq!(slow.pending_punches(), fast.pending_punches(), "{at}");
+            assert_eq!(slow.counters(), fast.counters(), "{at}");
+            for r in 0..N as u16 {
+                assert_eq!(slow.state(NodeId(r)), fast.state(NodeId(r)), "{at}: R{r}");
+            }
+            if name == "scripted" {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                assert!(slow.encode_state(END, &mut a) && fast.encode_state(END, &mut b));
+                assert_eq!(a, b, "{at}: snapshot bytes");
+            }
+        }
+    }
+}
+
+/// The injector ticks its inner manager cycle by cycle only through its
+/// own transient: a 5-cycle stick over an inner with a closed-form quiet
+/// span costs a handful of inner ticks, however long the span.
+#[test]
+fn a_quiet_span_ticks_the_inner_manager_only_through_the_stuck_window() {
+    let ticks = Arc::new(AtomicU64::new(0));
+    let mut f = scripted(Dormant::counting(Arc::clone(&ticks)));
+    assert!(f.arm_choice(FaultChoice::StickOff {
+        router: NodeId(3),
+        duration: Some(5),
+    }));
+    f.tick_quiet(1, 1_000_001, IdleInfo { idle: &IDLE });
+    assert_eq!(f.stats().stuck_epochs_started, 1);
+    let n = ticks.load(Ordering::Relaxed);
+    assert!(n <= 7, "{n} inner ticks for a 5-cycle window");
+    // The window expired inside the span: WU reaches the gate again.
+    f.tick(1_000_001, &[wu(3)], IdleInfo { idle: &IDLE });
+    assert_eq!(f.stats().wu_dropped, 0);
 }
 
 #[test]
@@ -325,7 +384,7 @@ fn dormant_tick_quiet_delegates_to_inner() {
     ] {
         f.tick_quiet(0, 10_000, IdleInfo { idle: &IDLE });
         assert_eq!(f.stats().total(), 0, "{name}");
-        assert_eq!(f.next_event_at(10_000), None, "{name}");
+        assert_eq!(f.pending_punches(), 0, "{name}");
     }
 }
 
@@ -421,7 +480,6 @@ fn overlapping_epochs_on_one_router_union() {
     // nothing, and the mask holds until the last window ends at 60.
     assert_eq!(f.stats().stuck_epochs_started, 3);
     assert_eq!(f.stats().wu_dropped, 60);
-    assert_eq!(f.next_event_at(100), None);
 }
 
 #[test]
@@ -511,8 +569,13 @@ fn force_wake_releases_a_forever_stick() {
     }));
     f.tick(0, &[], IdleInfo { idle: &BUSY });
     assert_eq!(f.state(NodeId(3)), PowerState::Off);
-    assert_eq!(f.next_event_at(1), None, "nothing but a force-wake ends it");
-    f.force_wake(NodeId(3), 1);
+    f.tick_quiet(1, 10_000, IdleInfo { idle: &IDLE });
+    assert_eq!(
+        f.state(NodeId(3)),
+        PowerState::Off,
+        "nothing but a force-wake ends it"
+    );
+    f.force_wake(NodeId(3), 10_000);
     assert_eq!(f.stats().forced_wakes, 1);
     assert_eq!(f.state(NodeId(3)), PowerState::On, "inner force_wake ran");
 }

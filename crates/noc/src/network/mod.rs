@@ -231,13 +231,6 @@ impl Network {
         self.reference = true;
     }
 
-    /// `false` once [`Network::use_reference_kernel`] made every cycle
-    /// tick literally; hosts consult it before skipping their own idle
-    /// gaps (see [`Network::run`]).
-    pub fn may_skip_idle(&self) -> bool {
-        !self.reference
-    }
-
     /// Current simulation cycle.
     pub fn cycle(&self) -> Cycle {
         self.cycle

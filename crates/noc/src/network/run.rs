@@ -1,5 +1,5 @@
-//! Running many cycles: quiescence and the event horizon, the O(1)
-//! fast-forward over quiescent spans, `run`/`run_hooked`, and the late
+//! Running many cycles: quiescence, the fast-forward over quiescent spans
+//! (one `PowerManager::tick_quiet` call), `run`/`run_hooked`, and the late
 //! delivery of the one thing a skip can leave in flight — credits.
 
 use punchsim_obs::metrics::PhaseProfiler;
@@ -25,17 +25,6 @@ impl Network {
             && self.events.is_empty()
             && self.watchdog.violation.is_none()
             && self.pm.pending_punches() == 0
-    }
-
-    /// The network's event horizon: the earliest cycle at which observable
-    /// state can change without new host input. `Some(cycle())` while
-    /// non-quiescent; the power manager's own horizon while quiescent;
-    /// `None` when nothing will ever change (e.g. every router off).
-    pub fn next_event_at(&self) -> Option<Cycle> {
-        if !self.quiescent() {
-            return Some(self.cycle);
-        }
-        self.pm.next_event_at(self.cycle)
     }
 
     /// Delivers, on this thread, every credit whose cycle a fast-forward
@@ -89,11 +78,12 @@ impl Network {
 
     /// Runs `n` cycles, stopping at the first error.
     ///
-    /// Quiescent stretches are skipped in O(1): once
-    /// [`Network::quiescent`] holds, the rest of the span is handed to
-    /// [`crate::PowerManager::tick_quiet`] in one call. While an event sink
-    /// is attached (per-cycle transition recording), every cycle ticks
-    /// individually.
+    /// Quiescent stretches are skipped: once [`Network::quiescent`] holds,
+    /// the rest of the span is handed to
+    /// [`crate::PowerManager::tick_quiet`] in one call, which costs the
+    /// manager's own transient rather than the span length. While an event
+    /// sink is attached (per-cycle transition recording), and on the
+    /// reference kernel, every cycle ticks individually.
     ///
     /// # Errors
     ///
@@ -217,14 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn quiescence_and_horizon_are_reported() {
+    fn quiescence_is_reported() {
         let mut n = net();
         assert!(n.quiescent());
-        // AlwaysOn never changes state: the horizon is empty.
-        assert_eq!(n.next_event_at(), None);
         n.send(msg(0, 3, MsgClass::Control)).unwrap();
         assert!(!n.quiescent(), "in-flight packet blocks quiescence");
-        assert_eq!(n.next_event_at(), Some(n.cycle()));
         n.run(40).unwrap();
         assert!(n.quiescent(), "drained network is quiescent again");
     }

@@ -298,27 +298,19 @@ pub trait PowerManager: Sync {
         Vec::new()
     }
 
-    /// Event horizon: the earliest cycle `>= now` at which this manager can
-    /// change any externally observable state (a power state, a counter, a
-    /// queued punch/fault effect) *assuming it receives no further events
-    /// and every router stays idle*. `None` means "never": the manager is a
-    /// fixed point under quiet ticks and the host may skip any distance.
+    /// Advances the manager over the quiet span `[from, to)` — the one
+    /// quiet-time contract. The span carries no events and `idle` is the
+    /// all-idle plane; the network calls this for a quiescent stretch of
+    /// any length (`Network::run`, DESIGN.md §12). Whatever the span
+    /// length, the manager must end in exactly the state — power states,
+    /// counters, snapshot bytes, queued work — that `to - from` calls of
+    /// `tick(c, &[], idle)` would leave.
     ///
-    /// The default is maximally conservative — `Some(now)`, i.e. "I may act
-    /// this very cycle" — which forbids skipping and keeps hand-rolled test
-    /// managers correct without changes. Overrides must honor the contract
-    /// pinned by the differential suite: for any span `[now, h)` below the
-    /// horizon, `tick_quiet(now, h, idle_all_true)` must leave the manager
-    /// in exactly the state that `h - now` individual quiet ticks would.
-    fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
-        Some(now)
-    }
-
-    /// Advances the manager over the quiet span `[from, to)`: every cycle in
-    /// the span is ticked with no events and the given (all-idle) snapshot.
-    /// The default is the literal per-cycle loop, which is always correct;
-    /// overrides exist purely so schemes can replace the loop with a
-    /// closed-form bulk update, and must be observationally identical.
+    /// The default is that literal per-cycle loop, always correct. Overrides
+    /// tick per cycle only while their own transient lasts (punches on the
+    /// sideband, circuits held, fault windows running), then finish the
+    /// span in closed form, so a quiet span costs the transient, not its
+    /// length.
     fn tick_quiet(&mut self, from: Cycle, to: Cycle, idle: IdleInfo<'_>) {
         for c in from..to {
             self.tick(c, &[], idle);
@@ -400,10 +392,6 @@ impl PowerManager for AlwaysOn {
     }
 
     /// Every router is always on: quiet ticks never change anything.
-    fn next_event_at(&self, _now: Cycle) -> Option<Cycle> {
-        None
-    }
-
     fn tick_quiet(&mut self, _from: Cycle, _to: Cycle, _idle: IdleInfo<'_>) {}
 
     fn clone_boxed(&self) -> Option<Box<dyn PowerManager>> {
@@ -468,20 +456,18 @@ mod tests {
     }
 
     #[test]
-    fn always_on_has_no_event_horizon() {
+    fn always_on_is_a_fixed_point_of_quiet_spans() {
         let mut m = AlwaysOn::new(4);
-        assert_eq!(m.next_event_at(17), None);
         m.tick_quiet(0, 1_000_000, IdleInfo { idle: &[true; 4] });
         assert!(m.state(NodeId(3)).is_on());
         assert_eq!(m.counters().total_off_cycles(), 0);
     }
 
-    /// A manager that only implements the required methods must still be
-    /// correct under the defaulted quiet-tick protocol: the default horizon
-    /// `Some(now)` forbids skipping, and the default `tick_quiet` is the
-    /// literal per-cycle loop.
+    /// A manager that only implements the required methods is still exact
+    /// over a quiet span: the default `tick_quiet` is the literal per-cycle
+    /// loop.
     #[test]
-    fn default_horizon_is_conservative() {
+    fn default_tick_quiet_is_the_per_cycle_loop() {
         struct Minimal {
             c: PgCounters,
             ticks: u64,
@@ -505,7 +491,6 @@ mod tests {
             c: PgCounters::new(1),
             ticks: 0,
         };
-        assert_eq!(m.next_event_at(42), Some(42));
         m.tick_quiet(10, 15, IdleInfo { idle: &[true] });
         assert_eq!(m.ticks, 5, "default tick_quiet is the per-cycle loop");
     }

@@ -92,19 +92,13 @@ pub struct SyntheticSim {
     pattern: TrafficPattern,
     inj: InjectionConfig,
     rng: SimRng,
-    /// Per-node next scheduled arrival and whether slack-2 fires for it.
-    next_arrival: Vec<(Cycle, bool)>,
-    /// Min-heap of upcoming host events `(cycle, node, kind)`, so a busy
-    /// tick touches only the nodes with something due instead of scanning
-    /// all of `next_arrival` — on a 32x32 mesh that scan is 1024 checks
-    /// per cycle of pure harness overhead. Entries are validated against
-    /// `next_arrival` (the source of truth) when popped; a mismatch means
-    /// the node rescheduled (or [`SyntheticSim::drain`] cancelled it) and
-    /// the entry is stale, so it is dropped (lazy deletion).
+    /// The host's schedule: a min-heap of upcoming events `(cycle, node,
+    /// kind)` — each node's next injection and, when slack 2 fires for it,
+    /// the forewarning `slack2_cycles` before. A tick pops only what is due,
+    /// and the top is the next cycle the host has anything to do.
     events: BinaryHeap<Reverse<(Cycle, u16, u8)>>,
     /// Per-packet Bernoulli probability per node per cycle.
     p_packet: f64,
-    delivered_sink: u64,
 }
 
 impl SyntheticSim {
@@ -137,15 +131,12 @@ impl SyntheticSim {
             net,
             pattern,
             inj,
-            next_arrival: vec![(0, false); n],
             events: BinaryHeap::with_capacity(2 * n),
             p_packet,
             rng,
-            delivered_sink: 0,
         };
         for i in 0..n {
             let (at, slack2) = sim.draw_arrival(0);
-            sim.next_arrival[i] = (at, slack2);
             sim.push_events(i, at, slack2, None);
         }
         // Re-seed deterministically after initialization order.
@@ -228,110 +219,73 @@ impl SyntheticSim {
         let topo = self.net.topology();
         // Pop every event due by `now` in (cycle, node, kind) order — the
         // exact order the historic all-nodes scan fired them in: ascending
-        // node index, a node's forewarning before its injection. Stale
-        // entries (the node rescheduled or was cancelled since the push)
-        // fail validation against `next_arrival` and are dropped.
+        // node index, a node's forewarning before its injection.
         while let Some(&Reverse((c, node16, kind))) = self.events.peek() {
             if c > now {
                 break;
             }
             self.events.pop();
-            let idx = node16 as usize;
-            let (at, slack2) = self.next_arrival[idx];
             let node = NodeId(node16);
             if kind == EV_NOTIFY {
-                if c == now && slack2 && now + self.inj.slack2_cycles == at {
-                    // Slack 2: the node knows a packet is coming before the
-                    // destination is known (PowerPunch-PG exploits this).
-                    self.net.notify_future_injection(node)?;
-                }
+                // Slack 2: the node knows a packet is coming before the
+                // destination is known (PowerPunch-PG exploits this).
+                self.net.notify_future_injection(node)?;
                 continue;
             }
-            if c == now && at == now {
-                let dst = self.pattern.destination(topo, node, &mut self.rng);
-                let class = if self.rng.random_f64() < self.inj.data_fraction {
-                    MsgClass::Data
-                } else {
-                    MsgClass::Control
-                };
-                let vnet = VnetId(self.rng.random_range(0..3u8));
-                self.net
-                    .send(Message {
-                        src: node,
-                        dst,
-                        vnet,
-                        class,
-                        payload: 0,
-                        gen_cycle: now,
-                    })
-                    .expect("pattern destinations are always in-mesh");
-                let (at, slack2) = self.draw_arrival(now);
-                self.next_arrival[idx] = (at, slack2);
-                self.push_events(idx, at, slack2, Some(now));
-            }
+            let dst = self.pattern.destination(topo, node, &mut self.rng);
+            let class = if self.rng.random_f64() < self.inj.data_fraction {
+                MsgClass::Data
+            } else {
+                MsgClass::Control
+            };
+            let vnet = VnetId(self.rng.random_range(0..3u8));
+            self.net
+                .send(Message {
+                    src: node,
+                    dst,
+                    vnet,
+                    class,
+                    payload: 0,
+                    gen_cycle: now,
+                })
+                .expect("pattern destinations are always in-mesh");
+            let (at, slack2) = self.draw_arrival(now);
+            self.push_events(node16 as usize, at, slack2, Some(now));
         }
         self.net.tick()?;
-        self.delivered_sink += self.net.drain_delivered().len() as u64;
+        self.net.drain_delivered();
         Ok(())
     }
 
-    /// Cycles until the host itself next has work to do: the earliest
-    /// scheduled arrival or slack-2 forewarning across all nodes. `None`
-    /// when skipping is not allowed (the network ticks every cycle
-    /// literally, or traffic is still in flight) or the next host action is
-    /// due this very cycle.
-    ///
-    /// Skipping the per-node scan is exact: between host events no
-    /// arrival fires, no forewarning fires, and no RNG draw happens (the
-    /// stream only advances when an arrival is consumed), so the skipped
-    /// iterations are pure no-ops over `next_arrival`.
-    fn host_skip_gap(&self) -> Option<u64> {
-        if !self.net.may_skip_idle() || self.net.in_flight() != 0 {
-            return None;
-        }
-        let now = self.net.cycle();
-        let mut next = Cycle::MAX;
-        for &(at, slack2) in &self.next_arrival {
-            if at == Cycle::MAX {
-                continue;
-            }
-            let mut c = at;
-            if slack2 {
-                // The forewarning fires exactly when `now + slack2 == at`;
-                // a fire cycle already in the past never fires at all.
-                let fire = at.saturating_sub(self.inj.slack2_cycles);
-                if fire >= now {
-                    c = c.min(fire);
-                }
-            }
-            next = next.min(c);
-        }
-        if next == Cycle::MAX {
-            // No arrival will ever fire again: any span is skippable.
-            return Some(u64::MAX);
-        }
-        next.checked_sub(now).filter(|&gap| gap > 0)
-    }
-
-    /// Runs `cycles` cycles. The harness skips its per-node arrival scan
-    /// across host-idle gaps (handing the whole gap to [`Network::run`],
-    /// which may fast-forward internally); observable behavior is
-    /// identical to per-cycle ticking.
+    /// Runs `cycles` cycles. Between two host events the host loop is a
+    /// no-op — no arrival or forewarning fires and the RNG stream only
+    /// advances when an arrival is consumed — so the whole gap up to the
+    /// schedule's top goes to [`Network::run`] in one call, which ticks
+    /// while traffic is in flight and fast-forwards once it is quiescent.
+    /// Observable behavior is identical to `cycles` calls of
+    /// [`SyntheticSim::tick`].
     ///
     /// # Errors
     ///
-    /// Propagates the first error from [`SyntheticSim::tick`].
+    /// Propagates the first error from [`SyntheticSim::tick`] or
+    /// [`Network::run`], at the cycle the per-cycle loop would meet it.
     pub fn run(&mut self, cycles: u64) -> Result<(), SimError> {
         let mut left = cycles;
         while left > 0 {
-            if let Some(gap) = self.host_skip_gap() {
-                let span = gap.min(left);
-                self.net.run(span)?;
-                left -= span;
+            let now = self.net.cycle();
+            let gap = self
+                .events
+                .peek()
+                .map_or(u64::MAX, |&Reverse((c, ..))| c.saturating_sub(now));
+            if gap == 0 {
+                self.tick()?;
+                left -= 1;
                 continue;
             }
-            self.tick()?;
-            left -= 1;
+            let span = gap.min(left);
+            self.net.run(span)?;
+            self.net.drain_delivered();
+            left -= span;
         }
         Ok(())
     }
@@ -346,9 +300,7 @@ impl SyntheticSim {
     /// the watchdog exists to catch).
     pub fn drain(&mut self, max_cycles: u64) -> Result<u64, SimError> {
         // Cancel scheduled arrivals so only in-flight traffic remains.
-        for a in &mut self.next_arrival {
-            *a = (Cycle::MAX, false);
-        }
+        self.events.clear();
         let mut used = 0;
         while self.net.in_flight() > 0 && used < max_cycles {
             self.tick()?;
@@ -544,30 +496,34 @@ mod tests {
         assert_eq!(s.report().stats.packets_injected, 0);
     }
 
+    /// The host skip on its own, on the shipped kernel: `run(n)` hands
+    /// every gap up to the next host event to `Network::run`, while `n`
+    /// calls of `tick()` walk each cycle through the host loop. Low-rate
+    /// bursty PowerPunchFull traffic gives long gaps (so the network
+    /// fast-forward engages too) between slack-2 forewarnings and real
+    /// packets; a drain and 100k idle cycles follow.
     #[test]
     fn host_skip_matches_naive_ticking_exactly() {
-        // Low rate on PowerPunchFull: long idle gaps (so both the host
-        // skip and the network fast-forward actually engage) interleaved
-        // with slack-2 forewarnings and real traffic.
-        let run = |reference: bool| {
-            let mut s = SyntheticSim::new(
+        let run = |stepwise: bool| {
+            let mut inj = InjectionConfig::at_rate(0.002);
+            inj.burstiness = 0.5;
+            let mut s = SyntheticSim::with_injection(
                 cfg(SchemeKind::PowerPunchFull, Mesh::new(4, 4)),
                 TrafficPattern::UniformRandom,
-                0.002,
+                inj,
             );
-            if reference {
-                s.network_mut().use_reference_kernel();
-            }
-            let r = s.run_experiment(3_000, 12_000).unwrap();
-            (
-                s.network().cycle(),
-                r.stats.packets_injected,
-                r.stats.packets_delivered,
-                r.stats.latency.mean().to_bits(),
-                r.stats.wakeup_wait.mean().to_bits(),
-                r.pg.clone(),
-                s.delivered_sink,
-            )
+            let advance = |s: &mut SyntheticSim, n: u64| {
+                if stepwise {
+                    (0..n).try_for_each(|_| s.tick()).unwrap();
+                } else {
+                    s.run(n).unwrap();
+                }
+            };
+            advance(&mut s, 15_000);
+            let drained = s.drain(10_000).unwrap();
+            advance(&mut s, 100_000);
+            assert!(s.report().stats.packets_delivered > 50);
+            (drained, s.network().cycle(), format!("{:?}", s.report()))
         };
         assert_eq!(run(false), run(true));
     }

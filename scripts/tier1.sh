@@ -11,13 +11,20 @@ cargo build --release --workspace
 echo "== tier 1: cargo test -q =="
 cargo test -q --workspace
 
-# Clippy is advisory locally (the toolchain component may be absent) but
-# enforced in CI with -D warnings.
+# Clippy and rustfmt are skipped locally when the toolchain component is
+# absent, and enforced in CI either way.
 if cargo clippy --version >/dev/null 2>&1; then
     echo "== clippy (deny warnings) =="
     cargo clippy --workspace --all-targets -- -D warnings
 else
     echo "== clippy not installed; skipping =="
+fi
+
+if cargo fmt --version >/dev/null 2>&1; then
+    echo "== rustfmt (check) =="
+    cargo fmt --all --check
+else
+    echo "== rustfmt not installed; skipping =="
 fi
 
 echo "tier 1 OK"

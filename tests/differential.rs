@@ -3,8 +3,11 @@
 //! Every case builds the *same* experiment twice — once on the reference
 //! oracle (`Network::use_reference_kernel`: the struct sweep, every tick
 //! executed literally) and once on the shipped kernel (quiescence
-//! skip-ahead plus the host-side arrival-gap skip) — and runs both in
-//! lock-step chunks.
+//! skip-ahead through `PowerManager::tick_quiet`) — and runs both in
+//! lock-step chunks. Both sides go through the same traffic host, which
+//! hands every gap between its own events to `Network::run`; the host skip
+//! on its own is pinned in `punchsim-traffic`'s
+//! `host_skip_matches_naive_ticking_exactly`.
 //! At every checkpoint the two must agree on the clock, every router's
 //! power state, the power-gating counters and the in-flight packet count;
 //! at the end the complete [`NetworkReport`] must be identical down to
@@ -15,7 +18,7 @@
 //! from zero (pure quiescence) to moderate load, burstiness, and fault
 //! profiles (jitter, punch drops, WU drops, stuck-off epochs). Any
 //! divergence pinpoints an observable behavior change introduced by
-//! skip-ahead — exactly what the event-horizon contract (DESIGN.md §12)
+//! skip-ahead — exactly what the quiet-span contract (DESIGN.md §12)
 //! forbids.
 
 use punchsim::prelude::*;
@@ -163,8 +166,6 @@ fn fast_forward_is_observably_identical_to_naive_ticking() {
         let case = draw_case(&mut rng, id);
         let mut fast = build(&case, false);
         let mut naive = build(&case, true);
-        assert!(fast.network().may_skip_idle());
-        assert!(!naive.network().may_skip_idle());
         // Warm-up, then a measured window compared every `chunk` cycles.
         let (warmup, measure, chunk) = (200u64, 1_000u64, 100u64);
         fast.run(warmup).unwrap();
