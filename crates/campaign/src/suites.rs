@@ -29,7 +29,7 @@ pub enum Size {
 
 /// One row of [`SUITES`]: a named spec list as data — substrates ×
 /// patterns × rates × schemes of synthetic traffic unless `kind` says
-/// otherwise. Rows spell only what differs from [`POINT`].
+/// otherwise. Rows spell only what differs from `POINT`.
 pub struct Suite {
     /// The CLI's `--suite` name.
     pub name: &'static str,
@@ -81,7 +81,7 @@ pub const PARSEC: Suite = Suite {
     ..POINT
 };
 
-/// Every parameter-free pattern at [`POINT`]; `figure`'s synthetic rows run
+/// Every parameter-free pattern at `POINT`; `figure`'s synthetic rows run
 /// for this suite's [`Suite::window`].
 pub const SYNTH: Suite = Suite {
     name: "synth",

@@ -13,7 +13,21 @@ use crate::mem::MemCtrl;
 use crate::protocol::{BlockAddr, Op, ProtoMsg};
 use crate::tile::{Access, L1};
 
-/// Configuration of a full-system run.
+/// L1 capacity in blocks (Table 2: 32 KB / 64 B).
+const L1_BLOCKS: usize = 512;
+/// L1 associativity (Table 2).
+const L1_WAYS: usize = 2;
+/// L2 bank capacity in blocks (Table 2: 256 KB / 64 B).
+const L2_BLOCKS: usize = 4096;
+/// L2 associativity (Table 2).
+const L2_WAYS: usize = 16;
+/// L2/directory access latency in cycles (Table 2).
+const L2_LATENCY: Cycle = 6;
+/// Memory access latency in cycles (Table 2).
+const MEM_LATENCY: Cycle = 128;
+
+/// Configuration of a full-system run. The caches and memory are Table 2's
+/// (the constants above); what varies per run is below.
 #[derive(Debug, Clone)]
 pub struct CmpConfig {
     /// Network + power-gating + scheme configuration.
@@ -26,18 +40,6 @@ pub struct CmpConfig {
     pub warmup_instr: u64,
     /// Hard cap on simulated cycles (guards against protocol bugs).
     pub max_cycles: u64,
-    /// L1 capacity in blocks (Table 2: 32 KB / 64 B = 512) and ways.
-    pub l1_blocks: usize,
-    /// L1 associativity.
-    pub l1_ways: usize,
-    /// L2 bank capacity in blocks (256 KB / 64 B = 4096) and ways.
-    pub l2_blocks: usize,
-    /// L2 associativity.
-    pub l2_ways: usize,
-    /// L2/directory access latency in cycles (Table 2: 6).
-    pub l2_latency: Cycle,
-    /// Memory access latency in cycles (Table 2: 128).
-    pub mem_latency: Cycle,
 }
 
 impl CmpConfig {
@@ -49,12 +51,6 @@ impl CmpConfig {
             instr_per_core: 80_000,
             warmup_instr: 8_000,
             max_cycles: 5_000_000,
-            l1_blocks: 512,
-            l1_ways: 2,
-            l2_blocks: 4096,
-            l2_ways: 16,
-            l2_latency: 6,
-            mem_latency: 128,
         }
     }
 }
@@ -137,21 +133,14 @@ impl CmpSim {
             .map(|i| SyntheticCore::new(cfg.benchmark, i as u64, cfg.instr_per_core))
             .collect();
         let l1s = (0..n)
-            .map(|i| L1::new(NodeId(i as u16), cfg.l1_blocks, cfg.l1_ways))
+            .map(|i| L1::new(NodeId(i as u16), L1_BLOCKS, L1_WAYS))
             .collect();
         let dirs = (0..n)
-            .map(|i| {
-                DirBank::new(
-                    NodeId(i as u16),
-                    cfg.l2_blocks,
-                    cfg.l2_ways,
-                    mem_nodes.clone(),
-                )
-            })
+            .map(|i| DirBank::new(NodeId(i as u16), L2_BLOCKS, L2_WAYS, mem_nodes.clone()))
             .collect();
         let mems = mem_nodes
             .iter()
-            .map(|&m| MemCtrl::new(m, cfg.mem_latency))
+            .map(|&m| MemCtrl::new(m, MEM_LATENCY))
             .collect();
         let rng = SimRng::seed_from_u64(cfg.sim.seed);
         CmpSim {
@@ -213,10 +202,10 @@ impl CmpSim {
     }
 
     /// Runs like [`CmpSim::run`], invoking `hook` with the network after
-    /// every `every` simulated cycles — the full-system twin of
-    /// [`Network::run_hooked`], used by campaign runners for progress and
-    /// interval sampling. Takes `&mut self` so callers can retrieve the
-    /// event sink (or other network state) after the run finishes.
+    /// every `every` simulated cycles, used by campaign runners for
+    /// progress and interval sampling. Takes `&mut self` so callers can
+    /// retrieve the event sink (or other network state) after the run
+    /// finishes.
     ///
     /// # Panics
     ///
@@ -260,7 +249,6 @@ impl CmpSim {
     /// Routes every message delivered by the network to its tile component.
     fn deliver(&mut self, now: Cycle) {
         let nodes = self.cfg.sim.noc.topology.nodes();
-        let l2_lat = self.cfg.l2_latency;
         let mut inbox = std::mem::take(&mut self.inbox);
         inbox.extend(self.net.drain_delivered());
         for msg in inbox.drain(..) {
@@ -287,7 +275,7 @@ impl CmpSim {
                             .expect("directory node is in the topology");
                     }
                     for (dst, m) in out {
-                        self.sends[idx].push_back((now + l2_lat, dst, m));
+                        self.sends[idx].push_back((now + L2_LATENCY, dst, m));
                     }
                 }
                 // L1-side messages.

@@ -493,13 +493,11 @@ impl PowerManager for FaultInjector {
         self.inner.pending_punches() + self.delayed.len()
     }
 
-    /// Ticks until the injector is [dormant] — a jittered event comes due,
+    /// Ticks until the injector is dormant — a jittered event comes due,
     /// a timed window expires, a pending epoch arms, an armed choice is
     /// consumed, each on a schedule `tick` must observe per cycle — then
     /// hands the rest of the span to the wrapped manager's own
     /// `tick_quiet`.
-    ///
-    /// [dormant]: FaultInjector::dormant
     fn tick_quiet(&mut self, from: Cycle, to: Cycle, idle: IdleInfo<'_>) {
         let mut c = from;
         while c < to && !self.dormant() {

@@ -141,8 +141,6 @@ pub struct PacketMeta {
     pub len_flits: u16,
     /// Cycle the message entered the NI injection queue.
     pub ni_enqueue: Cycle,
-    /// Cycle the head flit left the NI into the local router (0 until then).
-    pub inject: Cycle,
     /// Hops traversed so far.
     pub hops: u16,
     /// Number of powered-off (or waking) routers encountered on the way
@@ -166,7 +164,6 @@ impl PacketMeta {
             message,
             len_flits,
             ni_enqueue,
-            inject: 0,
             hops: 0,
             pg_encounters: 0,
             wakeup_wait: 0,

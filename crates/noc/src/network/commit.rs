@@ -15,12 +15,11 @@ use crate::soa::NI_CREDIT_LANE;
 impl Network {
     pub(super) fn soa_commit(&mut self, now: Cycle) {
         let link = self.cfg.link_latency as Cycle;
-        let check = self.cfg.watchdog.invariant_checks;
         let mut bufs = std::mem::take(&mut self.shard.bufs);
         // --- 1. flit deliveries ------------------------------------------
         for buf in &mut bufs {
             self.watchdog.moved |= buf.moved;
-            if check && self.watchdog.violation.is_none() {
+            if self.watchdog.violation.is_none() {
                 if let Some(router) = buf.violation {
                     self.watchdog.violation =
                         Some(InvariantViolation::FlitIntoOffRouter { cycle: now, router });
@@ -110,11 +109,6 @@ impl Network {
                 for &pkt in &buf.ni_blocked[r.blocked] {
                     self.note_blocked(pkt, node);
                 }
-                if let Some(pkt) = r.head_injected {
-                    if let Some(meta) = self.packets.get_mut(&pkt.0) {
-                        meta.inject = now;
-                    }
-                }
                 if let Some(flit) = r.sent {
                     self.win.ni_flits += 1;
                     self.watchdog.moved = true;
@@ -171,9 +165,6 @@ impl Network {
             stats.flits_delivered += meta.len_flits as u64;
             stats.latency.record((now - meta.ni_enqueue) as f64);
             stats.latency_hist.record(now - meta.ni_enqueue);
-            stats
-                .net_latency
-                .record(now.saturating_sub(meta.inject) as f64);
             stats.hops.record(meta.hops as f64);
             stats.pg_encounters.record(meta.pg_encounters as f64);
             stats.wakeup_wait.record(meta.wakeup_wait as f64);

@@ -3,15 +3,15 @@
 //!
 //! [`Network`] is its simulation state — the datapath, the in-flight packet
 //! table, the host-facing delivered stream and the measured window — plus
-//! three owned concerns that are types of their own: the [`watchdog`] (progress clock,
-//! conservation totals, blocked-WU streaks, latched violation), the
-//! [`observe`]rs (event sink, profiler) and the [`crate::shard`]ing of
-//! phase A. This file holds construction, the host API (`send`,
-//! `drain_delivered`), the fork, `encode_state` and the statistics; the rest
-//! of the `impl` is cut along the tick's phases: `phase_a.rs` (`tick`, the
+//! three owned concerns that are types of their own: the watchdog
+//! (`watchdog.rs`: progress clock, conservation totals, blocked-WU streaks,
+//! latched violation), the observers (`observe.rs`: event sink, profiler)
+//! and the sharding of phase A (`shard.rs`). This file holds construction,
+//! the host API (`send`, `drain_delivered`), the fork, `encode_state` and
+//! the statistics; the rest of the `impl` is cut along the tick's phases: `phase_a.rs` (`tick`, the
 //! compute half, the shard knobs), `commit.rs` (the serial half),
-//! `power.rs`, `run.rs` (quiescence, fast-forward, `run`/`run_hooked`, late
-//! credits), and `reference.rs`, the oracle tick the kernel is pinned to.
+//! `power.rs`, `run.rs` (quiescence, fast-forward, `run`, late credits),
+//! and `reference.rs`, the oracle tick the kernel is pinned to.
 
 use std::collections::HashMap;
 

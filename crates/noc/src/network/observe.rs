@@ -259,7 +259,6 @@ mod tests {
         let cfg = NocConfig {
             watchdog: WatchdogConfig {
                 stall_threshold: 50,
-                invariant_checks: true,
                 escalate_after: 8,
             },
             ..NocConfig::default()

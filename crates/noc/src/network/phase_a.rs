@@ -62,7 +62,6 @@ impl Network {
         let (eject_due, ejects) = self.ejects.plane_mut(now);
         let ctx = TickCtx {
             now,
-            check: self.cfg.watchdog.invariant_checks,
             violation_open: self.watchdog.violation.is_none(),
             neighbors: &self.soa.neighbors,
             occ: self.soa.occ.words(),

@@ -53,14 +53,12 @@ impl Network {
         if self.packets.is_empty() {
             return; // flits only exist while their packet is in flight
         }
-        let check = self.cfg.watchdog.invariant_checks;
         let (_, slots) = self.flits.plane_mut(now);
         for idx in 0..self.routers.len() {
             for port in Port::ALL {
                 if let Some(flit) = slots[idx * FLIT_LANES + port.index()].take() {
                     self.watchdog.moved = true;
-                    if check
-                        && self.watchdog.violation.is_none()
+                    if self.watchdog.violation.is_none()
                         && self.pm.state(NodeId(idx as u16)) == PowerState::Off
                     {
                         self.watchdog.violation = Some(InvariantViolation::FlitIntoOffRouter {
@@ -220,7 +218,7 @@ impl Network {
             // `now + 1 + link`: the local router's wakeup tail overlaps.
             let router_on = self.pm.is_available(node, now + 1 + link);
             let (mut newly_ready, mut blocked_on_local) = (Vec::new(), Vec::new());
-            let outcome =
+            let sent =
                 self.nis[idx].tick_inject(now, router_on, &mut newly_ready, &mut blocked_on_local);
             for (_pkt, dst) in newly_ready {
                 self.events.push(PmEvent::NiReadyToInject { node, dst });
@@ -228,12 +226,7 @@ impl Network {
             for pkt in blocked_on_local {
                 self.note_blocked(pkt, node);
             }
-            if let Some(pkt) = outcome.head_injected {
-                if let Some(meta) = self.packets.get_mut(&pkt.0) {
-                    meta.inject = now;
-                }
-            }
-            if let Some(flit) = outcome.sent {
+            if let Some(flit) = sent {
                 self.win.ni_flits += 1;
                 self.watchdog.moved = true;
                 self.flits

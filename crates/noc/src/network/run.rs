@@ -1,9 +1,9 @@
 //! Running many cycles: quiescence, the fast-forward over quiescent spans
-//! (one `PowerManager::tick_quiet` call), `run`/`run_hooked`, and the late
+//! (one `PowerManager::tick_quiet` call), `run`, and the late
 //! delivery of the one thing a skip can leave in flight — credits.
 
 use punchsim_obs::metrics::PhaseProfiler;
-use punchsim_types::{ConfigError, Cycle, SimError};
+use punchsim_types::{Cycle, SimError};
 
 use super::Network;
 use crate::power::IdleInfo;
@@ -69,9 +69,9 @@ impl Network {
         self.obs.profile(PhaseProfiler::end_skip);
     }
 
-    /// `true` when `run`/`run_hooked` may skip ahead right now: on the
-    /// shipped kernel, quiescent, and untraced (per-cycle transition
-    /// recording needs the per-cycle path).
+    /// `true` when `run` may skip ahead right now: on the shipped kernel,
+    /// quiescent, and untraced (per-cycle transition recording needs the
+    /// per-cycle path).
     fn may_fast_forward(&self) -> bool {
         !self.reference && !self.obs.tracing() && self.quiescent()
     }
@@ -100,79 +100,12 @@ impl Network {
         }
         Ok(())
     }
-
-    /// Runs `n` cycles like [`Network::run`], invoking `hook` after every
-    /// `every` cycles (and once more after the final cycle, if it did not
-    /// land on a multiple). Campaign runners use this for per-run progress
-    /// and wall-clock throughput sampling without instrumenting `tick`.
-    ///
-    /// Fast-forward jumps are capped at hook boundaries, so the hook fires
-    /// at exactly the same cycles as under per-cycle ticking — samplers
-    /// see identical interval timestamps either way.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::ZeroHookPeriod`] if `every` is zero
-    /// (a hook that can never fire; previously this panicked, which is the
-    /// wrong failure mode for a value that typically arrives from campaign
-    /// configuration). Otherwise propagates the first error from
-    /// [`Network::tick`]; the hook does not run for the failing window.
-    pub fn run_hooked(
-        &mut self,
-        n: u64,
-        every: u64,
-        hook: &mut dyn FnMut(&Network),
-    ) -> Result<(), SimError> {
-        if every == 0 {
-            return Err(SimError::Config(ConfigError::ZeroHookPeriod));
-        }
-        let mut i = 0;
-        while i < n {
-            if self.may_fast_forward() {
-                // Skip to the next hook boundary (or the end of the span).
-                let span = (every - i % every).min(n - i);
-                self.fast_forward(span);
-                i += span;
-            } else {
-                self.tick()?;
-                i += 1;
-            }
-            if i % every == 0 {
-                hook(self);
-            }
-        }
-        if n % every != 0 {
-            hook(self);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::testkit::{delivered_to, msg, net};
-    use super::*;
     use crate::MsgClass;
-
-    #[test]
-    fn run_hooked_fires_per_window_and_at_end() {
-        let mut n = net();
-        let mut cycles_seen = Vec::new();
-        n.run_hooked(25, 10, &mut |net| cycles_seen.push(net.cycle()))
-            .unwrap();
-        assert_eq!(cycles_seen, vec![10, 20, 25]);
-        let mut exact = Vec::new();
-        n.run_hooked(20, 10, &mut |net| exact.push(net.cycle()))
-            .unwrap();
-        assert_eq!(exact, vec![35, 45]);
-    }
-
-    #[test]
-    fn hooked_run_rejects_zero_period() {
-        let mut n = net();
-        let err = n.run_hooked(10, 0, &mut |_| {}).unwrap_err();
-        assert!(matches!(err, SimError::Config(ConfigError::ZeroHookPeriod)));
-    }
 
     /// Bursty traffic separated by long quiescent gaps: the fast-forward
     /// kernel must reproduce the naive per-cycle run exactly — same final

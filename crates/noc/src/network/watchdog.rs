@@ -135,8 +135,9 @@ impl Watchdog {
     }
 
     /// End-of-tick invariant and progress checks with `packets` packets in
-    /// flight. `Ok(Some(stalled_for))` when the stall threshold is reached;
-    /// the progress clock is then re-armed, so a caller that deliberately
+    /// flight. `Ok(Some(stalled_for))` when `threshold` cycles pass without
+    /// progress ([`WatchdogConfig::stall_threshold`]; 0 = never); the
+    /// progress clock is then re-armed, so a caller that deliberately
     /// keeps ticking gets one report per threshold window rather than one
     /// per cycle.
     ///
@@ -147,30 +148,28 @@ impl Watchdog {
     pub fn check(
         &mut self,
         now: Cycle,
-        cfg: &WatchdogConfig,
+        threshold: Cycle,
         packets: usize,
     ) -> Result<Option<Cycle>, SimError> {
-        if cfg.invariant_checks {
-            if let Some(v) = &self.violation {
-                return Err(SimError::Invariant(v.clone()));
-            }
-            if self.injected != self.delivered + self.in_flight {
-                let v = InvariantViolation::FlitConservation {
-                    cycle: now,
-                    injected: self.injected,
-                    delivered: self.delivered,
-                    in_flight: self.in_flight,
-                };
-                self.violation = Some(v.clone());
-                return Err(SimError::Invariant(v));
-            }
+        if let Some(v) = &self.violation {
+            return Err(SimError::Invariant(v.clone()));
+        }
+        if self.injected != self.delivered + self.in_flight {
+            let v = InvariantViolation::FlitConservation {
+                cycle: now,
+                injected: self.injected,
+                delivered: self.delivered,
+                in_flight: self.in_flight,
+            };
+            self.violation = Some(v.clone());
+            return Err(SimError::Invariant(v));
         }
         if self.moved || packets == 0 {
             self.last_progress = now;
             return Ok(None);
         }
         let stalled_for = now.saturating_sub(self.last_progress);
-        if cfg.stall_threshold == 0 || stalled_for < cfg.stall_threshold {
+        if threshold == 0 || stalled_for < threshold {
             return Ok(None);
         }
         self.last_progress = now;
@@ -179,14 +178,9 @@ impl Watchdog {
 }
 
 impl Network {
-    /// Replaces the watchdog configuration (thresholds, invariant checks).
+    /// Replaces the watchdog configuration (stall threshold, escalation).
     pub fn set_watchdog(&mut self, w: WatchdogConfig) {
         self.cfg.watchdog = w;
-    }
-
-    /// The active watchdog configuration.
-    pub fn watchdog(&self) -> &WatchdogConfig {
-        &self.cfg.watchdog
     }
 
     /// Cycles since the watchdog last saw forward progress (0 while idle or
@@ -217,7 +211,8 @@ impl Network {
     /// The closing step of a tick (the clock already reads `now + 1`).
     pub(super) fn watchdog_check(&mut self, now: Cycle) -> Result<(), SimError> {
         let in_flight = self.packets.len();
-        let Some(stalled_for) = self.watchdog.check(now, &self.cfg.watchdog, in_flight)? else {
+        let threshold = self.cfg.watchdog.stall_threshold;
+        let Some(stalled_for) = self.watchdog.check(now, threshold, in_flight)? else {
             return Ok(());
         };
         self.obs.emit(now, || Event::Stall {
@@ -276,7 +271,6 @@ mod tests {
         NocConfig {
             watchdog: WatchdogConfig {
                 stall_threshold,
-                invariant_checks: true,
                 escalate_after,
             },
             ..NocConfig::default()

@@ -34,16 +34,6 @@ struct PendingPacket {
     route_port: Port,
 }
 
-/// What [`Ni::tick_inject`] sent this cycle, for the network to turn into
-/// statistics (its edge and stall reports go to the caller's vectors).
-#[derive(Debug, Default)]
-pub struct NiInjectOutcome {
-    /// A flit was sent toward the local router (at most one per cycle).
-    pub sent: Option<Flit>,
-    /// The sent flit was a head leaving the NI (records injection time).
-    pub head_injected: Option<PacketId>,
-}
-
 /// Per-node network interface.
 #[derive(Debug, Clone)]
 pub struct Ni {
@@ -185,9 +175,9 @@ impl Ni {
         flit.kind.is_tail().then_some(flit.packet)
     }
 
-    /// Runs one injection cycle. At most one flit is sent (the NI-to-router
-    /// channel is as wide as a link). `router_on` is the PG handshake state
-    /// of the local router.
+    /// Runs one injection cycle and returns the flit sent toward the local
+    /// router, if any: at most one (the NI-to-router channel is as wide as
+    /// a link). `router_on` is the PG handshake state of the local router.
     ///
     /// Appended to the caller's (flat, reused) vectors: to `newly_ready`
     /// every packet that became ready to inject this cycle, with its
@@ -202,8 +192,7 @@ impl Ni {
         router_on: bool,
         newly_ready: &mut Vec<(PacketId, NodeId)>,
         blocked_on_local: &mut Vec<PacketId>,
-    ) -> NiInjectOutcome {
-        let mut out = NiInjectOutcome::default();
+    ) -> Option<Flit> {
         let nv = self.queues.len();
         // Edge events + blocked reporting for every head-of-queue packet.
         for q in &mut self.queues {
@@ -270,20 +259,16 @@ impl Ni {
                     vc: vc as u8,
                     seq: p.next_seq,
                 };
-                if kind.is_head() {
-                    out.head_injected = Some(p.id);
-                }
                 p.next_seq += 1;
                 if kind.is_tail() {
                     self.vc_busy[vc] = false;
                     self.queues[v].pop_front();
                 }
-                out.sent = Some(flit);
                 self.rr = (v + 1) % nv;
-                return out;
+                return Some(flit);
             }
         }
-        out
+        None
     }
 }
 
@@ -305,7 +290,7 @@ mod tests {
     }
 
     /// One injection cycle with throwaway report vectors.
-    fn inject(ni: &mut Ni, cycle: Cycle, router_on: bool) -> NiInjectOutcome {
+    fn inject(ni: &mut Ni, cycle: Cycle, router_on: bool) -> Option<Flit> {
         ni.tick_inject(cycle, router_on, &mut Vec::new(), &mut Vec::new())
     }
 
@@ -328,13 +313,12 @@ mod tests {
         ni.set_route_of_last(VnetId(0), Port::Link(Direction::East));
         assert_eq!(ready, 13);
         for c in 10..13 {
-            assert!(inject(&mut ni, c, true).sent.is_none());
+            assert!(inject(&mut ni, c, true).is_none());
         }
-        let o = inject(&mut ni, 13, true);
-        let f = o.sent.expect("head injects when ready");
+        let f = inject(&mut ni, 13, true).expect("head injects when ready");
         assert_eq!(f.kind, FlitKind::HeadTail);
         assert_eq!(f.route_port, Port::Link(Direction::East));
-        assert_eq!(o.head_injected, Some(PacketId(1)));
+        assert_eq!(f.packet, PacketId(1));
         assert_eq!(ni.pending(), 0);
     }
 
@@ -346,18 +330,18 @@ mod tests {
         ni.set_route_of_last(VnetId(0), Port::Link(Direction::East));
         let (mut ready, mut blocked) = (Vec::new(), Vec::new());
         let o = ni.tick_inject(3, false, &mut ready, &mut blocked);
-        assert!(o.sent.is_none());
+        assert!(o.is_none());
         assert_eq!(blocked, vec![PacketId(1)]);
         assert_eq!(ready, vec![(PacketId(1), NodeId(5))]);
         // The edge event fires only once; the stall is re-reported, after
         // whatever the caller's vectors already hold.
         let o = ni.tick_inject(4, false, &mut ready, &mut blocked);
-        assert!(o.sent.is_none());
+        assert!(o.is_none());
         assert_eq!(ready.len(), 1);
         assert_eq!(blocked, vec![PacketId(1), PacketId(1)]);
         // Router wakes: injection proceeds.
         let o = ni.tick_inject(5, true, &mut ready, &mut blocked);
-        assert!(o.sent.is_some());
+        assert!(o.is_some());
         assert_eq!((ready.len(), blocked.len()), (1, 2));
     }
 
@@ -369,7 +353,7 @@ mod tests {
         ni.set_route_of_last(VnetId(1), Port::Link(Direction::East));
         let mut seqs = Vec::new();
         for c in 3..20 {
-            if let Some(f) = inject(&mut ni, c, true).sent {
+            if let Some(f) = inject(&mut ni, c, true) {
                 seqs.push((f.seq, f.kind));
                 // don't return credits: only depth(=3) flits may flow
             }
@@ -382,7 +366,7 @@ mod tests {
         ni.credit(3);
         let mut more = Vec::new();
         for c in 20..30 {
-            if let Some(f) = inject(&mut ni, c, true).sent {
+            if let Some(f) = inject(&mut ni, c, true) {
                 more.push(f.kind);
             }
         }
@@ -398,8 +382,8 @@ mod tests {
         ni.set_route_of_last(VnetId(0), Port::Link(Direction::East));
         ni.enqueue(PacketId(2), &msg(6, 2, MsgClass::Control), 1, 0);
         ni.set_route_of_last(VnetId(2), Port::Link(Direction::East));
-        let a = inject(&mut ni, 3, true).sent.expect("one flit");
-        let b = inject(&mut ni, 4, true).sent.expect("other flit");
+        let a = inject(&mut ni, 3, true).expect("one flit");
+        let b = inject(&mut ni, 4, true).expect("other flit");
         assert_ne!(a.packet, b.packet);
     }
 

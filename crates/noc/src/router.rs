@@ -77,7 +77,7 @@ pub struct PgBlocked {
 }
 
 /// Result of one allocation cycle, as one value: what the full-scan oracle
-/// [`Router::allocate_reference`] returns. The shipped [`Router::allocate`]
+/// `Router::allocate_reference` returns. The shipped [`Router::allocate`]
 /// appends to its caller's flat vectors instead.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct AllocOutcome {
@@ -415,7 +415,7 @@ impl Router {
     /// Cost follows the buffered head-of-line flits (set bits of the
     /// `occ`/`routed`/`fresh` words), not ports x VCs; grants are those of
     /// the rotating-priority full scan, which survives as the test oracle
-    /// [`Router::allocate_reference`].
+    /// `Router::allocate_reference`.
     pub fn allocate(
         &mut self,
         cycle: Cycle,

@@ -4,7 +4,7 @@
 //! Quiescence fast-forward makes *idle* cycles nearly free; this module
 //! makes a busy cycle cost what is in it rather than the size of the mesh.
 //! The per-router *control plane* — datapath occupancy, NI injection state —
-//! is one bit per router packed into `u64` words owned by [`SoaState`], and
+//! is one bit per router packed into `u64` words owned by `SoaState`, and
 //! everything in flight between routers sits in the delivery wheels of
 //! [`crate::link`], whose plane for the current cycle carries one bit per
 //! router with something due. Busy sweeps iterate set bits
@@ -253,8 +253,6 @@ fn neighbor_table(topo: Substrate) -> Vec<Neighbors> {
 /// Read-only per-tick context shared by every shard's phase A.
 pub(crate) struct TickCtx<'a> {
     pub now: Cycle,
-    /// Invariant checks enabled in the watchdog config.
-    pub check: bool,
     /// No violation latched before this tick (matches the reference
     /// kernel's `violation.is_none()` read at pop time).
     pub violation_open: bool,
@@ -287,7 +285,6 @@ pub(crate) struct InjectRes {
     pub ready: std::ops::Range<usize>,
     /// This NI's slice of [`ShardBuf::ni_blocked`].
     pub blocked: std::ops::Range<usize>,
-    pub head_injected: Option<PacketId>,
     /// The flit sent toward the local router, if any (the commit puts it
     /// on the wire, so phase A writes nothing but its own plane slices).
     pub sent: Option<Flit>,
@@ -437,11 +434,7 @@ pub(crate) fn shard_phase_a(
                 continue;
             };
             buf.moved = true;
-            if ctx.check
-                && ctx.violation_open
-                && buf.violation.is_none()
-                && avail.is_off(NodeId(idx as u16))
-            {
+            if ctx.violation_open && buf.violation.is_none() && avail.is_off(NodeId(idx as u16)) {
                 buf.violation = Some(NodeId(idx as u16));
             }
             if flit.kind.is_head() {
@@ -499,7 +492,7 @@ pub(crate) fn shard_phase_a(
     for_each_one(ctx.ni_pend, lo, hi, |idx| {
         let ni = &mut nis[idx - lo];
         let (ready, blocked) = (buf.ni_ready.len(), buf.ni_blocked.len());
-        let outcome = ni.tick_inject(
+        let sent = ni.tick_inject(
             now,
             avail.local_on(NodeId(idx as u16)),
             &mut buf.ni_ready,
@@ -509,9 +502,8 @@ pub(crate) fn shard_phase_a(
             idx,
             ready: ready..buf.ni_ready.len(),
             blocked: blocked..buf.ni_blocked.len(),
-            head_injected: outcome.head_injected,
-            sent: outcome.sent,
-            mid_after: outcome.sent.is_some() && ni.mid_packet(),
+            sent,
+            mid_after: sent.is_some() && ni.mid_packet(),
             pending_after: ni.pending() > 0,
         });
     });

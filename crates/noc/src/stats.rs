@@ -78,8 +78,6 @@ pub struct NetStats {
     /// the histogram — and therefore the report percentiles — fully
     /// deterministic across kernels, shard counts and thread counts.
     pub latency_hist: LogHistogram,
-    /// Network latency: head injection into the router to tail ejection.
-    pub net_latency: RunningStats,
     /// Hop counts of delivered packets.
     pub hops: RunningStats,
     /// Powered-off routers encountered per packet (Figure 9).

@@ -1,9 +1,8 @@
 //! Exporters: render a captured event stream as JSONL, CSV, or Chrome
 //! trace-event JSON.
 //!
-//! * **JSONL** — one compact JSON object per line, lossless: everything
-//!   [`to_jsonl`] emits, [`parse_jsonl`] reads back into identical
-//!   [`Stamped`] values.
+//! * **JSONL** — one compact JSON object per line: the cycle stamp, the
+//!   event kind and every payload field of a [`Stamped`] event.
 //! * **CSV** — `cycle,kind,subject,detail` rows for spreadsheet triage.
 //! * **Chrome trace-event JSON** — loadable in `chrome://tracing` or
 //!   Perfetto: one named track per router carrying its `off`/`waking`
@@ -13,7 +12,7 @@
 //!   that require monotonic streams load the file directly.
 
 use crate::event::{Event, PowerTag, Stamped};
-use crate::json::{Json, JsonError};
+use crate::json::Json;
 use std::collections::HashMap;
 
 /// Renders events as JSON Lines, one compact object per event.
@@ -24,27 +23,6 @@ pub fn to_jsonl(events: &[Stamped]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Parses a JSONL stream produced by [`to_jsonl`]. Blank lines are
-/// ignored; any malformed line is an error naming its line number.
-pub fn parse_jsonl(text: &str) -> Result<Vec<Stamped>, JsonError> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = Json::parse(line).map_err(|e| JsonError {
-            at: e.at,
-            message: format!("line {}: {}", i + 1, e.message),
-        })?;
-        let s = Stamped::from_json(&v).ok_or_else(|| JsonError {
-            at: 0,
-            message: format!("line {}: not a stamped event", i + 1),
-        })?;
-        events.push(s);
-    }
-    Ok(events)
 }
 
 /// Renders events as CSV with a header row.
@@ -332,21 +310,13 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_roundtrips_losslessly() {
+    fn jsonl_is_one_parseable_object_per_event() {
         let events = demo_events();
         let text = to_jsonl(&events);
         assert_eq!(text.lines().count(), events.len());
-        let back = parse_jsonl(&text).expect("parses");
-        assert_eq!(back, events);
-    }
-
-    #[test]
-    fn jsonl_parser_names_the_bad_line() {
-        let err = parse_jsonl("{\"cycle\":1,\"kind\":\"wu-assert\",\"router\":2}\nnot json\n")
-            .unwrap_err();
-        assert!(err.message.contains("line 2"), "{err}");
-        let err = parse_jsonl("{\"cycle\":1,\"kind\":\"mystery\"}\n").unwrap_err();
-        assert!(err.message.contains("line 1"), "{err}");
+        for (line, e) in text.lines().zip(&events) {
+            assert_eq!(Json::parse(line).expect("valid JSON"), e.to_json());
+        }
     }
 
     #[test]

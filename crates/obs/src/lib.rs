@@ -39,7 +39,7 @@ pub mod sampler;
 pub mod sink;
 
 pub use event::{Event, FaultKind, PowerTag, Stamped};
-pub use export::{chrome_trace, parse_jsonl, to_csv, to_jsonl};
+pub use export::{chrome_trace, to_csv, to_jsonl};
 pub use json::{Json, JsonError};
 pub use sampler::{IntervalRow, Sample, Sampler};
 pub use sink::{EventSink, NullSink, RingSink, VecSink};

@@ -8,9 +8,9 @@
 //! per interval — so a campaign's `.timing.json` sidecar can show how a run
 //! *evolved*, not just where it ended.
 //!
-//! The host drives the sampler from its progress hook (`run_hooked`), which
-//! keeps the sampler read-only with respect to the simulation: attaching
-//! one cannot perturb deterministic results.
+//! The host drives the sampler between run chunks (or from `CmpSim`'s
+//! progress hook), which keeps the sampler read-only with respect to the
+//! simulation: attaching one cannot perturb deterministic results.
 
 use crate::json::Json;
 use punchsim_types::Cycle;

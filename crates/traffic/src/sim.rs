@@ -15,20 +15,20 @@ use crate::pattern::TrafficPattern;
 const EV_NOTIFY: u8 = 0;
 const EV_INJECT: u8 = 1;
 
+/// Fraction of packets that are multi-flit data packets; the rest are
+/// single-flit control packets (roughly the MESI mix).
+const DATA_FRACTION: f64 = 0.4;
+
 /// Mix and process parameters for synthetic injection.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InjectionConfig {
     /// Offered load in flits/node/cycle (the Figure 12 x-axis).
     pub rate_flits: f64,
-    /// Fraction of packets that are multi-flit data packets; the rest are
-    /// single-flit control packets (roughly the MESI mix).
-    pub data_fraction: f64,
-    /// Fraction of packets whose generation is known `slack2` cycles ahead
-    /// (the paper's valid-bit: 1 for L2/directory-originated messages,
-    /// 0 for L1-originated ones).
+    /// Fraction of packets whose generation is known
+    /// [`PowerConfig::slack2_cycles`](punchsim_types::PowerConfig::slack2_cycles)
+    /// ahead (the paper's valid-bit: 1 for L2/directory-originated
+    /// messages, 0 for L1-originated ones).
     pub slack2_fraction: f64,
-    /// How many cycles ahead slack-2 forewarning fires.
-    pub slack2_cycles: Cycle,
     /// Burstiness in `0.0..1.0`: 0 is a memoryless (Bernoulli) process;
     /// larger values draw inter-arrival gaps from a hyperexponential mix
     /// (short bursts separated by long quiet periods) with the same mean —
@@ -41,9 +41,7 @@ impl InjectionConfig {
     pub fn at_rate(rate_flits: f64) -> Self {
         InjectionConfig {
             rate_flits,
-            data_fraction: 0.4,
             slack2_fraction: 0.8,
-            slack2_cycles: 6,
             burstiness: 0.0,
         }
     }
@@ -67,7 +65,7 @@ impl InjectionConfig {
 
     /// Mean flits per packet for this mix.
     pub fn avg_packet_flits(&self, ctrl: u8, data: u8) -> f64 {
-        self.data_fraction * data as f64 + (1.0 - self.data_fraction) * ctrl as f64
+        DATA_FRACTION * data as f64 + (1.0 - DATA_FRACTION) * ctrl as f64
     }
 }
 
@@ -94,9 +92,12 @@ pub struct SyntheticSim {
     rng: SimRng,
     /// The host's schedule: a min-heap of upcoming events `(cycle, node,
     /// kind)` — each node's next injection and, when slack 2 fires for it,
-    /// the forewarning `slack2_cycles` before. A tick pops only what is due,
+    /// the forewarning `slack2` cycles before. A tick pops only what is due,
     /// and the top is the next cycle the host has anything to do.
     events: BinaryHeap<Reverse<(Cycle, u16, u8)>>,
+    /// How many cycles ahead a slack-2 forewarning fires
+    /// ([`PowerConfig::slack2_cycles`](punchsim_types::PowerConfig::slack2_cycles)).
+    slack2: Cycle,
     /// Per-packet Bernoulli probability per node per cycle.
     p_packet: f64,
 }
@@ -132,6 +133,7 @@ impl SyntheticSim {
             pattern,
             inj,
             events: BinaryHeap::with_capacity(2 * n),
+            slack2: cfg.power.slack2_cycles.into(),
             p_packet,
             rng,
         };
@@ -186,7 +188,7 @@ impl SyntheticSim {
     /// Enqueues the heap events for node `idx`'s freshly drawn arrival.
     ///
     /// The slack-2 forewarning fires on the cycle where
-    /// `now + slack2_cycles == at`. The historic scan evaluated that
+    /// `now + slack2 == at`. The historic scan evaluated that
     /// condition from the cycle *after* the draw onwards (the draw
     /// happens after its own slot in the scan), so a mid-run draw only
     /// schedules a forewarning strictly after `drawn_at`; construction
@@ -199,7 +201,7 @@ impl SyntheticSim {
         if !slack2 {
             return;
         }
-        let Some(fire) = at.checked_sub(self.inj.slack2_cycles) else {
+        let Some(fire) = at.checked_sub(self.slack2) else {
             return;
         };
         if drawn_at.is_none_or(|now| fire > now) {
@@ -233,12 +235,12 @@ impl SyntheticSim {
                 continue;
             }
             let dst = self.pattern.destination(topo, node, &mut self.rng);
-            let class = if self.rng.random_f64() < self.inj.data_fraction {
+            let class = if self.rng.random_f64() < DATA_FRACTION {
                 MsgClass::Data
             } else {
                 MsgClass::Control
             };
-            let vnet = VnetId(self.rng.random_range(0..3u8));
+            let vnet = VnetId(self.rng.random_range(0..self.net.config().vnets));
             self.net
                 .send(Message {
                     src: node,
@@ -483,6 +485,23 @@ mod tests {
         // Detachable through network_mut for export.
         assert!(s.network_mut().take_sink().is_some());
         assert!(s.network().sink().is_none());
+    }
+
+    /// Packets are spread over the configured vnets, not a fixed three:
+    /// with fewer, a draw of vnet 2 was an out-of-range send and the run
+    /// panicked.
+    #[test]
+    fn packets_stay_within_the_configured_vnets() {
+        for vnets in [1, 2, 4] {
+            let mut c = cfg(SchemeKind::PowerPunchFull, Mesh::new(4, 4));
+            c.noc.vnets = vnets;
+            let mut s = SyntheticSim::new(c, TrafficPattern::UniformRandom, 0.05);
+            s.run(2_000).unwrap();
+            s.drain(10_000).unwrap();
+            let r = s.report();
+            assert!(r.stats.packets_injected > 100, "{vnets} vnets");
+            assert_eq!(r.stats.packets_delivered, r.stats.packets_injected);
+        }
     }
 
     #[test]

@@ -87,10 +87,6 @@ pub struct SchemeMeta {
     pub label: &'static str,
     /// One-line description for `punchsim-cli list-schemes`.
     pub description: &'static str,
-    /// Whether the scheme appears in the paper's Figures 7–13 comparison
-    /// set ([`SchemeKind::EVALUATED`] must mirror this flag in table
-    /// order; pinned by a test).
-    pub in_paper_figures: bool,
     /// Power/area-model parameters.
     pub power: SchemePowerProfile,
 }
@@ -128,7 +124,6 @@ impl SchemeKind {
             tag: "nopg",
             label: "No-PG",
             description: "all routers always on; the paper's no-power-gating baseline",
-            in_paper_figures: true,
             power: SchemePowerProfile::BASELINE,
         },
         SchemeMeta {
@@ -136,7 +131,6 @@ impl SchemeKind {
             tag: "conv",
             label: "Conv-PG",
             description: "conventional power-gating: the WU handshake wakes routers on demand",
-            in_paper_figures: false,
             power: SchemePowerProfile::BASELINE,
         },
         SchemeMeta {
@@ -144,7 +138,6 @@ impl SchemeKind {
             tag: "convopt",
             label: "ConvOpt-PG",
             description: "conventional PG plus idle-timeout filter and one-hop early wakeup",
-            in_paper_figures: true,
             power: SchemePowerProfile::BASELINE,
         },
         SchemeMeta {
@@ -152,7 +145,6 @@ impl SchemeKind {
             tag: "pps",
             label: "PowerPunch-Signal",
             description: "multi-hop punch signals only, no injection-node slack (paper 4.1)",
-            in_paper_figures: true,
             power: SchemePowerProfile::BASELINE,
         },
         SchemeMeta {
@@ -160,7 +152,6 @@ impl SchemeKind {
             tag: "ppf",
             label: "PowerPunch-PG",
             description: "punch signals plus NI slack 1/2; the paper's full scheme (4.2)",
-            in_paper_figures: true,
             power: SchemePowerProfile::BASELINE,
         },
         SchemeMeta {
@@ -169,7 +160,6 @@ impl SchemeKind {
             label: "SDM-Circuit",
             description: "SDM circuit switching: setup walks ahead, established circuits \
                           bypass gated-off routers",
-            in_paper_figures: false,
             power: SchemePowerProfile {
                 // Router leakage is unchanged — savings come from circuits
                 // letting the control plane stay gated while data flows.
@@ -187,7 +177,6 @@ impl SchemeKind {
             label: "Ring-Router",
             description: "bufferless ring-style router: no buffer leakage, deflection \
                           latency instead of buffering",
-            in_paper_figures: false,
             power: SchemePowerProfile {
                 // Input buffers hold the dominant share of router leakage
                 // at 45 nm; removing them leaves crossbar + control.
@@ -274,8 +263,6 @@ pub struct NocConfig {
     pub router_stages: u8,
     /// Link traversal latency in cycles.
     pub link_latency: u8,
-    /// Link width in bits (Table 2: 128 bits/cycle).
-    pub link_width_bits: u16,
     /// NI pipeline latency in cycles (§5: "all the NI operations are packed
     /// compactly in three cycles").
     pub ni_latency: u8,
@@ -284,8 +271,8 @@ pub struct NocConfig {
     pub data_packet_flits: u8,
     /// Flits in a control packet.
     pub ctrl_packet_flits: u8,
-    /// Progress-watchdog parameters (invariant checks, stall detection and
-    /// wakeup escalation).
+    /// Progress-watchdog parameters (stall detection and wakeup
+    /// escalation).
     pub watchdog: WatchdogConfig,
 }
 
@@ -301,7 +288,6 @@ impl Default for NocConfig {
             ctrl_vc_depth: 1,
             router_stages: 3,
             link_latency: 1,
-            link_width_bits: 128,
             ni_latency: 3,
             data_packet_flits: 5,
             ctrl_packet_flits: 1,
@@ -376,8 +362,8 @@ impl NocConfig {
 /// Progress-watchdog and recovery-escalation parameters.
 ///
 /// The watchdog turns the paper's safety-net argument into a continuously
-/// checked property: per-cycle invariant checks catch lost flits or flits
-/// routed into a powered-off router, the stall detector converts silent
+/// checked property: per-cycle invariant checks (always on) catch lost
+/// flits or flits routed into a powered-off router, the stall detector converts silent
 /// livelock into a structured [`crate::StallReport`], and the escalation
 /// path force-wakes a router that keeps ignoring the level-signaled WU
 /// handshake (modeling the hardware's timeout-then-force-wake retry).
@@ -386,9 +372,6 @@ pub struct WatchdogConfig {
     /// Declare a stall after this many consecutive cycles without forward
     /// progress while packets are in flight. `0` disables stall detection.
     pub stall_threshold: Cycle,
-    /// Run the per-cycle invariant checks (flit conservation, no flit into
-    /// an off router). Cheap (a few integer compares per cycle).
-    pub invariant_checks: bool,
     /// Force-wake a router after its WU has been continuously asserted and
     /// ignored for this many cycles. `0` disables escalation.
     pub escalate_after: Cycle,
@@ -400,7 +383,6 @@ impl Default for WatchdogConfig {
             // Generous: orders of magnitude above any legitimate wakeup
             // chain (an 16x16 mesh worst case is ~30 hops x ~12 cycles).
             stall_threshold: 10_000,
-            invariant_checks: true,
             // A healthy WU completes in `wakeup_latency` (~8) cycles; a WU
             // ignored for 64 cycles means the gate is stuck.
             escalate_after: 64,
@@ -499,8 +481,6 @@ pub struct PowerConfig {
     /// Router wakeup latency in cycles (SPICE-estimated 8 in the paper;
     /// swept 6..=12 in Figure 13).
     pub wakeup_latency: u32,
-    /// Break-even time in cycles (~10 for on-chip routers, paper ref. 7).
-    pub break_even_time: u32,
     /// Idle timeout before sleeping, in cycles (4, consistent with paper
     /// refs. 7 and 9).
     pub idle_timeout: u32,
@@ -509,7 +489,8 @@ pub struct PowerConfig {
     pub punch_hops: u16,
     /// Cycles of slack-2: how long before the message reaches the NI the
     /// node knows "some packet will be generated" (≈ L2/directory access
-    /// latency, ~6 cycles).
+    /// latency, ~6 cycles). The one lead both hosts read: the synthetic
+    /// host's forewarnings and the CMP memory controllers'.
     pub slack2_cycles: u32,
 }
 
@@ -517,7 +498,6 @@ impl Default for PowerConfig {
     fn default() -> Self {
         PowerConfig {
             wakeup_latency: 8,
-            break_even_time: 10,
             idle_timeout: 4,
             punch_hops: 3,
             slack2_cycles: 6,
@@ -605,7 +585,6 @@ mod tests {
         assert_eq!(c.vnets, 3);
         assert_eq!(c.data_vc_depth, 3);
         assert_eq!(c.ctrl_vc_depth, 1);
-        assert_eq!(c.link_width_bits, 128);
         assert_eq!(c.ni_latency, 3);
         assert_eq!(c.vcs_per_port(), 9);
         assert_eq!(c.hop_latency(), 4);
@@ -613,7 +592,6 @@ mod tests {
 
         let p = PowerConfig::default();
         assert_eq!(p.wakeup_latency, 8);
-        assert_eq!(p.break_even_time, 10);
         assert_eq!(p.idle_timeout, 4);
         assert_eq!(p.punch_hops, 3);
         p.validate().unwrap();
@@ -784,7 +762,6 @@ mod tests {
     fn watchdog_defaults_are_enabled() {
         let w = WatchdogConfig::default();
         assert!(w.stall_threshold > 0);
-        assert!(w.invariant_checks);
         assert!(w.escalate_after > 0);
     }
 
@@ -835,16 +812,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn evaluated_mirrors_paper_figure_flag() {
-        let flagged: Vec<SchemeKind> = SchemeKind::METAS
-            .iter()
-            .filter(|m| m.in_paper_figures)
-            .map(|m| m.kind)
-            .collect();
-        assert_eq!(flagged, SchemeKind::EVALUATED.to_vec());
     }
 
     #[test]

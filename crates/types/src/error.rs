@@ -54,8 +54,6 @@ pub enum ConfigError {
     },
     /// A stuck-off epoch referenced a router outside the mesh.
     BadStuckRouter(NodeId),
-    /// A hooked run was asked to invoke its progress hook every 0 cycles.
-    ZeroHookPeriod,
     /// A topology was given degenerate dimensions (zero for a mesh,
     /// below 2 for a torus ring).
     BadTopologyDims {
@@ -137,9 +135,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadStuckRouter(r) => {
                 write!(f, "stuck-off epoch names router {r} outside the mesh")
-            }
-            ConfigError::ZeroHookPeriod => {
-                write!(f, "hook period must be at least 1 cycle")
             }
             ConfigError::BadTopologyDims {
                 kind,

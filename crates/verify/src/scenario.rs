@@ -140,7 +140,6 @@ pub fn build_network(
     sim.noc.topology = Mesh::try_new(cfg.width, cfg.height)?.into();
     sim.noc.watchdog = WatchdogConfig {
         stall_threshold: STALL_BOUND,
-        invariant_checks: true,
         escalate_after: if cfg.broken { 0 } else { ESCALATE_AFTER },
     };
     let mut pm = build_power_manager(&sim)?;

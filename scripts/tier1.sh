@@ -11,8 +11,8 @@ cargo build --release --workspace
 echo "== tier 1: cargo test -q =="
 cargo test -q --workspace
 
-# Clippy and rustfmt are skipped locally when the toolchain component is
-# absent, and enforced in CI either way.
+# Clippy, rustfmt and rustdoc are skipped locally when the toolchain
+# component is absent, and enforced in CI either way.
 if cargo clippy --version >/dev/null 2>&1; then
     echo "== clippy (deny warnings) =="
     cargo clippy --workspace --all-targets -- -D warnings
@@ -25,6 +25,13 @@ if cargo fmt --version >/dev/null 2>&1; then
     cargo fmt --all --check
 else
     echo "== rustfmt not installed; skipping =="
+fi
+
+if rustdoc --version >/dev/null 2>&1; then
+    echo "== rustdoc (deny warnings) =="
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+else
+    echo "== rustdoc not installed; skipping =="
 fi
 
 echo "tier 1 OK"

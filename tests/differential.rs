@@ -106,7 +106,7 @@ fn draw_case(rng: &mut SimRng, id: u64) -> Case {
     } else {
         0.0
     };
-    inj.slack2_cycles = rng.random_range(4..9u64);
+    cfg.power.slack2_cycles = rng.random_range(4..9u64) as u32;
     Case {
         cfg,
         inj,

@@ -168,7 +168,6 @@ fn run_wedged(
     cfg.noc.routing = routing;
     cfg.noc.watchdog = WatchdogConfig {
         stall_threshold: 200,
-        invariant_checks: true,
         escalate_after: 0,
     };
     cfg.faults = faults;
@@ -206,7 +205,6 @@ fn run_wedged(
                 // recover the run without losing a single flit.
                 net.set_watchdog(WatchdogConfig {
                     stall_threshold: 200,
-                    invariant_checks: true,
                     escalate_after: 32,
                 });
             }

@@ -161,8 +161,8 @@ fn tracing_does_not_perturb_results() {
         traced.stats.packets_delivered
     );
     assert_eq!(
-        plain.stats.net_latency.mean().to_bits(),
-        traced.stats.net_latency.mean().to_bits(),
+        plain.stats.latency.mean().to_bits(),
+        traced.stats.latency.mean().to_bits(),
         "latency distribution diverged under tracing"
     );
     assert_eq!(plain.pg, traced.pg, "power-gating counters diverged");
@@ -193,18 +193,20 @@ fn mostly_idle_network(reference: bool) -> Network {
     net
 }
 
-/// Skip-ahead must not smear the time axis: `run_hooked` caps every jump
-/// at the sampling boundary, so interval rows carry exactly the same
-/// `[start, end]` timestamps — and the same deltas — as a cycle-by-cycle
-/// run, even when the jump spans many whole intervals.
+/// Skip-ahead must not smear the time axis: run in sampling-interval
+/// chunks, every jump ends at the sampling boundary, so interval rows carry
+/// exactly the same `[start, end]` timestamps — and the same deltas — as a
+/// cycle-by-cycle run, even when the jump spans many whole intervals.
 #[test]
 fn sample_timestamps_are_exact_across_fast_forward_jumps() {
     let rows = |reference: bool| {
         let mut net = mostly_idle_network(reference);
         let mut sampler = Sampler::new(16);
         sampler.observe(net.obs_sample());
-        net.run_hooked(2_500, 100, &mut |n| sampler.observe(n.obs_sample()))
-            .expect("idle network must not stall");
+        for _ in 0..25 {
+            net.run(100).expect("idle network must not stall");
+            sampler.observe(net.obs_sample());
+        }
         sampler.into_rows()
     };
     let fast = rows(false);

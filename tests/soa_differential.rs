@@ -106,7 +106,6 @@ fn widest(noc: &mut NocConfig) {
 fn cases() -> Vec<Case> {
     let mut mixed = InjectionConfig::at_rate(0.02);
     mixed.burstiness = 0.5;
-    mixed.slack2_cycles = 6;
     let trio = [
         SchemeKind::NoPg,
         SchemeKind::ConvOptPg,
@@ -245,7 +244,7 @@ fn soa_kernel_is_observably_identical_to_struct_reference() {
 /// on their wires when its tail ejects and the network goes quiescent, so
 /// a fast-forward leaves them overdue and the first tick after it delivers
 /// them late. That must be exact: the kernel at 1 and 3 shards is driven
-/// through 1-cycle skips (`run_hooked(every = 1)`), short and long gaps and
+/// through 1-cycle skips (`run(1)` plus a hook), short and long gaps and
 /// a `run(10_000)`, each followed by a packet that needs those credits,
 /// against the oracle that delivers every credit on time. Compared at every
 /// hook: the clock, and the `encode_state` of a fork ticked once more —
@@ -277,20 +276,21 @@ fn credits_that_outlive_quiescence_are_delivered_exactly() {
                 (format!("{scheme:?} {shards:?}"), net, Vec::new())
             })
             .collect();
-        // Runs `n` hooked cycles on every network, logging at each hook.
+        // Runs `n` cycles on every network one at a time, logging after
+        // each.
         let hooked = |nets: &mut Vec<(String, Network, Log)>, n: u64| {
             for (_, net, log) in nets.iter_mut() {
-                net.run_hooked(n, 1, &mut |at: &Network| {
-                    let mut fork = at.try_clone().expect("no sink, clonable manager");
+                for _ in 0..n {
+                    net.run(1).unwrap();
+                    let mut fork = net.try_clone().expect("no sink, clonable manager");
                     fork.tick().unwrap();
-                    let (own, next) = (at.encode_state(), fork.encode_state());
+                    let (own, next) = (net.encode_state(), fork.encode_state());
                     log.push((
-                        at.cycle(),
+                        net.cycle(),
                         own.expect("encodable"),
                         next.expect("encodable"),
                     ));
-                })
-                .unwrap();
+                }
             }
         };
         // A 3-hop packet leaves link credits behind, a self-addressed one

@@ -21,7 +21,6 @@ fn scripted_episode(escalate_after: Cycle, episodes: &[(u16, u16, FaultChoice)])
     cfg.noc.topology = Mesh::new(2, 2).into();
     cfg.noc.watchdog = WatchdogConfig {
         stall_threshold: 10_000,
-        invariant_checks: true,
         escalate_after,
     };
     let base = ConvPgManager::new(cfg.noc.view(), &cfg.power, false);
