@@ -155,12 +155,20 @@ impl Ni {
     }
 
     /// `true` while a packet has injected its head but not yet its tail —
-    /// the local router must not power off in that window.
+    /// the local router must not power off in that window. O(vnets): only
+    /// a queue's front packet is ever given a VC, and sending its tail pops
+    /// it.
     pub fn mid_packet(&self) -> bool {
-        self.queues
+        let mid = self
+            .queues
             .iter()
-            .flat_map(|q| q.iter())
-            .any(|p| p.vc.is_some())
+            .any(|q| q.front().is_some_and(|p| p.vc.is_some()));
+        debug_assert_eq!(
+            mid,
+            self.queues.iter().flatten().any(|p| p.vc.is_some()),
+            "a packet behind its queue's front owns a VC"
+        );
+        mid
     }
 
     /// Flits delivered to this NI so far (ejection-side activity counter).

@@ -90,15 +90,6 @@ pub struct AllocOutcome {
     pub pg_blocked: Vec<PgBlocked>,
 }
 
-/// A switch-allocation candidate: the front flit one input port offers.
-#[derive(Clone, Copy)]
-struct Cand {
-    in_port: Port,
-    in_vc: usize,
-    out_port: Port,
-    speculative: bool,
-}
-
 /// One mesh router: five ports of VC buffers plus separable VA/SA allocators.
 ///
 /// Three heap blocks, whatever the VC count: the flit slab, the VC control
@@ -309,33 +300,39 @@ impl Router {
     }
 
     /// Marks input VC `(p, v)`'s front packet as owning `out_vc` of
-    /// `out_port` from `cycle` on.
-    fn route(&mut self, p: usize, v: usize, out_port: Port, out_vc: usize, cycle: Cycle) {
+    /// `out_port`, and records the grant in the caller's `granted` word.
+    fn route(&mut self, p: usize, v: usize, out_port: Port, out_vc: usize, granted: &mut [u32; 5]) {
         self.out_vc_busy[out_port.index()] |= 1 << out_vc;
         self.routed[p] |= 1 << v;
+        granted[p] |= 1 << v;
         let vc = &mut self.vcs[p * self.layout.total() + v];
         vc.out_port = out_port.index() as u8;
         vc.out_vc = out_vc as u8;
-        vc.va_cycle = cycle;
         self.activity.va_grants += 1;
     }
 
-    /// Debug builds cross-check the two derived summaries (`buffered`, the
-    /// occupancy mask) against the VC rings they summarize.
+    /// Debug builds cross-check the derived summaries: `buffered` and the
+    /// occupancy mask against the rings, and `out_vc_busy` against the
+    /// routes of the `routed` VCs, one owner per busy output VC. The tick
+    /// kernel asks [`Router::datapath_empty`] after every allocation.
     fn debug_check_summaries(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
         let total = self.layout.total();
-        debug_assert_eq!(
-            self.buffered as usize,
-            self.vcs.iter().map(VcState::len).sum::<usize>(),
-            "buffered-flit counter out of sync with the input VCs"
-        );
-        debug_assert!(
-            self.vcs
-                .iter()
-                .enumerate()
-                .all(|(i, vc)| bit(self.occ[i / total], i % total) != vc.is_empty()),
-            "occupancy mask out of sync with the input VCs"
-        );
+        let (mut flits, mut owned, mut owners) = (0, [0u32; 5], [0u32; 5]);
+        for (i, vc) in self.vcs.iter().enumerate() {
+            let (p, v) = (i / total, i % total);
+            assert_eq!(bit(self.occ[p], v), !vc.is_empty(), "occupancy {p}/{v}");
+            flits += vc.len();
+            if bit(self.routed[p], v) {
+                owned[vc.out_port as usize] |= 1 << vc.out_vc;
+                owners[vc.out_port as usize] += 1;
+            }
+        }
+        assert_eq!(self.buffered as usize, flits, "buffered-flit counter");
+        let (busy, counts) = (self.out_vc_busy, self.out_vc_busy.map(u32::count_ones));
+        assert_eq!((owned, owners), (busy, counts), "output VC owners");
     }
 
     /// `true` when every input VC is empty (no flit anywhere in the
@@ -360,9 +357,11 @@ impl Router {
     /// link-port credit *deficits* (depth minus current credits, so a
     /// fully-credited idle router encodes as zeros), output-VC ownership
     /// and the three round-robin pointers. The `Local` output has no
-    /// credits to encode. Activity counters are statistics, and `fresh` and
-    /// `va_cycle` only distinguish the current cycle, which between ticks
-    /// has passed; all are excluded per the snapshot rules.
+    /// credits to encode. Activity counters are statistics, and `fresh`
+    /// only distinguishes the current cycle, which between ticks has
+    /// passed; both are excluded per the snapshot rules. Which heads won VA
+    /// this cycle is no state at all: `allocate` hands that word from VA to
+    /// SA within one call.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         use crate::snapshot::{put_bool, put_u8};
         let total = self.layout.total();
@@ -424,18 +423,20 @@ impl Router {
         departed: &mut Vec<(NodeId, Departure)>,
     ) {
         let fresh = self.fresh_words(cycle);
-        self.vc_allocate(cycle, &fresh);
-        self.switch_allocate(cycle, &fresh, down_on, blocked, departed);
+        let granted = self.vc_allocate(&fresh);
+        self.switch_allocate(&fresh, &granted, down_on, blocked, departed);
     }
 
     /// VC allocation: head flits at the front of their VC request an output
-    /// VC of their (vnet, class) at their look-ahead output port.
-    fn vc_allocate(&mut self, cycle: Cycle, fresh: &[u32; 5]) {
+    /// VC of their (vnet, class) at their look-ahead output port. Returns,
+    /// per input port, the VCs it granted.
+    fn vc_allocate(&mut self, fresh: &[u32; 5]) -> [u32; 5] {
         // Gather requests once, as per-output words: `req[o][p]` bit `v`
         // set iff VC `(p, v)` holds an eligible unrouted head for output
         // `o`.
         let mut req = [[0u32; 5]; 5];
         let mut wanted = 0u8;
+        let mut granted = [0u32; 5];
         for p in 0..5 {
             for_each_bit(self.occ[p] & !self.routed[p] & !fresh[p], |v| {
                 let front = self.vc(p, v).front(&self.slab);
@@ -447,7 +448,7 @@ impl Router {
             });
         }
         if wanted == 0 {
-            return;
+            return granted;
         }
         // Grant per output port, rotating priority across the global input
         // VC index `g = p * total + v`: the walk starts at `va_rr`'s bit of
@@ -477,7 +478,7 @@ impl Router {
                     if free == 0 {
                         return;
                     }
-                    self.route(p, v, out_port, free.trailing_zeros() as usize, cycle);
+                    self.route(p, v, out_port, free.trailing_zeros() as usize, &mut granted);
                     if !granted_any {
                         // Rotate past the first winner.
                         let g = p * total + v;
@@ -487,13 +488,16 @@ impl Router {
                 });
             }
         }
+        granted
     }
 
-    /// Separable input-first switch allocation with speculation support.
+    /// Separable input-first switch allocation with speculation support:
+    /// the VCs in `granted` won VA in this call, so in 3-stage mode they
+    /// compete speculatively and in 4-stage mode not yet.
     fn switch_allocate(
         &mut self,
-        cycle: Cycle,
         fresh: &[u32; 5],
+        granted: &[u32; 5],
         mut down_on: impl FnMut(Port) -> bool,
         blocked: &mut Vec<(NodeId, PgBlocked)>,
         departed: &mut Vec<(NodeId, Departure)>,
@@ -503,28 +507,30 @@ impl Router {
         // below looks no further back.
         let first_blocked = blocked.len();
         // Phase 1: each input port offers one front flit among its routed
-        // VCs past their BW cycle.
+        // VCs past their BW cycle, as its VC in `pick` and its bit in the
+        // request word of its output, committed (`req[0][o]`) or
+        // speculative (`req[1][o]`).
         // candidate = credit + downstream on; blocked = credit, downstream
         // off.
-        let mut per_input: PortMap<Option<Cand>> = PortMap::default();
-        let mut wanted = 0u8;
-        for (p, in_port) in Port::ALL.into_iter().enumerate() {
-            let eligible = self.occ[p] & self.routed[p] & !fresh[p];
+        let total = self.layout.total();
+        let (mut pick, mut req) = ([0u8; 5], [[0u8; 5]; 2]);
+        for p in 0..5 {
+            let mut eligible = self.occ[p] & self.routed[p] & !fresh[p];
+            if self.stages != 3 {
+                eligible &= !granted[p]; // 4-stage: SA starts the cycle after VA.
+            }
             if eligible == 0 {
                 continue;
             }
             // Rotating priority from `sa_in_rr`: eligible VCs at or above
             // the pointer first, then the wrapped-around ones below it.
             let below = (1u32 << self.sa_in_rr[p]) - 1;
-            let mut best: Option<Cand> = None;
+            // The pick so far: (VC, output, speculative).
+            let mut best: Option<(usize, usize, bool)> = None;
             for mask in [eligible & !below, eligible & below] {
                 for_each_bit(mask, |v| {
                     let vc = self.vc(p, v);
                     let (out_port, out_vc) = (Port::ALL[vc.out_port as usize], vc.out_vc);
-                    let speculative = vc.va_cycle == cycle;
-                    if speculative && self.stages != 3 {
-                        return; // 4-stage: SA starts the cycle after VA.
-                    }
                     if !self.has_credit(out_port, out_vc as usize) {
                         return; // no downstream buffer space
                     }
@@ -548,59 +554,40 @@ impl Router {
                         return;
                     }
                     // Committed flits beat speculative ones.
-                    if best.is_none_or(|b| b.speculative && !speculative) {
-                        best = Some(Cand {
-                            in_port,
-                            in_vc: v,
-                            out_port,
-                            speculative,
-                        });
+                    let spec = bit(granted[p], v);
+                    if best.is_none_or(|(_, _, s)| s && !spec) {
+                        best = Some((v, vc.out_port as usize, spec));
                     }
                 });
             }
-            if let Some(c) = best {
-                wanted |= 1 << c.out_port.index();
+            if let Some((v, o, spec)) = best {
+                pick[p] = v as u8;
+                req[usize::from(spec)][o] |= 1 << p;
             }
-            per_input[in_port] = best;
         }
-        // Phase 2: output arbitration, committed-over-speculative, then
-        // round-robin over input ports.
-        for out_port in Port::ALL {
-            let o = out_port.index();
-            if (wanted >> o) & 1 == 0 {
+        // Phase 2: output arbitration, committed over speculative, then
+        // the first requesting input at or after `sa_out_rr` — the request
+        // word rotated by the pointer (DESIGN §15).
+        for (o, out_port) in Port::ALL.into_iter().enumerate() {
+            let word = if req[0][o] != 0 { req[0][o] } else { req[1][o] };
+            if word == 0 {
                 continue;
             }
-            let start = self.sa_out_rr[o] as usize;
-            let mut winner: Option<(usize, Cand)> = None;
-            for off in 0..5 {
-                let ip_idx = (start + off) % 5;
-                let Some(c) = per_input[Port::ALL[ip_idx]] else {
-                    continue;
-                };
-                if c.out_port != out_port {
-                    continue;
-                }
-                if winner.is_none_or(|(_, w)| w.speculative && !c.speculative) {
-                    winner = Some((ip_idx, c));
-                }
-            }
-            let (p, c) = winner.expect("a wanted output has a candidate");
-            self.sa_out_rr[o] = ((p + 1) % 5) as u8;
-            // Grant: pop the flit, consume a credit, update VC state. One
-            // candidate per input port means no other output can pick the
-            // same input (each input feeds one crossbar line).
-            let out_vc = self.vc(p, c.in_vc).out_vc;
-            let mut flit = self.pop_front(p, c.in_vc);
+            let from = word & (!0u8 << self.sa_out_rr[o]);
+            let p = if from != 0 { from } else { word }.trailing_zeros() as usize;
+            self.sa_out_rr[o] = if p == 4 { 0 } else { p as u8 + 1 };
+            // Grant: pop the flit, consume a credit, update VC state. Each
+            // input's bit sits in one request word, so no other output can
+            // pick the same input (each input feeds one crossbar line).
+            let v = pick[p] as usize;
+            let out_vc = self.vc(p, v).out_vc;
+            let mut flit = self.pop_front(p, v);
             if flit.kind.is_tail() {
-                self.routed[p] &= !(1 << c.in_vc);
+                self.routed[p] &= !(1 << v);
                 self.out_vc_busy[o] &= !(1 << out_vc);
             }
             self.spend_credit(out_port, out_vc as usize);
-            self.sa_in_rr[p] = if c.in_vc + 1 == self.layout.total() {
-                0
-            } else {
-                c.in_vc as u8 + 1
-            };
+            self.sa_in_rr[p] = if v + 1 == total { 0 } else { v as u8 + 1 };
             self.activity.buffer_reads += 1;
             self.activity.crossbar_traversals += 1;
             self.activity.sa_grants += 1;
@@ -609,8 +596,8 @@ impl Router {
                 id,
                 Departure {
                     out_port,
-                    in_port: c.in_port,
-                    in_vc: c.in_vc as u8,
+                    in_port: Port::ALL[p],
+                    in_vc: v as u8,
                     flit,
                 },
             ));
@@ -618,13 +605,24 @@ impl Router {
     }
 }
 
+/// The oracle's switch-allocation candidate: the front flit one input port
+/// offers.
+#[derive(Clone, Copy)]
+struct Cand {
+    in_port: Port,
+    in_vc: usize,
+    out_port: Port,
+    speculative: bool,
+}
+
 /// The test oracle: the full-scan allocators the shipped
 /// [`Router::allocate`] replaced (every `5 * total` VA slot and every SA VC
-/// is probed whether or not it holds a flit, and nothing reads a request
-/// word). Only `Network::tick_reference` and the lock-step differential
-/// test below call it. It shares the router's storage with the shipped
-/// path — the rings, `latch`/`pop_front` and the `fresh` word — which is
-/// why the lock-step test also runs the rings against a plain FIFO per VC.
+/// is probed whether or not it holds a flit, each output scans all five
+/// inputs, and nothing reads a request word). Only `Network::tick_reference`
+/// and the lock-step differential test below call it. It shares the
+/// router's storage with the shipped path — the rings, `latch`/`pop_front`,
+/// the `fresh` word and VA's word of this call's grants — which is why the
+/// lock-step test also runs the rings against a plain FIFO per VC.
 impl Router {
     /// [`Router::allocate`] by exhaustive rotating-priority scan.
     pub(crate) fn allocate_reference(
@@ -633,12 +631,13 @@ impl Router {
         down_on: &PortMap<bool>,
     ) -> AllocOutcome {
         let fresh = self.fresh_words(cycle);
-        self.vc_allocate_reference(cycle, &fresh);
-        self.switch_allocate_reference(cycle, &fresh, down_on)
+        let granted = self.vc_allocate_reference(&fresh);
+        self.switch_allocate_reference(&fresh, &granted, down_on)
     }
 
-    fn vc_allocate_reference(&mut self, cycle: Cycle, fresh: &[u32; 5]) {
+    fn vc_allocate_reference(&mut self, fresh: &[u32; 5]) -> [u32; 5] {
         let total = self.layout.total();
+        let mut granted = [0u32; 5];
         // Gather requests: (in_port, in_vc, out_port) for eligible unrouted heads.
         let mut requests: Vec<(Port, usize, Port)> = Vec::new();
         for (p, in_port) in Port::ALL.into_iter().enumerate() {
@@ -679,7 +678,7 @@ impl Router {
                 let mut cand = self.layout.candidates(front.vnet, front.class);
                 let free = cand.find(|&ov| !bit(self.out_vc_busy[o], ov));
                 let Some(out_vc) = free else { continue };
-                self.route(ip_idx, iv, out_port, out_vc, cycle);
+                self.route(ip_idx, iv, out_port, out_vc, &mut granted);
                 if !granted_any {
                     // Rotate past the first winner.
                     self.va_rr[o] = ((g + 1) % space) as u8;
@@ -687,12 +686,13 @@ impl Router {
                 }
             }
         }
+        granted
     }
 
     fn switch_allocate_reference(
         &mut self,
-        cycle: Cycle,
         fresh: &[u32; 5],
+        granted: &[u32; 5],
         down_on: &PortMap<bool>,
     ) -> AllocOutcome {
         let mut outcome = AllocOutcome::default();
@@ -715,7 +715,7 @@ impl Router {
                 }
                 let vc = self.vc(p, iv);
                 let (out_port, out_vc) = (Port::ALL[vc.out_port as usize], vc.out_vc as usize);
-                let speculative = vc.va_cycle == cycle;
+                let speculative = bit(granted[p], iv);
                 if speculative && self.stages != 3 {
                     continue; // 4-stage: SA starts the cycle after VA.
                 }
@@ -1162,6 +1162,9 @@ mod tests {
         let mut owed = vec![vec![0u32; total]; 4];
         let mut next_packet = 0u64;
         let (mut departed, mut blocked) = (0u64, 0u64);
+        // Heads that won VA and SA in one call; calls in which two or more
+        // inputs offered a flit to one output.
+        let (mut same_cycle_heads, mut contended) = (0u64, 0u64);
         for cycle in 1..=2_000u64 {
             for in_port in Port::ALL {
                 if !rng.random_bool_ppm(600_000) {
@@ -1214,6 +1217,8 @@ mod tests {
                 }
             }
             let down_on = PortMap::from_fn(|p| p == Port::Local || !rng.random_bool_ppm(250_000));
+            let routed_before = new.routed;
+            contended += u64::from(committed_offers(&new, cycle, &down_on) >= 2);
             let got = allocate(&mut new, cycle, &down_on);
             let want = old.allocate_reference(cycle, &down_on);
             assert_eq!(got, want, "cycle {cycle}");
@@ -1228,6 +1233,10 @@ mod tests {
             for (_, d) in got.departures.iter() {
                 if let Some(d) = d {
                     departed += 1;
+                    if !bit(routed_before[d.in_port.index()], d.in_vc as usize) {
+                        assert!(d.flit.kind.is_head() && stages == 3, "cycle {cycle}");
+                        same_cycle_heads += 1;
+                    }
                     fifos.depart(d);
                     if let Port::Link(dir) = d.out_port {
                         owed[dir.index()][d.flit.vc as usize] += 1;
@@ -1236,9 +1245,46 @@ mod tests {
             }
             fifos.check(&new, cycle);
         }
-        // The stimulus must actually exercise grants and PG stalls.
+        // The stimulus must actually exercise grants and PG stalls, the
+        // VA-to-SA speculation handoff and multi-input output arbitration.
+        // (4-stage heads cannot win both, and with one VC per port each
+        // output has one owner at a time, so no two inputs contend.)
         assert!(departed > 500, "only {departed} departures");
         assert!(blocked > 50, "only {blocked} PG-blocked reports");
+        assert!(
+            stages != 3 || same_cycle_heads > 25,
+            "{same_cycle_heads} VA+SA heads"
+        );
+        assert!(
+            total == 1 || contended > 500,
+            "only {contended} contended calls"
+        );
+    }
+
+    /// The most inputs sure to offer one output a flit in `r`'s next
+    /// allocation at `cycle`. An input is sure to offer output `o` when its
+    /// first SA-eligible VC from `sa_in_rr` on — routed before the call,
+    /// past its BW cycle, credited, downstream on — leads to `o`. (A head
+    /// that wins VA in the call can only lose to such a VC.)
+    fn committed_offers(r: &Router, cycle: Cycle, down_on: &PortMap<bool>) -> u32 {
+        let total = r.layout.total();
+        let mut offers = [0u32; 5];
+        for (p, fresh) in r.fresh_words(cycle).into_iter().enumerate() {
+            let eligible = r.occ[p] & r.routed[p] & !fresh;
+            let start = r.sa_in_rr[p] as usize;
+            let offer = (0..total)
+                .map(|k| (start + k) % total)
+                .filter(|&v| bit(eligible, v))
+                .map(|v| r.vc(p, v))
+                .find(|vc| {
+                    let out = Port::ALL[vc.out_port as usize];
+                    r.has_credit(out, vc.out_vc as usize) && down_on[out]
+                });
+            if let Some(vc) = offer {
+                offers[vc.out_port as usize] += 1;
+            }
+        }
+        offers.into_iter().max().unwrap_or(0)
     }
 
     #[test]

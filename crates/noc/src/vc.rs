@@ -2,7 +2,7 @@
 //! plain data — a ring in its router's flit slab plus a compact control
 //! word.
 
-use punchsim_types::{Cycle, NocConfig, NodeId, PacketId, Port, VnetId};
+use punchsim_types::{NocConfig, NodeId, PacketId, Port, VnetId};
 
 use crate::flit::{Flit, FlitKind, MsgClass};
 
@@ -120,10 +120,10 @@ pub(crate) const VACANT: Flit = Flit {
     seq: 0,
 };
 
-/// One input VC's control word: where its ring sits in the router's flit
-/// slab, the ring's head and length, and the output its front packet won
-/// in VC allocation — meaningful while the router's `routed` bit for the
-/// VC is set.
+/// One input VC's control word (8 bytes): where its ring sits in the
+/// router's flit slab, the ring's head and length, and the output its front
+/// packet won in VC allocation — meaningful while the router's `routed` bit
+/// for the VC is set.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct VcState {
     base: u16,
@@ -134,10 +134,9 @@ pub(crate) struct VcState {
     pub out_port: u8,
     /// The downstream VC it won there.
     pub out_vc: u8,
-    /// Cycle VA was won (for the VA->SA bubble in 4-stage mode). Not part
-    /// of the snapshot: between ticks it is always below the current cycle.
-    pub va_cycle: Cycle,
 }
+
+const _: () = assert!(std::mem::size_of::<VcState>() == 8);
 
 impl VcState {
     /// An empty VC of `depth` flits whose ring starts at slab index `base`.
@@ -149,7 +148,6 @@ impl VcState {
             depth: depth as u8,
             out_port: 0,
             out_vc: 0,
-            va_cycle: 0,
         }
     }
 

@@ -68,9 +68,9 @@ struct Case {
     /// Link traversal cycles (1 is the Table 2 default every other suite
     /// runs; more planes of the delivery wheels are live at 3).
     link: u8,
-    /// The VC layout ([`table2`] everywhere but the two rows that move
-    /// every VC ring's offset and wrap point).
-    vcs: fn(&mut NocConfig),
+    /// The router ([`table2`] everywhere but the two rows that move every
+    /// VC ring's offset and wrap point and the 4-stage row).
+    router: fn(&mut NocConfig),
     scheme: SchemeKind,
     inj: InjectionConfig,
     warmup: u64,
@@ -78,9 +78,14 @@ struct Case {
     chunk: u64,
 }
 
-/// Table 2's VC layout: three vnets of two 3-flit data VCs and one 1-flit
-/// control VC.
+/// Table 2's router: 3 stages, three vnets of two 3-flit data VCs and one
+/// 1-flit control VC.
 fn table2(_: &mut NocConfig) {}
+
+/// `BW | VA | SA | ST`: a head that wins VA waits a cycle for SA.
+fn four_stage(noc: &mut NocConfig) {
+    noc.router_stages = 4;
+}
 
 /// 5-flit data and 2-flit control VCs.
 fn deep(noc: &mut NocConfig) {
@@ -98,11 +103,13 @@ fn widest(noc: &mut NocConfig) {
 
 /// Mixed load on the small substrates (moderate rate with bursts, so the
 /// network oscillates between busy sweeps and quiescent gaps), plus the
-/// same mixed load over 3-cycle links and under two other VC layouts, plus
-/// the two regimes the retired CI ratio gates ran at shortened windows: the
-/// busy suite's sparse-busy 16x16/32x32 meshes (rate 5e-4, never
-/// quiescent) and the fastpath suite's idle-dominated 8x8 (rate 5e-5,
-/// mostly skipped).
+/// same mixed load over 3-cycle links, under two other VC layouts and on
+/// 4-stage routers, plus the two regimes the retired CI ratio gates ran at
+/// shortened windows: the busy suite's sparse-busy 16x16/32x32 meshes
+/// (rate 5e-4, never quiescent) and the fastpath suite's idle-dominated 8x8
+/// (rate 5e-5, mostly skipped), plus a contended 8x8 just under its knee
+/// (uniform 0.35), where several inputs compete for one output and heads
+/// win VA and SA in one cycle.
 fn cases() -> Vec<Case> {
     let mut mixed = InjectionConfig::at_rate(0.02);
     mixed.burstiness = 0.5;
@@ -123,7 +130,7 @@ fn cases() -> Vec<Case> {
             name,
             topo,
             link: 1,
-            vcs: table2,
+            router: table2,
             scheme,
             inj: mixed.clone(),
             warmup: 200,
@@ -136,7 +143,7 @@ fn cases() -> Vec<Case> {
             name: "mesh8x8-link3",
             topo: Mesh::new(8, 8).into(),
             link: 3,
-            vcs: table2,
+            router: table2,
             scheme,
             inj: mixed.clone(),
             warmup: 200,
@@ -147,7 +154,7 @@ fn cases() -> Vec<Case> {
             name: "busy16x16",
             topo: Mesh::new(16, 16).into(),
             link: 1,
-            vcs: table2,
+            router: table2,
             scheme,
             inj: InjectionConfig::at_rate(0.0005),
             warmup: 300,
@@ -158,7 +165,7 @@ fn cases() -> Vec<Case> {
             name: "busy32x32",
             topo: Mesh::new(32, 32).into(),
             link: 1,
-            vcs: table2,
+            router: table2,
             scheme,
             inj: InjectionConfig::at_rate(0.0005),
             warmup: 200,
@@ -169,7 +176,7 @@ fn cases() -> Vec<Case> {
             name: "idle8x8",
             topo: Mesh::new(8, 8).into(),
             link: 1,
-            vcs: table2,
+            router: table2,
             scheme,
             inj: InjectionConfig::at_rate(0.00005),
             warmup: 5_000,
@@ -177,21 +184,37 @@ fn cases() -> Vec<Case> {
             chunk: 10_000,
         });
     }
-    for (name, vcs, scheme) in [
+    let contended = InjectionConfig::at_rate(0.35);
+    for (name, router, scheme, inj) in [
         (
             "mesh8x8-depth5/2",
             deep as fn(&mut NocConfig),
             SchemeKind::ConvOptPg,
+            &mixed,
         ),
-        ("mesh8x8-32vcs", widest, SchemeKind::PowerPunchFull),
+        ("mesh8x8-32vcs", widest, SchemeKind::PowerPunchFull, &mixed),
+        ("mesh8x8-4stage", four_stage, SchemeKind::NoPg, &mixed),
+        (
+            "mesh8x8-4stage",
+            four_stage,
+            SchemeKind::PowerPunchFull,
+            &mixed,
+        ),
+        ("mesh8x8-contended", table2, SchemeKind::NoPg, &contended),
+        (
+            "mesh8x8-contended",
+            table2,
+            SchemeKind::ConvOptPg,
+            &contended,
+        ),
     ] {
         cases.push(Case {
             name,
             topo: Mesh::new(8, 8).into(),
             link: 1,
-            vcs,
+            router,
             scheme,
-            inj: mixed.clone(),
+            inj: inj.clone(),
             warmup: 200,
             measure: 800,
             chunk: 100,
@@ -208,7 +231,7 @@ fn soa_kernel_is_observably_identical_to_struct_reference() {
         let mut cfg = SimConfig::with_scheme(case.scheme);
         cfg.noc.topology = case.topo;
         cfg.noc.link_latency = case.link;
-        (case.vcs)(&mut cfg.noc);
+        (case.router)(&mut cfg.noc);
         cfg.seed = 0x50A0 + i as u64;
         let pattern = TrafficPattern::UniformRandom;
         let mut reference = build(&cfg, pattern, &case.inj, None);
