@@ -39,7 +39,7 @@ pub enum Workload {
     Synthetic {
         /// Destination pattern.
         pattern: TrafficPattern,
-        /// Network substrate (mesh, torus or concentrated mesh).
+        /// Network substrate (mesh or torus).
         topo: Substrate,
         /// Routing function driving the substrate.
         routing: RoutingKind,
@@ -142,7 +142,10 @@ impl RunSpec {
                 // sequence, keeping store entries and baselines valid.
                 if !matches!(topo, Substrate::Mesh(_)) {
                     h.write_str(topo.kind_name());
-                    h.write_u64(topo.concentration() as u64);
+                    // A torus always wrote its terminals per router here,
+                    // which was 1; the literal keeps torus store keys and
+                    // baselines valid.
+                    h.write_u64(1);
                 }
                 if *routing != RoutingKind::Xy {
                     h.write_str(routing.tag());

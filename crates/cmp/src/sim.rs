@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 
 use punchsim_core::build_power_manager;
 use punchsim_noc::{Message, Network, NetworkReport};
-use punchsim_types::{Coord, Cycle, NodeId, SchemeKind, SimConfig, SimRng};
+use punchsim_types::{Coord, Cycle, NodeId, SchemeKind, SimConfig, SimRng, Substrate};
 
 use crate::benchmark::{Benchmark, SyntheticCore};
 use crate::dir::DirBank;
@@ -128,7 +128,7 @@ impl CmpSim {
         let net = Network::new(&cfg.sim.noc, pm).expect("config validated above");
         let topo = cfg.sim.noc.topology;
         let n = topo.nodes();
-        let mem_nodes = corner_nodes(topo.width(), topo.height());
+        let mem_nodes = corner_nodes(topo);
         let cores = (0..n)
             .map(|i| SyntheticCore::new(cfg.benchmark, i as u64, cfg.instr_per_core))
             .collect();
@@ -402,13 +402,13 @@ impl CmpSim {
 }
 
 /// The four corner nodes hosting memory controllers (Table 2).
-fn corner_nodes(w: u16, h: u16) -> Vec<NodeId> {
-    let mesh = punchsim_types::Mesh::new(w, h);
+fn corner_nodes(topo: Substrate) -> Vec<NodeId> {
+    let (w, h) = (topo.width(), topo.height());
     let mut v = vec![
-        mesh.node(Coord::new(0, 0)),
-        mesh.node(Coord::new(w - 1, 0)),
-        mesh.node(Coord::new(0, h - 1)),
-        mesh.node(Coord::new(w - 1, h - 1)),
+        topo.node(Coord::new(0, 0)),
+        topo.node(Coord::new(w - 1, 0)),
+        topo.node(Coord::new(0, h - 1)),
+        topo.node(Coord::new(w - 1, h - 1)),
     ];
     v.dedup();
     v
@@ -510,7 +510,7 @@ mod tests {
 
     #[test]
     fn corner_nodes_are_corners() {
-        let c = corner_nodes(8, 8);
+        let c = corner_nodes(punchsim_types::Mesh::new(8, 8).into());
         assert_eq!(c, vec![NodeId(0), NodeId(7), NodeId(56), NodeId(63)]);
     }
 

@@ -154,7 +154,7 @@ fn sink_records_every_delivery() {
     // Every packet took exactly its minimal route.
     let distance: u32 = pairs
         .iter()
-        .map(|&(s, d)| mesh.distance(NodeId(s), NodeId(d)) as u32)
+        .map(|&(s, d)| n.topology().distance(NodeId(s), NodeId(d)) as u32)
         .sum();
     assert_eq!(n.report().stats.hops.sum(), f64::from(distance));
 }

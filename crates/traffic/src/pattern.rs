@@ -155,7 +155,7 @@ mod tests {
 
     #[test]
     fn bit_complement_is_involution() {
-        let m = Mesh::new(8, 8);
+        let m = Substrate::from(Mesh::new(8, 8));
         let mut r = rng();
         for src in m.iter_nodes() {
             let d = TrafficPattern::BitComplement.destination(m, src, &mut r);
@@ -175,7 +175,7 @@ mod tests {
         let mut r = rng();
         let small = (1..=6u16).flat_map(|w| (1..=6u16).map(move |h| (w, h)));
         for (w, h) in small.chain([(8, 8)]) {
-            let m = Mesh::new(w, h);
+            let m = Substrate::from(Mesh::new(w, h));
             let hotspot = TrafficPattern::Hotspot(NodeId(m.nodes() as u16 - 1));
             for p in TrafficPattern::SYNTHETIC.into_iter().chain([hotspot]) {
                 let mut seen = vec![false; m.nodes()];
@@ -194,7 +194,7 @@ mod tests {
 
     #[test]
     fn tornado_travels_half_way() {
-        let m = Mesh::new(8, 8);
+        let m = Substrate::from(Mesh::new(8, 8));
         let mut r = rng();
         let d = TrafficPattern::Tornado.destination(m, NodeId(0), &mut r);
         assert_eq!(m.coord(d), Coord::new(4, 4));

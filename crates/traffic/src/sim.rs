@@ -121,11 +121,7 @@ impl SyntheticSim {
         let pm = build_power_manager(&cfg).expect("invalid SimConfig");
         let net = Network::new(&cfg.noc, pm).expect("config validated above");
         let avg = inj.avg_packet_flits(cfg.noc.ctrl_packet_flits, cfg.noc.data_packet_flits);
-        // Concentrated topologies inject for `concentration` terminals per
-        // router; plain meshes and tori have concentration 1, leaving the
-        // probability bit-identical to the unconcentrated formula.
-        let conc = cfg.noc.topology.concentration() as f64;
-        let p_packet = (inj.rate_flits * conc / avg).min(1.0);
+        let p_packet = (inj.rate_flits / avg).min(1.0);
         let rng = SimRng::seed_from_u64(cfg.seed);
         let n = cfg.noc.topology.nodes();
         let mut sim = SyntheticSim {

@@ -57,7 +57,7 @@ pub enum ConfigError {
     /// A topology was given degenerate dimensions (zero for a mesh,
     /// below 2 for a torus ring).
     BadTopologyDims {
-        /// Topology kind name (`"mesh"`, `"torus"`, `"cmesh"`).
+        /// Topology kind name (`"mesh"`, `"torus"`).
         kind: &'static str,
         /// Offending width.
         width: u16,
@@ -67,15 +67,13 @@ pub enum ConfigError {
     /// A topology has more routers than there are [`NodeId`]s (a `u16`;
     /// the router count must fit one too).
     TooManyNodes {
-        /// Topology kind name (`"mesh"`, `"torus"`, `"cmesh"`).
+        /// Topology kind name (`"mesh"`, `"torus"`).
         kind: &'static str,
         /// Offending width.
         width: u16,
         /// Offending height.
         height: u16,
     },
-    /// A concentrated mesh was given a zero concentration factor.
-    BadConcentration,
     /// A synthetic injection rate was negative, NaN or infinite.
     BadInjectionRate {
         /// The offending rate as given (`f64` has no `Eq`).
@@ -158,9 +156,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadInjectionRate { rate } => {
                 write!(f, "injection rate must be a finite number >= 0, got {rate}")
-            }
-            ConfigError::BadConcentration => {
-                write!(f, "concentrated mesh needs a concentration factor >= 1")
             }
             ConfigError::CyclicRouting { routing, topology } => {
                 write!(

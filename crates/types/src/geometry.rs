@@ -1,12 +1,12 @@
-//! Mesh geometry: coordinates, node/coordinate conversion, neighbours.
+//! Grid coordinates and the checked mesh dimensions.
 //!
 //! Numbering follows Figure 4 of the paper: node 0 is the north-west corner,
 //! ids increase eastward along a row, then southward row by row. `X+` points
-//! east and `Y+` points south (toward larger ids in both cases).
+//! east and `Y+` points south (toward larger ids in both cases). The
+//! geometry over these coordinates (node/coordinate conversion, neighbours,
+//! distances) is written once, on [`Substrate`](crate::Substrate).
 
-use crate::direction::Direction;
 use crate::error::ConfigError;
-use crate::NodeId;
 
 /// A position in the mesh, `x` eastward and `y` southward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -31,14 +31,16 @@ impl std::fmt::Display for Coord {
     }
 }
 
-/// A 2D mesh topology of `width x height` tiles.
+/// A 2D mesh topology of `width x height` tiles: validated dimensions,
+/// whose geometry is that of the [`Substrate`](crate::Substrate) it
+/// converts into.
 ///
 /// # Examples
 ///
 /// ```
-/// use punchsim_types::{Mesh, NodeId, Coord};
+/// use punchsim_types::{Coord, Mesh, NodeId, Substrate};
 ///
-/// let mesh = Mesh::new(8, 8);
+/// let mesh = Substrate::from(Mesh::new(8, 8));
 /// assert_eq!(mesh.nodes(), 64);
 /// assert_eq!(mesh.coord(NodeId(27)), Coord::new(3, 3));
 /// assert_eq!(mesh.node(Coord::new(3, 3)), NodeId(27));
@@ -64,7 +66,7 @@ impl Mesh {
     /// Creates a `width x height` mesh, rejecting unusable dimensions
     /// through the typed-error path: a `0xN` mesh has no nodes (every
     /// coordinate conversion on it would divide by zero), and a mesh of
-    /// more than `u16::MAX` routers has more routers than [`NodeId`]s.
+    /// more than `u16::MAX` routers has more routers than [`NodeId`](crate::NodeId)s.
     ///
     /// # Errors
     ///
@@ -76,7 +78,7 @@ impl Mesh {
 
     /// The router grid of a `kind` topology: no dimension below `min_dim`,
     /// and few enough routers that both every router's id and the router
-    /// count itself fit the `u16` of a [`NodeId`].
+    /// count itself fit the `u16` of a [`NodeId`](crate::NodeId).
     pub(crate) fn checked(
         kind: &'static str,
         width: u16,
@@ -117,73 +119,20 @@ impl Mesh {
     pub fn nodes(self) -> usize {
         self.width as usize * self.height as usize
     }
-
-    /// Returns `true` if `node` is a valid id for this mesh.
-    #[inline]
-    pub fn contains(self, node: NodeId) -> bool {
-        node.index() < self.nodes()
-    }
-
-    /// Converts a node id to its coordinate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[inline]
-    pub fn coord(self, node: NodeId) -> Coord {
-        assert!(self.contains(node), "{node} out of range for {self:?}");
-        Coord {
-            x: node.0 % self.width,
-            y: node.0 / self.width,
-        }
-    }
-
-    /// Converts a coordinate to its node id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinate is out of range.
-    #[inline]
-    pub fn node(self, c: Coord) -> NodeId {
-        assert!(
-            c.x < self.width && c.y < self.height,
-            "{c} out of range for {self:?}"
-        );
-        NodeId(c.y * self.width + c.x)
-    }
-
-    /// The neighbour of `node` in direction `dir`, or `None` at a mesh edge.
-    pub fn neighbor(self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        let c = self.coord(node);
-        let n = match dir {
-            Direction::North if c.y > 0 => Coord::new(c.x, c.y - 1),
-            Direction::South if c.y + 1 < self.height => Coord::new(c.x, c.y + 1),
-            Direction::West if c.x > 0 => Coord::new(c.x - 1, c.y),
-            Direction::East if c.x + 1 < self.width => Coord::new(c.x + 1, c.y),
-            _ => return None,
-        };
-        Some(self.node(n))
-    }
-
-    /// Manhattan distance in hops between two nodes.
-    pub fn distance(self, a: NodeId, b: NodeId) -> u16 {
-        let (ca, cb) = (self.coord(a), self.coord(b));
-        ca.x.abs_diff(cb.x) + ca.y.abs_diff(cb.y)
-    }
-
-    /// Iterates over all node ids in ascending order.
-    pub fn iter_nodes(self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes() as u16).map(NodeId)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Direction, NodeId, Substrate};
+
+    fn mesh(width: u16, height: u16) -> Substrate {
+        Mesh::new(width, height).into()
+    }
 
     #[test]
     fn coord_roundtrip_8x8() {
-        let m = Mesh::new(8, 8);
+        let m = mesh(8, 8);
         for n in m.iter_nodes() {
             assert_eq!(m.node(m.coord(n)), n);
         }
@@ -193,7 +142,7 @@ mod tests {
     fn paper_figure4_positions() {
         // Figure 4: R27 is at column 3, row 3 of the 8x8 mesh; R28 is its
         // eastern (X+) neighbour, R35 its southern (Y+) neighbour.
-        let m = Mesh::new(8, 8);
+        let m = mesh(8, 8);
         assert_eq!(m.coord(NodeId(27)), Coord::new(3, 3));
         assert_eq!(m.neighbor(NodeId(27), Direction::East), Some(NodeId(28)));
         assert_eq!(m.neighbor(NodeId(27), Direction::South), Some(NodeId(35)));
@@ -203,7 +152,7 @@ mod tests {
 
     #[test]
     fn edges_have_no_neighbor() {
-        let m = Mesh::new(4, 4);
+        let m = mesh(4, 4);
         assert_eq!(m.neighbor(NodeId(0), Direction::North), None);
         assert_eq!(m.neighbor(NodeId(0), Direction::West), None);
         assert_eq!(m.neighbor(NodeId(15), Direction::South), None);
@@ -212,7 +161,7 @@ mod tests {
 
     #[test]
     fn distance_is_manhattan() {
-        let m = Mesh::new(8, 8);
+        let m = mesh(8, 8);
         assert_eq!(m.distance(NodeId(0), NodeId(63)), 14);
         assert_eq!(m.distance(NodeId(27), NodeId(27)), 0);
         assert_eq!(m.distance(NodeId(27), NodeId(31)), 4);
@@ -220,16 +169,18 @@ mod tests {
 
     #[test]
     fn rectangular_mesh() {
-        let m = Mesh::new(4, 2);
+        let m = mesh(4, 2);
         assert_eq!(m.nodes(), 8);
         assert_eq!(m.coord(NodeId(5)), Coord::new(1, 1));
         assert_eq!(m.neighbor(NodeId(3), Direction::South), Some(NodeId(7)));
     }
 
+    /// `Substrate::coord` checks its argument only in debug builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn out_of_range_coord_panics() {
-        Mesh::new(4, 4).coord(NodeId(16));
+        mesh(4, 4).coord(NodeId(16));
     }
 
     #[test]
@@ -265,7 +216,7 @@ mod tests {
     #[test]
     fn within_three_hops_of_r27() {
         // Section 3: "There are 24 routers within 3 hops of router 27".
-        let m = Mesh::new(8, 8);
+        let m = mesh(8, 8);
         let n = m
             .iter_nodes()
             .filter(|&x| x != NodeId(27) && m.distance(NodeId(27), x) <= 3)

@@ -1,11 +1,12 @@
 //! Foundational types for the `punchsim` NoC simulator.
 //!
 //! This crate defines the vocabulary shared by every other `punchsim` crate:
-//! node/router identifiers, mesh [`geometry`], port [`direction`]s, the
-//! [`topology`] handle ([`Substrate`]: mesh, torus or concentrated mesh, one
-//! geometry), turn-model [`routing`] ([`RoutingKind`] planned over a
-//! substrate by a [`RouteView`]), and the simulation [`config`] structures
-//! mirroring Table 2 of the Power Punch paper (HPCA 2015).
+//! node/router identifiers, grid [`geometry`] (coordinates and checked mesh
+//! dimensions), port [`direction`]s, the [`topology`] handle ([`Substrate`]:
+//! mesh or torus, the one geometry), turn-model [`routing`] ([`RoutingKind`]
+//! planned over a substrate by a [`RouteView`]), and the simulation
+//! [`config`] structures mirroring Table 2 of the Power Punch paper (HPCA
+//! 2015).
 //!
 //! # Examples
 //!
@@ -39,7 +40,7 @@ pub use error::{BlockedPacket, ConfigError, InvariantViolation, SimError, StallR
 pub use geometry::{Coord, Mesh};
 pub use rng::SimRng;
 pub use routing::{RouteView, RoutingKind};
-pub use topology::{CMesh, Substrate, Torus};
+pub use topology::{Substrate, Torus};
 
 /// A simulation timestamp, in router clock cycles.
 pub type Cycle = u64;

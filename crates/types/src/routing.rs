@@ -9,9 +9,9 @@
 //! module expresses routing as exactly that contract:
 //!
 //! * [`RoutingKind`] — the storable turn models: dimension-ordered XY and
-//!   YX plus west-first, north-last and negative-first. Each plans a route
-//!   as at most four straight segment runs ([`RoutingKind::segments`]) and
-//!   states which turns it allows ([`RoutingKind::turn_legal`]);
+//!   YX plus west-first. Each plans a route as one X run and one Y run in
+//!   its own order ([`RoutingKind::segments`]) and states which turns it
+//!   allows ([`RoutingKind::turn_legal`]);
 //! * [`RouteView`] — the `Copy` bundle of substrate + routing that the
 //!   punch fabric, codebook enumeration and power managers thread around.
 //!   Output ports, punch targets and implied-target checks are derived
@@ -23,32 +23,6 @@ use crate::error::ConfigError;
 use crate::geometry::Mesh;
 use crate::topology::Substrate;
 use crate::NodeId;
-
-/// A route plan: at most four straight `(direction, hops)` runs, in travel
-/// order. Minimal 2D routes have at most one run per axis sign, so four
-/// covers every turn model here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Segments {
-    runs: [(Option<Direction>, u16); 4],
-    len: u8,
-}
-
-impl Segments {
-    /// Appends a run; zero-length runs are dropped.
-    pub fn push(&mut self, dir: Direction, hops: u16) {
-        if hops > 0 {
-            self.runs[self.len as usize] = (Some(dir), hops);
-            self.len += 1;
-        }
-    }
-
-    /// The runs in travel order.
-    pub fn iter(&self) -> impl Iterator<Item = (Direction, u16)> + '_ {
-        self.runs[..self.len as usize]
-            .iter()
-            .map(|&(d, n)| (d.expect("pushed runs always carry a direction"), n))
-    }
-}
 
 /// The storable routing-function handle: which turn model a configuration
 /// or spec routes with. `Copy`/`Eq`/`Hash`, like [`Substrate`].
@@ -63,24 +37,11 @@ pub enum RoutingKind {
     /// West-first turn model: all westward travel happens first; turning
     /// *into* West is forbidden.
     WestFirst,
-    /// North-last turn model: northward travel happens last; turning *out
-    /// of* North is forbidden.
-    NorthLast,
-    /// Negative-first turn model: all West/North (negative) travel happens
-    /// first; turns from a positive into a negative direction are
-    /// forbidden.
-    NegativeFirst,
 }
 
 impl RoutingKind {
     /// Every supported routing function, in stable order.
-    pub const ALL: [RoutingKind; 5] = [
-        RoutingKind::Xy,
-        RoutingKind::Yx,
-        RoutingKind::WestFirst,
-        RoutingKind::NorthLast,
-        RoutingKind::NegativeFirst,
-    ];
+    pub const ALL: [RoutingKind; 3] = [RoutingKind::Xy, RoutingKind::Yx, RoutingKind::WestFirst];
 
     /// Stable tag used in artifact ids, content hashes and CLI parsing.
     /// Never rename a tag: artifact names and baselines depend on them.
@@ -89,8 +50,6 @@ impl RoutingKind {
             RoutingKind::Xy => "xy",
             RoutingKind::Yx => "yx",
             RoutingKind::WestFirst => "wf",
-            RoutingKind::NorthLast => "nl",
-            RoutingKind::NegativeFirst => "nf",
         }
     }
 
@@ -100,8 +59,6 @@ impl RoutingKind {
             "xy" => RoutingKind::Xy,
             "yx" => RoutingKind::Yx,
             "wf" | "westfirst" | "west-first" => RoutingKind::WestFirst,
-            "nl" | "northlast" | "north-last" => RoutingKind::NorthLast,
-            "nf" | "negfirst" | "negative-first" => RoutingKind::NegativeFirst,
             _ => return None,
         })
     }
@@ -112,18 +69,16 @@ impl RoutingKind {
             RoutingKind::Xy => "XY",
             RoutingKind::Yx => "YX",
             RoutingKind::WestFirst => "west-first",
-            RoutingKind::NorthLast => "north-last",
-            RoutingKind::NegativeFirst => "negative-first",
         }
     }
 
     /// Checks that this turn model is deadlock-free on `topo`.
     ///
-    /// Turn models break cycles by forbidding turns, which works on an
-    /// acyclic channel graph (mesh, concentrated mesh). A torus closes
-    /// every row and column into a ring that no turn restriction can cut,
-    /// so only dimension-ordered routing — whose straight rings are handled
-    /// by the multi-VC vnet layout — is admitted there.
+    /// Turn models break cycles by forbidding turns, which works on the
+    /// mesh's acyclic channel graph. A torus closes every row and column
+    /// into a ring that no turn restriction can cut, so only
+    /// dimension-ordered routing — whose straight rings are handled by the
+    /// multi-VC vnet layout — is admitted there.
     ///
     /// # Errors
     ///
@@ -161,67 +116,28 @@ fn axis_runs(dx: i32, dy: i32) -> ((Direction, u16), (Direction, u16)) {
 }
 
 impl RoutingKind {
-    /// The straight segment runs a packet travels from `from` to `to`, in
-    /// order. Consecutive runs form legal turns under
+    /// The two straight runs a packet travels from `from` to `to`, in
+    /// order: one X run and one Y run, either of which may be zero hops.
+    /// Consecutive runs form legal turns under
     /// [`RoutingKind::turn_legal`], and each intermediate router's
     /// remaining route equals `segments(topo, intermediate, to)` (the
     /// prefix property deterministic routing needs).
-    pub fn segments(&self, topo: Substrate, from: NodeId, to: NodeId) -> Segments {
+    #[inline]
+    pub fn segments(&self, topo: Substrate, from: NodeId, to: NodeId) -> [(Direction, u16); 2] {
         let (dx, dy) = topo.delta(from, to);
-        let ((xd, xn), (yd, yn)) = axis_runs(dx, dy);
-        let mut s = Segments::default();
-        match self {
-            RoutingKind::Xy => {
-                s.push(xd, xn);
-                s.push(yd, yn);
-            }
-            RoutingKind::Yx => {
-                s.push(yd, yn);
-                s.push(xd, xn);
-            }
-            RoutingKind::WestFirst => {
-                // Westward travel first; otherwise Y before East so the
-                // route never turns into West.
-                if xd == Direction::West {
-                    s.push(xd, xn);
-                    s.push(yd, yn);
-                } else {
-                    s.push(yd, yn);
-                    s.push(xd, xn);
-                }
-            }
-            RoutingKind::NorthLast => {
-                // Northward travel last; otherwise South before X so the
-                // route never turns out of North.
-                if yd == Direction::North {
-                    s.push(xd, xn);
-                    s.push(yd, yn);
-                } else {
-                    s.push(yd, yn);
-                    s.push(xd, xn);
-                }
-            }
-            RoutingKind::NegativeFirst => {
-                // Negative directions (West, North) first, in fixed W,N,E,S
-                // order; a positive run never precedes a negative one.
-                let (mut neg, mut pos) = (Segments::default(), Segments::default());
-                for (d, n) in [(xd, xn), (yd, yn)] {
-                    if matches!(d, Direction::West | Direction::North) {
-                        neg.push(d, n);
-                    } else {
-                        pos.push(d, n);
-                    }
-                }
-                for (d, n) in neg.iter().chain(pos.iter()) {
-                    s.push(d, n);
-                }
-            }
+        let (x, y) = axis_runs(dx, dy);
+        let x_first = match self {
+            RoutingKind::Xy => true,
+            RoutingKind::Yx => false,
+            // Westward travel first; otherwise Y before East, so the route
+            // never turns into West.
+            RoutingKind::WestFirst => x.0 == Direction::West,
+        };
+        if x_first {
+            [x, y]
+        } else {
+            [y, x]
         }
-        debug_assert_eq!(
-            s.iter().map(|(_, n)| n).sum::<u16>(),
-            topo.distance(from, to)
-        );
-        s
     }
 
     /// Whether a packet travelling in `incoming` may leave in `outgoing`.
@@ -238,12 +154,6 @@ impl RoutingKind {
             RoutingKind::Xy => !(incoming.is_y() && outgoing.is_x()),
             RoutingKind::Yx => !(incoming.is_x() && outgoing.is_y()),
             RoutingKind::WestFirst => outgoing != Direction::West,
-            RoutingKind::NorthLast => incoming != Direction::North,
-            RoutingKind::NegativeFirst => {
-                let positive = |d| matches!(d, Direction::East | Direction::South);
-                let negative = |d| matches!(d, Direction::West | Direction::North);
-                !(positive(incoming) && negative(outgoing))
-            }
         }
     }
 }
@@ -285,8 +195,8 @@ impl RouteView {
     /// ```
     #[inline]
     pub fn direction(&self, from: NodeId, to: NodeId) -> Option<Direction> {
-        let first = self.routing.segments(self.topo, from, to).iter().next();
-        first.map(|(dir, _)| dir)
+        let runs = self.routing.segments(self.topo, from, to);
+        runs.into_iter().find(|&(_, n)| n > 0).map(|(dir, _)| dir)
     }
 
     /// The next router on the route, or `None` when `from == to`.
@@ -309,7 +219,7 @@ impl RouteView {
     pub fn router_ahead(&self, from: NodeId, to: NodeId, hops: u16) -> NodeId {
         let mut cur = from;
         let mut left = hops;
-        for (dir, n) in self.routing.segments(self.topo, from, to).iter() {
+        for (dir, n) in self.routing.segments(self.topo, from, to) {
             if left <= n {
                 return self.topo.advance(cur, dir, left);
             }
@@ -328,7 +238,7 @@ impl RouteView {
             return true;
         }
         let mut cur = from;
-        for (dir, n) in self.routing.segments(self.topo, from, to).iter() {
+        for (dir, n) in self.routing.segments(self.topo, from, to) {
             if let Some(k) = self.topo.steps_between(cur, mid, dir) {
                 if k <= n {
                     return true;
@@ -384,8 +294,8 @@ mod tests {
     use super::*;
     use crate::topology::Torus;
 
-    fn mesh8() -> Mesh {
-        Mesh::new(8, 8)
+    fn mesh8() -> Substrate {
+        Mesh::new(8, 8).into()
     }
 
     /// XY routing on the paper's 8x8 mesh.
@@ -447,7 +357,7 @@ mod tests {
 
     #[test]
     fn on_path_matches_enumeration() {
-        let m = Mesh::new(5, 5);
+        let m = Substrate::from(Mesh::new(5, 5));
         let v = RouteView::from(m);
         for a in m.iter_nodes() {
             for b in m.iter_nodes() {
@@ -579,17 +489,11 @@ mod tests {
     fn cyclic_combinations_are_rejected() {
         let torus: Substrate = Torus::new(4, 4).into();
         let mesh: Substrate = Mesh::new(4, 4).into();
-        for kind in [
-            RoutingKind::WestFirst,
-            RoutingKind::NorthLast,
-            RoutingKind::NegativeFirst,
-        ] {
-            assert!(matches!(
-                kind.validate_on(torus),
-                Err(ConfigError::CyclicRouting { .. })
-            ));
-            assert!(kind.validate_on(mesh).is_ok());
-        }
+        assert!(matches!(
+            RoutingKind::WestFirst.validate_on(torus),
+            Err(ConfigError::CyclicRouting { .. })
+        ));
+        assert!(RoutingKind::WestFirst.validate_on(mesh).is_ok());
         assert!(RoutingKind::Xy.validate_on(torus).is_ok());
         assert!(RoutingKind::Yx.validate_on(torus).is_ok());
     }

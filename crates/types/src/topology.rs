@@ -5,14 +5,14 @@
 //! specifically. All it needs from the substrate is a deterministic turn
 //! model over a `width x height` router grid, so the punch fabric, codebook
 //! enumeration, NoC kernel and campaign layer run unchanged over a 2D
-//! [`Mesh`], a wrap-around [`Torus`] or a concentrated mesh ([`CMesh`]).
+//! [`Mesh`] or a wrap-around [`Torus`].
 //!
 //! [`Substrate`] is the `Copy`/`Eq`/`Hash` handle that configuration
-//! structures store. Every substrate here is the same row-major grid and
-//! differs only in whether its links wrap, so the geometry is one set of
-//! inherent methods over `(width, height, wraps)`; the variants carry the
-//! validated dimensions, the concentration factor and the stable artifact
-//! tag (`8x8`, `torus8x8`, `c4x4x4`).
+//! structures store. Both substrates are the same row-major grid and differ
+//! only in whether their links wrap, so the geometry is one set of inherent
+//! methods over `(width, height, wraps)`, written here and nowhere else;
+//! the variants carry the validated dimensions and the stable artifact tag
+//! (`8x8`, `torus8x8`).
 
 use crate::direction::Direction;
 use crate::error::ConfigError;
@@ -67,51 +67,6 @@ impl Torus {
     }
 }
 
-/// A concentrated mesh: a `width x height` router grid where each router
-/// multiplexes `concentration` network interfaces (terminals), as in CMesh
-/// designs that trade per-tile routers for fewer, busier ones.
-///
-/// Routing-wise a CMesh is a mesh over its routers; the concentration
-/// factor is carried as topology metadata and used by the synthetic
-/// harness to scale per-router offered load (each router injects on behalf
-/// of `concentration` terminals).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CMesh {
-    routers: Mesh,
-    concentration: u16,
-}
-
-impl CMesh {
-    /// Creates a concentrated mesh of `width x height` routers with
-    /// `concentration` terminals each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a dimension is zero or `concentration` is zero.
-    pub fn new(width: u16, height: u16, concentration: u16) -> Self {
-        CMesh::try_new(width, height, concentration).expect("invalid concentrated mesh")
-    }
-
-    /// Creates a concentrated mesh, returning a typed error on zero
-    /// dimensions or zero concentration.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::BadTopologyDims`] on a zero dimension,
-    /// [`ConfigError::TooManyNodes`] when `width * height > u16::MAX` and
-    /// [`ConfigError::BadConcentration`] on a zero concentration factor.
-    pub fn try_new(width: u16, height: u16, concentration: u16) -> Result<Self, ConfigError> {
-        let routers = Mesh::checked("cmesh", width, height, 1)?;
-        if concentration == 0 {
-            return Err(ConfigError::BadConcentration);
-        }
-        Ok(CMesh {
-            routers,
-            concentration,
-        })
-    }
-}
-
 /// Shortest wrapped offset of `d` on a ring of `n`, in `(-n/2, n/2]`:
 /// exact half-ring ties resolve to the positive (East/South) direction.
 fn ring_delta(d: i32, n: i32) -> i32 {
@@ -136,8 +91,6 @@ pub enum Substrate {
     Mesh(Mesh),
     /// 2D torus (wrap-around links).
     Torus(Torus),
-    /// Concentrated mesh (several terminals per router).
-    CMesh(CMesh),
 }
 
 impl Substrate {
@@ -147,20 +100,17 @@ impl Substrate {
         match self {
             Substrate::Mesh(m) => (m.width(), m.height(), false),
             Substrate::Torus(t) => (t.width, t.height, true),
-            Substrate::CMesh(c) => (c.routers.width(), c.routers.height(), false),
         }
     }
 
     /// Stable tag used in artifact ids and content hashes: `8x8` for a
-    /// mesh, `torus8x8` for a torus, `c4x4x4` for a concentrated mesh
-    /// (`c{W}x{H}x{C}`).
+    /// mesh, `torus8x8` for a torus.
     /// Never rename a tag: artifact names and baselines depend on them.
     pub fn tag(&self) -> String {
         let (w, h, _) = self.grid();
         match self {
             Substrate::Mesh(_) => format!("{w}x{h}"),
             Substrate::Torus(_) => format!("torus{w}x{h}"),
-            Substrate::CMesh(c) => format!("c{w}x{h}x{}", c.concentration),
         }
     }
 
@@ -169,7 +119,6 @@ impl Substrate {
         match self {
             Substrate::Mesh(_) => "mesh",
             Substrate::Torus(_) => "torus",
-            Substrate::CMesh(_) => "cmesh",
         }
     }
 
@@ -312,17 +261,6 @@ impl Substrate {
     pub fn wraps(&self) -> bool {
         self.grid().2
     }
-
-    /// Terminals (NIs) multiplexed onto each router. 1 everywhere except a
-    /// concentrated mesh, where the synthetic harness scales per-router
-    /// offered load by this factor.
-    #[inline]
-    pub fn concentration(&self) -> u16 {
-        match self {
-            Substrate::CMesh(c) => c.concentration,
-            _ => 1,
-        }
-    }
 }
 
 impl Default for Substrate {
@@ -341,12 +279,6 @@ impl From<Mesh> for Substrate {
 impl From<Torus> for Substrate {
     fn from(t: Torus) -> Self {
         Substrate::Torus(t)
-    }
-}
-
-impl From<CMesh> for Substrate {
-    fn from(c: CMesh) -> Self {
-        Substrate::CMesh(c)
     }
 }
 
@@ -384,20 +316,15 @@ mod tests {
     /// the 5x3 one has none.
     #[test]
     fn closed_forms_match_neighbor_walks_on_every_substrate() {
-        let table: [(Substrate, bool, u16); 4] = [
-            (Mesh::new(5, 3).into(), false, 1),
-            (Torus::new(5, 3).into(), true, 1),
-            (Torus::new(4, 4).into(), true, 1),
-            (CMesh::new(4, 4, 4).into(), false, 4),
+        let table: [(Substrate, bool); 3] = [
+            (Mesh::new(5, 3).into(), false),
+            (Torus::new(5, 3).into(), true),
+            (Torus::new(4, 4).into(), true),
         ];
-        for (s, wraps, concentration) in table {
+        for (s, wraps) in table {
             let (w, h) = (s.width() as i32, s.height() as i32);
             assert_eq!(s.nodes(), (w * h) as usize, "{s}");
-            assert_eq!(
-                (s.wraps(), s.concentration()),
-                (wraps, concentration),
-                "{s}"
-            );
+            assert_eq!(s.wraps(), wraps, "{s}");
             for n in s.iter_nodes() {
                 let c = s.coord(n);
                 assert_eq!(s.node(c), n, "{s}");
@@ -482,19 +409,6 @@ mod tests {
                 height: 256
             })
         );
-        assert_eq!(
-            CMesh::try_new(300, 300, 4),
-            Err(ConfigError::TooManyNodes {
-                kind: "cmesh",
-                width: 300,
-                height: 300
-            })
-        );
-        assert!(matches!(
-            CMesh::try_new(0, 4, 4),
-            Err(ConfigError::BadTopologyDims { kind: "cmesh", .. })
-        ));
-        assert_eq!(CMesh::try_new(4, 4, 0), Err(ConfigError::BadConcentration));
     }
 
     #[test]
@@ -507,7 +421,6 @@ mod tests {
     fn substrate_tags_are_stable() {
         assert_eq!(Substrate::from(Mesh::new(8, 8)).tag(), "8x8");
         assert_eq!(Substrate::from(Torus::new(8, 8)).tag(), "torus8x8");
-        assert_eq!(Substrate::from(CMesh::new(4, 4, 4)).tag(), "c4x4x4");
         assert_eq!(Substrate::default().tag(), "8x8");
     }
 

@@ -8,10 +8,12 @@
 //! ```
 
 use punchsim::prelude::*;
+use punchsim::types::Coord;
 
 fn main() {
     let mut cfg = SimConfig::with_scheme(SchemeKind::PowerPunchFull);
-    cfg.noc.topology = Mesh::new(8, 8).into();
+    let mesh = Substrate::from(Mesh::new(8, 8));
+    cfg.noc.topology = mesh;
     // All traffic converges on R27 (the paper's Figure 4 focus router).
     let mut sim = SyntheticSim::new(cfg, TrafficPattern::Hotspot(NodeId(27)), 0.004);
     let report = sim.run_experiment(3_000, 20_000).unwrap();
@@ -21,11 +23,10 @@ fn main() {
         report.cycles
     );
     println!("legend: '#' ~always on  '+' mostly on  '.' mostly off  ' ' ~always off\n");
-    let mesh = Mesh::new(8, 8);
     for y in 0..mesh.height() {
         let mut row = String::new();
         for x in 0..mesh.width() {
-            let n = mesh.node(punchsim::types::Coord::new(x, y));
+            let n = mesh.node(Coord::new(x, y));
             let off = report.pg.off_cycles[n.index()] as f64 / report.cycles as f64;
             let c = match off {
                 o if o < 0.25 => '#',

@@ -98,11 +98,10 @@ mod tests {
         assert_eq!(routing, RoutingKind::Yx);
         assert_eq!(o.substrate_label(), "torus6x6-yx");
 
-        let o = parse(&["--topology", "cmesh:4", "--mesh", "4x4"]).unwrap();
-        assert_eq!(o.topo, TopoChoice::CMesh(4));
-        let (topo, _) = o.noc_view().unwrap();
-        assert_eq!(topo.concentration(), 4);
-        assert_eq!(o.substrate_label(), "c4x4x4");
+        let o = parse(&["--routing", "wf", "--mesh", "4x6"]).unwrap();
+        assert_eq!(o.topo, TopoChoice::Mesh);
+        assert_eq!(o.noc_view().unwrap().1, RoutingKind::WestFirst);
+        assert_eq!(o.substrate_label(), "4x6-wf");
     }
 
     #[test]
@@ -135,8 +134,16 @@ mod tests {
     #[test]
     fn bad_topology_flags_are_rejected() {
         assert!(parse(&["--topology", "hypercube"]).is_err());
-        assert!(parse(&["--topology", "cmesh:0"]).is_ok()); // parses...
-        let o = parse(&["--topology", "cmesh:0"]).unwrap();
+        // Removed values fail like any unknown one, naming the valid set.
+        assert_eq!(
+            parse(&["--topology", "cmesh:4"]).err().expect("rejected"),
+            "unknown topology cmesh:4 (mesh, torus)"
+        );
+        assert_eq!(
+            parse(&["--routing", "nl"]).err().expect("rejected"),
+            "unknown routing nl (xy, yx, wf)"
+        );
+        let o = parse(&["--topology", "torus", "--mesh", "1x4"]).unwrap(); // parses...
         assert!(o.noc_view().is_err()); // ...but fails typed validation
         assert!(parse(&["--routing", "adaptive"]).is_err());
         assert!(parse(&["--mesh", "0x8"]).is_err(), "zero dims via try_new");

@@ -318,11 +318,10 @@ metrics flags:
                    stdout exposition (metrics/faults/trace commands)
 
 substrate flags (any synthetic command):
-  --topology T     mesh (default), torus, or cmesh:C (concentrated mesh
-                   with C terminals per router); dimensions come from --mesh
-  --routing R      xy (default), yx, wf (west-first), nl (north-last),
-                   nf (negative-first); turn-model routings are rejected on
-                   the torus (wrap links would close their turn cycles)
+  --topology T     mesh (default) or torus; dimensions come from --mesh
+  --routing R      xy (default), yx or wf (west-first); west-first is
+                   rejected on the torus (wrap links would close its turn
+                   cycles)
 
 schemes: {SCHEMES} (details: punchsim-cli list-schemes)
 patterns: {PATTERNS}

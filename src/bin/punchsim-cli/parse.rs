@@ -98,7 +98,6 @@ pub const FORMATS: [TraceFormat; 3] = [
 pub enum TopoChoice {
     Mesh,
     Torus,
-    CMesh(u16),
 }
 
 impl TopoChoice {
@@ -106,10 +105,7 @@ impl TopoChoice {
         match tag {
             "mesh" => Some(TopoChoice::Mesh),
             "torus" => Some(TopoChoice::Torus),
-            _ => {
-                let c = tag.strip_prefix("cmesh:")?;
-                Some(TopoChoice::CMesh(c.parse().ok()?))
-            }
+            _ => None,
         }
     }
 }
@@ -214,11 +210,13 @@ impl Opts {
             }
             "--topology" => {
                 self.topo = TopoChoice::from_tag(val)
-                    .ok_or_else(|| format!("unknown topology {val} (mesh, torus, cmesh:C)"))?;
+                    .ok_or_else(|| format!("unknown topology {val} (mesh, torus)"))?;
             }
             "--routing" => {
-                self.routing = RoutingKind::from_tag(val)
-                    .ok_or_else(|| format!("unknown routing {val} (xy, yx, wf, nl, nf)"))?;
+                self.routing = RoutingKind::from_tag(val).ok_or_else(|| {
+                    let valid = RoutingKind::ALL.map(|r| r.tag()).join(", ");
+                    format!("unknown routing {val} ({valid})")
+                })?;
             }
             "--rate" => {
                 self.rate = val.parse().map_err(|_| "bad rate".to_string())?;
@@ -302,7 +300,6 @@ impl Opts {
         let topo = match self.topo {
             TopoChoice::Mesh => Substrate::Mesh(self.mesh),
             TopoChoice::Torus => Substrate::Torus(Torus::try_new(w, h)?),
-            TopoChoice::CMesh(c) => Substrate::CMesh(CMesh::try_new(w, h, c)?),
         };
         self.routing.validate_on(topo)?;
         Ok((topo, self.routing))

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use punchsim_power::{EnergyBreakdown, PowerModel};
     pub use punchsim_traffic::{SyntheticSim, TrafficPattern};
     pub use punchsim_types::{
-        CMesh, ConfigError, Cycle, Direction, FaultConfig, Mesh, NocConfig, NodeId, PacketId, Port,
+        ConfigError, Cycle, Direction, FaultConfig, Mesh, NocConfig, NodeId, PacketId, Port,
         PowerConfig, RouteView, RoutingKind, SchemeKind, SimConfig, SimError, SimRng, StallReport,
         StuckEpoch, Substrate, Torus, VnetId, WatchdogConfig,
     };

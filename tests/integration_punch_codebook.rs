@@ -4,16 +4,17 @@
 //! contention-free at the claimed wire widths.
 
 use punchsim::core::{Codebook, PunchFabric};
-use punchsim::types::{Mesh, NodeId, SimRng};
+use punchsim::types::{Mesh, NodeId, RouteView, RoutingKind, SimRng, Torus};
 
-fn stress_fabric(mesh: Mesh, hops: u16, rounds: usize, seed: u64) {
-    let cb = Codebook::enumerate(mesh, hops);
-    let mut fabric = PunchFabric::new(mesh, hops);
+fn stress_fabric(view: impl Into<RouteView>, hops: u16, rounds: usize, seed: u64) {
+    let view = view.into();
+    let cb = Codebook::enumerate(view, hops);
+    let mut fabric = PunchFabric::new(view, hops);
     let mut rng = SimRng::seed_from_u64(seed);
-    let n = mesh.nodes() as u16;
+    let n = view.topo.nodes() as u16;
     for _ in 0..rounds {
         // A burst of random wakeups (several per cycle, like a busy NoC).
-        for _ in 0..mesh.nodes() / 4 {
+        for _ in 0..n / 4 {
             let r = NodeId(rng.random_range(0..n));
             let d = NodeId(rng.random_range(0..n));
             fabric.generate(r, d);
@@ -58,6 +59,15 @@ fn h4_8x8_signals_always_encodable() {
 fn h3_4x4_and_16x16_signals_always_encodable() {
     stress_fabric(Mesh::new(4, 4), 3, 300, 4);
     stress_fabric(Mesh::new(16, 16), 3, 60, 5);
+}
+
+/// The other substrates `ppf` runs on in the `substrate` suite: the 8x8
+/// torus under XY, and the 8x8 mesh under YX and under west-first.
+#[test]
+fn h3_substrate_suite_signals_always_encodable() {
+    stress_fabric((Torus::new(8, 8), RoutingKind::Xy), 3, 300, 6);
+    stress_fabric((Mesh::new(8, 8), RoutingKind::Yx), 3, 300, 7);
+    stress_fabric((Mesh::new(8, 8), RoutingKind::WestFirst), 3, 300, 8);
 }
 
 #[test]

@@ -9,11 +9,11 @@ use punchsim::core::{build_power_manager, Codebook, PunchFabric, PunchSet};
 use punchsim::noc::{AlwaysOn, Message, MsgClass, Network};
 use punchsim::types::{
     routing::route_path, Direction, Mesh, NocConfig, NodeId, RouteView, SchemeKind, SimConfig,
-    SimRng, VnetId,
+    SimRng, Substrate, VnetId,
 };
 
-fn random_mesh(rng: &mut SimRng) -> Mesh {
-    Mesh::new(rng.random_range(2..9u16), rng.random_range(2..9u16))
+fn random_mesh(rng: &mut SimRng) -> Substrate {
+    Mesh::new(rng.random_range(2..9u16), rng.random_range(2..9u16)).into()
 }
 
 /// XY routes are minimal and never take an illegal Y->X turn.

@@ -118,21 +118,25 @@ fn cases() -> Vec<Case> {
         SchemeKind::ConvOptPg,
         SchemeKind::PowerPunchFull,
     ];
-    let small: [(&'static str, Substrate); 3] = [
-        ("mesh8x8", Mesh::new(8, 8).into()),
-        ("torus8x8", Substrate::Torus(Torus::new(8, 8))),
-        ("cmesh4x4c4", Substrate::CMesh(CMesh::new(4, 4, 4))),
+    // The 4x4 row carries four times the mixed rate, as if each of its
+    // routers served four terminals.
+    let mut mixed4 = InjectionConfig::at_rate(0.08);
+    mixed4.burstiness = 0.5;
+    let small: [(&'static str, Substrate, &InjectionConfig); 3] = [
+        ("mesh8x8", Mesh::new(8, 8).into(), &mixed),
+        ("torus8x8", Substrate::Torus(Torus::new(8, 8)), &mixed),
+        ("mesh4x4", Mesh::new(4, 4).into(), &mixed4),
     ];
     let mut cases: Vec<Case> = small
         .into_iter()
         .zip(trio)
-        .map(|((name, topo), scheme)| Case {
+        .map(|((name, topo, inj), scheme)| Case {
             name,
             topo,
             link: 1,
             router: table2,
             scheme,
-            inj: mixed.clone(),
+            inj: inj.clone(),
             warmup: 200,
             measure: 800,
             chunk: 100,
