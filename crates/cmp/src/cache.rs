@@ -1,5 +1,9 @@
 //! A generic set-associative cache directory (tags + per-line state, no
 //! data values — the simulator tracks coherence, not contents).
+//!
+//! Storage follows residency: a set owns no line slots until its first
+//! insert and grows to at most `ways`, so a cache the workload barely
+//! touches costs little more than its per-set headers.
 
 use crate::protocol::BlockAddr;
 
@@ -12,7 +16,26 @@ pub struct Line<S> {
     pub state: S,
 }
 
-/// A set-associative cache with LRU replacement.
+/// Lines resident in a cache (or a sum of caches), against its capacity.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Residency {
+    /// Lines resident now.
+    pub resident: usize,
+    /// Lines the cache can hold: sets x ways.
+    pub capacity: usize,
+}
+
+impl std::iter::Sum for Residency {
+    fn sum<I: Iterator<Item = Residency>>(iter: I) -> Self {
+        iter.fold(Residency::default(), |a, b| Residency {
+            resident: a.resident + b.resident,
+            capacity: a.capacity + b.capacity,
+        })
+    }
+}
+
+/// A set-associative cache with LRU replacement. Each set starts empty and
+/// grows on demand, never past `ways` lines of capacity.
 ///
 /// # Examples
 ///
@@ -30,7 +53,7 @@ pub struct Line<S> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssoc<S> {
-    /// Per set, most-recently-used first.
+    /// Per set, most-recently-used first; capacity grows with residency.
     sets: Vec<Vec<Line<S>>>,
     ways: usize,
 }
@@ -45,7 +68,7 @@ impl<S> SetAssoc<S> {
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         assert!(ways > 0, "need at least one way");
         SetAssoc {
-            sets: (0..sets).map(|_| Vec::with_capacity(ways)).collect(),
+            sets: (0..sets).map(|_| Vec::new()).collect(),
             ways,
         }
     }
@@ -67,8 +90,7 @@ impl<S> SetAssoc<S> {
         let s = self.set_of(addr);
         let set = &mut self.sets[s];
         let pos = set.iter().position(|l| l.addr == addr)?;
-        let line = set.remove(pos);
-        set.insert(0, line);
+        set[..=pos].rotate_right(1);
         Some(&set[0].state)
     }
 
@@ -93,18 +115,23 @@ impl<S> SetAssoc<S> {
         let s = self.set_of(addr);
         let set = &mut self.sets[s];
         if let Some(pos) = set.iter().position(|l| l.addr == addr) {
-            let mut line = set.remove(pos);
-            line.state = state;
-            set.insert(0, line);
+            set[..=pos].rotate_right(1);
+            set[0].state = state;
             return None;
         }
-        let victim = if set.len() == self.ways {
-            set.pop()
-        } else {
-            None
-        };
-        set.insert(0, Line { addr, state });
-        victim
+        let line = Line { addr, state };
+        if set.len() == self.ways {
+            let victim = std::mem::replace(&mut set[self.ways - 1], line);
+            set.rotate_right(1);
+            return Some(victim);
+        }
+        if set.len() == set.capacity() {
+            // Grow geometrically (from 4 lines) but never past `ways`.
+            let cap = (set.capacity() * 2).max(4).min(self.ways);
+            set.reserve_exact(cap - set.len());
+        }
+        set.insert(0, line);
+        None
     }
 
     /// Removes `addr`, returning its line if it was present.
@@ -129,6 +156,14 @@ impl<S> SetAssoc<S> {
     /// Iterates over all resident lines in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = &Line<S>> {
         self.sets.iter().flatten()
+    }
+
+    /// Lines resident now, against the capacity.
+    pub fn residency(&self) -> Residency {
+        Residency {
+            resident: self.len(),
+            capacity: self.sets.len() * self.ways,
+        }
     }
 
     /// Number of resident lines.
@@ -179,6 +214,49 @@ mod tests {
         assert!(c.victim_for(1).is_none()); // hit: no eviction
         let v = c.insert(3, 30).unwrap();
         assert_eq!(v.addr, 1);
+    }
+
+    #[test]
+    fn storage_follows_residency_and_never_exceeds_ways() {
+        let fresh: SetAssoc<u8> = SetAssoc::with_capacity_blocks(4096, 16);
+        assert_eq!(
+            fresh.residency(),
+            Residency {
+                resident: 0,
+                capacity: 4096
+            }
+        );
+        assert!(
+            fresh.sets.iter().all(|s| s.capacity() == 0),
+            "a fresh cache owns no line storage"
+        );
+        for ways in [1, 2, 3, 5, 16] {
+            let mut c: SetAssoc<u8> = SetAssoc::new(1, ways);
+            for a in 0..3 * ways as u64 {
+                c.insert(a, 0);
+                let set = &c.sets[0];
+                assert!(set.capacity() <= ways, "{ways} ways: {}", set.capacity());
+            }
+            assert_eq!(c.len(), ways);
+        }
+    }
+
+    #[test]
+    fn mru_order_survives_hits_reinserts_and_evictions() {
+        let mut c: SetAssoc<u32> = SetAssoc::new(1, 4);
+        for a in 1..=4 {
+            c.insert(a, a as u32);
+        }
+        let order = |c: &SetAssoc<u32>| c.iter().map(|l| l.addr).collect::<Vec<_>>();
+        assert_eq!(order(&c), [4, 3, 2, 1]);
+        c.get(2);
+        assert_eq!(order(&c), [2, 4, 3, 1]);
+        assert!(c.insert(3, 30).is_none());
+        assert_eq!(order(&c), [3, 2, 4, 1]);
+        assert_eq!(c.insert(5, 50).map(|l| l.addr), Some(1));
+        assert_eq!(order(&c), [5, 3, 2, 4]);
+        assert_eq!(c.remove(2).map(|l| l.state), Some(2));
+        assert_eq!(order(&c), [5, 3, 4]);
     }
 
     #[test]

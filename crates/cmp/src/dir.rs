@@ -4,12 +4,17 @@
 //! the block is *busy* and later requests queue behind it. Requests finish
 //! by data grant; the serialization plus the L1 writeback buffer resolve
 //! every forward/writeback race (see `tile.rs`).
+//!
+//! The home-side state is kept in three maps, each holding only what is
+//! live: the stable [`DirState`] of blocks some L1 holds (an `Uncached`
+//! block has no entry), the in-flight transaction of busy blocks, and the
+//! requests queued behind them.
 
 use std::collections::{HashMap, VecDeque};
 
 use punchsim_types::NodeId;
 
-use crate::cache::SetAssoc;
+use crate::cache::{Residency, SetAssoc};
 use crate::protocol::{BlockAddr, Op, ProtoMsg};
 
 /// Stable directory state of a block.
@@ -18,7 +23,9 @@ pub enum DirState {
     /// No L1 holds the block.
     Uncached,
     /// Read-only copies at the listed L1s (possibly stale after silent S
-    /// evictions — those sharers simply ack their invalidations).
+    /// evictions — those sharers simply ack their invalidations). The order
+    /// is the order of arrival, and it is the order a writer's `Inv`s go
+    /// out in.
     Shared(Vec<NodeId>),
     /// One L1 holds the block in E or M.
     Owned(NodeId),
@@ -41,14 +48,6 @@ struct Txn {
     req: NodeId,
     is_write: bool,
     waiting: Waiting,
-}
-
-/// Per-block home-side state.
-#[derive(Debug, Clone, Default)]
-struct HomeBlock {
-    state: Option<DirState>,
-    busy: Option<Txn>,
-    queue: VecDeque<(NodeId, ProtoMsg)>,
 }
 
 /// Directory/L2 activity counters.
@@ -81,7 +80,12 @@ pub struct DirBank {
     node: NodeId,
     /// L2 data array: `true` = dirty with respect to memory.
     l2: SetAssoc<bool>,
-    blocks: HashMap<BlockAddr, HomeBlock>,
+    /// Stable state of every block not `Uncached`.
+    states: HashMap<BlockAddr, DirState>,
+    /// The in-flight transaction of every busy block.
+    txns: HashMap<BlockAddr, Txn>,
+    /// Requests waiting for a busy block, in arrival order (no empty queue).
+    queues: HashMap<BlockAddr, VecDeque<(NodeId, ProtoMsg)>>,
     /// Memory-controller choice per block, fixed at construction.
     mem_ctrls: Vec<NodeId>,
     /// Activity counters.
@@ -96,7 +100,9 @@ impl DirBank {
         DirBank {
             node,
             l2: SetAssoc::with_capacity_blocks(blocks, ways),
-            blocks: HashMap::new(),
+            states: HashMap::new(),
+            txns: HashMap::new(),
+            queues: HashMap::new(),
             mem_ctrls,
             stats: DirStats::default(),
         }
@@ -110,25 +116,40 @@ impl DirBank {
 
     /// Directory state of a block (test hook).
     pub fn dir_state(&self, addr: BlockAddr) -> DirState {
-        self.blocks
+        self.states
             .get(&addr)
-            .and_then(|b| b.state.clone())
+            .cloned()
             .unwrap_or(DirState::Uncached)
     }
 
     /// `true` if a transaction is in flight for `addr` (test hook).
     pub fn is_busy(&self, addr: BlockAddr) -> bool {
-        self.blocks.get(&addr).is_some_and(|b| b.busy.is_some())
+        self.txns.contains_key(&addr)
+    }
+
+    /// Lines resident in this bank's L2 data array, against its capacity.
+    pub(crate) fn l2_residency(&self) -> Residency {
+        self.l2.residency()
+    }
+
+    /// The owning L1 of `addr`, if one holds it in E or M.
+    fn owner(&self, addr: BlockAddr) -> Option<NodeId> {
+        match self.states.get(&addr) {
+            Some(&DirState::Owned(o)) => Some(o),
+            _ => None,
+        }
     }
 
     /// Handles a protocol message delivered to this bank.
     pub fn handle(&mut self, src: NodeId, msg: ProtoMsg, out: &mut Out) {
         match msg.op {
             Op::GetS | Op::GetM => {
-                let b = self.blocks.entry(msg.addr).or_default();
-                if b.busy.is_some() {
+                if self.is_busy(msg.addr) {
                     self.stats.queued += 1;
-                    b.queue.push_back((src, msg));
+                    self.queues
+                        .entry(msg.addr)
+                        .or_default()
+                        .push_back((src, msg));
                 } else {
                     self.start(src, msg, out);
                 }
@@ -157,47 +178,43 @@ impl DirBank {
         self.stats.requests += 1;
         let is_write = msg.op == Op::GetM;
         let addr = msg.addr;
-        let state = self.dir_state(addr);
-        match state {
-            DirState::Uncached => {
+        match self.states.get(&addr) {
+            None | Some(DirState::Uncached) => {
                 self.grant_or_fetch(addr, req, is_write, out);
             }
-            DirState::Shared(sharers) => {
-                if !is_write {
-                    // Another shared copy.
-                    if self.l2.get(addr).is_some() {
-                        self.stats.l2_hits += 1;
-                        out.push((req, ProtoMsg::new(Op::Data, addr)));
-                        let mut s = sharers;
-                        if !s.contains(&req) {
-                            s.push(req);
-                        }
-                        self.set_state(addr, DirState::Shared(s));
-                    } else {
-                        // L2 evicted the (clean) data: refetch.
-                        self.fetch(addr, req, is_write, out);
-                    }
+            Some(DirState::Shared(_)) if !is_write => {
+                // Another shared copy.
+                if self.l2.get(addr).is_some() {
+                    self.stats.l2_hits += 1;
+                    out.push((req, ProtoMsg::new(Op::Data, addr)));
+                    self.add_sharer(addr, req);
                 } else {
-                    let invs: Vec<NodeId> = sharers.iter().copied().filter(|&s| s != req).collect();
-                    if invs.is_empty() {
-                        self.grant_or_fetch(addr, req, is_write, out);
-                    } else {
-                        self.stats.invalidations += invs.len() as u64;
-                        for s in &invs {
-                            out.push((*s, ProtoMsg::with_aux(Op::Inv, addr, req)));
-                        }
-                        self.set_busy(
-                            addr,
-                            Txn {
-                                req,
-                                is_write,
-                                waiting: Waiting::InvAcks(invs.len() as u32),
-                            },
-                        );
-                    }
+                    // L2 evicted the (clean) data: refetch.
+                    self.fetch(addr, req, is_write, out);
                 }
             }
-            DirState::Owned(owner) if owner == req => {
+            Some(DirState::Shared(sharers)) => {
+                // Invalidate every other sharer, in list order.
+                let sent = out.len();
+                for &s in sharers.iter().filter(|&&s| s != req) {
+                    out.push((s, ProtoMsg::with_aux(Op::Inv, addr, req)));
+                }
+                let invs = out.len() - sent;
+                if invs == 0 {
+                    self.grant_or_fetch(addr, req, is_write, out);
+                } else {
+                    self.stats.invalidations += invs as u64;
+                    self.set_busy(
+                        addr,
+                        Txn {
+                            req,
+                            is_write,
+                            waiting: Waiting::InvAcks(invs as u32),
+                        },
+                    );
+                }
+            }
+            Some(&DirState::Owned(owner)) if owner == req => {
                 // The owner re-requests its own block: that can only mean
                 // its eviction (PutM/PutE) is in flight toward us. Do NOT
                 // forward — a forward could cross the re-grant and trick
@@ -212,7 +229,7 @@ impl DirBank {
                     },
                 );
             }
-            DirState::Owned(owner) => {
+            Some(&DirState::Owned(owner)) => {
                 // Fetch the latest copy from the owner.
                 self.stats.forwards += 1;
                 let fwd = if is_write { Op::FwdGetM } else { Op::FwdGetS };
@@ -268,17 +285,13 @@ impl DirBank {
         debug_assert_eq!(txn.waiting, Waiting::Mem);
         self.install_l2(addr, false, out);
         // Complete according to the stable state we fetched under.
-        match self.dir_state(addr) {
-            DirState::Shared(mut s) => {
-                // GetS under a Shared block whose L2 copy was evicted.
-                out.push((txn.req, ProtoMsg::new(Op::Data, addr)));
-                if !s.contains(&txn.req) {
-                    s.push(txn.req);
-                }
-                self.set_state(addr, DirState::Shared(s));
-                self.clear_busy(addr);
-            }
-            _ => self.grant_exclusive(addr, txn.req, out),
+        if let Some(DirState::Shared(_)) = self.states.get(&addr) {
+            // GetS under a Shared block whose L2 copy was evicted.
+            out.push((txn.req, ProtoMsg::new(Op::Data, addr)));
+            self.add_sharer(addr, txn.req);
+            self.clear_busy(addr);
+        } else {
+            self.grant_exclusive(addr, txn.req, out);
         }
     }
 
@@ -320,7 +333,7 @@ impl DirBank {
         // heavily delayed OwnerData from a previous ownership era (its
         // transaction long completed by a racing PutM) must not — the live
         // forward is addressed to the current owner, who will answer.
-        if !matches!(self.dir_state(addr), DirState::Owned(o) if o == src) {
+        if self.owner(addr) != Some(src) {
             self.stats.stale_nacks += 1;
             return;
         }
@@ -332,19 +345,13 @@ impl DirBank {
             self.set_state(addr, DirState::Owned(txn.req));
             self.clear_busy(addr);
         } else {
-            // Old owner downgraded to S (it keeps a copy only if it served
-            // the forward from a live line; a stale sharer entry is
+            // Old owner `src` downgraded to S (it keeps a copy only if it
+            // served the forward from a live line; a stale sharer entry is
             // harmless).
             out.push((txn.req, ProtoMsg::new(Op::Data, addr)));
-            let old_owner = match self.dir_state(addr) {
-                DirState::Owned(o) => Some(o),
-                _ => None,
-            };
             let mut s = vec![txn.req];
-            if let Some(o) = old_owner {
-                if o != txn.req && o == src {
-                    s.push(o);
-                }
+            if src != txn.req {
+                s.push(src);
             }
             self.set_state(addr, DirState::Shared(s));
             self.clear_busy(addr);
@@ -354,7 +361,7 @@ impl DirBank {
     fn handle_put(&mut self, src: NodeId, msg: ProtoMsg, out: &mut Out) {
         let addr = msg.addr;
         let dirty = msg.op == Op::PutM;
-        let owner_matches = matches!(self.dir_state(addr), DirState::Owned(o) if o == src);
+        let owner_matches = self.owner(addr) == Some(src);
         let busy = self.busy(addr);
         out.push((src, ProtoMsg::new(Op::WbAck, addr)));
         if !owner_matches {
@@ -417,35 +424,45 @@ impl DirBank {
     }
 
     fn busy(&self, addr: BlockAddr) -> Option<Txn> {
-        self.blocks.get(&addr).and_then(|b| b.busy)
+        self.txns.get(&addr).copied()
     }
 
     fn set_busy(&mut self, addr: BlockAddr, txn: Txn) {
-        self.blocks.entry(addr).or_default().busy = Some(txn);
+        self.txns.insert(addr, txn);
     }
 
     fn clear_busy(&mut self, addr: BlockAddr) {
-        if let Some(b) = self.blocks.get_mut(&addr) {
-            b.busy = None;
+        self.txns.remove(&addr);
+    }
+
+    /// Sets the stable state; `Uncached` drops the block's entry.
+    fn set_state(&mut self, addr: BlockAddr, st: DirState) {
+        if st == DirState::Uncached {
+            self.states.remove(&addr);
+        } else {
+            self.states.insert(addr, st);
         }
     }
 
-    fn set_state(&mut self, addr: BlockAddr, st: DirState) {
-        self.blocks.entry(addr).or_default().state = Some(st);
+    /// Appends `req` to a `Shared` block's sharer list unless it is there.
+    fn add_sharer(&mut self, addr: BlockAddr, req: NodeId) {
+        if let Some(DirState::Shared(s)) = self.states.get_mut(&addr) {
+            if !s.contains(&req) {
+                s.push(req);
+            }
+        }
     }
 
     /// Processes queued requests while the block is free.
     fn drain_queue(&mut self, addr: BlockAddr, out: &mut Out) {
-        loop {
-            if self.busy(addr).is_some() {
+        while !self.is_busy(addr) {
+            let Some(queue) = self.queues.get_mut(&addr) else {
                 return;
+            };
+            let (src, msg) = queue.pop_front().expect("queues are never empty");
+            if queue.is_empty() {
+                self.queues.remove(&addr);
             }
-            let Some(b) = self.blocks.get_mut(&addr) else {
-                return;
-            };
-            let Some((src, msg)) = b.queue.pop_front() else {
-                return;
-            };
             self.start(src, msg, out);
         }
     }
@@ -519,6 +536,25 @@ mod tests {
         d.handle(n(2), ProtoMsg::new(Op::InvAck, A), &mut out);
         assert_eq!(out, vec![(n(3), ProtoMsg::new(Op::DataExcl, A))]);
         assert_eq!(d.dir_state(A), DirState::Owned(n(3)));
+    }
+
+    #[test]
+    fn invalidations_go_out_in_sharer_arrival_order() {
+        let mut d = bank();
+        d.handle(n(5), ProtoMsg::new(Op::GetS, A), &mut Out::new());
+        d.handle(MEM, ProtoMsg::new(Op::MemData, A), &mut Out::new()); // E at 5
+        d.handle(n(3), ProtoMsg::new(Op::GetS, A), &mut Out::new()); // Fwd -> 5
+        d.handle(n(5), ProtoMsg::new(Op::OwnerData, A), &mut Out::new());
+        for r in [1, 4, 3] {
+            d.handle(n(r), ProtoMsg::new(Op::GetS, A), &mut Out::new()); // L2 hits
+        }
+        let order = vec![n(3), n(5), n(1), n(4)];
+        assert_eq!(d.dir_state(A), DirState::Shared(order.clone()));
+        let mut out = Out::new();
+        d.handle(n(2), ProtoMsg::new(Op::GetM, A), &mut out);
+        let invs: Vec<_> = out.iter().map(|&(to, m)| (m.op, to)).collect();
+        let expected: Vec<_> = order.into_iter().map(|s| (Op::Inv, s)).collect();
+        assert_eq!(invs, expected);
     }
 
     #[test]

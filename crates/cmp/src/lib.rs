@@ -38,6 +38,7 @@ pub mod sim;
 pub mod tile;
 
 pub use benchmark::{Benchmark, SyntheticCore, WorkloadParams};
+pub use cache::Residency;
 pub use dir::{DirBank, DirState};
 pub use mem::MemCtrl;
 pub use protocol::{BlockAddr, Op, ProtoMsg};

@@ -3,6 +3,7 @@
 use punchsim_types::{Cycle, NodeId};
 
 use crate::protocol::{Op, ProtoMsg};
+use crate::tile::Out;
 
 /// A memory controller endpoint: fixed-latency reads, posted writes.
 #[derive(Debug, Clone)]
@@ -54,25 +55,26 @@ impl MemCtrl {
         }
     }
 
-    /// Returns responses due at `now`, and homes to forewarn (`slack2`
-    /// cycles before each response — the controller knows a packet is
-    /// coming, the paper's slack-2 resource valid bit).
-    pub fn tick(&mut self, now: Cycle, slack2: Cycle) -> (Vec<NodeId>, Vec<(NodeId, ProtoMsg)>) {
-        let mut warn = Vec::new();
-        let mut due = Vec::new();
+    /// How many responses fall due exactly `slack2` cycles after `now`: the
+    /// controller knows a packet is coming and forewarns its own router
+    /// once per response (the paper's slack-2 resource valid bit).
+    pub fn forewarnings(&self, now: Cycle, slack2: Cycle) -> usize {
+        self.pending
+            .iter()
+            .filter(|&&(at, _, _)| at == now + slack2)
+            .count()
+    }
+
+    /// Moves the responses due at `now` into `due` as `(home, response)`,
+    /// in arrival order.
+    pub fn take_due(&mut self, now: Cycle, due: &mut Out) {
         self.pending.retain(|&(at, home, msg)| {
-            if at == now + slack2 {
-                warn.push(self.node);
-                let _ = home;
-            }
-            if at <= now {
+            let ready = at <= now;
+            if ready {
                 due.push((home, msg));
-                false
-            } else {
-                true
             }
+            !ready
         });
-        (warn, due)
     }
 
     /// Outstanding reads (test hook).
@@ -90,11 +92,12 @@ mod tests {
         let mut m = MemCtrl::new(NodeId(0), 128);
         m.handle(NodeId(9), ProtoMsg::new(Op::MemRead, 0x40), 10);
         assert_eq!(m.outstanding(), 1);
+        let mut due = Out::new();
         for c in 11..138 {
-            let (_, due) = m.tick(c, 6);
+            m.take_due(c, &mut due);
             assert!(due.is_empty(), "cycle {c}");
         }
-        let (_, due) = m.tick(138, 6);
+        m.take_due(138, &mut due);
         assert_eq!(due, vec![(NodeId(9), ProtoMsg::new(Op::MemData, 0x40))]);
         assert_eq!(m.outstanding(), 0);
         assert_eq!(m.reads, 1);
@@ -106,10 +109,10 @@ mod tests {
         m.handle(NodeId(9), ProtoMsg::new(Op::MemRead, 0x40), 0);
         let mut warned_at = None;
         for c in 1..=128 {
-            let (warn, _) = m.tick(c, 6);
-            if !warn.is_empty() {
+            if m.forewarnings(c, 6) > 0 {
                 warned_at = Some(c);
             }
+            m.take_due(c, &mut Out::new());
         }
         assert_eq!(warned_at, Some(122), "6 cycles before the response");
     }

@@ -8,10 +8,11 @@ use punchsim_noc::{Message, Network, NetworkReport};
 use punchsim_types::{Coord, Cycle, NodeId, SchemeKind, SimConfig, SimRng, Substrate};
 
 use crate::benchmark::{Benchmark, SyntheticCore};
+use crate::cache::Residency;
 use crate::dir::DirBank;
 use crate::mem::MemCtrl;
 use crate::protocol::{BlockAddr, Op, ProtoMsg};
-use crate::tile::{Access, L1};
+use crate::tile::{Access, Out, L1};
 
 /// L1 capacity in blocks (Table 2: 32 KB / 64 B).
 const L1_BLOCKS: usize = 512;
@@ -75,6 +76,11 @@ pub struct CmpReport {
     pub net: NetworkReport,
     /// Whether every core finished within the cycle cap.
     pub completed: bool,
+    /// Private L1 lines resident at the end of the run, over all tiles,
+    /// against Table 2's capacity.
+    pub l1_residency: Residency,
+    /// Shared L2 lines resident at the end of the run, likewise.
+    pub l2_residency: Residency,
 }
 
 /// The full-system simulator (the gem5+PARSEC stand-in; see DESIGN.md).
@@ -103,6 +109,9 @@ pub struct CmpSim {
     sends: Vec<VecDeque<(Cycle, NodeId, ProtoMsg)>>,
     /// [`CmpSim::deliver`]'s scratch: the tick's messages, out of the network.
     inbox: Vec<Message>,
+    /// Scratch for the `(destination, message)` pairs one L1, directory
+    /// bank or memory controller emits; empty between uses.
+    out: Out,
     warmed: bool,
     measure_start: Cycle,
 }
@@ -153,6 +162,7 @@ impl CmpSim {
             rng,
             sends: vec![VecDeque::new(); n],
             inbox: Vec::new(),
+            out: Out::new(),
             warmed: false,
             measure_start: 0,
             cfg,
@@ -239,6 +249,8 @@ impl CmpSim {
             },
             net: self.net.report(),
             completed,
+            l1_residency: self.l1s.iter().map(L1::residency).sum(),
+            l2_residency: self.dirs.iter().map(DirBank::l2_residency).sum(),
         }
     }
 
@@ -265,27 +277,26 @@ impl CmpSim {
                 | Op::OwnerData
                 | Op::FwdNack
                 | Op::MemData => {
-                    let mut out = Vec::new();
-                    self.dirs[idx].handle(src, pm, &mut out);
-                    if !out.is_empty() {
+                    self.dirs[idx].handle(src, pm, &mut self.out);
+                    if !self.out.is_empty() {
                         // Slack 2: the L2/directory access that will
                         // produce these messages starts now.
                         self.net
                             .notify_future_injection(node)
                             .expect("directory node is in the topology");
                     }
-                    for (dst, m) in out {
+                    for (dst, m) in self.out.drain(..) {
                         self.sends[idx].push_back((now + L2_LATENCY, dst, m));
                     }
                 }
                 // L1-side messages.
                 Op::Inv | Op::FwdGetS | Op::FwdGetM | Op::Data | Op::DataExcl | Op::WbAck => {
-                    let mut out = Vec::new();
-                    let resumed = self.l1s[idx].handle(src, pm, |a| home_node(a, nodes), &mut out);
+                    let resumed =
+                        self.l1s[idx].handle(src, pm, |a| home_node(a, nodes), &mut self.out);
                     if resumed {
                         self.blocked[idx] = false;
                     }
-                    for (dst, m) in out {
+                    for (dst, m) in self.out.drain(..) {
                         self.sends[idx].push_back((now + 1, dst, m));
                     }
                 }
@@ -325,32 +336,32 @@ impl CmpSim {
         }
     }
 
+    /// Forewarns the controllers' routers of responses due in `slack2`
+    /// cycles, then sends the responses due now: every notice before any
+    /// send, controllers in order.
     fn mem_tick(&mut self, now: Cycle) {
         let slack2 = self.cfg.sim.power.slack2_cycles as Cycle;
-        let mut to_send = Vec::new();
-        for mc in &mut self.mems {
-            let node = mc.node();
-            let (warn, due) = mc.tick(now, slack2);
-            for w in warn {
+        for mc in &self.mems {
+            for _ in 0..mc.forewarnings(now, slack2) {
                 self.net
-                    .notify_future_injection(w)
+                    .notify_future_injection(mc.node())
                     .expect("memory-controller node is in the topology");
             }
-            for (dst, m) in due {
-                to_send.push((node, dst, m));
-            }
         }
-        for (src, dst, m) in to_send {
-            self.net
-                .send(Message {
-                    src,
-                    dst,
-                    vnet: m.op.vnet(),
-                    class: m.op.class(),
-                    payload: m.encode(),
-                    gen_cycle: now,
-                })
-                .expect("protocol destinations are always in-mesh");
+        for mc in &mut self.mems {
+            mc.take_due(now, &mut self.out);
+            for (dst, m) in self.out.drain(..) {
+                self.net
+                    .send(Message {
+                        src: mc.node(),
+                        dst,
+                        vnet: m.op.vnet(),
+                        class: m.op.class(),
+                        payload: m.encode(),
+                        gen_cycle: now,
+                    })
+                    .expect("protocol destinations are always in-mesh");
+            }
         }
     }
 
@@ -364,9 +375,8 @@ impl CmpSim {
                 continue;
             };
             let home = self.home_of(mref.addr);
-            let mut out = Vec::new();
-            let res = self.l1s[idx].access(mref.addr, mref.is_write, home, &mut out);
-            for (dst, m) in out {
+            let res = self.l1s[idx].access(mref.addr, mref.is_write, home, &mut self.out);
+            for (dst, m) in self.out.drain(..) {
                 self.sends[idx].push_back((now + 1, dst, m));
             }
             if res == Access::Miss {
@@ -401,16 +411,17 @@ impl CmpSim {
     }
 }
 
-/// The four corner nodes hosting memory controllers (Table 2).
+/// The corner nodes hosting memory controllers (Table 2), each once: four
+/// on a grid of at least two rows and two columns, fewer on a line.
 fn corner_nodes(topo: Substrate) -> Vec<NodeId> {
     let (w, h) = (topo.width(), topo.height());
-    let mut v = vec![
-        topo.node(Coord::new(0, 0)),
-        topo.node(Coord::new(w - 1, 0)),
-        topo.node(Coord::new(0, h - 1)),
-        topo.node(Coord::new(w - 1, h - 1)),
-    ];
-    v.dedup();
+    let mut v = Vec::with_capacity(4);
+    for (x, y) in [(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)] {
+        let n = topo.node(Coord::new(x, y));
+        if !v.contains(&n) {
+            v.push(n);
+        }
+    }
     v
 }
 
@@ -510,8 +521,11 @@ mod tests {
 
     #[test]
     fn corner_nodes_are_corners() {
-        let c = corner_nodes(punchsim_types::Mesh::new(8, 8).into());
+        let c = corner_nodes(Mesh::new(8, 8).into());
         assert_eq!(c, vec![NodeId(0), NodeId(7), NodeId(56), NodeId(63)]);
+        // A single row has two corners, not four controllers on two nodes.
+        assert_eq!(corner_nodes(Mesh::new(4, 1).into()), [NodeId(0), NodeId(3)]);
+        assert_eq!(corner_nodes(Mesh::new(1, 4).into()), [NodeId(0), NodeId(3)]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use punchsim_types::NodeId;
 
-use crate::cache::SetAssoc;
+use crate::cache::{Residency, SetAssoc};
 use crate::protocol::{BlockAddr, Op, ProtoMsg};
 
 /// MESI state of a resident L1 line (`I` = not resident).
@@ -283,6 +283,11 @@ impl L1 {
     /// All resident lines as `(block, state)` pairs (test hook).
     pub fn resident(&self) -> Vec<(BlockAddr, L1State)> {
         self.cache.iter().map(|l| (l.addr, l.state)).collect()
+    }
+
+    /// Lines resident in this L1, against its capacity.
+    pub(crate) fn residency(&self) -> Residency {
+        self.cache.residency()
     }
 
     /// `true` if the L1 holds `addr` in any state (test hook).

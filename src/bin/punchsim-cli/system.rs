@@ -25,6 +25,12 @@ pub fn parsec(opts: &Opts) -> Result<ExitCode, String> {
     println!("completed:        {}", r.completed);
     println!("execution cycles: {}", r.exec_cycles);
     println!("L1 miss rate:     {:.3}%", r.l1_miss_rate * 100.0);
+    for (level, res) in [("L1", r.l1_residency), ("L2", r.l2_residency)] {
+        println!(
+            "{level} resident:      {} / {} lines",
+            res.resident, res.capacity
+        );
+    }
     println!("packet latency:   {:.1} cycles", r.net.avg_packet_latency());
     println!("blocked/packet:   {:.2}", r.net.avg_pg_encounters());
     println!(

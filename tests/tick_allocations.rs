@@ -12,6 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use punchsim::cmp::{Benchmark, CmpConfig, CmpSim};
 use punchsim::core::build_power_manager;
 use punchsim::noc::{Message, MsgClass, Network};
 use punchsim::types::{Mesh, NodeId, SchemeKind, SimConfig, VnetId};
@@ -166,4 +167,19 @@ fn network_new_and_try_clone_make_few_heap_requests_per_router() {
         }
         drop(fork);
     }
+}
+
+/// The CMP memory system holds only resident state: building Table 2's
+/// 8x8 system (a 2-way L1 and a 16-way L2 bank per tile, 512 sets between
+/// them) allocates no cache set, so `CmpSim::new` stays within 16 heap
+/// requests per tile, its network included. Preallocating every set made
+/// about 520.
+#[test]
+fn cmp_sim_new_allocates_no_cache_set() {
+    let cfg = CmpConfig::new(Benchmark::Canneal, SchemeKind::PowerPunchFull);
+    let tiles = cfg.sim.noc.topology.nodes() as f64;
+    let (sim, requests) = counted(|| CmpSim::new(cfg));
+    let per_tile = requests as f64 / tiles;
+    assert!(per_tile <= 16.0, "{per_tile:.1} heap requests per tile");
+    drop(sim);
 }
