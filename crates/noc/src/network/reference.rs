@@ -7,8 +7,8 @@
 //!
 //! To stay a real oracle it shares only pure bookkeeping with the kernel —
 //! `note_blocked`, `complete_packet`, the power/watchdog phases and the
-//! router's storage (its VC rings, `latch`/`pop_front`, `credit`), none of
-//! which decide what moves where; the rings have their own FIFO oracle in
+//! router's storage (its flit pool, `latch`/`pop_front`, `credit`), none of
+//! which decide what moves where; the pool has its own FIFO oracle in
 //! `router.rs`. Traversal order and the application of departures are
 //! implemented here independently (neighbours come from the substrate, not
 //! the kernel's table), and allocation runs the exhaustive rotating-priority
@@ -66,7 +66,7 @@ impl Network {
                             router: NodeId(idx as u16),
                         });
                     }
-                    if flit.kind.is_head() {
+                    if flit.kind().is_head() {
                         let meta = self
                             .packets
                             .get_mut(&flit.packet.0)

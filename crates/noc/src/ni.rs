@@ -180,7 +180,7 @@ impl Ni {
     /// `flit` completes its packet (tail arrival).
     pub fn eject(&mut self, flit: &Flit) -> Option<PacketId> {
         self.flits_ejected += 1;
-        flit.kind.is_tail().then_some(flit.packet)
+        flit.kind().is_tail().then_some(flit.packet)
     }
 
     /// Runs one injection cycle and returns the flit sent toward the local
@@ -257,16 +257,9 @@ impl Ni {
                     (s, l) if s + 1 == l => FlitKind::Tail,
                     _ => FlitKind::Body,
                 };
-                let flit = Flit {
-                    packet: p.id,
-                    kind,
-                    vnet: p.vnet,
-                    class: p.class,
-                    dst: p.dst,
-                    route_port: p.route_port,
-                    vc: vc as u8,
-                    seq: p.next_seq,
-                };
+                let mut flit = Flit::new(p.id, kind, p.vnet, p.class, p.dst, p.next_seq);
+                flit.route_port = p.route_port;
+                flit.vc = vc as u8;
                 p.next_seq += 1;
                 if kind.is_tail() {
                     self.vc_busy[vc] = false;
@@ -324,7 +317,7 @@ mod tests {
             assert!(inject(&mut ni, c, true).is_none());
         }
         let f = inject(&mut ni, 13, true).expect("head injects when ready");
-        assert_eq!(f.kind, FlitKind::HeadTail);
+        assert_eq!(f.kind(), FlitKind::HeadTail);
         assert_eq!(f.route_port, Port::Link(Direction::East));
         assert_eq!(f.packet, PacketId(1));
         assert_eq!(ni.pending(), 0);
@@ -362,7 +355,7 @@ mod tests {
         let mut seqs = Vec::new();
         for c in 3..20 {
             if let Some(f) = inject(&mut ni, c, true) {
-                seqs.push((f.seq, f.kind));
+                seqs.push((f.seq, f.kind()));
                 // don't return credits: only depth(=3) flits may flow
             }
         }
@@ -375,7 +368,7 @@ mod tests {
         let mut more = Vec::new();
         for c in 20..30 {
             if let Some(f) = inject(&mut ni, c, true) {
-                more.push(f.kind);
+                more.push(f.kind());
             }
         }
         assert_eq!(more, vec![FlitKind::Body, FlitKind::Tail]);
@@ -398,16 +391,8 @@ mod tests {
     #[test]
     fn eject_completes_on_tail() {
         let mut ni = mk_ni();
-        let mk = |kind, seq| Flit {
-            packet: PacketId(9),
-            kind,
-            vnet: VnetId(0),
-            class: MsgClass::Data,
-            dst: NodeId(0),
-            route_port: Port::Local,
-            vc: 0,
-            seq,
-        };
+        let mk =
+            |kind, seq| Flit::new(PacketId(9), kind, VnetId(0), MsgClass::Data, NodeId(0), seq);
         assert_eq!(ni.eject(&mk(FlitKind::Head, 0)), None);
         assert_eq!(ni.eject(&mk(FlitKind::Body, 1)), None);
         assert_eq!(ni.eject(&mk(FlitKind::Tail, 2)), Some(PacketId(9)));

@@ -14,14 +14,14 @@
 //! crossbar (ST) at `s + 1` and is latched downstream at
 //! `s + 1 + link_latency + 1`.
 //!
-//! Router state is plain data: one flit slab holding every input VC's ring,
-//! one control word per input VC, and per port a few `u32` words with one
-//! bit per VC, which the allocators walk instead of the VCs.
+//! Router state is plain data: a pool of the buffered flits that links each
+//! input VC's FIFO, one control word per input VC, and per port a few `u32`
+//! words with one bit per VC, which the allocators walk instead of the VCs.
 
 use punchsim_types::{Cycle, Direction, NocConfig, NodeId, PacketId, Port, PortMap};
 
 use crate::flit::Flit;
-use crate::vc::{VcLayout, VcState, VACANT};
+use crate::vc::{FlitPool, VcLayout, VcState};
 
 /// Per-router dynamic-activity counters consumed by the power model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -92,17 +92,17 @@ pub struct AllocOutcome {
 
 /// One mesh router: five ports of VC buffers plus separable VA/SA allocators.
 ///
-/// Three heap blocks, whatever the VC count: the flit slab, the VC control
-/// words and the link credits. Every other field is a fixed-size word or
-/// array — one bit per VC — indexed by [`Port::index`].
+/// Two heap blocks whatever the VC count, the VC control words and the link
+/// credits, plus the flit pool's two once a flit arrives. Every other field
+/// is a fixed-size word or array — one bit per VC — indexed by
+/// [`Port::index`].
 #[derive(Debug, Clone)]
 pub struct Router {
     id: NodeId,
     layout: VcLayout,
     stages: u8,
-    /// Every input VC's ring, back to back: port by port in [`Port::ALL`]
-    /// order, VC by VC at [`VcLayout::offset`] within a port.
-    slab: Box<[Flit]>,
+    /// The buffered flits of every input VC.
+    pool: FlitPool,
     /// One control word per input VC, indexed `port * total + vc`.
     vcs: Box<[VcState]>,
     /// Credits toward each downstream VC of the four link outputs, indexed
@@ -161,19 +161,17 @@ impl Router {
     ///
     /// Panics if `layout` has more than [`NocConfig::MAX_VCS_PER_PORT`] VCs
     /// per port (the occupancy-mask width; `NocConfig::validate` rejects
-    /// such configs before a network builds its routers).
+    /// such configs before a network builds its routers). Within that width
+    /// every layout's buffer slots fit the flit pool's `u16` links.
     pub fn new(id: NodeId, layout: VcLayout, stages: u8, has_neighbor: PortMap<bool>) -> Self {
         let total = layout.total();
         assert!(
             total <= NocConfig::MAX_VCS_PER_PORT,
             "{total} VCs per port exceed the occupancy-mask width"
         );
-        let port_flits = layout.port_flits();
+        const { assert!(5 * NocConfig::MAX_VCS_PER_PORT * 255 < u16::MAX as usize) };
         let vcs = (0..5 * total)
-            .map(|i| {
-                let (p, v) = (i / total, i % total);
-                VcState::new(p * port_flits + layout.offset(v), layout.depth(v))
-            })
+            .map(|i| VcState::new(layout.depth(i % total)))
             .collect();
         let credits = (0..4 * total)
             .map(|i| {
@@ -189,7 +187,7 @@ impl Router {
             id,
             layout,
             stages,
-            slab: vec![VACANT; 5 * port_flits].into_boxed_slice(),
+            pool: FlitPool::new(),
             vcs,
             credits,
             occ: [0; 5],
@@ -219,7 +217,7 @@ impl Router {
     /// The front flit of input VC `(p, v)`, if it holds any.
     fn front(&self, p: usize, v: usize) -> Option<&Flit> {
         let vc = self.vc(p, v);
-        (!vc.is_empty()).then(|| vc.front(&self.slab))
+        (!vc.is_empty()).then(|| vc.front(&self.pool))
     }
 
     /// Per input port, the VCs whose front flit is in its BW cycle during
@@ -251,7 +249,7 @@ impl Router {
         if vc.is_empty() {
             self.fresh[p] |= 1 << v;
         }
-        vc.push(&mut self.slab, flit);
+        vc.push(&mut self.pool, flit);
         self.occ[p] |= 1 << v;
         self.buffered += 1;
         self.activity.buffer_writes += 1;
@@ -262,7 +260,7 @@ impl Router {
     /// occupancy mask stay in sync under either allocator.
     fn pop_front(&mut self, p: usize, v: usize) -> Flit {
         let vc = &mut self.vcs[p * self.layout.total() + v];
-        let flit = vc.pop(&self.slab);
+        let flit = vc.pop(&mut self.pool);
         if vc.is_empty() {
             self.occ[p] &= !(1 << v);
         }
@@ -312,9 +310,10 @@ impl Router {
     }
 
     /// Debug builds cross-check the derived summaries: `buffered` and the
-    /// occupancy mask against the rings, and `out_vc_busy` against the
-    /// routes of the `routed` VCs, one owner per busy output VC. The tick
-    /// kernel asks [`Router::datapath_empty`] after every allocation.
+    /// occupancy mask against the VCs, the VCs against the flit pool, and
+    /// `out_vc_busy` against the routes of the `routed` VCs, one owner per
+    /// busy output VC. The tick kernel asks [`Router::datapath_empty`] after
+    /// every allocation.
     fn debug_check_summaries(&self) {
         if !cfg!(debug_assertions) {
             return;
@@ -331,6 +330,7 @@ impl Router {
             }
         }
         assert_eq!(self.buffered as usize, flits, "buffered-flit counter");
+        self.pool.check(&self.vcs);
         let (busy, counts) = (self.out_vc_busy, self.out_vc_busy.map(u32::count_ones));
         assert_eq!((owned, owners), (busy, counts), "output VC owners");
     }
@@ -373,7 +373,7 @@ impl Router {
             }
             put_u8(out, 1);
             put_u8(out, vc.len() as u8);
-            for flit in vc.flits(&self.slab) {
+            for flit in vc.flits(&self.pool) {
                 flit.encode_state(out);
             }
             if routed {
@@ -439,8 +439,8 @@ impl Router {
         let mut granted = [0u32; 5];
         for p in 0..5 {
             for_each_bit(self.occ[p] & !self.routed[p] & !fresh[p], |v| {
-                let front = self.vc(p, v).front(&self.slab);
-                if front.kind.is_head() {
+                let front = self.vc(p, v).front(&self.pool);
+                if front.kind().is_head() {
                     let o = front.route_port.index();
                     req[o][p] |= 1 << v;
                     wanted |= 1 << o;
@@ -472,9 +472,9 @@ impl Router {
                     _ => !0,
                 };
                 for_each_bit(req[o][p] & mask, |v| {
-                    let front = self.vc(p, v).front(&self.slab);
-                    let free =
-                        self.layout.candidate_mask(front.vnet, front.class) & !self.out_vc_busy[o];
+                    let front = self.vc(p, v).front(&self.pool);
+                    let free = self.layout.candidate_mask(front.vnet(), front.class())
+                        & !self.out_vc_busy[o];
                     if free == 0 {
                         return;
                     }
@@ -538,7 +538,7 @@ impl Router {
                         // Stalled purely by power-gating: report for the WU
                         // handshake and the Fig. 9/10 metrics (once per
                         // packet).
-                        let packet = vc.front(&self.slab).packet;
+                        let packet = vc.front(&self.pool).packet;
                         if !blocked[first_blocked..]
                             .iter()
                             .any(|(_, b)| b.packet == packet)
@@ -582,7 +582,7 @@ impl Router {
             let v = pick[p] as usize;
             let out_vc = self.vc(p, v).out_vc;
             let mut flit = self.pop_front(p, v);
-            if flit.kind.is_tail() {
+            if flit.kind().is_tail() {
                 self.routed[p] &= !(1 << v);
                 self.out_vc_busy[o] &= !(1 << out_vc);
             }
@@ -620,9 +620,9 @@ struct Cand {
 /// is probed whether or not it holds a flit, each output scans all five
 /// inputs, and nothing reads a request word). Only `Network::tick_reference`
 /// and the lock-step differential test below call it. It shares the
-/// router's storage with the shipped path — the rings, `latch`/`pop_front`,
+/// router's storage with the shipped path — the pool, `latch`/`pop_front`,
 /// the `fresh` word and VA's word of this call's grants — which is why the
-/// lock-step test also runs the rings against a plain FIFO per VC.
+/// lock-step test also runs the pool against a plain FIFO per VC.
 impl Router {
     /// [`Router::allocate`] by exhaustive rotating-priority scan.
     pub(crate) fn allocate_reference(
@@ -648,7 +648,7 @@ impl Router {
                 let Some(front) = self.front(p, in_vc) else {
                     continue;
                 };
-                if !front.kind.is_head() || bit(fresh[p], in_vc) {
+                if !front.kind().is_head() || bit(fresh[p], in_vc) {
                     continue;
                 }
                 requests.push((in_port, in_vc, front.route_port));
@@ -675,7 +675,7 @@ impl Router {
                 let front = *self
                     .front(ip_idx, iv)
                     .expect("request implies a front flit");
-                let mut cand = self.layout.candidates(front.vnet, front.class);
+                let mut cand = self.layout.candidates(front.vnet(), front.class());
                 let free = cand.find(|&ov| !bit(self.out_vc_busy[o], ov));
                 let Some(out_vc) = free else { continue };
                 self.route(ip_idx, iv, out_port, out_vc, &mut granted);
@@ -777,7 +777,7 @@ impl Router {
             // Grant: pop the flit, consume a credit, update VC state.
             let out_vc = self.vc(ip_idx, c.in_vc).out_vc;
             let mut flit = self.pop_front(ip_idx, c.in_vc);
-            if flit.kind.is_tail() {
+            if flit.kind().is_tail() {
                 self.routed[ip_idx] &= !(1 << c.in_vc);
                 self.out_vc_busy[o] &= !(1 << out_vc);
             }
@@ -816,16 +816,9 @@ mod tests {
     }
 
     fn flit(kind: FlitKind, seq: u16, out: Port) -> Flit {
-        Flit {
-            packet: PacketId(7),
-            kind,
-            vnet: VnetId(0),
-            class: MsgClass::Data,
-            dst: NodeId(9),
-            route_port: out,
-            vc: 0,
-            seq,
-        }
+        let mut f = Flit::new(PacketId(7), kind, VnetId(0), MsgClass::Data, NodeId(9), seq);
+        f.route_port = out;
+        f
     }
 
     fn all_on() -> PortMap<bool> {
@@ -1008,8 +1001,15 @@ mod tests {
     fn control_flits_use_control_vc() {
         let mut r = mk_router();
         let out = Port::Link(Direction::East);
-        let mut f = flit(FlitKind::HeadTail, 0, out);
-        f.class = MsgClass::Control;
+        let mut f = Flit::new(
+            PacketId(7),
+            FlitKind::HeadTail,
+            VnetId(0),
+            MsgClass::Control,
+            NodeId(9),
+            0,
+        );
+        f.route_port = out;
         f.vc = 2; // control VC of vnet 0
         r.latch(Port::Local, f, 10);
         let d = depart(&mut r, 11, &all_on());
@@ -1068,8 +1068,8 @@ mod tests {
         })
     }
 
-    /// The ring oracle: one `VecDeque` per input VC, fed the same latches
-    /// and pops as the router, so a ring bug cannot hide behind the
+    /// The pool oracle: one `VecDeque` per input VC, fed the same latches
+    /// and pops as the router, so a pool bug cannot hide behind the
     /// storage the two allocators share.
     struct Fifos {
         total: usize,
@@ -1093,13 +1093,9 @@ mod tests {
         fn depart(&mut self, d: &Departure) {
             let q = &mut self.queues[d.in_port.index() * self.total + d.in_vc as usize];
             let want = q.pop_front().expect("departure from an empty FIFO");
-            assert_eq!(
-                Flit {
-                    vc: want.vc,
-                    ..d.flit
-                },
-                want
-            );
+            let mut got = d.flit;
+            got.vc = want.vc;
+            assert_eq!(got, want);
         }
 
         /// Equal lengths and fronts for every VC, and the input-VC part of
@@ -1149,7 +1145,7 @@ mod tests {
     /// would), credit returns and per-port downstream power — one through
     /// the shipped allocators, one through the full-scan oracle, and
     /// demands equal outcomes and equal state every cycle; the shipped
-    /// router's rings also track one `VecDeque` per VC.
+    /// router's pool also tracks one `VecDeque` per VC.
     fn lockstep(layout: VcLayout, stages: u8, seed: u64) {
         let total = layout.total();
         let mut new = Router::new(NodeId(0), layout, stages, PortMap::from_fn(|_| true));
@@ -1189,16 +1185,16 @@ mod tests {
                     (false, true) => FlitKind::Tail,
                     (false, false) => FlitKind::Body,
                 };
-                let f = Flit {
-                    packet: st.packet,
+                let mut f = Flit::new(
+                    st.packet,
                     kind,
-                    vnet: layout.vnet(vc),
-                    class: layout.class(vc),
-                    dst: NodeId(9),
-                    route_port: st.out,
-                    vc: vc as u8,
-                    seq: st.next_seq,
-                };
+                    layout.vnet(vc),
+                    layout.class(vc),
+                    NodeId(9),
+                    st.next_seq,
+                );
+                f.route_port = st.out;
+                f.vc = vc as u8;
                 st.next_seq += 1;
                 if kind.is_tail() {
                     streams[in_port][vc] = None;
@@ -1234,7 +1230,7 @@ mod tests {
                 if let Some(d) = d {
                     departed += 1;
                     if !bit(routed_before[d.in_port.index()], d.in_vc as usize) {
-                        assert!(d.flit.kind.is_head() && stages == 3, "cycle {cycle}");
+                        assert!(d.flit.kind().is_head() && stages == 3, "cycle {cycle}");
                         same_cycle_heads += 1;
                     }
                     fifos.depart(d);
@@ -1305,6 +1301,63 @@ mod tests {
         }
     }
 
+    /// The pool holds only in-flight flits: a fresh router holds no slot,
+    /// the pool grows to the most flits ever buffered at once, popped slots
+    /// are reused before it grows, and it never exceeds the Σ depths of
+    /// Table 2's 105 buffer slots.
+    #[test]
+    fn the_flit_pool_grows_only_to_the_high_water_mark() {
+        let mut r = mk_router();
+        let l = r.layout;
+        let slots = 5 * (0..l.total()).map(|v| l.depth(v)).sum::<usize>();
+        assert_eq!(slots, 105);
+        assert_eq!(r.pool.slots(), 0, "a fresh router holds no flit slot");
+        let mut high = 0;
+        let mut step = |r: &mut Router, cycle: Cycle, fill: bool| {
+            if fill {
+                // Every VC of every port to its depth, one packet each,
+                // all to be ejected.
+                for port in Port::ALL {
+                    for v in 0..l.total() {
+                        for seq in 0..l.depth(v) as u16 {
+                            let kind = match (seq == 0, seq + 1 == l.depth(v) as u16) {
+                                (true, true) => FlitKind::HeadTail,
+                                (true, false) => FlitKind::Head,
+                                (false, true) => FlitKind::Tail,
+                                (false, false) => FlitKind::Body,
+                            };
+                            let packet = PacketId(cycle * 1000 + (port.index() * 100 + v) as u64);
+                            let mut f =
+                                Flit::new(packet, kind, l.vnet(v), l.class(v), NodeId(0), seq);
+                            f.vc = v as u8;
+                            r.latch(port, f, cycle);
+                        }
+                    }
+                }
+            }
+            high = high.max(r.occupancy());
+            depart(r, cycle, &all_on());
+            assert_eq!(
+                r.pool.slots(),
+                high,
+                "cycle {cycle}: storage is the high-water mark"
+            );
+        };
+        // One single-flit packet in and one out per cycle: each waits a
+        // cycle, so two slots serve all ten.
+        for cycle in 10..20 {
+            r.latch(Port::Local, flit(FlitKind::HeadTail, 0, Port::Local), cycle);
+            step(&mut r, cycle, false);
+        }
+        assert_eq!(r.pool.slots(), 2, "popped slots are reused");
+        // Every buffer full, drained, and full again: Σ depths, no more.
+        for cycle in 20..300 {
+            step(&mut r, cycle, cycle == 25 || cycle == 150);
+        }
+        assert!(r.datapath_empty());
+        assert_eq!(r.pool.slots(), slots, "storage never exceeds Σ depths");
+    }
+
     #[test]
     fn rotating_pointers_wrap_past_the_last_slot() {
         let mut r = mk_router();
@@ -1312,9 +1365,15 @@ mod tests {
         let (west, out) = (Port::Link(Direction::West), Port::Link(Direction::East));
         // The last VC (vnet 2 control) of the last input port is the last
         // VA slot, g = 5 * total - 1.
-        let mut f = flit(FlitKind::HeadTail, 0, out);
-        f.vnet = VnetId(2);
-        f.class = MsgClass::Control;
+        let mut f = Flit::new(
+            PacketId(7),
+            FlitKind::HeadTail,
+            VnetId(2),
+            MsgClass::Control,
+            NodeId(9),
+            0,
+        );
+        f.route_port = out;
         f.vc = total as u8 - 1;
         r.va_rr[out.index()] = 5 * total as u8 - 1;
         r.sa_in_rr[west.index()] = total as u8 - 1;

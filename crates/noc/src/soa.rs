@@ -10,11 +10,11 @@
 //! router with something due. Busy sweeps iterate set bits
 //! (`trailing_zeros` per active router, one word test per 64 idle routers)
 //! instead of chasing structs or polling wires. Each `Router` stores its
-//! buffered flits as plain data — one slab of VC rings, per-port VC words
-//! (see [`crate::router`]) — and the `Ni`s their injection queues (what
-//! `encode_state` and the test oracle in `reference.rs` read); the bit
-//! words here are the primary busy index over routers and NIs, maintained
-//! by every tick commit from construction on.
+//! buffered flits as plain data — one flit pool holding only the flits in
+//! flight, per-port VC words (see [`crate::router`]) — and the `Ni`s their
+//! injection queues (what `encode_state` and the test oracle in
+//! `reference.rs` read); the bit words here are the primary busy index over
+//! routers and NIs, maintained by every tick commit from construction on.
 //!
 //! On top of the flat layout sits deterministic sharding: the mesh is cut
 //! into contiguous row bands, each shard runs the *compute* half of a tick
@@ -437,7 +437,7 @@ pub(crate) fn shard_phase_a(
             if ctx.violation_open && buf.violation.is_none() && avail.is_off(NodeId(idx as u16)) {
                 buf.violation = Some(NodeId(idx as u16));
             }
-            if flit.kind.is_head() {
+            if flit.kind().is_head() {
                 buf.head_arrivals.push(HeadArrival {
                     router: NodeId(idx as u16),
                     dst: flit.dst,

@@ -1,10 +1,10 @@
 //! Virtual channels: the layout of an input port's VCs, and one VC as
-//! plain data — a ring in its router's flit slab plus a compact control
-//! word.
+//! plain data — a linked FIFO through its router's flit pool plus a compact
+//! control word.
 
-use punchsim_types::{NocConfig, NodeId, PacketId, Port, VnetId};
+use punchsim_types::{NocConfig, VnetId};
 
-use crate::flit::{Flit, FlitKind, MsgClass};
+use crate::flit::{Flit, MsgClass};
 
 /// Layout of the VCs of one input port: for each virtual network, first the
 /// data VCs, then the control VCs (§2.1: two 3-flit data VCs and one 1-flit
@@ -52,44 +52,6 @@ impl VcLayout {
         }
     }
 
-    /// Buffer slots of one whole port (the sum of its VCs' depths).
-    pub fn port_flits(self) -> usize {
-        self.vnets as usize * self.vnet_flits()
-    }
-
-    fn vnet_flits(self) -> usize {
-        let data = self.data_per_vnet as usize * self.data_depth as usize;
-        data + self.ctrl_per_vnet as usize * self.ctrl_depth as usize
-    }
-
-    /// Where VC `idx`'s ring starts within its port's share of a router's
-    /// flit slab: the depths of the VCs before it, back to back.
-    pub fn offset(self, idx: usize) -> usize {
-        let (vnet, within) = (idx / self.per_vnet(), idx % self.per_vnet());
-        let data = self.data_per_vnet as usize;
-        let before = if within < data {
-            within * self.data_depth as usize
-        } else {
-            data * self.data_depth as usize + (within - data) * self.ctrl_depth as usize
-        };
-        vnet * self.vnet_flits() + before
-    }
-
-    /// The vnet VC `idx` belongs to.
-    pub fn vnet(self, idx: usize) -> VnetId {
-        VnetId((idx / self.per_vnet()) as u8)
-    }
-
-    /// The message class VC `idx` serves.
-    pub fn class(self, idx: usize) -> MsgClass {
-        let within = idx % self.per_vnet();
-        if within < self.data_per_vnet as usize {
-            MsgClass::Data
-        } else {
-            MsgClass::Control
-        }
-    }
-
     /// Indices of the VCs serving `(vnet, class)`, in ascending order.
     pub fn candidates(self, vnet: VnetId, class: MsgClass) -> std::ops::Range<usize> {
         let base = vnet.index() * self.per_vnet();
@@ -108,29 +70,67 @@ impl VcLayout {
     }
 }
 
-/// What an unwritten ring slot holds; never read as a flit.
-pub(crate) const VACANT: Flit = Flit {
-    packet: PacketId(0),
-    kind: FlitKind::Body,
-    vnet: VnetId(0),
-    class: MsgClass::Data,
-    dst: NodeId(0),
-    route_port: Port::Local,
-    vc: 0,
-    seq: 0,
-};
+/// The link that ends a chain: no next slot, or no slot at all.
+const NIL: u16 = u16::MAX;
 
-/// One input VC's control word (8 bytes): where its ring sits in the
-/// router's flit slab, the ring's head and length, and the output its front
-/// packet won in VC allocation — meaningful while the router's `routed` bit
-/// for the VC is set.
+/// A router's buffered flits: slots that grow to the router's high-water
+/// mark of buffered flits, each VC a FIFO linked through them, and a free
+/// list (linked the same way) that recycles popped slots.
+#[derive(Debug, Clone)]
+pub(crate) struct FlitPool {
+    flits: Vec<Flit>,
+    /// Per slot, the next slot of its VC's FIFO or of the free list.
+    next: Vec<u16>,
+    /// First free slot.
+    free: u16,
+}
+
+impl FlitPool {
+    /// An empty pool, which holds no slot until a flit arrives.
+    pub fn new() -> Self {
+        FlitPool {
+            flits: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+        }
+    }
+
+    /// Checks the links against the VCs that own them: each VC's chain
+    /// holds `len` slots and ends at `tail`, no slot sits in two chains or
+    /// in a chain and the free list, and live plus free slots are all the
+    /// slots. Without a heap request: a walk that ends on a `NIL` link
+    /// revisited no slot, and chains that share a slot share their last.
+    pub fn check(&self, vcs: &[VcState]) {
+        let (mut at, mut free, mut free_last) = (self.free, 0, NIL);
+        while at != NIL {
+            free += 1;
+            assert!(free <= self.flits.len(), "free list loops");
+            (free_last, at) = (at, self.next[at as usize]);
+        }
+        let mut live = 0;
+        for (i, vc) in vcs.iter().enumerate().filter(|(_, vc)| !vc.is_empty()) {
+            let last = (1..vc.len()).fold(vc.head, |at, _| self.next[at as usize]);
+            let ends = last == vc.tail && self.next[last as usize] == NIL;
+            assert!(ends, "vc{i}: its {} slots end at its tail", vc.len());
+            let shared = vcs[i + 1..].iter().any(|o| !o.is_empty() && o.tail == last);
+            assert!(!shared && last != free_last, "vc{i}: chains share a slot");
+            live += vc.len();
+        }
+        assert_eq!(live + free, self.flits.len(), "live + free slots");
+    }
+}
+
+/// One input VC's control word (8 bytes): the first and last slot of its
+/// FIFO in the router's [`FlitPool`], its length and depth, and the output
+/// its front packet won in VC allocation — meaningful while the router's
+/// `routed` bit for the VC is set.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct VcState {
-    base: u16,
-    head: u8,
+    head: u16,
+    tail: u16,
     len: u8,
     depth: u8,
-    /// [`Port::index`] of the output the front packet won.
+    /// `Port::index` of the output the front packet won.
     pub out_port: u8,
     /// The downstream VC it won there.
     pub out_vc: u8,
@@ -139,11 +139,11 @@ pub(crate) struct VcState {
 const _: () = assert!(std::mem::size_of::<VcState>() == 8);
 
 impl VcState {
-    /// An empty VC of `depth` flits whose ring starts at slab index `base`.
-    pub fn new(base: usize, depth: usize) -> Self {
+    /// An empty VC of `depth` flits.
+    pub fn new(depth: usize) -> Self {
         VcState {
-            base: u16::try_from(base).expect("a router's slab fits u16 offsets"),
-            head: 0,
+            head: NIL,
+            tail: NIL,
             len: 0,
             depth: depth as u8,
             out_port: 0,
@@ -163,50 +163,62 @@ impl VcState {
         self.len == 0
     }
 
-    /// Appends `flit` to the ring in `slab` (the BW stage).
+    /// Appends `flit` in a free slot of `pool` (the BW stage), growing the
+    /// pool by one slot when none is free.
     ///
     /// # Panics
     ///
-    /// Panics if the ring is full — upstream credit accounting must make
+    /// Panics if the VC is full — upstream credit accounting must make
     /// this impossible.
     #[inline]
-    pub fn push(&mut self, slab: &mut [Flit], flit: Flit) {
+    pub fn push(&mut self, pool: &mut FlitPool, flit: Flit) {
         assert!(
             self.len < self.depth,
             "VC overflow: credit accounting violated"
         );
-        let mut at = self.head as usize + self.len as usize;
-        if at >= self.depth as usize {
-            at -= self.depth as usize;
+        if pool.free == NIL {
+            pool.free = pool.flits.len() as u16;
+            pool.flits.push(flit);
+            pool.next.push(NIL);
         }
-        slab[self.base as usize + at] = flit;
+        let at = pool.free;
+        pool.free = pool.next[at as usize];
+        pool.flits[at as usize] = flit;
+        pool.next[at as usize] = NIL;
+        if self.len == 0 {
+            self.head = at;
+        } else {
+            pool.next[self.tail as usize] = at;
+        }
+        self.tail = at;
         self.len += 1;
     }
 
-    /// The flit at the front of a non-empty ring.
+    /// The flit at the front of a non-empty VC.
     #[inline]
-    pub fn front<'a>(&self, slab: &'a [Flit]) -> &'a Flit {
+    pub fn front<'a>(&self, pool: &'a FlitPool) -> &'a Flit {
         debug_assert!(self.len > 0, "front of an empty VC");
-        &slab[self.base as usize + self.head as usize]
+        &pool.flits[self.head as usize]
     }
 
-    /// Removes and returns the front flit of a non-empty ring (on a
-    /// switch-allocation grant).
+    /// Removes and returns the front flit of a non-empty VC (on a
+    /// switch-allocation grant), returning its slot to the free list.
     #[inline]
-    pub fn pop(&mut self, slab: &[Flit]) -> Flit {
-        let flit = *self.front(slab);
-        self.head += 1;
-        if self.head == self.depth {
-            self.head = 0;
-        }
+    pub fn pop(&mut self, pool: &mut FlitPool) -> Flit {
+        let at = self.head as usize;
+        let flit = *self.front(pool);
+        self.head = pool.next[at];
+        pool.next[at] = pool.free;
+        pool.free = at as u16;
         self.len -= 1;
         flit
     }
 
     /// The buffered flits, front first.
-    pub fn flits<'a>(&self, slab: &'a [Flit]) -> impl Iterator<Item = &'a Flit> {
-        let (base, head, depth) = (self.base as usize, self.head as usize, self.depth as usize);
-        (0..self.len as usize).map(move |i| &slab[base + (head + i) % depth])
+    pub fn flits<'a>(&self, pool: &'a FlitPool) -> impl Iterator<Item = &'a Flit> {
+        std::iter::successors(Some(self.head), |&at| Some(pool.next[at as usize]))
+            .take(self.len())
+            .map(|at| &pool.flits[at as usize])
     }
 }
 
@@ -214,6 +226,30 @@ impl VcState {
 mod tests {
     use super::*;
     use punchsim_types::NocConfig;
+
+    impl VcLayout {
+        /// The vnet VC `idx` belongs to.
+        pub(crate) fn vnet(self, idx: usize) -> VnetId {
+            VnetId((idx / self.per_vnet()) as u8)
+        }
+
+        /// The message class VC `idx` serves.
+        pub(crate) fn class(self, idx: usize) -> MsgClass {
+            let within = idx % self.per_vnet();
+            if within < self.data_per_vnet as usize {
+                MsgClass::Data
+            } else {
+                MsgClass::Control
+            }
+        }
+    }
+
+    impl FlitPool {
+        /// Slots grown so far (live or free).
+        pub(crate) fn slots(&self) -> usize {
+            self.flits.len()
+        }
+    }
 
     fn layout() -> VcLayout {
         VcLayout::new(&NocConfig::default())
@@ -232,10 +268,6 @@ mod tests {
         assert_eq!(l.depth(2), 1);
         assert_eq!(l.vnet(5), VnetId(1));
         assert_eq!(l.vnet(8), VnetId(2));
-        // Rings back to back: 3 + 3 + 1 flits per vnet.
-        assert_eq!(l.port_flits(), 21);
-        let offsets: Vec<usize> = (0..9).map(|i| l.offset(i)).collect();
-        assert_eq!(offsets, vec![0, 3, 6, 7, 10, 13, 14, 17, 20]);
     }
 
     #[test]
@@ -260,54 +292,52 @@ mod tests {
     }
 
     fn flit(seq: u16) -> Flit {
-        Flit {
-            packet: PacketId(1),
-            kind: if seq == 0 {
-                FlitKind::Head
-            } else {
-                FlitKind::Body
-            },
-            dst: NodeId(5),
-            seq,
-            ..VACANT
-        }
+        use crate::flit::FlitKind;
+        use punchsim_types::{NodeId, PacketId};
+        let kind = if seq == 0 {
+            FlitKind::Head
+        } else {
+            FlitKind::Body
+        };
+        Flit::new(PacketId(1), kind, VnetId(0), MsgClass::Data, NodeId(5), seq)
     }
 
     #[test]
     fn vc_fifo_order() {
-        // A 3-deep ring in the middle of a slab, pushed and popped across
-        // its wrap point; its neighbours' slots are never written.
-        let mut slab = vec![VACANT; 7];
-        let mut vc = VcState::new(2, 3);
+        // Two 3-deep VCs interleaved through one pool: each keeps its own
+        // order, and popped slots are reused before the pool grows.
+        let mut pool = FlitPool::new();
+        let mut vcs = [VcState::new(3), VcState::new(3)];
         for seq in 0..3 {
-            vc.push(&mut slab, flit(seq));
+            vcs[seq as usize % 2].push(&mut pool, flit(seq));
         }
-        assert_eq!(vc.len(), 3);
-        assert_eq!(vc.pop(&slab).seq, 0);
-        assert_eq!(vc.pop(&slab).seq, 1);
-        assert_eq!(vc.front(&slab).seq, 2);
-        vc.push(&mut slab, flit(3));
-        vc.push(&mut slab, flit(4));
-        let order: Vec<u16> = vc.flits(&slab).map(|f| f.seq).collect();
+        vcs[1].push(&mut pool, flit(10));
+        pool.check(&vcs);
+        assert_eq!((vcs[0].len(), vcs[1].len(), pool.slots()), (2, 2, 4));
+        assert_eq!(vcs[0].pop(&mut pool).seq, 0);
+        assert_eq!(vcs[1].pop(&mut pool).seq, 1);
+        assert_eq!(vcs[0].front(&pool).seq, 2);
+        vcs[0].push(&mut pool, flit(3));
+        vcs[0].push(&mut pool, flit(4));
+        pool.check(&vcs);
+        assert_eq!(pool.slots(), 4, "popped slots are reused");
+        let order: Vec<u16> = vcs[0].flits(&pool).map(|f| f.seq).collect();
         assert_eq!(order, vec![2, 3, 4]);
-        assert_eq!((vc.pop(&slab).seq, vc.pop(&slab).seq), (2, 3));
-        assert_eq!(vc.front(&slab).seq, 4);
-        for i in [0, 1, 5, 6] {
-            assert_eq!(slab[i], VACANT, "slot {i}");
-        }
+        assert_eq!(
+            (vcs[0].pop(&mut pool).seq, vcs[0].pop(&mut pool).seq),
+            (2, 3)
+        );
+        assert_eq!(vcs[0].front(&pool).seq, 4);
+        assert_eq!(vcs[1].front(&pool).seq, 10);
+        pool.check(&vcs);
     }
 
     #[test]
     #[should_panic(expected = "VC overflow")]
     fn vc_overflow_panics() {
-        let mut slab = vec![VACANT; 1];
-        let mut vc = VcState::new(0, 1);
-        let f = Flit {
-            kind: FlitKind::HeadTail,
-            class: MsgClass::Control,
-            ..VACANT
-        };
-        vc.push(&mut slab, f);
-        vc.push(&mut slab, f);
+        let mut pool = FlitPool::new();
+        let mut vc = VcState::new(1);
+        vc.push(&mut pool, flit(0));
+        vc.push(&mut pool, flit(0));
     }
 }

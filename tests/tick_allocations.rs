@@ -1,6 +1,7 @@
 //! "A steady-state tick allocates nothing" — the claim `Network`'s field
 //! docs and DESIGN §17 make — measured with a counting allocator armed
-//! only inside [`Network::tick`].
+//! only inside [`Network::tick`]; the same allocator takes the heap census
+//! of building a network (DESIGN §20) and a CMP (DESIGN §19).
 //!
 //! Every per-tick collection is a flat vector the network reuses (the
 //! delivery wheels' slots, the per-shard outcome buffers, the event list),
@@ -17,19 +18,32 @@ use punchsim::core::build_power_manager;
 use punchsim::noc::{Message, MsgClass, Network};
 use punchsim::types::{Mesh, NodeId, SchemeKind, SimConfig, VnetId};
 
-thread_local! {
-    /// Heap requests on this thread while armed (`None` = not counting).
-    /// Per thread, so tests running in parallel do not see each other.
-    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+/// What the heap saw while armed: requests (fresh or growing), and the
+/// bytes they left live (allocated minus freed).
+#[derive(Debug, Clone, Copy, Default)]
+struct Heap {
+    requests: u64,
+    live: i64,
 }
 
-/// The system allocator, counting requests (fresh or growing) made while
-/// the calling thread is armed.
+thread_local! {
+    /// This thread's heap census while armed (`None` = not counting). Per
+    /// thread, so tests running in parallel do not see each other.
+    static HEAP: Cell<Option<Heap>> = const { Cell::new(None) };
+}
+
+/// The system allocator, taking the census of the calling thread while it
+/// is armed.
 struct Counting;
 
-fn note() {
+fn note(requests: u64, bytes: i64) {
     // `try_with`: the allocator also runs during thread teardown.
-    let _ = ALLOCS.try_with(|a| a.set(a.get().map(|n| n + 1)));
+    let _ = HEAP.try_with(|h| {
+        h.set(h.get().map(|h| Heap {
+            requests: h.requests + requests,
+            live: h.live + bytes,
+        }))
+    });
 }
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
@@ -37,16 +51,17 @@ fn note() {
 // thread-local storage, so touching it neither allocates nor races.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(1, layout.size() as i64);
         // SAFETY: the caller's obligations are exactly `System.alloc`'s.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(1, new_size as i64 - layout.size() as i64);
         // SAFETY: as for `dealloc`, plus the caller's `realloc` obligations.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -55,18 +70,18 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// Runs `f`; returns its result and the heap requests made inside it.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCS.set(Some(0));
+/// Runs `f`; returns its result and the heap census of the call.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Heap) {
+    HEAP.set(Some(Heap::default()));
     let r = f();
-    (r, ALLOCS.replace(None).expect("armed above"))
+    (r, HEAP.replace(None).expect("armed above"))
 }
 
 /// One tick; returns the heap requests made inside it.
 fn counted_tick(net: &mut Network) -> u64 {
-    let (r, n) = counted(|| net.tick());
+    let (r, heap) = counted(|| net.tick());
     r.expect("tick");
-    n
+    heap.requests
 }
 
 /// Sends one control packet `src -> dst` and ticks until it is delivered
@@ -135,14 +150,17 @@ fn a_second_trip_over_a_warm_route_allocates_nothing() {
     }
 }
 
-/// Router and manager state are plain data: a router is three heap blocks
-/// (flit slab, VC control words, link credits) and its NI three more,
-/// whatever the VC count — not one `VecDeque` per VC — and a power
-/// manager's gate array and punch fabric are a fixed number of planes and
-/// lists, not per-router queues. Building a 16x16 network, its manager
-/// included, and forking it (what the exhaustive checker does per
-/// expansion) each stay within 8 heap requests per router under no gating,
-/// handshake gating and Power Punch; one deque per VC made 63 and 18.
+/// Router and manager state are plain data: a new router is two heap blocks
+/// (VC control words, link credits) and its NI three more, whatever the VC
+/// count — not one `VecDeque` per VC — and a power manager's gate array and
+/// punch fabric are a fixed number of planes and lists, not per-router
+/// queues. VC buffers hold only in-flight flits (DESIGN §20): a router's
+/// flit pool grows with its first flit. Building a 32x32 network, its
+/// manager included, and forking it (what the exhaustive checker does per
+/// expansion) each stay within 8 heap requests and 1.6 KiB of heap per
+/// router under no gating, handshake gating and Power Punch. One deque per
+/// VC made 63 and 18 requests; preallocating all 105 buffer slots of every
+/// router as 24-byte flits held 4.0 KiB.
 #[test]
 fn network_new_and_try_clone_make_few_heap_requests_per_router() {
     for scheme in [
@@ -151,19 +169,21 @@ fn network_new_and_try_clone_make_few_heap_requests_per_router() {
         SchemeKind::PowerPunchFull,
     ] {
         let mut cfg = SimConfig::with_scheme(scheme);
-        cfg.noc.topology = Mesh::new(16, 16).into();
+        cfg.noc.topology = Mesh::new(32, 32).into();
         let (net, built) = counted(|| {
             let pm = build_power_manager(&cfg).unwrap();
             Network::new(&cfg.noc, pm).unwrap()
         });
         let (fork, forked) = counted(|| net.try_clone().expect("every scheme forks"));
         let routers = cfg.noc.topology.nodes() as f64;
-        for (what, requests) in [("Network::new", built), ("try_clone", forked)] {
-            let per_router = requests as f64 / routers;
+        for (what, heap) in [("Network::new", built), ("try_clone", forked)] {
+            let per_router = heap.requests as f64 / routers;
             assert!(
                 per_router <= 8.0,
                 "{scheme:?} {what}: {per_router:.1} heap requests per router"
             );
+            let kib = heap.live as f64 / routers / 1024.0;
+            assert!(kib <= 1.6, "{scheme:?} {what}: {kib:.2} KiB per router");
         }
         drop(fork);
     }
@@ -178,8 +198,8 @@ fn network_new_and_try_clone_make_few_heap_requests_per_router() {
 fn cmp_sim_new_allocates_no_cache_set() {
     let cfg = CmpConfig::new(Benchmark::Canneal, SchemeKind::PowerPunchFull);
     let tiles = cfg.sim.noc.topology.nodes() as f64;
-    let (sim, requests) = counted(|| CmpSim::new(cfg));
-    let per_tile = requests as f64 / tiles;
+    let (sim, heap) = counted(|| CmpSim::new(cfg));
+    let per_tile = heap.requests as f64 / tiles;
     assert!(per_tile <= 16.0, "{per_tile:.1} heap requests per tile");
     drop(sim);
 }
