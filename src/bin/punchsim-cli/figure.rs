@@ -279,12 +279,18 @@ fn fig07_latency(ctx: &mut Ctx) -> Result<(), String> {
     benchmark_table(runs, 0, |m, _| format!("{:.1}", m.latency));
     let base = mean(runs, 0, |m, _| m.latency);
     println!("average latency increase over No-PG (paper in parentheses):");
-    for (ix, paper) in [(1, "+69.1%"), (2, "+12.6%"), (3, "+7.9%")] {
+    let [convopt, pps, ppf] = [(1, "+69.1%"), (2, "+12.6%"), (3, "+7.9%")].map(|(ix, paper)| {
         let avg = mean(runs, ix, |m, _| m.latency);
         let up = (avg / base - 1.0) * 100.0;
         println!("  {:<18} {up:+.1}%   (paper {paper})", label(ix));
-    }
-    Ok(())
+        up
+    });
+    ensure((60.0..=80.0).contains(&convopt), || {
+        format!("ConvOpt-PG's increase {convopt:+.1}% is outside +60..+80% (paper +69.1%)")
+    })?;
+    ensure(ppf < pps && pps < convopt, || {
+        format!("latency must order PP-PG < PP-S < ConvOpt-PG: {ppf:+.1}% / {pps:+.1}% / {convopt:+.1}%")
+    })
 }
 
 fn fig08_exec_time(ctx: &mut Ctx) -> Result<(), String> {
@@ -472,28 +478,33 @@ fn fig12_sweeps(ctx: &mut Ctx) -> Result<(), String> {
 
 fn fig13_sensitivity(ctx: &mut Ctx) -> Result<(), String> {
     let grid = [(3u8, [6u32, 8, 10]), (4u8, [8, 10, 12])];
-    let points = grid.into_iter().flat_map(|(stages, wakeups)| {
-        wakeups.map(|wakeup| {
-            let tweak = |cfg: &mut SimConfig| {
-                cfg.noc.router_stages = stages;
-                cfg.power.wakeup_latency = wakeup;
-                cfg.power.punch_hops = 3;
-            };
-            let exps = THREE.map(|scheme| Exp::uniform(scheme, PARSEC_LOAD, tweak));
-            (format!("{stages}-stage|{wakeup}"), exps.into())
-        })
+    let grid = grid
+        .into_iter()
+        .flat_map(|(stages, wakeups)| wakeups.map(|w| (stages, w)));
+    let points = grid.clone().map(|(stages, wakeup)| {
+        let tweak = |cfg: &mut SimConfig| {
+            cfg.noc.router_stages = stages;
+            cfg.power.wakeup_latency = wakeup;
+            cfg.power.punch_hops = 3;
+        };
+        let exps = THREE.map(|scheme| Exp::uniform(scheme, PARSEC_LOAD, tweak));
+        (format!("{stages}-stage|{wakeup}"), exps.into())
     });
-    synth_table(
+    let over = |r: &[NetworkReport]| r[2].avg_packet_latency() / r[0].avg_packet_latency() - 1.0;
+    let reports = synth_table(
         ctx.opts.size,
         "router|Twakeup|No-PG|ConvOpt-PG|PowerPunch-PG|PP-PG vs No-PG",
         points,
         &[&LATENCY],
-        Some(&|r| {
-            let over = r[2].avg_packet_latency() / r[0].avg_packet_latency() - 1.0;
-            format!("{:+.1}%", over * 100.0)
-        }),
-    )
-    .map(drop)
+        Some(&|r| format!("{:+.1}%", over(r) * 100.0)),
+    )?;
+    let worst = grid
+        .zip(&reports)
+        .max_by(|a, b| over(a.1).total_cmp(&over(b.1)));
+    let worst = worst.map(|(point, _)| point);
+    ensure(worst == Some((3, 10)), || {
+        format!("PP-PG's largest gap to No-PG must be at 3-stage / Twakeup=10, not {worst:?}")
+    })
 }
 
 /// The 32x32 and 64x64 rows extrapolate past the paper's largest mesh: they
