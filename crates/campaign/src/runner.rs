@@ -319,18 +319,17 @@ mod tests {
 
     #[test]
     fn panicking_spec_is_isolated() {
-        // A turn-model router on a torus fails `SimConfig::validate`, which
-        // the traffic harness `expect`s — a poisoned spec that panics. A
-        // negative rate is checked before construction and comes back as a
-        // typed error. The neighbours of both must still complete.
-        let mut cyclic = small_spec(1, 0.02);
-        if let Workload::Synthetic { topo, routing, .. } = &mut cyclic.workload {
-            *topo = punchsim_types::Torus::new(4, 4).into();
-            *routing = RoutingKind::WestFirst;
+        // A hotspot outside the mesh trips the traffic harness's in-mesh
+        // `expect` — a poisoned spec that panics. A negative rate is checked
+        // before construction and comes back as a typed error. The
+        // neighbours of both must still complete.
+        let mut poisoned = small_spec(1, 0.02);
+        if let Workload::Synthetic { pattern, .. } = &mut poisoned.workload {
+            *pattern = TrafficPattern::Hotspot(punchsim_types::NodeId(99));
         }
         let specs = vec![
             small_spec(0, 0.02),
-            cyclic,
+            poisoned,
             small_spec(2, -1.0),
             small_spec(3, 0.02),
         ];
@@ -345,7 +344,7 @@ mod tests {
         let err = outcomes[1].error().expect("poisoned spec must fail");
         assert_eq!(err.id, specs[1].id());
         match &err.kind {
-            RunErrorKind::Panic(m) => assert!(m.contains("invalid SimConfig"), "{m}"),
+            RunErrorKind::Panic(m) => assert!(m.contains("in-mesh"), "{m}"),
             other => panic!("expected a panic error, got {other:?}"),
         }
         match &outcomes[2].error().expect("bad rate must fail").kind {

@@ -229,9 +229,7 @@ impl RunSpec {
     /// Same as [`RunSpec::execute`], plus the typed shard-count errors of
     /// `Network::set_shards`.
     pub fn execute_observed(&self, opts: ObserveOpts, shards: usize) -> Result<Observed, SimError> {
-        // Per-scheme model: identical to `default_45nm()` for every scheme
-        // with the BASELINE power profile, so historical artifacts hold.
-        let pm = PowerModel::for_scheme(self.scheme);
+        let pm = PowerModel::default_45nm();
         match &self.workload {
             Workload::Parsec {
                 benchmark,
@@ -642,7 +640,7 @@ mod tests {
     fn every_registered_scheme_executes_under_its_tag() {
         // The campaign layer must accept every registry tag: ids embed
         // the tag, and the spec must simulate end to end for every
-        // scheme, rivals included.
+        // scheme.
         for scheme in SchemeKind::ALL {
             let spec = RunSpec {
                 scheme,

@@ -8,7 +8,7 @@
 
 use punchsim_cmp::Benchmark;
 use punchsim_traffic::TrafficPattern::{self, Transpose, UniformRandom};
-use punchsim_types::RoutingKind::{self, WestFirst, Xy, Yx};
+use punchsim_types::RoutingKind::{self, Xy, Yx};
 use punchsim_types::SchemeKind::{self, *};
 use punchsim_types::{Mesh, Torus};
 
@@ -116,12 +116,8 @@ pub const SUITES: &[Suite] = &[
     // torus-vs-mesh recipe.
     Suite {
         name: "substrate",
-        help: "torus / YX / west-first sweep",
-        substrates: &[
-            (true, 8, 8, Xy),
-            (false, 8, 8, Yx),
-            (false, 8, 8, WestFirst),
-        ],
+        help: "torus / YX sweep",
+        substrates: &[(true, 8, 8, Xy), (false, 8, 8, Yx)],
         patterns: &[UniformRandom, Transpose],
         ..POINT
     },
@@ -136,15 +132,6 @@ pub const SUITES: &[Suite] = &[
         schemes: &[NoPg, ConvOptPg, PowerPunchFull],
         measure: [40_000, 12_000],
         warmup_div: 8,
-        ..POINT
-    },
-    // Cold start (circuit set-up vs. punch-ahead) at the low load, steady
-    // state (reuse vs. deflections) at the high; EXPERIMENTS.md's "rivals".
-    Suite {
-        name: "rivals",
-        help: "Power Punch vs. SDM circuits vs. ring router",
-        rates: &[0.002, 0.02],
-        schemes: &[NoPg, PowerPunchFull, SdmCircuit, RingRouter],
         ..POINT
     },
     // `bench/baseline_schemes.json` is this suite at `Size::Smoke`: adding
@@ -223,7 +210,7 @@ mod tests {
     /// hand-unrolled builders this table replaced: the spec lists behind
     /// every `bench/` baseline and store entry. Nothing else pins
     /// `fastpath`, `busy` or any full size.
-    const RECORDED: [(&str, [(usize, u64); 2]); 8] = [
+    const RECORDED: [(&str, [(usize, u64); 2]); 7] = [
         (
             "parsec",
             [(32, 0xeb4fa2cbe74fae3a), (32, 0xfcc3fd84937b5b47)],
@@ -239,10 +226,9 @@ mod tests {
         ),
         (
             "substrate",
-            [(24, 0xa163678215096ab2), (24, 0xb8fe0ce5a124fb59)],
+            [(16, 0xecb1693379a067ce), (16, 0x74dcbc86e82773d7)],
         ),
         ("busy", [(6, 0xaafa3cd11731c888), (6, 0x742b1fa2abcb0ba2)]),
-        ("rivals", [(8, 0xd1caff1467e85045), (8, 0x4b34d90746a54748)]),
         (
             "schemes",
             [(5, 0xe375a2b9e3244721), (5, 0x57a39eb943ede4c3)],
@@ -281,7 +267,7 @@ mod tests {
         assert_eq!(specs("ci"), [specs("parsec"), specs("synth")].concat());
         // Every id names its substrate: no two substrates collide.
         let substrate = ids(&specs("substrate"));
-        for tag in ["/torus8x8/", "/8x8-yx/", "/8x8-wf/"] {
+        for tag in ["/torus8x8/", "/8x8-yx/"] {
             assert!(substrate.iter().any(|i| i.contains(tag)), "{tag}");
         }
         for s in &specs("fastpath") {
@@ -296,11 +282,6 @@ mod tests {
             // latency so the network never goes quiescent.
             let (rate, nodes) = synthetic(s);
             assert!(rate * nodes >= 0.1, "busy runs keep packets in flight");
-        }
-        for rival in SchemeKind::RIVALS {
-            assert!(specs("rivals").iter().any(|s| s.scheme == rival));
-            // Rival schemes have no historical baseline to drift from.
-            assert!(specs("schemes").iter().all(|s| s.scheme != rival));
         }
     }
 

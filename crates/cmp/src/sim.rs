@@ -460,8 +460,8 @@ mod tests {
 
     #[test]
     fn completes_under_every_scheme() {
-        // Every registered scheme, including the rival baselines, must
-        // carry the full-system MESI protocol to completion.
+        // Every registered scheme must carry the full-system MESI protocol
+        // to completion.
         for scheme in SchemeKind::ALL {
             let r = CmpSim::new(small_cfg(scheme)).run();
             assert!(r.completed, "{scheme} hangs");

@@ -40,13 +40,11 @@ pub mod manager;
 pub mod punch;
 #[cfg(test)]
 mod punch_reference;
-pub mod rivals;
 
 pub use codebook::{Codebook, LinkCodebook};
 pub use gating::GateArray;
 pub use manager::{ConvPgManager, PowerPunchManager};
 pub use punch::{PunchFabric, PunchSet};
-pub use rivals::{RingRouterManager, SdmCircuitManager};
 
 use faults::FaultInjector;
 use punchsim_noc::{AlwaysOn, PowerManager};
@@ -58,9 +56,9 @@ use punchsim_types::{SchemeKind, SimConfig, SimError};
 /// [`SchemeKind`] to the constructor of its manager; it is exhaustive, so a
 /// new variant does not compile until it has an arm. Everything else that
 /// is indexed by scheme — the CLI `--scheme` parser, `list-schemes`,
-/// campaign tags, the verify scenario factory, cmp's scheme table and the
-/// power/area models — is derived from the [`SchemeKind::METAS`] row (tag,
-/// paper label, description, power profile). Adding a scheme therefore
+/// campaign tags, the verify scenario factory and cmp's scheme table — is
+/// derived from the [`SchemeKind::METAS`] row (tag, paper label,
+/// description). Adding a scheme therefore
 /// means: one enum variant, one `METAS` row, one arm here.
 ///
 /// When `cfg.faults` activates any fault mechanism, the scheme's manager is
@@ -82,8 +80,6 @@ pub fn build_power_manager(cfg: &SimConfig) -> Result<Box<dyn PowerManager>, Sim
             Box::new(PowerPunchManager::new(view, &cfg.power, hop, false))
         }
         SchemeKind::PowerPunchFull => Box::new(PowerPunchManager::new(view, &cfg.power, hop, true)),
-        SchemeKind::SdmCircuit => Box::new(SdmCircuitManager::new(view, &cfg.power, hop)),
-        SchemeKind::RingRouter => Box::new(RingRouterManager::new(nodes)),
     };
     if cfg.faults.is_active() {
         let inj = FaultInjector::new(base, &cfg.faults, cfg.noc.topology)?;

@@ -483,7 +483,6 @@ impl Network {
         reg.inc("wu_retries_total", pg.wu_retries);
         reg.inc("escalations_total", pg.escalations);
         reg.inc("faults_injected_total", pg.faults_injected);
-        reg.inc("deflections_total", pg.deflections);
         reg.hist_mut("packet_latency_cycles")
             .merge(&stats.latency_hist);
         let (w, h) = (

@@ -143,10 +143,6 @@ pub struct PgCounters {
     /// injector): dropped/corrupted/delayed sideband events and stuck-off
     /// epochs.
     pub faults_injected: u64,
-    /// Bufferless-router deflections: head flits that lost a same-cycle
-    /// latch arbitration and were bounced onto a longer path (0 for every
-    /// buffered scheme).
-    pub deflections: u64,
 }
 
 impl PgCounters {
@@ -165,7 +161,6 @@ impl PgCounters {
             wu_retries: 0,
             escalations: 0,
             faults_injected: 0,
-            deflections: 0,
         }
     }
 
@@ -219,7 +214,6 @@ impl PgCounters {
         self.wu_retries = 0;
         self.escalations = 0;
         self.faults_injected = 0;
-        self.deflections = 0;
     }
 }
 

@@ -6,13 +6,6 @@
 //! constants: the paper's router layout (451 um x 451 um at 45 nm), link
 //! wiring proportional to bit count, and a small per-bit relay-logic cost.
 
-use punchsim_types::SchemeKind;
-
-/// Fraction of a buffered router's layout occupied by its input buffers
-/// (DSENT-style split at 45 nm) — the area a bufferless ring router
-/// reclaims.
-const BUFFER_AREA_FRACTION: f64 = 0.35;
-
 /// First-order NoC area model at 45 nm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AreaModel {
@@ -39,23 +32,6 @@ impl AreaModel {
             link_bits: 128,
             per_punch_bit_logic_um2: 60.0,
             punch_controller_um2: 900.0,
-        }
-    }
-
-    /// The 45 nm model adjusted for a scheme's router microarchitecture:
-    /// schemes registered as bufferless (per their
-    /// [`punchsim_types::SchemePowerProfile`]) shed the input-buffer share
-    /// of the router layout. Buffered schemes — all five of the paper's
-    /// figures — get a model identical to [`AreaModel::default_45nm`].
-    pub fn for_scheme(scheme: SchemeKind) -> Self {
-        let base = Self::default_45nm();
-        if scheme.power_profile().buffered {
-            base
-        } else {
-            AreaModel {
-                router_um2: base.router_um2 * (1.0 - BUFFER_AREA_FRACTION),
-                ..base
-            }
         }
     }
 
@@ -101,25 +77,6 @@ mod tests {
     fn h4_costs_more_than_h3() {
         let m = AreaModel::default_45nm();
         assert!(m.punch_overhead(8, 3) > m.punch_overhead(5, 2));
-    }
-
-    #[test]
-    fn buffered_schemes_keep_the_default_area_model() {
-        let base = AreaModel::default_45nm();
-        for k in SchemeKind::ALL {
-            if k.power_profile().buffered {
-                assert_eq!(AreaModel::for_scheme(k), base, "{k} area drifted");
-            }
-        }
-    }
-
-    #[test]
-    fn bufferless_ring_router_is_smaller() {
-        let base = AreaModel::default_45nm();
-        let ring = AreaModel::for_scheme(SchemeKind::RingRouter);
-        assert!(ring.router_um2 < base.router_um2);
-        assert_eq!(ring.per_link_bit_um2, base.per_link_bit_um2);
-        assert!(ring.baseline_tile_um2() < base.baseline_tile_um2());
     }
 
     #[test]

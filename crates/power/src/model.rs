@@ -94,29 +94,11 @@ impl PowerModel {
         }
     }
 
-    /// The 45 nm model adjusted for a scheme's microarchitecture, per the
-    /// scheme's registered [`SchemePowerProfile`]: a bufferless ring
-    /// router leaks less (no buffer leakage) and spends less per-flit
-    /// buffer energy but pays extra link energy for deflected hops; an
-    /// SDM circuit router moves established-circuit flits through cheap
-    /// pre-configured lanes.
-    ///
-    /// Every scheme whose profile is `SchemePowerProfile::BASELINE` — all
-    /// five schemes of the paper's figures — gets a model bit-identical to
-    /// [`PowerModel::default_45nm`] (the scales are exactly `1.0`), which
-    /// keeps historical BENCH artifacts byte-stable.
-    ///
-    /// [`SchemePowerProfile`]: punchsim_types::SchemePowerProfile
-    pub fn for_scheme(scheme: SchemeKind) -> Self {
-        let p = scheme.power_profile();
-        let base = Self::default_45nm();
-        PowerModel {
-            router_static_pj_per_cycle: base.router_static_pj_per_cycle * p.static_scale,
-            buffer_write_pj: base.buffer_write_pj * p.buffer_dynamic_scale,
-            buffer_read_pj: base.buffer_read_pj * p.buffer_dynamic_scale,
-            link_pj: base.link_pj + p.extra_link_pj,
-            ..base
-        }
+    /// [`PowerModel::default_45nm`]: every scheme runs on the paper's
+    /// buffered VC router. Kept because the benchmark harness in `perf/`
+    /// names it.
+    pub fn for_scheme(_: SchemeKind) -> Self {
+        Self::default_45nm()
     }
 
     /// Computes the energy breakdown of a measured window.
@@ -243,41 +225,6 @@ mod tests {
         let b = m.breakdown(&r);
         let expected = 2.0 * 12.0 + 2.0 * 10.0 + 2.0 * 15.0 + 3.0 * 1.0 + 3.0 * 12.0 + 4.0 * 5.0;
         assert!((b.dynamic_pj - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn baseline_profiles_reproduce_default_model_exactly() {
-        // The five schemes of the paper's figures must keep byte-stable
-        // BENCH artifacts: their per-scheme model is the default model,
-        // bit for bit.
-        let base = PowerModel::default_45nm();
-        for k in [
-            SchemeKind::NoPg,
-            SchemeKind::ConvPg,
-            SchemeKind::ConvOptPg,
-            SchemeKind::PowerPunchSignal,
-            SchemeKind::PowerPunchFull,
-        ] {
-            assert_eq!(PowerModel::for_scheme(k), base, "{k} model drifted");
-        }
-    }
-
-    #[test]
-    fn rival_profiles_shift_the_model() {
-        let base = PowerModel::default_45nm();
-        let ring = PowerModel::for_scheme(SchemeKind::RingRouter);
-        // No buffers: less leakage and cheaper per-flit buffer energy, but
-        // deflections make link traversals pricier.
-        assert!(ring.router_static_pj_per_cycle < base.router_static_pj_per_cycle);
-        assert!(ring.buffer_write_pj < base.buffer_write_pj);
-        assert!(ring.link_pj > base.link_pj);
-        let sdm = PowerModel::for_scheme(SchemeKind::SdmCircuit);
-        // Established circuits skip buffering; leakage is unchanged.
-        assert_eq!(
-            sdm.router_static_pj_per_cycle,
-            base.router_static_pj_per_cycle
-        );
-        assert!(sdm.buffer_read_pj < base.buffer_read_pj);
     }
 
     #[test]

@@ -25,57 +25,12 @@ pub enum SchemeKind {
     /// Full Power Punch: multi-hop punch signals plus injection-node slack —
     /// `PowerPunch-PG`.
     PowerPunchFull,
-    /// Rival baseline: SDM-based circuit switching ("Ultra Low-Power
-    /// SDM-based Circuit-Switching for NoCs"). A setup request walks the
-    /// route ahead of the head flit; once the circuit is established, its
-    /// routers are bypassed — data flows through the pre-configured SDM
-    /// lanes while the router control plane stays gated off.
-    SdmCircuit,
-    /// Rival baseline: bufferless ring-style router ("A Ring Router
-    /// Microarchitecture for NoCs"). Removes the input buffers leakage
-    /// comes from; contention costs deflection/latching latency instead of
-    /// buffering.
-    RingRouter,
 }
 
-/// Per-scheme knobs for the analytical power/area models. The paper's
-/// schemes all use [`SchemePowerProfile::BASELINE`] (every scale exactly
-/// `1.0`), which keeps their energy numbers bit-identical to the historic
-/// `default_45nm` model; rivals deviate where their microarchitecture
-/// differs from the paper's buffered VC router.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SchemePowerProfile {
-    /// Scale on per-cycle router leakage. The bufferless ring router
-    /// removes the input buffers, which hold the dominant share of router
-    /// leakage at 45 nm.
-    pub static_scale: f64,
-    /// Scale on buffer read/write dynamic energy. SDM circuits bypass VC
-    /// buffering once established; the ring router replaces buffers with
-    /// pipeline latches.
-    pub buffer_dynamic_scale: f64,
-    /// Extra dynamic energy per link traversal, in pJ — the ring router's
-    /// deflection/latching cost paid on every hop.
-    pub extra_link_pj: f64,
-    /// Whether the router keeps packet buffers at all (drives the area
-    /// model: a bufferless router is substantially smaller).
-    pub buffered: bool,
-}
-
-impl SchemePowerProfile {
-    /// The paper's buffered VC router: all scales neutral.
-    pub const BASELINE: SchemePowerProfile = SchemePowerProfile {
-        static_scale: 1.0,
-        buffer_dynamic_scale: 1.0,
-        extra_link_pj: 0.0,
-        buffered: true,
-    };
-}
-
-/// One scheme's metadata: the stable tag, the paper-legend label, a
-/// one-line description, and the power-model parameters. This table
-/// ([`SchemeKind::METAS`]) is **the** single place scheme identity data
-/// lives — parsing, `Display`, CLI help, artifact ids and the power model
-/// all derive from it. The one scheme → `PowerManager` mapping is the
+/// One scheme's metadata: the stable tag, the paper-legend label and a
+/// one-line description. This table ([`SchemeKind::METAS`]) is **the**
+/// single place scheme identity data lives — parsing, `Display`, CLI help
+/// and artifact ids all derive from it. The one scheme → `PowerManager` mapping is the
 /// `match` in `punchsim_core::build_power_manager`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeMeta {
@@ -87,20 +42,16 @@ pub struct SchemeMeta {
     pub label: &'static str,
     /// One-line description for `punchsim-cli list-schemes`.
     pub description: &'static str,
-    /// Power/area-model parameters.
-    pub power: SchemePowerProfile,
 }
 
 impl SchemeKind {
     /// Every scheme, in [`SchemeKind::METAS`] order.
-    pub const ALL: [SchemeKind; 7] = [
+    pub const ALL: [SchemeKind; 5] = [
         SchemeKind::NoPg,
         SchemeKind::ConvPg,
         SchemeKind::ConvOptPg,
         SchemeKind::PowerPunchSignal,
         SchemeKind::PowerPunchFull,
-        SchemeKind::SdmCircuit,
-        SchemeKind::RingRouter,
     ];
 
     /// The four schemes evaluated in the paper's figures, in figure order.
@@ -111,82 +62,38 @@ impl SchemeKind {
         SchemeKind::PowerPunchFull,
     ];
 
-    /// The structurally different rival baselines (ROADMAP item 3): not in
-    /// the paper's figures, never added to [`SchemeKind::EVALUATED`] (the
-    /// checked-in BENCH baselines key on that set staying fixed).
-    pub const RIVALS: [SchemeKind; 2] = [SchemeKind::SdmCircuit, SchemeKind::RingRouter];
-
     /// The scheme table: one entry per scheme, in [`SchemeKind::ALL`] order. Tags are **forever** — cached campaign
     /// results and checked-in baselines key on them; never rename one.
-    pub const METAS: [SchemeMeta; 7] = [
+    pub const METAS: [SchemeMeta; 5] = [
         SchemeMeta {
             kind: SchemeKind::NoPg,
             tag: "nopg",
             label: "No-PG",
             description: "all routers always on; the paper's no-power-gating baseline",
-            power: SchemePowerProfile::BASELINE,
         },
         SchemeMeta {
             kind: SchemeKind::ConvPg,
             tag: "conv",
             label: "Conv-PG",
             description: "conventional power-gating: the WU handshake wakes routers on demand",
-            power: SchemePowerProfile::BASELINE,
         },
         SchemeMeta {
             kind: SchemeKind::ConvOptPg,
             tag: "convopt",
             label: "ConvOpt-PG",
             description: "conventional PG plus idle-timeout filter and one-hop early wakeup",
-            power: SchemePowerProfile::BASELINE,
         },
         SchemeMeta {
             kind: SchemeKind::PowerPunchSignal,
             tag: "pps",
             label: "PowerPunch-Signal",
             description: "multi-hop punch signals only, no injection-node slack (paper 4.1)",
-            power: SchemePowerProfile::BASELINE,
         },
         SchemeMeta {
             kind: SchemeKind::PowerPunchFull,
             tag: "ppf",
             label: "PowerPunch-PG",
             description: "punch signals plus NI slack 1/2; the paper's full scheme (4.2)",
-            power: SchemePowerProfile::BASELINE,
-        },
-        SchemeMeta {
-            kind: SchemeKind::SdmCircuit,
-            tag: "sdm",
-            label: "SDM-Circuit",
-            description: "SDM circuit switching: setup walks ahead, established circuits \
-                          bypass gated-off routers",
-            power: SchemePowerProfile {
-                // Router leakage is unchanged — savings come from circuits
-                // letting the control plane stay gated while data flows.
-                static_scale: 1.0,
-                // Established circuits bypass VC buffering; most flits ride
-                // the pre-configured lanes.
-                buffer_dynamic_scale: 0.4,
-                extra_link_pj: 0.0,
-                buffered: true,
-            },
-        },
-        SchemeMeta {
-            kind: SchemeKind::RingRouter,
-            tag: "ring",
-            label: "Ring-Router",
-            description: "bufferless ring-style router: no buffer leakage, deflection \
-                          latency instead of buffering",
-            power: SchemePowerProfile {
-                // Input buffers hold the dominant share of router leakage
-                // at 45 nm; removing them leaves crossbar + control.
-                static_scale: 0.45,
-                // Pipeline latches replace buffer reads/writes.
-                buffer_dynamic_scale: 0.35,
-                // Deflection/latching cost per hop.
-                extra_link_pj: 3.0,
-                buffered: false,
-            },
         },
     ];
 
@@ -207,11 +114,6 @@ impl SchemeKind {
     /// campaign results and checked-in baselines key on them.
     pub fn tag(self) -> &'static str {
         self.meta().tag
-    }
-
-    /// The power/area-model parameter hook for this scheme.
-    pub fn power_profile(self) -> &'static SchemePowerProfile {
-        &self.meta().power
     }
 
     /// Parses a [`SchemeKind::tag`] back into a scheme.
@@ -353,7 +255,6 @@ impl NocConfig {
         if self.data_packet_flits == 0 || self.ctrl_packet_flits == 0 {
             return Err(ConfigError::EmptyPacket);
         }
-        self.routing.validate_on(self.topology)?;
         Ok(())
     }
 }
@@ -630,26 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_routing_on_torus_is_rejected() {
-        use crate::topology::Torus;
-        let mut c = NocConfig {
-            topology: Torus::new(8, 8).into(),
-            routing: RoutingKind::WestFirst,
-            ..NocConfig::default()
-        };
-        assert!(matches!(
-            c.validate(),
-            Err(ConfigError::CyclicRouting { .. })
-        ));
-        c.routing = RoutingKind::Yx;
-        c.validate().unwrap();
-        // Any turn model is fine on an acyclic mesh substrate.
-        c.topology = Mesh::new(8, 8).into();
-        c.routing = RoutingKind::WestFirst;
-        c.validate().unwrap();
-    }
-
-    #[test]
     fn validation_errors_are_typed() {
         let c = NocConfig {
             vnets: 0,
@@ -810,26 +691,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pre_existing_schemes_keep_baseline_power_profile() {
-        // The historic five schemes must keep the exactly-neutral profile:
-        // the 45 nm power model multiplies by these scales, and any value
-        // other than literal 1.0/0.0 would drift the checked-in BENCH
-        // baselines' energy fields.
-        for s in [
-            SchemeKind::NoPg,
-            SchemeKind::ConvPg,
-            SchemeKind::ConvOptPg,
-            SchemeKind::PowerPunchSignal,
-            SchemeKind::PowerPunchFull,
-        ] {
-            assert_eq!(*s.power_profile(), SchemePowerProfile::BASELINE);
-        }
-        // Rivals differ from the baseline router where their hardware does.
-        assert!(SchemeKind::RingRouter.power_profile().static_scale < 1.0);
-        assert!(!SchemeKind::RingRouter.power_profile().buffered);
-        assert!(SchemeKind::SdmCircuit.power_profile().buffer_dynamic_scale < 1.0);
     }
 }

@@ -15,7 +15,7 @@
 //! All three fold into [`SimError`], the error type returned by fallible
 //! network operations.
 
-use crate::{Cycle, NodeId, PacketId, VnetId};
+use crate::{Cycle, NodeId, PacketId, SchemeKind, VnetId};
 
 /// A statically invalid configuration value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,15 +78,6 @@ pub enum ConfigError {
     BadInjectionRate {
         /// The offending rate as given (`f64` has no `Eq`).
         rate: String,
-    },
-    /// The routing function's turn model admits cycles on the chosen
-    /// topology (e.g. a non-dimension-ordered turn model on a torus, whose
-    /// wrap links close rings no turn restriction can break).
-    CyclicRouting {
-        /// Routing function name.
-        routing: &'static str,
-        /// Topology kind name.
-        topology: &'static str,
     },
     /// A scheme tag/label did not match any registered scheme.
     UnknownScheme {
@@ -157,19 +148,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadInjectionRate { rate } => {
                 write!(f, "injection rate must be a finite number >= 0, got {rate}")
             }
-            ConfigError::CyclicRouting { routing, topology } => {
-                write!(
-                    f,
-                    "routing {routing} admits cycles on a {topology} \
-                     (only dimension-ordered routing is deadlock-free there)"
-                )
-            }
             ConfigError::UnknownScheme { input } => {
-                write!(
-                    f,
-                    "unknown scheme {input:?} (see `punchsim-cli list-schemes` \
-                     for the registered tags)"
-                )
+                let tags = SchemeKind::METAS.map(|m| m.tag).join(", ");
+                write!(f, "unknown scheme {input:?} ({tags})")
             }
             ConfigError::ZeroShards => {
                 write!(f, "sharded ticking needs at least 1 shard (--shards 0)")

@@ -32,8 +32,8 @@ pub mod topology;
 
 pub use choice::FaultChoice;
 pub use config::{
-    FaultConfig, NocConfig, PowerConfig, SchemeKind, SchemeMeta, SchemePowerProfile, SimConfig,
-    StuckEpoch, WatchdogConfig,
+    FaultConfig, NocConfig, PowerConfig, SchemeKind, SchemeMeta, SimConfig, StuckEpoch,
+    WatchdogConfig,
 };
 pub use direction::{Direction, Port, PortMap};
 pub use error::{BlockedPacket, ConfigError, InvariantViolation, SimError, StallReport};

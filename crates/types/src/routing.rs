@@ -9,9 +9,9 @@
 //! module expresses routing as exactly that contract:
 //!
 //! * [`RoutingKind`] — the storable turn models: dimension-ordered XY and
-//!   YX plus west-first. Each plans a route as one X run and one Y run in
-//!   its own order ([`RoutingKind::segments`]) and states which turns it
-//!   allows ([`RoutingKind::turn_legal`]);
+//!   YX. Each plans a route as one X run and one Y run in its own order
+//!   ([`RoutingKind::segments`]) and states which turns it allows
+//!   ([`RoutingKind::turn_legal`]);
 //! * [`RouteView`] — the `Copy` bundle of substrate + routing that the
 //!   punch fabric, codebook enumeration and power managers thread around.
 //!   Output ports, punch targets and implied-target checks are derived
@@ -19,7 +19,6 @@
 //!   walking).
 
 use crate::direction::Direction;
-use crate::error::ConfigError;
 use crate::geometry::Mesh;
 use crate::topology::Substrate;
 use crate::NodeId;
@@ -34,14 +33,13 @@ pub enum RoutingKind {
     /// Dimension-ordered Y-then-X (forbids `X->Y`; transposes the punch
     /// codeword widths).
     Yx,
-    /// West-first turn model: all westward travel happens first; turning
-    /// *into* West is forbidden.
-    WestFirst,
 }
 
 impl RoutingKind {
-    /// Every supported routing function, in stable order.
-    pub const ALL: [RoutingKind; 3] = [RoutingKind::Xy, RoutingKind::Yx, RoutingKind::WestFirst];
+    /// Every supported routing function, in stable order. Both are legal on
+    /// every substrate: the torus's straight rings are handled by the
+    /// multi-VC vnet layout.
+    pub const ALL: [RoutingKind; 2] = [RoutingKind::Xy, RoutingKind::Yx];
 
     /// Stable tag used in artifact ids, content hashes and CLI parsing.
     /// Never rename a tag: artifact names and baselines depend on them.
@@ -49,48 +47,12 @@ impl RoutingKind {
         match self {
             RoutingKind::Xy => "xy",
             RoutingKind::Yx => "yx",
-            RoutingKind::WestFirst => "wf",
         }
     }
 
-    /// Parses a [`RoutingKind::tag`] (long CLI spellings included).
+    /// Parses a [`RoutingKind::tag`].
     pub fn from_tag(tag: &str) -> Option<RoutingKind> {
-        Some(match tag {
-            "xy" => RoutingKind::Xy,
-            "yx" => RoutingKind::Yx,
-            "wf" | "westfirst" | "west-first" => RoutingKind::WestFirst,
-            _ => return None,
-        })
-    }
-
-    /// Human-readable name for errors and help text.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RoutingKind::Xy => "XY",
-            RoutingKind::Yx => "YX",
-            RoutingKind::WestFirst => "west-first",
-        }
-    }
-
-    /// Checks that this turn model is deadlock-free on `topo`.
-    ///
-    /// Turn models break cycles by forbidding turns, which works on the
-    /// mesh's acyclic channel graph. A torus closes every row and column
-    /// into a ring that no turn restriction can cut, so only
-    /// dimension-ordered routing — whose straight rings are handled by the
-    /// multi-VC vnet layout — is admitted there.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::CyclicRouting`] for a forbidden combination.
-    pub fn validate_on(&self, topo: Substrate) -> Result<(), ConfigError> {
-        if topo.wraps() && !matches!(self, RoutingKind::Xy | RoutingKind::Yx) {
-            return Err(ConfigError::CyclicRouting {
-                routing: self.name(),
-                topology: topo.kind_name(),
-            });
-        }
-        Ok(())
+        Self::ALL.into_iter().find(|r| r.tag() == tag)
     }
 }
 
@@ -129,9 +91,6 @@ impl RoutingKind {
         let x_first = match self {
             RoutingKind::Xy => true,
             RoutingKind::Yx => false,
-            // Westward travel first; otherwise Y before East, so the route
-            // never turns into West.
-            RoutingKind::WestFirst => x.0 == Direction::West,
         };
         if x_first {
             [x, y]
@@ -153,7 +112,6 @@ impl RoutingKind {
         match self {
             RoutingKind::Xy => !(incoming.is_y() && outgoing.is_x()),
             RoutingKind::Yx => !(incoming.is_x() && outgoing.is_y()),
-            RoutingKind::WestFirst => outgoing != Direction::West,
         }
     }
 }
@@ -395,7 +353,7 @@ mod tests {
         assert!(v.routing.turn_legal(South, East));
     }
 
-    /// Every routing kind, on every substrate it admits: the planned
+    /// Every routing kind, on every substrate: the planned
     /// segments form a minimal, turn-legal, prefix-consistent route.
     #[test]
     fn all_kinds_plan_minimal_legal_routes() {
@@ -406,9 +364,6 @@ mod tests {
         ];
         for topo in topos {
             for kind in RoutingKind::ALL {
-                if kind.validate_on(topo).is_err() {
-                    continue;
-                }
                 for a in topo.iter_nodes() {
                     for b in topo.iter_nodes() {
                         let v = RouteView::new(topo, kind);
@@ -446,9 +401,6 @@ mod tests {
         let topos: Vec<Substrate> = vec![Mesh::new(5, 4).into(), Torus::new(4, 4).into()];
         for topo in topos {
             for kind in RoutingKind::ALL {
-                if kind.validate_on(topo).is_err() {
-                    continue;
-                }
                 let v = RouteView::new(topo, kind);
                 for a in topo.iter_nodes() {
                     for b in topo.iter_nodes() {
@@ -486,27 +438,10 @@ mod tests {
     }
 
     #[test]
-    fn cyclic_combinations_are_rejected() {
-        let torus: Substrate = Torus::new(4, 4).into();
-        let mesh: Substrate = Mesh::new(4, 4).into();
-        assert!(matches!(
-            RoutingKind::WestFirst.validate_on(torus),
-            Err(ConfigError::CyclicRouting { .. })
-        ));
-        assert!(RoutingKind::WestFirst.validate_on(mesh).is_ok());
-        assert!(RoutingKind::Xy.validate_on(torus).is_ok());
-        assert!(RoutingKind::Yx.validate_on(torus).is_ok());
-    }
-
-    #[test]
     fn routing_tags_roundtrip() {
         for kind in RoutingKind::ALL {
             assert_eq!(RoutingKind::from_tag(kind.tag()), Some(kind));
         }
-        assert_eq!(
-            RoutingKind::from_tag("westfirst"),
-            Some(RoutingKind::WestFirst)
-        );
         assert_eq!(RoutingKind::from_tag("bogus"), None);
         assert_eq!(RoutingKind::default(), RoutingKind::Xy);
     }

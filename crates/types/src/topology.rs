@@ -22,8 +22,9 @@ use crate::NodeId;
 /// A 2D torus: the mesh grid with every row and column closed into a ring.
 ///
 /// Wrap links halve the network diameter but introduce cyclic channel
-/// dependencies, so only dimension-ordered routing (XY/YX) is admitted on a
-/// torus — see [`RoutingKind::validate_on`](crate::routing::RoutingKind).
+/// dependencies; the dimension-ordered routings
+/// ([`RoutingKind`](crate::routing::RoutingKind)) handle the straight rings
+/// with the multi-VC vnet layout.
 ///
 /// # Examples
 ///

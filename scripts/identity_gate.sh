@@ -26,14 +26,13 @@
 #   ci-metered       flight-recorder dumps and the metric registry hung off
 #                    every run leave the artifact untouched (and the metered
 #                    campaign did write its exposition).
-#   substrate-*,     The non-default substrates (torus, YX, west-first) and
-#   rivals           the rival schemes (SDM circuits, ring router) reproduce
-#                    bench/baseline_substrate.json and
-#                    bench/baseline_rivals.json, recorded with the binary of
-#                    the commit before the topology trait layer and the
-#                    scheme registry were folded away, so a drift in the
-#                    geometry or in a constructor shows; the substrate
-#                    suite is also byte-stable across worker counts.
+#   substrate-*      The non-default substrates (the torus under XY, the
+#                    mesh under YX) reproduce bench/baseline_substrate.json,
+#                    recorded with the binary of the commit before the
+#                    topology trait layer was folded away (less the runs of
+#                    the since-removed west-first routing), so a drift in
+#                    the geometry or the routing shows; the suite is also
+#                    byte-stable across worker counts.
 #   busy-s*,         Sharding is an execution detail like `--threads`: the
 #   faults-*-s*      busy suite and the seeded `faults` sweep (every shard
 #                    reads the fault injector's masked power states
@@ -58,9 +57,12 @@
 #   figures          `figure all` — the reproduction itself: Table 1, Figures
 #                    7-13, §6.6, §2.1 and the ablations print the tables in
 #                    bench/FIGURES_smoke.txt, and exit zero: every shape a
-#                    row asserts (22 sets / 5 bits / 2 bits exactly, the
-#                    area band, static power dominating, the advantage over
-#                    ConvOpt growing from 4x4 to 16x16) still holds. With
+#                    row asserts (22 sets / 5 bits / 2 bits exactly,
+#                    ConvOpt's +60..+80% latency and PP-PG < PP-S < ConvOpt
+#                    in Figure 7, Figure 13's worst case at 3-stage /
+#                    Twakeup = 10, the area band, static power dominating,
+#                    the advantage over ConvOpt growing from 4x4 to 16x16)
+#                    still holds. With
 #                    `--no-cache` because CI caches `target/`, where the
 #                    result store lives, and the store's key knows the
 #                    schema version but not the model.
@@ -139,7 +141,6 @@ ci-metered        | =ci                               | campaign --suite ci --na
 schemes           | bench/baseline_schemes.json       | campaign --suite schemes --name schemes --smoke
 substrate-t4      | bench/baseline_substrate.json     | campaign --suite substrate --name substrate --smoke --threads 4
 substrate-t1      | =substrate-t4                     | campaign --suite substrate --name substrate --smoke --threads 1
-rivals            | bench/baseline_rivals.json        | campaign --suite rivals --name rivals --smoke
 busy-s1           | -                                 | campaign --suite busy --name busy --smoke --shards 1
 busy-s2           | =busy-s1                          | campaign --suite busy --name busy --smoke --shards 2
 busy-s4           | =busy-s1                          | campaign --suite busy --name busy --smoke --shards 4

@@ -98,10 +98,10 @@ mod tests {
         assert_eq!(routing, RoutingKind::Yx);
         assert_eq!(o.substrate_label(), "torus6x6-yx");
 
-        let o = parse(&["--routing", "wf", "--mesh", "4x6"]).unwrap();
+        let o = parse(&["--routing", "yx", "--mesh", "4x6"]).unwrap();
         assert_eq!(o.topo, TopoChoice::Mesh);
-        assert_eq!(o.noc_view().unwrap().1, RoutingKind::WestFirst);
-        assert_eq!(o.substrate_label(), "4x6-wf");
+        assert_eq!(o.noc_view().unwrap().1, RoutingKind::Yx);
+        assert_eq!(o.substrate_label(), "4x6-yx");
     }
 
     #[test]
@@ -117,13 +117,15 @@ mod tests {
 
     #[test]
     fn turn_model_routing_on_torus_is_a_typed_error() {
-        let o = parse(&["--topology", "torus", "--routing", "wf"]).unwrap();
-        let err = o.noc_view().unwrap_err();
-        assert!(
-            matches!(err, SimError::Config(ConfigError::CyclicRouting { .. })),
-            "expected CyclicRouting, got {err:?}"
+        // West-first, the one turn model that was not dimension-ordered, is
+        // gone: it fails at parse time, naming the routings that remain.
+        assert_eq!(
+            parse(&["--topology", "torus", "--routing", "wf"])
+                .err()
+                .expect("rejected"),
+            "unknown routing wf (xy, yx)"
         );
-        // XY and YX stay legal on the torus (dateline-free minimal DOR is
+        // XY and YX are legal on the torus (dateline-free minimal DOR is
         // the model here; the codebook only needs the turn relation).
         for r in ["xy", "yx"] {
             let o = parse(&["--topology", "torus", "--routing", r]).unwrap();
@@ -141,7 +143,7 @@ mod tests {
         );
         assert_eq!(
             parse(&["--routing", "nl"]).err().expect("rejected"),
-            "unknown routing nl (xy, yx, wf)"
+            "unknown routing nl (xy, yx)"
         );
         let o = parse(&["--topology", "torus", "--mesh", "1x4"]).unwrap(); // parses...
         assert!(o.noc_view().is_err()); // ...but fails typed validation

@@ -319,9 +319,7 @@ metrics flags:
 
 substrate flags (any synthetic command):
   --topology T     mesh (default) or torus; dimensions come from --mesh
-  --routing R      xy (default), yx or wf (west-first); west-first is
-                   rejected on the torus (wrap links would close its turn
-                   cycles)
+  --routing R      xy (default) or yx, on either topology
 
 schemes: {SCHEMES} (details: punchsim-cli list-schemes)
 patterns: {PATTERNS}

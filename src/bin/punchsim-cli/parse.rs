@@ -292,16 +292,15 @@ impl Opts {
     }
 
     /// Resolves `--topology`/`--mesh`/`--routing` into a validated
-    /// substrate + routing pair. Degenerate dimensions and cyclic
-    /// combinations (a turn-model router on the torus) surface as typed
-    /// [`SimError::Config`] errors.
+    /// substrate + routing pair. Degenerate dimensions surface as typed
+    /// [`SimError::Config`] errors; every routing is legal on every
+    /// substrate.
     pub fn noc_view(&self) -> Result<(Substrate, RoutingKind), SimError> {
         let (w, h) = (self.mesh.width(), self.mesh.height());
         let topo = match self.topo {
             TopoChoice::Mesh => Substrate::Mesh(self.mesh),
             TopoChoice::Torus => Substrate::Torus(Torus::try_new(w, h)?),
         };
-        self.routing.validate_on(topo)?;
         Ok((topo, self.routing))
     }
 

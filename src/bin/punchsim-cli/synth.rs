@@ -103,7 +103,7 @@ fn harvest(net: &mut Network) -> (Vec<Stamped>, Option<Registry>) {
 }
 
 pub fn sweep(opts: &Opts) -> Result<ExitCode, String> {
-    let pm = PowerModel::for_scheme(opts.scheme);
+    let pm = PowerModel::default_45nm();
     println!(
         "load sweep: {} on {} under {}",
         opts.pattern,
@@ -134,10 +134,8 @@ pub fn schemes(opts: &Opts) -> Result<ExitCode, String> {
         opts.substrate_label()
     );
     let mut t = Table::new("scheme|latency|blocked/pkt|wait/pkt|off %|static saved %");
-    // Every registered scheme, rivals included, with its own power model
-    // (identical to the default model for the paper's five schemes).
+    let pm = PowerModel::default_45nm();
     for scheme in SchemeKind::ALL {
-        let pm = PowerModel::for_scheme(scheme);
         let r = run_synth(opts, scheme, opts.rate)?;
         t.row([
             scheme.label().to_string(),

@@ -11,7 +11,9 @@
 //! retired flags are usage errors, `--shards` is validated as a typed
 //! error on every subcommand that takes it, a flag a subcommand does not
 //! read is an error rather than a silently ignored argument, and every `N`
-//! flag reads the `0x` spelling the usage text and the banners print.
+//! flag reads the `0x` spelling the usage text and the banners print. The
+//! removed schemes, routing and suite are plain unknown names: a usage
+//! error that lists the valid ones, never a panic.
 
 use std::process::{Command, Output};
 
@@ -78,6 +80,41 @@ fn retired_mode_flags_and_suite_are_usage_errors() {
         assert!(err.contains(needle), "{args:?}: {err}");
         assert!(err.contains("usage:"), "{args:?} must print the usage text");
     }
+}
+
+#[test]
+fn removed_schemes_routing_and_suite_are_typed_errors() {
+    let schemes = punchsim::types::SchemeKind::METAS.map(|m| m.tag).join(", ");
+    let suites: Vec<&str> = punchsim::campaign::SUITES.iter().map(|s| s.name).collect();
+    for (args, needle) in [
+        (
+            &["sweep", "--routing", "wf"][..],
+            "unknown routing wf (xy, yx)".to_string(),
+        ),
+        (
+            &["trace", "--scheme", "sdm"],
+            format!("unknown scheme \"sdm\" ({schemes})"),
+        ),
+        (
+            &["sweep", "--scheme", "ring"],
+            format!("unknown scheme \"ring\" ({schemes})"),
+        ),
+        (
+            &["verify", "--scheme", "ring"],
+            format!("unknown scheme \"ring\" ({schemes})"),
+        ),
+        (
+            &["campaign", "--suite", "rivals"],
+            format!("unknown suite rivals (valid: {})", suites.join("|")),
+        ),
+    ] {
+        let out = cli(args, &[]);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must be a usage error");
+        let err = stderr(&out);
+        assert!(err.contains(&needle), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?} must print the usage text");
+    }
+    assert_eq!(schemes, "nopg, conv, convopt, pps, ppf");
 }
 
 #[test]

@@ -47,14 +47,14 @@ const SCHEMES: [SchemeKind; 5] = [
     SchemeKind::PowerPunchFull,
 ];
 
-/// The substrate pool: plain meshes under all three routing functions, and
-/// tori under the DOR routings that stay acyclic on wrap links. Skip-ahead
-/// must be observably exact on every one of them.
+/// The substrate pool: square and non-square meshes and tori under both
+/// routing functions. Skip-ahead must be observably exact on every one of
+/// them.
 fn substrates() -> [(Substrate, RoutingKind); 7] {
     [
         (Mesh::new(4, 4).into(), RoutingKind::Xy),
         (Mesh::new(4, 4).into(), RoutingKind::Yx),
-        (Mesh::new(4, 6).into(), RoutingKind::WestFirst),
+        (Mesh::new(4, 6).into(), RoutingKind::Yx),
         (Mesh::new(6, 6).into(), RoutingKind::Xy),
         (Mesh::new(8, 8).into(), RoutingKind::Xy),
         (Substrate::Torus(Torus::new(4, 4)), RoutingKind::Xy),
@@ -234,14 +234,14 @@ fn fast_forward_matches_naive_through_drain_and_deep_idle() {
 
 /// Satellite check for the closed-form `router_ahead`: the coordinate-jump
 /// implementation must name exactly the router a literal `next_hop` walk
-/// reaches after `min(h, distance)` steps — for every routing function on
-/// the mesh and the DOR routings on the torus.
+/// reaches after `min(h, distance)` steps — for both routing functions on
+/// square and non-square meshes and on the torus.
 #[test]
 fn closed_form_router_ahead_matches_hop_by_hop_walk() {
     let views: Vec<RouteView> = vec![
         (Mesh::new(8, 8), RoutingKind::Xy).into(),
         (Mesh::new(8, 8), RoutingKind::Yx).into(),
-        (Mesh::new(7, 5), RoutingKind::WestFirst).into(),
+        (Mesh::new(7, 5), RoutingKind::Xy).into(),
         (Substrate::Torus(Torus::new(6, 6)), RoutingKind::Xy).into(),
         (Substrate::Torus(Torus::new(5, 4)), RoutingKind::Yx).into(),
     ];

@@ -62,12 +62,11 @@ fn h3_4x4_and_16x16_signals_always_encodable() {
 }
 
 /// The other substrates `ppf` runs on in the `substrate` suite: the 8x8
-/// torus under XY, and the 8x8 mesh under YX and under west-first.
+/// torus under XY and the 8x8 mesh under YX.
 #[test]
 fn h3_substrate_suite_signals_always_encodable() {
     stress_fabric((Torus::new(8, 8), RoutingKind::Xy), 3, 300, 6);
     stress_fabric((Mesh::new(8, 8), RoutingKind::Yx), 3, 300, 7);
-    stress_fabric((Mesh::new(8, 8), RoutingKind::WestFirst), 3, 300, 8);
 }
 
 #[test]
