@@ -94,9 +94,9 @@ impl PowerModel {
         }
     }
 
-    /// [`PowerModel::default_45nm`]: every scheme runs on the paper's
-    /// buffered VC router. Kept because the benchmark harness in `perf/`
-    /// names it.
+    /// The model of every scheme, [`PowerModel::default_45nm`]: all of them
+    /// run on the paper's buffered VC router. Kept because the benchmark
+    /// harness in `perf/` names it.
     pub fn for_scheme(_: SchemeKind) -> Self {
         Self::default_45nm()
     }

@@ -30,8 +30,8 @@ pub enum SchemeKind {
 /// One scheme's metadata: the stable tag, the paper-legend label and a
 /// one-line description. This table ([`SchemeKind::METAS`]) is **the**
 /// single place scheme identity data lives — parsing, `Display`, CLI help
-/// and artifact ids all derive from it. The one scheme → `PowerManager` mapping is the
-/// `match` in `punchsim_core::build_power_manager`.
+/// and artifact ids all derive from it. The one scheme → `PowerManager`
+/// mapping is the `match` in `punchsim_core::build_power_manager`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeMeta {
     /// The scheme this entry describes.

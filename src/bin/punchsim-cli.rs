@@ -117,8 +117,8 @@ mod tests {
 
     #[test]
     fn turn_model_routing_on_torus_is_a_typed_error() {
-        // West-first, the one turn model that was not dimension-ordered, is
-        // gone: it fails at parse time, naming the routings that remain.
+        // `wf` is not a routing: it fails at parse time, naming the valid
+        // ones.
         assert_eq!(
             parse(&["--topology", "torus", "--routing", "wf"])
                 .err()

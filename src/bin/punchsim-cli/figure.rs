@@ -500,8 +500,8 @@ fn fig13_sensitivity(ctx: &mut Ctx) -> Result<(), String> {
     )?;
     let worst = grid
         .zip(&reports)
-        .max_by(|a, b| over(a.1).total_cmp(&over(b.1)));
-    let worst = worst.map(|(point, _)| point);
+        .max_by(|a, b| over(a.1).total_cmp(&over(b.1)))
+        .map(|(point, _)| point);
     ensure(worst == Some((3, 10)), || {
         format!("PP-PG's largest gap to No-PG must be at 3-stage / Twakeup=10, not {worst:?}")
     })
