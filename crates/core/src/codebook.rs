@@ -1,28 +1,164 @@
-//! Punch-signal codebooks: enumerating every distinct target set a link can
-//! carry, and assigning the codewords that make merging contention-free.
-//!
-//! This reproduces §4.1 steps 3–5 of the paper, generalized over the
-//! topology/routing trait layer. For each directed link the closure of
-//! reachable *normalized* target sets is computed by fixpoint: a link's
-//! sets are all combinations of (a) at most one locally generated wakeup
-//! and (b) the relayed remainder of sets arriving on the upstream links,
-//! filtered by the routing function's next-hop direction and normalized
-//! (implied targets dropped). Nothing here is XY-specific: the turn model
-//! enters only through [`RouteView::direction`] and the path predicate
-//! inside [`PunchSet::insert_normalized`]. Table 1 of the paper — the 22
-//! sets on the X+ link of router 27 of an 8x8 XY mesh for 3-hop punches,
-//! encodable in 5 bits — falls out of this enumeration as the special
-//! case `RoutingKind::Xy`, as do the 2-bit Y links; YX routing yields the
-//! transposed widths.
+//! Punch signals and their codebooks (§4.1 steps 3–5 of the paper). A
+//! [`PunchSet`] is the normalized target set one signal carries; a link's
+//! codebook is the fixpoint closure of every set it can carry, each a merge
+//! of at most one local generation and one relayed set per upstream link.
+//! The turn model enters only through [`RouteView`]: Table 1 (22 sets in 5
+//! bits on R27's X+ link, 8x8 XY mesh, H = 3) and the 2-bit Y links are the
+//! XY case, YX transposes them, and the same closure step run around one
+//! router derives the fabric's wire format ([`crate::punch`]).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use punchsim_types::{Direction, NodeId, RouteView, Substrate};
+use punchsim_types::{Direction, NodeId, RouteView};
 
-use crate::punch::PunchSet;
+/// Maximum targets of one normalized punch signal (2 suffice at H = 3, 3 at
+/// H = 4; overflowing the headroom is asserted, never silently dropped).
+pub const MAX_TARGETS: usize = 6;
+
+/// A normalized set of targeted routers carried by one punch signal.
+///
+/// Invariants: no duplicate targets, and no target lies on the route (from
+/// the sending router) to another target — such *implied* targets are
+/// removed by [`PunchSet::insert_normalized`], because every router a punch
+/// passes through is woken anyway (§4.1 step 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+pub struct PunchSet {
+    targets: [NodeId; MAX_TARGETS],
+    len: u8,
+}
+
+impl PunchSet {
+    /// The empty signal (idle wire).
+    pub fn new() -> Self {
+        PunchSet::default()
+    }
+
+    /// Number of explicit targets.
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// `true` when the wire is idle.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The explicit targets, in insertion-then-normalization order.
+    pub fn targets(&self) -> &[NodeId] {
+        &self.targets[..self.len as usize]
+    }
+
+    /// Inserts `t`, keeping the set normalized for routes from `sender`:
+    /// `t` is dropped if it lies on the path to a target, and targets on
+    /// the path to `t` are removed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more than [`MAX_TARGETS`] independent targets accumulate.
+    pub fn insert_normalized(&mut self, view: impl Into<RouteView>, sender: NodeId, t: NodeId) {
+        let view = view.into();
+        debug_assert_ne!(t, sender, "a punch target is never the sender");
+        let mut keep = [NodeId(0); MAX_TARGETS];
+        let mut n = 0usize;
+        for &old in self.targets() {
+            if old == t || view.on_path(sender, old, t) {
+                // `t` is implied by `old`: set unchanged.
+                return;
+            }
+            if !view.on_path(sender, t, old) {
+                keep[n] = old;
+                n += 1;
+            }
+        }
+        assert!(n < MAX_TARGETS, "punch set overflow");
+        keep[n] = t;
+        n += 1;
+        self.targets = keep;
+        self.len = n as u8;
+    }
+
+    /// This set with `targets` inserted, normalized for routes from `sender`.
+    #[inline]
+    pub(crate) fn with(mut self, view: RouteView, sender: NodeId, targets: &[NodeId]) -> Self {
+        for &t in targets {
+            self.insert_normalized(view, sender, t);
+        }
+        self
+    }
+
+    /// A canonical (sorted) copy, for codebook lookup and comparison.
+    #[inline]
+    pub fn canonical(&self) -> PunchSet {
+        let mut c = *self;
+        c.targets[..c.len as usize].sort_unstable();
+        c
+    }
+
+    /// Every target moved by `f` (a translation keeps the set normalized).
+    pub(crate) fn translated(&self, mut f: impl FnMut(NodeId) -> NodeId) -> PunchSet {
+        let mut c = *self;
+        for t in &mut c.targets[..c.len as usize] {
+            *t = f(*t);
+        }
+        c.canonical()
+    }
+}
+
+impl std::fmt::Display for PunchSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ids: Vec<String> = self.targets().iter().map(|t| t.0.to_string()).collect();
+        write!(f, "{{{}}}", ids.join(", "))
+    }
+}
+
+/// The relay of `set` arriving at `r` toward `dir`: the targets that leave
+/// that way, normalized for routes from `r`.
+#[inline]
+pub(crate) fn relay(view: RouteView, r: NodeId, dir: Direction, set: &PunchSet) -> PunchSet {
+    let mut out = PunchSet::new();
+    for &t in set.targets() {
+        if t != r && view.direction(r, t) == Some(dir) {
+            out.insert_normalized(view, r, t);
+        }
+    }
+    out
+}
+
+/// One closure step of the link leaving `r` toward `dir`: adds to `out`
+/// every canonical non-empty set it carries in a cycle where each input
+/// holds one of the sets `arriving` over it (or nothing) and at most one of
+/// the local generations `gens` joins.
+pub(crate) fn link_sets<'a>(
+    view: RouteView,
+    r: NodeId,
+    dir: Direction,
+    arriving: impl IntoIterator<Item = &'a BTreeSet<PunchSet>>,
+    gens: &[NodeId],
+    out: &mut BTreeSet<PunchSet>,
+) {
+    // Combine relays across inputs (each may be absent), then with at most
+    // one local generation.
+    let mut combos = vec![PunchSet::new()];
+    for sets in arriving {
+        let relays = sets.iter().map(|s| relay(view, r, dir, s).canonical());
+        let relays: BTreeSet<PunchSet> = relays.filter(|s| !s.is_empty()).collect();
+        let mut next = Vec::with_capacity(combos.len() * (relays.len() + 1));
+        for &base in &combos {
+            next.push(base);
+            next.extend(relays.iter().map(|s| base.with(view, r, s.targets())));
+        }
+        combos = next;
+    }
+    for base in combos {
+        let local = gens.iter().map(|&g| base.with(view, r, &[g]));
+        let all = std::iter::once(base).chain(local).filter(|s| !s.is_empty());
+        out.extend(all.map(|s| s.canonical()));
+    }
+}
 
 /// The codebook of one directed link: every non-empty normalized target set
-/// it can carry, in canonical order, plus the derived wire width.
+/// it can carry, in canonical order (code `c` is the `c - 1`-th; 0 is the
+/// idle wire), plus the derived wire width.
 #[derive(Debug, Clone)]
 pub struct LinkCodebook {
     /// Router the link leaves.
@@ -30,31 +166,9 @@ pub struct LinkCodebook {
     /// Direction the link points.
     pub dir: Direction,
     sets: Vec<PunchSet>,
-    /// Precomputed encoder: canonical set → codeword. Built once at
-    /// enumeration time so the per-cycle encode is a hash probe, not a
-    /// binary search over the set list (the hardware analogue: the encoder
-    /// ROM is synthesized with the codebook, not searched at runtime).
-    codes: HashMap<PunchSet, u16>,
 }
 
 impl LinkCodebook {
-    /// Builds a link codebook from its canonical set list, deriving the
-    /// encode lookup table. Codewords are `index + 1` in canonical order
-    /// (0 stays the idle wire), exactly as the search-based encoder
-    /// assigned them.
-    fn new(from: NodeId, dir: Direction, sets: Vec<PunchSet>) -> Self {
-        let codes = sets
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (*s, (i + 1) as u16))
-            .collect();
-        LinkCodebook {
-            from,
-            dir,
-            sets,
-            codes,
-        }
-    }
     /// Number of distinct non-empty signals.
     pub fn set_count(&self) -> usize {
         self.sets.len()
@@ -72,194 +186,99 @@ impl LinkCodebook {
     }
 
     /// The codeword assigned to `set` (0 is the idle wire), or `None` if the
-    /// set is not expressible on this link — which the fabric's generation
-    /// arbitration guarantees never happens. O(1) via the lookup table.
+    /// set is not expressible on this link.
     pub fn encode(&self, set: &PunchSet) -> Option<u16> {
         if set.is_empty() {
             return Some(0);
         }
-        self.codes.get(&set.canonical()).copied()
+        let found = self.sets.binary_search(&set.canonical()).ok();
+        found.map(|i| i as u16 + 1)
     }
 
     /// The target set for a codeword, or `None` if out of range.
     pub fn decode(&self, code: u16) -> Option<PunchSet> {
-        if code == 0 {
-            return Some(PunchSet::new());
+        match code {
+            0 => Some(PunchSet::new()),
+            c => self.sets.get(c as usize - 1).copied(),
         }
-        self.sets.get(code as usize - 1).copied()
     }
 }
 
 /// All link codebooks of a topology for a given punch depth.
 #[derive(Debug, Clone)]
 pub struct Codebook {
-    view: RouteView,
-    hops: u16,
-    /// Indexed `[router][direction]`; `None` at topology edges.
-    links: Vec<[Option<LinkCodebook>; 4]>,
+    /// Indexed `4 * router + direction`; `None` at topology edges.
+    links: Vec<Option<LinkCodebook>>,
 }
 
 impl Codebook {
-    /// Enumerates the codebooks for a topology/routing pair with punch
-    /// depth `hops` by fixpoint closure. Accepts anything convertible to a
-    /// [`RouteView`] — a bare [`punchsim_types::Mesh`] means XY routing,
-    /// matching the paper. Cost is polynomial in network size and tiny in
-    /// practice (an 8x8 mesh at H=3 converges in a few iterations).
+    /// Enumerates the codebooks of a topology/routing pair (a bare
+    /// [`punchsim_types::Mesh`] means XY, as in the paper) at punch depth
+    /// `hops` by fixpoint closure; polynomial in the network's size.
     pub fn enumerate(view: impl Into<RouteView>, hops: u16) -> Self {
         let view: RouteView = view.into();
         let topo = view.topo;
-        let n = topo.nodes();
-        // Locally generated targets per (router, out-dir): every router
-        // within `hops` whose route leaves through that direction.
-        let gen: Vec<[Vec<NodeId>; 4]> = topo
-            .iter_nodes()
-            .map(|r| {
-                let mut g: [Vec<NodeId>; 4] = Default::default();
-                for t in topo.iter_nodes() {
-                    if t == r || topo.distance(r, t) > hops {
-                        continue;
-                    }
-                    let d = view.direction(r, t).expect("t != r");
-                    g[d.index()].push(t);
-                }
-                g
-            })
-            .collect();
-        // Reachable set closure per directed link.
-        let mut sets: Vec<[BTreeSet<PunchSet>; 4]> = vec![Default::default(); n];
+        let at = |r: NodeId, d: Direction| 4 * r.index() + d.index();
+        let links = || {
+            topo.iter_nodes()
+                .flat_map(|r| Direction::ALL.map(|d| (r, d)))
+        };
+        // Locally generated targets per link: every router within `hops`
+        // whose route leaves through it.
+        let mut gen = vec![Vec::new(); 4 * topo.nodes()];
+        for r in topo.iter_nodes() {
+            let near = topo
+                .iter_nodes()
+                .filter(|&t| t != r && topo.distance(r, t) <= hops);
+            near.for_each(|t| gen[at(r, view.direction(r, t).expect("t != r"))].push(t));
+        }
+        let mut sets = vec![BTreeSet::new(); 4 * topo.nodes()];
         let mut changed = true;
         while changed {
             changed = false;
-            for r in topo.iter_nodes() {
-                for dir in Direction::ALL {
-                    if topo.neighbor(r, dir).is_none() {
-                        continue;
-                    }
-                    // Options arriving from each upstream link, filtered to
-                    // the targets that continue through (r, dir).
-                    let mut relay_options: Vec<Vec<PunchSet>> = Vec::new();
-                    for in_dir in Direction::ALL {
-                        let Some(up) = topo.neighbor(r, in_dir) else {
-                            continue;
-                        };
-                        // The upstream link points from `up` toward `r`.
-                        let up_link = &sets[up.index()][in_dir.opposite().index()];
-                        let mut filtered: BTreeSet<PunchSet> = BTreeSet::new();
-                        for s in up_link {
-                            let mut f = PunchSet::new();
-                            for &t in s.targets() {
-                                if t == r {
-                                    continue; // consumed at r
-                                }
-                                if view.direction(r, t) == Some(dir) {
-                                    f.insert_normalized(view, r, t);
-                                }
-                            }
-                            if !f.is_empty() {
-                                filtered.insert(f.canonical());
-                            }
-                        }
-                        if !filtered.is_empty() {
-                            relay_options.push(filtered.into_iter().collect());
-                        }
-                    }
-                    // Combine relays across upstream links (each may be
-                    // absent), then with at most one local generation.
-                    let mut combos: Vec<PunchSet> = vec![PunchSet::new()];
-                    for opts in &relay_options {
-                        let mut next = Vec::with_capacity(combos.len() * (opts.len() + 1));
-                        for base in &combos {
-                            next.push(*base);
-                            for s in opts {
-                                let mut merged = *base;
-                                for &t in s.targets() {
-                                    merged.insert_normalized(view, r, t);
-                                }
-                                next.push(merged);
-                            }
-                        }
-                        combos = next;
-                    }
-                    let out = &mut sets[r.index()][dir.index()];
-                    let before = out.len();
-                    for base in &combos {
-                        if !base.is_empty() {
-                            out.insert(base.canonical());
-                        }
-                        for &g in &gen[r.index()][dir.index()] {
-                            let mut merged = *base;
-                            merged.insert_normalized(view, r, g);
-                            out.insert(merged.canonical());
-                        }
-                    }
-                    if out.len() != before {
-                        changed = true;
-                    }
-                }
+            for (r, dir) in links().filter(|&(r, d)| topo.neighbor(r, d).is_some()) {
+                // A link is never its own upstream: fill it out of place.
+                let mut out = std::mem::take(&mut sets[at(r, dir)]);
+                let before = out.len();
+                // The link arriving from side `f` leaves the neighbour there
+                // toward `r`.
+                let up = |f: Direction| Some(&sets[at(topo.neighbor(r, f)?, f.opposite())]);
+                let arriving = Direction::ALL.into_iter().filter_map(up);
+                link_sets(view, r, dir, arriving, &gen[at(r, dir)], &mut out);
+                changed |= out.len() != before;
+                sets[at(r, dir)] = out;
             }
         }
-        let links = topo
-            .iter_nodes()
-            .map(|r| {
-                let mut row: [Option<LinkCodebook>; 4] = Default::default();
-                for dir in Direction::ALL {
-                    if topo.neighbor(r, dir).is_none() {
-                        continue;
-                    }
-                    row[dir.index()] = Some(LinkCodebook::new(
-                        r,
-                        dir,
-                        sets[r.index()][dir.index()].iter().copied().collect(),
-                    ));
-                }
-                row
-            })
-            .collect();
-        Codebook { view, hops, links }
-    }
-
-    /// The topology/routing pair this codebook was enumerated for.
-    pub fn view(&self) -> RouteView {
-        self.view
-    }
-
-    /// The topology this codebook was enumerated for.
-    pub fn topology(&self) -> Substrate {
-        self.view.topo
-    }
-
-    /// The punch depth H.
-    pub fn hops(&self) -> u16 {
-        self.hops
+        let link = |((from, dir), sets): ((NodeId, Direction), BTreeSet<_>)| {
+            let sets = sets.into_iter().collect();
+            topo.neighbor(from, dir)
+                .map(|_| LinkCodebook { from, dir, sets })
+        };
+        let links = links().zip(sets).map(link).collect();
+        Codebook { links }
     }
 
     /// The codebook of the link leaving `r` toward `dir`, or `None` at a
     /// mesh edge.
     pub fn link(&self, r: NodeId, dir: Direction) -> Option<&LinkCodebook> {
-        self.links[r.index()][dir.index()].as_ref()
+        self.links[4 * r.index() + dir.index()].as_ref()
     }
 
     /// Iterates over all link codebooks.
     pub fn iter(&self) -> impl Iterator<Item = &LinkCodebook> {
-        self.links.iter().flatten().flatten()
+        self.links.iter().flatten()
     }
 
     /// The widest X-direction link in bits.
     pub fn max_x_width(&self) -> u32 {
-        self.iter()
-            .filter(|l| l.dir.is_x())
-            .map(LinkCodebook::width_bits)
-            .max()
-            .unwrap_or(0)
+        let x = self.iter().filter(|l| l.dir.is_x());
+        x.map(LinkCodebook::width_bits).max().unwrap_or(0)
     }
 
     /// The widest Y-direction link in bits.
     pub fn max_y_width(&self) -> u32 {
-        self.iter()
-            .filter(|l| l.dir.is_y())
-            .map(LinkCodebook::width_bits)
-            .max()
-            .unwrap_or(0)
+        let y = self.iter().filter(|l| l.dir.is_y());
+        y.map(LinkCodebook::width_bits).max().unwrap_or(0)
     }
 }
 
@@ -267,6 +286,42 @@ impl Codebook {
 mod tests {
     use super::*;
     use punchsim_types::{Mesh, RoutingKind};
+
+    #[test]
+    fn implied_targets_are_dropped() {
+        // §4.1 step 4: merging 27->21 with 26->29 keeps only {21} on the
+        // 27->28 wire, because 29 lies on the path from 27 to 21.
+        let m = Mesh::new(8, 8);
+        let mut s = PunchSet::new();
+        s.insert_normalized(m, NodeId(27), NodeId(21));
+        s.insert_normalized(m, NodeId(27), NodeId(29));
+        assert_eq!(s.targets(), &[NodeId(21)]);
+        // Insertion order must not matter.
+        let mut s2 = PunchSet::new();
+        s2.insert_normalized(m, NodeId(27), NodeId(29));
+        s2.insert_normalized(m, NodeId(27), NodeId(21));
+        assert_eq!(s2.targets(), &[NodeId(21)]);
+    }
+
+    #[test]
+    fn independent_targets_coexist() {
+        // Table 1 entry 13: {21, 36} is a valid two-target set.
+        let m = Mesh::new(8, 8);
+        let mut s = PunchSet::new();
+        s.insert_normalized(m, NodeId(27), NodeId(21));
+        s.insert_normalized(m, NodeId(27), NodeId(36));
+        let c = s.canonical();
+        assert_eq!(c.targets(), &[NodeId(21), NodeId(36)]);
+    }
+
+    #[test]
+    fn duplicate_insert_is_noop() {
+        let m = Mesh::new(8, 8);
+        let mut s = PunchSet::new();
+        s.insert_normalized(m, NodeId(27), NodeId(29));
+        s.insert_normalized(m, NodeId(27), NodeId(29));
+        assert_eq!(s.len(), 1);
+    }
 
     #[test]
     fn table1_x_plus_of_r27_has_22_sets_in_5_bits() {
@@ -385,7 +440,7 @@ mod tests {
         // routing with wrapped minimal deltas still converges to a finite
         // codebook. Width can only grow relative to the mesh since every
         // link sees at least the mesh's relay traffic patterns.
-        use punchsim_types::Torus;
+        use punchsim_types::{Substrate, Torus};
         let t = Substrate::Torus(Torus::new(5, 5));
         let cb = Codebook::enumerate(t, 2);
         for r in t.iter_nodes() {
@@ -419,9 +474,8 @@ mod tests {
     }
 
     #[test]
-    fn encode_lut_matches_canonical_order_on_every_link() {
-        // The lookup-table encoder must assign exactly the codes the old
-        // binary-search encoder did: index + 1 in canonical set order.
+    fn encode_is_canonical_order_on_every_link() {
+        // The encoder assigns index + 1 in canonical set order.
         let cb = Codebook::enumerate(Mesh::new(8, 8), 3);
         for l in cb.iter() {
             for (i, s) in l.sets().iter().enumerate() {
@@ -430,7 +484,7 @@ mod tests {
             }
             // Unknown sets still encode to None.
             let mut alien = PunchSet::new();
-            alien.insert_normalized(cb.view(), NodeId(0), NodeId(1));
+            alien.insert_normalized(Mesh::new(8, 8), NodeId(0), NodeId(1));
             if !l.sets().contains(&alien.canonical()) {
                 assert_eq!(l.encode(&alien), None);
             }

@@ -4,10 +4,11 @@
 //! against.
 //!
 //! * [`gating`] — per-router sleep-switch state machines (Figure 1/2)
-//! * [`punch`] — punch signals: normalized target sets and the sideband
-//!   fabric that relays merged wakeups one hop per cycle (§4.1)
-//! * [`codebook`] — enumeration of every distinct signal a link can carry
-//!   and the codeword widths (Table 1: 5-bit X links, 2-bit Y links at H=3)
+//! * [`punch`] — the sideband fabric that relays merged wakeups one hop per
+//!   cycle as codewords (§4.1)
+//! * [`codebook`] — punch signals (normalized target sets), enumeration of
+//!   every distinct signal a link can carry and the codeword widths
+//!   (Table 1: 5-bit X links, 2-bit Y links at H=3)
 //! * [`manager`] — [`PowerManager`] implementations: conventional gating,
 //!   ConvOpt (timeout + early wakeup), PowerPunch-Signal, PowerPunch-PG
 //! * [`faults`] — the deterministic [`faults::FaultInjector`] that
@@ -41,10 +42,10 @@ pub mod punch;
 #[cfg(test)]
 mod punch_reference;
 
-pub use codebook::{Codebook, LinkCodebook};
+pub use codebook::{Codebook, LinkCodebook, PunchSet};
 pub use gating::GateArray;
 pub use manager::{ConvPgManager, PowerPunchManager};
-pub use punch::{PunchFabric, PunchSet};
+pub use punch::PunchFabric;
 
 use faults::FaultInjector;
 use punchsim_noc::{AlwaysOn, PowerManager};

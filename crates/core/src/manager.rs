@@ -638,10 +638,10 @@ mod tests {
         }
     }
 
-    /// The fabric's transit lists are dynamic state: a fork taken
-    /// mid-flight (what `verify::explore` does through `Network::try_clone`)
-    /// must carry them, and a counter reset must not strand punches on the
-    /// wires.
+    /// The fabric's wires and queued generations are dynamic state: a fork
+    /// taken mid-flight (what `verify::explore` does through
+    /// `Network::try_clone`) must carry them, and a counter reset must not
+    /// strand punches on the wires.
     #[test]
     fn mid_flight_clone_and_counter_reset_keep_punches_moving() {
         let idle = all_idle(64);

@@ -1,181 +1,199 @@
-//! Punch signals: normalized target sets and the sideband fabric that
-//! relays them one hop per cycle (§4.1 of the paper).
-//!
-//! A *punch signal* is the merged encoding of every wakeup signal crossing a
-//! link in one cycle. Thanks to XY-routing turn restrictions and the
-//! *implied target* rule (a target on the path to a farther target can be
-//! dropped), the set of distinct signals per link is tiny — 22 on an X link
-//! for 3-hop punches (Table 1), 3 on a Y link — so merging is contention-free
-//! with 5-bit/2-bit wires. This module carries the *sets*; the codeword
-//! assignment lives in [`crate::codebook`].
-//!
-//! [`PunchFabric`] holds state only for what is in flight — a list of the
-//! sets on the wires and a list of queued local generations, merged in
-//! ascending router order each tick — so the sideband costs what it
-//! carries, not the size of the mesh.
+//! The punch fabric: the sideband that relays merged wakeups one hop per
+//! cycle (§4.1), one Table 1 codeword per wire. Routes are translation-
+//! invariant: in offsets from the router a wire reaches, the [`PunchSet`]s
+//! it can carry depend only on the direction it travels (its *class*) —
+//! exactly on a torus; a mesh's border links carry a subset. So the wire
+//! format is derived once, around one router, and a tick is table lookups.
 
-use punchsim_types::{Direction, NodeId, RouteView};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
-/// Maximum distinct targets a single punch signal can carry after
-/// normalization (2 suffices for 3-hop punches on X links; 4-hop punches
-/// need one more; the extra headroom is asserted, never silently dropped).
-pub const MAX_TARGETS: usize = 6;
+use punchsim_noc::BitWords;
+use punchsim_types::{Coord, Direction, Mesh, NodeId, RouteView, Substrate};
 
-/// A normalized set of targeted routers carried by one punch signal.
-///
-/// Invariants: no duplicate targets, and no target lies on the XY path (from
-/// the sending router) to another target — such *implied* targets are
-/// removed by [`PunchSet::insert_normalized`], because every router a punch
-/// passes through is woken anyway (§4.1 step 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PunchSet {
-    targets: [NodeId; MAX_TARGETS],
-    len: u8,
+use crate::codebook::{link_sets, relay, PunchSet};
+
+/// A codeword: `0` is the idle wire, `c` the `c - 1`-th set of its class.
+type Code = u8;
+
+/// One hop in each direction, in [`Direction::ALL`] order.
+const STEP: [(i32, i32); 4] = [(0, -1), (1, 0), (0, 1), (-1, 0)];
+
+/// The router `(dx, dy)` from `from`, wrapping where `topo` wraps.
+fn offset(topo: Substrate, from: NodeId, (dx, dy): (i32, i32)) -> NodeId {
+    let (w, h) = (topo.width() as i32, topo.height() as i32);
+    if !topo.wraps() {
+        return NodeId((from.0 as i32 + dy * w + dx) as u16);
+    }
+    let c = topo.coord(from);
+    let x = (c.x as i32 + dx).rem_euclid(w) as u16;
+    topo.node(Coord::new(x, (c.y as i32 + dy).rem_euclid(h) as u16))
 }
 
-impl PunchSet {
-    /// The empty signal (idle wire).
-    pub fn new() -> Self {
-        PunchSet::default()
-    }
+/// The non-zero bytes of a packed word, as `(direction index, code)`.
+fn codes(mut word: u32) -> impl Iterator<Item = (usize, Code)> {
+    std::iter::from_fn(move || {
+        let d = (word != 0).then(|| word.trailing_zeros() / 8)?;
+        let code = (word >> (8 * d)) as Code;
+        word &= !(0xFF << (8 * d));
+        Some((d as usize, code))
+    })
+}
 
-    /// Number of explicit targets.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
+/// A fabric's wire format, from route queries around `center` of `frame` (a
+/// mesh holding every offset within `hops + 1` of it, or the torus itself).
+/// A code of class `d` names a set as seen by its receiver, put at `center`.
+#[derive(Debug)]
+struct Tables {
+    frame: RouteView,
+    center: NodeId,
+    hops: u16,
+    /// Per class, its sets in canonical order: code `c` is `sets[d][c - 1]`.
+    sets: [Vec<PunchSet>; 4],
+    /// Per class and code, the codes the receiver sends, a byte per output.
+    relay: [Vec<u32>; 4],
+    /// Per class, codes `a` and `b` merged at `a * (len + 1) + b`.
+    merge: [Vec<Code>; 4],
+    /// Per destination offset, clamped to `±H`, at `(dy + H) * (2H + 1) +
+    /// dx + H`: the output, code and offset of a generation's target.
+    local: Vec<(u8, Code, (i32, i32))>,
+}
 
-    /// `true` when the wire is idle.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The explicit targets, in insertion-then-normalization order.
-    pub fn targets(&self) -> &[NodeId] {
-        &self.targets[..self.len as usize]
-    }
-
-    /// `true` if `t` is an explicit target.
-    pub fn contains(&self, t: NodeId) -> bool {
-        self.targets().contains(&t)
-    }
-
-    /// Inserts `t` into the set, maintaining the normalization invariant
-    /// with respect to routes rooted at `sender` (under `view`'s topology
-    /// and routing function):
-    ///
-    /// * if `t` lies on the path to an existing target, it is implied —
-    ///   nothing changes;
-    /// * existing targets that lie on the path to `t` become implied and
-    ///   are removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than [`MAX_TARGETS`] independent targets accumulate —
-    /// the fabric's one-local-generation-per-cycle arbitration makes that
-    /// unreachable.
-    pub fn insert_normalized(&mut self, view: impl Into<RouteView>, sender: NodeId, t: NodeId) {
-        let view = view.into();
-        debug_assert_ne!(t, sender, "a punch target is never the sender");
-        let mut keep = [NodeId(0); MAX_TARGETS];
-        let mut n = 0usize;
-        for &old in self.targets() {
-            if old == t || view.on_path(sender, old, t) {
-                // `t` is implied by `old`: set unchanged.
-                return;
-            }
-            if !view.on_path(sender, t, old) {
-                keep[n] = old;
-                n += 1;
+impl Tables {
+    /// Panics if a class outgrows a [`Code`], which none does at H ≤ 4.
+    fn new(view: RouteView, hops: u16) -> Self {
+        let (side, wraps) = (2 * hops + 3, view.topo.wraps());
+        let mesh = RouteView::new(Mesh::new(side, side), view.routing);
+        let frame = if wraps { view } else { mesh };
+        let center = NodeId(if wraps { 0 } else { side * side / 2 });
+        let (topo, h) = (frame.topo, hops as i32);
+        // Each offset within ±H once (a small torus aliases some; `delta` names one).
+        let square: Vec<((i32, i32), NodeId)> = (-h..=h)
+            .flat_map(|dy| (-h..=h).map(move |dx| (dx, dy)))
+            .map(|o| (o, offset(topo, center, o)))
+            .filter(|&(o, t)| t != center && topo.delta(center, t) == o)
+            .collect();
+        let toward = |t: NodeId| frame.direction(center, t).expect("t != center");
+        // A sender-frame set moves to its receiver's frame one hop back.
+        let shift = |s: PunchSet, d: Direction| s.translated(|t| topo.advance(t, d, 1));
+        let mut closure: [BTreeSet<PunchSet>; 4] = Default::default();
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for d in Direction::ALL {
+                let near = square.iter().filter(|(o, _)| o.0.abs() + o.1.abs() <= h);
+                let gens: Vec<NodeId> = near.map(|o| o.1).filter(|&t| toward(t) == d).collect();
+                let mut found = BTreeSet::new();
+                link_sets(frame, center, d, &closure, &gens, &mut found);
+                let class = &mut closure[d.index()];
+                let before = class.len();
+                class.extend(found.into_iter().map(|s| shift(s, d.opposite())));
+                grew |= class.len() != before;
             }
         }
-        assert!(n < MAX_TARGETS, "punch set overflow");
-        keep[n] = t;
-        n += 1;
-        self.targets = keep;
-        self.len = n as u8;
-    }
-
-    /// A canonical (sorted) copy, for codebook lookup and comparison.
-    pub fn canonical(&self) -> PunchSet {
-        let mut c = *self;
-        c.targets[..c.len as usize].sort_unstable();
-        c
-    }
-}
-
-impl std::fmt::Display for PunchSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{{")?;
-        for (i, t) in self.targets().iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{}", t.0)?;
+        let sets = closure.map(|c| c.into_iter().collect::<Vec<_>>());
+        assert!(sets.iter().all(|s| s.len() <= Code::MAX as usize));
+        // The code of `s` sent from the center toward `d`, if it has one.
+        let find = |d: Direction, s: PunchSet| {
+            let found = sets[d.index()].binary_search(&shift(s, d.opposite()));
+            found.map_or(s.is_empty().then_some(0), |i| Some(i as Code + 1))
+        };
+        let relays = Direction::ALL.map(|d| {
+            let sent = |s, out| find(out, relay(frame, center, out, s)).expect("a relay");
+            let row = |s| u32::from_le_bytes(Direction::ALL.map(|out| sent(s, out)));
+            let rows = sets[d.index()].iter().map(row);
+            std::iter::once(0).chain(rows).collect()
+        });
+        let merge = Direction::ALL.map(|d| {
+            let senders = sets[d.index()].iter().map(|&s| shift(s, d));
+            let all: Vec<PunchSet> = std::iter::once(PunchSet::new()).chain(senders).collect();
+            let pair = |a: PunchSet, b: &PunchSet| find(d, a.with(frame, center, b.targets()));
+            let row = |&a: &PunchSet| all.iter().map(move |b| pair(a, b).unwrap_or(0));
+            all.iter().flat_map(row).collect()
+        });
+        let mut local = vec![(0, 0, (0, 0)); (2 * h + 1).pow(2) as usize];
+        for &((dx, dy), dst) in &square {
+            let t = frame.router_ahead(center, dst, hops);
+            let (d, ahead) = (toward(t), topo.delta(center, t));
+            let code = find(d, PunchSet::new().with(frame, center, &[t])).expect("a code");
+            local[((dy + h) * (2 * h + 1) + dx + h) as usize] = (d.index() as u8, code, ahead);
         }
-        write!(f, "}}")
+        Tables {
+            frame,
+            center,
+            hops,
+            sets,
+            relay: relays,
+            merge,
+            local,
+        }
+    }
+
+    /// Packed codes `a` and `b` on the outputs of one router.
+    #[inline]
+    fn join(&self, a: u32, b: u32) -> u32 {
+        if a == 0 {
+            return b; // the common case: one contribution
+        }
+        codes(b).fold(a, |acc, (d, c)| {
+            let at = (acc >> (8 * d)) as Code as usize * (self.sets[d].len() + 1);
+            let merged = self.merge[d][at + c as usize];
+            debug_assert!(merged != 0, "codes that never share a wire");
+            acc & !(0xFF << (8 * d)) | (merged as u32) << (8 * d)
+        })
+    }
+
+    /// The set code `code` of class `d` names at router `to` of `topo`.
+    fn decode(&self, topo: Substrate, to: NodeId, d: usize, code: Code) -> PunchSet {
+        let at = |v| offset(topo, to, self.frame.topo.delta(self.center, v));
+        let set = (code as usize).checked_sub(1).map(|c| self.sets[d][c]);
+        set.map_or(PunchSet::new(), |s| s.translated(at))
     }
 }
 
-/// One punch set on a wire: it reaches router `to` over the link on `to`'s
-/// `from` side (the sender is `to`'s neighbour that way) at the next tick.
-#[derive(Debug, Clone, Copy)]
-struct Wire {
-    to: NodeId,
-    from: Direction,
-    set: PunchSet,
-}
-
-/// One queued local generation: a wakeup for `target`, waiting to leave
-/// `router` toward `dir`.
+/// A queued local generation of `target`: `code`, leaving `router` by `dir`.
 #[derive(Debug, Clone, Copy)]
 struct Gen {
     router: NodeId,
-    dir: Direction,
     target: NodeId,
+    dir: u8,
+    code: Code,
 }
 
 /// The per-link punch wires of the whole mesh, advanced one hop per cycle.
 ///
-/// Each cycle, a router merges (a) punch sets reaching it on its input wires
-/// and (b) at most one locally generated wakeup per output direction
-/// (additional local wakeups wait a cycle in a small queue — the hardware
-/// encoder can only express codebook sets), then forwards each target along
-/// its route. Every router a set arrives at is *notified*: the power
-/// manager wakes it if off and defers its sleep timer.
+/// Each cycle, a router merges the codes reaching it with at most one local
+/// generation per output (later ones wait a cycle: the encoder can only
+/// express codebook sets) and forwards each target along its route. Every
+/// router a code reaches is *notified*: woken if off, its sleep deferred.
 ///
-/// # Transit lists
-///
-/// The fabric holds state only for what is in flight: two short lists,
-/// not per-router wires and queues, so a tick costs O(sets in flight +
-/// queued generations), not O(mesh). Between ticks:
-///
-/// - `wires` holds one entry per non-empty wire, sorted by `(to, from)`
-///   (each key is unique: `from` names the sender);
-/// - `gens` holds the queued generations sorted by router, FIFO within
-///   each `(router, dir)`;
-/// - a tick merges the two in ascending router order, visiting each router
-///   once with its arrivals in `from` order and then at most one
-///   generation per output, so notify order, merge order (`insert_normalized`),
-///   `hops_sent_at`, [`PunchFabric::in_flight`] and `encode_state` are
-///   exactly those of a `0..n` sweep (kept as the test oracle in
-///   `punch_reference.rs`).
+/// A router's input wires are one word, a code per byte indexed by the
+/// direction the wire travels, double-buffered beside a plane of routers
+/// with an arriving wire; queued generations are one list sorted by router,
+/// FIFO per `(router, dir)`, beside a plane of routers holding one. A tick
+/// visits both planes' bits in ascending router order, as the `0..n` sweep
+/// oracle in `punch_reference.rs` does.
 #[derive(Debug, Clone)]
 pub struct PunchFabric {
     view: RouteView,
-    hops: u16,
-    /// Sets in flight, delivered next tick.
-    wires: Vec<Wire>,
-    /// Locally generated targets not yet sent.
+    /// Shared by clones.
+    tables: Arc<Tables>,
+    /// Per router, its arriving codes; `shipped` is the other buffer,
+    /// `arriving` and `landing` their planes.
+    wires: Vec<u32>,
+    shipped: Vec<u32>,
+    arriving: BitWords,
+    landing: BitWords,
+    /// Non-idle wires in `wires`.
+    live: usize,
     gens: Vec<Gen>,
+    /// Routers with a queued generation.
+    queued: BitWords,
     /// Total non-idle signal link traversals (wire energy metric).
     pub hops_sent: u64,
     /// Per-router breakdown of `hops_sent`: `hops_sent_at[r]` counts the
-    /// traversals departing router `r` (sums to `hops_sent`). A
-    /// statistic like `hops_sent`, excluded from `encode_state`.
+    /// traversals departing router `r`. Excluded from `encode_state`.
     pub hops_sent_at: Vec<u64>,
-    /// Routers visited by `tick`: pins the cost model without a clock.
-    #[cfg(test)]
-    pub(crate) visits: u64,
 }
 
 impl PunchFabric {
@@ -186,54 +204,37 @@ impl PunchFabric {
         let n = view.topo.nodes();
         PunchFabric {
             view,
-            hops,
-            wires: Vec::new(),
+            tables: Arc::new(Tables::new(view, hops)),
+            wires: vec![0; n],
+            shipped: vec![0; n],
+            arriving: BitWords::new(n),
+            landing: BitWords::new(n),
+            live: 0,
             gens: Vec::new(),
+            queued: BitWords::new(n),
             hops_sent: 0,
             hops_sent_at: vec![0; n],
-            #[cfg(test)]
-            visits: 0,
         }
-    }
-
-    /// Punch depth H (how many hops ahead wakeups target).
-    pub fn hops(&self) -> u16 {
-        self.hops
     }
 
     /// Appends the fabric's canonical snapshot encoding (see
     /// `punchsim_noc::snapshot`): for every router and input direction the
-    /// punch set on that wire (canonical target order — merge order within
-    /// a cycle is not semantic; an idle wire is an empty set), then for
-    /// every router and output direction its queued locally-generated
-    /// targets. `hops_sent` is a statistic (monotone) and excluded.
+    /// set on that wire (an idle wire is an empty set), then for every
+    /// router and output its queued generations' targets.
     pub fn encode_state(&self, out: &mut Vec<u8>) {
         use punchsim_noc::snapshot::{put_u16, put_u8};
-        let n = self.view.topo.nodes();
-        let mut wires = self.wires.iter().peekable();
-        for r in 0..n {
-            for from in Direction::ALL {
-                match wires.next_if(|w| w.to.index() == r && w.from == from) {
-                    Some(w) => {
-                        let canon = w.set.canonical();
-                        put_u8(out, canon.len() as u8);
-                        for &t in canon.targets() {
-                            put_u16(out, t.0);
-                        }
-                    }
-                    None => put_u8(out, 0),
-                }
-            }
+        for (_, _, set) in self.decoded() {
+            put_u8(out, set.len() as u8);
+            set.targets().iter().for_each(|x| put_u16(out, x.0));
         }
         let mut rest = &self.gens[..];
-        for r in 0..n {
-            let (run, tail) = rest.split_at(rest.partition_point(|g| g.router.index() == r));
+        for r in self.view.topo.iter_nodes() {
+            let (run, tail) = rest.split_at(rest.partition_point(|g| g.router == r));
             rest = tail;
-            for dir in Direction::ALL {
-                put_u8(out, run.iter().filter(|g| g.dir == dir).count() as u8);
-                for g in run.iter().filter(|g| g.dir == dir) {
-                    put_u16(out, g.target.0);
-                }
+            for d in 0..4 {
+                let mine = || run.iter().filter(|g| g.dir as usize == d);
+                put_u8(out, mine().count() as u8);
+                mine().for_each(|g| put_u16(out, g.target.0));
             }
         }
     }
@@ -248,21 +249,21 @@ impl PunchFabric {
         if router == dst {
             return None;
         }
-        let target = self.view.router_ahead(router, dst, self.hops);
-        let dir = self
-            .view
-            .direction(router, target)
-            .expect("target != router by construction");
+        let (t, (dx, dy)) = (&*self.tables, self.view.topo.delta(router, dst));
+        let h = t.hops as i32;
+        let at = (dy.clamp(-h, h) + h) * (2 * h + 1) + dx.clamp(-h, h) + h;
+        let (dir, code, ahead) = t.local[at as usize];
+        let target = offset(self.view.topo, router, ahead);
         // Behind every generation already queued at `router`: FIFO.
         let at = self.gens.partition_point(|g| g.router <= router);
-        self.gens.insert(
-            at,
-            Gen {
-                router,
-                dir,
-                target,
-            },
-        );
+        let gen = Gen {
+            router,
+            target,
+            dir,
+            code,
+        };
+        self.gens.insert(at, gen);
+        self.queued.set(router.index());
         Some(target)
     }
 
@@ -270,107 +271,87 @@ impl PunchFabric {
     /// router that receives a punch arrival (targeted *or* en route — both
     /// must stay awake or wake up), in ascending router order.
     ///
-    /// Cost: O(sets in flight + queued generations).
+    /// Cost: a word per 64 routers, and lookups per router it notifies.
     pub fn tick(&mut self, mut notify: impl FnMut(NodeId)) {
-        let arrived = self.wires.len();
-        let queued = self.gens.len();
-        // `w`/`g` read this cycle's entries; generations that stay queued
-        // are compacted to `kept`, and shipped sets are appended behind
-        // the arrivals (dropped below).
-        let (mut w, mut g, mut kept) = (0, 0, 0);
-        loop {
-            let wire = self.wires[..arrived].get(w).map(|x| x.to);
-            let gen = self.gens[..queued].get(g).map(|x| x.router);
-            let Some(here) = wire.into_iter().chain(gen).min() else {
-                break;
-            };
-            #[cfg(test)]
-            {
-                self.visits += 1;
-            }
-            let mut outgoing = [PunchSet::new(); 4];
-            while w < arrived && self.wires[w].to == here {
-                for &t in self.wires[w].set.targets() {
-                    if t == here {
-                        continue; // final target reached; consumed
+        if self.is_idle() {
+            return;
+        }
+        let (t, topo) = (&*self.tables, self.view.topo);
+        let (queued, mut g, mut kept, mut live) = (self.gens.len(), 0, 0, 0);
+        for w in 0..self.arriving.words().len() {
+            let mut word = self.arriving.words()[w] | self.queued.words()[w];
+            while word != 0 {
+                let here = w * 64 + word.trailing_zeros() as usize;
+                let router = NodeId(here as u16);
+                word &= word - 1;
+                let mut out = 0;
+                for (d, code) in codes(std::mem::take(&mut self.wires[here])) {
+                    out = t.join(out, t.relay[d][code as usize]);
+                }
+                // One local generation per output; later ones stay queued.
+                let mut popped = 0u8;
+                while g < queued && self.gens[g].router == router {
+                    let gen = self.gens[g];
+                    if popped & (1 << gen.dir) != 0 {
+                        self.gens[kept] = gen;
+                        kept += 1;
+                    } else {
+                        popped |= 1 << gen.dir;
+                        out = t.join(out, (gen.code as u32) << (8 * gen.dir));
                     }
-                    let dir = self.view.direction(here, t).expect("t != here");
-                    outgoing[dir.index()].insert_normalized(self.view, here, t);
+                    g += 1;
                 }
-                w += 1;
-            }
-            // One local generation per output; later ones for the same
-            // output stay queued, in order.
-            let mut popped = [false; 4];
-            while g < queued && self.gens[g].router == here {
-                let gen = self.gens[g];
-                g += 1;
-                let d = gen.dir.index();
-                if popped[d] {
-                    self.gens[kept] = gen;
-                    kept += 1;
-                } else {
-                    popped[d] = true;
-                    outgoing[d].insert_normalized(self.view, here, gen.target);
+                if popped != 0 && (kept == 0 || self.gens[kept - 1].router != router) {
+                    self.queued.clear(here);
                 }
-            }
-            // Every visited router holds an arrival or pops a generation
-            // (the first of its output), and both notify: generations wake
-            // the local router when it is the first hop of an injection
-            // punch.
-            notify(here);
-            for (d, set) in outgoing.into_iter().enumerate() {
-                if set.is_empty() {
-                    continue;
+                // Arrivals and generations both notify: a generation wakes
+                // its router when that is the first hop of an injection punch.
+                notify(router);
+                for (d, code) in codes(out) {
+                    let to = offset(topo, router, STEP[d]).index();
+                    self.shipped[to] |= (code as u32) << (8 * d);
+                    self.landing.set(to);
+                    self.hops_sent_at[here] += 1;
+                    live += 1;
                 }
-                let dir = Direction::ALL[d];
-                let Some(to) = self.view.topo.neighbor(here, dir) else {
-                    debug_assert!(false, "punch target routed off the substrate");
-                    continue;
-                };
-                self.hops_sent += 1;
-                self.hops_sent_at[here.index()] += 1;
-                self.wires.push(Wire {
-                    to,
-                    from: dir.opposite(),
-                    set,
-                });
             }
         }
+        debug_assert_eq!(g, queued, "a queued generation was not visited");
         self.gens.truncate(kept);
-        self.wires.drain(..arrived);
-        self.wires.sort_unstable_by_key(|w| (w.to, w.from));
+        self.live = live;
+        self.hops_sent += live as u64;
+        self.arriving.clear_all();
+        std::mem::swap(&mut self.wires, &mut self.shipped);
+        std::mem::swap(&mut self.arriving, &mut self.landing);
     }
 
-    /// In-flight punch sets as `(link_source, direction, set)` — the set is
-    /// currently traversing the wire leaving `link_source` toward
-    /// `direction` (test and validation hook).
+    /// In-flight punch sets as `(link_source, direction, set)` in
+    /// `(receiver, input)` order, decoded (canonical): the set is on the
+    /// wire leaving `link_source` toward `direction` (a test hook).
     pub fn in_flight(&self) -> Vec<(NodeId, Direction, PunchSet)> {
-        self.wires
-            .iter()
-            .map(|w| {
-                let src = self
-                    .view
-                    .topo
-                    .neighbor(w.to, w.from)
-                    .expect("punch arrived over a real link");
-                (src, w.from.opposite(), w.set)
-            })
-            .collect()
+        let src = |to, from| self.view.topo.neighbor(to, from).expect("a link");
+        let wire = |(to, from, set): (_, Direction, _)| (src(to, from), from.opposite(), set);
+        Vec::from_iter(self.decoded().filter(|w| !w.2.is_empty()).map(wire))
     }
 
-    /// Number of punch signals in flight on wires plus locally queued
-    /// generations — the sideband backlog reported in stall diagnostics.
-    /// O(1): the two list lengths.
+    /// Every router's input wires as `(router, from, set)`, in router and
+    /// [`Direction::ALL`] order; an idle wire decodes to the empty set.
+    fn decoded(&self) -> impl Iterator<Item = (NodeId, Direction, PunchSet)> + '_ {
+        let topo = self.view.topo;
+        let wires = topo.iter_nodes().zip(&self.wires);
+        wires.flat_map(move |(to, &w)| {
+            Direction::ALL.map(|from| {
+                let d = from.opposite().index();
+                let set = self.tables.decode(topo, to, d, (w >> (8 * d)) as Code);
+                (to, from, set)
+            })
+        })
+    }
+
+    /// Punch signals on wires plus queued generations — the sideband
+    /// backlog reported in stall diagnostics. O(1).
     pub fn pending(&self) -> usize {
-        debug_assert!(
-            self.wires
-                .windows(2)
-                .all(|p| (p[0].to, p[0].from) < (p[1].to, p[1].from))
-                && self.gens.windows(2).all(|p| p[0].router <= p[1].router),
-            "transit lists out of order"
-        );
-        self.wires.len() + self.gens.len()
+        self.live + self.gens.len()
     }
 
     /// `true` when no signals are in flight and no generations queued. O(1).
@@ -382,46 +363,11 @@ impl PunchFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use punchsim_types::Mesh;
+    use crate::Codebook;
+    use punchsim_types::{RoutingKind, Torus};
 
     fn mesh8() -> Mesh {
         Mesh::new(8, 8)
-    }
-
-    #[test]
-    fn implied_targets_are_dropped() {
-        // §4.1 step 4: merging 27->21 with 26->29 keeps only {21} on the
-        // 27->28 wire, because 29 lies on the path from 27 to 21.
-        let m = mesh8();
-        let mut s = PunchSet::new();
-        s.insert_normalized(m, NodeId(27), NodeId(21));
-        s.insert_normalized(m, NodeId(27), NodeId(29));
-        assert_eq!(s.targets(), &[NodeId(21)]);
-        // Insertion order must not matter.
-        let mut s2 = PunchSet::new();
-        s2.insert_normalized(m, NodeId(27), NodeId(29));
-        s2.insert_normalized(m, NodeId(27), NodeId(21));
-        assert_eq!(s2.targets(), &[NodeId(21)]);
-    }
-
-    #[test]
-    fn independent_targets_coexist() {
-        // Table 1 entry 13: {21, 36} is a valid two-target set.
-        let m = mesh8();
-        let mut s = PunchSet::new();
-        s.insert_normalized(m, NodeId(27), NodeId(21));
-        s.insert_normalized(m, NodeId(27), NodeId(36));
-        let c = s.canonical();
-        assert_eq!(c.targets(), &[NodeId(21), NodeId(36)]);
-    }
-
-    #[test]
-    fn duplicate_insert_is_noop() {
-        let m = mesh8();
-        let mut s = PunchSet::new();
-        s.insert_normalized(m, NodeId(27), NodeId(29));
-        s.insert_normalized(m, NodeId(27), NodeId(29));
-        assert_eq!(s.len(), 1);
     }
 
     #[test]
@@ -510,5 +456,84 @@ mod tests {
         assert!(seen.contains(&NodeId(30)));
         // 36 and 30 diverge at 28; both were carried across 27->28 at once.
         assert!(f.is_idle());
+    }
+
+    /// Every substrate kind and routing derives its tables within the code
+    /// width at every punch depth a configuration accepts. A mesh's tables
+    /// do not depend on its size; a torus's do on its ring sizes, so every
+    /// ring from 2 to past where the plane's codebook is reached is
+    /// covered, odd and even (half-ring ties).
+    #[test]
+    fn every_substrate_routing_and_depth_fits_the_code_width() {
+        for routing in RoutingKind::ALL {
+            for hops in 1..=4 {
+                let rings = (2..=9).map(|w| RouteView::new(Torus::new(w, 11 - w), routing));
+                for view in rings.chain([RouteView::new(mesh8(), routing)]) {
+                    // A ring of 2 never routes West or North: those classes
+                    // stay empty.
+                    let widest = Tables::new(view, hops).sets.map(|s| s.len());
+                    let widest = widest.into_iter().max().unwrap();
+                    assert!((1..=Code::MAX as usize).contains(&widest), "{view:?}");
+                }
+            }
+        }
+    }
+
+    /// Translation invariance, against the per-link enumeration: every
+    /// link's codebook, in offsets from the router the link reaches, is a
+    /// subset of its class (border links of a mesh) or the class itself (a
+    /// torus, every router of which is alike).
+    #[test]
+    fn every_link_codebook_is_its_class_in_offsets() {
+        let views = [
+            RouteView::from(mesh8()),
+            RouteView::new(Mesh::new(5, 3), RoutingKind::Yx),
+            RouteView::new(Torus::new(6, 4), RoutingKind::Xy),
+            RouteView::new(Torus::new(5, 5), RoutingKind::Yx),
+        ];
+        for view in views {
+            for hops in 1..=3 {
+                let (cb, t) = (Codebook::enumerate(view, hops), Tables::new(view, hops));
+                for link in cb.iter() {
+                    let to = view.topo.neighbor(link.from, link.dir).unwrap();
+                    let class = &t.sets[link.dir.index()];
+                    for s in link.sets() {
+                        let framed = s
+                            .translated(|x| offset(t.frame.topo, t.center, view.topo.delta(to, x)));
+                        assert!(class.contains(&framed), "{view:?} H={hops} {s}");
+                    }
+                    if view.topo.wraps() {
+                        assert_eq!(link.set_count(), class.len(), "{view:?} H={hops}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Table 1: the X+ class at H = 3 holds exactly the 22 sets of R27's
+    /// X+ link on the 8x8 mesh, decoded at R28.
+    #[test]
+    fn the_x_plus_class_at_h3_is_table_1() {
+        let t = Tables::new(mesh8().into(), 3);
+        let east = Direction::East.index();
+        let decoded: Vec<PunchSet> = (1..=t.sets[east].len())
+            .map(|c| t.decode(mesh8().into(), NodeId(28), east, c as Code))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let cb = Codebook::enumerate(mesh8(), 3);
+        assert_eq!(
+            decoded,
+            cb.link(NodeId(27), Direction::East).unwrap().sets()
+        );
+        assert_eq!(decoded.len(), 22);
+    }
+
+    /// Clones (the checker's forks, `Network::try_clone`) share the tables.
+    #[test]
+    fn clones_share_the_tables() {
+        let pm = crate::PowerPunchManager::new(mesh8(), &Default::default(), 4, true);
+        let fork = pm.clone();
+        assert!(Arc::ptr_eq(&pm.fabric().tables, &fork.fabric().tables));
     }
 }

@@ -13,7 +13,8 @@ use crate::soa::BitWords;
 
 /// In-flight items of one kind (flits, credits, ejections) for a whole
 /// mesh: `period` planes of `nodes * lanes` direct-mapped slots, the plane
-/// of due cycle `c` being `c % period`, plus per plane one bit per router
+/// of due cycle `c` being `c % period` — a mask, since the period is
+/// rounded up to a power of two — plus per plane one bit per router
 /// (set iff the router has an item there), the due cycle its items share,
 /// how many it holds and the span of bit words its puts touched.
 ///
@@ -60,8 +61,10 @@ pub struct Wheel<T> {
 
 impl<T> Wheel<T> {
     /// An empty wheel over `nodes` routers with `lanes` wires into each,
-    /// taking deliveries up to `period - 1` cycles ahead.
+    /// taking deliveries up to `period - 1` cycles ahead, `period` rounded
+    /// up to a power of two.
     pub fn new(nodes: usize, lanes: usize, period: usize) -> Self {
+        let period = period.next_power_of_two();
         Wheel {
             nodes,
             lanes,
@@ -75,7 +78,7 @@ impl<T> Wheel<T> {
     }
 
     fn step(&self, due: Cycle) -> usize {
-        (due % self.held.len() as Cycle) as usize
+        due as usize & (self.held.len() - 1)
     }
 
     /// Where plane `step` keeps the lanes into `node`.
@@ -395,6 +398,15 @@ mod tests {
         let mut w: Wheel<u8> = Wheel::new(4, 2, 4);
         w.put(7, 2, 1, 1);
         w.put(11, 0, 0, 2); // 11 % 4 == 7 % 4, and cycle 7 never swept
+    }
+
+    #[test]
+    #[should_panic(expected = "plane collision")]
+    fn a_period_rounded_up_still_panics_a_full_period_ahead() {
+        let mut w: Wheel<u8> = Wheel::new(4, 2, 3); // four planes
+        w.put(7, 2, 1, 1);
+        w.put(10, 0, 0, 2); // three ahead: a plane of its own
+        w.put(11, 0, 0, 3); // 11 & 3 == 7 & 3, and cycle 7 never swept
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! and `reference.rs`, the oracle tick the kernel is pinned to.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use punchsim_obs::metrics::{PhaseProfiler, Registry};
 use punchsim_obs::Event;
@@ -51,6 +52,30 @@ struct Window {
     injected_flits: u64,
     /// The cycle the window opened at.
     start: Cycle,
+}
+
+/// The packet table's hasher: packet ids are sequential, so one multiply
+/// by an odd constant (Fibonacci hashing) spreads them — its low bits,
+/// which pick the bucket, are a permutation of the id's, and its high
+/// bits, which tag the slot, are well mixed. The network numbers packets
+/// itself, so no input can pick colliding keys.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// A cycle-accurate mesh network under a pluggable power-gating scheme.
@@ -102,7 +127,7 @@ pub struct Network {
     /// Flat per-mesh bitset index over the router/NI structs (see
     /// [`crate::soa`]), maintained by every tick from construction on.
     soa: SoaState,
-    packets: HashMap<u64, PacketMeta>,
+    packets: HashMap<u64, PacketMeta, BuildHasherDefault<IdHasher>>,
     next_packet: u64,
     pm: Box<dyn PowerManager>,
     /// Events buffered for the next power phase.
@@ -172,7 +197,7 @@ impl Network {
             credits: Wheel::new(n, CREDIT_LANES, period),
             ejects: Wheel::new(n, 1, period),
             soa: SoaState::new(topo),
-            packets: HashMap::new(),
+            packets: HashMap::default(),
             next_packet: 0,
             pm,
             events: Vec::new(),
