@@ -58,7 +58,16 @@ pub struct SetAssoc<S> {
     ways: usize,
 }
 
-impl<S> SetAssoc<S> {
+/// Moves `set[pos]` to the front (MRU), shifting the lines before it one
+/// way back: a memmove of `pos` lines and one store.
+#[inline]
+fn to_front<S: Copy>(set: &mut [Line<S>], pos: usize) {
+    let line = set[pos];
+    set.copy_within(..pos, 1);
+    set[0] = line;
+}
+
+impl<S: Copy> SetAssoc<S> {
     /// Creates a cache with `sets` sets of `ways` ways.
     ///
     /// # Panics
@@ -90,7 +99,7 @@ impl<S> SetAssoc<S> {
         let s = self.set_of(addr);
         let set = &mut self.sets[s];
         let pos = set.iter().position(|l| l.addr == addr)?;
-        set[..=pos].rotate_right(1);
+        to_front(set, pos);
         Some(&set[0].state)
     }
 
@@ -115,14 +124,14 @@ impl<S> SetAssoc<S> {
         let s = self.set_of(addr);
         let set = &mut self.sets[s];
         if let Some(pos) = set.iter().position(|l| l.addr == addr) {
-            set[..=pos].rotate_right(1);
+            to_front(set, pos);
             set[0].state = state;
             return None;
         }
         let line = Line { addr, state };
         if set.len() == self.ways {
             let victim = std::mem::replace(&mut set[self.ways - 1], line);
-            set.rotate_right(1);
+            to_front(set, self.ways - 1);
             return Some(victim);
         }
         if set.len() == set.capacity() {

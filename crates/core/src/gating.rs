@@ -202,13 +202,17 @@ impl GateArray {
         let ready_at = cycle + self.wakeup_latency;
         self.ready_at[i] = ready_at;
         self.waking.set(i);
-        // Every in-tree caller wakes at the current cycle, so this lands at
+        // Every in-tree caller wakes at the current cycle with one fixed
+        // latency, so wakes arrive in `ready_at` order and are pushed to
         // the back; an earlier `cycle` through the public API still
         // inserts in order.
-        let at = self
-            .promotions
-            .partition_point(|q| self.ready_at[q.index()] <= ready_at);
-        self.promotions.insert(at, r);
+        let behind = |q: &NodeId| self.ready_at[q.index()] <= ready_at;
+        if self.promotions.back().is_none_or(behind) {
+            self.promotions.push_back(r);
+        } else {
+            let at = self.promotions.partition_point(behind);
+            self.promotions.insert(at, r);
+        }
     }
 
     /// Requests a wakeup of router `r` during `cycle`: an off router starts

@@ -135,3 +135,69 @@ impl Network {
         self.shard.panic_next = true;
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::{msg, net_with};
+    use crate::flit::MsgClass;
+    use crate::link::Wheel;
+    use crate::power::AlwaysOn;
+    use crate::soa::{CREDIT_LANES, FLIT_LANES};
+    use punchsim_types::{Cycle, Mesh, NocConfig};
+
+    /// The lanes into `router` of `wheel` that carry an item due at `now`,
+    /// as a mask: bit `i` for lane `i`.
+    fn due_lanes<T>(wheel: &mut Wheel<T>, now: Cycle, router: usize, lanes: usize) -> u32 {
+        let (_, slots) = wheel.plane_mut(now);
+        let wires = &slots[router * lanes..][..lanes];
+        (0..lanes).fold(0, |mask, i| mask | u32::from(wires[i].is_some()) << i)
+    }
+
+    /// Phase A's lane walks against the reference kernel's port loops, on
+    /// a cycle when one router has work on every lane: the centre of a
+    /// 3x3 mesh takes flits on all five input lanes (four streams crossing
+    /// it straight from each neighbour, and its own NI's) and credits on
+    /// all five credit lanes that carry one — the four link outputs and
+    /// the NI's; the `Local` output's lane never does. A lane mapped to
+    /// the wrong port or direction, or an NI credit dealt to the router,
+    /// shows in `report()` or `encode_state()` within a tick.
+    #[test]
+    fn every_lane_due_at_one_router_matches_the_reference_kernel() {
+        let cfg = NocConfig {
+            topology: Mesh::new(3, 3).into(),
+            ..NocConfig::default()
+        };
+        let build = || net_with(&cfg, |n| Box::new(AlwaysOn::new(n)));
+        let (mut kernel, mut oracle) = (build(), build());
+        oracle.use_reference_kernel();
+        for _ in 0..4 {
+            for (src, dst) in [(1, 7), (3, 5), (5, 3), (7, 1), (4, 0)] {
+                for n in [&mut kernel, &mut oracle] {
+                    n.send(msg(src, dst, MsgClass::Data)).unwrap();
+                }
+            }
+        }
+        let (centre, mut every_lane) = (4, 0);
+        while !kernel.quiescent() {
+            let now = kernel.cycle();
+            let flits = due_lanes(&mut kernel.flits, now, centre, FLIT_LANES);
+            let credits = due_lanes(&mut kernel.credits, now, centre, CREDIT_LANES);
+            assert_eq!(
+                credits & 1,
+                0,
+                "cycle {now}: a credit on the Local output's lane"
+            );
+            every_lane += u32::from(flits == 0b1_1111 && credits == 0b11_1110);
+            kernel.tick().unwrap();
+            oracle.tick().unwrap();
+            let (a, b) = (kernel.report(), oracle.report());
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "cycle {now}");
+            let state = kernel.encode_state();
+            assert!(state.is_some(), "an always-on network encodes");
+            assert_eq!(state, oracle.encode_state(), "cycle {now}");
+            assert!(now < 500, "the streams never drained");
+        }
+        assert!(oracle.quiescent());
+        assert!(every_lane > 0, "no cycle had every lane due at the centre");
+    }
+}

@@ -135,13 +135,23 @@ pub struct Router {
     pub activity: RouterActivity,
 }
 
-/// Calls `f(i)` for every set bit `i` of `mask`, ascending.
+/// The set bits of `mask`, ascending.
 #[inline]
-fn for_each_bit(mut mask: u32, mut f: impl FnMut(usize)) {
-    while mask != 0 {
-        f(mask.trailing_zeros() as usize);
-        mask &= mask - 1;
-    }
+pub(crate) fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// The mask with bit `i` set iff `flags[i]` is: built branch-free, so a
+/// walk of its [`bits`] pays only for the ports or lanes that hold work.
+#[inline]
+pub(crate) fn mask_of<const N: usize>(flags: [bool; N]) -> u32 {
+    (0..N).fold(0, |mask, i| mask | u32::from(flags[i]) << i)
 }
 
 /// Bit `v` of word `w`.
@@ -411,10 +421,12 @@ impl Router {
     /// next router; the network layer does that, so `route_port` on
     /// departures still refers to *this* router's output.
     ///
-    /// Cost follows the buffered head-of-line flits (set bits of the
-    /// `occ`/`routed`/`fresh` words), not ports x VCs; grants are those of
-    /// the rotating-priority full scan, which survives as the test oracle
-    /// `Router::allocate_reference`.
+    /// Cost follows the ports and VCs that hold work, not ports x VCs:
+    /// each allocator walks the mask of input ports whose eligible word
+    /// (`occ`/`routed`/`fresh`) is non-zero and, in each, that word's set
+    /// bits, and arbitrates only the outputs some input asked for. Grants
+    /// are those of the rotating-priority full scan, which survives as the
+    /// test oracle `Router::allocate_reference`.
     pub fn allocate(
         &mut self,
         cycle: Cycle,
@@ -431,52 +443,56 @@ impl Router {
     /// VC of their (vnet, class) at their look-ahead output port. Returns,
     /// per input port, the VCs it granted.
     fn vc_allocate(&mut self, fresh: &[u32; 5]) -> [u32; 5] {
+        let mut granted = [0u32; 5];
+        let unrouted: [u32; 5] = std::array::from_fn(|p| self.occ[p] & !self.routed[p] & !fresh[p]);
+        let from = mask_of(unrouted.map(|w| w != 0));
+        if from == 0 {
+            return granted;
+        }
         // Gather requests once, as per-output words: `req[o][p]` bit `v`
         // set iff VC `(p, v)` holds an eligible unrouted head for output
-        // `o`.
-        let mut req = [[0u32; 5]; 5];
-        let mut wanted = 0u8;
-        let mut granted = [0u32; 5];
-        for p in 0..5 {
-            for_each_bit(self.occ[p] & !self.routed[p] & !fresh[p], |v| {
+        // `o`, and `asked[o]` bit `p` set iff `req[o][p]` is non-zero.
+        let (mut req, mut asked) = ([[0u32; 5]; 5], [0u32; 5]);
+        for p in bits(from) {
+            for v in bits(unrouted[p]) {
                 let front = self.vc(p, v).front(&self.pool);
                 if front.kind().is_head() {
                     let o = front.route_port.index();
                     req[o][p] |= 1 << v;
-                    wanted |= 1 << o;
+                    asked[o] |= 1 << p;
                 }
-            });
-        }
-        if wanted == 0 {
-            return granted;
+            }
         }
         // Grant per output port, rotating priority across the global input
         // VC index `g = p * total + v`: the walk starts at `va_rr`'s bit of
-        // its port, runs through the later ports, wraps round the earlier
-        // ones and ends with the bits of the start port below `va_rr` —
-        // the order of a full scan of all `5 * total` slots (DESIGN §15).
+        // its port `sp`, runs through the later requesting ports, wraps
+        // round the earlier ones and ends with the bits of `sp` below
+        // `va_rr` — the order of a full scan of all `5 * total` slots
+        // (DESIGN §15).
         let total = self.layout.total();
-        for (o, out_port) in Port::ALL.into_iter().enumerate() {
-            if (wanted >> o) & 1 == 0 {
-                continue;
-            }
-            let start = self.va_rr[o] as usize;
+        for o in bits(mask_of(asked.map(|ports| ports != 0))) {
+            let (out_port, start) = (Port::ALL[o], self.va_rr[o] as usize);
             let (sp, sv) = (start / total, start % total);
             let at_or_above = !0u32 << sv;
+            // The walk's steps `k`: 0 is port `sp` from bit `sv` up, 1–4
+            // the other requesting ports, port `(sp + k) % 5` at step `k`
+            // (their 5-bit set rotated right by `sp`), and 5 is port `sp`
+            // below `sv`.
+            let others = asked[o] & !(1 << sp);
+            let rotated = ((others >> sp) | (others << (5 - sp))) & 0x1f;
             let mut granted_any = false;
-            for k in 0..=5 {
-                let p = (sp + k) % 5;
-                let mask = match k {
-                    0 => at_or_above,
-                    5 => !at_or_above,
-                    _ => !0,
+            for k in bits(1 | rotated | 1 << 5) {
+                let (p, mask) = match k {
+                    0 => (sp, at_or_above),
+                    5 => (sp, !at_or_above),
+                    _ => ((sp + k) % 5, !0),
                 };
-                for_each_bit(req[o][p] & mask, |v| {
+                for v in bits(req[o][p] & mask) {
                     let front = self.vc(p, v).front(&self.pool);
                     let free = self.layout.candidate_mask(front.vnet(), front.class())
                         & !self.out_vc_busy[o];
                     if free == 0 {
-                        return;
+                        continue;
                     }
                     self.route(p, v, out_port, free.trailing_zeros() as usize, &mut granted);
                     if !granted_any {
@@ -485,7 +501,7 @@ impl Router {
                         self.va_rr[o] = if g + 1 == 5 * total { 0 } else { g as u8 + 1 };
                         granted_any = true;
                     }
-                });
+                }
             }
         }
         granted
@@ -506,73 +522,72 @@ impl Router {
         // This router's reports start here: the once-per-packet check
         // below looks no further back.
         let first_blocked = blocked.len();
-        // Phase 1: each input port offers one front flit among its routed
-        // VCs past their BW cycle, as its VC in `pick` and its bit in the
-        // request word of its output, committed (`req[0][o]`) or
-        // speculative (`req[1][o]`).
+        // Phase 1: each input port with an eligible VC — routed, past its
+        // BW cycle and, in 4-stage mode, not routed in this call — offers
+        // one front flit, as its VC in `pick` and its bit in the request
+        // word of its output, committed (`req[0][o]`) or speculative
+        // (`req[1][o]`); `outs` collects the outputs asked for.
         // candidate = credit + downstream on; blocked = credit, downstream
         // off.
         let total = self.layout.total();
-        let (mut pick, mut req) = ([0u8; 5], [[0u8; 5]; 2]);
-        for p in 0..5 {
-            let mut eligible = self.occ[p] & self.routed[p] & !fresh[p];
-            if self.stages != 3 {
-                eligible &= !granted[p]; // 4-stage: SA starts the cycle after VA.
-            }
-            if eligible == 0 {
-                continue;
-            }
-            // Rotating priority from `sa_in_rr`: eligible VCs at or above
-            // the pointer first, then the wrapped-around ones below it.
-            let below = (1u32 << self.sa_in_rr[p]) - 1;
+        let held = if self.stages == 3 { 0 } else { !0 };
+        let eligible: [u32; 5] = std::array::from_fn(|p| {
+            self.occ[p] & self.routed[p] & !fresh[p] & !(granted[p] & held)
+        });
+        let (mut pick, mut req, mut outs) = ([0u8; 5], [[0u8; 5]; 2], 0u32);
+        for p in bits(mask_of(eligible.map(|w| w != 0))) {
+            // Rotating priority from `r = sa_in_rr`: the eligible word
+            // rotated right by `r` within `total` bits, so bit `k` is VC
+            // `(r + k) % total` — the VCs at or above the pointer first,
+            // then the wrapped-around ones below it.
+            let (r, word) = (self.sa_in_rr[p] as usize, u64::from(eligible[p]));
+            let rotated = ((word | word << total) >> r) & ((1 << total) - 1);
             // The pick so far: (VC, output, speculative).
             let mut best: Option<(usize, usize, bool)> = None;
-            for mask in [eligible & !below, eligible & below] {
-                for_each_bit(mask, |v| {
-                    let vc = self.vc(p, v);
-                    let (out_port, out_vc) = (Port::ALL[vc.out_port as usize], vc.out_vc);
-                    if !self.has_credit(out_port, out_vc as usize) {
-                        return; // no downstream buffer space
+            for k in bits(rotated as u32) {
+                let v = if r + k >= total { r + k - total } else { r + k };
+                let vc = self.vc(p, v);
+                let (out_port, out_vc) = (Port::ALL[vc.out_port as usize], vc.out_vc);
+                if !self.has_credit(out_port, out_vc as usize) {
+                    continue; // no downstream buffer space
+                }
+                if !down_on(out_port) {
+                    // Stalled purely by power-gating: report for the WU
+                    // handshake and the Fig. 9/10 metrics (once per packet).
+                    let packet = vc.front(&self.pool).packet;
+                    if !blocked[first_blocked..]
+                        .iter()
+                        .any(|(_, b)| b.packet == packet)
+                    {
+                        blocked.push((
+                            id,
+                            PgBlocked {
+                                next_router_port: out_port,
+                                packet,
+                            },
+                        ));
                     }
-                    if !down_on(out_port) {
-                        // Stalled purely by power-gating: report for the WU
-                        // handshake and the Fig. 9/10 metrics (once per
-                        // packet).
-                        let packet = vc.front(&self.pool).packet;
-                        if !blocked[first_blocked..]
-                            .iter()
-                            .any(|(_, b)| b.packet == packet)
-                        {
-                            blocked.push((
-                                id,
-                                PgBlocked {
-                                    next_router_port: out_port,
-                                    packet,
-                                },
-                            ));
-                        }
-                        return;
-                    }
-                    // Committed flits beat speculative ones.
-                    let spec = bit(granted[p], v);
-                    if best.is_none_or(|(_, _, s)| s && !spec) {
-                        best = Some((v, vc.out_port as usize, spec));
-                    }
-                });
+                    continue;
+                }
+                // Committed flits beat speculative ones.
+                let spec = bit(granted[p], v);
+                if best.is_none_or(|(_, _, s)| s && !spec) {
+                    best = Some((v, vc.out_port as usize, spec));
+                }
             }
             if let Some((v, o, spec)) = best {
                 pick[p] = v as u8;
                 req[usize::from(spec)][o] |= 1 << p;
+                outs |= 1 << o;
             }
         }
-        // Phase 2: output arbitration, committed over speculative, then
-        // the first requesting input at or after `sa_out_rr` — the request
-        // word rotated by the pointer (DESIGN §15).
-        for (o, out_port) in Port::ALL.into_iter().enumerate() {
+        // Phase 2: arbitration of the requested outputs, committed over
+        // speculative, then the first requesting input at or after
+        // `sa_out_rr` — the request word rotated by the pointer (DESIGN
+        // §15).
+        for o in bits(outs) {
+            let out_port = Port::ALL[o];
             let word = if req[0][o] != 0 { req[0][o] } else { req[1][o] };
-            if word == 0 {
-                continue;
-            }
             let from = word & (!0u8 << self.sa_out_rr[o]);
             let p = if from != 0 { from } else { word }.trailing_zeros() as usize;
             self.sa_out_rr[o] = if p == 4 { 0 } else { p as u8 + 1 };
@@ -1356,6 +1371,64 @@ mod tests {
         }
         assert!(r.datapath_empty());
         assert_eq!(r.pool.slots(), slots, "storage never exceeds Σ depths");
+    }
+
+    /// VA's port-mask walk and SA's output arbitration against the full
+    /// scan from every start: for every `va_rr` slot `(sp, sv)` and every
+    /// `sa_out_rr` of one output, a head for that output at VC `sv` of
+    /// each input port, and one more on port `sp` below `sv` (wrapping to
+    /// the last VC at `sv = 0`). More heads than free output VCs of their
+    /// class, so which win VA, and which of those wins the crossbar,
+    /// depends on the walk order alone.
+    #[test]
+    fn port_mask_walk_matches_the_full_scan_from_every_start() {
+        let (mut lost_va, mut won_sa) = (0, 0u32);
+        for l in [layout(3, 2, 1, 3, 1), layout(1, 2, 0, 3, 1)] {
+            let total = l.total();
+            for out in Port::ALL {
+                for start in 0..5 * total {
+                    let (sp, sv) = (start / total, start % total);
+                    for sa_out in 0..5 {
+                        let mut new = Router::new(NodeId(0), l, 3, PortMap::from_fn(|_| true));
+                        new.va_rr[out.index()] = start as u8;
+                        new.sa_out_rr[out.index()] = sa_out;
+                        for (p, port) in Port::ALL.into_iter().enumerate() {
+                            let below = (sv + total - 1) % total;
+                            for v in if p == sp { vec![sv, below] } else { vec![sv] } {
+                                let packet = PacketId((p * total + v) as u64);
+                                let mut f = Flit::new(
+                                    packet,
+                                    FlitKind::Head,
+                                    l.vnet(v),
+                                    l.class(v),
+                                    NodeId(9),
+                                    0,
+                                );
+                                f.route_port = out;
+                                f.vc = v as u8;
+                                new.latch(port, f, 10);
+                            }
+                        }
+                        let mut old = new.clone();
+                        let at = format!("{out} va_rr {start} sa_out_rr {sa_out}");
+                        let got = allocate(&mut new, 11, &all_on());
+                        assert_eq!(got, old.allocate_reference(11, &all_on()), "{at}");
+                        let pointers = |r: &Router| (r.routed, r.va_rr, r.sa_in_rr, r.sa_out_rr);
+                        assert_eq!(pointers(&new), pointers(&old), "{at}");
+                        let (mut a, mut b) = (Vec::new(), Vec::new());
+                        new.encode_state(&mut a);
+                        old.encode_state(&mut b);
+                        assert_eq!(a, b, "{at}");
+                        let granted: u32 = new.routed.iter().map(|w| w.count_ones()).sum();
+                        lost_va += u32::from(granted < 6);
+                        let d = got.departures[out].expect("a VA winner crosses");
+                        won_sa |= 1 << d.in_port.index();
+                    }
+                }
+            }
+        }
+        assert!(lost_va > 0, "every head always won VA");
+        assert_eq!(won_sa, 0b1_1111, "some input never won the crossbar");
     }
 
     #[test]

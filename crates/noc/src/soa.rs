@@ -31,7 +31,7 @@ use punchsim_types::{Cycle, Direction, NodeId, PacketId, Port, Substrate};
 use crate::flit::Flit;
 use crate::ni::Ni;
 use crate::power::{PowerManager, PowerState};
-use crate::router::{Departure, PgBlocked, Router};
+use crate::router::{bits, mask_of, Departure, PgBlocked, Router};
 
 /// A fixed-length bitset packed into `u64` words: one bit per router (or
 /// NI), swept word-at-a-time by the SoA kernel.
@@ -391,17 +391,20 @@ pub(crate) fn split_shards<'a>(
     })
 }
 
-/// Applies the credits due on one router's [`CREDIT_LANES`] wires: to the
-/// router's link outputs, and to its NI for the local input. The `Local`
-/// output's lane is never written: ejection is not a credit loop.
+/// Applies the credits due on one router's [`CREDIT_LANES`] wires, taking
+/// only the lanes that carry one: lanes 1–4 to the router's link outputs
+/// (`Port::Link(Direction::ALL[i - 1])` is lane `i`), [`NI_CREDIT_LANE`]
+/// to its NI for the local input. Lane 0, the `Local` output's, is never
+/// written: ejection is not a credit loop.
 pub(crate) fn deliver_credits(lanes: &mut [Option<u8>], router: &mut Router, ni: &mut Ni) {
-    for dir in Direction::ALL {
-        if let Some(vc) = lanes[Port::Link(dir).index()].take() {
-            router.credit(dir, vc as usize);
+    let due: [bool; CREDIT_LANES] = std::array::from_fn(|i| lanes[i].is_some());
+    for i in bits(mask_of(due)) {
+        let vc = lanes[i].take().expect("a set lane carries a credit") as usize;
+        if i == NI_CREDIT_LANE {
+            ni.credit(vc);
+        } else {
+            router.credit(Direction::ALL[i - 1], vc);
         }
-    }
-    if let Some(vc) = lanes[NI_CREDIT_LANE].take() {
-        ni.credit(vc as usize);
     }
 }
 
@@ -428,18 +431,23 @@ pub(crate) fn shard_phase_a(
 
     // --- 1. deliver flits -------------------------------------------------
     for_each_one(ctx.flit_due, lo, hi, |idx| {
-        let li = idx - lo;
-        for port in Port::ALL {
-            let Some(flit) = sv.flits[li * FLIT_LANES + port.index()].take() else {
-                continue;
-            };
-            buf.moved = true;
-            if ctx.violation_open && buf.violation.is_none() && avail.is_off(NodeId(idx as u16)) {
-                buf.violation = Some(NodeId(idx as u16));
-            }
+        let (li, router) = (idx - lo, NodeId(idx as u16));
+        // A router's due bit means at least one of its lanes carries a
+        // flit, so whether one enters an off router is known up front.
+        buf.moved = true;
+        if ctx.violation_open && buf.violation.is_none() && avail.is_off(router) {
+            buf.violation = Some(router);
+        }
+        // Only the lanes that carry a flit; lane `i` is input port
+        // `Port::ALL[i]`.
+        let lanes = &mut sv.flits[li * FLIT_LANES..][..FLIT_LANES];
+        let due: [bool; FLIT_LANES] = std::array::from_fn(|i| lanes[i].is_some());
+        for i in bits(mask_of(due)) {
+            let flit = lanes[i].take().expect("a set lane carries a flit");
+            let port = Port::ALL[i];
             if flit.kind().is_head() {
                 buf.head_arrivals.push(HeadArrival {
-                    router: NodeId(idx as u16),
+                    router,
                     dst: flit.dst,
                     packet: flit.packet,
                     counted_hop: port != Port::Local,
