@@ -41,6 +41,11 @@
 #                    recorded before the seeded and the scripted injector
 #                    were merged, so the seeded fault schedule itself is
 #                    gated.
+#   run-rates,       The synthetic command's load and scheme tables at their
+#   run-schemes      defaults reproduce bench/SWEEP_8x8.txt and
+#                    bench/SCHEMES_8x8.txt, recorded from the binary of the
+#                    commit before `sweep` and `schemes` were folded into
+#                    one command: no figure pins the default 8x8 point.
 #   verify-*         The exhaustive wakeup-protocol explorations reproduce
 #                    bench/VERIFY_*.json byte for byte — the state encoding,
 #                    the choice enumeration order and the property
@@ -144,6 +149,8 @@ substrate-t1      | =substrate-t4                     | campaign --suite substra
 busy-s1           | -                                 | campaign --suite busy --name busy --smoke --shards 1
 busy-s2           | =busy-s1                          | campaign --suite busy --name busy --smoke --shards 2
 busy-s4           | =busy-s1                          | campaign --suite busy --name busy --smoke --shards 4
+run-rates         | bench/SWEEP_8x8.txt               | sweep
+run-schemes       | bench/SCHEMES_8x8.txt             | schemes
 faults-ppf-s1     | bench/FAULTS_ppf.txt              | faults --scheme ppf --shards 1
 faults-ppf-s2     | bench/FAULTS_ppf.txt              | faults --scheme ppf --shards 2
 faults-ppf-s4     | bench/FAULTS_ppf.txt              | faults --scheme ppf --shards 4
