@@ -8,7 +8,7 @@
 use punchsim_cmp::{Benchmark, CmpConfig, CmpSim};
 use punchsim_noc::{Network, NetworkReport};
 use punchsim_obs::metrics::Registry;
-use punchsim_obs::{IntervalRow, RingSink, Sampler, Stamped};
+use punchsim_obs::{IntervalRow, RingSink, Sampler, Stamped, VecSink};
 use punchsim_power::PowerModel;
 use punchsim_traffic::{InjectionConfig, SyntheticSim, TrafficPattern};
 use punchsim_types::{RoutingKind, SchemeKind, SimConfig, SimError, Substrate};
@@ -298,11 +298,14 @@ impl RunSpec {
 }
 
 /// Attaches observers to a freshly built network: a flight recorder of
-/// `trace_cap` events (none at 0) and, for `metrics`, the tick-phase
-/// profiler. Neither feeds back into the simulation.
+/// `trace_cap` events (none at 0, every event at `usize::MAX`) and, for
+/// `metrics`, the tick-phase profiler. Neither feeds back into the
+/// simulation.
 pub fn attach(net: &mut Network, trace_cap: usize, metrics: bool) {
-    if trace_cap > 0 {
-        net.set_sink(Box::new(RingSink::new(trace_cap)));
+    match trace_cap {
+        0 => {}
+        usize::MAX => net.set_sink(Box::new(VecSink::new())),
+        cap => net.set_sink(Box::new(RingSink::new(cap))),
     }
     if metrics {
         net.enable_profiler();
@@ -312,13 +315,19 @@ pub fn attach(net: &mut Network, trace_cap: usize, metrics: bool) {
 /// Detaches what [`attach`] (or the host) attached: the sink's retained
 /// events (empty without a sink) and, when a profiler was running, the
 /// run's metric registry — every deterministic counter/histogram/plane the
-/// network exports plus the wall-clock tick-phase profile.
+/// network exports, the wall-clock tick-phase profile, and the shard
+/// thread overhead (creations plus pooled-tick barrier waits).
 pub fn harvest(net: &mut Network) -> (Vec<Stamped>, Option<Registry>) {
     let events = net.take_sink().map(|s| s.snapshot()).unwrap_or_default();
     let registry = net.take_profiler().map(|profiler| {
         let mut reg = Registry::new();
         net.export_metrics(&mut reg);
         profiler.export(&mut reg);
+        let [(spawns, spawn_nanos), (ticks, wait_nanos)] = [net.spawn_stats(), net.pool_stats()];
+        reg.inc("shard_spawns_total", spawns);
+        reg.inc("shard_spawn_nanos_total", spawn_nanos);
+        reg.inc("shard_pool_ticks_total", ticks);
+        reg.inc("shard_pool_wait_nanos_total", wait_nanos);
         reg
     });
     (events, registry)
@@ -331,7 +340,8 @@ pub struct ObserveOpts {
     /// Sampling interval in cycles for the per-interval time series;
     /// `0` disables sampling.
     pub sample_every: u64,
-    /// Flight-recorder capacity in events; `0` leaves tracing off.
+    /// Flight-recorder capacity in events; `0` leaves tracing off and
+    /// `usize::MAX` keeps the whole run.
     pub trace_cap: usize,
     /// When `true`, the run collects a metric [`Registry`] (counters,
     /// latency histogram, per-router planes, tick-phase profile). Like
@@ -592,7 +602,7 @@ mod tests {
 
     #[test]
     fn unusable_rates_are_typed_config_errors_not_panics() {
-        for bad in [f64::NAN, -1.0, f64::INFINITY] {
+        for bad in [f64::NAN, -1.0, f64::INFINITY, 1.5] {
             let mut spec = synth_spec();
             if let Workload::Synthetic { rate, .. } = &mut spec.workload {
                 *rate = bad;

@@ -56,10 +56,9 @@ use punchsim_types::{SchemeKind, SimConfig, SimError};
 /// This `match` is the one place in the workspace that binds a
 /// [`SchemeKind`] to the constructor of its manager; it is exhaustive, so a
 /// new variant does not compile until it has an arm. Everything else that
-/// is indexed by scheme — the CLI `--scheme` parser, `list-schemes`,
-/// campaign tags, the verify scenario factory and cmp's scheme table — is
-/// derived from the [`SchemeKind::METAS`] row (tag, paper label,
-/// description). Adding a scheme therefore
+/// is indexed by scheme — the CLI `--scheme` parser, campaign tags, the
+/// verify scenario factory and cmp's scheme table — is derived from the
+/// [`SchemeKind::METAS`] row (tag, paper label). Adding a scheme therefore
 /// means: one enum variant, one `METAS` row, one arm here.
 ///
 /// When `cfg.faults` activates any fault mechanism, the scheme's manager is

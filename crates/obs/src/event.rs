@@ -429,8 +429,8 @@ mod tests {
 
     #[test]
     fn display_is_informative_and_comma_free() {
-        // The CSV exporter quotes nothing, so event rendering must never
-        // contain commas or newlines.
+        // Event rendering is one line without commas, so it drops into a
+        // log line or a table cell unquoted.
         for ev in one_of_each() {
             let s = ev.to_string();
             assert!(!s.contains(','), "{s}");

@@ -1,9 +1,8 @@
-//! Exporters: render a captured event stream as JSONL, CSV, or Chrome
+//! Exporters: render a captured event stream as JSONL or Chrome
 //! trace-event JSON.
 //!
 //! * **JSONL** — one compact JSON object per line: the cycle stamp, the
 //!   event kind and every payload field of a [`Stamped`] event.
-//! * **CSV** — `cycle,kind,subject,detail` rows for spreadsheet triage.
 //! * **Chrome trace-event JSON** — loadable in `chrome://tracing` or
 //!   Perfetto: one named track per router carrying its `off`/`waking`
 //!   duration slices, instants for WU assertions / escalations / faults,
@@ -21,25 +20,6 @@ pub fn to_jsonl(events: &[Stamped]) -> String {
     for e in events {
         out.push_str(&e.to_json().render_compact());
         out.push('\n');
-    }
-    out
-}
-
-/// Renders events as CSV with a header row.
-pub fn to_csv(events: &[Stamped]) -> String {
-    let mut out = String::from("cycle,kind,subject,detail\n");
-    for e in events {
-        let subject = match e.event.subject() {
-            Some(n) => n.0.to_string(),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            "{},{},{},{}\n",
-            e.cycle,
-            e.event.kind(),
-            subject,
-            e.event
-        ));
     }
     out
 }
@@ -316,19 +296,6 @@ mod tests {
         assert_eq!(text.lines().count(), events.len());
         for (line, e) in text.lines().zip(&events) {
             assert_eq!(Json::parse(line).expect("valid JSON"), e.to_json());
-        }
-    }
-
-    #[test]
-    fn csv_has_header_and_one_row_per_event() {
-        let events = demo_events();
-        let csv = to_csv(&events);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "cycle,kind,subject,detail");
-        assert_eq!(lines.len(), events.len() + 1);
-        // Exactly four columns everywhere (event Display is comma-free).
-        for line in &lines {
-            assert_eq!(line.matches(',').count(), 3, "{line}");
         }
     }
 

@@ -15,7 +15,7 @@
 //!   unbounded capture sink.
 //! * [`sampler`] — rolls cumulative counters into per-interval time series
 //!   (latency, off-fraction, punch-wire utilization, escalations).
-//! * [`export`] — JSONL, CSV and Chrome trace-event JSON renderers (the
+//! * [`export`] — JSONL and Chrome trace-event JSON renderers (the
 //!   latter loads in `chrome://tracing` / Perfetto with one track per
 //!   router and flow arrows for punch signals).
 //! * [`json`] — the workspace's shared dependency-free JSON value
@@ -39,7 +39,7 @@ pub mod sampler;
 pub mod sink;
 
 pub use event::{Event, FaultKind, PowerTag, Stamped};
-pub use export::{chrome_trace, to_csv, to_jsonl};
+pub use export::{chrome_trace, to_jsonl};
 pub use json::{Json, JsonError};
 pub use sampler::{IntervalRow, Sample, Sampler};
 pub use sink::{EventSink, NullSink, RingSink, VecSink};

@@ -9,7 +9,7 @@
 //! * [`RingSink`] — a bounded "flight recorder": keeps the most recent N
 //!   events and counts what it evicted. This is what the watchdog dumps
 //!   into a `StallReport` when a run wedges.
-//! * [`VecSink`] — unbounded capture for tests and the `trace` subcommand,
+//! * [`VecSink`] — unbounded capture for tests and `--trace-cap 0` runs,
 //!   where the whole run's event stream becomes the artifact.
 
 use crate::event::{Event, Stamped};

@@ -50,11 +50,11 @@ impl InjectionConfig {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::BadInjectionRate`] unless `rate_flits` is a finite
-    /// number `>= 0` (a NaN or negative rate has no arrival process; an
-    /// infinite one reports infinite offered load).
+    /// [`ConfigError::BadInjectionRate`] unless `rate_flits` is in
+    /// `0..=1` (a NaN or negative rate has no arrival process, and an NI
+    /// injects at most one flit per cycle, so no higher load is offered).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.rate_flits.is_finite() && self.rate_flits >= 0.0 {
+        if (0.0..=1.0).contains(&self.rate_flits) {
             Ok(())
         } else {
             Err(ConfigError::BadInjectionRate {

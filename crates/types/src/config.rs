@@ -10,28 +10,30 @@ use crate::{Cycle, NodeId};
 /// Which power-gating scheme drives the routers (§5 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
-    /// Baseline: no power-gating, all routers always on.
+    /// Baseline: no power-gating, all routers always on — the paper's
+    /// No-PG reference point.
     NoPg,
-    /// Conventional power-gating: a sleeping router is woken only when a
-    /// blocked packet at a neighbour (or the local NI) needs it.
+    /// Conventional power-gating: a sleeping router is woken, by the WU
+    /// handshake, only when a blocked packet at a neighbour (or the local
+    /// NI) needs it.
     ConvPg,
     /// Conventional power-gating optimized with the idle timeout filter and
     /// the one-hop early wakeup at route-computation time — the paper's
     /// `ConvOpt-PG` comparison point.
     ConvOptPg,
-    /// Power Punch with multi-hop punch signals only (no NI slack) —
+    /// Power Punch with multi-hop punch signals only (no NI slack, §4.1) —
     /// `PowerPunch-Signal`.
     PowerPunchSignal,
-    /// Full Power Punch: multi-hop punch signals plus injection-node slack —
-    /// `PowerPunch-PG`.
+    /// Full Power Punch: multi-hop punch signals plus injection-node slack
+    /// (NI slacks 1 and 2, §4.2) — `PowerPunch-PG`, the paper's scheme.
     PowerPunchFull,
 }
 
-/// One scheme's metadata: the stable tag, the paper-legend label and a
-/// one-line description. This table ([`SchemeKind::METAS`]) is **the**
-/// single place scheme identity data lives — parsing, `Display`, CLI help
-/// and artifact ids all derive from it. The one scheme → `PowerManager`
-/// mapping is the `match` in `punchsim_core::build_power_manager`.
+/// One scheme's metadata: the stable tag and the paper-legend label. This
+/// table ([`SchemeKind::METAS`]) is **the** single place scheme identity
+/// data lives — parsing, `Display`, CLI help and artifact ids all derive
+/// from it. The one scheme → `PowerManager` mapping is the `match` in
+/// `punchsim_core::build_power_manager`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchemeMeta {
     /// The scheme this entry describes.
@@ -40,8 +42,6 @@ pub struct SchemeMeta {
     pub tag: &'static str,
     /// Paper-legend display label.
     pub label: &'static str,
-    /// One-line description for `punchsim-cli list-schemes`.
-    pub description: &'static str,
 }
 
 impl SchemeKind {
@@ -69,31 +69,26 @@ impl SchemeKind {
             kind: SchemeKind::NoPg,
             tag: "nopg",
             label: "No-PG",
-            description: "all routers always on; the paper's no-power-gating baseline",
         },
         SchemeMeta {
             kind: SchemeKind::ConvPg,
             tag: "conv",
             label: "Conv-PG",
-            description: "conventional power-gating: the WU handshake wakes routers on demand",
         },
         SchemeMeta {
             kind: SchemeKind::ConvOptPg,
             tag: "convopt",
             label: "ConvOpt-PG",
-            description: "conventional PG plus idle-timeout filter and one-hop early wakeup",
         },
         SchemeMeta {
             kind: SchemeKind::PowerPunchSignal,
             tag: "pps",
             label: "PowerPunch-Signal",
-            description: "multi-hop punch signals only, no injection-node slack (paper 4.1)",
         },
         SchemeMeta {
             kind: SchemeKind::PowerPunchFull,
             tag: "ppf",
             label: "PowerPunch-PG",
-            description: "punch signals plus NI slack 1/2; the paper's full scheme (4.2)",
         },
     ];
 

@@ -74,7 +74,8 @@ pub enum ConfigError {
         /// Offending height.
         height: u16,
     },
-    /// A synthetic injection rate was negative, NaN or infinite.
+    /// A synthetic injection rate was negative, NaN, or above the one
+    /// flit per cycle an NI can inject.
     BadInjectionRate {
         /// The offending rate as given (`f64` has no `Eq`).
         rate: String,
@@ -146,7 +147,11 @@ impl std::fmt::Display for ConfigError {
                 )
             }
             ConfigError::BadInjectionRate { rate } => {
-                write!(f, "injection rate must be a finite number >= 0, got {rate}")
+                write!(
+                    f,
+                    "injection rate must be at most 1 flit/node/cycle (an NI \
+                     injects one flit per cycle) and a finite number >= 0, got {rate}"
+                )
             }
             ConfigError::UnknownScheme { input } => {
                 let tags = SchemeKind::METAS.map(|m| m.tag).join(", ");

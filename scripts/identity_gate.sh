@@ -34,18 +34,20 @@
 #                    the geometry or the routing shows; the suite is also
 #                    byte-stable across worker counts.
 #   busy-s*,         Sharding is an execution detail like `--threads`: the
-#   faults-*-s*      busy suite and the seeded `faults` sweep (every shard
-#                    reads the fault injector's masked power states
+#   faults-*-s*      busy suite and the seeded `run --faults sweep` (every
+#                    shard reads the fault injector's masked power states
 #                    straight from the manager) do not change by a byte at
 #                    any `--shards`; the sweep is also pinned to the stdout
 #                    recorded before the seeded and the scripted injector
 #                    were merged, so the seeded fault schedule itself is
 #                    gated.
-#   run-rates,       The synthetic command's load and scheme tables at their
-#   run-schemes      defaults reproduce bench/SWEEP_8x8.txt and
-#                    bench/SCHEMES_8x8.txt, recorded from the binary of the
-#                    commit before `sweep` and `schemes` were folded into
-#                    one command: no figure pins the default 8x8 point.
+#   run-rates,       `run`'s load and scheme tables at their defaults
+#   run-schemes      reproduce bench/SWEEP_8x8.txt and bench/SCHEMES_8x8.txt,
+#                    recorded from the binary of the commit before the
+#                    `sweep` and `schemes` commands were folded into `run`:
+#                    no figure pins the default 8x8 point.
+#   run-trace        `--trace-out` with `--trace-cap 0` writes the whole
+#                    run's flight recorder (the file only has to be there).
 #   verify-*         The exhaustive wakeup-protocol explorations reproduce
 #                    bench/VERIFY_*.json byte for byte — the state encoding,
 #                    the choice enumeration order and the property
@@ -71,12 +73,12 @@
 #                    `--no-cache` because CI caches `target/`, where the
 #                    result store lives, and the store's key knows the
 #                    schema version but not the model.
-#   metrics          `punchsim-cli metrics` exits zero (it validates its own
-#                    Prometheus exposition before printing) and its trailing
-#                    `# punchsim_coverage ... ratio=R` line reports the
-#                    tick-phase profiler attributing at least 90% of wall
-#                    time: anything less means a phase boundary lost its
-#                    mark. (What the profiler *costs* is a measured metric
+#   metrics          `run --metrics-out` on a 16x16 mesh at 0.0005 exits zero
+#                    (it validates its Prometheus exposition before writing)
+#                    and its `# punchsim_coverage ... ratio=R` line reports
+#                    the tick-phase profiler attributing at least 90% of the
+#                    measured window's wall time: anything less means a
+#                    phase boundary lost its mark. (What the profiler *costs* is a measured metric
 #                    of the benchmark, `metrics.profiler_overhead_frac` in
 #                    perf/, not a single-shot ratio here.)
 #
@@ -149,14 +151,15 @@ substrate-t1      | =substrate-t4                     | campaign --suite substra
 busy-s1           | -                                 | campaign --suite busy --name busy --smoke --shards 1
 busy-s2           | =busy-s1                          | campaign --suite busy --name busy --smoke --shards 2
 busy-s4           | =busy-s1                          | campaign --suite busy --name busy --smoke --shards 4
-run-rates         | bench/SWEEP_8x8.txt               | sweep
-run-schemes       | bench/SCHEMES_8x8.txt             | schemes
-faults-ppf-s1     | bench/FAULTS_ppf.txt              | faults --scheme ppf --shards 1
-faults-ppf-s2     | bench/FAULTS_ppf.txt              | faults --scheme ppf --shards 2
-faults-ppf-s4     | bench/FAULTS_ppf.txt              | faults --scheme ppf --shards 4
-faults-convopt-s1 | bench/FAULTS_convopt.txt          | faults --scheme convopt --shards 1
-faults-convopt-s2 | bench/FAULTS_convopt.txt          | faults --scheme convopt --shards 2
-faults-convopt-s4 | bench/FAULTS_convopt.txt          | faults --scheme convopt --shards 4
+run-rates         | bench/SWEEP_8x8.txt               | run --rate 0.0025,0.005,0.01,0.02,0.04,0.08,0.16
+run-schemes       | bench/SCHEMES_8x8.txt             | run --scheme all
+run-trace         | -                                 | run --trace-out @/t.jsonl --trace-cap 0
+faults-ppf-s1     | bench/FAULTS_ppf.txt              | run --scheme ppf --faults sweep --shards 1
+faults-ppf-s2     | bench/FAULTS_ppf.txt              | run --scheme ppf --faults sweep --shards 2
+faults-ppf-s4     | bench/FAULTS_ppf.txt              | run --scheme ppf --faults sweep --shards 4
+faults-convopt-s1 | bench/FAULTS_convopt.txt          | run --scheme convopt --faults sweep --shards 1
+faults-convopt-s2 | bench/FAULTS_convopt.txt          | run --scheme convopt --faults sweep --shards 2
+faults-convopt-s4 | bench/FAULTS_convopt.txt          | run --scheme convopt --faults sweep --shards 4
 verify-2x2-ppf    | bench/VERIFY_2x2_ppf_clean.json   | verify --mesh 2x2 --scheme ppf
 verify-2x2-conv   | bench/VERIFY_2x2_conv_clean.json  | verify --mesh 2x2 --scheme conv
 verify-2x3-ppf    | bench/VERIFY_2x3_ppf_clean.json   | verify --mesh 2x3 --scheme ppf
@@ -165,7 +168,7 @@ verify-2x2-conv-f | bench/VERIFY_2x2_conv_faulty.json | verify --mesh 2x2 --sche
 verify-2x3-ppf-f  | bench/VERIFY_2x3_ppf_faulty.json  | verify --mesh 2x3 --scheme ppf --faulty
 verify-broken     | bench/VERIFY_2x2_conv_broken.json | verify --mesh 2x2 --scheme conv --broken --expect-violation --replay-out @/replay.jsonl --chrome-out @/replay.chrome.json
 figures           | bench/FIGURES_smoke.txt           | figure all --smoke --no-cache
-metrics           | coverage>=0.90                    | metrics --metrics-out @/snapshot.json
+metrics           | coverage>=0.90                    | run --mesh 16x16 --rate 0.0005 --cycles 12000 --metrics-out @/snapshot.json
 ROWS
 
 echo "identity_gate: every row byte-identical"

@@ -28,8 +28,8 @@ mod tests {
     use punchsim::campaign::{self, Size, Tolerances, SUITES};
     use punchsim::prelude::*;
 
-    use super::cli::parse::{int, Opts, TopoChoice, DEFAULT_DUMP_CAP};
-    use super::cli::synth::faults_dump_path;
+    use super::cli::parse::{int, Axis, Opts, Point, DEFAULT_DUMP_CAP, DROP_SWEEP};
+    use super::cli::synth::point_path;
     use super::cli::{usage, Command, Kind, COMMANDS};
 
     fn command(name: &str) -> &'static Command {
@@ -48,19 +48,20 @@ mod tests {
         parse_for("compare", args)
     }
 
-    /// Parses for `trace`, which reads every synthetic flag.
+    /// Parses for `run`, which reads every synthetic flag.
     fn parse(args: &[&str]) -> Result<Opts, String> {
-        parse_for("trace", args)
+        parse_for("run", args)
     }
 
     #[test]
     fn defaults_are_sane() {
         let o = parse(&[]).unwrap();
-        assert_eq!(o.scheme, SchemeKind::PowerPunchFull);
+        assert_eq!(o.scheme(), SchemeKind::PowerPunchFull);
         assert_eq!(o.mesh, Mesh::new(8, 8));
         assert_eq!(o.benchmark, Benchmark::Dedup);
-        assert_eq!(o.fault_drop, 0.0);
-        assert!(!o.fault_config(o.fault_drop).is_active());
+        assert_eq!(o.drops, [0.0]);
+        assert!(!o.fault_config(o.drops[0]).is_active());
+        assert_eq!(o.axis(), None, "one point: the one-row scheme table");
     }
 
     #[test]
@@ -78,9 +79,9 @@ mod tests {
             "500",
         ])
         .unwrap();
-        assert_eq!(o.scheme, SchemeKind::ConvOptPg);
+        assert_eq!(o.scheme(), SchemeKind::ConvOptPg);
         assert_eq!(o.mesh, Mesh::new(4, 4));
-        assert_eq!(o.rate, 0.01);
+        assert_eq!(o.rates, [0.01]);
         assert_eq!(o.pattern, TrafficPattern::Transpose);
         assert_eq!(o.cycles, 500);
         let o = parse_for("parsec", &["--benchmark", "canneal", "--instr", "1000"]).unwrap();
@@ -91,7 +92,7 @@ mod tests {
     #[test]
     fn topology_and_routing_flags_parse() {
         let o = parse(&["--topology", "torus", "--routing", "yx", "--mesh", "6x6"]).unwrap();
-        assert_eq!(o.topo, TopoChoice::Torus);
+        assert!(o.torus);
         assert_eq!(o.routing, RoutingKind::Yx);
         let (topo, routing) = o.noc_view().unwrap();
         assert_eq!(topo, Substrate::Torus(Torus::new(6, 6)));
@@ -99,7 +100,7 @@ mod tests {
         assert_eq!(o.substrate_label(), "torus6x6-yx");
 
         let o = parse(&["--routing", "yx", "--mesh", "4x6"]).unwrap();
-        assert_eq!(o.topo, TopoChoice::Mesh);
+        assert!(!o.torus);
         assert_eq!(o.noc_view().unwrap().1, RoutingKind::Yx);
         assert_eq!(o.substrate_label(), "4x6-yx");
     }
@@ -107,7 +108,7 @@ mod tests {
     #[test]
     fn default_substrate_is_the_plain_xy_mesh() {
         let o = parse(&[]).unwrap();
-        assert_eq!(o.topo, TopoChoice::Mesh);
+        assert!(!o.torus);
         assert_eq!(o.routing, RoutingKind::Xy);
         let (topo, routing) = o.noc_view().unwrap();
         assert_eq!(topo, Substrate::Mesh(Mesh::new(8, 8)));
@@ -154,10 +155,10 @@ mod tests {
     #[test]
     fn fault_flags_parse_into_config() {
         let o = parse(&["--faults", "0.5", "--corrupt", "0.25", "--fault-seed", "42"]).unwrap();
-        assert_eq!(o.fault_drop, 0.5);
+        assert_eq!(o.drops, [0.5]);
         assert_eq!(o.fault_corrupt, 0.25);
         assert_eq!(o.fault_seed, 42);
-        let f = o.fault_config(o.fault_drop);
+        let f = o.fault_config(o.drops[0]);
         assert!(f.is_active());
         assert_eq!(f.drop_punch_ppm, 500_000);
         assert_eq!(f.corrupt_punch_ppm, 250_000);
@@ -166,23 +167,21 @@ mod tests {
 
     #[test]
     fn trace_flags_parse() {
-        let o = parse(&[
-            "--trace-out",
-            "t.jsonl",
-            "--trace-cap",
-            "128",
-            "--format",
-            "jsonl",
-        ])
-        .unwrap();
+        let o = parse(&["--trace-out", "t.jsonl", "--trace-cap", "128"]).unwrap();
         assert_eq!(o.trace_out, Some(PathBuf::from("t.jsonl")));
-        assert_eq!(o.trace_cap, 128);
-        assert_eq!(o.format.0, "jsonl");
-        // Defaults: Chrome trace, unbounded capture, conventional name.
+        assert_eq!((o.trace_cap, o.recorder_cap()), (128, 128));
+        // `--trace-cap 0` keeps the whole run.
+        let o = parse(&["--trace-out", "t.json", "--trace-cap", "0"]).unwrap();
+        assert_eq!(o.recorder_cap(), usize::MAX);
+        // Defaults: no recorder; with `--trace-out`, 4096 events.
         let d = parse(&[]).unwrap();
-        assert_eq!(d.trace_out, None);
-        assert_eq!(d.trace_cap, 0);
-        assert_eq!((d.format.0, d.format.1), ("chrome", "punchsim-trace.json"));
+        assert_eq!((d.trace_out.as_deref(), d.recorder_cap()), (None, 0));
+        let o = parse(&["--trace-out", "t.json"]).unwrap();
+        assert_eq!(o.recorder_cap(), DEFAULT_DUMP_CAP);
+        assert_eq!(DEFAULT_DUMP_CAP, 4096);
+        // The extension picks the format; the flag that did is gone.
+        let err = parse(&["--format", "jsonl"]).err().expect("rejected");
+        assert_eq!(err, "unknown flag --format for run");
     }
 
     #[test]
@@ -191,25 +190,74 @@ mod tests {
         assert_eq!(parse(&[]).unwrap().metrics_out, None);
         let o = parse(&["--metrics-out", "m.prom"]).unwrap();
         assert_eq!(o.metrics_out, Some(PathBuf::from("m.prom")));
-        // The metrics subcommand defaults to the busy regime, still
-        // overridable by the usual flags.
-        let metrics = |args| parse_for("metrics", args);
-        let m = metrics(&[]).unwrap();
-        assert_eq!(m.mesh, Mesh::new(16, 16));
-        assert_eq!(m.rate, 0.0005);
-        assert_eq!(m.cycles, 12_000);
-        assert_eq!(m.scheme, SchemeKind::PowerPunchFull);
-        let m = metrics(&["--mesh", "4x4"]).unwrap();
-        assert_eq!(m.mesh, Mesh::new(4, 4));
-        assert_eq!(m.cycles, 12_000);
+        // Asking for metrics changes no other default.
+        assert_eq!(o.mesh, Mesh::new(8, 8));
+        assert_eq!(o.rates, [0.005]);
+        assert_eq!(o.cycles, 20_000);
+        assert_eq!(o.scheme(), SchemeKind::PowerPunchFull);
     }
 
     #[test]
     fn faults_dump_paths_encode_drop_rate() {
-        let p = faults_dump_path(Path::new("out/dump.jsonl"), 0.25);
-        assert_eq!(p, PathBuf::from("out/dump-d0.25.jsonl"));
-        let p = faults_dump_path(Path::new("dump"), 1.0);
-        assert_eq!(p, PathBuf::from("dump-d1.00.jsonl"));
+        let p = |drop| Point {
+            scheme: SchemeKind::ConvOptPg,
+            rate: 0.005,
+            drop,
+        };
+        let dump = point_path(Path::new("out/dump.jsonl"), Axis::Faults, &p(0.25));
+        assert_eq!(dump, PathBuf::from("out/dump-d0.25.jsonl"));
+        let dump = point_path(Path::new("dump"), Axis::Faults, &p(1.0));
+        assert_eq!(dump, PathBuf::from("dump-d1.00"));
+        // The other axes name their point the same way.
+        let rate = point_path(Path::new("t.json"), Axis::Rate, &p(0.0));
+        assert_eq!(rate, PathBuf::from("t-r0.0050.json"));
+        let scheme = point_path(Path::new("t.json"), Axis::Scheme, &p(0.0));
+        assert_eq!(scheme, PathBuf::from("t-convopt.json"));
+    }
+
+    /// The old commands are values of `run`'s flags: `--rate a,b,..`,
+    /// `--scheme all` and `--faults sweep` each make one axis, and a run
+    /// has at most one.
+    #[test]
+    fn run_takes_one_sweep_axis() {
+        // `sweep`'s loads were 0.005 x 0.5..32; the listed ones are the
+        // same f64s.
+        let sweep = "0.0025,0.005,0.01,0.02,0.04,0.08,0.16";
+        let o = parse(&["--rate", sweep]).unwrap();
+        assert_eq!(o.axis(), Some(Axis::Rate));
+        let doubled: Vec<f64> = (0..7).map(|k| 0.005 * 0.5 * f64::powi(2.0, k)).collect();
+        assert_eq!(o.rates, doubled);
+        let o = parse(&["--scheme", "all"]).unwrap();
+        assert_eq!(o.axis(), Some(Axis::Scheme));
+        let schemes: Vec<SchemeKind> = o.points().map(|p| p.scheme).collect();
+        assert_eq!(schemes, SchemeKind::ALL);
+        let o = parse(&["--faults", "sweep", "--scheme", "convopt"]).unwrap();
+        assert_eq!(o.axis(), Some(Axis::Faults));
+        let drops: Vec<f64> = o.points().map(|p| p.drop).collect();
+        assert_eq!(drops, DROP_SWEEP);
+        assert!(o.points().all(|p| p.scheme == SchemeKind::ConvOptPg));
+        // A later value of the same flag replaces the axis.
+        assert_eq!(
+            parse(&["--faults", "sweep", "--faults", "0.5"])
+                .unwrap()
+                .axis(),
+            None
+        );
+        for (a, b) in [
+            (["--scheme", "all"], ["--faults", "sweep"]),
+            (["--rate", "0.1,0.2"], ["--scheme", "all"]),
+            (["--faults", "sweep"], ["--rate", "0.1,0.2"]),
+        ] {
+            let err = parse(&[a, b].concat()).err().expect("two axes");
+            assert!(err.contains(a[0]) && err.contains(b[0]), "{err}");
+        }
+        // `all` is a value of `run`'s `--scheme` only.
+        for cmd in ["parsec", "verify"] {
+            let err = parse_for(cmd, &["--scheme", "all"])
+                .err()
+                .expect("rejected");
+            assert!(err.starts_with("unknown scheme \"all\""), "{cmd}: {err}");
+        }
     }
 
     #[test]
@@ -218,9 +266,10 @@ mod tests {
         assert!(parse(&["--mesh", "8by8"]).is_err());
         assert!(parse(&["--mesh"]).is_err());
         assert!(parse(&["--rate", "fast"]).is_err());
-        for rate in ["nan", "-1", "inf", "-inf"] {
+        for rate in ["nan", "-1", "inf", "-inf", "1.5", "0.1,2"] {
             let err = parse(&["--rate", rate]).err().expect("rejected");
             assert!(err.contains("finite number >= 0"), "{rate}: {err}");
+            assert!(err.contains("at most 1 flit/node/cycle"), "{rate}: {err}");
         }
         for mesh in ["256x256", "300x300"] {
             let err = parse(&["--mesh", mesh]).err().expect("rejected");
@@ -322,19 +371,22 @@ mod tests {
     fn campaign_observation_flags_parse() {
         let o = campaign_opts(&[]).unwrap();
         assert_eq!(o.sample, 0);
-        assert_eq!(o.effective_trace_cap(), 0);
+        assert_eq!(o.recorder_cap(), 0);
 
         let o = campaign_opts(&["--sample", "500", "--trace-out", "dumps"]).unwrap();
         assert_eq!(o.sample, 500);
         assert_eq!(o.trace_out, Some(PathBuf::from("dumps")));
         // --trace-out alone gets the default capacity...
-        assert_eq!(o.effective_trace_cap(), DEFAULT_DUMP_CAP);
-        // ...and --trace-cap overrides it.
+        assert_eq!(o.recorder_cap(), DEFAULT_DUMP_CAP);
+        // ...and --trace-cap overrides it, 0 meaning the whole run, as
+        // for `run`.
         let o = campaign_opts(&["--trace-out", "dumps", "--trace-cap", "64"]).unwrap();
-        assert_eq!(o.effective_trace_cap(), 64);
+        assert_eq!(o.recorder_cap(), 64);
+        let o = campaign_opts(&["--trace-out", "dumps", "--trace-cap", "0"]).unwrap();
+        assert_eq!(o.recorder_cap(), usize::MAX);
         // --trace-cap without --trace-out keeps tracing off.
         let o = campaign_opts(&["--trace-cap", "64"]).unwrap();
-        assert_eq!(o.effective_trace_cap(), 0);
+        assert_eq!(o.recorder_cap(), 0);
         assert!(campaign_opts(&["--sample", "often"]).is_err());
         // --metrics-out drives registry collection.
         let o = campaign_opts(&[]).unwrap();
@@ -394,15 +446,14 @@ mod tests {
     #[test]
     fn flags_a_command_does_not_read_are_rejected() {
         for (cmd, flag, val, reader) in [
-            ("figure", "--mesh", "4x4", "sweep"),
-            ("figure", "--format", "csv", "trace"),
-            ("list-schemes", "--scheme", "ppf", "sweep"),
-            ("schemes", "--scheme", "nopg", "sweep"),
-            ("parsec", "--rate", "0.1", "sweep"),
-            ("sweep", "--format", "csv", "trace"),
-            ("sweep", "--benchmark", "canneal", "parsec"),
-            ("faults", "--faults", "0.5", "trace"),
-            ("metrics", "--trace-out", "t.json", "trace"),
+            ("figure", "--mesh", "4x4", "run"),
+            ("figure", "--scheme", "ppf", "run"),
+            ("parsec", "--rate", "0.1", "run"),
+            ("parsec", "--trace-out", "t.json", "run"),
+            ("run", "--benchmark", "canneal", "parsec"),
+            ("run", "--instr", "5", "parsec"),
+            ("verify", "--faults", "0.5", "run"),
+            ("campaign", "--cycles", "100", "run"),
         ] {
             let name: &[&str] = if cmd == "figure" {
                 &["table1_codebook"]
@@ -429,11 +480,12 @@ mod tests {
     fn every_listed_flag_parses_and_is_in_the_usage() {
         let usage = usage();
         assert!(!usage.contains("{COMMAND"), "unexpanded placeholder");
-        assert_eq!(COMMANDS.len(), 11);
+        assert_eq!(COMMANDS.len(), 6);
+        assert!(usage.lines().count() <= 80, "the usage fits one screen");
         let generated: String = COMMANDS.iter().map(Command::usage_lines).collect();
         for line in usage.lines().filter(|l| l.contains("punchsim-cli ")) {
             let own = line.starts_with("  punchsim-cli ") && generated.contains(line);
-            assert!(own || line.starts_with("schemes:"), "hand-written: {line}");
+            assert!(own, "hand-written: {line}");
         }
         for cmd in COMMANDS {
             assert!(usage.contains(&format!("  punchsim-cli {}", cmd.name)));
@@ -451,7 +503,6 @@ mod tests {
                     "--topology" => "torus",
                     "--routing" => "yx",
                     "--benchmark" => "canneal",
-                    "--format" => "csv",
                     "--suite" => "ci",
                     "--rate" | "--faults" | "--corrupt" => "0.5",
                     _ => "3",
@@ -478,6 +529,26 @@ mod tests {
         }
     }
 
+    /// Malformed values of every value flag of every command are `Ok` or
+    /// `Err` from the one parser, never a panic.
+    #[test]
+    fn malformed_values_of_every_flag_never_panic() {
+        for cmd in COMMANDS {
+            let positionals: Vec<&str> = cmd
+                .args()
+                .filter(|a| Kind::of(a) == Kind::Positional)
+                .map(|a| if a == "NAME" { "all" } else { a })
+                .collect();
+            for listed in cmd.args().filter(|a| Kind::of(a) == Kind::Value) {
+                let flag = listed.split(' ').next().expect("non-empty listing");
+                for bad in ["", "x", "-1", "nan", "1e400", "0x", ",", "0.1,", "0.1,,0.2"] {
+                    let args = [&positionals[..], &[flag, bad]].concat();
+                    let _ = Opts::parse(cmd, &strs(&args));
+                }
+            }
+        }
+    }
+
     /// The one integer reader behind every `N` flag: decimal or `0x` hex,
     /// range-checked against the option's own width.
     #[test]
@@ -495,7 +566,7 @@ mod tests {
         }
         let o = campaign_opts(&["--seed", "0xC0FFEE"]).unwrap();
         assert_eq!(o.seed, campaign::DEFAULT_SEED);
-        let o = parse_for("sweep", &["--fault-seed", "0xFA17", "--cycles", "0x100"]).unwrap();
+        let o = parse(&["--fault-seed", "0xFA17", "--cycles", "0x100"]).unwrap();
         assert_eq!((o.fault_seed, o.cycles), (0xFA17, 256));
     }
 

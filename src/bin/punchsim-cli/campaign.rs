@@ -9,12 +9,11 @@ use std::time::Instant;
 
 use punchsim::campaign::{compare as gate, Json};
 use punchsim::noc::check_shards;
-use punchsim::obs;
 use punchsim::prelude::*;
 
 use super::parse::Opts;
 use super::table::Table;
-use super::write_metrics;
+use super::{write_metrics, write_trace};
 
 impl Opts {
     pub fn specs(&self) -> Vec<RunSpec> {
@@ -49,7 +48,7 @@ pub fn campaign(opts: &Opts) -> Result<ExitCode, String> {
         store: (!opts.no_cache).then(Store::in_target),
         observe: ObserveOpts {
             sample_every: opts.sample,
-            trace_cap: opts.effective_trace_cap(),
+            trace_cap: opts.recorder_cap(),
             metrics: opts.metrics_out.is_some(),
         },
         shards: opts.shards,
@@ -126,60 +125,36 @@ fn write_campaign_dumps(dir: &Path, report: &CampaignReport) -> Result<(), Strin
         }
         let name = format!("{}.trace.jsonl", rec.spec.id().replace('/', "_"));
         let path = dir.join(name);
-        std::fs::write(&path, obs::to_jsonl(&rec.events))
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        write_trace(&path, &rec.events)?;
         written += 1;
     }
     println!("wrote {written} trace dump(s) into {}", dir.display());
     Ok(())
 }
 
-/// Per-run latency percentiles of a campaign artifact, keyed by run id
-/// (empty for pre-v2 artifacts without percentile keys).
-fn artifact_percentiles(doc: &Json) -> Vec<(String, [u64; 4])> {
-    let mut out = Vec::new();
-    let Some(runs) = doc.get("runs").and_then(|r| r.as_arr()) else {
-        return out;
-    };
-    for run in runs {
-        let (Some(id), Some(m)) = (run.get("id").and_then(|i| i.as_str()), run.get("metrics"))
-        else {
-            continue;
-        };
-        let q = |key: &str| m.get(key).and_then(|v| v.as_u64());
-        if let (Some(p50), Some(p95), Some(p99), Some(max)) = (
-            q("latency_p50"),
-            q("latency_p95"),
-            q("latency_p99"),
-            q("latency_max"),
-        ) {
-            out.push((id.to_string(), [p50, p95, p99, max]));
-        }
-    }
-    out
-}
-
 /// Prints per-run latency percentiles side by side (baseline → current)
-/// for every run both artifacts carry percentiles for. Informational —
-/// the perf gate itself stays mean-latency based, so older v1 artifacts
-/// (no percentile keys) simply print nothing here.
+/// for every run both artifacts carry them for. Informational — the perf
+/// gate itself stays mean-latency based, so older v1 artifacts (no
+/// percentile keys) simply print nothing here.
 fn print_percentiles(base: &Json, cur: &Json) {
-    let b = artifact_percentiles(base);
-    let c = artifact_percentiles(cur);
+    let percentiles = |doc: &Json| -> Vec<(String, [u64; 4])> {
+        let runs = doc.get("runs").and_then(Json::as_arr).unwrap_or_default();
+        let of = |run: &Json| {
+            let m = Metrics::from_json(run.get("metrics")?)?;
+            let q = [m.latency_p50, m.latency_p95, m.latency_p99, m.latency_max];
+            Some((run.get("id")?.as_str()?.to_string(), q))
+        };
+        runs.iter().filter_map(of).collect()
+    };
+    let cur = percentiles(cur);
     let mut t = Table::new("run|p50|p95|p99|max");
     let mut rows = 0;
-    for (id, bq) in &b {
-        let Some((_, cq)) = c.iter().find(|(cid, _)| cid == id) else {
-            continue;
-        };
-        t.row([
-            id.clone(),
-            format!("{} -> {}", bq[0], cq[0]),
-            format!("{} -> {}", bq[1], cq[1]),
-            format!("{} -> {}", bq[2], cq[2]),
-            format!("{} -> {}", bq[3], cq[3]),
-        ]);
-        rows += 1;
+    for (id, b) in percentiles(base) {
+        if let Some((_, c)) = cur.iter().find(|(cid, _)| *cid == id) {
+            let cells = b.iter().zip(c).map(|(b, c)| format!("{b} -> {c}"));
+            t.row(std::iter::once(id).chain(cells));
+            rows += 1;
+        }
     }
     if rows > 0 {
         println!("latency percentiles, cycles (baseline -> current):");

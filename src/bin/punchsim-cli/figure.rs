@@ -20,7 +20,7 @@ use punchsim::traffic::InjectionConfig;
 use punchsim::types::SchemeKind::{ConvOptPg, ConvPg, NoPg, PowerPunchFull, PowerPunchSignal};
 
 use super::parse::Opts;
-use super::synth::{percent, sim_err, Cell, BLOCKED, LATENCY, OFF, WAIT};
+use super::synth::{percent, sim_err, BLOCKED, LATENCY, OFF, SAVED, WAIT};
 use super::table::Table;
 
 /// One reproduced artifact.
@@ -413,11 +413,10 @@ impl Exp {
 const THREE: [SchemeKind; 3] = [NoPg, ConvOptPg, PowerPunchFull];
 const PARSEC_LOAD: f64 = 0.005;
 
-/// A column — a [`Cell`], or a closure over what the row measured first —
-/// and a trailing cell over all of a row's reports.
+/// A column — a [`Cell`](super::synth::Cell), or a closure over what the
+/// row measured first — and a trailing cell over all of a row's reports.
 type Col<'a> = &'a dyn Fn(&NetworkReport) -> String;
 type Tail<'a> = &'a dyn Fn(&[NetworkReport]) -> String;
-const SAVED: Cell = |r| percent(PowerModel::default_45nm().static_savings(r));
 
 /// The shape the synthetic rows share. Each table row is a point: its label,
 /// then its experiments — one per scheme, or just one — run and read through

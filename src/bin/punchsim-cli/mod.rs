@@ -10,6 +10,7 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use punchsim::obs::{self, Stamped};
 use punchsim::prelude::{Benchmark, Registry, SchemeKind, TrafficPattern};
 
 use parse::Opts;
@@ -29,8 +30,8 @@ type Run = fn(&Opts) -> Result<ExitCode, String>;
 /// One subcommand. Any argument its row does not list is an error for it.
 pub struct Command {
     pub name: &'static str,
-    /// The arguments it reads, in groups, as the usage spells them.
-    pub args: &'static [&'static [&'static str]],
+    /// The arguments it reads, as the usage spells them.
+    pub args: &'static [&'static str],
     pub run: Run,
 }
 
@@ -55,67 +56,37 @@ impl Kind {
     }
 }
 
-/// What every synthetic-traffic command reads: the workload and substrate
-/// `build_synth` assembles, the run length, the fault profile's fixed part.
-const SYNTH: &[&str] = &[
-    "--pattern P",
-    "--mesh WxH",
-    "--topology T",
-    "--routing R",
-    "--rate R",
-    "--cycles N",
-    "--corrupt P",
-    "--fault-seed N",
-    "--shards N",
-];
-
-/// What a command that can dump its flight recorder and registry reads.
-const DUMPS: &[&str] = &["--trace-out PATH", "--trace-cap N", "--metrics-out PATH"];
-
 pub const COMMANDS: &[Command] = &[
+    // One synthetic network; `--rate a,b,..`, `--scheme all` or `--faults
+    // sweep` makes it a sweep (at most one of them).
     Command {
-        name: "sweep",
-        args: &[&["--scheme S", "--faults P"], SYNTH],
-        run: synth::sweep,
+        name: "run",
+        args: &[
+            "--scheme S|all",
+            "--rate R|a,b,..",
+            "--faults P|sweep",
+            "--pattern P",
+            "--mesh WxH",
+            "--topology T",
+            "--routing R",
+            "--cycles N",
+            "--corrupt P",
+            "--fault-seed N",
+            "--shards N",
+            "--trace-out PATH",
+            "--trace-cap N",
+            "--metrics-out PATH",
+        ],
+        run: synth::run,
     },
     Command {
         name: "parsec",
-        args: &[&["--benchmark B", "--scheme S", "--instr N", "--shards N"]],
+        args: &["--benchmark B", "--scheme S", "--instr N", "--shards N"],
         run: system::parsec,
     },
     Command {
-        name: "schemes",
-        args: &[&["--faults P"], SYNTH],
-        run: synth::schemes,
-    },
-    // `faults` sweeps the drop probability itself, so it takes no `--faults`.
-    Command {
-        name: "faults",
-        args: &[&["--scheme S"], DUMPS, SYNTH],
-        run: synth::faults,
-    },
-    Command {
-        name: "trace",
-        args: &[
-            &["--scheme S", "--faults P", "--format chrome|jsonl|csv"],
-            DUMPS,
-            SYNTH,
-        ],
-        run: synth::trace,
-    },
-    Command {
-        name: "metrics",
-        args: &[&["--scheme S", "--faults P", "--metrics-out PATH"], SYNTH],
-        run: synth::metrics,
-    },
-    Command {
-        name: "list-schemes",
-        args: &[],
-        run: system::list_schemes,
-    },
-    Command {
         name: "campaign",
-        args: &[&[
+        args: &[
             "--suite S",
             "--threads N",
             "--shards N",
@@ -128,29 +99,29 @@ pub const COMMANDS: &[Command] = &[
             "--trace-out DIR",
             "--trace-cap N",
             "--metrics-out PATH",
-        ]],
+        ],
         run: campaign::campaign,
     },
     Command {
         name: "compare",
-        args: &[&[
+        args: &[
             "BASELINE.json",
             "CURRENT.json",
             "--tol-latency R",
             "--tol-delivered R",
             "--tol-escalations N",
-        ]],
+        ],
         run: campaign::compare,
     },
     // `--threads` and `--no-cache` steer the PARSEC rows' campaign pass.
     Command {
         name: "figure",
-        args: &[&["NAME", "--threads N", "--no-cache", "--smoke"]],
+        args: &["NAME", "--threads N", "--no-cache", "--smoke"],
         run: figure::figure,
     },
     Command {
         name: "verify",
-        args: &[&[
+        args: &[
             "--mesh WxH",
             "--scheme S",
             "--faulty",
@@ -160,7 +131,7 @@ pub const COMMANDS: &[Command] = &[
             "--replay-out PATH",
             "--chrome-out PATH",
             "--expect-violation",
-        ]],
+        ],
         run: verify::verify,
     },
 ];
@@ -168,7 +139,7 @@ pub const COMMANDS: &[Command] = &[
 impl Command {
     /// The arguments this command reads, as listed (`--mesh WxH`).
     pub fn args(&self) -> impl Iterator<Item = &'static str> {
-        self.args.iter().flat_map(|group| group.iter().copied())
+        self.args.iter().copied()
     }
 
     /// The listing of `flag` (`--mesh` finds `--mesh WxH`), if it is read.
@@ -176,7 +147,7 @@ impl Command {
         self.args().find(|a| a.split(' ').next() == Some(flag))
     }
 
-    /// `  punchsim-cli sweep    [--scheme S] ...`, wrapped under the first
+    /// `  punchsim-cli run      [--scheme S|all] ...`, wrapped under the first
     /// argument; positionals print bare, everything optional in brackets.
     pub fn usage_lines(&self) -> String {
         let mut out = format!("  punchsim-cli {:<8}", self.name);
@@ -204,7 +175,12 @@ pub fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
-        eprintln!("unknown command {name:?}\n\n{}", usage());
+        let valid: Vec<&str> = COMMANDS.iter().map(|c| c.name).collect();
+        eprintln!(
+            "unknown command {name:?} ({})\n\n{}",
+            valid.join(", "),
+            usage()
+        );
         return ExitCode::FAILURE;
     };
     let opts = match Opts::parse(command, &args[1..]) {
@@ -220,6 +196,11 @@ pub fn main() -> ExitCode {
     })
 }
 
+/// Writes `text` to `path`; the error names the path.
+fn write_file(path: &Path, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
+}
+
 /// Writes a registry to `path`: Prometheus text exposition when the
 /// extension is `.prom` or `.txt`, the JSON snapshot otherwise.
 fn write_metrics(path: &Path, reg: &Registry) -> Result<(), String> {
@@ -227,7 +208,17 @@ fn write_metrics(path: &Path, reg: &Registry) -> Result<(), String> {
         Some("prom") | Some("txt") => reg.to_prometheus(),
         _ => reg.to_json().render(),
     };
-    std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
+    write_file(path, &text)
+}
+
+/// Writes a flight recorder's events to `path`: JSONL when the extension
+/// is `.jsonl`, a Chrome trace (open it in Perfetto) otherwise.
+fn write_trace(path: &Path, events: &[Stamped]) -> Result<(), String> {
+    let text = match path.extension().and_then(|e| e.to_str()) {
+        Some("jsonl") => obs::to_jsonl(events),
+        _ => obs::chrome_trace(events),
+    };
+    write_file(path, &text)
 }
 
 /// The full usage text, the only copy: the static template plus the lines
@@ -264,30 +255,24 @@ const USAGE_TEMPLATE: &str = "usage:
 {COMMAND_HELP}
 every N takes decimal or 0x-prefixed hex (--seed 0xC0FFEE)
 
-fault flags (any synthetic command; `faults` sweeps --faults itself):
+run: one table row, or one per scheme (--scheme all), per load (--rate a,b,..,
+each <= 1) or per drop p 0, .25, .5, .75, 1 (--faults sweep); one axis at most
   --faults P       drop each punch-carrying sideband event with probability P
   --corrupt P      corrupt punch codewords with probability P (wrong targets)
   --fault-seed N   seed of the fault injector's RNG stream (default 0xFA17)
-
-trace flags:
-  --trace-out PATH trace artifact path (trace: default punchsim-trace.<ext>;
-                   faults: per-drop flight-recorder dumps PATH-dP.jsonl)
-  --trace-cap N    flight-recorder capacity in events (trace: 0 = unbounded;
-                   faults/campaign default 4096)
-  --format F       trace artifact format: chrome (Perfetto; default),
-                   jsonl, or csv
+  --topology T     mesh (default) or torus, sized by --mesh; --routing xy|yx
+  --trace-out PATH each point's flight recorder: JSONL if PATH ends in .jsonl,
+                   else a Chrome trace; a sweep adds -r0.0050, -ppf or -d0.25
+  --trace-cap N    recorder capacity in events (default 4096; 0 = whole run)
+  --metrics-out P  the points' merged registry, validated (.prom/.txt:
+                   Prometheus text; else JSON), and a coverage line on stdout
 
 verify flags:
-  --faulty         branch over the per-cycle fault alphabet (punch drop /
-                   corruption, WU loss, stuck-off epochs)
-  --broken         suppress the WU safety net and disable escalation (the
-                   intentionally-broken manager; expect a counterexample)
-  --max-faults N   fault budget for --faulty exploration (default 2)
+  --faulty         branch over per-cycle faults (budget --max-faults N, 2)
+  --broken         no WU safety net, no escalation (expect a counterexample)
   --out PATH       write the byte-stable VERIFY artifact (default: stdout)
-  --replay-out P   replay the minimal counterexample, write JSONL events
-  --chrome-out P   same replay as a Chrome trace (open in Perfetto)
-  --expect-violation  exit 0 only if a property is violated (CI gates the
-                   broken configuration this way)
+  --replay-out P   replay the counterexample as JSONL (--chrome-out: Chrome)
+  --expect-violation  exit 0 only if a property is violated
 
 campaign flags:
   --suite S        spec list (default ci):
@@ -297,30 +282,13 @@ campaign flags:
   --seed N         campaign seed (default 0xC0FFEE)
   --no-cache       ignore the result store; simulate every spec
   --smoke          the shortened run lengths of CI and the bench/ baselines
-                   (e.g. 6000 measured cycles instead of 20000)
-  --shards N       tick each network in N row shards on a persistent
-                   worker pool (bit-exact for any N; N must be >= 1 and no
-                   larger than the smallest mesh's rows; default 1). Also
-                   accepted by every simulating subcommand above
-  --sample N       sample per-interval series every N cycles into the
-                   .timing.json sidecar (forces simulation)
+  --shards N       tick in N row shards, bit-exact (default 1; run/parsec too)
+  --sample N       per-interval series every N cycles into the .timing.json
   --trace-out DIR  write per-run flight-recorder dumps (JSONL) into DIR
-  --metrics-out P  collect per-run metric registries (forces simulation),
-                   embed the merge into the .timing.json sidecar and write
-                   it to P (.prom/.txt: Prometheus text; else JSON)
+  --metrics-out P  merged per-run registries into the .timing.json and P
 
-figure NAME: `all`, or one row of the paper's evaluation (exit 1 if the
-reproduction loses a shape it must have; --threads / --no-cache as for
-campaign, used by the PARSEC rows; --smoke for the shortened size):
+figure NAME: `all` or one row (exit 1 if a shape is lost; --smoke shortens):
 {FIGURE_HELP}
-metrics flags:
-  --metrics-out P  write the registry snapshot to P in addition to the
-                   stdout exposition (metrics/faults/trace commands)
-
-substrate flags (any synthetic command):
-  --topology T     mesh (default) or torus; dimensions come from --mesh
-  --routing R      xy (default) or yx, on either topology
-
-schemes: {SCHEMES} (details: punchsim-cli list-schemes)
+schemes: {SCHEMES}
 patterns: {PATTERNS}
 benchmarks: {BENCHMARKS}";

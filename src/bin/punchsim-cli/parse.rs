@@ -4,7 +4,6 @@
 use std::path::PathBuf;
 
 use punchsim::campaign::{self, Size, Suite, Tolerances, SUITES};
-use punchsim::obs::{self, Stamped};
 use punchsim::prelude::*;
 use punchsim::traffic::InjectionConfig;
 
@@ -32,33 +31,63 @@ fn prob(val: &str) -> Result<f64, String> {
     }
 }
 
+fn rate(val: &str) -> Result<f64, String> {
+    let r = val.parse().map_err(|_| "bad rate".to_string())?;
+    let checked = InjectionConfig::at_rate(r).validate();
+    checked.map(|()| r).map_err(|e| e.to_string())
+}
+
 fn tolerance(flag: &str, val: &str) -> Result<f64, String> {
     val.parse().map_err(|_| format!("bad value for {flag}"))
 }
 
-/// Default flight-recorder capacity for `faults`/`campaign` dumps when
-/// `--trace-cap` is not given.
+/// Flight-recorder capacity when `--trace-cap` is not given.
 pub const DEFAULT_DUMP_CAP: usize = 4_096;
+
+/// The drop probabilities of `--faults sweep`.
+pub const DROP_SWEEP: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
+
+/// The one value a `run` varies: the flag given a list (`--rate a,b,..`),
+/// `--scheme all` or `--faults sweep`. A run has at most one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    Rate,
+    Scheme,
+    Faults,
+}
+
+/// One simulation of a `run`: the scheme, rate and drop probability it
+/// takes from its axis and the fixed flags.
+#[derive(Debug, Clone, Copy)]
+pub struct Point {
+    pub scheme: SchemeKind,
+    pub rate: f64,
+    pub drop: f64,
+}
 
 /// Every option of every subcommand; a command reads the ones its row of
 /// the command table lists and ignores the rest (which keep their defaults,
 /// since the parser rejects any argument the row does not list).
 pub struct Opts {
     pub pattern: TrafficPattern,
-    pub scheme: SchemeKind,
+    /// `--scheme`: one scheme, or every one for `--scheme all`.
+    pub schemes: Vec<SchemeKind>,
     pub mesh: Mesh,
-    pub topo: TopoChoice,
+    /// `--topology torus`; `--mesh` gives the dimensions either way.
+    pub torus: bool,
     pub routing: RoutingKind,
-    pub rate: f64,
+    /// `--rate`: one load, or each of `--rate a,b,..`.
+    pub rates: Vec<f64>,
     pub cycles: u64,
     pub benchmark: Benchmark,
     pub instr: u64,
-    pub fault_drop: f64,
+    /// `--faults`: one drop probability, or [`DROP_SWEEP`].
+    pub drops: Vec<f64>,
     pub fault_corrupt: f64,
     pub fault_seed: u64,
     pub trace_out: Option<PathBuf>,
+    /// Recorder capacity in events; `usize::MAX` for `--trace-cap 0`.
     pub trace_cap: usize,
-    pub format: &'static TraceFormat,
     pub metrics_out: Option<PathBuf>,
     pub shards: usize,
     // campaign
@@ -85,58 +114,25 @@ pub struct Opts {
     pub expect_violation: bool,
 }
 
-/// A `--format`: its tag, the default artifact name and the exporter.
-pub type TraceFormat = (&'static str, &'static str, fn(&[Stamped]) -> String);
-pub const FORMATS: [TraceFormat; 3] = [
-    ("chrome", "punchsim-trace.json", obs::chrome_trace),
-    ("jsonl", "punchsim-trace.jsonl", obs::to_jsonl),
-    ("csv", "punchsim-trace.csv", obs::to_csv),
-];
-
-/// Which substrate `--topology` selected; dimensions come from `--mesh`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopoChoice {
-    Mesh,
-    Torus,
-}
-
-impl TopoChoice {
-    fn from_tag(tag: &str) -> Option<TopoChoice> {
-        match tag {
-            "mesh" => Some(TopoChoice::Mesh),
-            "torus" => Some(TopoChoice::Torus),
-            _ => None,
-        }
-    }
-}
-
 impl Opts {
-    /// `cmd`'s defaults. `metrics` shares the synthetic flags but defaults
-    /// to the busy-suite regime (a 16x16 mesh under uniform traffic), so
-    /// the tick-phase profile exercises the SoA kernel, the power manager
-    /// and the fast-forward path in one run; `verify` explores a 2x2.
+    /// `cmd`'s defaults; `verify` explores a 2x2, the rest an 8x8.
     fn defaults(cmd: &Command) -> Opts {
-        let (mesh, rate, cycles) = match cmd.name {
-            "metrics" => (Mesh::new(16, 16), 0.0005, 12_000),
-            "verify" => (Mesh::new(2, 2), 0.005, 20_000),
-            _ => (Mesh::new(8, 8), 0.005, 20_000),
-        };
+        let side = if cmd.name == "verify" { 2 } else { 8 };
         Opts {
             pattern: TrafficPattern::UniformRandom,
-            scheme: SchemeKind::PowerPunchFull,
-            mesh,
-            topo: TopoChoice::Mesh,
+            schemes: vec![SchemeKind::PowerPunchFull],
+            mesh: Mesh::new(side, side),
+            torus: false,
             routing: RoutingKind::Xy,
-            rate,
-            cycles,
+            rates: vec![0.005],
+            cycles: 20_000,
             benchmark: Benchmark::Dedup,
             instr: 80_000,
-            fault_drop: 0.0,
+            drops: vec![0.0],
             fault_corrupt: 0.0,
             fault_seed: 0xFA17,
             trace_out: None,
-            trace_cap: 0,
-            format: &FORMATS[0],
+            trace_cap: DEFAULT_DUMP_CAP,
             metrics_out: None,
             shards: 1,
             suite: campaign::suite("ci").expect("the default suite is in the table"),
@@ -162,8 +158,9 @@ impl Opts {
 
     /// The one argument loop: walks `args` against `cmd`'s row of the
     /// command table, over `cmd`'s defaults. An argument the row does not
-    /// list, a flag missing its value and an unfilled positional are errors
-    /// here, before [`Opts::set`] sees anything of them.
+    /// list, a flag missing its value, an unfilled positional and a second
+    /// sweep axis are errors here, before [`Opts::set`] sees anything of
+    /// them.
     pub fn parse(cmd: &Command, args: &[String]) -> Result<Opts, String> {
         let mut o = Opts::defaults(cmd);
         let mut slots = cmd.args().filter(|a| Kind::of(a) == Kind::Positional);
@@ -176,31 +173,41 @@ impl Opts {
             };
             let listed = listed.ok_or_else(|| format!("unknown {what} {arg} for {}", cmd.name))?;
             match Kind::of(listed) {
-                Kind::Positional => o.set(cmd, listed, arg)?,
-                Kind::Bool => o.set(cmd, arg, "")?,
+                Kind::Positional => o.set(listed, arg)?,
+                Kind::Bool => o.set(listed, "")?,
                 Kind::Value => {
                     let val = it
                         .next()
                         .ok_or_else(|| format!("missing value for {arg}"))?;
-                    o.set(cmd, arg, val)?;
+                    o.set(listed, val)?;
                 }
             }
         }
-        match slots.next() {
-            Some(unfilled) => Err(format!("{} needs {unfilled}", cmd.name)),
-            None => Ok(o),
+        if let Some(unfilled) = slots.next() {
+            return Err(format!("{} needs {unfilled}", cmd.name));
+        }
+        match o.swept()[..] {
+            [(_, a), (_, b), ..] => Err(format!(
+                "{a} and {b} both sweep; a run varies at most one of them"
+            )),
+            _ => Ok(o),
         }
     }
 
-    /// Stores one argument under the name `cmd`'s row lists it by:
-    /// `("--mesh", "4x4")`, `("--no-cache", "")`, `("BASELINE.json", path)`.
-    fn set(&mut self, cmd: &Command, flag: &str, val: &str) -> Result<(), String> {
+    /// Stores one argument under its listing in the command's row:
+    /// `("--mesh WxH", "4x4")`, `("--no-cache", "")`, `("BASELINE.json",
+    /// path)`. `--scheme all` and `--faults sweep` are read only where the
+    /// listing offers them (`--scheme S|all`).
+    fn set(&mut self, listed: &str, val: &str) -> Result<(), String> {
+        let flag = listed.split(' ').next().unwrap_or_default();
+        let offers = |word: &str| listed.ends_with(&format!("|{word}")) && val == word;
         match flag {
             "--pattern" => {
                 self.pattern = TrafficPattern::from_tag(val)
                     .ok_or_else(|| format!("unknown pattern {val}"))?;
             }
-            "--scheme" => self.scheme = SchemeKind::parse(val).map_err(|e| e.to_string())?,
+            "--scheme" if offers("all") => self.schemes = SchemeKind::ALL.to_vec(),
+            "--scheme" => self.schemes = vec![SchemeKind::parse(val).map_err(|e| e.to_string())?],
             "--mesh" => {
                 let (w, h) = val
                     .split_once('x')
@@ -209,8 +216,10 @@ impl Opts {
                     .map_err(|e| e.to_string())?;
             }
             "--topology" => {
-                self.topo = TopoChoice::from_tag(val)
-                    .ok_or_else(|| format!("unknown topology {val} (mesh, torus)"))?;
+                self.torus = match val {
+                    "mesh" | "torus" => val == "torus",
+                    _ => return Err(format!("unknown topology {val} (mesh, torus)")),
+                }
             }
             "--routing" => {
                 self.routing = RoutingKind::from_tag(val).ok_or_else(|| {
@@ -218,12 +227,7 @@ impl Opts {
                     format!("unknown routing {val} ({valid})")
                 })?;
             }
-            "--rate" => {
-                self.rate = val.parse().map_err(|_| "bad rate".to_string())?;
-                InjectionConfig::at_rate(self.rate)
-                    .validate()
-                    .map_err(|e| e.to_string())?;
-            }
+            "--rate" => self.rates = val.split(',').map(rate).collect::<Result<_, _>>()?,
             "--cycles" => self.cycles = int(val, "cycle count")?,
             "--instr" => self.instr = int(val, "instruction count")?,
             "--benchmark" => {
@@ -232,14 +236,16 @@ impl Opts {
                     .find(|b| b.name() == val)
                     .ok_or_else(|| format!("unknown benchmark {val}"))?;
             }
-            "--faults" => self.fault_drop = prob(val)?,
+            "--faults" if offers("sweep") => self.drops = DROP_SWEEP.to_vec(),
+            "--faults" => self.drops = vec![prob(val)?],
             "--corrupt" => self.fault_corrupt = prob(val)?,
             "--fault-seed" => self.fault_seed = int(val, "fault seed")?,
             "--trace-out" => self.trace_out = Some(PathBuf::from(val)),
-            "--trace-cap" => self.trace_cap = int(val, "trace capacity")?,
-            "--format" => {
-                let known = FORMATS.iter().find(|f| f.0 == val);
-                self.format = known.ok_or_else(|| format!("unknown trace format {val}"))?;
+            "--trace-cap" => {
+                self.trace_cap = match int(val, "trace capacity")? {
+                    0 => usize::MAX, // the whole run
+                    cap => cap,
+                }
             }
             "--metrics-out" => self.metrics_out = Some(PathBuf::from(val)),
             "--shards" => self.shards = int(val, "shard count")?,
@@ -275,20 +281,50 @@ impl Opts {
             "--replay-out" => self.replay_out = Some(PathBuf::from(val)),
             "--chrome-out" => self.chrome_out = Some(PathBuf::from(val)),
             "--expect-violation" => self.expect_violation = true,
-            f => unreachable!("{} lists {f}, which no arm parses", cmd.name),
+            _ => unreachable!("{listed} is listed, but no arm parses it"),
         }
         Ok(())
     }
 
-    /// Flight-recorder capacity of `faults`/`campaign`, which dump only on
-    /// request: 0 unless `--trace-out` is given, then `--trace-cap` or the
-    /// default.
-    pub fn effective_trace_cap(&self) -> usize {
-        match &self.trace_out {
-            Some(_) if self.trace_cap > 0 => self.trace_cap,
-            Some(_) => DEFAULT_DUMP_CAP,
-            None => 0,
-        }
+    /// Flight-recorder capacity: none without `--trace-out`, else
+    /// `--trace-cap`'s.
+    pub fn recorder_cap(&self) -> usize {
+        self.trace_out.as_ref().map_or(0, |_| self.trace_cap)
+    }
+
+    /// The scheme of a command that runs one (`parsec`, `verify`).
+    pub fn scheme(&self) -> SchemeKind {
+        self.schemes[0]
+    }
+
+    /// The axes given more than one point, with their flags;
+    /// [`Opts::parse`] lets at most one through.
+    fn swept(&self) -> Vec<(Axis, &'static str)> {
+        let lens = [
+            (Axis::Rate, "--rate", self.rates.len()),
+            (Axis::Scheme, "--scheme", self.schemes.len()),
+            (Axis::Faults, "--faults", self.drops.len()),
+        ];
+        lens.into_iter()
+            .filter(|l| l.2 > 1)
+            .map(|l| (l.0, l.1))
+            .collect()
+    }
+
+    /// The axis this run sweeps; `None` for a single point.
+    pub fn axis(&self) -> Option<Axis> {
+        self.swept().first().map(|s| s.0)
+    }
+
+    /// Every point of the run, in axis order.
+    pub fn points(&self) -> impl Iterator<Item = Point> + '_ {
+        self.schemes.iter().flat_map(move |&scheme| {
+            self.rates.iter().flat_map(move |&rate| {
+                self.drops
+                    .iter()
+                    .map(move |&drop| Point { scheme, rate, drop })
+            })
+        })
     }
 
     /// Resolves `--topology`/`--mesh`/`--routing` into a validated
@@ -297,25 +333,20 @@ impl Opts {
     /// substrate.
     pub fn noc_view(&self) -> Result<(Substrate, RoutingKind), SimError> {
         let (w, h) = (self.mesh.width(), self.mesh.height());
-        let topo = match self.topo {
-            TopoChoice::Mesh => Substrate::Mesh(self.mesh),
-            TopoChoice::Torus => Substrate::Torus(Torus::try_new(w, h)?),
+        let topo = match self.torus {
+            false => Substrate::Mesh(self.mesh),
+            true => Substrate::Torus(Torus::try_new(w, h)?),
         };
         Ok((topo, self.routing))
     }
 
     /// Substrate label for table headers: `8x8`, `torus8x8-yx`, ...
     pub fn substrate_label(&self) -> String {
-        let (topo, routing) = match self.noc_view() {
-            Ok(v) => v,
-            Err(_) => return format!("{}x{}", self.mesh.width(), self.mesh.height()),
-        };
-        let mut s = topo.tag();
-        if routing != RoutingKind::Xy {
-            s.push('-');
-            s.push_str(routing.tag());
+        let topo = self.noc_view().map_or(Substrate::Mesh(self.mesh), |v| v.0);
+        match self.routing {
+            RoutingKind::Xy => topo.tag(),
+            r => format!("{}-{}", topo.tag(), r.tag()),
         }
-        s
     }
 
     pub fn fault_config(&self, drop: f64) -> FaultConfig {

@@ -1,5 +1,4 @@
-//! The commands that run no synthetic traffic: the full-system `parsec`
-//! run, and `list-schemes` (what `--scheme` accepts).
+//! `parsec`: one full-system run of a PARSEC-like benchmark on the CMP.
 
 use std::process::ExitCode;
 
@@ -7,15 +6,16 @@ use punchsim::prelude::*;
 
 use super::parse::Opts;
 use super::synth::sim_err;
-use super::table::Table;
 
 pub fn parsec(opts: &Opts) -> Result<ExitCode, String> {
-    let mut cfg = CmpConfig::new(opts.benchmark, opts.scheme);
+    let mut cfg = CmpConfig::new(opts.benchmark, opts.scheme());
     cfg.instr_per_core = opts.instr;
     cfg.warmup_instr = opts.instr / 10;
     println!(
         "full-system: {} under {} ({} instructions/core)...",
-        opts.benchmark, opts.scheme, opts.instr
+        opts.benchmark,
+        opts.scheme(),
+        opts.instr
     );
     let mut sim = CmpSim::new(cfg);
     sim.network_mut()
@@ -38,17 +38,5 @@ pub fn parsec(opts: &Opts) -> Result<ExitCode, String> {
         r.net.offered_load
     );
     println!("router off:       {:.1}%", r.net.off_fraction() * 100.0);
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Prints `SchemeKind::METAS`: every tag with its paper label and one-line
-/// description. The single source of truth for what `--scheme` accepts.
-pub fn list_schemes(_: &Opts) -> Result<ExitCode, String> {
-    let mut t = Table::new("tag|scheme|description");
-    for k in SchemeKind::ALL {
-        t.row([k.tag(), k.label(), k.meta().description]);
-    }
-    println!("registered schemes (pass a tag or label to --scheme):");
-    println!("{t}");
     Ok(ExitCode::SUCCESS)
 }

@@ -9,6 +9,7 @@ use std::time::Instant;
 use punchsim::prelude::*;
 
 use super::parse::Opts;
+use super::write_file;
 
 pub fn verify(opts: &Opts) -> Result<ExitCode, String> {
     let cfg = &VerifyConfig {
@@ -17,7 +18,7 @@ pub fn verify(opts: &Opts) -> Result<ExitCode, String> {
         faulty: opts.faulty,
         broken: opts.broken,
         max_faults: opts.max_faults,
-        ..VerifyConfig::mesh2x2(opts.scheme)
+        ..VerifyConfig::mesh2x2(opts.scheme())
     };
     let started = Instant::now();
     let out = run_verification(cfg).map_err(|e| e.to_string())?;
@@ -41,7 +42,7 @@ pub fn verify(opts: &Opts) -> Result<ExitCode, String> {
         );
     }
     let write = |path: &PathBuf, body: &str| {
-        std::fs::write(path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        write_file(path, body)?;
         eprintln!("wrote {}", path.display());
         Ok::<(), String>(())
     };

@@ -14,7 +14,7 @@
 //!   * [`faults`] (`core::faults`) — deterministic fault injection for the
 //!     power-gating machinery (punch drops/corruption, stuck-off routers)
 //! * [`obs`] — cycle-resolved observability: structured event tracing,
-//!   flight recording, per-interval sampling, and JSONL/CSV/Chrome-trace
+//!   flight recording, per-interval sampling, and JSONL/Chrome-trace
 //!   exporters (load the latter in Perfetto)
 //!   * [`metrics`] (`obs::metrics`) — typed metric registry, log-bucketed
 //!     latency histograms, per-router counter planes, tick-phase profiler,

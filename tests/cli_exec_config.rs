@@ -85,12 +85,16 @@ fn retired_mode_flags_and_suite_are_usage_errors() {
             format!("unknown suite rivals (valid: {suites})"),
         ),
         (
-            &["sweep", "--routing", "wf"],
+            &["run", "--routing", "wf"],
             "unknown routing wf (xy, yx)".to_string(),
         ),
         (
-            &["trace", "--scheme", "sdm"],
+            &["run", "--scheme", "sdm"],
             format!("unknown scheme \"sdm\" ({schemes})"),
+        ),
+        (
+            &["run", "--format", "csv"],
+            "unknown flag --format for run".to_string(),
         ),
         (
             &["verify", "--scheme", "ring"],
@@ -103,6 +107,33 @@ fn retired_mode_flags_and_suite_are_usage_errors() {
         assert!(err.contains(&needle), "{args:?}: {err}");
         assert!(err.contains("usage:"), "{args:?} must print the usage text");
     }
+    // The synthetic commands folded into `run`, and `list-schemes`, whose
+    // tags the scheme error lists: each names `run` among the commands.
+    let commands = "(run, parsec, campaign, compare, figure, verify)";
+    for retired in [
+        "sweep",
+        "schemes",
+        "faults",
+        "trace",
+        "metrics",
+        "list-schemes",
+    ] {
+        let out = cli(&[retired, "--mesh", "4x4"], &[]);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{retired} must be a usage error"
+        );
+        assert!(out.stdout.is_empty(), "{retired} must not run anything");
+        let err = stderr(&out);
+        let first = err.lines().next().unwrap_or_default();
+        assert_eq!(
+            first,
+            format!("unknown command \"{retired}\" {commands}"),
+            "{err}"
+        );
+        assert!(err.contains("  punchsim-cli run "), "{retired}: {err}");
+    }
 }
 
 #[test]
@@ -110,26 +141,31 @@ fn shard_counts_are_validated_on_every_subcommand_that_takes_them() {
     // All on an 8x8 mesh (8 router rows): `campaign` runs the ci suite's,
     // `parsec` the CMP's fixed one, the rest take `--mesh`.
     for sub in [
-        "sweep", "schemes", "faults", "trace", "metrics", "parsec", "campaign",
+        &["run", "--rate", "0.005,0.01"][..],
+        &["run", "--scheme", "all"],
+        &["run", "--faults", "sweep"],
+        &["run", "--metrics-out", "unwritten.prom"],
+        &["parsec"],
+        &["campaign"],
     ] {
-        let mesh: &[&str] = if sub == "campaign" || sub == "parsec" {
-            &[]
-        } else {
+        let mesh: &[&str] = if sub[0] == "run" {
             &["--mesh", "8x8"]
+        } else {
+            &[]
         };
-        let run = |shards| cli(&[&[sub, "--shards", shards], mesh].concat(), &[]);
+        let run = |shards| cli(&[sub, &["--shards", shards], mesh].concat(), &[]);
         let zero = run("0");
-        assert!(!zero.status.success(), "{sub} --shards 0 must fail");
+        assert!(!zero.status.success(), "{sub:?} --shards 0 must fail");
         assert!(
             stderr(&zero).contains("at least 1 shard"),
-            "{sub}: {}",
+            "{sub:?}: {}",
             stderr(&zero)
         );
         let nine = run("9");
-        assert!(!nine.status.success(), "{sub} --shards 9 must fail");
+        assert!(!nine.status.success(), "{sub:?} --shards 9 must fail");
         assert!(
             stderr(&nine).contains("9 shards exceed the 8 router rows"),
-            "{sub}: {}",
+            "{sub:?}: {}",
             stderr(&nine)
         );
     }
@@ -137,33 +173,50 @@ fn shard_counts_are_validated_on_every_subcommand_that_takes_them() {
 
 #[test]
 fn shards_reach_the_network_and_change_no_output() {
-    let base = ["sweep", "--mesh", "4x4", "--cycles", "400"];
+    let loads = "0.0025,0.005,0.01,0.02,0.04,0.08,0.16";
+    let base = ["run", "--rate", loads, "--mesh", "4x4", "--cycles", "400"];
     let plain = cli(&base, &[]);
     assert!(plain.status.success(), "{}", stderr(&plain));
     let sharded = cli(&[&base[..], &["--shards", "4"]].concat(), &[]);
     assert!(sharded.status.success(), "{}", stderr(&sharded));
     assert_eq!(plain.stdout, sharded.stdout);
     // The exposition's pool counter shows the flag took effect.
+    let dir = std::env::temp_dir().join(format!("punchsim-cli-pool-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let prom = dir.join("m.prom");
     let pooled_ticks = |extra: &[&str]| {
-        let args = [&["metrics", "--mesh", "8x8", "--cycles", "400"], extra].concat();
-        let out = cli(&args, &[]);
+        let path = prom.to_str().expect("utf-8 temp path");
+        let run = [
+            "run",
+            "--mesh",
+            "8x8",
+            "--cycles",
+            "400",
+            "--metrics-out",
+            path,
+        ];
+        let out = cli(&[&run[..], extra].concat(), &[]);
         assert!(out.status.success(), "{}", stderr(&out));
-        String::from_utf8_lossy(&out.stdout)
+        assert!(String::from_utf8_lossy(&out.stdout).contains("# punchsim_coverage "));
+        std::fs::read_to_string(&prom)
+            .expect("run --metrics-out writes the exposition")
             .lines()
             .find_map(|l| l.strip_prefix("shard_pool_ticks_total "))
             .and_then(|v| v.trim().parse::<u64>().ok())
-            .expect("metrics prints the pool-tick counter")
+            .expect("the exposition has the pool-tick counter")
     };
     assert_eq!(pooled_ticks(&[]), 0);
     assert!(pooled_ticks(&["--shards", "2"]) > 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A mesh with more routers than node ids used to panic (`mid > len` in
 /// the SoA shard split once 65 536 truncated through `as u16`; 300x300
 /// wrapped `NodeId`), and `--rate nan|-1` hit an `assert!` in the traffic
-/// harness while `inf` ran and printed `inf` rows. All five are one-line
-/// typed errors on every subcommand that reads the flag (`parsec` reads
-/// neither and says so).
+/// harness while `inf` ran and printed `inf` rows. A rate above 1 printed
+/// rows for loads an NI never offers (it injects one flit per cycle). All
+/// are one-line typed errors wherever the flag is read, on every axis of
+/// `run` (`parsec` reads neither and says so).
 #[test]
 fn oversized_meshes_and_unusable_rates_are_typed_errors_never_panics() {
     for (flag, value, needle) in [
@@ -172,9 +225,18 @@ fn oversized_meshes_and_unusable_rates_are_typed_errors_never_panics() {
         ("--rate", "nan", "finite number >= 0, got NaN"),
         ("--rate", "-1", "finite number >= 0, got -1"),
         ("--rate", "inf", "finite number >= 0, got inf"),
+        ("--rate", "2", "at most 1 flit/node/cycle"),
+        ("--rate", "0.5,2", "at most 1 flit/node/cycle"),
     ] {
-        for sub in ["sweep", "schemes", "faults", "trace", "metrics", "parsec"] {
-            let out = cli(&[sub, flag, value], &[]);
+        for sub in [
+            &["run"][..],
+            &["run", "--scheme", "all"],
+            &["run", "--faults", "sweep"],
+            &["run", "--trace-out", "unwritten.json"],
+            &["parsec"],
+        ] {
+            let out = cli(&[sub, &[flag, value]].concat(), &[]);
+            let sub = sub.join(" ");
             let err = stderr(&out);
             assert!(!out.status.success(), "{sub} {flag} {value} must fail");
             assert!(!err.contains("panicked"), "{sub} {flag} {value}: {err}");
@@ -194,7 +256,7 @@ fn oversized_meshes_and_unusable_rates_are_typed_errors_never_panics() {
 
 /// `table1 --mesh 4x4 --format csv` (the `figure table1_codebook` row now)
 /// used to exit 0 and print the 8x8 table; `schemes --scheme`, `parsec
-/// --rate` and `sweep --format` were ignored the same way. Each subcommand
+/// --rate` and `sweep --format` were ignored the same way. Each command
 /// now rejects a flag it does not read, naming the flag and itself, and
 /// prints the one usage text.
 #[test]
@@ -212,17 +274,14 @@ fn flags_a_subcommand_never_reads_are_errors_naming_flag_and_command() {
             "unknown flag --mesh for figure",
         ),
         (
-            &["schemes", "--scheme", "nopg"],
-            "unknown flag --scheme for schemes",
+            &["run", "--benchmark", "canneal"],
+            "unknown flag --benchmark for run",
         ),
         (
             &["parsec", "--rate", "0.1"],
             "unknown flag --rate for parsec",
         ),
-        (
-            &["sweep", "--format", "csv"],
-            "unknown flag --format for sweep",
-        ),
+        (&["run", "--instr", "1000"], "unknown flag --instr for run"),
     ] {
         let out = cli(args, &[]);
         assert!(!out.status.success(), "{args:?} must be rejected");
@@ -248,7 +307,7 @@ fn flags_a_subcommand_never_reads_are_errors_naming_flag_and_command() {
     // The command that row replaced is gone.
     let out = cli(&["table1"], &[]);
     assert!(!out.status.success());
-    assert!(stderr(&out).starts_with("unknown command \"table1\""));
+    assert!(stderr(&out).starts_with("unknown command \"table1\" (run, "));
 }
 
 /// The 16 figure names, from EXPERIMENTS.md's per-experiment index — which
@@ -336,7 +395,7 @@ fn figure_rows_print_their_tables_and_unknown_names_list_the_rows() {
 }
 
 /// The usage says `--seed N ... (default 0xC0FFEE)` and `--fault-seed N ...
-/// (default 0xFA17)`, and the `faults` banner prints `seed 0xfa17`, but the
+/// (default 0xFA17)`, and the fault sweep's banner prints `seed 0xfa17`, but the
 /// decimal-only readers rejected both spellings. Every `N` flag now reads
 /// `0x` hex as well as decimal, to the same value.
 #[test]
@@ -344,7 +403,9 @@ fn seeds_parse_in_the_hex_spelling_the_cli_prints() {
     let banner = |seed: &str| {
         let out = cli(
             &[
-                "faults",
+                "run",
+                "--faults",
+                "sweep",
                 "--mesh",
                 "4x4",
                 "--cycles",
@@ -436,10 +497,7 @@ fn every_command_is_a_table_row_with_errors_naming_flag_and_command() {
             "unknown flag --bogus for compare",
         ),
         (&["verify", "--bogus"], "unknown flag --bogus for verify"),
-        (
-            &["list-schemes", "--bogus"],
-            "unknown flag --bogus for list-schemes",
-        ),
+        (&["run", "--bogus"], "unknown flag --bogus for run"),
         (
             &["compare", "a.json", "b.json", "c.json"],
             "unknown argument c.json for compare",
@@ -469,19 +527,7 @@ fn every_command_is_a_table_row_with_errors_naming_flag_and_command() {
         .collect();
     assert_eq!(
         synopsis,
-        [
-            "sweep",
-            "parsec",
-            "schemes",
-            "faults",
-            "trace",
-            "metrics",
-            "list-schemes",
-            "campaign",
-            "compare",
-            "figure",
-            "verify"
-        ]
+        ["run", "parsec", "campaign", "compare", "figure", "verify"]
     );
     assert!(usage.contains("  punchsim-cli compare  BASELINE.json CURRENT.json [--tol-latency R]"));
     assert!(usage.contains("[--no-cache]") && usage.contains("[--expect-violation]"));
