@@ -37,6 +37,7 @@ pub mod compare;
 pub mod hash;
 pub mod report;
 pub mod runner;
+pub mod series;
 pub mod spec;
 pub mod store;
 pub mod suites;
@@ -49,6 +50,7 @@ pub use compare::{compare, Comparison, Deviation, Tolerances};
 pub use json::{Json, JsonError};
 pub use report::{CampaignReport, TIMING_SCHEMA_VERSION};
 pub use runner::{Outcome, RunError, RunErrorKind, RunRecord, Runner};
-pub use spec::{Metrics, ObserveOpts, Observed, RunSpec, Workload, SCHEMA_VERSION};
+pub use series::{IntervalRow, IntervalSeries};
+pub use spec::{Metrics, ObserveOpts, RunSpec, Workload, SCHEMA_VERSION};
 pub use store::Store;
 pub use suites::{suite, Size, Suite, DEFAULT_SEED, PARSEC, SUITES, SYNTH};

@@ -20,14 +20,17 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use punchsim_obs::metrics::Registry;
-use punchsim_obs::{IntervalRow, Stamped};
+use punchsim_obs::Stamped;
 
+use crate::series::IntervalRow;
 use crate::spec::{Metrics, ObserveOpts, RunSpec};
 use crate::store::Store;
 
-/// A completed run: its deterministic metrics plus how it was obtained
-/// (cache or simulation) and how long it took — the latter two feed the
-/// timing sidecar, never the deterministic artifact.
+/// A completed run: its deterministic metrics, how it was obtained (cache
+/// or simulation), how long it took and what was observed of it — all but
+/// the metrics feed the timing sidecar, never the deterministic artifact.
+/// [`RunSpec::execute_observed`] returns one; a cache hit is the same
+/// record with nothing observed.
 #[derive(Debug, Clone)]
 pub struct RunRecord {
     /// The spec that ran.
@@ -62,6 +65,23 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
+    /// The record of `metrics` with nothing observed.
+    pub(crate) fn unobserved(spec: &RunSpec, metrics: Metrics) -> RunRecord {
+        RunRecord {
+            spec: spec.clone(),
+            metrics,
+            cached: false,
+            wall_nanos: 0,
+            series: Vec::new(),
+            events: Vec::new(),
+            registry: None,
+            spawn_count: 0,
+            spawn_nanos: 0,
+            pool_ticks: 0,
+            pool_wait_nanos: 0,
+        }
+    }
+
     /// Simulated cycles per wall-clock second (the simulator-throughput
     /// metric; meaningless for cache hits, which report `None`).
     pub fn cycles_per_sec(&self) -> Option<f64> {
@@ -216,17 +236,9 @@ fn execute_one(spec: &RunSpec, store: Option<&Store>, opts: ObserveOpts, shards:
         if let Some(store) = store {
             if let Some(metrics) = store.load(spec) {
                 return Outcome::Done(Box::new(RunRecord {
-                    spec: spec.clone(),
-                    metrics,
                     cached: true,
                     wall_nanos: started.elapsed().as_nanos() as u64,
-                    series: Vec::new(),
-                    events: Vec::new(),
-                    registry: None,
-                    spawn_count: 0,
-                    spawn_nanos: 0,
-                    pool_ticks: 0,
-                    pool_wait_nanos: 0,
+                    ..RunRecord::unobserved(spec, metrics)
                 }));
             }
         }
@@ -237,24 +249,15 @@ fn execute_one(spec: &RunSpec, store: Option<&Store>, opts: ObserveOpts, shards:
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| spec.execute_observed(opts, shards)));
     let wall_nanos = started.elapsed().as_nanos() as u64;
     match result {
-        Ok(Ok(observed)) => {
+        Ok(Ok(record)) => {
             if let Some(store) = store {
-                if let Err(e) = store.save(spec, &observed.metrics) {
+                if let Err(e) = store.save(spec, &record.metrics) {
                     eprintln!("warning: could not store {}: {e}", spec.id());
                 }
             }
             Outcome::Done(Box::new(RunRecord {
-                spec: spec.clone(),
-                metrics: observed.metrics,
-                cached: false,
                 wall_nanos,
-                series: observed.series,
-                events: observed.events,
-                registry: observed.registry,
-                spawn_count: observed.spawn_count,
-                spawn_nanos: observed.spawn_nanos,
-                pool_ticks: observed.pool_ticks,
-                pool_wait_nanos: observed.pool_wait_nanos,
+                ..record
             }))
         }
         Ok(Err(sim)) => Outcome::Failed(RunError {

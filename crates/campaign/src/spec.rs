@@ -8,13 +8,15 @@
 use punchsim_cmp::{Benchmark, CmpConfig, CmpSim};
 use punchsim_noc::{Network, NetworkReport};
 use punchsim_obs::metrics::Registry;
-use punchsim_obs::{IntervalRow, RingSink, Sampler, Stamped, VecSink};
+use punchsim_obs::{RingSink, Stamped, VecSink};
 use punchsim_power::PowerModel;
 use punchsim_traffic::{InjectionConfig, SyntheticSim, TrafficPattern};
 use punchsim_types::{RoutingKind, SchemeKind, SimConfig, SimError, Substrate};
 
 use crate::hash::Fnv64;
 use crate::json::Json;
+use crate::runner::RunRecord;
+use crate::series::IntervalSeries;
 
 /// Schema tag stamped into every artifact and mixed into every content
 /// hash. Bump it whenever the meaning of a metric changes: old store
@@ -211,10 +213,11 @@ impl RunSpec {
     }
 
     /// Like [`RunSpec::execute`], additionally collecting a per-interval
-    /// time series and/or a flight-recorder event tail, per `opts`.
+    /// time series and/or a flight-recorder event tail, per `opts`, into
+    /// the run's [`RunRecord`].
     ///
     /// The simulation performs exactly the same ticks as [`RunSpec::execute`]
-    /// — the sampler is host-driven (read-only snapshots between ticks) and
+    /// — the series is read off the run's own reports between ticks and
     /// the sink never feeds back into the protocol — so `metrics` is
     /// identical whether or not observation is attached. That invariant is
     /// what lets the runner keep serving the deterministic artifact from the
@@ -228,8 +231,13 @@ impl RunSpec {
     ///
     /// Same as [`RunSpec::execute`], plus the typed shard-count errors of
     /// `Network::set_shards`.
-    pub fn execute_observed(&self, opts: ObserveOpts, shards: usize) -> Result<Observed, SimError> {
+    pub fn execute_observed(
+        &self,
+        opts: ObserveOpts,
+        shards: usize,
+    ) -> Result<RunRecord, SimError> {
         let pm = PowerModel::default_45nm();
+        let mut series = IntervalSeries::default();
         match &self.workload {
             Workload::Parsec {
                 benchmark,
@@ -240,20 +248,19 @@ impl RunSpec {
                 cfg.sim.seed = self.seed;
                 cfg.instr_per_core = *instr_per_core;
                 cfg.warmup_instr = *warmup_instr;
-                let routers = cfg.sim.noc.topology.nodes();
                 let mut sim = CmpSim::new(cfg);
                 sim.network_mut().set_shards(shards)?;
                 attach(sim.network_mut(), opts.trace_cap, opts.metrics);
-                let mut sampler = Sampler::new(routers);
                 let every = if opts.sample_every > 0 {
-                    sampler.observe(sim.network().obs_sample());
+                    let net = sim.network();
+                    series.observe(net.cycle(), net.report());
                     opts.sample_every
                 } else {
                     u64::MAX
                 };
-                let r = sim.run_hooked(every, &mut |net| sampler.observe(net.obs_sample()));
+                let r = sim.run_hooked(every, &mut |net| series.observe(net.cycle(), net.report()));
                 let metrics = Metrics::from_report(&r.net, &pm, r.total_cycles, r.completed);
-                Ok(Observed::collect(sim.network_mut(), metrics, sampler))
+                Ok(self.record(sim.network_mut(), metrics, series))
             }
             Workload::Synthetic {
                 pattern,
@@ -267,32 +274,55 @@ impl RunSpec {
                 cfg.noc.topology = *topo;
                 cfg.noc.routing = *routing;
                 cfg.seed = self.seed;
-                let routers = topo.nodes();
                 InjectionConfig::at_rate(*rate).validate()?;
                 let mut sim = SyntheticSim::new(cfg, *pattern, *rate);
                 sim.network_mut().set_shards(shards)?;
                 attach(sim.network_mut(), opts.trace_cap, opts.metrics);
                 // The same tick sequence as `run_experiment`, opened up so
-                // the measured window can be sampled at interval boundaries.
+                // the measured window runs in chunks of one sampling
+                // interval (the whole window when not sampling).
                 sim.run(*warmup_cycles)?;
                 sim.network_mut().reset_stats();
-                let mut sampler = Sampler::new(routers);
-                if opts.sample_every == 0 {
-                    sim.run(*measure_cycles)?;
+                let (sampling, mut remaining) = (opts.sample_every > 0, *measure_cycles);
+                let chunk = if sampling {
+                    opts.sample_every
                 } else {
-                    sampler.observe(sim.network().obs_sample());
-                    let mut remaining = *measure_cycles;
-                    while remaining > 0 {
-                        let chunk = opts.sample_every.min(remaining);
-                        sim.run(chunk)?;
-                        sampler.observe(sim.network().obs_sample());
-                        remaining -= chunk;
+                    remaining
+                };
+                let mut observe = |net: &Network| {
+                    if sampling {
+                        series.observe(net.cycle(), net.report());
                     }
+                };
+                observe(sim.network());
+                while remaining > 0 {
+                    let step = chunk.min(remaining);
+                    sim.run(step)?;
+                    observe(sim.network());
+                    remaining -= step;
                 }
                 let total = warmup_cycles + measure_cycles;
                 let metrics = Metrics::from_report(&sim.report(), &pm, total, true);
-                Ok(Observed::collect(sim.network_mut(), metrics, sampler))
+                Ok(self.record(sim.network_mut(), metrics, series))
             }
+        }
+    }
+
+    /// Harvests a finished run's network into its record.
+    fn record(&self, net: &mut Network, metrics: Metrics, series: IntervalSeries) -> RunRecord {
+        let (spawn_count, spawn_nanos) = net.spawn_stats();
+        let (pool_ticks, pool_wait_nanos) = net.pool_stats();
+        let (events, registry) = harvest(net);
+        RunRecord {
+            series: series.into_rows(),
+            events,
+            // Boxed: large relative to the record, and usually absent.
+            registry: registry.map(Box::new),
+            spawn_count,
+            spawn_nanos,
+            pool_ticks,
+            pool_wait_nanos,
+            ..RunRecord::unobserved(self, metrics)
         }
     }
 }
@@ -345,7 +375,7 @@ pub struct ObserveOpts {
     pub trace_cap: usize,
     /// When `true`, the run collects a metric [`Registry`] (counters,
     /// latency histogram, per-router planes, tick-phase profile). Like
-    /// the sampler and the sink, collection never changes [`Metrics`].
+    /// the series and the sink, collection never changes [`Metrics`].
     pub metrics: bool,
 }
 
@@ -361,56 +391,6 @@ impl ObserveOpts {
     /// `true` when no form of observation is requested.
     pub fn is_none(&self) -> bool {
         self.sample_every == 0 && self.trace_cap == 0 && !self.metrics
-    }
-}
-
-/// An observed run: deterministic metrics plus whatever observation was
-/// requested. `series` and `events` feed the nondeterministic timing
-/// sidecar and trace artifacts — never the `BENCH_<name>.json` contract.
-#[derive(Debug, Clone)]
-pub struct Observed {
-    /// The same metrics [`RunSpec::execute`] would produce.
-    pub metrics: Metrics,
-    /// Closed sampling intervals (empty when `sample_every` was 0).
-    pub series: Vec<IntervalRow>,
-    /// Flight-recorder tail (empty when `trace_cap` was 0).
-    pub events: Vec<Stamped>,
-    /// Metric registry (`None` unless `metrics` was requested).
-    pub registry: Option<Box<Registry>>,
-    /// Shard worker threads created across the run (0 when phase A never
-    /// took the sharded path): pool creations — at most `shards - 1` per
-    /// pool lifetime, and 0 in the measured window when the pool came up
-    /// during warm-up. Always collected — it is a single counter read — so
-    /// the timing sidecar can report thread overhead per run.
-    pub spawn_count: u64,
-    /// Wall-clock nanoseconds spent creating those threads.
-    pub spawn_nanos: u64,
-    /// Sharded ticks executed through the persistent worker pool (0 when
-    /// never sharded).
-    pub pool_ticks: u64,
-    /// Wall-clock nanoseconds the host thread spent blocked at the pool's
-    /// completion barrier after finishing its own shard — cross-shard
-    /// load imbalance, not compute.
-    pub pool_wait_nanos: u64,
-}
-
-impl Observed {
-    /// Harvests a finished run's network into the observation record.
-    fn collect(net: &mut Network, metrics: Metrics, sampler: Sampler) -> Observed {
-        let (spawn_count, spawn_nanos) = net.spawn_stats();
-        let (pool_ticks, pool_wait_nanos) = net.pool_stats();
-        let (events, registry) = harvest(net);
-        Observed {
-            metrics,
-            series: sampler.into_rows(),
-            events,
-            // Boxed: large relative to `Observed`, and usually absent.
-            registry: registry.map(Box::new),
-            spawn_count,
-            spawn_nanos,
-            pool_ticks,
-            pool_wait_nanos,
-        }
     }
 }
 

@@ -9,7 +9,7 @@
 //! Observers never clone: a fork starts with `Observers::default()`.
 
 use punchsim_obs::metrics::{Phase, PhaseProfiler};
-use punchsim_obs::{self as obs, Event, EventSink, PowerTag};
+use punchsim_obs::{Event, EventSink, PowerTag};
 use punchsim_types::{Cycle, NodeId};
 
 use super::Network;
@@ -160,24 +160,6 @@ impl Network {
             self.pm.set_tracing(false);
         }
         self.obs.sink.take()
-    }
-
-    /// Cumulative observability counters at the current cycle, for
-    /// host-driven interval sampling (feed consecutive snapshots to
-    /// [`punchsim_obs::Sampler::observe`]). Read-only: sampling cannot
-    /// perturb the simulation.
-    pub fn obs_sample(&self) -> obs::Sample {
-        let pg = self.pm.counters();
-        obs::Sample {
-            cycle: self.cycle,
-            delivered: self.win.stats.packets_delivered,
-            latency_sum: self.win.stats.latency.sum(),
-            latency_count: self.win.stats.latency.count(),
-            off_cycles: pg.total_off_cycles(),
-            punch_hops: pg.punch_hops,
-            escalations: pg.escalations,
-            wu_assertions: pg.wu_assertions,
-        }
     }
 
     /// Attaches a fresh tick-phase profiler: from the next tick on, phase

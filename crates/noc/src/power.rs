@@ -271,7 +271,7 @@ pub trait PowerManager: Sync {
     /// schemes that account lazily fold their outstanding debt into the
     /// copy, and wrappers patch their own scalars into the wrapped
     /// manager's snapshot. O(routers) — meant for observation points
-    /// (`Network::report`, `obs_sample`, `export_metrics`), not for the
+    /// (`Network::report`, `export_metrics`), not for the
     /// per-cycle path.
     fn counters(&self) -> PgCounters;
 

@@ -1,5 +1,5 @@
 //! Cycle-resolved observability for `punchsim`: structured event tracing,
-//! flight recording, periodic time-series sampling, and trace exporters.
+//! flight recording, and trace exporters.
 //!
 //! The Power Punch argument (HPCA 2015, §4) is a *timing* claim — punches
 //! launched `min(H, remaining hops)` ahead plus NI slack hide the wakeup
@@ -13,8 +13,6 @@
 //! * [`sink`] — the [`EventSink`] trait with a no-op sink (zero-overhead
 //!   disabled path), a bounded ring-buffer flight recorder, and an
 //!   unbounded capture sink.
-//! * [`sampler`] — rolls cumulative counters into per-interval time series
-//!   (latency, off-fraction, punch-wire utilization, escalations).
 //! * [`export`] — JSONL and Chrome trace-event JSON renderers (the
 //!   latter loads in `chrome://tracing` / Perfetto with one track per
 //!   router and flow arrows for punch signals).
@@ -35,11 +33,9 @@ pub mod event;
 pub mod export;
 pub mod json;
 pub mod metrics;
-pub mod sampler;
 pub mod sink;
 
 pub use event::{Event, FaultKind, PowerTag, Stamped};
 pub use export::{chrome_trace, to_jsonl};
 pub use json::{Json, JsonError};
-pub use sampler::{IntervalRow, Sample, Sampler};
 pub use sink::{EventSink, NullSink, RingSink, VecSink};

@@ -14,8 +14,8 @@
 //!   * [`faults`] (`core::faults`) — deterministic fault injection for the
 //!     power-gating machinery (punch drops/corruption, stuck-off routers)
 //! * [`obs`] — cycle-resolved observability: structured event tracing,
-//!   flight recording, per-interval sampling, and JSONL/Chrome-trace
-//!   exporters (load the latter in Perfetto)
+//!   flight recording, and JSONL/Chrome-trace exporters (load the latter
+//!   in Perfetto)
 //!   * [`metrics`] (`obs::metrics`) — typed metric registry, log-bucketed
 //!     latency histograms, per-router counter planes, tick-phase profiler,
 //!     and Prometheus/JSON exposition
@@ -62,15 +62,14 @@ pub use punchsim_verify as verify;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use punchsim_campaign::{
-        CampaignReport, Metrics, ObserveOpts, Observed, Outcome, RunRecord, RunSpec, Runner, Store,
-        Workload,
+        CampaignReport, Metrics, ObserveOpts, Outcome, RunRecord, RunSpec, Runner, Store, Workload,
     };
     pub use punchsim_cmp::{Benchmark, CmpConfig, CmpReport, CmpSim};
     pub use punchsim_core::build_power_manager;
     pub use punchsim_core::faults::{FaultInjector, FaultStats};
     pub use punchsim_noc::{Network, NetworkReport, PowerManager};
     pub use punchsim_obs::metrics::{LogHistogram, Phase, PhaseProfiler, Plane, Registry};
-    pub use punchsim_obs::{Event, EventSink, RingSink, Sampler, Stamped, VecSink};
+    pub use punchsim_obs::{Event, EventSink, RingSink, Stamped, VecSink};
     pub use punchsim_power::{EnergyBreakdown, PowerModel};
     pub use punchsim_traffic::{SyntheticSim, TrafficPattern};
     pub use punchsim_types::{

@@ -9,9 +9,10 @@
 //! the evidence a human needs to find the dead router. The companion tests
 //! pin that observation never perturbs simulation results.
 
+use punchsim::campaign::IntervalSeries;
 use punchsim::core::build_power_manager;
 use punchsim::noc::{Message, MsgClass, Network};
-use punchsim::prelude::{RingSink, Sampler};
+use punchsim::prelude::RingSink;
 use punchsim::types::{
     FaultConfig, Mesh, NodeId, SchemeKind, SimConfig, SimError, StuckEpoch, VnetId,
 };
@@ -201,13 +202,13 @@ fn mostly_idle_network(reference: bool) -> Network {
 fn sample_timestamps_are_exact_across_fast_forward_jumps() {
     let rows = |reference: bool| {
         let mut net = mostly_idle_network(reference);
-        let mut sampler = Sampler::new(16);
-        sampler.observe(net.obs_sample());
+        let mut series = IntervalSeries::default();
+        series.observe(net.cycle(), net.report());
         for _ in 0..25 {
             net.run(100).expect("idle network must not stall");
-            sampler.observe(net.obs_sample());
+            series.observe(net.cycle(), net.report());
         }
-        sampler.into_rows()
+        series.into_rows()
     };
     let fast = rows(false);
     let naive = rows(true);
