@@ -21,8 +21,10 @@ use crate::spec::SCHEMA_VERSION;
 /// persistent-pool counters (`pool_ticks`, `pool_wait_nanos`) and changed
 /// `spawn_count` to count thread *creations* (at most `shards - 1` per
 /// pool lifetime under the default pooled executor, and 0 in the measured
-/// window when the pool came up during warm-up).
-pub const TIMING_SCHEMA_VERSION: &str = "punchsim-campaign-timing/v3";
+/// window when the pool came up during warm-up); v4 made every run's
+/// `series` tile its measured window (PARSEC rows used to start at cycle 0
+/// and stop at the last whole interval).
+pub const TIMING_SCHEMA_VERSION: &str = "punchsim-campaign-timing/v4";
 
 /// A finished campaign, ready to render into artifacts.
 #[derive(Debug)]
@@ -111,8 +113,7 @@ impl CampaignReport {
                 r.push("cycles_per_sec", Json::Float(cps));
             }
             // Shard-thread overhead: creations (pool-lifetime-bounded by
-            // default) plus the pooled-tick barrier-wait counters the
-            // shard gate checks.
+            // default) plus the pooled-tick barrier-wait counters.
             r.push("spawn_count", Json::Int(rec.spawn_count as i64));
             r.push("spawn_nanos", Json::Int(rec.spawn_nanos as i64));
             r.push("pool_ticks", Json::Int(rec.pool_ticks as i64));

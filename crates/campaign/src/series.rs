@@ -52,7 +52,8 @@ impl IntervalRow {
     }
 }
 
-/// Rolls a run's `(cycle, report)` pairs into [`IntervalRow`]s.
+/// Rolls a run's `(cycle, report)` pairs into [`IntervalRow`]s that tile
+/// its measured window.
 #[derive(Debug, Clone, Default)]
 pub struct IntervalSeries {
     last: Option<(Cycle, NetworkReport)>,
@@ -60,17 +61,28 @@ pub struct IntervalSeries {
 }
 
 impl IntervalSeries {
-    /// Feeds the network's report at `cycle`. The first call primes the
-    /// baseline; each later call with an advanced cycle closes one
-    /// interval, and a call at the same cycle re-primes it.
+    /// Feeds the network's report at `cycle`. Within one measured window
+    /// each call with an advanced cycle closes one interval, and a call at
+    /// the same cycle re-primes the baseline.
     ///
-    /// Counter resets (e.g. warmup-end `reset_stats`) are tolerated: deltas
-    /// saturate at zero instead of underflowing.
+    /// A report whose window (`cycle - report.cycles` on) opened since the
+    /// last call — the first call, or the warm-up's `reset_stats` —
+    /// restarts the series: the rows so far belong to an earlier window,
+    /// and the new one is diffed against zero counts at its start.
     pub fn observe(&mut self, cycle: Cycle, report: NetworkReport) {
-        if let Some((at, prev)) = &self.last {
-            if cycle > *at {
-                let row = interval(*at, cycle, prev, &report);
-                self.rows.push(row);
+        let start = cycle - report.cycles;
+        match &self.last {
+            Some((at, prev)) if at - prev.cycles == start => {
+                if cycle > *at {
+                    let row = interval(*at, cycle, Some(prev), &report);
+                    self.rows.push(row);
+                }
+            }
+            _ => {
+                self.rows.clear();
+                if cycle > start {
+                    self.rows.push(interval(start, cycle, None, &report));
+                }
             }
         }
         self.last = Some((cycle, report));
@@ -87,12 +99,19 @@ impl IntervalSeries {
     }
 }
 
-/// The row for `(start, end]`: `cur`'s cumulative counters less `prev`'s.
-fn interval(start: Cycle, end: Cycle, prev: &NetworkReport, cur: &NetworkReport) -> IntervalRow {
-    let delta = |f: fn(&NetworkReport) -> u64| f(cur).saturating_sub(f(prev));
+/// The row for `(start, end]`: `cur`'s cumulative counters less `prev`'s
+/// (zero counts when there is no `prev`). Deltas saturate at zero instead
+/// of underflowing.
+fn interval(
+    start: Cycle,
+    end: Cycle,
+    prev: Option<&NetworkReport>,
+    cur: &NetworkReport,
+) -> IntervalRow {
+    let delta = |f: fn(&NetworkReport) -> u64| f(cur).saturating_sub(prev.map_or(0, f));
     let dt = (end - start) as f64;
     let d_count = delta(|r| r.stats.latency.count());
-    let d_sum = (cur.stats.latency.sum() - prev.stats.latency.sum()).max(0.0);
+    let d_sum = (cur.stats.latency.sum() - prev.map_or(0.0, |p| p.stats.latency.sum())).max(0.0);
     let avg_latency = if d_count > 0 {
         d_sum / d_count as f64
     } else {
@@ -169,15 +188,42 @@ mod tests {
     }
 
     #[test]
-    fn counter_reset_saturates_instead_of_underflowing() {
+    fn counter_drop_saturates_instead_of_underflowing() {
         let mut s = IntervalSeries::default();
-        s.observe(0, report(0, 100, 10.0, 50));
-        // Host reset its stats between observations.
-        s.observe(10, report(10, 2, 3.0, 0));
-        let row = &s.rows()[0];
+        s.observe(0, report(0, 0, 0.0, 0));
+        s.observe(10, report(10, 100, 10.0, 50));
+        // Counters that fall within one window clamp to an empty row.
+        s.observe(20, report(20, 2, 3.0, 0));
+        let row = &s.rows()[1];
         assert_eq!(row.delivered, 0);
         assert_eq!(row.avg_latency, 0.0);
         assert_eq!(row.off_fraction, 0.0);
+    }
+
+    #[test]
+    fn a_reset_restarts_the_series_at_the_new_window() {
+        let mut s = IntervalSeries::default();
+        // A first report taken after its window opened is diffed from zero.
+        s.observe(100, report(100, 100, 10.0, 50));
+        assert_eq!((s.rows()[0].start, s.rows()[0].delivered), (0, 100));
+        // The host resets at cycle 150: the warm-up rows go, and the new
+        // window's first row starts at the reset.
+        s.observe(200, report(50, 2, 3.0, 0));
+        let rows = s.rows();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(
+            (rows[0].start, rows[0].end, rows[0].delivered),
+            (150, 200, 2)
+        );
+        assert_eq!(rows[0].avg_latency, 3.0);
+        // A reset at the very cycle of the last report counts from zero
+        // too, not from that report's (pre-reset) counters.
+        s.observe(250, report(50, 4, 3.0, 0));
+        let rows = s.rows();
+        assert_eq!(
+            (rows[0].start, rows[0].end, rows[0].delivered),
+            (200, 250, 4)
+        );
     }
 
     #[test]

@@ -251,14 +251,17 @@ impl RunSpec {
                 let mut sim = CmpSim::new(cfg);
                 sim.network_mut().set_shards(shards)?;
                 attach(sim.network_mut(), opts.trace_cap, opts.metrics);
-                let every = if opts.sample_every > 0 {
-                    let net = sim.network();
-                    series.observe(net.cycle(), net.report());
+                let sampling = opts.sample_every > 0;
+                let every = if sampling {
                     opts.sample_every
                 } else {
                     u64::MAX
                 };
                 let r = sim.run_hooked(every, &mut |net| series.observe(net.cycle(), net.report()));
+                if sampling {
+                    // Close the interval the last hook left open.
+                    series.observe(r.total_cycles, r.net.clone());
+                }
                 let metrics = Metrics::from_report(&r.net, &pm, r.total_cycles, r.completed);
                 Ok(self.record(sim.network_mut(), metrics, series))
             }
@@ -687,6 +690,30 @@ mod tests {
         assert!(!obs.events.is_empty());
         let kinds: Vec<&str> = obs.events.iter().map(|e| e.event.kind()).collect();
         assert!(kinds.contains(&"punch-emit"), "{kinds:?}");
+    }
+
+    #[test]
+    fn parsec_series_tiles_the_measured_window() {
+        let spec = RunSpec {
+            scheme: SchemeKind::PowerPunchFull,
+            seed: 7,
+            workload: Workload::Parsec {
+                benchmark: Benchmark::Blackscholes,
+                instr_per_core: 300,
+                warmup_instr: 100,
+            },
+        };
+        let opts = ObserveOpts {
+            sample_every: 250,
+            ..ObserveOpts::NONE
+        };
+        let rec = spec.execute_observed(opts, 1).unwrap();
+        let (m, series) = (&rec.metrics, &rec.series);
+        assert_eq!(series[0].start, m.total_cycles - m.exec_cycles);
+        assert_eq!(series[series.len() - 1].end, m.total_cycles);
+        assert!(series.windows(2).all(|w| w[0].end == w[1].start));
+        let delivered: u64 = series.iter().map(|r| r.delivered).sum();
+        assert_eq!(delivered, m.delivered);
     }
 
     #[test]
