@@ -41,26 +41,22 @@ pub struct RunRecord {
     pub cached: bool,
     /// Wall-clock nanoseconds this worker spent on the run.
     pub wall_nanos: u64,
-    /// Per-interval time series (empty unless the runner sampled; feeds
-    /// the timing sidecar, never the deterministic artifact).
+    /// Per-interval time series tiling the measured window (empty unless
+    /// the runner sampled).
     pub series: Vec<IntervalRow>,
-    /// Flight-recorder tail (empty unless the runner traced; feeds
-    /// per-run trace dumps, never the deterministic artifact).
+    /// Flight-recorder tail (empty unless the runner traced; feeds the
+    /// per-run trace dumps).
     pub events: Vec<Stamped>,
-    /// Metric registry (`None` unless the runner collected metrics or
-    /// the run was a cache hit; feeds the timing sidecar and exposition,
-    /// never the deterministic artifact).
+    /// Metric registry (`None` unless the runner collected metrics).
     pub registry: Option<Box<Registry>>,
-    /// Shard worker threads the run created (0 for cache hits; at most
-    /// `shards - 1`, the persistent pool's size).
+    /// Shard worker threads the run created (at most `shards - 1`, the
+    /// persistent pool's size).
     pub spawn_count: u64,
     /// Wall-clock nanoseconds spent creating those threads.
     pub spawn_nanos: u64,
-    /// Sharded ticks executed through the persistent worker pool (0 for
-    /// cache hits).
+    /// Sharded ticks executed through the persistent worker pool.
     pub pool_ticks: u64,
-    /// Host nanoseconds blocked at the pool's completion barrier (0 for
-    /// cache hits).
+    /// Host nanoseconds blocked at the pool's completion barrier.
     pub pool_wait_nanos: u64,
 }
 

@@ -1,14 +1,8 @@
 //! The per-interval time series of an observed run, read off the run's own
-//! reports.
-//!
-//! `Network::report` is cumulative over the measured window, so the
-//! difference of two reports taken at cycles `a < b` is what the run did
-//! in `(a, b]`. [`IntervalSeries`] keeps the last `(cycle, report)` pair
-//! and turns each later one into an [`IntervalRow`] — delivered packets,
-//! mean latency, off-fraction, punch-signal link traversals, escalations
-//! and WU assertions per interval — so a campaign's `.timing.json` sidecar
-//! can show how a run *evolved*, not just where it ended. Reports are
-//! read between ticks, so collecting a series cannot perturb the run.
+//! reports: `Network::report` is cumulative over the measured window, so
+//! two reports taken at cycles `a < b` differ by what the run did in
+//! `(a, b]`. Reports are read between ticks, so a series cannot perturb
+//! the run.
 
 use punchsim_noc::NetworkReport;
 use punchsim_types::Cycle;
@@ -61,72 +55,50 @@ pub struct IntervalSeries {
 }
 
 impl IntervalSeries {
-    /// Feeds the network's report at `cycle`. Within one measured window
-    /// each call with an advanced cycle closes one interval, and a call at
-    /// the same cycle re-primes the baseline.
+    /// Feeds the network's report at `cycle`, closing the interval since
+    /// the previous call (none at the same cycle: that re-primes).
     ///
     /// A report whose window (`cycle - report.cycles` on) opened since the
-    /// last call — the first call, or the warm-up's `reset_stats` —
+    /// previous call — the first call, or the warm-up's `reset_stats` —
     /// restarts the series: the rows so far belong to an earlier window,
-    /// and the new one is diffed against zero counts at its start.
+    /// and the new one is diffed against zero counts at its start. Deltas
+    /// saturate at zero instead of underflowing.
     pub fn observe(&mut self, cycle: Cycle, report: NetworkReport) {
         let start = cycle - report.cycles;
-        match &self.last {
-            Some((at, prev)) if at - prev.cycles == start => {
-                if cycle > *at {
-                    let row = interval(*at, cycle, Some(prev), &report);
-                    self.rows.push(row);
-                }
-            }
+        let last = self.last.take();
+        let (from, prev) = match &last {
+            Some((at, prev)) if at - prev.cycles == start => (*at, Some(prev)),
             _ => {
                 self.rows.clear();
-                if cycle > start {
-                    self.rows.push(interval(start, cycle, None, &report));
-                }
+                (start, None)
             }
+        };
+        if cycle > from {
+            let delta = |f: fn(&NetworkReport) -> u64| f(&report).saturating_sub(prev.map_or(0, f));
+            let d_count = delta(|r| r.stats.latency.count());
+            let d_sum = report.stats.latency.sum() - prev.map_or(0.0, |p| p.stats.latency.sum());
+            let d_off = delta(|r| r.pg.total_off_cycles());
+            self.rows.push(IntervalRow {
+                start: from,
+                end: cycle,
+                delivered: delta(|r| r.stats.packets_delivered),
+                avg_latency: if d_count > 0 {
+                    d_sum.max(0.0) / d_count as f64
+                } else {
+                    0.0
+                },
+                off_fraction: d_off as f64 / (report.routers.max(1) as f64 * (cycle - from) as f64),
+                punch_hops: delta(|r| r.pg.punch_hops),
+                escalations: delta(|r| r.pg.escalations),
+                wu_assertions: delta(|r| r.pg.wu_assertions),
+            });
         }
         self.last = Some((cycle, report));
-    }
-
-    /// The closed intervals so far.
-    pub fn rows(&self) -> &[IntervalRow] {
-        &self.rows
     }
 
     /// Consumes the collector, returning its intervals.
     pub fn into_rows(self) -> Vec<IntervalRow> {
         self.rows
-    }
-}
-
-/// The row for `(start, end]`: `cur`'s cumulative counters less `prev`'s
-/// (zero counts when there is no `prev`). Deltas saturate at zero instead
-/// of underflowing.
-fn interval(
-    start: Cycle,
-    end: Cycle,
-    prev: Option<&NetworkReport>,
-    cur: &NetworkReport,
-) -> IntervalRow {
-    let delta = |f: fn(&NetworkReport) -> u64| f(cur).saturating_sub(prev.map_or(0, f));
-    let dt = (end - start) as f64;
-    let d_count = delta(|r| r.stats.latency.count());
-    let d_sum = (cur.stats.latency.sum() - prev.map_or(0.0, |p| p.stats.latency.sum())).max(0.0);
-    let avg_latency = if d_count > 0 {
-        d_sum / d_count as f64
-    } else {
-        0.0
-    };
-    let d_off = delta(|r| r.pg.total_off_cycles());
-    IntervalRow {
-        start,
-        end,
-        delivered: delta(|r| r.stats.packets_delivered),
-        avg_latency,
-        off_fraction: d_off as f64 / (cur.routers.max(1) as f64 * dt),
-        punch_hops: delta(|r| r.pg.punch_hops),
-        escalations: delta(|r| r.pg.escalations),
-        wu_assertions: delta(|r| r.pg.wu_assertions),
     }
 }
 
@@ -166,7 +138,7 @@ mod tests {
         s.observe(0, report(0, 0, 0.0, 0));
         s.observe(100, report(100, 10, 20.0, 400));
         s.observe(200, report(200, 30, 70.0 / 3.0, 400));
-        let rows = s.rows();
+        let rows = &s.rows;
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].delivered, 10);
         assert_eq!(rows[0].avg_latency, 20.0);
@@ -183,8 +155,8 @@ mod tests {
         let mut s = IntervalSeries::default();
         s.observe(0, report(0, 0, 0.0, 0));
         s.observe(50, report(50, 0, 0.0, 0));
-        assert_eq!(s.rows()[0].avg_latency, 0.0);
-        assert!(s.rows()[0].avg_latency.is_finite());
+        assert_eq!(s.rows[0].avg_latency, 0.0);
+        assert!(s.rows[0].avg_latency.is_finite());
     }
 
     #[test]
@@ -194,7 +166,7 @@ mod tests {
         s.observe(10, report(10, 100, 10.0, 50));
         // Counters that fall within one window clamp to an empty row.
         s.observe(20, report(20, 2, 3.0, 0));
-        let row = &s.rows()[1];
+        let row = &s.rows[1];
         assert_eq!(row.delivered, 0);
         assert_eq!(row.avg_latency, 0.0);
         assert_eq!(row.off_fraction, 0.0);
@@ -205,11 +177,11 @@ mod tests {
         let mut s = IntervalSeries::default();
         // A first report taken after its window opened is diffed from zero.
         s.observe(100, report(100, 100, 10.0, 50));
-        assert_eq!((s.rows()[0].start, s.rows()[0].delivered), (0, 100));
+        assert_eq!((s.rows[0].start, s.rows[0].delivered), (0, 100));
         // The host resets at cycle 150: the warm-up rows go, and the new
         // window's first row starts at the reset.
         s.observe(200, report(50, 2, 3.0, 0));
-        let rows = s.rows();
+        let rows = &s.rows;
         assert_eq!(rows.len(), 1);
         assert_eq!(
             (rows[0].start, rows[0].end, rows[0].delivered),
@@ -219,7 +191,7 @@ mod tests {
         // A reset at the very cycle of the last report counts from zero
         // too, not from that report's (pre-reset) counters.
         s.observe(250, report(50, 4, 3.0, 0));
-        let rows = s.rows();
+        let rows = &s.rows;
         assert_eq!(
             (rows[0].start, rows[0].end, rows[0].delivered),
             (200, 250, 4)
@@ -231,9 +203,9 @@ mod tests {
         let mut s = IntervalSeries::default();
         s.observe(0, report(0, 0, 0.0, 0));
         s.observe(0, report(0, 5, 4.0, 0));
-        assert!(s.rows().is_empty(), "no interval closes at the same cycle");
+        assert!(s.rows.is_empty(), "no interval closes at the same cycle");
         s.observe(10, report(10, 7, 4.0, 0));
-        assert_eq!(s.rows()[0].delivered, 2, "diffed against the re-prime");
+        assert_eq!(s.rows[0].delivered, 2, "diffed against the re-prime");
     }
 
     #[test]
@@ -241,7 +213,7 @@ mod tests {
         let mut s = IntervalSeries::default();
         s.observe(0, report(0, 0, 0.0, 0));
         s.observe(10, report(10, 1, 5.0, 0));
-        let render = || s.rows()[0].to_json().render();
+        let render = || s.rows[0].to_json().render();
         assert_eq!(render(), render());
         assert!(render().contains("\"avg_latency\": 5.0"));
     }

@@ -237,7 +237,19 @@ impl RunSpec {
         shards: usize,
     ) -> Result<RunRecord, SimError> {
         let pm = PowerModel::default_45nm();
+        // Reports are read every `every` cycles and once at the end; not
+        // sampling, the measured window runs in one piece.
+        let every = if opts.sample_every > 0 {
+            opts.sample_every
+        } else {
+            u64::MAX
+        };
         let mut series = IntervalSeries::default();
+        let mut sample = |net: &Network| {
+            if opts.sample_every > 0 {
+                series.observe(net.cycle(), net.report());
+            }
+        };
         match &self.workload {
             Workload::Parsec {
                 benchmark,
@@ -251,17 +263,8 @@ impl RunSpec {
                 let mut sim = CmpSim::new(cfg);
                 sim.network_mut().set_shards(shards)?;
                 attach(sim.network_mut(), opts.trace_cap, opts.metrics);
-                let sampling = opts.sample_every > 0;
-                let every = if sampling {
-                    opts.sample_every
-                } else {
-                    u64::MAX
-                };
-                let r = sim.run_hooked(every, &mut |net| series.observe(net.cycle(), net.report()));
-                if sampling {
-                    // Close the interval the last hook left open.
-                    series.observe(r.total_cycles, r.net.clone());
-                }
+                let r = sim.run_hooked(every, &mut sample);
+                sample(sim.network());
                 let metrics = Metrics::from_report(&r.net, &pm, r.total_cycles, r.completed);
                 Ok(self.record(sim.network_mut(), metrics, series))
             }
@@ -281,27 +284,16 @@ impl RunSpec {
                 let mut sim = SyntheticSim::new(cfg, *pattern, *rate);
                 sim.network_mut().set_shards(shards)?;
                 attach(sim.network_mut(), opts.trace_cap, opts.metrics);
-                // The same tick sequence as `run_experiment`, opened up so
-                // the measured window runs in chunks of one sampling
-                // interval (the whole window when not sampling).
+                // The same tick sequence as `run_experiment`, with the
+                // measured window run in chunks of `every` cycles.
                 sim.run(*warmup_cycles)?;
                 sim.network_mut().reset_stats();
-                let (sampling, mut remaining) = (opts.sample_every > 0, *measure_cycles);
-                let chunk = if sampling {
-                    opts.sample_every
-                } else {
-                    remaining
-                };
-                let mut observe = |net: &Network| {
-                    if sampling {
-                        series.observe(net.cycle(), net.report());
-                    }
-                };
-                observe(sim.network());
+                sample(sim.network());
+                let mut remaining = *measure_cycles;
                 while remaining > 0 {
-                    let step = chunk.min(remaining);
+                    let step = every.min(remaining);
                     sim.run(step)?;
-                    observe(sim.network());
+                    sample(sim.network());
                     remaining -= step;
                 }
                 let total = warmup_cycles + measure_cycles;
@@ -313,8 +305,8 @@ impl RunSpec {
 
     /// Harvests a finished run's network into its record.
     fn record(&self, net: &mut Network, metrics: Metrics, series: IntervalSeries) -> RunRecord {
-        let (spawn_count, spawn_nanos) = net.spawn_stats();
-        let (pool_ticks, pool_wait_nanos) = net.pool_stats();
+        let [(spawn_count, spawn_nanos), (pool_ticks, pool_wait_nanos)] =
+            [net.spawn_stats(), net.pool_stats()];
         let (events, registry) = harvest(net);
         RunRecord {
             series: series.into_rows(),
