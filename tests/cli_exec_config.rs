@@ -533,3 +533,63 @@ fn every_command_is_a_table_row_with_errors_naming_flag_and_command() {
     assert!(usage.contains("[--no-cache]") && usage.contains("[--expect-violation]"));
     assert!(usage.contains("decimal or 0x-prefixed hex"));
 }
+
+/// `campaign --sample N` puts one interval series per run into the timing
+/// sidecar. Each must tile its run's measured window — no gap, no overlap,
+/// no warm-up rows, no missing tail — and its rows' deliveries must add up
+/// to the run's own `metrics.delivered` in the deterministic artifact.
+#[test]
+fn sampled_sidecar_series_tile_each_runs_measured_window() {
+    use punchsim::campaign::Json;
+    let dir = std::env::temp_dir().join(format!("punchsim-cli-series-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out_dir = dir.to_str().expect("utf-8 temp path");
+    let args = [
+        "campaign",
+        "--suite",
+        "schemes",
+        "--smoke",
+        "--sample",
+        "1000",
+        "--no-cache",
+        "--out",
+        out_dir,
+    ];
+    let out = cli(&args, &[]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let runs = |name: &str| {
+        let text = std::fs::read_to_string(dir.join(name)).expect("campaign wrote the artifact");
+        let doc = Json::parse(&text).expect("artifacts are valid JSON");
+        doc.get("runs")
+            .and_then(Json::as_arr)
+            .expect("a runs array")
+            .to_vec()
+    };
+    let (results, timings) = (
+        runs("BENCH_schemes.json"),
+        runs("BENCH_schemes.timing.json"),
+    );
+    assert_eq!(results.len(), 5, "one run per scheme");
+    assert_eq!(timings.len(), results.len());
+    for (run, timing) in results.iter().zip(&timings) {
+        let id = run.get("id").and_then(Json::as_str).expect("an id");
+        assert_eq!(timing.get("id").and_then(Json::as_str), Some(id));
+        let num = |j: &Json, key: &str| {
+            let v = j.get(key).and_then(Json::as_u64);
+            v.unwrap_or_else(|| panic!("{id}: no {key}"))
+        };
+        let metrics = run.get("metrics").expect("metrics");
+        let total = num(metrics, "total_cycles");
+        let series = timing.get("series").and_then(Json::as_arr);
+        let series = series.unwrap_or_else(|| panic!("{id}: sampled but no series"));
+        let mut at = total - num(metrics, "exec_cycles");
+        for row in series {
+            assert_eq!(num(row, "start"), at, "{id}: rows must abut");
+            at = num(row, "end");
+        }
+        assert_eq!(at, total, "{id}: the last row must end the window");
+        let delivered: u64 = series.iter().map(|row| num(row, "delivered")).sum();
+        assert_eq!(delivered, num(metrics, "delivered"), "{id}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
