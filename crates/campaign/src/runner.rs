@@ -39,7 +39,8 @@ pub struct RunRecord {
     pub metrics: Metrics,
     /// `true` when served from the result store without simulating.
     pub cached: bool,
-    /// Wall-clock nanoseconds this worker spent on the run.
+    /// Wall-clock nanoseconds this worker spent on the run (set by the
+    /// runner; 0 from a direct [`RunSpec::execute_observed`]).
     pub wall_nanos: u64,
     /// Per-interval time series tiling the measured window (empty unless
     /// the runner sampled).

@@ -48,7 +48,7 @@ impl IntervalRow {
 
 /// Rolls a run's `(cycle, report)` pairs into [`IntervalRow`]s that tile
 /// its measured window.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct IntervalSeries {
     last: Option<(Cycle, NetworkReport)>,
     rows: Vec<IntervalRow>,
