@@ -102,8 +102,10 @@ pub const SUITES: &[Suite] = &[
         kind: Kind::Concat(&[&PARSEC, &SYNTH]),
         ..POINT
     },
-    // A mostly-gated fabric, the regime quiescence fast-forward exists for;
-    // the window must dwarf set-up. `perf/`'s `idle8_ppf` row tracks it.
+    // A mostly-gated fabric, the regime fast-forward exists for; the
+    // window must dwarf set-up. `perf/`'s `idle8_ppf` row tracks its speed,
+    // and `bench/baseline_fastpath.json` (an identity-gate row) is this
+    // suite at `Size::Smoke`.
     Suite {
         name: "fastpath",
         help: "idle-dominated runs",

@@ -22,6 +22,10 @@
 #                    bench/baseline_schemes.json: refactors of the power
 #                    model, the scheme constructors or the tick kernel are
 #                    invisible in the results.
+#   fastpath         The idle-dominated 8x8 suite (rate 5e-5, every scheme)
+#                    reproduces bench/baseline_fastpath.json: the regime
+#                    where `Network::run` skips most cycles, so a change to
+#                    the skip rule or a manager's `tick_quiet` shows here.
 #   ci-observed,     Observation is read-only: per-interval sampling,
 #   ci-metered       flight-recorder dumps and the metric registry hung off
 #                    every run leave the artifact untouched (and the metered
@@ -146,6 +150,7 @@ ci                | bench/baseline.json               | campaign --suite ci --na
 ci-observed       | =ci                               | campaign --suite ci --name ci --smoke --sample 1000 --trace-out @/dumps
 ci-metered        | =ci                               | campaign --suite ci --name ci --smoke --metrics-out @/campaign.prom
 schemes           | bench/baseline_schemes.json       | campaign --suite schemes --name schemes --smoke
+fastpath          | bench/baseline_fastpath.json      | campaign --suite fastpath --name fastpath --smoke
 substrate-t4      | bench/baseline_substrate.json     | campaign --suite substrate --name substrate --smoke --threads 4
 substrate-t1      | =substrate-t4                     | campaign --suite substrate --name substrate --smoke --threads 1
 busy-s1           | -                                 | campaign --suite busy --name busy --smoke --shards 1
