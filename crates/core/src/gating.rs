@@ -244,15 +244,16 @@ impl GateArray {
         }
     }
 
-    /// Closed-form replay of the quiet span `[from, to)`: for every cycle
-    /// `c` in the span, behaves exactly like
-    /// `begin_cycle(c); advance_idle(&all_true, |i| c >= sleep_floor(i))`
+    /// Closed-form replay of the quiet span `[from, to)` under the constant
+    /// idleness plane `idle`: for every cycle `c` in the span, behaves
+    /// exactly like `begin_cycle(c); advance_idle(idle, |i| c >= sleep_floor(i))`
     /// but in O(on routers + promotions in the span) total instead of
     /// O(routers × span) — off and still-waking routers' accounting
     /// advances through the shared unit counter without being visited.
-    /// `sleep_floor` is the scheme's sleep veto expressed as a cycle: router
-    /// `i` may not sleep before cycle `sleep_floor(i)` (0 for unconditional
-    /// sleeping).
+    /// A busy on router (`!idle[i]`), including one promoted inside the
+    /// span, holds its idle count at 0 and never sleeps. `sleep_floor` is
+    /// the scheme's sleep veto expressed as a cycle: router `i` may not
+    /// sleep before cycle `sleep_floor(i)` (0 for unconditional sleeping).
     ///
     /// The per-cycle equivalence is pinned by `quiet_advance_matches_loop`
     /// below and, end to end, by `tests/differential.rs`.
@@ -260,6 +261,7 @@ impl GateArray {
         &mut self,
         from: Cycle,
         to: Cycle,
+        idle: &[bool],
         mut sleep_floor: impl FnMut(usize) -> Cycle,
     ) {
         if to <= from {
@@ -267,15 +269,20 @@ impl GateArray {
         }
         let units_at_from = self.acct_units;
         self.acct_units += to - from;
-        // On routers idle through the whole span. Swept before any
-        // promotion below sets an `on` bit.
+        // On routers keep their idleness through the whole span. Swept
+        // before any promotion below sets an `on` bit.
         self.for_each_on(|this, i| {
-            let floor = sleep_floor(i);
-            this.settle(i, from, this.idle_cycles[i], to, floor);
+            if idle[i] {
+                let floor = sleep_floor(i);
+                this.settle(i, from, this.idle_cycles[i], to, floor);
+            } else {
+                this.idle_cycles[i] = 0;
+            }
         });
         // Waking routers whose promotion tick falls inside the span accrue
         // waking cycles up to and including it, then evolve as on from
-        // there; the rest keep accruing lazily.
+        // there (a promotion zeroes the idle count, where a busy router
+        // keeps it); the rest keep accruing lazily.
         while let Some(&r) = self.promotions.front() {
             let i = r.index();
             let promo = from.max(self.ready_at[i].saturating_sub(1));
@@ -284,8 +291,10 @@ impl GateArray {
             }
             self.promotions.pop_front();
             self.promote(i, units_at_from + (promo - from + 1));
-            let floor = sleep_floor(i);
-            self.settle(i, promo, 0, to, floor);
+            if idle[i] {
+                let floor = sleep_floor(i);
+                self.settle(i, promo, 0, to, floor);
+            }
         }
     }
 
@@ -512,7 +521,8 @@ mod tests {
 
     /// Replays the quiet span per-cycle and via the closed form and demands
     /// identical states, snapshot bytes *and* counters, over
-    /// randomized initial states, sleep floors and span lengths. This is
+    /// randomized initial states, idleness planes (a busy router among
+    /// on, off and waking ones), sleep floors and span lengths. This is
     /// the unit-level half of the fast-forward equivalence argument (the
     /// end-to-end half lives in `tests/differential.rs`).
     #[test]
@@ -554,12 +564,12 @@ mod tests {
             }
             let floors: Vec<Cycle> = (0..n).map(|_| rng.next_u64() % 80).collect();
             let mut fast = slow.clone();
-            let all_idle = vec![true; n];
+            let idle: Vec<bool> = (0..n).map(|_| rng.next_u64() % 3 != 0).collect();
             for c in from..from + span {
                 slow.begin_cycle(c);
-                slow.advance_idle(&all_idle, |i| c >= floors[i]);
+                slow.advance_idle(&idle, |i| c >= floors[i]);
             }
-            fast.advance_quiet(from, from + span, |i| floors[i]);
+            fast.advance_quiet(from, from + span, &idle, |i| floors[i]);
             let to = from + span;
             for i in 0..n {
                 let r = NodeId(i as u16);
@@ -602,7 +612,7 @@ mod tests {
         assert_eq!((c.escalations_at[0], c.escalations_at[1]), (0, 1));
         // Both promote at tick 12 (two waking cycles, 11 and 12), then
         // every router times out and sleeps inside the span.
-        g.advance_quiet(11, 40, |_| 0);
+        g.advance_quiet(11, 40, &[true; 4], |_| 0);
         assert_eq!(states(&g), [PowerState::Off; 4]);
         assert_eq!(tags(&g, 40), [1; 4]);
         assert_eq!(g.counters().waking_cycles, [2, 2, 0, 0]);

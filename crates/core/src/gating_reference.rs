@@ -134,12 +134,12 @@ impl EagerGateArray {
         &mut self,
         from: Cycle,
         to: Cycle,
+        idle: &[bool],
         mut sleep_floor: impl FnMut(usize) -> Cycle,
     ) {
-        let all_idle = vec![true; self.gates.len()];
         for c in from..to {
             self.begin_cycle(c);
-            self.advance_idle(&all_idle, |i| c >= sleep_floor(i));
+            self.advance_idle(idle, |i| c >= sleep_floor(i));
         }
     }
 }
@@ -243,8 +243,8 @@ fn lazy_matches_eager_on_random_cycle_traces() {
     assert!(out_of_order > 0, "every wake landed behind the queue");
 }
 
-/// Interleaved cycle-by-cycle stretches and bulk quiet-span jumps, with
-/// mid-trace counter resets. Observation happens after every cycle *and*
+/// Interleaved cycle-by-cycle stretches and bulk quiet-span jumps under
+/// random constant idleness planes, with mid-trace counter resets. Observation happens after every cycle *and*
 /// after every jump; a jump that leaves stale debt or a reset that fails
 /// to cancel it diverges immediately. Wake bursts right before a jump make
 /// spans that promote several routers at once and spans that end with a
@@ -252,7 +252,7 @@ fn lazy_matches_eager_on_random_cycle_traces() {
 #[test]
 fn lazy_matches_eager_across_bulk_jumps_and_resets() {
     let mut rng = SimRng::seed_from_u64(0xFA57_F01D);
-    let (mut ends_mid_wake, mut promotes_several) = (0, 0);
+    let (mut ends_mid_wake, mut promotes_several, mut busy_through_span) = (0, 0, 0);
     for trial in 0..30 {
         let n = 1 + (rng.next_u64() % 16) as usize;
         let latency = 1 + (rng.next_u64() % 8) as u32;
@@ -276,8 +276,14 @@ fn lazy_matches_eager_across_bulk_jumps_and_resets() {
                     }
                     let before = transients(&eager).len();
                     let span = 1 + rng.next_u64() % 60;
-                    lazy.advance_quiet(cycle, cycle + span, |i| floors[i]);
-                    eager.advance_quiet(cycle, cycle + span, |i| floors[i]);
+                    // A constant plane with some routers busy: they stay
+                    // on through the span, promoted or not.
+                    let idle: Vec<bool> = (0..n).map(|_| rng.next_u64() % 4 != 0).collect();
+                    busy_through_span += (0..n)
+                        .filter(|&i| !idle[i] && eager.gates[i] != EGate::Off)
+                        .count() as u32;
+                    lazy.advance_quiet(cycle, cycle + span, &idle, |i| floors[i]);
+                    eager.advance_quiet(cycle, cycle + span, &idle, |i| floors[i]);
                     cycle += span;
                     let after = transients(&eager).len();
                     ends_mid_wake += (after > 0) as u32;
@@ -312,6 +318,7 @@ fn lazy_matches_eager_across_bulk_jumps_and_resets() {
     }
     assert!(ends_mid_wake > 0, "no quiet span ended mid-wakeup");
     assert!(promotes_several > 0, "no quiet span promoted two routers");
+    assert!(busy_through_span > 0, "no quiet span held a busy router");
 }
 
 /// Cloning mid-run must carry the lazy debt with it: the clone and the
@@ -362,8 +369,8 @@ fn snapshot_is_frozen_while_the_array_advances() {
         eager.advance_idle(&[true; 5], |i| i != 4);
         cycle += 1;
     }
-    lazy.advance_quiet(cycle, cycle + 40, |_| 0);
-    eager.advance_quiet(cycle, cycle + 40, |_| 0);
+    lazy.advance_quiet(cycle, cycle + 40, &[true; 5], |_| 0);
+    eager.advance_quiet(cycle, cycle + 40, &[true; 5], |_| 0);
     cycle += 40;
     lazy.begin_cycle(cycle);
     eager.begin_cycle(cycle);

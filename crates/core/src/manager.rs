@@ -99,8 +99,8 @@ impl PowerManager for ConvPgManager {
     /// Conventional gating has no transient of its own: a quiet tick is
     /// `begin_cycle` + an unconditional idle sweep, which the gate array
     /// replays in closed form.
-    fn tick_quiet(&mut self, from: Cycle, to: Cycle, _idle: IdleInfo<'_>) {
-        self.gate.advance_quiet(from, to, |_| 0);
+    fn tick_quiet(&mut self, from: Cycle, to: Cycle, idle: IdleInfo<'_>) {
+        self.gate.advance_quiet(from, to, idle.idle, |_| 0);
     }
 
     fn clone_boxed(&self) -> Option<Box<dyn PowerManager>> {
@@ -323,7 +323,7 @@ impl PowerManager for PowerPunchManager {
             c += 1;
         }
         let fw = &self.forewarn_until;
-        self.gate.advance_quiet(c, to, |i| fw[i]);
+        self.gate.advance_quiet(c, to, idle.idle, |i| fw[i]);
     }
 
     fn clone_boxed(&self) -> Option<Box<dyn PowerManager>> {

@@ -147,15 +147,16 @@ impl<T> Wheel<T> {
         })
     }
 
-    /// The earliest due cycle before `now` that still holds items: a plane
-    /// whose delivery cycle was skipped.
-    pub fn earliest_before(&self, now: Cycle) -> Option<Cycle> {
+    /// The earliest due cycle of any item in flight: the next plane a sweep
+    /// delivers from, or one whose delivery cycle was skipped when it lies
+    /// in the past. O(period).
+    pub fn next_due(&self) -> Option<Cycle> {
         if self.live == 0 {
             return None;
         }
         let planes = self.held.iter().zip(&self.due_at);
-        let late = planes.filter(|&(&held, &at)| held > 0 && at < now);
-        late.map(|(_, &at)| at).min()
+        let held = planes.filter(|&(&held, _)| held > 0);
+        held.map(|(_, &at)| at).min()
     }
 
     /// The plane due at `due`: its router bits and its `nodes * lanes`
@@ -172,7 +173,10 @@ impl<T> Wheel<T> {
             "plane of cycle {} swept at cycle {due}",
             self.due_at[step]
         );
-        debug_assert_eq!(self.earliest_before(due), None, "a delivery was missed");
+        debug_assert!(
+            self.next_due().is_none_or(|at| at >= due),
+            "a delivery was missed"
+        );
         let plane = self.plane_of(step);
         (self.due[step].words(), &mut self.slots[plane])
     }
@@ -307,7 +311,7 @@ mod tests {
             });
             assert_eq!(w.retire(due), got.len() - before);
         };
-        while let Some(due) = w.earliest_before(now) {
+        while let Some(due) = w.next_due().filter(|&at| at < now) {
             plane(w, due);
         }
         plane(w, now);
@@ -339,7 +343,7 @@ mod tests {
                         .pop()
                         .unwrap_or_else(|| rng.random_range(1..2 * period as u64 + 2));
                 }
-                late += usize::from(wheel.earliest_before(now).is_some());
+                late += usize::from(wheel.next_due().is_some_and(|at| at < now));
                 let mut got = sweep(&mut wheel, LANES, now);
                 let mut want: Vec<Got> = Vec::new();
                 for (i, p) in pipes.iter_mut().enumerate() {
@@ -412,12 +416,12 @@ mod tests {
     #[test]
     fn an_empty_wheel_costs_nothing_to_sweep() {
         let mut w: Wheel<u8> = Wheel::new(130, 5, 4);
-        assert_eq!(w.earliest_before(1_000), None);
+        assert_eq!(w.next_due(), None);
         assert_eq!(w.retire(999), 0);
         assert_eq!(w.live_word(2), 0);
+        w.put(1_003, 0, 0, 8);
         w.put(1_001, 129, 4, 9);
         assert_eq!(w.live_word(2), 0b10);
-        assert_eq!(w.earliest_before(1_001), None);
-        assert_eq!(w.earliest_before(1_002), Some(1_001));
+        assert_eq!(w.next_due(), Some(1_001));
     }
 }

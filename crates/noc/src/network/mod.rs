@@ -10,7 +10,7 @@
 //! the host API (`send`, `drain_delivered`), the fork, `encode_state` and
 //! the statistics; the rest of the `impl` is cut along the tick's phases: `phase_a.rs` (`tick`, the
 //! compute half, the shard knobs), `commit.rs` (the serial half),
-//! `power.rs`, `run.rs` (quiescence, fast-forward, `run`, late credits),
+//! `power.rs`, `run.rs` (the quiet-span skip, `run`, late credits),
 //! and `reference.rs`, the oracle tick the kernel is pinned to.
 
 use std::collections::HashMap;
@@ -119,8 +119,8 @@ pub struct Network {
     flits: Wheel<Flit>,
     /// Credits (downstream VC indices) in flight into each router, one
     /// lane per *output* port, plus the lane into its NI (for the local
-    /// input port). The only wheel that can hold anything across a
-    /// fast-forward, so the only one ever swept late.
+    /// input port). The only wheel a skip passes due cycles of, so the
+    /// only one ever swept late.
     credits: Wheel<u8>,
     /// Ejected flits in flight into each NI.
     ejects: Wheel<Flit>,
@@ -141,6 +141,9 @@ pub struct Network {
     /// Set (for good) by [`Network::use_reference_kernel`]: tick through
     /// the struct sweep of `reference.rs` and never fast-forward.
     reference: bool,
+    /// A skip ran since the last tick, so credits may be overdue: the
+    /// note the next tick's late-credit sweep reads and clears.
+    skipped: bool,
     watchdog: Watchdog,
     obs: Observers,
     shard: Sharding,
@@ -204,6 +207,7 @@ impl Network {
             delivered: Vec::new(),
             win: Window::default(),
             reference: false,
+            skipped: false,
             watchdog: Watchdog::new(n),
             obs: Observers::default(),
             shard: Sharding::new(topo, 1),
@@ -243,12 +247,13 @@ impl Network {
             delivered: self.delivered.clone(),
             win: self.win.clone(),
             reference: self.reference,
+            skipped: self.skipped,
         })
     }
 
     /// Test oracle: from now on this network ticks through the
     /// object-at-a-time struct sweep of `reference.rs`, one literal
-    /// tick per cycle with no quiescence fast-forward. One-way — there is
+    /// tick per cycle with no fast-forward. One-way — there is
     /// no switching back — and called only by the differential tests that
     /// pin the shipped kernel against it.
     #[doc(hidden)]

@@ -8,12 +8,18 @@ use super::Network;
 use crate::power::IdleInfo;
 
 impl Network {
-    /// The power phase with idleness derived from the SoA words: a router
-    /// is idle iff its occupancy and NI-mid-packet bits are clear and no
-    /// flit is in flight toward it — exactly the oracle's per-router struct
-    /// predicate. The plane persists, so only routers whose busy bit
-    /// changed since the last power phase are rewritten.
+    /// The power phase with idleness derived from the SoA words.
     pub(super) fn power_tick_soa(&mut self, now: Cycle) {
+        self.fill_idle();
+        self.power_tick_finish(now);
+    }
+
+    /// Fills the idleness plane from the SoA words: a router is idle iff
+    /// its occupancy and NI-mid-packet bits are clear and no flit is in
+    /// flight toward it — exactly the oracle's per-router struct
+    /// predicate. The plane persists, so only routers whose busy bit
+    /// changed since the last fill are rewritten.
+    pub(super) fn fill_idle(&mut self) {
         // No packet in flight means no flit, NI work or inbound wire
         // anywhere: every router is idle.
         let any = !self.packets.is_empty();
@@ -28,7 +34,6 @@ impl Network {
             }
             self.soa.set_busy(w, busy);
         }
-        self.power_tick_finish(now);
     }
 
     /// Trace mirroring, the power-manager tick against the filled idleness

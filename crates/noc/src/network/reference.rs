@@ -90,7 +90,7 @@ impl Network {
         // Every plane due by now, earliest first. The oracle never skips a
         // cycle, so that is one plane — unless the switch onto it followed
         // a fast-forward that left credits overdue.
-        while let Some(due) = self.credits.earliest_before(now + 1) {
+        while let Some(due) = self.credits.next_due().filter(|&at| at <= now) {
             let (_, slots) = self.credits.plane_mut(due);
             for idx in 0..self.routers.len() {
                 let lanes = &mut slots[idx * CREDIT_LANES..][..CREDIT_LANES];

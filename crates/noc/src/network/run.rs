@@ -1,6 +1,6 @@
-//! Running many cycles: quiescence, the fast-forward over quiescent spans
-//! (one `PowerManager::tick_quiet` call), `run`, and the late
-//! delivery of the one thing a skip can leave in flight — credits.
+//! Running many cycles: the quiet-datapath rule, the skip over a quiet
+//! span (one `PowerManager::tick_quiet` call), `run`, and the late
+//! delivery of the one thing a skip can leave overdue — credits.
 
 use punchsim_obs::metrics::PhaseProfiler;
 use punchsim_types::{Cycle, SimError};
@@ -10,29 +10,26 @@ use crate::power::IdleInfo;
 use crate::soa::{self, CREDIT_LANES};
 
 impl Network {
-    /// `true` when nothing can change network state before new host input:
-    /// no packets anywhere between NI enqueue and tail ejection (which
-    /// implies every router datapath and NI queue is empty), no buffered
-    /// power-manager events, no punch signals sweeping the sideband fabric,
-    /// and no latched invariant violation. Credits still in flight are
-    /// allowed: the first tick after the skip delivers them unchanged
-    /// (`deliver_late_credits`) and nothing reads the upstream counters
-    /// they restore until the next flit exists.
+    /// `true` when no packet is anywhere between NI enqueue and tail
+    /// ejection (so every router datapath, NI queue and wire but the credit
+    /// wires is empty), no power-manager event is buffered and no invariant
+    /// violation is latched. Until new host input only the power manager's
+    /// own transient — punches on the sideband, wakeups completing, sleep
+    /// timeouts — can change state, and [`Network::run`] skips straight to
+    /// the end of its span.
     ///
-    /// All four checks are O(1).
+    /// All three checks are O(1).
     pub fn quiescent(&self) -> bool {
-        self.packets.is_empty()
-            && self.events.is_empty()
-            && self.watchdog.violation.is_none()
-            && self.pm.pending_punches() == 0
+        self.packets.is_empty() && self.events.is_empty() && self.watchdog.violation.is_none()
     }
 
-    /// Delivers, on this thread, every credit whose cycle a fast-forward
-    /// skipped, so the shards only ever see the one plane due now. Exact
-    /// although late: applying a credit is a commutative increment and
-    /// nothing read the counters in between (the network was quiescent).
-    pub(super) fn deliver_late_credits(&mut self, now: Cycle) {
-        while let Some(due) = self.credits.earliest_before(now) {
+    /// Delivers, on this thread, every credit whose cycle a skip passed
+    /// over, so the shards only ever see the one plane due now. Exact
+    /// although late: applying a credit is a commutative increment, and
+    /// nothing read the counters in between — no router held a flit and
+    /// no NI could act during the skip.
+    fn deliver_late_credits(&mut self, now: Cycle) {
+        while let Some(due) = self.credits.next_due().filter(|&at| at < now) {
             let (words, slots) = self.credits.plane_mut(due);
             soa::for_each_one(words, 0, self.routers.len(), |idx| {
                 let lanes = &mut slots[idx * CREDIT_LANES..][..CREDIT_LANES];
@@ -42,61 +39,110 @@ impl Network {
         }
     }
 
-    /// Advances the clock over the quiescent span `[cycle, cycle + span)`
-    /// in one bulk power-manager update. Caller must have checked
-    /// [`Network::may_fast_forward`].
-    fn fast_forward(&mut self, span: u64) {
+    /// The first step of a tick's phase A: delivers the credits the skips
+    /// since the last tick left overdue, if there were any skips. The note
+    /// stays up across back-to-back skips, so the scan runs once per tick
+    /// that follows a skip, never on a tick that follows a tick.
+    pub(super) fn deliver_credits_after_skip(&mut self, now: Cycle) {
+        if std::mem::take(&mut self.skipped) {
+            self.deliver_late_credits(now);
+        }
+    }
+
+    /// The end `t <= end` of the quiet span `[cycle, t)` that `run` may
+    /// skip, or `None` when this cycle must tick. A span is quiet when
+    /// ticking through it would change nothing but the power manager and
+    /// the credit counters no one reads in it:
+    ///
+    /// - the network runs the shipped kernel with no sink (per-cycle
+    ///   transition recording needs the per-cycle path), no buffered
+    ///   event, no latched violation and no open WU streak;
+    /// - no router holds a flit (`soa.occ` is empty);
+    /// - no flit and no ejection is due before `t`;
+    /// - no NI can act before `t`: an NI acts at its front packet's
+    ///   `ready_at`, which a started packet has already reached;
+    /// - `t` is no later than `last_progress + stall_threshold`, so a stall
+    ///   is still reported on the cycle the per-cycle path reports it.
+    ///
+    /// An empty network meets the last four trivially: its span runs to
+    /// `end`. Cost: O(1) while a router holds a flit, else O(period + NIs
+    /// with queued packets).
+    fn quiet_span(&self, end: Cycle) -> Option<Cycle> {
+        if self.reference
+            || self.obs.tracing()
+            || !self.events.is_empty()
+            || self.watchdog.violation.is_some()
+            || self.watchdog.streak_open()
+        {
+            return None;
+        }
+        if self.packets.is_empty() {
+            return Some(end);
+        }
+        if !self.soa.occ.none_set() {
+            return None;
+        }
+        let mut t = end;
+        let threshold = self.cfg.watchdog.stall_threshold;
+        if threshold > 0 {
+            t = t.min(self.watchdog.last_progress + threshold);
+        }
+        for due in [self.flits.next_due(), self.ejects.next_due()] {
+            t = t.min(due.unwrap_or(t));
+        }
+        soa::for_each_one(self.soa.ni_pend.words(), 0, self.nis.len(), |idx| {
+            t = t.min(self.nis[idx].next_ready().unwrap_or(t));
+        });
+        (t > self.cycle).then_some(t)
+    }
+
+    /// Advances the clock over the quiet span `[cycle, to)` that
+    /// [`Network::quiet_span`] returned, in one bulk power-manager update
+    /// against the idleness plane every cycle of the span would build.
+    fn skip(&mut self, to: Cycle) {
         self.obs.profile(PhaseProfiler::begin_skip);
-        debug_assert!(self.may_fast_forward());
         debug_assert!(self
             .routers
             .iter()
             .all(crate::router::Router::datapath_empty));
-        let from = self.cycle;
-        let to = from + span;
-        for w in 0..self.soa.occ.words().len() {
-            self.soa.set_busy(w, 0);
-        }
+        self.fill_idle();
         let idle = IdleInfo {
             idle: &self.soa.idle,
         };
-        self.pm.tick_quiet(from, to, idle);
+        self.pm.tick_quiet(self.cycle, to, idle);
         self.cycle = to;
         // The per-cycle path refreshes `last_progress` every cycle while no
         // packets are in flight; mirror its final value so stall detection
-        // sees no phantom gap across the jump.
-        self.watchdog.last_progress = to - 1;
+        // sees no phantom gap across the jump. With packets in flight no
+        // cycle of the span moved anything, so it stays.
+        if self.packets.is_empty() {
+            self.watchdog.last_progress = to - 1;
+        }
+        self.skipped = true;
         self.obs.profile(PhaseProfiler::end_skip);
-    }
-
-    /// `true` when `run` may skip ahead right now: on the shipped kernel,
-    /// quiescent, and untraced (per-cycle transition recording needs the
-    /// per-cycle path).
-    fn may_fast_forward(&self) -> bool {
-        !self.reference && !self.obs.tracing() && self.quiescent()
     }
 
     /// Runs `n` cycles, stopping at the first error.
     ///
-    /// Quiescent stretches are skipped: once [`Network::quiescent`] holds,
-    /// the rest of the span is handed to
+    /// Quiet-datapath spans are skipped: wherever no router holds a flit
+    /// and nothing is due on a flit or ejection wire or at an NI (see
+    /// `quiet_span`), the span up to the next such event is handed to
     /// [`crate::PowerManager::tick_quiet`] in one call, which costs the
-    /// manager's own transient rather than the span length. While an event
-    /// sink is attached (per-cycle transition recording), and on the
-    /// reference kernel, every cycle ticks individually.
+    /// manager's own transient rather than the span length; a quiescent
+    /// network skips to the end of `n`. While an event sink is attached,
+    /// and on the reference kernel, every cycle ticks individually.
     ///
     /// # Errors
     ///
-    /// Propagates the first error from [`Network::tick`].
+    /// Propagates the first error from [`Network::tick`], on the cycle
+    /// ticking every cycle would have raised it.
     pub fn run(&mut self, n: u64) -> Result<(), SimError> {
-        let mut left = n;
-        while left > 0 {
-            if self.may_fast_forward() {
-                self.fast_forward(left);
-                return Ok(());
+        let end = self.cycle + n;
+        while self.cycle < end {
+            match self.quiet_span(end) {
+                Some(to) => self.skip(to),
+                None => self.tick()?,
             }
-            self.tick()?;
-            left -= 1;
         }
         Ok(())
     }
@@ -104,8 +150,11 @@ impl Network {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{delivered_to, msg, net};
+    use super::super::testkit::{delivered_to, msg, net, net_with, AlwaysOff};
+    use crate::power::AlwaysOn;
     use crate::MsgClass;
+    use punchsim_obs::metrics::Phase;
+    use punchsim_types::{NocConfig, SimError, WatchdogConfig};
 
     /// Bursty traffic separated by long quiescent gaps: the fast-forward
     /// kernel must reproduce the naive per-cycle run exactly — same final
@@ -159,5 +208,68 @@ mod tests {
         n.send(msg(0, 9, MsgClass::Control)).unwrap();
         n.run(60).unwrap();
         assert_eq!(delivered_to(&mut n, 9), 1);
+    }
+
+    /// A packet in flight no longer pins the clock to one tick per cycle:
+    /// the NI latency before its head injects and every link flight whose
+    /// router datapaths are empty are skipped, and what is left ticks —
+    /// each hop's latch-to-departure pipeline and the ejection.
+    #[test]
+    fn quiet_spans_are_skipped_while_a_packet_flies() {
+        let cfg = NocConfig {
+            link_latency: 3,
+            ni_latency: 6,
+            ..NocConfig::default()
+        };
+        let mut n = net_with(&cfg, |n| Box::new(AlwaysOn::new(n)));
+        n.enable_profiler();
+        n.send(msg(0, 3, MsgClass::Control)).unwrap();
+        n.run(100).unwrap();
+        assert_eq!(delivered_to(&mut n, 3), 1);
+        let p = n.profiler().expect("enabled above");
+        let (ticked, skips) = (
+            p.mark_count(Phase::PowerTick),
+            p.mark_count(Phase::FastForward),
+        );
+        assert!(skips >= 5, "{skips} skips");
+        assert!(ticked < 40, "{ticked} of 100 cycles ticked");
+    }
+
+    /// A stall surfaces from `run(n)` on the cycle, and with the report,
+    /// that `n` calls of `tick()` give: for a wedged network (every router
+    /// off, the packet blocked at its NI, so nothing is ever quiet) and for
+    /// a quiet one whose NI latency outlasts the stall threshold, where
+    /// the skip must stop short of the stall cycle.
+    #[test]
+    fn stalls_surface_on_the_cycle_ticking_reports_them() {
+        let wedged = |n: usize| AlwaysOff::boxed(n);
+        let on = |n: usize| -> Box<dyn crate::PowerManager> { Box::new(AlwaysOn::new(n)) };
+        for (ni_latency, pm, at) in [(3, wedged as fn(usize) -> _, 16), (40, on, 16)] {
+            let cfg = NocConfig {
+                ni_latency,
+                watchdog: WatchdogConfig {
+                    stall_threshold: 15,
+                    escalate_after: 0,
+                },
+                ..NocConfig::default()
+            };
+            let stall = |ticking: bool| {
+                let mut n = net_with(&cfg, pm);
+                n.tick().unwrap();
+                n.send(msg(0, 9, MsgClass::Control)).unwrap();
+                let r = if ticking {
+                    (0..30).try_for_each(|_| n.tick())
+                } else {
+                    n.run(30)
+                };
+                let Err(SimError::Stall(report)) = r else {
+                    panic!("no stall: {r:?}");
+                };
+                (n.cycle(), format!("{report:?}"))
+            };
+            let (run, tick) = (stall(false), stall(true));
+            assert_eq!(run, tick, "NI latency {ni_latency}");
+            assert_eq!(run.0, at, "NI latency {ni_latency}");
+        }
     }
 }

@@ -67,6 +67,12 @@ impl Watchdog {
         self.in_flight = self.in_flight.saturating_sub(flits);
     }
 
+    /// `true` while some router's WU streak is open: the next tick's
+    /// escalation scan extends or closes it, so that tick must run.
+    pub fn streak_open(&self) -> bool {
+        !self.streaking.none_set()
+    }
+
     /// Cycles since forward progress was last seen, at clock `cycle`.
     pub fn stall_age(&self, cycle: Cycle) -> Cycle {
         cycle.saturating_sub(1).saturating_sub(self.last_progress)

@@ -154,6 +154,18 @@ impl Ni {
         self.queues.iter().map(VecDeque::len).sum()
     }
 
+    /// The first cycle the injection side can act at: the earliest
+    /// `ready_at` of a queue's front packet (a started packet's has passed,
+    /// so its NI acts now). Packets behind a front wait for it to leave;
+    /// `None` with nothing queued.
+    pub fn next_ready(&self) -> Option<Cycle> {
+        self.queues
+            .iter()
+            .filter_map(VecDeque::front)
+            .map(|p| p.ready_at)
+            .min()
+    }
+
     /// `true` while a packet has injected its head but not yet its tail —
     /// the local router must not power off in that window. O(vnets): only
     /// a queue's front packet is ever given a VC, and sending its tail pops

@@ -294,10 +294,12 @@ pub trait PowerManager: Sync {
 
     /// Advances the manager over the quiet span `[from, to)` — the one
     /// quiet-time contract. The span carries no events and `idle` is the
-    /// all-idle plane; the network calls this for a quiescent stretch of
-    /// any length (`Network::run`, DESIGN.md §12). Whatever the span
-    /// length, the manager must end in exactly the state — power states,
-    /// counters, snapshot bytes, queued work — that `to - from` calls of
+    /// constant plane it is handed: every cycle of the span sees the same
+    /// routers busy (all idle when the network is empty). The network
+    /// calls this for a quiet-datapath stretch of any length
+    /// (`Network::run`, DESIGN.md §12). Whatever the span length, the
+    /// manager must end in exactly the state — power states, counters,
+    /// snapshot bytes, queued work — that `to - from` calls of
     /// `tick(c, &[], idle)` would leave.
     ///
     /// The default is that literal per-cycle loop, always correct. Overrides

@@ -1,5 +1,5 @@
 //! Differential conformance suite for the shipped tick kernel: the SoA
-//! busy sweep, quiescence fast-forward and the sharded two-phase tick.
+//! busy sweep, the quiet-span fast-forward and the sharded two-phase tick.
 //!
 //! Reference: `Network::use_reference_kernel` — the object-at-a-time
 //! struct sweep ticking literally every cycle. Every case runs the same
@@ -375,6 +375,149 @@ fn credits_that_outlive_quiescence_are_delivered_exactly() {
                 "{label}: NetworkReport diverged"
             );
         }
+    }
+}
+
+/// What a `run(k)` boundary shows of a network: the clock, the in-flight
+/// count, the stall age, every router's power state and the whole report,
+/// plus — where the manager encodes its state — the outcome and the
+/// `encode_state` of a fork ticked once more. That tick lands whatever
+/// credits the skips left overdue; until then the kernel's own encoding
+/// legitimately shows them still on their wires (see the test above).
+#[derive(PartialEq)]
+struct Boundary {
+    cycle: Cycle,
+    in_flight: usize,
+    stall_age: Cycle,
+    power: Vec<String>,
+    report: String,
+    next: Option<(bool, Option<Vec<u8>>)>,
+}
+
+fn boundary(net: &Network) -> Boundary {
+    let nodes = net.topology().nodes();
+    let power = (0..nodes).map(|r| format!("{:?}", net.power_state(NodeId(r as u16))));
+    let next = net.try_clone().map(|mut fork| {
+        let ok = fork.tick().is_ok();
+        (ok, fork.encode_state())
+    });
+    Boundary {
+        cycle: net.cycle(),
+        in_flight: net.in_flight(),
+        stall_age: net.stall_age(),
+        power: power.collect(),
+        report: digest(&net.report()),
+        next,
+    }
+}
+
+/// Quiet spans while packets fly: sparse single packets sent at `run(k)`
+/// boundaries of random length, so the kernel skips NI latencies and link
+/// flights with packets in flight, and the boundaries fall inside, at the
+/// edge of and between such spans. On an 8x8 mesh and a 4x4 torus, with
+/// 1- and 3-cycle links, under nopg, convopt and ppf, plus ppf under a
+/// seeded fault injector (jitter, punch drops, a stuck-off epoch), the
+/// kernel must match the reference at every boundary ([`Boundary`]; the
+/// seeded injector neither forks nor encodes, so there the fork part is
+/// absent on both sides). The profiler must show that skips happened
+/// while packets were in flight.
+#[test]
+fn quiet_spans_while_packets_fly_match_the_reference() {
+    let topos: [(&str, Substrate); 2] = [
+        ("mesh8x8", Mesh::new(8, 8).into()),
+        ("torus4x4", Substrate::Torus(Torus::new(4, 4))),
+    ];
+    let mut cases = Vec::new();
+    for (name, topo) in topos {
+        for link in [1u8, 3] {
+            for scheme in [
+                SchemeKind::NoPg,
+                SchemeKind::ConvOptPg,
+                SchemeKind::PowerPunchFull,
+            ] {
+                let mut cfg = SimConfig::with_scheme(scheme);
+                cfg.noc.topology = topo;
+                cfg.noc.link_latency = link;
+                cases.push((format!("{name}-link{link}/{scheme:?}"), cfg));
+            }
+        }
+    }
+    let mut faulty = SimConfig::with_scheme(SchemeKind::PowerPunchFull);
+    faulty.faults.seed = 0xFA57;
+    faulty.faults.max_wakeup_jitter = 2;
+    faulty.faults.drop_punch_ppm = 100_000;
+    faulty.faults.stuck_epochs = vec![StuckEpoch {
+        router: NodeId(27),
+        start: 300,
+        duration: 150,
+    }];
+    cases.push(("mesh8x8-faults/PowerPunchFull".into(), faulty));
+    for (i, (label, cfg)) in cases.into_iter().enumerate() {
+        let build = |reference: bool| {
+            let mut net = Network::new(&cfg.noc, build_power_manager(&cfg).unwrap()).unwrap();
+            if reference {
+                net.use_reference_kernel();
+            } else {
+                net.enable_profiler();
+            }
+            net
+        };
+        let (mut kernel, mut oracle) = (build(false), build(true));
+        let nodes = kernel.topology().nodes() as u16;
+        let mut rng = SimRng::seed_from_u64(0x9_1E7 + i as u64);
+        let (mut boundaries, mut skips_in_flight) = (0, 0);
+        while kernel.cycle() < 3_000 {
+            if rng.random_bool_ppm(300_000) {
+                let msg = Message {
+                    src: NodeId(rng.random_range(0..nodes)),
+                    dst: NodeId(rng.random_range(0..nodes)),
+                    vnet: VnetId(rng.random_range(0..3u8)),
+                    class: if rng.random_bool_ppm(500_000) {
+                        MsgClass::Data
+                    } else {
+                        MsgClass::Control
+                    },
+                    payload: 0,
+                    gen_cycle: kernel.cycle(),
+                };
+                kernel.send(msg.clone()).unwrap();
+                oracle.send(msg).unwrap();
+            }
+            let k = rng.random_range(1..30u64);
+            let skips = |n: &Network| n.profiler().unwrap().mark_count(Phase::FastForward);
+            let before = skips(&kernel);
+            kernel.run(k).unwrap();
+            oracle.run(k).unwrap();
+            if kernel.in_flight() > 0 {
+                skips_in_flight += skips(&kernel) - before;
+            }
+            let (got, want) = (boundary(&kernel), boundary(&oracle));
+            let at = want.cycle;
+            assert_eq!(got.cycle, at, "{label}: clock diverged");
+            assert_eq!(
+                got.in_flight, want.in_flight,
+                "{label} cycle {at}: in flight"
+            );
+            assert_eq!(
+                got.stall_age, want.stall_age,
+                "{label} cycle {at}: stall age"
+            );
+            assert_eq!(got.power, want.power, "{label} cycle {at}: power states");
+            assert_eq!(got.report, want.report, "{label} cycle {at}: NetworkReport");
+            assert!(got.next == want.next, "{label} cycle {at}: state diverged");
+            boundaries += 1;
+        }
+        let forks = boundary(&kernel).next.is_some();
+        assert_eq!(
+            forks,
+            i + 1 < 13,
+            "{label}: only the seeded injector cannot fork"
+        );
+        assert!(boundaries > 150, "{label}: {boundaries} boundaries");
+        assert!(
+            skips_in_flight > 20,
+            "{label}: {skips_in_flight} skips with packets in flight"
+        );
     }
 }
 

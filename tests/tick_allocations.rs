@@ -1,7 +1,8 @@
 //! "A steady-state tick allocates nothing" — the claim `Network`'s field
 //! docs and DESIGN §17 make — measured with a counting allocator armed
-//! only inside [`Network::tick`]; the same allocator takes the heap census
-//! of building a network (DESIGN §20) and a CMP (DESIGN §19).
+//! only inside [`Network::tick`] or [`Network::run`] (whose skips over
+//! quiet spans must not allocate either); the same allocator takes the
+//! heap census of building a network (DESIGN §20) and a CMP (DESIGN §19).
 //!
 //! Every per-tick collection is a flat vector the network reuses (the
 //! delivery wheels' slots, the per-shard outcome buffers, the event list),
@@ -15,6 +16,7 @@ use std::cell::Cell;
 
 use punchsim::cmp::{Benchmark, CmpConfig, CmpSim};
 use punchsim::core::build_power_manager;
+use punchsim::metrics::Phase;
 use punchsim::noc::{Message, MsgClass, Network};
 use punchsim::types::{Mesh, NodeId, SchemeKind, SimConfig, VnetId};
 
@@ -147,6 +149,78 @@ fn a_second_trip_over_a_warm_route_allocates_nothing() {
             SchemeKind::ConvOptPg => assert!(blocked_ticks >= 6, "{blocked_ticks}"),
             _ => assert!(blocked_ticks >= 1, "{blocked_ticks}"),
         }
+    }
+}
+
+/// Sends the same four packets (a 7-hop and a 3-hop control packet, a
+/// 2-hop and a self-addressed data packet) and runs `run(5)` chunks until
+/// all four are delivered. Returns the heap requests of the chunks, and
+/// how many skips (profiler `FastForward` marks) chunks that ended with
+/// packets still in flight made.
+fn quiet_trip(net: &mut Network) -> (u64, u64) {
+    for (src, dst, class) in [
+        (0, 7, MsgClass::Control),
+        (9, 33, MsgClass::Control),
+        (63, 61, MsgClass::Data),
+        (20, 20, MsgClass::Data),
+    ] {
+        net.send(Message {
+            src: NodeId(src),
+            dst: NodeId(dst),
+            vnet: VnetId(0),
+            class,
+            payload: 0,
+            gen_cycle: net.cycle(),
+        })
+        .unwrap();
+    }
+    let skips = |net: &Network| {
+        net.profiler()
+            .expect("enabled")
+            .mark_count(Phase::FastForward)
+    };
+    let (mut requests, mut skips_in_flight) = (0, 0);
+    for _ in 0..100 {
+        let before = skips(net);
+        let (r, heap) = counted(|| net.run(5));
+        r.expect("run");
+        requests += heap.requests;
+        if net.in_flight() == 0 {
+            assert_eq!(net.drain_delivered().count(), 4);
+            return (requests, skips_in_flight);
+        }
+        skips_in_flight += skips(net) - before;
+    }
+    panic!("the packets were not delivered");
+}
+
+/// `run` skipping quiet spans while packets fly — NI latencies and
+/// 3-cycle link flights with every router datapath empty, under no
+/// gating, handshake gating and Power Punch — makes no heap request once
+/// the trip has been made before: not in the skip, the late-credit sweep
+/// after it, or the manager's `tick_quiet`.
+#[test]
+fn a_warm_run_that_skips_while_packets_fly_allocates_nothing() {
+    for scheme in [
+        SchemeKind::NoPg,
+        SchemeKind::ConvOptPg,
+        SchemeKind::PowerPunchFull,
+    ] {
+        let mut cfg = SimConfig::with_scheme(scheme);
+        cfg.noc.topology = Mesh::new(8, 8).into();
+        cfg.noc.link_latency = 3;
+        let pm = build_power_manager(&cfg).unwrap();
+        let mut net = Network::new(&cfg.noc, pm).unwrap();
+        net.enable_profiler();
+        net.run(50).unwrap();
+        quiet_trip(&mut net);
+        net.run(250).unwrap();
+        let (requests, skips) = quiet_trip(&mut net);
+        assert_eq!(requests, 0, "{scheme:?}: a warm run allocated");
+        assert!(
+            skips >= 3,
+            "{scheme:?}: {skips} skips with packets in flight"
+        );
     }
 }
 
