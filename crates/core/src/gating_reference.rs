@@ -244,9 +244,10 @@ fn lazy_matches_eager_on_random_cycle_traces() {
 }
 
 /// Interleaved cycle-by-cycle stretches and bulk quiet-span jumps under
-/// random constant idleness planes, with mid-trace counter resets. Observation happens after every cycle *and*
-/// after every jump; a jump that leaves stale debt or a reset that fails
-/// to cancel it diverges immediately. Wake bursts right before a jump make
+/// random constant idleness planes, with mid-trace counter resets.
+/// Observation happens after every cycle *and* after every jump; a jump
+/// that leaves stale debt or a reset that fails to cancel it diverges
+/// immediately. Wake bursts right before a jump make
 /// spans that promote several routers at once and spans that end with a
 /// transient still running.
 #[test]

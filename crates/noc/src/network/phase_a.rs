@@ -55,7 +55,7 @@ impl Network {
     /// [`PmAvail`] to [`crate::shard::Sharding::phase_a`]; returns and
     /// fails as that does.
     fn soa_phase_a(&mut self, now: Cycle) -> Result<u64, SimError> {
-        self.deliver_credits_after_skip(now);
+        self.deliver_late_credits(now);
         let link = self.cfg.link_latency as Cycle;
         let (flit_due, flits) = self.flits.plane_mut(now);
         let (credit_due, credits) = self.credits.plane_mut(now);

@@ -379,11 +379,12 @@ fn credits_that_outlive_quiescence_are_delivered_exactly() {
 }
 
 /// What a `run(k)` boundary shows of a network: the clock, the in-flight
-/// count, the stall age, every router's power state and the whole report,
-/// plus — where the manager encodes its state — the outcome and the
-/// `encode_state` of a fork ticked once more. That tick lands whatever
-/// credits the skips left overdue; until then the kernel's own encoding
-/// legitimately shows them still on their wires (see the test above).
+/// count, the stall age, every router's power state, the whole report
+/// and — where the manager encodes its state — the manager's own
+/// encoding (idle counters included) and the outcome and `encode_state`
+/// of a fork ticked once more. That tick lands whatever credits the skips
+/// left overdue; until then the network's own encoding legitimately shows
+/// them still on their wires (see the test above).
 #[derive(PartialEq)]
 struct Boundary {
     cycle: Cycle,
@@ -391,12 +392,15 @@ struct Boundary {
     stall_age: Cycle,
     power: Vec<String>,
     report: String,
+    manager: Option<Vec<u8>>,
     next: Option<(bool, Option<Vec<u8>>)>,
 }
 
 fn boundary(net: &Network) -> Boundary {
     let nodes = net.topology().nodes();
     let power = (0..nodes).map(|r| format!("{:?}", net.power_state(NodeId(r as u16))));
+    let mut manager = Vec::new();
+    let encodes = net.power_manager().encode_state(net.cycle(), &mut manager);
     let next = net.try_clone().map(|mut fork| {
         let ok = fork.tick().is_ok();
         (ok, fork.encode_state())
@@ -407,6 +411,7 @@ fn boundary(net: &Network) -> Boundary {
         stall_age: net.stall_age(),
         power: power.collect(),
         report: digest(&net.report()),
+        manager: encodes.then_some(manager),
         next,
     }
 }
@@ -504,6 +509,7 @@ fn quiet_spans_while_packets_fly_match_the_reference() {
             );
             assert_eq!(got.power, want.power, "{label} cycle {at}: power states");
             assert_eq!(got.report, want.report, "{label} cycle {at}: NetworkReport");
+            assert!(got.manager == want.manager, "{label} cycle {at}: manager");
             assert!(got.next == want.next, "{label} cycle {at}: state diverged");
             boundaries += 1;
         }
