@@ -15,8 +15,9 @@ impl Network {
     /// wires is empty), no power-manager event is buffered and no invariant
     /// violation is latched. Until new host input only the power manager's
     /// own transient — punches on the sideband, wakeups completing, sleep
-    /// timeouts — can change state, and [`Network::run`] skips straight to
-    /// the end of its span.
+    /// timeouts — can change state, and [`Network::run`] on the shipped
+    /// kernel, with no sink attached, skips straight to the end of its
+    /// span.
     ///
     /// All three checks are O(1).
     pub fn quiescent(&self) -> bool {
@@ -81,7 +82,7 @@ impl Network {
         let mut t = end;
         let threshold = self.cfg.watchdog.stall_threshold;
         if threshold > 0 {
-            t = t.min(self.watchdog.last_progress + threshold);
+            t = t.min(self.watchdog.last_progress.saturating_add(threshold));
         }
         for due in [self.flits.next_due(), self.ejects.next_due()] {
             t = t.min(due.unwrap_or(t));
@@ -133,7 +134,7 @@ impl Network {
     /// Propagates the first error from [`Network::tick`], on the cycle
     /// ticking every cycle would have raised it.
     pub fn run(&mut self, n: u64) -> Result<(), SimError> {
-        let end = self.cycle + n;
+        let end = self.cycle.saturating_add(n);
         while self.cycle < end {
             match self.quiet_span(end) {
                 Some(to) => self.skip(to),
@@ -209,12 +210,17 @@ mod tests {
     /// A packet in flight no longer pins the clock to one tick per cycle:
     /// the NI latency before its head injects and every link flight whose
     /// router datapaths are empty are skipped, and what is left ticks —
-    /// each hop's latch-to-departure pipeline and the ejection.
+    /// each hop's latch-to-departure pipeline and the ejection. (The
+    /// largest stall threshold must not overflow the span's bound.)
     #[test]
     fn quiet_spans_are_skipped_while_a_packet_flies() {
         let cfg = NocConfig {
             link_latency: 3,
             ni_latency: 6,
+            watchdog: WatchdogConfig {
+                stall_threshold: u64::MAX,
+                escalate_after: 0,
+            },
             ..NocConfig::default()
         };
         let mut n = net_with(&cfg, |n| Box::new(AlwaysOn::new(n)));
