@@ -136,10 +136,15 @@ impl Network {
     pub fn run(&mut self, n: u64) -> Result<(), SimError> {
         let end = self.cycle.saturating_add(n);
         while self.cycle < end {
-            match self.quiet_span(end) {
-                Some(to) => self.skip(to),
-                None => self.tick()?,
+            if let Some(to) = self.quiet_span(end) {
+                self.skip(to);
+                // A span ends where a flit, an ejection, an NI or the stall
+                // check is due, which the next cycle ticks without asking.
+                if to == end {
+                    break;
+                }
             }
+            self.tick()?;
         }
         Ok(())
     }
