@@ -50,27 +50,6 @@ struct Txn {
     waiting: Waiting,
 }
 
-/// Directory/L2 activity counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DirStats {
-    /// Requests processed (GetS + GetM).
-    pub requests: u64,
-    /// L2 data hits.
-    pub l2_hits: u64,
-    /// L2 misses needing a memory fetch.
-    pub l2_misses: u64,
-    /// Forwards sent to owners.
-    pub forwards: u64,
-    /// Invalidations sent.
-    pub invalidations: u64,
-    /// Writebacks accepted.
-    pub writebacks: u64,
-    /// Requests that had to queue behind a busy block.
-    pub queued: u64,
-    /// Stale forward-nacks dropped (writeback/forward races).
-    pub stale_nacks: u64,
-}
-
 /// Messages a directory emits this cycle: `(destination, message)`.
 pub type Out = Vec<(NodeId, ProtoMsg)>;
 
@@ -88,8 +67,6 @@ pub struct DirBank {
     queues: HashMap<BlockAddr, VecDeque<(NodeId, ProtoMsg)>>,
     /// Memory-controller choice per block, fixed at construction.
     mem_ctrls: Vec<NodeId>,
-    /// Activity counters.
-    pub stats: DirStats,
 }
 
 impl DirBank {
@@ -104,7 +81,6 @@ impl DirBank {
             txns: HashMap::new(),
             queues: HashMap::new(),
             mem_ctrls,
-            stats: DirStats::default(),
         }
     }
 
@@ -145,7 +121,6 @@ impl DirBank {
         match msg.op {
             Op::GetS | Op::GetM => {
                 if self.is_busy(msg.addr) {
-                    self.stats.queued += 1;
                     self.queues
                         .entry(msg.addr)
                         .or_default()
@@ -166,7 +141,6 @@ impl DirBank {
                 // WbAck that emptied the old owner's buffer) — that newer
                 // transaction's own forward targets the current owner and
                 // will be answered, so the stale nack is always dropped.
-                self.stats.stale_nacks += 1;
             }
             other => panic!("directory at {} received unexpected {:?}", self.node, other),
         }
@@ -175,7 +149,6 @@ impl DirBank {
 
     /// Starts a (GetS|GetM) transaction; the block must not be busy.
     fn start(&mut self, req: NodeId, msg: ProtoMsg, out: &mut Out) {
-        self.stats.requests += 1;
         let is_write = msg.op == Op::GetM;
         let addr = msg.addr;
         match self.states.get(&addr) {
@@ -185,7 +158,6 @@ impl DirBank {
             Some(DirState::Shared(_)) if !is_write => {
                 // Another shared copy.
                 if self.l2.get(addr).is_some() {
-                    self.stats.l2_hits += 1;
                     out.push((req, ProtoMsg::new(Op::Data, addr)));
                     self.add_sharer(addr, req);
                 } else {
@@ -203,7 +175,6 @@ impl DirBank {
                 if invs == 0 {
                     self.grant_or_fetch(addr, req, is_write, out);
                 } else {
-                    self.stats.invalidations += invs as u64;
                     self.set_busy(
                         addr,
                         Txn {
@@ -231,7 +202,6 @@ impl DirBank {
             }
             Some(&DirState::Owned(owner)) => {
                 // Fetch the latest copy from the owner.
-                self.stats.forwards += 1;
                 let fwd = if is_write { Op::FwdGetM } else { Op::FwdGetS };
                 out.push((owner, ProtoMsg::with_aux(fwd, addr, req)));
                 self.set_busy(
@@ -250,7 +220,6 @@ impl DirBank {
     /// memory. Used when no other L1 holds a conflicting copy.
     fn grant_or_fetch(&mut self, addr: BlockAddr, req: NodeId, is_write: bool, out: &mut Out) {
         if self.l2.get(addr).is_some() {
-            self.stats.l2_hits += 1;
             self.grant_exclusive(addr, req, out);
         } else {
             self.fetch(addr, req, is_write, out);
@@ -258,7 +227,6 @@ impl DirBank {
     }
 
     fn fetch(&mut self, addr: BlockAddr, req: NodeId, is_write: bool, out: &mut Out) {
-        self.stats.l2_misses += 1;
         out.push((self.mem_for(addr), ProtoMsg::new(Op::MemRead, addr)));
         self.set_busy(
             addr,
@@ -310,10 +278,8 @@ impl DirBank {
         // All sharers gone: grant exclusivity.
         self.set_state(addr, DirState::Uncached);
         if self.l2.get(addr).is_some() {
-            self.stats.l2_hits += 1;
             self.grant_exclusive(addr, txn.req, out);
         } else {
-            self.stats.l2_misses += 1;
             out.push((self.mem_for(addr), ProtoMsg::new(Op::MemRead, addr)));
             txn.waiting = Waiting::Mem;
             self.set_busy(addr, txn);
@@ -334,7 +300,6 @@ impl DirBank {
         // transaction long completed by a racing PutM) must not — the live
         // forward is addressed to the current owner, who will answer.
         if self.owner(addr) != Some(src) {
-            self.stats.stale_nacks += 1;
             return;
         }
         if !clean {
@@ -367,7 +332,6 @@ impl DirBank {
         if !owner_matches {
             return; // stale writeback: ownership already moved on
         }
-        self.stats.writebacks += 1;
         match busy {
             Some(txn) if txn.waiting == Waiting::OwnerData => {
                 // The put races a forward we sent to this owner: use it as
@@ -379,7 +343,6 @@ impl DirBank {
                     // Complete from home-side data.
                     self.set_state(addr, DirState::Uncached);
                     if self.l2.get(addr).is_some() {
-                        self.stats.l2_hits += 1;
                         if txn.is_write {
                             self.grant_exclusive(addr, txn.req, out);
                         } else {
@@ -388,7 +351,6 @@ impl DirBank {
                             self.clear_busy(addr);
                         }
                     } else {
-                        self.stats.l2_misses += 1;
                         out.push((self.mem_for(addr), ProtoMsg::new(Op::MemRead, addr)));
                         let mut t = txn;
                         t.waiting = Waiting::Mem;
@@ -565,7 +527,6 @@ mod tests {
         out.clear();
         d.handle(n(2), ProtoMsg::new(Op::GetS, A), &mut out);
         assert!(out.is_empty(), "queued");
-        assert_eq!(d.stats.queued, 1);
         // MemData completes #1 and the queued #2 starts immediately
         // (forward to the new owner 1).
         d.handle(MEM, ProtoMsg::new(Op::MemData, A), &mut out);
@@ -623,7 +584,6 @@ mod tests {
         out.clear();
         d.handle(n(2), ProtoMsg::new(Op::GetS, A), &mut out);
         assert_eq!(out, vec![(n(2), ProtoMsg::new(Op::DataExcl, A))]);
-        assert_eq!(d.stats.l2_hits, 1);
     }
 
     #[test]
@@ -706,7 +666,6 @@ mod tests {
         d.handle(n(1), ProtoMsg::new(Op::GetS, A), &mut Out::new()); // busy: Mem
         d.handle(n(2), ProtoMsg::new(Op::GetS, A), &mut Out::new()); // queued
         d.handle(n(3), ProtoMsg::new(Op::GetS, A), &mut Out::new()); // queued
-        assert_eq!(d.stats.queued, 2);
         let mut out = Out::new();
         d.handle(MEM, ProtoMsg::new(Op::MemData, A), &mut out);
         // #1 granted exclusive; #2 starts (forward); #3 still queued.

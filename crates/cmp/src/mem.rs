@@ -12,10 +12,6 @@ pub struct MemCtrl {
     latency: Cycle,
     /// Pending `(ready_at, home, response)` in arrival order.
     pending: Vec<(Cycle, NodeId, ProtoMsg)>,
-    /// Reads served.
-    pub reads: u64,
-    /// Writes absorbed.
-    pub writes: u64,
 }
 
 impl MemCtrl {
@@ -26,8 +22,6 @@ impl MemCtrl {
             node,
             latency,
             pending: Vec::new(),
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -40,17 +34,14 @@ impl MemCtrl {
     pub fn handle(&mut self, src: NodeId, msg: ProtoMsg, now: Cycle) {
         match msg.op {
             Op::MemRead => {
-                self.reads += 1;
                 self.pending.push((
                     now + self.latency,
                     src,
                     ProtoMsg::new(Op::MemData, msg.addr),
                 ));
             }
-            Op::MemWrite => {
-                // Posted write: absorbed without a response.
-                self.writes += 1;
-            }
+            // Posted write: absorbed without a response.
+            Op::MemWrite => {}
             other => panic!("memory controller received unexpected {other:?}"),
         }
     }
@@ -100,7 +91,6 @@ mod tests {
         m.take_due(138, &mut due);
         assert_eq!(due, vec![(NodeId(9), ProtoMsg::new(Op::MemData, 0x40))]);
         assert_eq!(m.outstanding(), 0);
-        assert_eq!(m.reads, 1);
     }
 
     #[test]
@@ -122,6 +112,5 @@ mod tests {
         let mut m = MemCtrl::new(NodeId(0), 128);
         m.handle(NodeId(9), ProtoMsg::new(Op::MemWrite, 0x80), 0);
         assert_eq!(m.outstanding(), 0);
-        assert_eq!(m.writes, 1);
     }
 }

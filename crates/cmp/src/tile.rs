@@ -43,12 +43,6 @@ pub struct L1Stats {
     pub stores: u64,
     /// Demand misses sent to the home (includes S->M upgrades).
     pub misses: u64,
-    /// Dirty writebacks issued.
-    pub writebacks: u64,
-    /// Invalidations received.
-    pub invalidations: u64,
-    /// Forwards served from the writeback buffer (race resolution).
-    pub wb_forwards: u64,
 }
 
 /// Outcome of a core reference at the L1.
@@ -180,7 +174,6 @@ impl L1 {
                     let home = home_of(victim.addr);
                     match victim.state {
                         L1State::M => {
-                            self.stats.writebacks += 1;
                             self.wb.push(victim.addr);
                             out.push((home, ProtoMsg::new(Op::PutM, victim.addr)));
                         }
@@ -207,7 +200,6 @@ impl L1 {
                 // Invalidate whatever we have (possibly nothing — sharer
                 // lists can be stale after silent S evictions) and ack the
                 // home, which collects acks for the writer.
-                self.stats.invalidations += 1;
                 let had_line = self.cache.remove(msg.addr).is_some();
                 if !had_line {
                     if let Some(p) = self.pending.as_mut() {
@@ -273,7 +265,6 @@ impl L1 {
     /// the block is there, otherwise tell the home the data went by `PutM`.
     fn forward_from_wb(&mut self, home: NodeId, addr: BlockAddr, out: &mut Out) {
         if self.wb.contains(&addr) {
-            self.stats.wb_forwards += 1;
             out.push((home, ProtoMsg::new(Op::OwnerData, addr)));
         } else {
             out.push((home, ProtoMsg::new(Op::FwdNack, addr)));
@@ -398,7 +389,6 @@ mod tests {
         out.clear();
         c.handle(HOME, ProtoMsg::new(Op::FwdGetM, 0x40), home_of, &mut out);
         assert_eq!(out, vec![(HOME, ProtoMsg::new(Op::OwnerData, 0x40))]);
-        assert_eq!(c.stats.wb_forwards, 1);
         // WbAck clears the buffer; a later forward is nacked.
         c.handle(
             HOME,

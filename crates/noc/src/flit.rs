@@ -176,8 +176,6 @@ pub struct PacketMeta {
     pub len_flits: u16,
     /// Cycle the message entered the NI injection queue.
     pub ni_enqueue: Cycle,
-    /// Hops traversed so far.
-    pub hops: u16,
     /// Number of powered-off (or waking) routers encountered on the way
     /// (Figure 9 metric).
     pub pg_encounters: u32,
@@ -199,7 +197,6 @@ impl PacketMeta {
             message,
             len_flits,
             ni_enqueue,
-            hops: 0,
             pg_encounters: 0,
             wakeup_wait: 0,
             blocked_on: None,

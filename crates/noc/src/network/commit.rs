@@ -25,18 +25,7 @@ impl Network {
                         Some(InvariantViolation::FlitIntoOffRouter { cycle: now, router });
                 }
             }
-            for ha in buf.head_arrivals.drain(..) {
-                if ha.counted_hop {
-                    self.packets
-                        .get_mut(&ha.packet.0)
-                        .expect("meta exists while in flight")
-                        .hops += 1;
-                }
-                self.events.push(PmEvent::HeadArrival {
-                    router: ha.router,
-                    dst: ha.dst,
-                });
-            }
+            self.events.append(&mut buf.head_arrivals);
         }
         // Every router with a flit due latched it, so its datapath is
         // occupied now whatever allocation then took out of it.
@@ -165,7 +154,6 @@ impl Network {
             stats.flits_delivered += meta.len_flits as u64;
             stats.latency.record((now - meta.ni_enqueue) as f64);
             stats.latency_hist.record(now - meta.ni_enqueue);
-            stats.hops.record(meta.hops as f64);
             stats.pg_encounters.record(meta.pg_encounters as f64);
             stats.wakeup_wait.record(meta.wakeup_wait as f64);
         }

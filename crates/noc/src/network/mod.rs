@@ -626,7 +626,7 @@ mod tests {
         // latch R3 at 5+12... wait: R0 is hop 0. R0 SA t=6, latch R1 t=9,
         // latch R2 t=13, latch R3 t=17, SA t=18, eject t=20.
         assert_eq!(r.stats.latency.mean(), 20.0);
-        assert_eq!(r.stats.hops.mean(), 3.0);
+        assert_eq!(r.stats.link_traversals, 3, "one flit over 3 links");
         assert_eq!(r.stats.pg_encounters.mean(), 0.0);
         assert_eq!(r.stats.wakeup_wait.mean(), 0.0);
     }
@@ -654,7 +654,7 @@ mod tests {
         n.run(20).unwrap();
         assert_eq!(delivered_to(&mut n, 5), 1);
         let r = n.report();
-        assert_eq!(r.stats.hops.mean(), 0.0);
+        assert_eq!(r.stats.link_traversals, 0);
         // enqueue 0, sent 3, latch 5, SA 6, eject 8.
         assert_eq!(r.stats.latency.mean(), 8.0);
     }
@@ -743,7 +743,7 @@ mod tests {
             (
                 r.stats.packets_delivered,
                 r.stats.latency.mean(),
-                r.stats.hops.mean(),
+                r.stats.link_traversals,
             )
         };
         assert_eq!(run(), run());

@@ -67,13 +67,6 @@ impl Network {
                         });
                     }
                     if flit.kind().is_head() {
-                        let meta = self
-                            .packets
-                            .get_mut(&flit.packet.0)
-                            .expect("meta exists while in flight");
-                        if port != Port::Local {
-                            meta.hops += 1;
-                        }
                         self.events.push(PmEvent::HeadArrival {
                             router: NodeId(idx as u16),
                             dst: flit.dst,

@@ -183,7 +183,7 @@ mod tests {
                 delivered,
                 r.stats.packets_delivered,
                 r.stats.latency.mean().to_bits(),
-                r.stats.hops.mean().to_bits(),
+                r.stats.link_traversals,
                 r.ni_flits,
             )
         };

@@ -28,13 +28,10 @@ use crate::vc::{FlitPool, VcLayout, VcState};
 pub struct RouterActivity {
     /// Flits latched into input buffers (BW operations).
     pub buffer_writes: u64,
-    /// Flits read out of input buffers (on SA grants).
-    pub buffer_reads: u64,
-    /// Crossbar traversals (equals `buffer_reads`).
-    pub crossbar_traversals: u64,
     /// Successful VC allocations.
     pub va_grants: u64,
-    /// Switch-allocation grants.
+    /// Switch-allocation grants: each one is a buffer read and a crossbar
+    /// traversal of the granted flit.
     pub sa_grants: u64,
 }
 
@@ -42,8 +39,6 @@ impl RouterActivity {
     /// Adds another counter set into this one.
     pub fn merge(&mut self, o: &RouterActivity) {
         self.buffer_writes += o.buffer_writes;
-        self.buffer_reads += o.buffer_reads;
-        self.crossbar_traversals += o.crossbar_traversals;
         self.va_grants += o.va_grants;
         self.sa_grants += o.sa_grants;
     }
@@ -603,8 +598,6 @@ impl Router {
             }
             self.spend_credit(out_port, out_vc as usize);
             self.sa_in_rr[p] = if v + 1 == total { 0 } else { v as u8 + 1 };
-            self.activity.buffer_reads += 1;
-            self.activity.crossbar_traversals += 1;
             self.activity.sa_grants += 1;
             flit.vc = out_vc;
             departed.push((
@@ -798,8 +791,6 @@ impl Router {
             }
             self.spend_credit(c.out_port, out_vc as usize);
             self.sa_in_rr[ip_idx] = ((c.in_vc + 1) % total) as u8;
-            self.activity.buffer_reads += 1;
-            self.activity.crossbar_traversals += 1;
             self.activity.sa_grants += 1;
             flit.vc = out_vc;
             outcome.departures[c.out_port] = Some(Departure {

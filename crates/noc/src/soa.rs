@@ -30,7 +30,7 @@ use punchsim_types::{Cycle, Direction, NodeId, PacketId, Port, Substrate};
 
 use crate::flit::Flit;
 use crate::ni::Ni;
-use crate::power::{PowerManager, PowerState};
+use crate::power::{PmEvent, PowerManager, PowerState};
 use crate::router::{bits, mask_of, Departure, PgBlocked, Router};
 
 /// A fixed-length bitset packed into `u64` words: one bit per router (or
@@ -266,17 +266,6 @@ pub(crate) struct TickCtx<'a> {
     pub eject_due: &'a [u64],
 }
 
-/// A head flit latched this tick (commit applies hop counts and the
-/// `HeadArrival` power-manager event in router order).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HeadArrival {
-    pub router: NodeId,
-    pub dst: NodeId,
-    pub packet: PacketId,
-    /// Arrived over a link (counts as a hop); `false` for the local port.
-    pub counted_hop: bool,
-}
-
 /// NI injection results for one swept NI.
 #[derive(Debug)]
 pub(crate) struct InjectRes {
@@ -304,7 +293,9 @@ pub(crate) struct ShardBuf {
     /// First flit-into-off-router candidate (router order within the
     /// shard; the commit latches the first across shards).
     pub violation: Option<NodeId>,
-    pub head_arrivals: Vec<HeadArrival>,
+    /// `HeadArrival` events of the head flits latched this tick, in
+    /// router order.
+    pub head_arrivals: Vec<PmEvent>,
     /// Packets stalled by a gated neighbour, in router order.
     pub blocked: Vec<(NodeId, PgBlocked)>,
     /// Flits granted ST, in router then output-port order.
@@ -444,16 +435,13 @@ pub(crate) fn shard_phase_a(
         let due: [bool; FLIT_LANES] = std::array::from_fn(|i| lanes[i].is_some());
         for i in bits(mask_of(due)) {
             let flit = lanes[i].take().expect("a set lane carries a flit");
-            let port = Port::ALL[i];
             if flit.kind().is_head() {
-                buf.head_arrivals.push(HeadArrival {
+                buf.head_arrivals.push(PmEvent::HeadArrival {
                     router,
                     dst: flit.dst,
-                    packet: flit.packet,
-                    counted_hop: port != Port::Local,
                 });
             }
-            routers[li].latch(port, flit, now);
+            routers[li].latch(Port::ALL[i], flit, now);
         }
     });
 

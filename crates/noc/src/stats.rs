@@ -78,21 +78,12 @@ pub struct NetStats {
     /// the histogram — and therefore the report percentiles — fully
     /// deterministic across kernels, shard counts and thread counts.
     pub latency_hist: LogHistogram,
-    /// Hop counts of delivered packets.
-    pub hops: RunningStats,
     /// Powered-off routers encountered per packet (Figure 9).
     pub pg_encounters: RunningStats,
     /// Cycles per packet spent waiting on router wakeups (Figure 10).
     pub wakeup_wait: RunningStats,
     /// Flit link traversals (inter-router links only; energy input).
     pub link_traversals: u64,
-}
-
-impl NetStats {
-    /// Resets every aggregate (end of warm-up).
-    pub fn reset(&mut self) {
-        *self = NetStats::default();
-    }
 }
 
 /// A snapshot of everything a power model or a `figure` row needs after

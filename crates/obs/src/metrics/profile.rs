@@ -35,18 +35,20 @@ pub enum Phase {
     /// Time outside the network tick proper: the traffic harness, event
     /// heap, injection bookkeeping — everything between two ticks.
     Host,
-    /// Struct kernel: link traversal / flit delivery scan.
+    /// Reference kernel (the test oracle, `Network::use_reference_kernel`):
+    /// link traversal / flit delivery scan.
     DeliverFlits,
-    /// Struct kernel: credit return scan.
+    /// Reference kernel: credit return scan.
     DeliverCredits,
-    /// Struct kernel: switch allocation over occupied routers.
+    /// Reference kernel: switch allocation over occupied routers.
     Allocate,
-    /// Struct kernel: ejection delivery.
+    /// Reference kernel: ejection delivery.
     Eject,
-    /// Struct kernel: NI injection attempts.
+    /// Reference kernel: NI injection attempts.
     Inject,
-    /// SoA kernel: rebuilding the structure-of-arrays mirror after a
-    /// struct-path excursion.
+    /// Charged by nothing: the SoA kernel keeps its bit words current on
+    /// every commit, so there is no mirror to rebuild. Kept only because
+    /// the benchmark harness in `perf/` names it.
     SoaRebuild,
     /// SoA kernel: phase A — the read-only word sweep (single-shard
     /// inline or sharded across row bands).
@@ -59,7 +61,10 @@ pub enum Phase {
     PowerTick,
     /// Watchdog escalation scan + stall check.
     Watchdog,
-    /// Quiescence fast-forward (closed-form quiet advance).
+    /// The quiet-datapath skip: one bulk power-manager advance over a span
+    /// in which no router holds a flit and no flit, ejection or NI is due
+    /// — taken also while packets are in flight (e.g. waiting at an NI or
+    /// on a wire), not only on a quiescent network.
     FastForward,
     /// SoA kernel, pooled sharded ticks only: host wall time blocked at
     /// the worker pool's completion barrier after finishing its own
@@ -221,12 +226,6 @@ impl PhaseProfiler {
         self.nanos[i] += self.lap();
     }
 
-    /// Drops the boundary so the next mark starts a fresh interval
-    /// (used when leaving profiled code for an unbounded wait).
-    pub fn detach(&mut self) {
-        self.last = None;
-    }
-
     /// Reattributes `nanos` of already-charged time from `from` to `to`
     /// (saturating at what `from` currently holds). For callers that
     /// measured an inner wait within a marked span — e.g. the shard
@@ -326,10 +325,6 @@ mod tests {
             p.nanos(Phase::PowerTick) + p.nanos(Phase::Watchdog)
         );
         assert_eq!(p.mark_count(Phase::PowerTick), 1);
-
-        p.detach();
-        p.mark(Phase::Host);
-        assert_eq!(p.nanos(Phase::Host), 0, "detach drops the interval");
     }
 
     #[test]

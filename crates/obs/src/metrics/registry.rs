@@ -1,4 +1,4 @@
-//! The typed metric registry: monotonic counters, gauges, log-bucketed
+//! The typed metric registry: monotonic counters, log-bucketed
 //! histograms and per-router counter planes, with deterministic merge
 //! and two exporters (Prometheus text, JSON snapshot).
 
@@ -107,7 +107,6 @@ impl Plane {
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     hists: BTreeMap<String, LogHistogram>,
     planes: BTreeMap<String, Plane>,
 }
@@ -120,10 +119,7 @@ impl Registry {
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.hists.is_empty()
-            && self.planes.is_empty()
+        self.counters.is_empty() && self.hists.is_empty() && self.planes.is_empty()
     }
 
     /// Formats a series key with labels: `key_with("x", &[("a","1")])`
@@ -157,17 +153,6 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Sets the gauge `name` (last write wins; merge keeps the larger
-    /// key's value only when `self` has none).
-    pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
-    }
-
-    /// Records one sample into histogram `name`.
-    pub fn observe(&mut self, name: &str, v: u64) {
-        self.hists.entry(name.to_string()).or_default().record(v);
-    }
-
     /// The histogram `name`, creating it empty if absent.
     pub fn hist_mut(&mut self, name: &str) -> &mut LogHistogram {
         self.hists.entry(name.to_string()).or_default()
@@ -192,18 +177,13 @@ impl Registry {
     }
 
     /// Merges `other` into `self`: counters add, histograms merge
-    /// elementwise, planes add cell-wise, gauges keep the first value
-    /// seen (`self` wins). Every constituent operation is commutative
-    /// over the data the simulator records, and iteration order is the
-    /// key order, so a fold over any permutation of worker registries
-    /// produces identical state — the campaign runner still merges in
-    /// spec order for good measure.
+    /// elementwise, planes add cell-wise. Every constituent operation is
+    /// commutative, and iteration order is the key order, so a fold over
+    /// any permutation of worker registries produces identical state — the
+    /// campaign runner still merges in spec order for good measure.
     pub fn merge(&mut self, other: &Registry) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.entry(k.clone()).or_insert(*v);
         }
         for (k, h) in &other.hists {
             self.hists.entry(k.clone()).or_default().merge(h);
@@ -213,8 +193,8 @@ impl Registry {
         }
     }
 
-    /// Prometheus text exposition: `# TYPE` per family, counters and
-    /// gauges as single samples, histograms as cumulative
+    /// Prometheus text exposition: `# TYPE` per family, counters as
+    /// single samples, histograms as cumulative
     /// `_bucket{le=...}` series (non-empty buckets plus `+Inf`) with
     /// `_sum`/`_count`, planes as one counter sample per non-zero cell
     /// labelled `x`/`y`.
@@ -234,10 +214,6 @@ impl Registry {
         };
         for (k, v) in &self.counters {
             type_line(&mut out, k, "counter");
-            out.push_str(&format!("{k} {v}\n"));
-        }
-        for (k, v) in &self.gauges {
-            type_line(&mut out, k, "gauge");
             out.push_str(&format!("{k} {v}\n"));
         }
         for (k, h) in &self.hists {
@@ -289,11 +265,6 @@ impl Registry {
             counters.push(k, json_u64(*v));
         }
         root.push("counters", counters);
-        let mut gauges = Json::obj();
-        for (k, v) in &self.gauges {
-            gauges.push(k, Json::Float(*v));
-        }
-        root.push("gauges", gauges);
         let mut hists = Json::obj();
         for (k, h) in &self.hists {
             let mut o = Json::obj();
@@ -396,14 +367,13 @@ mod tests {
         let mk = |seed: u64| {
             let mut r = Registry::new();
             r.inc("flits_total", seed);
-            r.observe("latency_cycles", seed * 10);
-            r.observe("latency_cycles", seed * 100);
+            r.hist_mut("latency_cycles").record(seed * 10);
+            r.hist_mut("latency_cycles").record(seed * 100);
             r.plane_mut("off_cycles", 2, 2).add(
                 (seed % 2) as usize,
                 ((seed / 2) % 2) as usize,
                 seed,
             );
-            r.set_gauge("offered_load", 0.25);
             r
         };
         let parts = [mk(1), mk(2), mk(3), mk(4)];
@@ -426,8 +396,8 @@ mod tests {
     fn exposition_has_types_buckets_and_planes() {
         let mut r = Registry::new();
         r.inc("wu_assertions_total", 3);
-        r.observe("latency_cycles", 7);
-        r.observe("latency_cycles", 900);
+        r.hist_mut("latency_cycles").record(7);
+        r.hist_mut("latency_cycles").record(900);
         r.plane_mut("escalations", 2, 1).add(1, 0, 4);
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE wu_assertions_total counter"));

@@ -1,14 +1,14 @@
 //! Event sinks: where the simulator's instrumentation points deliver
 //! [`Stamped`] events.
 //!
-//! Three implementations cover the intended operating points:
+//! Hosts keep their sink behind an `Option`, so tracing switched off costs
+//! one branch and needs no sink at all. Two implementations cover the
+//! operating points:
 //!
-//! * [`NullSink`] — the zero-overhead disabled path. Hosts keep their sink
-//!   behind an `Option`, so the *usual* disabled cost is one branch; the
-//!   null sink exists for call sites that want a sink unconditionally.
 //! * [`RingSink`] — a bounded "flight recorder": keeps the most recent N
 //!   events and counts what it evicted. This is what the watchdog dumps
-//!   into a `StallReport` when a run wedges.
+//!   into a `StallReport` when a run wedges. Its buffer grows on demand,
+//!   so the capacity bounds what is kept, not what is reserved.
 //! * [`VecSink`] — unbounded capture for tests and `--trace-cap 0` runs,
 //!   where the whole run's event stream becomes the artifact.
 
@@ -31,23 +31,6 @@ pub trait EventSink: std::fmt::Debug {
     fn recorded(&self) -> u64;
 }
 
-/// Discards everything. The measured-zero-overhead stand-in for "tracing
-/// compiled in, disabled at runtime".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn record(&mut self, _cycle: Cycle, _event: &Event) {}
-
-    fn snapshot(&self) -> Vec<Stamped> {
-        Vec::new()
-    }
-
-    fn recorded(&self) -> u64 {
-        0
-    }
-}
-
 /// A bounded flight recorder retaining the most recent `capacity` events.
 #[derive(Debug, Clone)]
 pub struct RingSink {
@@ -58,12 +41,13 @@ pub struct RingSink {
 }
 
 impl RingSink {
-    /// Creates a recorder holding at most `capacity` events (min 1).
+    /// Creates a recorder holding at most `capacity` events (min 1). Nothing
+    /// is reserved up front: the buffer grows as events arrive, so any
+    /// capacity is cheap until that many events have been recorded.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         RingSink {
-            buf: VecDeque::with_capacity(capacity),
-            capacity,
+            buf: VecDeque::new(),
+            capacity: capacity.max(1),
             dropped: 0,
             recorded: 0,
         }
@@ -178,11 +162,17 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_drops_everything() {
-        let mut s = NullSink;
-        s.record(1, &ev(0));
-        assert!(s.snapshot().is_empty());
-        assert_eq!(s.recorded(), 0);
+    fn ring_capacity_bounds_what_is_kept_not_what_is_reserved() {
+        // Regression: a capacity near `usize::MAX / 4` used to be reserved
+        // up front and aborted with "capacity overflow".
+        let mut s = RingSink::new(1 << 62);
+        for i in 0..3u64 {
+            s.record(i, &ev(i as u16));
+        }
+        assert_eq!(s.capacity(), 1 << 62);
+        assert_eq!((s.len(), s.dropped(), s.recorded()), (3, 0, 3));
+        let s = RingSink::new(usize::MAX);
+        assert!(s.is_empty());
     }
 
     #[test]

@@ -104,9 +104,12 @@ impl PowerModel {
     /// Computes the energy breakdown of a measured window.
     pub fn breakdown(&self, r: &NetworkReport) -> EnergyBreakdown {
         let a = &r.activity;
+        // Every switch grant reads one flit out of a buffer and sends it
+        // across the crossbar.
+        let grants = a.sa_grants as f64;
         let dynamic_pj = a.buffer_writes as f64 * self.buffer_write_pj
-            + a.buffer_reads as f64 * self.buffer_read_pj
-            + a.crossbar_traversals as f64 * self.crossbar_pj
+            + grants * self.buffer_read_pj
+            + grants * self.crossbar_pj
             + (a.va_grants + a.sa_grants) as f64 * self.arbitration_pj
             + r.stats.link_traversals as f64 * self.link_pj
             + r.ni_flits as f64 * self.ni_pj;
@@ -216,8 +219,6 @@ mod tests {
         let m = PowerModel::default_45nm();
         let mut r = report(10, 1);
         r.activity.buffer_writes = 2;
-        r.activity.buffer_reads = 2;
-        r.activity.crossbar_traversals = 2;
         r.activity.va_grants = 1;
         r.activity.sa_grants = 2;
         r.stats.link_traversals = 3;
@@ -238,8 +239,6 @@ mod tests {
         let flits = 0.05 * cycles as f64 * routers as f64;
         let hops = 5.3;
         r.activity.buffer_writes = (flits * (hops + 1.0)) as u64;
-        r.activity.buffer_reads = r.activity.buffer_writes;
-        r.activity.crossbar_traversals = r.activity.buffer_writes;
         r.activity.sa_grants = r.activity.buffer_writes;
         r.activity.va_grants = (flits / 5.0) as u64;
         r.stats.link_traversals = (flits * hops) as u64;

@@ -36,10 +36,5 @@ fi
 
 echo "tier 1 OK"
 
-# Shipped lines, reported and not asserted: each .rs of crates/*/src and
-# src, counted up to its first line-anchored #[cfg(test)].
-shipped=$(find crates/*/src src -name '*.rs' -exec awk '
-    FNR == 1 { stop = 0 }
-    /^#\[cfg\(test\)\]/ { stop = 1 }
-    !stop' {} + | wc -l)
-echo "shipped lines: $shipped"
+# Shipped lines, reported and not asserted.
+echo "shipped lines: $(./scripts/shipped_lines.sh)"

@@ -254,6 +254,32 @@ fn oversized_meshes_and_unusable_rates_are_typed_errors_never_panics() {
     }
 }
 
+/// The flight recorder used to reserve `--trace-cap` slots up front, so
+/// `--trace-cap 4611686018427387904` (2^62) aborted with "capacity
+/// overflow" (exit 101) before the first cycle. The cap now bounds what
+/// the ring keeps, not what it reserves.
+#[test]
+fn a_huge_trace_cap_bounds_what_is_kept_not_what_is_reserved() {
+    let dir = std::env::temp_dir().join(format!("punchsim-cli-cap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("t.jsonl");
+    let args = [
+        "run",
+        "--mesh",
+        "2x2",
+        "--cycles",
+        "10",
+        "--trace-out",
+        path.to_str().expect("utf-8 temp path"),
+        "--trace-cap",
+        "4611686018427387904",
+    ];
+    let out = cli(&args, &[]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(path.is_file(), "the trace was written");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `table1 --mesh 4x4 --format csv` (the `figure table1_codebook` row now)
 /// used to exit 0 and print the 8x8 table; `schemes --scheme`, `parsec
 /// --rate` and `sweep --format` were ignored the same way. Each command

@@ -8,8 +8,8 @@
 use punchsim::core::{build_power_manager, Codebook, PunchFabric, PunchSet};
 use punchsim::noc::{AlwaysOn, Message, MsgClass, Network};
 use punchsim::types::{
-    routing::route_path, Direction, Mesh, NocConfig, NodeId, RouteView, SchemeKind, SimConfig,
-    SimRng, Substrate, VnetId,
+    routing::route_path, Direction, Mesh, NocConfig, NodeId, RouteView, RoutingKind, SchemeKind,
+    SimConfig, SimRng, Substrate, Torus, VnetId,
 };
 
 fn random_mesh(rng: &mut SimRng) -> Substrate {
@@ -256,55 +256,74 @@ fn h3_link_widths_match_paper() {
 }
 
 /// Conservation: every injected packet is delivered exactly once, to the
-/// right node, under random traffic (always-on network).
+/// right node, under random traffic (always-on network), and every flit
+/// crosses exactly its route's links — on the mesh and the torus, each
+/// under XY and YX routing.
 #[test]
 fn network_delivers_everything_exactly_once() {
     let mut rng = SimRng::seed_from_u64(0x14);
-    for _case in 0..12 {
-        let cfg = NocConfig {
-            topology: Mesh::new(4, 4).into(),
-            ..NocConfig::default()
-        };
-        let mut net = Network::new(&cfg, Box::new(AlwaysOn::new(16))).unwrap();
-        let mut expected = [0usize; 16];
-        let mut distance = 0u64;
-        let sends = rng.random_range(1..120usize);
-        for i in 0..sends {
-            let dst = rng.random_range(0..16u16);
-            let src = rng.random_range(0..16u16);
-            distance += u64::from(cfg.topology.distance(NodeId(src), NodeId(dst)));
-            net.send(Message {
-                src: NodeId(src),
-                dst: NodeId(dst),
-                vnet: VnetId(rng.random_range(0..3u8)),
-                class: if rng.random_bool_ppm(500_000) {
-                    MsgClass::Data
-                } else {
-                    MsgClass::Control
-                },
-                payload: i as u64,
-                gen_cycle: 0,
-            })
-            .unwrap();
-            expected[dst as usize] += 1;
-            net.tick().unwrap();
+    let substrates: [Substrate; 2] = [Mesh::new(4, 4).into(), Torus::new(4, 4).into()];
+    for topology in substrates {
+        for routing in RoutingKind::ALL {
+            for _case in 0..6 {
+                let cfg = NocConfig {
+                    topology,
+                    routing,
+                    ..NocConfig::default()
+                };
+                let mut net = Network::new(&cfg, Box::new(AlwaysOn::new(16))).unwrap();
+                let mut expected = [0usize; 16];
+                let mut flit_links = 0u64;
+                let sends = rng.random_range(1..120usize);
+                for i in 0..sends {
+                    let dst = rng.random_range(0..16u16);
+                    let src = rng.random_range(0..16u16);
+                    let class = if rng.random_bool_ppm(500_000) {
+                        MsgClass::Data
+                    } else {
+                        MsgClass::Control
+                    };
+                    let len = match class {
+                        MsgClass::Data => cfg.data_packet_flits,
+                        MsgClass::Control => cfg.ctrl_packet_flits,
+                    };
+                    let distance = topology.distance(NodeId(src), NodeId(dst));
+                    flit_links += u64::from(len) * u64::from(distance);
+                    net.send(Message {
+                        src: NodeId(src),
+                        dst: NodeId(dst),
+                        vnet: VnetId(rng.random_range(0..3u8)),
+                        class,
+                        payload: i as u64,
+                        gen_cycle: 0,
+                    })
+                    .unwrap();
+                    expected[dst as usize] += 1;
+                    net.tick().unwrap();
+                }
+                let mut guard = 0;
+                while net.in_flight() > 0 {
+                    net.tick().unwrap();
+                    guard += 1;
+                    assert!(guard < 50_000, "{topology} {routing:?}: drain stalled");
+                }
+                // Payloads are the send indices: each must come out exactly
+                // once — and where it was addressed, each flit having
+                // crossed as many links as its route is long.
+                assert_eq!(
+                    net.report().stats.link_traversals,
+                    flit_links,
+                    "{topology} {routing:?}"
+                );
+                let mut got = [0usize; 16];
+                let mut seen = vec![false; sends];
+                for m in net.drain_delivered() {
+                    got[m.dst.index()] += 1;
+                    assert!(!std::mem::replace(&mut seen[m.payload as usize], true));
+                }
+                assert_eq!(got, expected);
+            }
         }
-        let mut guard = 0;
-        while net.in_flight() > 0 {
-            net.tick().unwrap();
-            guard += 1;
-            assert!(guard < 50_000, "drain stalled");
-        }
-        // Payloads are the send indices: each must come out exactly once —
-        // and where it was addressed, so having travelled its distance.
-        assert_eq!(net.report().stats.hops.sum(), distance as f64);
-        let mut got = [0usize; 16];
-        let mut seen = vec![false; sends];
-        for m in net.drain_delivered() {
-            got[m.dst.index()] += 1;
-            assert!(!std::mem::replace(&mut seen[m.payload as usize], true));
-        }
-        assert_eq!(got, expected);
     }
 }
 
