@@ -75,15 +75,16 @@ impl IntervalSeries {
         };
         if cycle > from {
             let delta = |f: fn(&NetworkReport) -> u64| f(&report).saturating_sub(prev.map_or(0, f));
-            let d_count = delta(|r| r.stats.latency.count());
-            let d_sum = report.stats.latency.sum() - prev.map_or(0.0, |p| p.stats.latency.sum());
+            let delivered = delta(|r| r.stats.packets_delivered);
+            let latency_sum = |r: &NetworkReport| r.stats.latency_hist.sum();
+            let d_sum = latency_sum(&report).saturating_sub(prev.map_or(0, latency_sum));
             let d_off = delta(|r| r.pg.total_off_cycles());
             self.rows.push(IntervalRow {
                 start: from,
                 end: cycle,
-                delivered: delta(|r| r.stats.packets_delivered),
-                avg_latency: if d_count > 0 {
-                    d_sum.max(0.0) / d_count as f64
+                delivered,
+                avg_latency: if delivered > 0 {
+                    d_sum as f64 / delivered as f64
                 } else {
                     0.0
                 },
@@ -108,14 +109,15 @@ mod tests {
     use punchsim_noc::{NetStats, PgCounters, RouterActivity};
     use punchsim_types::SchemeKind;
 
-    /// A 16-router report whose window is `cycles` long, with `delivered`
-    /// packets of `latency` cycles each and `off` router-cycles off.
-    fn report(cycles: Cycle, delivered: u64, latency: f64, off: u64) -> NetworkReport {
-        let mut stats = NetStats {
-            packets_delivered: delivered,
-            ..NetStats::default()
-        };
-        (0..delivered).for_each(|_| stats.latency.record(latency));
+    /// A 16-router report whose window is `cycles` long, with `n` packets
+    /// of `latency` cycles for each `(n, latency)` in `packets`, and `off`
+    /// router-cycles off.
+    fn report(cycles: Cycle, packets: &[(u64, u64)], off: u64) -> NetworkReport {
+        let mut stats = NetStats::default();
+        for &(n, latency) in packets {
+            (0..n).for_each(|_| stats.record_delivery(latency, 0, 0));
+        }
+        let delivered = stats.packets_delivered;
         let mut pg = PgCounters::new(16);
         pg.off_cycles[0] = off;
         pg.punch_hops = delivered * 3;
@@ -135,9 +137,9 @@ mod tests {
     #[test]
     fn intervals_are_deltas_of_cumulative_counters() {
         let mut s = IntervalSeries::default();
-        s.observe(0, report(0, 0, 0.0, 0));
-        s.observe(100, report(100, 10, 20.0, 400));
-        s.observe(200, report(200, 30, 70.0 / 3.0, 400));
+        s.observe(0, report(0, &[], 0));
+        s.observe(100, report(100, &[(10, 20)], 400));
+        s.observe(200, report(200, &[(10, 20), (20, 25)], 400));
         let rows = &s.rows;
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].delivered, 10);
@@ -145,7 +147,7 @@ mod tests {
         // 400 off router-cycles over 16 routers * 100 cycles.
         assert!((rows[0].off_fraction - 0.25).abs() < 1e-12);
         assert_eq!(rows[1].delivered, 20);
-        assert!((rows[1].avg_latency - 25.0).abs() < 1e-9);
+        assert_eq!(rows[1].avg_latency, 25.0);
         assert_eq!(rows[1].off_fraction, 0.0);
         assert_eq!(rows[1].punch_hops, 60);
     }
@@ -153,8 +155,8 @@ mod tests {
     #[test]
     fn empty_interval_has_zero_latency_not_nan() {
         let mut s = IntervalSeries::default();
-        s.observe(0, report(0, 0, 0.0, 0));
-        s.observe(50, report(50, 0, 0.0, 0));
+        s.observe(0, report(0, &[], 0));
+        s.observe(50, report(50, &[], 0));
         assert_eq!(s.rows[0].avg_latency, 0.0);
         assert!(s.rows[0].avg_latency.is_finite());
     }
@@ -162,10 +164,10 @@ mod tests {
     #[test]
     fn counter_drop_saturates_instead_of_underflowing() {
         let mut s = IntervalSeries::default();
-        s.observe(0, report(0, 0, 0.0, 0));
-        s.observe(10, report(10, 100, 10.0, 50));
+        s.observe(0, report(0, &[], 0));
+        s.observe(10, report(10, &[(100, 10)], 50));
         // Counters that fall within one window clamp to an empty row.
-        s.observe(20, report(20, 2, 3.0, 0));
+        s.observe(20, report(20, &[(2, 3)], 0));
         let row = &s.rows[1];
         assert_eq!(row.delivered, 0);
         assert_eq!(row.avg_latency, 0.0);
@@ -176,11 +178,11 @@ mod tests {
     fn a_reset_restarts_the_series_at_the_new_window() {
         let mut s = IntervalSeries::default();
         // A first report taken after its window opened is diffed from zero.
-        s.observe(100, report(100, 100, 10.0, 50));
+        s.observe(100, report(100, &[(100, 10)], 50));
         assert_eq!((s.rows[0].start, s.rows[0].delivered), (0, 100));
         // The host resets at cycle 150: the warm-up rows go, and the new
         // window's first row starts at the reset.
-        s.observe(200, report(50, 2, 3.0, 0));
+        s.observe(200, report(50, &[(2, 3)], 0));
         let rows = &s.rows;
         assert_eq!(rows.len(), 1);
         assert_eq!(
@@ -190,7 +192,7 @@ mod tests {
         assert_eq!(rows[0].avg_latency, 3.0);
         // A reset at the very cycle of the last report counts from zero
         // too, not from that report's (pre-reset) counters.
-        s.observe(250, report(50, 4, 3.0, 0));
+        s.observe(250, report(50, &[(4, 3)], 0));
         let rows = &s.rows;
         assert_eq!(
             (rows[0].start, rows[0].end, rows[0].delivered),
@@ -201,18 +203,18 @@ mod tests {
     #[test]
     fn same_cycle_observation_reprimes() {
         let mut s = IntervalSeries::default();
-        s.observe(0, report(0, 0, 0.0, 0));
-        s.observe(0, report(0, 5, 4.0, 0));
+        s.observe(0, report(0, &[], 0));
+        s.observe(0, report(0, &[(5, 4)], 0));
         assert!(s.rows.is_empty(), "no interval closes at the same cycle");
-        s.observe(10, report(10, 7, 4.0, 0));
+        s.observe(10, report(10, &[(7, 4)], 0));
         assert_eq!(s.rows[0].delivered, 2, "diffed against the re-prime");
     }
 
     #[test]
     fn json_rows_render_deterministically() {
         let mut s = IntervalSeries::default();
-        s.observe(0, report(0, 0, 0.0, 0));
-        s.observe(10, report(10, 1, 5.0, 0));
+        s.observe(0, report(0, &[], 0));
+        s.observe(10, report(10, &[(1, 5)], 0));
         let render = || s.rows[0].to_json().render();
         assert_eq!(render(), render());
         assert!(render().contains("\"avg_latency\": 5.0"));

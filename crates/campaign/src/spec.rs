@@ -8,7 +8,7 @@
 use punchsim_cmp::{Benchmark, CmpConfig, CmpSim};
 use punchsim_noc::{Network, NetworkReport};
 use punchsim_obs::metrics::Registry;
-use punchsim_obs::{RingSink, Stamped, VecSink};
+use punchsim_obs::{RingSink, Stamped};
 use punchsim_power::PowerModel;
 use punchsim_traffic::{InjectionConfig, SyntheticSim, TrafficPattern};
 use punchsim_types::{RoutingKind, SchemeKind, SimConfig, SimError, Substrate};
@@ -327,10 +327,8 @@ impl RunSpec {
 /// `metrics`, the tick-phase profiler. Neither feeds back into the
 /// simulation.
 pub fn attach(net: &mut Network, trace_cap: usize, metrics: bool) {
-    match trace_cap {
-        0 => {}
-        usize::MAX => net.set_sink(Box::new(VecSink::new())),
-        cap => net.set_sink(Box::new(RingSink::new(cap))),
+    if trace_cap > 0 {
+        net.set_sink(Box::new(RingSink::new(trace_cap)));
     }
     if metrics {
         net.enable_profiler();

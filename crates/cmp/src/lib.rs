@@ -23,7 +23,7 @@
 //! println!(
 //!     "canneal under PowerPunch-PG: {} cycles, latency {:.1}",
 //!     report.exec_cycles,
-//!     report.net.stats.latency.mean()
+//!     report.net.avg_packet_latency()
 //! );
 //! ```
 

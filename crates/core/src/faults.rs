@@ -448,8 +448,9 @@ impl PowerManager for FaultInjector {
 
     /// The inner state, masked to `Off` while `r` is stuck (the faulty
     /// sleep gate keeps the datapath unpowered no matter what the scheme
-    /// decided). The default `is_available` goes through this method, so
-    /// the network never routes into a stuck router's datapath.
+    /// decided). The network reads availability off this state
+    /// (`PowerState::available_by`), so it never routes into a stuck
+    /// router's datapath.
     fn state(&self, r: NodeId) -> PowerState {
         if self.stuck[r.index()] != Stuck::No {
             PowerState::Off

@@ -54,5 +54,5 @@ pub use power::{AlwaysOn, IdleInfo, PgCounters, PmEvent, PowerManager, PowerStat
 pub use router::{Router, RouterActivity};
 pub use shard::check_shards;
 pub use soa::BitWords;
-pub use stats::{NetStats, NetworkReport, RunningStats};
+pub use stats::{NetStats, NetworkReport};
 pub use vc::VcLayout;

@@ -150,12 +150,12 @@ impl Network {
         self.watchdog.retire(meta.len_flits as u64);
         if meta.measured {
             let stats = &mut self.win.stats;
-            stats.packets_delivered += 1;
             stats.flits_delivered += meta.len_flits as u64;
-            stats.latency.record((now - meta.ni_enqueue) as f64);
-            stats.latency_hist.record(now - meta.ni_enqueue);
-            stats.pg_encounters.record(meta.pg_encounters as f64);
-            stats.wakeup_wait.record(meta.wakeup_wait as f64);
+            stats.record_delivery(
+                now - meta.ni_enqueue,
+                meta.pg_encounters.into(),
+                meta.wakeup_wait,
+            );
         }
         self.delivered.push(meta.message);
     }

@@ -9,7 +9,7 @@
 //! Observers never clone: a fork starts with `Observers::default()`.
 
 use punchsim_obs::metrics::{Phase, PhaseProfiler};
-use punchsim_obs::{Event, EventSink, PowerTag};
+use punchsim_obs::{Event, PowerTag, RingSink};
 use punchsim_types::{Cycle, NodeId};
 
 use super::Network;
@@ -18,7 +18,7 @@ use crate::power::{PmEvent, PowerManager};
 #[derive(Default)]
 pub(crate) struct Observers {
     /// `None` = tracing disabled.
-    sink: Option<Box<dyn EventSink>>,
+    sink: Option<Box<RingSink>>,
     /// Last observed power tag per router, for transition detection.
     power_shadow: Vec<PowerTag>,
     /// Cycle each currently-off router went off at (BET epoch tracking).
@@ -32,7 +32,7 @@ pub(crate) struct Observers {
 impl Observers {
     /// `true` while a sink is attached: every cycle must then tick
     /// individually (per-cycle transition recording), and the network
-    /// cannot be forked (sinks are not clonable).
+    /// cannot be forked (see `Network::try_clone`).
     pub fn tracing(&self) -> bool {
         self.sink.is_some()
     }
@@ -139,7 +139,7 @@ impl Network {
     /// previously attached sink. Tracing does not alter simulation
     /// behaviour; with no sink attached the only overhead is one branch
     /// per emission site.
-    pub fn set_sink(&mut self, sink: Box<dyn EventSink>) {
+    pub fn set_sink(&mut self, sink: Box<RingSink>) {
         // Prime the shadow from the current states so the first diff only
         // reports genuine transitions.
         let tags = self.view.topo.iter_nodes().map(|r| self.pm.state(r).tag());
@@ -150,12 +150,12 @@ impl Network {
     }
 
     /// The attached event sink, if any.
-    pub fn sink(&self) -> Option<&dyn EventSink> {
+    pub fn sink(&self) -> Option<&RingSink> {
         self.obs.sink.as_deref()
     }
 
     /// Detaches and returns the event sink, disabling structured tracing.
-    pub fn take_sink(&mut self) -> Option<Box<dyn EventSink>> {
+    pub fn take_sink(&mut self) -> Option<Box<RingSink>> {
         if self.obs.tracing() {
             self.pm.set_tracing(false);
         }
@@ -192,7 +192,7 @@ mod tests {
     #[test]
     fn sink_records_packet_and_slack_events() {
         let mut n = net();
-        n.set_sink(Box::new(punchsim_obs::VecSink::new()));
+        n.set_sink(Box::new(RingSink::new(usize::MAX)));
         n.send(msg(0, 3, MsgClass::Control)).unwrap();
         n.run(40).unwrap();
         let sink = n.take_sink().expect("sink was attached");
@@ -222,7 +222,7 @@ mod tests {
         let run = |traced: bool| {
             let mut n = net();
             if traced {
-                n.set_sink(Box::new(punchsim_obs::RingSink::new(512)));
+                n.set_sink(Box::new(RingSink::new(512)));
             }
             for i in 0..50u16 {
                 n.send(msg(i % 64, (i * 7 + 3) % 64, MsgClass::Data))
@@ -231,7 +231,7 @@ mod tests {
             }
             n.run(1500).unwrap();
             let r = n.report();
-            (r.stats.packets_delivered, r.stats.latency.mean())
+            (r.stats.packets_delivered, r.avg_packet_latency())
         };
         assert_eq!(run(false), run(true));
     }

@@ -126,7 +126,7 @@ impl Network {
                     .view
                     .topo
                     .neighbor(here, d)
-                    .is_some_and(|n| self.pm.is_available(n, arrival)),
+                    .is_some_and(|n| self.pm.state(n).available_by(arrival)),
             });
             let outcome = self.routers[idx].allocate_reference(now, &down_on);
             for b in &outcome.pg_blocked {
@@ -209,7 +209,7 @@ impl Network {
             let node = NodeId(idx as u16);
             // An NI flit sent at `now` latches into the local router at
             // `now + 1 + link`: the local router's wakeup tail overlaps.
-            let router_on = self.pm.is_available(node, now + 1 + link);
+            let router_on = self.pm.state(node).available_by(now + 1 + link);
             let (mut newly_ready, mut blocked_on_local) = (Vec::new(), Vec::new());
             let sent =
                 self.nis[idx].tick_inject(now, router_on, &mut newly_ready, &mut blocked_on_local);

@@ -10,20 +10,6 @@ use crate::power::IdleInfo;
 use crate::soa::{self, CREDIT_LANES};
 
 impl Network {
-    /// `true` when no packet is anywhere between NI enqueue and tail
-    /// ejection (so every router datapath, NI queue and wire but the credit
-    /// wires is empty), no power-manager event is buffered and no invariant
-    /// violation is latched. Until new host input only the power manager's
-    /// own transient — punches on the sideband, wakeups completing, sleep
-    /// timeouts — can change state, and [`Network::run`] on the shipped
-    /// kernel, with no sink attached, skips straight to the end of its
-    /// span.
-    ///
-    /// All three checks are O(1).
-    pub fn quiescent(&self) -> bool {
-        self.packets.is_empty() && self.events.is_empty() && self.watchdog.violation.is_none()
-    }
-
     /// On the first tick after a skip, delivers on this thread every credit
     /// whose cycle the skip passed over, so the shards only ever see the
     /// one plane due now. The skip's note stays up across back-to-back
@@ -182,7 +168,7 @@ mod tests {
                 n.cycle(),
                 delivered,
                 r.stats.packets_delivered,
-                r.stats.latency.mean().to_bits(),
+                r.avg_packet_latency().to_bits(),
                 r.stats.link_traversals,
                 r.ni_flits,
             )
@@ -193,11 +179,11 @@ mod tests {
     #[test]
     fn quiescence_is_reported() {
         let mut n = net();
-        assert!(n.quiescent());
+        assert_eq!(n.in_flight(), 0);
         n.send(msg(0, 3, MsgClass::Control)).unwrap();
-        assert!(!n.quiescent(), "in-flight packet blocks quiescence");
+        assert_eq!(n.in_flight(), 1, "a sent packet is in flight");
         n.run(40).unwrap();
-        assert!(n.quiescent(), "drained network is quiescent again");
+        assert_eq!(n.in_flight(), 0, "a drained network is empty again");
     }
 
     #[test]
@@ -239,7 +225,7 @@ mod tests {
             p.mark_count(Phase::FastForward),
         );
         // 31 cycles from send to delivery, 11 of them ticked.
-        let latency = n.report().stats.latency.mean();
+        let latency = n.report().avg_packet_latency();
         assert!(skips >= 5, "{skips} skips");
         assert!(
             (ticked as f64) < latency / 2.0,

@@ -299,7 +299,7 @@ mod tests {
             ..NocConfig::default()
         };
         let mut n = Network::new(&cfg, Box::new(AlwaysOn::new(144))).unwrap();
-        n.set_sink(Box::new(punchsim_obs::VecSink::new()));
+        n.set_sink(Box::new(punchsim_obs::RingSink::new(usize::MAX)));
         let mut rng = SimRng::seed_from_u64(0xE5CA);
         let mut spec = vec![0 as Cycle; 144];
         let mut spec_woken = Vec::new();

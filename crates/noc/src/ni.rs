@@ -48,10 +48,6 @@ pub struct Ni {
     vc_busy: Vec<bool>,
     /// Round-robin pointer over vnets for the shared NI-to-router channel.
     rr: usize,
-    /// Packets currently being reassembled at the ejection side do not need
-    /// per-flit storage: per-VC FIFO order guarantees the tail arrives last,
-    /// so ejection completion is detected on tail flits alone.
-    flits_ejected: u64,
 }
 
 impl Ni {
@@ -66,7 +62,6 @@ impl Ni {
             credits: (0..total).map(|i| layout.depth(i) as u32).collect(),
             vc_busy: vec![false; total],
             rr: 0,
-            flits_ejected: 0,
         }
     }
 
@@ -78,8 +73,7 @@ impl Ni {
     /// Appends this NI's canonical snapshot encoding (see
     /// [`crate::snapshot`]): the per-vnet injection queues (with `ready_at`
     /// rebased against `now`), local-port credits, VC ownership and the
-    /// vnet round-robin pointer. `flits_ejected` is a statistic (monotone)
-    /// and excluded.
+    /// vnet round-robin pointer.
     pub fn encode_state(&self, now: Cycle, out: &mut Vec<u8>) {
         use crate::snapshot::{put_bool, put_u16, put_u64, put_u8};
         for queue in &self.queues {
@@ -183,15 +177,11 @@ impl Ni {
         mid
     }
 
-    /// Flits delivered to this NI so far (ejection-side activity counter).
-    pub fn flits_ejected(&self) -> u64 {
-        self.flits_ejected
-    }
-
-    /// Records the arrival of an ejected flit; returns the packet id when
-    /// `flit` completes its packet (tail arrival).
-    pub fn eject(&mut self, flit: &Flit) -> Option<PacketId> {
-        self.flits_ejected += 1;
+    /// Takes an ejected flit; returns the packet id when `flit` completes
+    /// its packet. Packets being reassembled need no per-flit storage:
+    /// per-VC FIFO order guarantees the tail arrives last, so completion
+    /// is detected on tail flits alone.
+    pub fn eject(&self, flit: &Flit) -> Option<PacketId> {
         flit.kind().is_tail().then_some(flit.packet)
     }
 
@@ -402,13 +392,12 @@ mod tests {
 
     #[test]
     fn eject_completes_on_tail() {
-        let mut ni = mk_ni();
+        let ni = mk_ni();
         let mk =
             |kind, seq| Flit::new(PacketId(9), kind, VnetId(0), MsgClass::Data, NodeId(0), seq);
         assert_eq!(ni.eject(&mk(FlitKind::Head, 0)), None);
         assert_eq!(ni.eject(&mk(FlitKind::Body, 1)), None);
         assert_eq!(ni.eject(&mk(FlitKind::Tail, 2)), Some(PacketId(9)));
-        assert_eq!(ni.flits_ejected(), 3);
     }
 
     #[test]

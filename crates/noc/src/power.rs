@@ -31,6 +31,21 @@ impl PowerState {
         matches!(self, PowerState::On)
     }
 
+    /// `true` when a router in this state will be able to receive a flit
+    /// that arrives at cycle `by`: it is on now, or its deterministic
+    /// wakeup countdown completes by then. This lets switch allocation
+    /// overlap the tail of a wakeup with flit transit — the paper's hiding
+    /// arithmetic (`Twakeup/Trouter` hops, §3) assumes exactly this
+    /// overlap.
+    #[inline]
+    pub fn available_by(self, by: Cycle) -> bool {
+        match self {
+            PowerState::On => true,
+            PowerState::WakingUp { ready_at } => ready_at <= by,
+            PowerState::Off => false,
+        }
+    }
+
     /// The observability label of this state (drops the `ready_at` cycle;
     /// the transition event's own timestamp carries the timing).
     #[inline]
@@ -224,30 +239,17 @@ impl PgCounters {
 /// cycle's events.
 ///
 /// Managers must be `Sync`: during a sharded tick every shard — the host
-/// thread and the pool workers alike — reads [`PowerManager::state`] and
-/// [`PowerManager::is_available`] through one shared `&dyn PowerManager`,
-/// the way every neighbour reads a router's PG wire in hardware. All
-/// mutation goes through `&mut self` on the host thread between sweeps,
-/// so plain-data managers satisfy the bound for free.
+/// thread and the pool workers alike — reads [`PowerManager::state`]
+/// through one shared `&dyn PowerManager`, the way every neighbour reads a
+/// router's PG wire in hardware. All mutation goes through `&mut self` on
+/// the host thread between sweeps, so plain-data managers satisfy the
+/// bound for free.
 pub trait PowerManager: Sync {
     /// Which scheme this manager implements.
     fn kind(&self) -> SchemeKind;
 
     /// Current power state of router `r`.
     fn state(&self, r: NodeId) -> PowerState;
-
-    /// `true` when router `r` will be able to receive a flit that arrives at
-    /// cycle `by`: it is on now, or its deterministic wakeup countdown
-    /// completes by then. This lets switch allocation overlap the tail of a
-    /// wakeup with flit transit — the paper's hiding arithmetic
-    /// (`Twakeup/Trouter` hops, §3) assumes exactly this overlap.
-    fn is_available(&self, r: NodeId, by: Cycle) -> bool {
-        match self.state(r) {
-            PowerState::On => true,
-            PowerState::WakingUp { ready_at } => ready_at <= by,
-            PowerState::Off => false,
-        }
-    }
 
     /// Advances the manager by one cycle: process `events` generated during
     /// `cycle`, move wakeup timers, propagate punch signals, and take sleep
@@ -433,7 +435,12 @@ mod tests {
     fn state_predicates() {
         assert!(PowerState::On.is_on());
         assert!(!PowerState::Off.is_on());
-        assert!(!PowerState::WakingUp { ready_at: 3 }.is_on());
+        let waking = PowerState::WakingUp { ready_at: 3 };
+        assert!(!waking.is_on());
+        assert!(PowerState::On.available_by(0));
+        assert!(!PowerState::Off.available_by(u64::MAX));
+        assert!(!waking.available_by(2), "one cycle before ready_at");
+        assert!(waking.available_by(3), "at ready_at");
     }
 
     #[test]

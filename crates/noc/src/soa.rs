@@ -224,11 +224,11 @@ pub(crate) struct PmAvail<'a> {
 impl PmAvail<'_> {
     /// Downstream router usable by a flit granted SA now.
     fn downstream_on(&self, n: NodeId) -> bool {
-        self.pm.is_available(n, self.arrival_by)
+        self.pm.state(n).available_by(self.arrival_by)
     }
     /// Local router usable by an NI flit sent now.
     fn local_on(&self, n: NodeId) -> bool {
-        self.pm.is_available(n, self.local_by)
+        self.pm.state(n).available_by(self.local_by)
     }
     /// Router is fully powered off right now (invariant-check input).
     fn is_off(&self, n: NodeId) -> bool {

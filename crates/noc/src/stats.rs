@@ -6,84 +6,47 @@ use punchsim_types::{Cycle, SchemeKind};
 use crate::power::PgCounters;
 use crate::router::RouterActivity;
 
-/// Streaming statistics over a sequence of `f64` samples using Welford's
-/// online algorithm (numerically stable, O(1) memory).
-///
-/// # Examples
-///
-/// ```
-/// use punchsim_noc::RunningStats;
-///
-/// let mut lat = RunningStats::default();
-/// [10.0, 12.0, 14.0].map(|v| lat.record(v));
-/// assert_eq!((lat.count(), lat.sum(), lat.mean()), (3, 36.0, 12.0));
-/// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct RunningStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    sum: f64,
-}
-
-impl RunningStats {
-    /// Records one sample.
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        let delta = v - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (v - self.mean);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples (0 when empty).
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance (0 with fewer than two samples).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-}
-
 /// Aggregated per-run network statistics, updated as packets complete.
 #[derive(Debug, Clone, Default)]
 pub struct NetStats {
     /// Packets injected into NI queues (measured window).
     pub packets_injected: u64,
-    /// Packets fully delivered (measured window).
+    /// Packets fully delivered (measured window): the one delivery count,
+    /// and the `n` of every mean below.
     pub packets_delivered: u64,
     /// Flits delivered (measured window).
     pub flits_delivered: u64,
-    /// End-to-end latency: NI enqueue to tail ejection.
-    pub latency: RunningStats,
-    /// Log-bucketed end-to-end latency distribution, recorded alongside
-    /// `latency` for every measured delivery. Always on: the record is a
-    /// handful of integer ops per packet, and cycle-valued samples make
-    /// the histogram — and therefore the report percentiles — fully
+    /// Log-bucketed end-to-end latency (NI enqueue to tail ejection) of
+    /// every measured delivery, with its exact sum. Cycle-valued samples
+    /// make the histogram — and therefore the report percentiles — fully
     /// deterministic across kernels, shard counts and thread counts.
     pub latency_hist: LogHistogram,
-    /// Powered-off routers encountered per packet (Figure 9).
-    pub pg_encounters: RunningStats,
-    /// Cycles per packet spent waiting on router wakeups (Figure 10).
-    pub wakeup_wait: RunningStats,
     /// Flit link traversals (inter-router links only; energy input).
     pub link_traversals: u64,
+    /// Mean end-to-end latency.
+    latency_mean: f64,
+    /// Mean powered-off routers encountered per packet (Figure 9).
+    pg_encounters_mean: f64,
+    /// Mean cycles per packet spent waiting on router wakeups (Figure 10).
+    wakeup_wait_mean: f64,
+}
+
+impl NetStats {
+    /// Counts one measured delivery of a packet that took `latency`
+    /// cycles, met `pg_encounters` powered-off routers and waited
+    /// `wakeup_wait` cycles on wakeups.
+    ///
+    /// The means are Welford running means, not sum ÷ count: the two
+    /// differ in the last bits, and the recorded artifacts pin these.
+    pub fn record_delivery(&mut self, latency: Cycle, pg_encounters: u64, wakeup_wait: u64) {
+        self.packets_delivered += 1;
+        self.latency_hist.record(latency);
+        let n = self.packets_delivered as f64;
+        let welford = |mean: &mut f64, v: u64| *mean += (v as f64 - *mean) / n;
+        welford(&mut self.latency_mean, latency);
+        welford(&mut self.pg_encounters_mean, pg_encounters);
+        welford(&mut self.wakeup_wait_mean, wakeup_wait);
+    }
 }
 
 /// A snapshot of everything a power model or a `figure` row needs after
@@ -113,10 +76,7 @@ impl NetworkReport {
     /// delivered in the measured window (matching the other `avg_*` and
     /// ratio helpers, which all define "empty run" as 0.0, never NaN).
     pub fn avg_packet_latency(&self) -> f64 {
-        if self.stats.latency.count() == 0 {
-            return 0.0;
-        }
-        self.stats.latency.mean()
+        self.stats.latency_mean
     }
 
     /// Median end-to-end packet latency in cycles (0 on an empty run;
@@ -153,19 +113,13 @@ impl NetworkReport {
     /// Mean number of powered-off routers encountered per packet (Fig. 9);
     /// 0.0 on an empty run.
     pub fn avg_pg_encounters(&self) -> f64 {
-        if self.stats.pg_encounters.count() == 0 {
-            return 0.0;
-        }
-        self.stats.pg_encounters.mean()
+        self.stats.pg_encounters_mean
     }
 
     /// Mean cycles per packet waiting for wakeups (Fig. 10); 0.0 on an
     /// empty run.
     pub fn avg_wakeup_wait(&self) -> f64 {
-        if self.stats.wakeup_wait.count() == 0 {
-            return 0.0;
-        }
-        self.stats.wakeup_wait.mean()
+        self.stats.wakeup_wait_mean
     }
 
     /// Delivered throughput in flits/node/cycle.
@@ -180,38 +134,62 @@ impl NetworkReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use punchsim_types::SimRng;
+
+    fn report(routers: usize, cycles: Cycle, stats: NetStats) -> NetworkReport {
+        NetworkReport {
+            scheme: SchemeKind::NoPg,
+            routers,
+            cycles,
+            stats,
+            activity: RouterActivity::default(),
+            pg: PgCounters::new(routers),
+            ni_flits: 0,
+            offered_load: 0.0,
+        }
+    }
 
     #[test]
-    fn running_stats_moments() {
-        let mut s = RunningStats::default();
-        assert_eq!((s.count(), s.mean(), s.variance()), (0, 0.0, 0.0));
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(v);
+    fn means_are_welford_bit_for_bit() {
+        // The reference is the Welford step the recorded artifacts were
+        // produced with; a sum ÷ count mean differs from it in the last
+        // bits on most integer streams, and fails here.
+        let mut rng = SimRng::seed_from_u64(0x5EED);
+        for len in [0u64, 1, 10_000] {
+            let mut stats = NetStats::default();
+            let mut reference = [0.0f64; 3];
+            for i in 1..=len {
+                let sample = [
+                    10 + rng.next_u64() % 500,
+                    rng.next_u64() % 8,
+                    rng.next_u64() % 40,
+                ];
+                stats.record_delivery(sample[0], sample[1], sample[2]);
+                for (mean, v) in reference.iter_mut().zip(sample) {
+                    let delta = v as f64 - *mean;
+                    *mean += delta / i as f64;
+                }
+            }
+            let r = report(1, 1, stats);
+            let means = [
+                r.avg_packet_latency(),
+                r.avg_pg_encounters(),
+                r.avg_wakeup_wait(),
+            ];
+            assert_eq!(r.stats.packets_delivered, len);
+            assert_eq!(r.stats.latency_hist.count(), len);
+            assert_eq!(means.map(f64::to_bits), reference.map(f64::to_bits));
         }
-        assert_eq!((s.mean(), s.sum()), (5.0, 40.0));
-        assert!((s.variance() - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn report_ratios() {
         let mut stats = NetStats::default();
-        stats.latency.record(10.0);
-        stats.latency.record(20.0);
-        stats.latency_hist.record(10);
-        stats.latency_hist.record(20);
+        stats.record_delivery(10, 0, 0);
+        stats.record_delivery(20, 0, 0);
         stats.flits_delivered = 640;
-        let mut pg = PgCounters::new(2);
-        pg.off_cycles = vec![50, 150];
-        let r = NetworkReport {
-            scheme: SchemeKind::NoPg,
-            routers: 2,
-            cycles: 100,
-            stats,
-            activity: RouterActivity::default(),
-            pg,
-            ni_flits: 0,
-            offered_load: 0.0,
-        };
+        let mut r = report(2, 100, stats);
+        r.pg.off_cycles = vec![50, 150];
         assert_eq!(r.avg_packet_latency(), 15.0);
         assert_eq!(r.latency_p50(), 10);
         assert_eq!(r.latency_max(), 20);
@@ -224,16 +202,7 @@ mod tests {
         // Regression: every avg_*/ratio helper must agree that an empty
         // measured window reads 0.0 (finite), so downstream JSON reports
         // never see NaN.
-        let r = NetworkReport {
-            scheme: SchemeKind::NoPg,
-            routers: 0,
-            cycles: 0,
-            stats: NetStats::default(),
-            activity: RouterActivity::default(),
-            pg: PgCounters::new(0),
-            ni_flits: 0,
-            offered_load: 0.0,
-        };
+        let r = report(0, 0, NetStats::default());
         for v in [
             r.avg_packet_latency(),
             r.off_fraction(),

@@ -1,7 +1,7 @@
 //! Substrate edge cases: degenerate meshes, fairness, vnet isolation,
 //! and delivery events.
 
-use punchsim_noc::obs::{Event, VecSink};
+use punchsim_noc::obs::{Event, RingSink};
 use punchsim_noc::{AlwaysOn, Message, MsgClass, Network};
 use punchsim_types::{Mesh, NocConfig, NodeId, VnetId};
 
@@ -132,7 +132,7 @@ fn vnets_are_isolated_under_congestion() {
 fn sink_records_every_delivery() {
     let mesh = Mesh::new(4, 4);
     let mut n = net_with_mesh(mesh);
-    n.set_sink(Box::new(VecSink::new()));
+    n.set_sink(Box::new(RingSink::new(usize::MAX)));
     let pairs: Vec<(u16, u16)> = (0..20u16).map(|i| (i % 16, (i * 3 + 1) % 16)).collect();
     for &(src, dst) in &pairs {
         n.send(msg(src, dst, 0, MsgClass::Control)).unwrap();

@@ -10,9 +10,9 @@
 //! * [`event`] — the [`Event`] taxonomy: power transitions, punch
 //!   emit/deliver, WU assertions, NI slack-1/slack-2 firings, BET epochs,
 //!   stalls, force-wake escalations, injected faults.
-//! * [`sink`] — the [`EventSink`] trait with a bounded ring-buffer flight
-//!   recorder and an unbounded capture sink (a host with tracing off
-//!   holds no sink).
+//! * [`sink`] — [`RingSink`], the one event recorder: a ring-buffer flight
+//!   recorder whose capacity may be `usize::MAX` to keep the whole run (a
+//!   host with tracing off holds no recorder).
 //! * [`export`] — JSONL and Chrome trace-event JSON renderers (the
 //!   latter loads in `chrome://tracing` / Perfetto with one track per
 //!   router and flow arrows for punch signals).
@@ -38,4 +38,4 @@ pub mod sink;
 pub use event::{Event, FaultKind, PowerTag, Stamped};
 pub use export::{chrome_trace, to_jsonl};
 pub use json::{Json, JsonError};
-pub use sink::{EventSink, RingSink, VecSink};
+pub use sink::RingSink;

@@ -1,43 +1,26 @@
-//! Event sinks: where the simulator's instrumentation points deliver
-//! [`Stamped`] events.
+//! The event recorder: where the simulator's instrumentation points
+//! deliver [`Stamped`] events.
 //!
-//! Hosts keep their sink behind an `Option`, so tracing switched off costs
-//! one branch and needs no sink at all. Two implementations cover the
-//! operating points:
-//!
-//! * [`RingSink`] — a bounded "flight recorder": keeps the most recent N
-//!   events and counts what it evicted. This is what the watchdog dumps
-//!   into a `StallReport` when a run wedges. Its buffer grows on demand,
-//!   so the capacity bounds what is kept, not what is reserved.
-//! * [`VecSink`] — unbounded capture for tests and `--trace-cap 0` runs,
-//!   where the whole run's event stream becomes the artifact.
+//! Hosts keep their recorder behind an `Option`, so tracing switched off
+//! costs one branch and needs no recorder at all. [`RingSink`] is the one
+//! recorder: it keeps the most recent N events and counts what it evicted.
+//! The watchdog dumps it into a `StallReport` when a run wedges. Its buffer
+//! grows on demand, so the capacity bounds what is kept, not what is
+//! reserved, and `RingSink::new(usize::MAX)` keeps the whole run.
 
 use crate::event::{Event, Stamped};
 use punchsim_types::Cycle;
 use std::collections::VecDeque;
 
-/// A destination for cycle-stamped events.
+/// A flight recorder retaining the most recent `capacity` events.
 ///
-/// Implementations must be cheap: instrumentation points fire on hot paths
-/// and rely on `record` being a plain buffer write (no I/O, no locking).
-pub trait EventSink: std::fmt::Debug {
-    /// Records one event at `cycle`.
-    fn record(&mut self, cycle: Cycle, event: &Event);
-
-    /// The currently retained events, oldest first.
-    fn snapshot(&self) -> Vec<Stamped>;
-
-    /// Total events offered to the sink, including any it discarded.
-    fn recorded(&self) -> u64;
-}
-
-/// A bounded flight recorder retaining the most recent `capacity` events.
+/// Recording is a plain buffer write (no I/O, no locking): instrumentation
+/// points fire on hot paths.
 #[derive(Debug, Clone)]
 pub struct RingSink {
     buf: VecDeque<Stamped>,
     capacity: usize,
     dropped: u64,
-    recorded: u64,
 }
 
 impl RingSink {
@@ -49,7 +32,6 @@ impl RingSink {
             buf: VecDeque::new(),
             capacity: capacity.max(1),
             dropped: 0,
-            recorded: 0,
         }
     }
 
@@ -72,10 +54,9 @@ impl RingSink {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-}
 
-impl EventSink for RingSink {
-    fn record(&mut self, cycle: Cycle, event: &Event) {
+    /// Records one event at `cycle`, evicting the oldest when full.
+    pub fn record(&mut self, cycle: Cycle, event: &Event) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -84,50 +65,16 @@ impl EventSink for RingSink {
             cycle,
             event: *event,
         });
-        self.recorded += 1;
     }
 
-    fn snapshot(&self) -> Vec<Stamped> {
+    /// The retained events, oldest first.
+    pub fn snapshot(&self) -> Vec<Stamped> {
         self.buf.iter().copied().collect()
     }
 
-    fn recorded(&self) -> u64 {
-        self.recorded
-    }
-}
-
-/// Unbounded capture, for tests and whole-run trace artifacts.
-#[derive(Debug, Clone, Default)]
-pub struct VecSink {
-    events: Vec<Stamped>,
-}
-
-impl VecSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        VecSink::default()
-    }
-
-    /// The captured events, oldest first.
-    pub fn events(&self) -> &[Stamped] {
-        &self.events
-    }
-}
-
-impl EventSink for VecSink {
-    fn record(&mut self, cycle: Cycle, event: &Event) {
-        self.events.push(Stamped {
-            cycle,
-            event: *event,
-        });
-    }
-
-    fn snapshot(&self) -> Vec<Stamped> {
-        self.events.clone()
-    }
-
-    fn recorded(&self) -> u64 {
-        self.events.len() as u64
+    /// Total events offered, including evicted ones.
+    pub fn recorded(&self) -> u64 {
+        self.buf.len() as u64 + self.dropped
     }
 }
 
@@ -176,13 +123,13 @@ mod tests {
     }
 
     #[test]
-    fn vec_sink_keeps_everything_in_order() {
-        let mut s = VecSink::new();
+    fn unbounded_ring_keeps_everything_in_order() {
+        let mut s = RingSink::new(usize::MAX);
         for i in 0..4u64 {
             s.record(i, &ev(i as u16));
         }
-        assert_eq!(s.recorded(), 4);
-        assert_eq!(s.events().len(), 4);
-        assert!(s.events().windows(2).all(|w| w[0].cycle <= w[1].cycle));
+        assert_eq!((s.recorded(), s.len(), s.dropped()), (4, 4, 0));
+        let events = s.snapshot();
+        assert!(events.windows(2).all(|w| w[0].cycle < w[1].cycle));
     }
 }

@@ -3,7 +3,7 @@
 //! be exported through the standard JSONL / Chrome-trace pipelines and
 //! inspected in Perfetto.
 
-use punchsim_noc::obs::{chrome_trace, to_jsonl, Stamped, VecSink};
+use punchsim_noc::obs::{chrome_trace, to_jsonl, RingSink, Stamped};
 use punchsim_types::SimError;
 
 use crate::checker::{advance, Counterexample, VerifyError};
@@ -41,7 +41,7 @@ impl Replay {
 /// not honour. Replay `tick` errors are the expected outcome and are
 /// captured in [`Replay::error`], not returned.
 pub fn replay(cfg: &VerifyConfig, ce: &Counterexample) -> Result<Replay, VerifyError> {
-    let mut net = build_network(cfg, Some(Box::new(VecSink::new())))?;
+    let mut net = build_network(cfg, Some(Box::new(RingSink::new(usize::MAX))))?;
     let error = advance(&mut net, &ce.choices)?;
     let events = net.take_sink().map(|s| s.snapshot()).unwrap_or_default();
     Ok(Replay { events, error })

@@ -10,7 +10,7 @@
 use punchsim_core::build_power_manager;
 use punchsim_core::faults::FaultInjector;
 use punchsim_noc::{Message, MsgClass, Network};
-use punchsim_obs::EventSink;
+use punchsim_obs::RingSink;
 use punchsim_types::{
     Cycle, FaultChoice, Mesh, NodeId, SchemeKind, SimConfig, SimError, VnetId, WatchdogConfig,
 };
@@ -132,10 +132,7 @@ impl VerifyConfig {
 /// # Errors
 ///
 /// Returns any configuration or warmup simulation error verbatim.
-pub fn build_network(
-    cfg: &VerifyConfig,
-    sink: Option<Box<dyn EventSink>>,
-) -> Result<Network, SimError> {
+pub fn build_network(cfg: &VerifyConfig, sink: Option<Box<RingSink>>) -> Result<Network, SimError> {
     let mut sim = SimConfig::with_scheme(cfg.scheme);
     sim.noc.topology = Mesh::try_new(cfg.width, cfg.height)?.into();
     sim.noc.watchdog = WatchdogConfig {

@@ -69,7 +69,7 @@ pub mod prelude {
     pub use punchsim_core::faults::{FaultInjector, FaultStats};
     pub use punchsim_noc::{Network, NetworkReport, PowerManager};
     pub use punchsim_obs::metrics::{LogHistogram, Phase, PhaseProfiler, Plane, Registry};
-    pub use punchsim_obs::{Event, EventSink, RingSink, Stamped, VecSink};
+    pub use punchsim_obs::{Event, RingSink, Stamped};
     pub use punchsim_power::{EnergyBreakdown, PowerModel};
     pub use punchsim_traffic::{SyntheticSim, TrafficPattern};
     pub use punchsim_types::{

@@ -8,7 +8,7 @@
 
 use punchsim::core::build_power_manager;
 use punchsim::noc::{Message, MsgClass, Network, PgCounters};
-use punchsim::obs::{Event, FaultKind, VecSink};
+use punchsim::obs::{Event, FaultKind, RingSink};
 use punchsim::types::{
     FaultConfig, Mesh, NodeId, RoutingKind, SchemeKind, SimConfig, SimError, SimRng, StallReport,
     StuckEpoch, Substrate, Torus, VnetId, WatchdogConfig,
@@ -24,7 +24,7 @@ fn run_faulted_net(mesh: Mesh, faults: FaultConfig) -> (usize, usize, Network) {
     cfg.faults = faults;
     let pm = build_power_manager(&cfg).expect("valid config");
     let mut net = Network::new(&cfg.noc, pm).expect("valid config");
-    net.set_sink(Box::new(VecSink::new()));
+    net.set_sink(Box::new(RingSink::new(usize::MAX)));
     let n = mesh.nodes() as u16;
     let mut rng = SimRng::seed_from_u64(7);
     let mut sent = 0usize;
@@ -61,12 +61,7 @@ fn run_faulted_net(mesh: Mesh, faults: FaultConfig) -> (usize, usize, Network) {
 fn run_faulted(mesh: Mesh, faults: FaultConfig) -> (usize, usize, f64, PgCounters) {
     let (sent, delivered, net) = run_faulted_net(mesh, faults);
     let report = net.report();
-    (
-        sent,
-        delivered,
-        report.stats.wakeup_wait.mean(),
-        report.pg.clone(),
-    )
+    (sent, delivered, report.avg_wakeup_wait(), report.pg.clone())
 }
 
 fn drop_faults(prob: f64) -> FaultConfig {

@@ -162,8 +162,8 @@ fn tracing_does_not_perturb_results() {
         traced.stats.packets_delivered
     );
     assert_eq!(
-        plain.stats.latency.mean().to_bits(),
-        traced.stats.latency.mean().to_bits(),
+        plain.avg_packet_latency().to_bits(),
+        traced.avg_packet_latency().to_bits(),
         "latency distribution diverged under tracing"
     );
     assert_eq!(plain.pg, traced.pg, "power-gating counters diverged");

@@ -339,7 +339,7 @@ fn credits_that_outlive_quiescence_are_delivered_exactly() {
             }
             // Quiescent with credits on the wire: the kernel skips from
             // here on, a cycle at a time or (last round) in one jump.
-            assert!(nets.iter().all(|(_, net, _)| net.quiescent()));
+            assert!(nets.iter().all(|(_, net, _)| net.in_flight() == 0));
             if gap == 10_000 {
                 for (_, net, _) in &mut nets {
                     net.run(gap).unwrap();
