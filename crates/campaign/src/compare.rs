@@ -8,7 +8,7 @@
 //! through `f64::ln`), not to forgive real regressions — an injected 10%
 //! latency regression fails the default 5% gate with room to spare.
 
-use crate::json::Json;
+use crate::Json;
 
 /// Allowed drift per gated metric.
 #[derive(Debug, Clone, PartialEq)]

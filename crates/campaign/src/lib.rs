@@ -10,11 +10,14 @@
 //! The paper's evaluation (Figures 7–13, Table 1) is an 8-benchmark ×
 //! 4-scheme full-system campaign plus synthetic sweeps; [`SUITES`] is the
 //! one table that says which runs each named suite is, and [`Size`] how
-//! long they are. Every run is independent, so the campaign is
-//! embarrassingly parallel; the runner keeps result *ordering*
-//! deterministic regardless of worker count, which keeps the artifacts
-//! byte-identical between `--threads 1` and `--threads N` (pinned by
-//! `tests/determinism.rs`).
+//! long they are. The synthetic sweeps are driven by [`traffic`] (the §6.4
+//! patterns and the open-loop injection harness) and every run's energy is
+//! scored by [`power`] (the DSENT stand-in), the two modules
+//! [`RunSpec::execute_observed`] runs and distils. Every run is
+//! independent, so the campaign is embarrassingly parallel; the runner
+//! keeps result *ordering* deterministic regardless of worker count, which
+//! keeps the artifacts byte-identical between `--threads 1` and
+//! `--threads N` (pinned by `tests/determinism.rs`).
 //!
 //! Everything here is dependency-free by construction: JSON emission and
 //! parsing, the FNV-1a/SplitMix64 content hash, and the thread pool are
@@ -35,19 +38,17 @@
 
 pub mod compare;
 pub mod hash;
+pub mod power;
 pub mod report;
 pub mod runner;
 pub mod series;
 pub mod spec;
 pub mod store;
 pub mod suites;
-
-/// The shared JSON value now lives in `punchsim-obs`; re-exported here so
-/// existing `punchsim_campaign::json::Json` paths keep working.
-pub use punchsim_obs::json;
+pub mod traffic;
 
 pub use compare::{compare, Comparison, Deviation, Tolerances};
-pub use json::{Json, JsonError};
+pub use punchsim_obs::json::{Json, JsonError};
 pub use report::{CampaignReport, TIMING_SCHEMA_VERSION};
 pub use runner::{Outcome, RunError, RunErrorKind, RunRecord, Runner};
 pub use series::{IntervalRow, IntervalSeries};

@@ -1,4 +1,5 @@
-//! Router energy and area models for `punchsim`.
+//! Router energy and area models: how every run's
+//! [`Metrics`](crate::Metrics) scores its energy.
 //!
 //! The paper obtains router power from DSENT at 45 nm. We reproduce an
 //! analytical model of the same structure — per-component static power,
@@ -14,8 +15,6 @@
 //! All energy results in the paper are *ratios* against the same model's
 //! `No-PG` baseline, so any internally consistent calibration that matches
 //! the anchors reproduces the reported savings; see DESIGN.md.
-
-#![forbid(unsafe_code)]
 
 pub mod area;
 pub mod model;

@@ -40,7 +40,7 @@ impl EnergyBreakdown {
 /// # Examples
 ///
 /// ```
-/// use punchsim_power::PowerModel;
+/// use punchsim_campaign::power::PowerModel;
 ///
 /// let m = PowerModel::default_45nm();
 /// // Figure 12 anchor: 64 always-on routers burn ~1.8 W of static power.

@@ -12,9 +12,9 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::json::Json;
 use crate::runner::Outcome;
 use crate::spec::SCHEMA_VERSION;
+use crate::Json;
 
 /// Timing-sidecar schema tag. v2 added per-run shard-spawn overhead and
 /// the optional campaign-level merged metric registry; v3 added per-run
@@ -170,7 +170,7 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use punchsim_traffic::TrafficPattern;
+    use crate::traffic::TrafficPattern;
     use punchsim_types::{Mesh, RoutingKind, SchemeKind};
 
     use crate::runner::Runner;

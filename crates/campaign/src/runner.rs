@@ -280,7 +280,7 @@ fn execute_one(spec: &RunSpec, store: Option<&Store>, opts: ObserveOpts, shards:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use punchsim_traffic::TrafficPattern;
+    use crate::traffic::TrafficPattern;
     use punchsim_types::{Mesh, RoutingKind, SchemeKind};
 
     use crate::spec::Workload;

@@ -7,7 +7,7 @@
 use punchsim_noc::NetworkReport;
 use punchsim_types::Cycle;
 
-use crate::json::Json;
+use crate::Json;
 
 /// One closed sampling interval, as deltas of the cumulative counters.
 #[derive(Debug, Clone, PartialEq)]

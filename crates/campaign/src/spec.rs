@@ -5,18 +5,18 @@
 //! for the incremental result store, rendered into a stable id for
 //! artifacts, and executed ([`RunSpec::execute`]) into [`Metrics`].
 
+use crate::power::PowerModel;
+use crate::traffic::{InjectionConfig, SyntheticSim, TrafficPattern};
 use punchsim_cmp::{Benchmark, CmpConfig, CmpSim};
 use punchsim_noc::{Network, NetworkReport};
 use punchsim_obs::metrics::Registry;
 use punchsim_obs::{RingSink, Stamped};
-use punchsim_power::PowerModel;
-use punchsim_traffic::{InjectionConfig, SyntheticSim, TrafficPattern};
 use punchsim_types::{RoutingKind, SchemeKind, SimConfig, SimError, Substrate};
 
 use crate::hash::Fnv64;
-use crate::json::Json;
 use crate::runner::RunRecord;
 use crate::series::IntervalSeries;
+use crate::Json;
 
 /// Schema tag stamped into every artifact and mixed into every content
 /// hash. Bump it whenever the meaning of a metric changes: old store
@@ -284,20 +284,9 @@ impl RunSpec {
                 let mut sim = SyntheticSim::new(cfg, *pattern, *rate);
                 sim.network_mut().set_shards(shards)?;
                 attach(sim.network_mut(), opts.trace_cap, opts.metrics);
-                // The same tick sequence as `run_experiment`, with the
-                // measured window run in chunks of `every` cycles.
-                sim.run(*warmup_cycles)?;
-                sim.network_mut().reset_stats();
-                sample(sim.network());
-                let mut remaining = *measure_cycles;
-                while remaining > 0 {
-                    let step = every.min(remaining);
-                    sim.run(step)?;
-                    sample(sim.network());
-                    remaining -= step;
-                }
+                let r = sim.run_hooked(*warmup_cycles, *measure_cycles, every, &mut sample)?;
                 let total = warmup_cycles + measure_cycles;
-                let metrics = Metrics::from_report(&sim.report(), &pm, total, true);
+                let metrics = Metrics::from_report(&r, &pm, total, true);
                 Ok(self.record(sim.network_mut(), metrics, series))
             }
         }
@@ -341,7 +330,7 @@ pub fn attach(net: &mut Network, trace_cap: usize, metrics: bool) {
 /// network exports, the wall-clock tick-phase profile, and the shard
 /// thread overhead (creations plus pooled-tick barrier waits).
 pub fn harvest(net: &mut Network) -> (Vec<Stamped>, Option<Registry>) {
-    let events = net.take_sink().map(|s| s.snapshot()).unwrap_or_default();
+    let events = net.take_sink().map(|s| s.into_vec()).unwrap_or_default();
     let registry = net.take_profiler().map(|profiler| {
         let mut reg = Registry::new();
         net.export_metrics(&mut reg);

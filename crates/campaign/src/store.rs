@@ -10,8 +10,8 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::json::Json;
 use crate::spec::{Metrics, RunSpec, SCHEMA_VERSION};
+use crate::Json;
 
 /// A directory of per-run result files.
 #[derive(Debug, Clone)]
@@ -107,7 +107,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use punchsim_traffic::TrafficPattern;
+    use crate::traffic::TrafficPattern;
     use punchsim_types::{Mesh, RoutingKind, SchemeKind};
 
     use crate::spec::Workload;

@@ -6,8 +6,8 @@
 //! suite is a row of data, and [`Suite::specs`] is the one function that
 //! expands a row into its [`RunSpec`] list.
 
+use crate::traffic::TrafficPattern::{self, Transpose, UniformRandom};
 use punchsim_cmp::Benchmark;
-use punchsim_traffic::TrafficPattern::{self, Transpose, UniformRandom};
 use punchsim_types::RoutingKind::{self, Xy, Yx};
 use punchsim_types::SchemeKind::{self, *};
 use punchsim_types::{Mesh, Torus};

@@ -1,4 +1,5 @@
-//! Synthetic traffic generation for `punchsim`.
+//! Synthetic traffic generation: the workload of every synthetic
+//! [`RunSpec`](crate::RunSpec).
 //!
 //! Provides the traffic patterns of §6.4 of the Power Punch paper (uniform
 //! random, transpose, bit-complement, plus the usual extras) and an
@@ -8,7 +9,7 @@
 //! # Examples
 //!
 //! ```
-//! use punchsim_traffic::{SyntheticSim, TrafficPattern};
+//! use punchsim_campaign::traffic::{SyntheticSim, TrafficPattern};
 //! use punchsim_types::{Mesh, SchemeKind, SimConfig};
 //!
 //! let mut cfg = SimConfig::with_scheme(SchemeKind::PowerPunchFull);
@@ -17,8 +18,6 @@
 //! let report = sim.run_experiment(1_000, 4_000).unwrap();
 //! assert!(report.stats.packets_delivered > 0);
 //! ```
-
-#![forbid(unsafe_code)]
 
 pub mod pattern;
 pub mod sim;

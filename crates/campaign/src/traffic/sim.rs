@@ -7,7 +7,7 @@ use punchsim_core::build_power_manager;
 use punchsim_noc::{Message, MsgClass, Network, NetworkReport};
 use punchsim_types::{ConfigError, Cycle, NodeId, SimConfig, SimError, SimRng, VnetId};
 
-use crate::pattern::TrafficPattern;
+use super::pattern::TrafficPattern;
 
 /// Host-event kinds, ordered so a node's slack-2 forewarning sorts before
 /// its injection within the same cycle — the order the historic per-node
@@ -75,7 +75,7 @@ impl InjectionConfig {
 /// # Examples
 ///
 /// ```
-/// use punchsim_traffic::{SyntheticSim, TrafficPattern};
+/// use punchsim_campaign::traffic::{SyntheticSim, TrafficPattern};
 /// use punchsim_types::{Mesh, SchemeKind, SimConfig};
 ///
 /// let mut cfg = SimConfig::with_scheme(SchemeKind::ConvOptPg);
@@ -313,9 +313,41 @@ impl SyntheticSim {
     ///
     /// Propagates the first error from [`SyntheticSim::tick`].
     pub fn run_experiment(&mut self, warmup: u64, measure: u64) -> Result<NetworkReport, SimError> {
+        self.run_hooked(warmup, measure, u64::MAX, &mut |_| {})
+    }
+
+    /// Runs like [`SyntheticSim::run_experiment`], invoking `hook` with the
+    /// network once the statistics are reset and again after every `every`
+    /// measured cycles (the last chunk may be shorter); the synthetic twin
+    /// of [`CmpSim::run_hooked`](punchsim_cmp::CmpSim::run_hooked), used for
+    /// interval sampling. The hook only reads, so the run is the same with
+    /// any `every`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error from [`SyntheticSim::tick`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every` is zero.
+    pub fn run_hooked(
+        &mut self,
+        warmup: u64,
+        measure: u64,
+        every: u64,
+        hook: &mut dyn FnMut(&Network),
+    ) -> Result<NetworkReport, SimError> {
+        assert!(every > 0, "hook period must be positive");
         self.run(warmup)?;
         self.net.reset_stats();
-        self.run(measure)?;
+        hook(&self.net);
+        let mut remaining = measure;
+        while remaining > 0 {
+            let step = every.min(remaining);
+            self.run(step)?;
+            hook(&self.net);
+            remaining -= step;
+        }
         Ok(self.report())
     }
 
@@ -480,8 +512,8 @@ mod tests {
             .set_sink(Box::new(punchsim_noc::obs::RingSink::new(4096)));
         s.run(2_000).unwrap();
         let sink = s.network().sink().expect("attached above");
-        assert!(sink.recorded() > 0);
-        let kinds: Vec<&str> = sink.snapshot().iter().map(|e| e.event.kind()).collect();
+        assert!(!sink.is_empty());
+        let kinds: Vec<&str> = sink.iter().map(|e| e.event.kind()).collect();
         assert!(kinds.contains(&"inject"), "{kinds:?}");
         assert!(kinds.contains(&"punch-emit"), "{kinds:?}");
         // Detachable through network_mut for export.

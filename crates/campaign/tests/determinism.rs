@@ -2,8 +2,8 @@
 //! byte-identical deterministic artifacts on 1 worker and on N workers,
 //! with or without the result store in the loop.
 
+use punchsim_campaign::traffic::TrafficPattern;
 use punchsim_campaign::{CampaignReport, Json, RunSpec, Runner, Store, Workload};
-use punchsim_traffic::TrafficPattern;
 use punchsim_types::{Mesh, RoutingKind, SchemeKind};
 
 fn specs() -> Vec<RunSpec> {

@@ -504,7 +504,7 @@ mod tests {
         let r = sim.run_hooked(u64::MAX, &mut |_| {});
         assert!(r.completed);
         let sink = sim.network_mut().take_sink().expect("sink attached");
-        let kinds: Vec<&str> = sink.snapshot().iter().map(|e| e.event.kind()).collect();
+        let kinds: Vec<&str> = sink.iter().map(|e| e.event.kind()).collect();
         assert!(kinds.contains(&"inject"), "{kinds:?}");
         assert!(kinds.contains(&"slack1"), "{kinds:?}");
         assert!(kinds.contains(&"punch-emit"), "{kinds:?}");

@@ -9,7 +9,7 @@
 //! Observers never clone: a fork starts with `Observers::default()`.
 
 use punchsim_obs::metrics::{Phase, PhaseProfiler};
-use punchsim_obs::{Event, PowerTag, RingSink};
+use punchsim_obs::{Event, PowerTag, RingSink, Stamped};
 use punchsim_types::{Cycle, NodeId};
 
 use super::Network;
@@ -110,9 +110,7 @@ impl Observers {
         let Some(sink) = self.sink.as_ref() else {
             return Vec::new();
         };
-        let all = sink.snapshot();
-        let skip = all.len().saturating_sub(max);
-        all[skip..].iter().map(|st| st.to_string()).collect()
+        sink.tail(max).map(Stamped::to_string).collect()
     }
 
     /// Charges the wall time since the previous phase boundary to `p`.
@@ -195,8 +193,7 @@ mod tests {
         n.set_sink(Box::new(RingSink::new(usize::MAX)));
         n.send(msg(0, 3, MsgClass::Control)).unwrap();
         n.run(40).unwrap();
-        let sink = n.take_sink().expect("sink was attached");
-        let events = sink.snapshot();
+        let events = n.take_sink().expect("sink was attached").into_vec();
         let kinds: Vec<&str> = events.iter().map(|s| s.event.kind()).collect();
         assert!(kinds.contains(&"inject"), "{kinds:?}");
         assert!(kinds.contains(&"slack1"), "{kinds:?}");
@@ -245,24 +242,35 @@ mod tests {
             },
             ..NocConfig::default()
         };
-        let mut n = net_with(&cfg, AlwaysOff::boxed);
-        n.set_sink(Box::new(punchsim_obs::RingSink::new(64)));
-        n.send(msg(0, 9, MsgClass::Control)).unwrap();
-        let report = loop {
-            match n.tick() {
-                Ok(()) => {}
-                Err(SimError::Stall(r)) => break *r,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        };
-        assert!(!report.last_events.is_empty());
-        assert!(report.last_events.len() <= 32);
-        // The tail shows the ignored WU handshake toward the wedged local
-        // router — the whole point of the flight recorder.
-        assert!(
-            report.last_events.iter().any(|e| e.contains("WU asserted")),
-            "{:?}",
-            report.last_events
-        );
+        // A bounded ring and one that keeps the whole run (`--trace-cap 0`)
+        // report the same tail, read in place.
+        for cap in [64, usize::MAX] {
+            let mut n = net_with(&cfg, AlwaysOff::boxed);
+            n.set_sink(Box::new(RingSink::new(cap)));
+            n.send(msg(0, 9, MsgClass::Control)).unwrap();
+            let report = loop {
+                match n.tick() {
+                    Ok(()) => {}
+                    Err(SimError::Stall(r)) => break *r,
+                    Err(e) => panic!("unexpected error: {e}"),
+                }
+            };
+            assert!(!report.last_events.is_empty());
+            assert!(report.last_events.len() <= 32);
+            // The tail shows the ignored WU handshake toward the wedged
+            // local router — the whole point of the flight recorder.
+            assert!(
+                report.last_events.iter().any(|e| e.contains("WU asserted")),
+                "{:?}",
+                report.last_events
+            );
+            let all = n.take_sink().expect("attached above").into_vec();
+            assert!(all.len() > 32, "cap {cap}: only {} events", all.len());
+            let last: Vec<String> = all[all.len().saturating_sub(32)..]
+                .iter()
+                .map(Stamped::to_string)
+                .collect();
+            assert_eq!(report.last_events, last, "cap {cap}");
+        }
     }
 }

@@ -336,7 +336,6 @@ mod tests {
         let woken: Vec<(Cycle, u16)> = n
             .take_sink()
             .expect("attached above")
-            .snapshot()
             .iter()
             .filter_map(|s| match s.event {
                 Event::ForceWake { router } => Some((s.cycle, router.0)),

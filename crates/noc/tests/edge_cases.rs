@@ -141,7 +141,7 @@ fn sink_records_every_delivery() {
         n.tick().unwrap();
     }
     assert_eq!(n.in_flight(), 0);
-    let events = n.take_sink().expect("sink attached").snapshot();
+    let events = n.take_sink().expect("sink attached").into_vec();
     let latencies: Vec<u64> = events
         .iter()
         .filter_map(|s| match s.event {

@@ -111,7 +111,7 @@ impl Json {
     /// canonical artifact form.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
@@ -120,41 +120,15 @@ impl Json {
     /// used for JSONL event streams, where one value must occupy one line.
     pub fn render_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Json::Null | Json::Bool(_) | Json::Int(_) | Json::Float(_) | Json::Str(_) => {
-                self.write(out, 0)
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn write(&self, out: &mut String, indent: usize) {
+    /// Writes the value at nesting depth `indent`, or on one line with no
+    /// insignificant whitespace when `indent` is `None`. Empty containers
+    /// are `[]` and `{}` either way.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|d| d + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -173,8 +147,8 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline(out, indent + 1);
-                    item.write(out, indent + 1);
+                    newline(out, inner);
+                    item.write(out, inner);
                 }
                 newline(out, indent);
                 out.push(']');
@@ -189,10 +163,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    newline(out, indent + 1);
+                    newline(out, inner);
                     write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
                 }
                 newline(out, indent);
                 out.push('}');
@@ -217,10 +191,13 @@ impl Json {
     }
 }
 
-fn newline(out: &mut String, indent: usize) {
-    out.push('\n');
-    for _ in 0..indent {
-        out.push_str("  ");
+/// Starts a line at depth `indent`; nothing in the compact form.
+fn newline(out: &mut String, indent: Option<usize>) {
+    if let Some(depth) = indent {
+        out.push('\n');
+        for _ in 0..depth {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -531,6 +508,33 @@ mod tests {
         assert!(!line.contains('\n'), "{line:?}");
         assert_eq!(line, "{\"kind\":\"power\",\"router\":5,\"args\":[1,2.5]}");
         assert_eq!(Json::parse(&line).unwrap(), v);
+    }
+
+    #[test]
+    fn both_renderings_of_a_nested_document_are_pinned() {
+        let mut inner = Json::obj();
+        inner.push("e", Json::Null);
+        let mut b = Json::obj();
+        b.push("c", Json::Arr(Vec::new()));
+        b.push("d", inner);
+        let mut v = Json::obj();
+        v.push(
+            "a",
+            Json::Arr(vec![Json::Int(1), Json::obj(), Json::Arr(Vec::new())]),
+        );
+        v.push("b", b);
+        v.push("f", Json::Str("x".to_string()));
+        assert_eq!(
+            v.render(),
+            "{\n  \"a\": [\n    1,\n    {},\n    []\n  ],\n  \"b\": {\n    \"c\": [],\n    \
+             \"d\": {\n      \"e\": null\n    }\n  },\n  \"f\": \"x\"\n}\n"
+        );
+        assert_eq!(
+            v.render_compact(),
+            "{\"a\":[1,{},[]],\"b\":{\"c\":[],\"d\":{\"e\":null}},\"f\":\"x\"}"
+        );
+        assert_eq!(Json::obj().render_compact(), "{}");
+        assert_eq!(Json::Arr(Vec::new()).render(), "[]\n");
     }
 
     #[test]

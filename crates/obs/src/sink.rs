@@ -3,14 +3,14 @@
 //!
 //! Hosts keep their recorder behind an `Option`, so tracing switched off
 //! costs one branch and needs no recorder at all. [`RingSink`] is the one
-//! recorder: it keeps the most recent N events and counts what it evicted.
-//! The watchdog dumps it into a `StallReport` when a run wedges. Its buffer
-//! grows on demand, so the capacity bounds what is kept, not what is
+//! recorder: it keeps the most recent N events and evicts the oldest. The
+//! watchdog renders its tail into a `StallReport` when a run wedges. Its
+//! buffer grows on demand, so the capacity bounds what is kept, not what is
 //! reserved, and `RingSink::new(usize::MAX)` keeps the whole run.
 
 use crate::event::{Event, Stamped};
 use punchsim_types::Cycle;
-use std::collections::VecDeque;
+use std::collections::vec_deque::{Iter, VecDeque};
 
 /// A flight recorder retaining the most recent `capacity` events.
 ///
@@ -20,7 +20,6 @@ use std::collections::VecDeque;
 pub struct RingSink {
     buf: VecDeque<Stamped>,
     capacity: usize,
-    dropped: u64,
 }
 
 impl RingSink {
@@ -31,13 +30,7 @@ impl RingSink {
         RingSink {
             buf: VecDeque::new(),
             capacity: capacity.max(1),
-            dropped: 0,
         }
-    }
-
-    /// Maximum retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Events currently retained.
@@ -50,16 +43,10 @@ impl RingSink {
         self.buf.is_empty()
     }
 
-    /// Events evicted to make room for newer ones.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Records one event at `cycle`, evicting the oldest when full.
     pub fn record(&mut self, cycle: Cycle, event: &Event) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
-            self.dropped += 1;
         }
         self.buf.push_back(Stamped {
             cycle,
@@ -68,13 +55,19 @@ impl RingSink {
     }
 
     /// The retained events, oldest first.
-    pub fn snapshot(&self) -> Vec<Stamped> {
-        self.buf.iter().copied().collect()
+    pub fn iter(&self) -> Iter<'_, Stamped> {
+        self.buf.iter()
     }
 
-    /// Total events offered, including evicted ones.
-    pub fn recorded(&self) -> u64 {
-        self.buf.len() as u64 + self.dropped
+    /// The last `n` retained events (fewer if fewer are kept), oldest
+    /// first, read in place.
+    pub fn tail(&self, n: usize) -> Iter<'_, Stamped> {
+        self.buf.range(self.buf.len().saturating_sub(n)..)
+    }
+
+    /// The retained events, oldest first, handed over without a copy.
+    pub fn into_vec(self) -> Vec<Stamped> {
+        self.buf.into()
     }
 }
 
@@ -94,18 +87,22 @@ mod tests {
             s.record(i, &ev(i as u16));
         }
         assert_eq!(s.len(), 3);
-        assert_eq!(s.dropped(), 2);
-        assert_eq!(s.recorded(), 5);
-        let cycles: Vec<u64> = s.snapshot().iter().map(|e| e.cycle).collect();
+        let cycles: Vec<u64> = s.iter().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4]);
+        let tail: Vec<u64> = s.tail(2).map(|e| e.cycle).collect();
+        assert_eq!(tail, vec![3, 4]);
+        assert_eq!(s.tail(9).count(), 3);
+        assert_eq!(s.tail(0).count(), 0);
     }
 
     #[test]
     fn ring_capacity_zero_is_clamped_not_silently_lossy() {
         let mut s = RingSink::new(0);
         s.record(7, &ev(1));
-        assert_eq!(s.capacity(), 1);
         assert_eq!(s.len(), 1);
+        s.record(8, &ev(2));
+        let cycles: Vec<u64> = s.iter().map(|e| e.cycle).collect();
+        assert_eq!(cycles, vec![8]);
     }
 
     #[test]
@@ -116,8 +113,7 @@ mod tests {
         for i in 0..3u64 {
             s.record(i, &ev(i as u16));
         }
-        assert_eq!(s.capacity(), 1 << 62);
-        assert_eq!((s.len(), s.dropped(), s.recorded()), (3, 0, 3));
+        assert_eq!(s.len(), 3);
         let s = RingSink::new(usize::MAX);
         assert!(s.is_empty());
     }
@@ -128,8 +124,9 @@ mod tests {
         for i in 0..4u64 {
             s.record(i, &ev(i as u16));
         }
-        assert_eq!((s.recorded(), s.len(), s.dropped()), (4, 4, 0));
-        let events = s.snapshot();
+        assert_eq!(s.len(), 4);
+        let events = s.into_vec();
+        assert_eq!(events.len(), 4);
         assert!(events.windows(2).all(|w| w[0].cycle < w[1].cycle));
     }
 }

@@ -43,6 +43,6 @@ impl Replay {
 pub fn replay(cfg: &VerifyConfig, ce: &Counterexample) -> Result<Replay, VerifyError> {
     let mut net = build_network(cfg, Some(Box::new(RingSink::new(usize::MAX))))?;
     let error = advance(&mut net, &ce.choices)?;
-    let events = net.take_sink().map(|s| s.snapshot()).unwrap_or_default();
+    let events = net.take_sink().map(|s| s.into_vec()).unwrap_or_default();
     Ok(Replay { events, error })
 }

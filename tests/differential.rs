@@ -6,7 +6,7 @@
 //! skip-ahead through `PowerManager::tick_quiet`) — and runs both in
 //! lock-step chunks. Both sides go through the same traffic host, which
 //! hands every gap between its own events to `Network::run`; the host skip
-//! on its own is pinned in `punchsim-traffic`'s
+//! on its own is pinned in `punchsim_campaign::traffic`'s
 //! `host_skip_matches_naive_ticking_exactly`.
 //! At every checkpoint the two must agree on the clock, every router's
 //! power state, the power-gating counters and the in-flight packet count;

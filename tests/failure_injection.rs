@@ -321,7 +321,7 @@ fn seeded_schedule_reproduces_the_recorded_literals() {
         ],
     };
     let (sent, delivered, mut net) = run_faulted_net(Mesh::new(8, 8), faults);
-    let events = net.take_sink().expect("sink attached").snapshot();
+    let events = net.take_sink().expect("sink attached").into_vec();
     let count = |want: FaultKind| {
         events
             .iter()

@@ -132,7 +132,7 @@ fn escalated_recovery_is_visible_in_the_trace() {
         1
     );
 
-    let events = net.take_sink().expect("sink was attached").snapshot();
+    let events = net.take_sink().expect("sink was attached").into_vec();
     let text: Vec<String> = events.iter().map(ToString::to_string).collect();
     let text = text.join("\n");
     assert!(text.contains("fault stuck-epoch at R5"), "{text}");
