@@ -16,15 +16,13 @@ use crate::runner::Outcome;
 use crate::spec::SCHEMA_VERSION;
 use crate::Json;
 
-/// Timing-sidecar schema tag. v2 added per-run shard-spawn overhead and
+/// Timing-sidecar schema tag. v2 added per-run shard-thread counters and
 /// the optional campaign-level merged metric registry; v3 added per-run
-/// persistent-pool counters (`pool_ticks`, `pool_wait_nanos`) and changed
-/// `spawn_count` to count thread *creations* (at most `shards - 1` per
-/// pool lifetime under the default pooled executor, and 0 in the measured
-/// window when the pool came up during warm-up); v4 made every run's
-/// `series` tile its measured window (PARSEC rows used to start at cycle 0
-/// and stop at the last whole interval).
-pub const TIMING_SCHEMA_VERSION: &str = "punchsim-campaign-timing/v4";
+/// worker-pool counters; v4 made every run's `series` tile its measured
+/// window (PARSEC rows used to start at cycle 0 and stop at the last whole
+/// interval); v5 dropped the four per-run thread and pool counters, which
+/// could only read 0 once campaign runs stopped sharding.
+pub const TIMING_SCHEMA_VERSION: &str = "punchsim-campaign-timing/v5";
 
 /// A finished campaign, ready to render into artifacts.
 #[derive(Debug)]
@@ -112,12 +110,6 @@ impl CampaignReport {
             if let Some(cps) = rec.cycles_per_sec() {
                 r.push("cycles_per_sec", Json::Float(cps));
             }
-            // Shard-thread overhead: creations (pool-lifetime-bounded by
-            // default) plus the pooled-tick barrier-wait counters.
-            r.push("spawn_count", Json::Int(rec.spawn_count as i64));
-            r.push("spawn_nanos", Json::Int(rec.spawn_nanos as i64));
-            r.push("pool_ticks", Json::Int(rec.pool_ticks as i64));
-            r.push("pool_wait_nanos", Json::Int(rec.pool_wait_nanos as i64));
             if !rec.series.is_empty() {
                 r.push(
                     "series",
@@ -242,15 +234,15 @@ mod tests {
         // One successful 250-cycle run.
         assert_eq!(t.get("simulated_cycles").unwrap().as_u64(), Some(250));
         assert!(t.get("cycles_per_sec").unwrap().as_f64().unwrap() > 0.0);
-        // No sampling requested: no series key in the sidecar. Spawn
-        // overhead is always reported (0 when phase A never sharded).
+        // No sampling requested: no series key in the sidecar, so a run
+        // carries exactly its id, cache flag and timings (v5: no thread or
+        // pool counters).
         let runs = t.get("runs").unwrap().as_arr().unwrap();
-        assert!(runs[0].get("series").is_none());
-        assert!(runs[0].get("spawn_count").unwrap().as_u64().is_some());
-        assert!(runs[0].get("spawn_nanos").unwrap().as_u64().is_some());
-        // v3: persistent-pool counters are always present too.
-        assert!(runs[0].get("pool_ticks").unwrap().as_u64().is_some());
-        assert!(runs[0].get("pool_wait_nanos").unwrap().as_u64().is_some());
+        let Json::Obj(fields) = &runs[0] else {
+            panic!("a run is an object")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["id", "cached", "wall_nanos", "cycles_per_sec"]);
         // No metrics requested: no campaign-level registry either.
         assert!(t.get("metrics").is_none());
     }

@@ -50,15 +50,6 @@ pub struct RunRecord {
     pub events: Vec<Stamped>,
     /// Metric registry (`None` unless the runner collected metrics).
     pub registry: Option<Box<Registry>>,
-    /// Shard worker threads the run created (at most `shards - 1`, the
-    /// persistent pool's size).
-    pub spawn_count: u64,
-    /// Wall-clock nanoseconds spent creating those threads.
-    pub spawn_nanos: u64,
-    /// Sharded ticks executed through the persistent worker pool.
-    pub pool_ticks: u64,
-    /// Host nanoseconds blocked at the pool's completion barrier.
-    pub pool_wait_nanos: u64,
 }
 
 impl RunRecord {
@@ -72,10 +63,6 @@ impl RunRecord {
             series: Vec::new(),
             events: Vec::new(),
             registry: None,
-            spawn_count: 0,
-            spawn_nanos: 0,
-            pool_ticks: 0,
-            pool_wait_nanos: 0,
         }
     }
 
@@ -158,11 +145,6 @@ pub struct Runner {
     /// registries), but results are still saved, so a later unobserved
     /// campaign hits the cache — and the metrics themselves are unchanged.
     pub observe: ObserveOpts,
-    /// Row-band shard count every run's network ticks with (see
-    /// `Network::set_shards`); `0` and `1` both mean unsharded. Like
-    /// `threads`, an execution detail: it never changes a result and never
-    /// enters a spec's content hash.
-    pub shards: usize,
 }
 
 impl Runner {
@@ -205,8 +187,7 @@ impl Runner {
                 scope.spawn(|| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(spec) = specs.get(i) else { break };
-                    let (store, shards) = (self.store.as_ref(), self.shards.max(1));
-                    let outcome = execute_one(spec, store, self.observe, shards);
+                    let outcome = execute_one(spec, self.store.as_ref(), self.observe);
                     on_done(i, &outcome);
                     *slots[i].lock().expect("result slot poisoned") = Some(outcome);
                 });
@@ -227,7 +208,7 @@ impl Runner {
 /// Requested observation (sampling or tracing) can only come from a live
 /// simulation, so it bypasses the store lookup (results are still saved
 /// for later unobserved campaigns).
-fn execute_one(spec: &RunSpec, store: Option<&Store>, opts: ObserveOpts, shards: usize) -> Outcome {
+fn execute_one(spec: &RunSpec, store: Option<&Store>, opts: ObserveOpts) -> Outcome {
     let started = Instant::now();
     if opts.is_none() {
         if let Some(store) = store {
@@ -243,7 +224,7 @@ fn execute_one(spec: &RunSpec, store: Option<&Store>, opts: ObserveOpts, shards:
     // The spec and its config are rebuilt from scratch inside `execute`;
     // nothing mutable crosses the unwind boundary, so the suppression of
     // the UnwindSafe bound is sound.
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| spec.execute_observed(opts, shards)));
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| spec.execute_observed(opts)));
     let wall_nanos = started.elapsed().as_nanos() as u64;
     match result {
         Ok(Ok(record)) => {
@@ -407,7 +388,6 @@ mod tests {
                 trace_cap: 512,
                 metrics: false,
             },
-            ..Default::default()
         }
         .run(&specs);
         let s = sampled[0].record().unwrap();
@@ -444,7 +424,6 @@ mod tests {
                 metrics: true,
                 ..ObserveOpts::NONE
             },
-            ..Default::default()
         }
         .run(&specs);
         let c = collected[0].record().unwrap();

@@ -209,7 +209,7 @@ impl RunSpec {
     /// surface protocol wedges as panics, which the campaign runner
     /// isolates per run.
     pub fn execute(&self) -> Result<Metrics, SimError> {
-        Ok(self.execute_observed(ObserveOpts::NONE, 1)?.metrics)
+        Ok(self.execute_observed(ObserveOpts::NONE)?.metrics)
     }
 
     /// Like [`RunSpec::execute`], additionally collecting a per-interval
@@ -223,19 +223,10 @@ impl RunSpec {
     /// what lets the runner keep serving the deterministic artifact from the
     /// result store while regenerating series on demand.
     ///
-    /// `shards` is the row-band shard count the run's network ticks with
-    /// (see `Network::set_shards`): like observation it never changes
-    /// `metrics`, which is why it is an argument here and not a spec field.
-    ///
     /// # Errors
     ///
-    /// Same as [`RunSpec::execute`], plus the typed shard-count errors of
-    /// `Network::set_shards`.
-    pub fn execute_observed(
-        &self,
-        opts: ObserveOpts,
-        shards: usize,
-    ) -> Result<RunRecord, SimError> {
+    /// Same as [`RunSpec::execute`].
+    pub fn execute_observed(&self, opts: ObserveOpts) -> Result<RunRecord, SimError> {
         let pm = PowerModel::default_45nm();
         // Reports are read every `every` cycles and once at the end; not
         // sampling, the measured window runs in one piece.
@@ -261,7 +252,6 @@ impl RunSpec {
                 cfg.instr_per_core = *instr_per_core;
                 cfg.warmup_instr = *warmup_instr;
                 let mut sim = CmpSim::new(cfg);
-                sim.network_mut().set_shards(shards)?;
                 attach(sim.network_mut(), opts.trace_cap, opts.metrics);
                 let r = sim.run_hooked(every, &mut sample);
                 sample(sim.network());
@@ -282,7 +272,6 @@ impl RunSpec {
                 cfg.seed = self.seed;
                 InjectionConfig::at_rate(*rate).validate()?;
                 let mut sim = SyntheticSim::new(cfg, *pattern, *rate);
-                sim.network_mut().set_shards(shards)?;
                 attach(sim.network_mut(), opts.trace_cap, opts.metrics);
                 let r = sim.run_hooked(*warmup_cycles, *measure_cycles, every, &mut sample)?;
                 let total = warmup_cycles + measure_cycles;
@@ -294,18 +283,12 @@ impl RunSpec {
 
     /// Harvests a finished run's network into its record.
     fn record(&self, net: &mut Network, metrics: Metrics, series: IntervalSeries) -> RunRecord {
-        let [(spawn_count, spawn_nanos), (pool_ticks, pool_wait_nanos)] =
-            [net.spawn_stats(), net.pool_stats()];
         let (events, registry) = harvest(net);
         RunRecord {
             series: series.into_rows(),
             events,
             // Boxed: large relative to the record, and usually absent.
             registry: registry.map(Box::new),
-            spawn_count,
-            spawn_nanos,
-            pool_ticks,
-            pool_wait_nanos,
             ..RunRecord::unobserved(self, metrics)
         }
     }
@@ -328,7 +311,8 @@ pub fn attach(net: &mut Network, trace_cap: usize, metrics: bool) {
 /// events (empty without a sink) and, when a profiler was running, the
 /// run's metric registry — every deterministic counter/histogram/plane the
 /// network exports, the wall-clock tick-phase profile, and the shard
-/// thread overhead (creations plus pooled-tick barrier waits).
+/// thread overhead (creations plus pooled-tick barrier waits; zero unless
+/// the host sharded the network, as the CLI's `run` can).
 pub fn harvest(net: &mut Network) -> (Vec<Stamped>, Option<Registry>) {
     let events = net.take_sink().map(|s| s.into_vec()).unwrap_or_default();
     let registry = net.take_profiler().map(|profiler| {
@@ -647,14 +631,11 @@ mod tests {
         let spec = synth_spec();
         let plain = spec.execute().unwrap();
         let obs = spec
-            .execute_observed(
-                ObserveOpts {
-                    sample_every: 100,
-                    trace_cap: 4_096,
-                    metrics: false,
-                },
-                1,
-            )
+            .execute_observed(ObserveOpts {
+                sample_every: 100,
+                trace_cap: 4_096,
+                metrics: false,
+            })
             .unwrap();
         // The core invariant: attaching observation changes nothing.
         assert_eq!(obs.metrics, plain);
@@ -686,7 +667,7 @@ mod tests {
             sample_every: 250,
             ..ObserveOpts::NONE
         };
-        let rec = spec.execute_observed(opts, 1).unwrap();
+        let rec = spec.execute_observed(opts).unwrap();
         let (m, series) = (&rec.metrics, &rec.series);
         assert_eq!(series[0].start, m.total_cycles - m.exec_cycles);
         assert_eq!(series[series.len() - 1].end, m.total_cycles);
@@ -699,7 +680,7 @@ mod tests {
     fn observe_opts_none_collects_nothing() {
         assert!(ObserveOpts::NONE.is_none());
         assert_eq!(ObserveOpts::default(), ObserveOpts::NONE);
-        let obs = synth_spec().execute_observed(ObserveOpts::NONE, 1).unwrap();
+        let obs = synth_spec().execute_observed(ObserveOpts::NONE).unwrap();
         assert!(obs.series.is_empty());
         assert!(obs.events.is_empty());
         assert!(obs.registry.is_none());
@@ -710,13 +691,10 @@ mod tests {
         let spec = synth_spec();
         let plain = spec.execute().unwrap();
         let obs = spec
-            .execute_observed(
-                ObserveOpts {
-                    metrics: true,
-                    ..ObserveOpts::NONE
-                },
-                1,
-            )
+            .execute_observed(ObserveOpts {
+                metrics: true,
+                ..ObserveOpts::NONE
+            })
             .unwrap();
         // Collection never steers the simulation.
         assert_eq!(obs.metrics, plain);

@@ -125,7 +125,8 @@ pub const SUITES: &[Suite] = &[
     },
     // Never quiescent (mesh-wide a packet every ~2 cycles at 32x32) yet few
     // routers busy on any one cycle: the coherence-traffic shape the SoA
-    // sweep exists for. The gate's `--shards` rows, `perf/`'s `sparse32_*`.
+    // sweep exists for; `perf/`'s `sparse32_*`. `bench/baseline_busy.json`
+    // is this suite at `Size::Smoke`.
     Suite {
         name: "busy",
         help: "large-mesh busy-regime scalability runs",

@@ -52,7 +52,6 @@ pub use flit::{Flit, FlitKind, Message, MsgClass, PacketMeta};
 pub use network::Network;
 pub use power::{AlwaysOn, IdleInfo, PgCounters, PmEvent, PowerManager, PowerState};
 pub use router::{Router, RouterActivity};
-pub use shard::check_shards;
 pub use soa::BitWords;
 pub use stats::{NetStats, NetworkReport};
 pub use vc::VcLayout;

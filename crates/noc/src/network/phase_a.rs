@@ -97,8 +97,7 @@ impl Network {
     ///
     /// Returns [`ConfigError::ZeroShards`] for `0` and
     /// [`ConfigError::ShardsExceedRows`] when `shards` exceeds the
-    /// topology's router rows (a shard would own no rows): the rule of
-    /// [`crate::check_shards`].
+    /// topology's router rows (a shard would own no rows).
     pub fn set_shards(&mut self, shards: usize) -> Result<(), ConfigError> {
         self.shard.set_count(self.view.topo, shards)
     }

@@ -26,7 +26,7 @@ use crate::soa::{self, PmAvail, ShardBuf, ShardView, TickCtx};
 ///
 /// [`ConfigError::ZeroShards`] for `0`, [`ConfigError::ShardsExceedRows`]
 /// when `shards` exceeds `rows`.
-pub fn check_shards(shards: usize, rows: u16) -> Result<(), ConfigError> {
+fn check_shards(shards: usize, rows: u16) -> Result<(), ConfigError> {
     if shards == 0 {
         return Err(ConfigError::ZeroShards);
     }

@@ -345,7 +345,7 @@ pub(crate) struct ShardView<'a> {
 
 /// Contiguous row-band shard boundaries as node ranges: shard `k` owns
 /// rows `[k*h/shards, (k+1)*h/shards)`. Requires `1 <= shards <= height`
-/// (validated by [`crate::check_shards`]), so every shard owns at least one
+/// (validated by `shard::check_shards`), so every shard owns at least one
 /// full row and the bands tile `0..w*h` exactly.
 pub(crate) fn shard_bounds(width: u16, height: u16, shards: usize) -> Vec<(usize, usize)> {
     let (w, h) = (width as usize, height as usize);

@@ -37,14 +37,17 @@
 #                    the since-removed west-first routing), so a drift in
 #                    the geometry or the routing shows; the suite is also
 #                    byte-stable across worker counts.
-#   busy-s*,         Sharding is an execution detail like `--threads`: the
-#   faults-*-s*      busy suite and the seeded `run --faults sweep` (every
-#                    shard reads the fault injector's masked power states
-#                    straight from the manager) do not change by a byte at
-#                    any `--shards`; the sweep is also pinned to the stdout
-#                    recorded before the seeded and the scripted injector
-#                    were merged, so the seeded fault schedule itself is
-#                    gated.
+#   busy             The large-mesh busy suite (16x16 and 32x32 at 5e-4,
+#                    nopg/convopt/ppf) reproduces bench/baseline_busy.json.
+#   busy-run-s*,     Sharding is an execution detail like `--threads`: the
+#   faults-*-s*      sparse 32x32 `run` over every scheme and the seeded
+#                    `run --faults sweep` (every shard reads the fault
+#                    injector's masked power states straight from the
+#                    manager) do not change by a byte at any `--shards`
+#                    (`run` is the one command that takes it); the sweep is
+#                    also pinned to the stdout recorded before the seeded
+#                    and the scripted injector were merged, so the seeded
+#                    fault schedule itself is gated.
 #   run-rates,       `run`'s load and scheme tables at their defaults
 #   run-schemes      reproduce bench/SWEEP_8x8.txt and bench/SCHEMES_8x8.txt,
 #                    recorded from the binary of the commit before the
@@ -55,11 +58,13 @@
 #   verify-*         The exhaustive wakeup-protocol explorations reproduce
 #                    bench/VERIFY_*.json byte for byte — the state encoding,
 #                    the choice enumeration order and the property
-#                    evaluation are part of the determinism contract. The
-#                    fault-free 2x2/2x3 runs and the same runs under the
-#                    per-cycle fault alphabet (two-fault budget) must prove
+#                    evaluation are part of the determinism contract. Every
+#                    scheme's fault-free 2x2 run and the same run under the
+#                    per-cycle fault alphabet (two-fault budget), and the
+#                    2x3 ppf runs and 2x3 pps faulty, must prove
 #                    no-lost-wakeup, no-deadlock and bounded-stall (`verify`
-#                    exits non-zero otherwise); with the WU input
+#                    exits non-zero otherwise; 2x3 convopt faulty is left out
+#                    for taking over a second); with the WU input
 #                    disconnected and escalation disabled the checker must
 #                    FIND the lost wakeup (`--expect-violation`) and replay
 #                    it into a non-empty obs event stream. A checker that
@@ -146,34 +151,42 @@ while IFS='|' read -r label against args; do
     fi
     echo "identity_gate: $label byte-identical to $against"
 done <<'ROWS'
-ci                | bench/baseline.json               | campaign --suite ci --name ci --smoke
-ci-observed       | =ci                               | campaign --suite ci --name ci --smoke --sample 1000 --trace-out @/dumps
-ci-metered        | =ci                               | campaign --suite ci --name ci --smoke --metrics-out @/campaign.prom
-schemes           | bench/baseline_schemes.json       | campaign --suite schemes --name schemes --smoke
-fastpath          | bench/baseline_fastpath.json      | campaign --suite fastpath --name fastpath --smoke
-substrate-t4      | bench/baseline_substrate.json     | campaign --suite substrate --name substrate --smoke --threads 4
-substrate-t1      | =substrate-t4                     | campaign --suite substrate --name substrate --smoke --threads 1
-busy-s1           | -                                 | campaign --suite busy --name busy --smoke --shards 1
-busy-s2           | =busy-s1                          | campaign --suite busy --name busy --smoke --shards 2
-busy-s4           | =busy-s1                          | campaign --suite busy --name busy --smoke --shards 4
-run-rates         | bench/SWEEP_8x8.txt               | run --rate 0.0025,0.005,0.01,0.02,0.04,0.08,0.16
-run-schemes       | bench/SCHEMES_8x8.txt             | run --scheme all
-run-trace         | -                                 | run --trace-out @/t.jsonl --trace-cap 0
-faults-ppf-s1     | bench/FAULTS_ppf.txt              | run --scheme ppf --faults sweep --shards 1
-faults-ppf-s2     | bench/FAULTS_ppf.txt              | run --scheme ppf --faults sweep --shards 2
-faults-ppf-s4     | bench/FAULTS_ppf.txt              | run --scheme ppf --faults sweep --shards 4
-faults-convopt-s1 | bench/FAULTS_convopt.txt          | run --scheme convopt --faults sweep --shards 1
-faults-convopt-s2 | bench/FAULTS_convopt.txt          | run --scheme convopt --faults sweep --shards 2
-faults-convopt-s4 | bench/FAULTS_convopt.txt          | run --scheme convopt --faults sweep --shards 4
-verify-2x2-ppf    | bench/VERIFY_2x2_ppf_clean.json   | verify --mesh 2x2 --scheme ppf
-verify-2x2-conv   | bench/VERIFY_2x2_conv_clean.json  | verify --mesh 2x2 --scheme conv
-verify-2x3-ppf    | bench/VERIFY_2x3_ppf_clean.json   | verify --mesh 2x3 --scheme ppf
-verify-2x2-ppf-f  | bench/VERIFY_2x2_ppf_faulty.json  | verify --mesh 2x2 --scheme ppf --faulty
-verify-2x2-conv-f | bench/VERIFY_2x2_conv_faulty.json | verify --mesh 2x2 --scheme conv --faulty
-verify-2x3-ppf-f  | bench/VERIFY_2x3_ppf_faulty.json  | verify --mesh 2x3 --scheme ppf --faulty
-verify-broken     | bench/VERIFY_2x2_conv_broken.json | verify --mesh 2x2 --scheme conv --broken --expect-violation --replay-out @/replay.jsonl --chrome-out @/replay.chrome.json
-figures           | bench/FIGURES_smoke.txt           | figure all --smoke --no-cache
-metrics           | coverage>=0.90                    | run --mesh 16x16 --rate 0.0005 --cycles 12000 --metrics-out @/snapshot.json
+ci                   | bench/baseline.json                  | campaign --suite ci --name ci --smoke
+ci-observed          | =ci                                  | campaign --suite ci --name ci --smoke --sample 1000 --trace-out @/dumps
+ci-metered           | =ci                                  | campaign --suite ci --name ci --smoke --metrics-out @/campaign.prom
+schemes              | bench/baseline_schemes.json          | campaign --suite schemes --name schemes --smoke
+fastpath             | bench/baseline_fastpath.json         | campaign --suite fastpath --name fastpath --smoke
+substrate-t4         | bench/baseline_substrate.json        | campaign --suite substrate --name substrate --smoke --threads 4
+substrate-t1         | =substrate-t4                        | campaign --suite substrate --name substrate --smoke --threads 1
+busy                 | bench/baseline_busy.json             | campaign --suite busy --name busy --smoke
+busy-run-s1          | -                                    | run --mesh 32x32 --rate 0.0005 --scheme all --cycles 12000 --shards 1
+busy-run-s2          | =busy-run-s1                         | run --mesh 32x32 --rate 0.0005 --scheme all --cycles 12000 --shards 2
+busy-run-s4          | =busy-run-s1                         | run --mesh 32x32 --rate 0.0005 --scheme all --cycles 12000 --shards 4
+run-rates            | bench/SWEEP_8x8.txt                  | run --rate 0.0025,0.005,0.01,0.02,0.04,0.08,0.16
+run-schemes          | bench/SCHEMES_8x8.txt                | run --scheme all
+run-trace            | -                                    | run --trace-out @/t.jsonl --trace-cap 0
+faults-ppf-s1        | bench/FAULTS_ppf.txt                 | run --scheme ppf --faults sweep --shards 1
+faults-ppf-s2        | bench/FAULTS_ppf.txt                 | run --scheme ppf --faults sweep --shards 2
+faults-ppf-s4        | bench/FAULTS_ppf.txt                 | run --scheme ppf --faults sweep --shards 4
+faults-convopt-s1    | bench/FAULTS_convopt.txt             | run --scheme convopt --faults sweep --shards 1
+faults-convopt-s2    | bench/FAULTS_convopt.txt             | run --scheme convopt --faults sweep --shards 2
+faults-convopt-s4    | bench/FAULTS_convopt.txt             | run --scheme convopt --faults sweep --shards 4
+verify-2x2-ppf       | bench/VERIFY_2x2_ppf_clean.json      | verify --mesh 2x2 --scheme ppf
+verify-2x2-conv      | bench/VERIFY_2x2_conv_clean.json     | verify --mesh 2x2 --scheme conv
+verify-2x3-ppf       | bench/VERIFY_2x3_ppf_clean.json      | verify --mesh 2x3 --scheme ppf
+verify-2x2-ppf-f     | bench/VERIFY_2x2_ppf_faulty.json     | verify --mesh 2x2 --scheme ppf --faulty
+verify-2x2-conv-f    | bench/VERIFY_2x2_conv_faulty.json    | verify --mesh 2x2 --scheme conv --faulty
+verify-2x3-ppf-f     | bench/VERIFY_2x3_ppf_faulty.json     | verify --mesh 2x3 --scheme ppf --faulty
+verify-2x2-nopg      | bench/VERIFY_2x2_nopg_clean.json     | verify --mesh 2x2 --scheme nopg
+verify-2x2-nopg-f    | bench/VERIFY_2x2_nopg_faulty.json    | verify --mesh 2x2 --scheme nopg --faulty
+verify-2x2-convopt   | bench/VERIFY_2x2_convopt_clean.json  | verify --mesh 2x2 --scheme convopt
+verify-2x2-convopt-f | bench/VERIFY_2x2_convopt_faulty.json | verify --mesh 2x2 --scheme convopt --faulty
+verify-2x2-pps       | bench/VERIFY_2x2_pps_clean.json      | verify --mesh 2x2 --scheme pps
+verify-2x2-pps-f     | bench/VERIFY_2x2_pps_faulty.json     | verify --mesh 2x2 --scheme pps --faulty
+verify-2x3-pps-f     | bench/VERIFY_2x3_pps_faulty.json     | verify --mesh 2x3 --scheme pps --faulty
+verify-broken        | bench/VERIFY_2x2_conv_broken.json    | verify --mesh 2x2 --scheme conv --broken --expect-violation --replay-out @/replay.jsonl --chrome-out @/replay.chrome.json
+figures              | bench/FIGURES_smoke.txt              | figure all --smoke --no-cache
+metrics              | coverage>=0.90                       | run --mesh 16x16 --rate 0.0005 --cycles 12000 --metrics-out @/snapshot.json
 ROWS
 
 echo "identity_gate: every row byte-identical"

@@ -301,7 +301,6 @@ mod tests {
         assert_eq!(o.out, None, "campaign then writes into bench-out");
         assert_eq!(o.seed, campaign::DEFAULT_SEED);
         assert!(!o.no_cache);
-        assert_eq!(o.shards, 1);
         assert!(!o.specs().is_empty());
 
         let o = campaign_opts(&[
@@ -309,8 +308,6 @@ mod tests {
             "synth",
             "--threads",
             "3",
-            "--shards",
-            "4",
             "--out",
             "tmp",
             "--name",
@@ -322,7 +319,6 @@ mod tests {
         .unwrap();
         assert_eq!(o.suite.name, "synth");
         assert_eq!(o.threads, 3);
-        assert_eq!(o.shards, 4);
         assert_eq!(o.out, Some(PathBuf::from("tmp")));
         assert_eq!(o.name.as_deref(), Some("pr"));
         assert_eq!(o.seed, 7);
@@ -337,34 +333,17 @@ mod tests {
 
     #[test]
     fn campaign_shard_counts_are_validated_up_front() {
-        // `--shards 0` is a typed ConfigError, not a panic or a per-run
-        // failure.
-        let o = campaign_opts(&["--shards", "0"]).unwrap();
-        let specs = o.specs();
-        assert!(matches!(
-            o.validate_shards(&specs),
-            Err(ConfigError::ZeroShards)
-        ));
-        // The ci suite's 8x8 meshes cap the shard count at 8 rows.
-        let o = campaign_opts(&["--shards", "9"]).unwrap();
-        let specs = o.specs();
-        assert!(matches!(
-            o.validate_shards(&specs),
-            Err(ConfigError::ShardsExceedRows { shards: 9, rows: 8 })
-        ));
-        // The busy suite's smallest mesh is 16x16, so 9 shards fit there.
-        let o = campaign_opts(&["--suite", "busy", "--shards", "9"]).unwrap();
-        let specs = o.specs();
-        assert!(o.validate_shards(&specs).is_ok());
-        let o = campaign_opts(&["--suite", "busy", "--shards", "17"]).unwrap();
-        let specs = o.specs();
-        assert!(matches!(
-            o.validate_shards(&specs),
-            Err(ConfigError::ShardsExceedRows {
-                shards: 17,
-                rows: 16
-            })
-        ));
+        // Campaign runs never shard (no suite has a workload where a second
+        // shard pays), so `--shards` is refused by the parser, before any
+        // spec is built, whatever the count.
+        for count in ["0", "1", "2", "9"] {
+            for cmd in ["campaign", "parsec"] {
+                let err = parse_for(cmd, &["--shards", count]).err();
+                assert_eq!(err, Some(format!("unknown flag --shards for {cmd}")));
+            }
+        }
+        // `run` still takes it.
+        assert_eq!(parse(&["--shards", "2"]).unwrap().shards, 2);
     }
 
     #[test]

@@ -8,7 +8,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use punchsim::campaign::{compare as gate, Json};
-use punchsim::noc::check_shards;
 use punchsim::prelude::*;
 
 use super::parse::Opts;
@@ -19,26 +18,10 @@ impl Opts {
     pub fn specs(&self) -> Vec<RunSpec> {
         self.suite.specs(self.seed, self.size)
     }
-
-    /// Checks `--shards` against the router rows of every spec in the suite
-    /// *before* any run starts, so a bad count is one typed [`ConfigError`]
-    /// up front rather than a per-run failure midway through the campaign.
-    pub fn validate_shards(&self, specs: &[RunSpec]) -> Result<(), ConfigError> {
-        specs.iter().try_for_each(|spec| {
-            let topo = match &spec.workload {
-                Workload::Synthetic { topo, .. } => *topo,
-                Workload::Parsec { benchmark, .. } => {
-                    CmpConfig::new(*benchmark, spec.scheme).sim.noc.topology
-                }
-            };
-            check_shards(self.shards, topo.height())
-        })
-    }
 }
 
 pub fn campaign(opts: &Opts) -> Result<ExitCode, String> {
     let specs = opts.specs();
-    opts.validate_shards(&specs).map_err(|e| e.to_string())?;
     let name = opts
         .name
         .clone()
@@ -51,7 +34,6 @@ pub fn campaign(opts: &Opts) -> Result<ExitCode, String> {
             trace_cap: opts.recorder_cap(),
             metrics: opts.metrics_out.is_some(),
         },
-        shards: opts.shards,
     };
     let threads = runner.effective_threads(specs.len());
     let (total, size) = (specs.len(), opts.size);

@@ -81,7 +81,7 @@ pub const COMMANDS: &[Command] = &[
     },
     Command {
         name: "parsec",
-        args: &["--benchmark B", "--scheme S", "--instr N", "--shards N"],
+        args: &["--benchmark B", "--scheme S", "--instr N"],
         run: system::parsec,
     },
     Command {
@@ -89,7 +89,6 @@ pub const COMMANDS: &[Command] = &[
         args: &[
             "--suite S",
             "--threads N",
-            "--shards N",
             "--out DIR",
             "--name NAME",
             "--seed N",
@@ -261,6 +260,7 @@ each <= 1) or per drop p 0, .25, .5, .75, 1 (--faults sweep); one axis at most
   --corrupt P      corrupt punch codewords with probability P (wrong targets)
   --fault-seed N   seed of the fault injector's RNG stream (default 0xFA17)
   --topology T     mesh (default) or torus, sized by --mesh; --routing xy|yx
+  --shards N       tick in N row shards, bit-exact (default 1; run only)
   --trace-out PATH each point's flight recorder: JSONL if PATH ends in .jsonl,
                    else a Chrome trace; a sweep adds -r0.0050, -ppf or -d0.25
   --trace-cap N    recorder capacity in events (default 4096; 0 = whole run)
@@ -282,7 +282,6 @@ campaign flags:
   --seed N         campaign seed (default 0xC0FFEE)
   --no-cache       ignore the result store; simulate every spec
   --smoke          the shortened run lengths of CI and the bench/ baselines
-  --shards N       tick in N row shards, bit-exact (default 1; run/parsec too)
   --sample N       per-interval series every N cycles into the .timing.json
   --trace-out DIR  write per-run flight-recorder dumps (JSONL) into DIR
   --metrics-out P  merged per-run registries into the .timing.json and P

@@ -5,7 +5,6 @@ use std::process::ExitCode;
 use punchsim::prelude::*;
 
 use super::parse::Opts;
-use super::synth::sim_err;
 
 pub fn parsec(opts: &Opts) -> Result<ExitCode, String> {
     let mut cfg = CmpConfig::new(opts.benchmark, opts.scheme());
@@ -17,11 +16,7 @@ pub fn parsec(opts: &Opts) -> Result<ExitCode, String> {
         opts.scheme(),
         opts.instr
     );
-    let mut sim = CmpSim::new(cfg);
-    sim.network_mut()
-        .set_shards(opts.shards)
-        .map_err(|e| sim_err(e.into()))?;
-    let r = sim.run();
+    let r = CmpSim::new(cfg).run();
     println!("completed:        {}", r.completed);
     println!("execution cycles: {}", r.exec_cycles);
     println!("L1 miss rate:     {:.3}%", r.l1_miss_rate * 100.0);

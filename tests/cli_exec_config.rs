@@ -9,8 +9,9 @@
 //! through `Command::env`, this process's environment is never touched) to
 //! pin what replaced all that: construction ignores the environment, the
 //! retired flags are usage errors, `--shards` is validated as a typed
-//! error on every subcommand that takes it, a flag a subcommand does not
-//! read is an error rather than a silently ignored argument, and every `N`
+//! error on `run`, the one subcommand that takes it (`campaign` and
+//! `parsec` refuse the flag before any run starts), a flag a subcommand
+//! does not read is an error rather than a silently ignored argument, and every `N`
 //! flag reads the `0x` spelling the usage text and the banners print. An
 //! unknown scheme, routing or suite is a usage error that lists the valid
 //! ones, never a panic.
@@ -138,22 +139,14 @@ fn retired_mode_flags_and_suite_are_usage_errors() {
 
 #[test]
 fn shard_counts_are_validated_on_every_subcommand_that_takes_them() {
-    // All on an 8x8 mesh (8 router rows): `campaign` runs the ci suite's,
-    // `parsec` the CMP's fixed one, the rest take `--mesh`.
+    // All on an 8x8 mesh (8 router rows).
     for sub in [
         &["run", "--rate", "0.005,0.01"][..],
         &["run", "--scheme", "all"],
         &["run", "--faults", "sweep"],
         &["run", "--metrics-out", "unwritten.prom"],
-        &["parsec"],
-        &["campaign"],
     ] {
-        let mesh: &[&str] = if sub[0] == "run" {
-            &["--mesh", "8x8"]
-        } else {
-            &[]
-        };
-        let run = |shards| cli(&[sub, &["--shards", shards], mesh].concat(), &[]);
+        let run = |shards| cli(&[sub, &["--shards", shards, "--mesh", "8x8"]].concat(), &[]);
         let zero = run("0");
         assert!(!zero.status.success(), "{sub:?} --shards 0 must fail");
         assert!(
@@ -169,6 +162,37 @@ fn shard_counts_are_validated_on_every_subcommand_that_takes_them() {
             stderr(&nine)
         );
     }
+}
+
+/// Campaign and full-system runs never shard: on the suites and the CMP
+/// they run, a second shard only ever cost time. The flag is the parser's
+/// usage error, raised before any spec is built or any run starts.
+#[test]
+fn campaign_and_parsec_refuse_shards_before_running() {
+    // Short, store-free runs writing into a temp dir, so a binary that
+    // still took the flag fails the exit-status assert quickly.
+    let dir = std::env::temp_dir().join(format!("punchsim-cli-noshard-{}", std::process::id()));
+    let out_dir = dir.to_str().expect("utf-8 temp path");
+    for args in [
+        &[
+            "campaign",
+            "--suite",
+            "busy",
+            "--smoke",
+            "--no-cache",
+            "--out",
+            out_dir,
+        ][..],
+        &["parsec", "--instr", "2000"],
+    ] {
+        let sub = args[0];
+        let out = cli(&[args, &["--shards", "2"]].concat(), &[]);
+        assert!(!out.status.success(), "{sub} --shards 2 must fail");
+        assert!(out.stdout.is_empty(), "{sub} printed a result");
+        let first = format!("error: unknown flag --shards for {sub}\n");
+        assert!(stderr(&out).starts_with(&first), "{sub}: {}", stderr(&out));
+    }
+    assert!(!dir.exists(), "a refused campaign wrote {out_dir}");
 }
 
 #[test]

@@ -53,13 +53,10 @@ fn metrics_collection_never_changes_results() {
             let s = spec(scheme, topo, routing);
             let plain = s.execute().expect("healthy spec");
             let observed = s
-                .execute_observed(
-                    ObserveOpts {
-                        metrics: true,
-                        ..ObserveOpts::NONE
-                    },
-                    1,
-                )
+                .execute_observed(ObserveOpts {
+                    metrics: true,
+                    ..ObserveOpts::NONE
+                })
                 .expect("healthy spec");
             assert_eq!(observed.metrics, plain, "{} drifted under metrics", s.id());
             assert!(observed.registry.is_some(), "{} lost its registry", s.id());

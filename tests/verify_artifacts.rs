@@ -28,6 +28,21 @@ fn conv_clean_2x2() {
 }
 
 #[test]
+fn nopg_clean_2x2() {
+    reproduces(VerifyConfig::mesh2x2(SchemeKind::NoPg));
+}
+
+#[test]
+fn convopt_clean_2x2() {
+    reproduces(VerifyConfig::mesh2x2(SchemeKind::ConvOptPg));
+}
+
+#[test]
+fn pps_clean_2x2() {
+    reproduces(VerifyConfig::mesh2x2(SchemeKind::PowerPunchSignal));
+}
+
+#[test]
 fn ppf_faulty_2x2() {
     reproduces(VerifyConfig::mesh2x2(SchemeKind::PowerPunchFull).with_faults());
 }
